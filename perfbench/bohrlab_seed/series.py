@@ -1,0 +1,356 @@
+"""Truncated complex power series on the unit disk.
+
+A series is stored as a fixed-length coefficient vector c[0..N] (index =
+power of z) together with an optional ``exact_degree`` marker: when set to
+d, every coefficient beyond index d is identically zero and the vector
+represents the function exactly rather than as a truncation.  All
+operations are pure and never mutate their inputs, so values can be shared
+freely across threads.
+"""
+
+from __future__ import annotations
+
+import cmath
+from dataclasses import dataclass, field
+
+import numpy as np
+
+DEFAULT_ORDER = 64
+
+# Constant-term slack for inner series of a composition.  Witnesses build
+# the inner function with an exactly zero constant term, so anything above
+# this indicates a construction bug rather than roundoff.
+COMPOSE_CONSTANT_TOL = 1e-15
+
+ROTATION_TOL = 1e-15
+BLASCHKE_ZERO_CAP = 0.9
+MAX_BLASCHKE_ZEROS = 4
+
+
+@dataclass(frozen=True)
+class MobiusTag:
+    """Closed-form certificate carried by disk-automorphism series.
+
+    ``kind`` selects the generating function:
+
+    * ``"plus"``   -- (z + a0) / (1 + conj(a0) z)
+    * ``"minus"``  -- (a0 - z) / (1 - conj(a0) z)
+    * ``"tail"``   -- scale * ((z + a0)/(1 + conj(a0) z) - a0), i.e. the
+      constant-free tail of the "plus" automorphism.
+
+    All three share the coefficient-modulus pattern
+    |c_k| = scale * (1 - |a0|^2) |a0|^(k-1) for k >= 1, which gives the
+    geometric closed form used by the majorant helpers.
+    """
+
+    a0: complex
+    kind: str = "plus"
+    scale: float = 1.0
+
+    def __post_init__(self):
+        if self.kind not in ("plus", "minus", "tail"):
+            raise ValueError(f"unknown Mobius tag kind {self.kind!r}")
+        if abs(self.a0) >= 1.0:
+            raise ValueError("Mobius tag requires |a0| < 1")
+
+    @property
+    def a(self) -> float:
+        return abs(self.a0)
+
+    def majorant(self, r: float, skip_constant: bool = False) -> float:
+        """Exact value of sum_k |c_k| r^k, bypassing truncation."""
+        a = self.a
+        tail = self.scale * r * (1.0 - a * a) / (1.0 - r * a)
+        if skip_constant or self.kind == "tail":
+            return tail
+        return a + tail
+
+    def value_at(self, z: complex) -> complex:
+        """Exact value of the generating function at a point of the disk."""
+        a0 = self.a0
+        plus = (z + a0) / (1.0 + a0.conjugate() * z)
+        if self.kind == "plus":
+            return plus
+        if self.kind == "minus":
+            return (a0 - z) / (1.0 - a0.conjugate() * z)
+        return self.scale * (plus - a0)
+
+
+@dataclass(frozen=True, eq=False)
+class TruncatedSeries:
+    """Coefficient vector of length order+1 with optional exactness marker."""
+
+    coeffs: np.ndarray
+    exact_degree: int | None = None
+    tag: MobiusTag | None = field(default=None, compare=False)
+
+    def __post_init__(self):
+        arr = np.asarray(self.coeffs, dtype=np.complex128)
+        if arr.ndim != 1 or arr.size < 1:
+            raise ValueError("coefficient vector must be one-dimensional and non-empty")
+        bad = np.flatnonzero(~np.isfinite(arr))
+        if bad.size:
+            raise ValueError(f"non-finite coefficient at index {int(bad[0])}")
+        if self.exact_degree is not None:
+            d = int(self.exact_degree)
+            if not 0 <= d <= arr.size - 1:
+                raise ValueError("exact_degree out of range")
+            if d < arr.size - 1 and np.any(arr[d + 1 :] != 0):
+                raise ValueError("exact_degree set but trailing coefficients are nonzero")
+            object.__setattr__(self, "exact_degree", d)
+        arr = arr.copy()
+        arr.setflags(write=False)
+        object.__setattr__(self, "coeffs", arr)
+
+    @property
+    def order(self) -> int:
+        return self.coeffs.size - 1
+
+    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+        return add(self, other)
+
+    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+        return add(self, scale(other, -1.0))
+
+    def __neg__(self) -> "TruncatedSeries":
+        return scale(self, -1.0)
+
+    def __mul__(self, other):
+        if isinstance(other, TruncatedSeries):
+            return mul(self, other)
+        return scale(self, other)
+
+    def __rmul__(self, other):
+        return scale(self, other)
+
+    def __repr__(self):
+        head = np.array2string(self.coeffs[: min(5, self.coeffs.size)], precision=6)
+        return (
+            f"TruncatedSeries(order={self.order}, exact_degree={self.exact_degree}, "
+            f"coeffs={head}...)"
+        )
+
+
+def make_series(coeffs, order: int) -> TruncatedSeries:
+    """Build a polynomial-exact series, zero-padded to the given order.
+
+    An empty coefficient list yields the zero series (exact_degree 0 by
+    convention).
+    """
+    if order < 0:
+        raise ValueError("order must be >= 0")
+    arr = np.asarray(list(coeffs), dtype=np.complex128)
+    if arr.size > order + 1:
+        raise ValueError(f"{arr.size} coefficients exceed order {order}")
+    bad = np.flatnonzero(~np.isfinite(arr))
+    if bad.size:
+        raise ValueError(f"non-finite coefficient at index {int(bad[0])}")
+    out = np.zeros(order + 1, dtype=np.complex128)
+    out[: arr.size] = arr
+    degree = max(arr.size - 1, 0)
+    return TruncatedSeries(out, exact_degree=degree)
+
+
+def _require_same_order(f: TruncatedSeries, g: TruncatedSeries):
+    if f.order != g.order:
+        raise ValueError(f"truncation order mismatch: {f.order} vs {g.order}")
+
+
+def scale(f: TruncatedSeries, c: complex) -> TruncatedSeries:
+    """Multiply every coefficient by a finite scalar."""
+    c = complex(c)
+    if not (cmath.isfinite(c)):
+        raise ValueError("scale factor must be finite")
+    return TruncatedSeries(f.coeffs * c, exact_degree=f.exact_degree)
+
+
+def add(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
+    """Coefficient-wise sum of two series with equal truncation order."""
+    _require_same_order(f, g)
+    degree = None
+    if f.exact_degree is not None and g.exact_degree is not None:
+        degree = max(f.exact_degree, g.exact_degree)
+    return TruncatedSeries(f.coeffs + g.coeffs, exact_degree=degree)
+
+
+def mul(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
+    """Cauchy product truncated at the common order.
+
+    Coefficient k of the result is sum_{m+j=k} f_m g_j; entries beyond the
+    truncation order are discarded.
+    """
+    _require_same_order(f, g)
+    n = f.order + 1
+    out = np.convolve(f.coeffs, g.coeffs)[:n]
+    degree = None
+    if f.exact_degree is not None and g.exact_degree is not None:
+        d = f.exact_degree + g.exact_degree
+        if d <= f.order:
+            degree = d
+    return TruncatedSeries(out, exact_degree=degree)
+
+
+def compose(g: TruncatedSeries, w: TruncatedSeries) -> TruncatedSeries:
+    """Composition g(w(z)) for an inner series with zero constant term.
+
+    Because w(0) = 0, the k-th power of w starts at z^k, so the first
+    order+1 coefficients of the result are exact given the stored
+    coefficients of g and w.  Computed by Horner accumulation over the
+    coefficients of g (down from its exact degree when known).
+    """
+    _require_same_order(g, w)
+    if abs(w.coeffs[0]) > COMPOSE_CONSTANT_TOL:
+        raise ValueError(
+            f"inner series must vanish at the origin (|w(0)| = {abs(w.coeffs[0]):.3e})"
+        )
+    n = g.order + 1
+    top = g.exact_degree if g.exact_degree is not None else g.order
+    acc = np.zeros(n, dtype=np.complex128)
+    acc[0] = g.coeffs[top]
+    for k in range(top - 1, -1, -1):
+        acc = np.convolve(acc, w.coeffs)[:n]
+        acc[0] += g.coeffs[k]
+    degree = None
+    if g.exact_degree is not None and w.exact_degree is not None:
+        d = g.exact_degree * w.exact_degree
+        if d <= g.order:
+            degree = d
+    return TruncatedSeries(acc, exact_degree=degree)
+
+
+def power(w: TruncatedSeries, k: int) -> TruncatedSeries:
+    """k-th power by repeated multiplication; w**0 is the constant one."""
+    if k < 0:
+        raise ValueError("exponent must be >= 0")
+    out = make_series([1.0], w.order)
+    for _ in range(k):
+        out = mul(out, w)
+    if w.coeffs[0] == 0:
+        low = min(k, w.order + 1)
+        assert np.all(out.coeffs[:low] == 0), "power of origin-vanishing series leaked low-order terms"
+    return out
+
+
+def derivative(f: TruncatedSeries) -> TruncatedSeries:
+    """Termwise derivative; the top slot is zero-padded."""
+    n = f.order + 1
+    out = np.zeros(n, dtype=np.complex128)
+    out[:-1] = f.coeffs[1:] * np.arange(1, n)
+    if f.exact_degree is None:
+        degree = None
+    else:
+        degree = max(f.exact_degree - 1, 0)
+    return TruncatedSeries(out, exact_degree=degree)
+
+
+def integrate(f: TruncatedSeries) -> TruncatedSeries:
+    """Termwise antiderivative with zero constant; the top input slot is dropped."""
+    n = f.order + 1
+    out = np.zeros(n, dtype=np.complex128)
+    out[1:] = f.coeffs[:-1] / np.arange(1, n)
+    degree = None
+    if f.exact_degree is not None and f.exact_degree + 1 <= f.order:
+        degree = f.exact_degree + 1
+    return TruncatedSeries(out, exact_degree=degree)
+
+
+def majorant_eval(f: TruncatedSeries, r: float, skip_constant: bool = False) -> float:
+    """Truncated majorant sum: sum_k |c_k| r^k over the stored coefficients.
+
+    Exact when exact_degree is set; otherwise a lower bound on the full
+    majorant sum of the represented function.
+    """
+    if not 0.0 <= r < 1.0:
+        raise ValueError("radius must lie in [0, 1)")
+    mags = np.abs(f.coeffs)
+    total = float(np.polynomial.polynomial.polyval(r, mags))
+    if skip_constant:
+        return total - float(mags[0])
+    return total
+
+
+def evaluate(f: TruncatedSeries, z):
+    """Horner evaluation of the stored coefficients at one or many points."""
+    return np.polynomial.polynomial.polyval(z, f.coeffs)
+
+
+def mobius_series(a0: complex, order: int) -> TruncatedSeries:
+    """Expansion of the disk automorphism (z + a0) / (1 + conj(a0) z).
+
+    Coefficient 0 is a0 and coefficient k is
+    (-1)^(k-1) (1 - |a0|^2) conj(a0)^(k-1) for k >= 1, so the moduli form
+    the geometric family (1 - |a0|^2) |a0|^(k-1).  The result carries a
+    closed-form tag used by the functional layer.
+    """
+    a0 = complex(a0)
+    if abs(a0) >= 1.0:
+        raise ValueError("automorphism parameter must satisfy |a0| < 1")
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    out = np.zeros(order + 1, dtype=np.complex128)
+    out[0] = a0
+    k = np.arange(order)
+    out[1:] = (-1.0) ** k * (1.0 - abs(a0) ** 2) * a0.conjugate() ** k
+    degree = 1 if a0 == 0 else None
+    return TruncatedSeries(out, exact_degree=degree, tag=MobiusTag(a0, "plus"))
+
+
+@dataclass(frozen=True)
+class BlaschkeSpec:
+    """Zeros and rotation defining a finite Blaschke product.
+
+    Zeros are capped at modulus 0.9 and at most four per product so the
+    expansion coefficients stay well conditioned at the default order.
+    """
+
+    zeros: tuple = ()
+    rotation: complex = 1.0 + 0.0j
+
+    def __post_init__(self):
+        zeros = tuple(complex(z) for z in self.zeros)
+        if len(zeros) > MAX_BLASCHKE_ZEROS:
+            raise ValueError(f"at most {MAX_BLASCHKE_ZEROS} zeros per Blaschke product")
+        for z in zeros:
+            if abs(z) > BLASCHKE_ZERO_CAP + 1e-12:
+                raise ValueError(f"zero with modulus {abs(z):.4f} exceeds cap {BLASCHKE_ZERO_CAP}")
+        rot = complex(self.rotation)
+        if abs(abs(rot) - 1.0) > ROTATION_TOL:
+            raise ValueError("rotation must be unimodular")
+        object.__setattr__(self, "zeros", zeros)
+        object.__setattr__(self, "rotation", rot)
+
+
+def eval_blaschke(spec: BlaschkeSpec, z):
+    """Evaluate the rational Blaschke product itself (no truncation error)."""
+    z = np.asarray(z, dtype=np.complex128)
+    out = np.full(z.shape, spec.rotation, dtype=np.complex128)
+    for zero in spec.zeros:
+        out = out * (z - zero) / (1.0 - np.conj(zero) * z)
+    return out
+
+
+def blaschke_series(spec: BlaschkeSpec, order: int, vanish_at_origin: bool = False) -> TruncatedSeries:
+    """Expand a finite Blaschke product to the given truncation order.
+
+    Each factor (z - z_i)/(1 - conj(z_i) z) is expanded in closed form
+    (geometric series), the factors are convolved together, and an extra
+    factor z is appended when ``vanish_at_origin`` so the result is a valid
+    inner function for composition.
+    """
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    n = order + 1
+    acc = np.zeros(n, dtype=np.complex128)
+    acc[0] = spec.rotation
+    for zero in spec.zeros:
+        factor = np.zeros(n, dtype=np.complex128)
+        factor[0] = -zero
+        factor[1:] = (1.0 - abs(zero) ** 2) * np.conj(zero) ** np.arange(order)
+        acc = np.convolve(acc, factor)[:n]
+    if vanish_at_origin:
+        acc = np.concatenate(([0.0], acc[:-1]))
+    if spec.zeros:
+        degree = None
+    else:
+        degree = 1 if vanish_at_origin else 0
+    return TruncatedSeries(acc, exact_degree=degree)

@@ -1,0 +1,563 @@
+"""Seeded property-verification suites, sharpness certificates and scans.
+
+Every suite draws its witnesses from per-trial PCG64 streams seeded with
+(suite id, seed, trial ...), so reports are reproducible bit for bit and a
+longer run extends a shorter one without disturbing earlier trials.  Any
+trial whose residual exceeds the tolerance is re-evaluated once at doubled
+truncation order before being reported, separating truncation artifacts
+from genuine violations.
+
+Residuals are "most positive value of LHS - RHS observed"; a suite passes
+when the maximum stays at or below the tolerance.  Left-hand sides are
+either exact (closed forms, polynomial outers) or truncated lower bounds of
+the true sums, so no suite can pass by under-summing the right-hand side.
+"""
+
+from __future__ import annotations
+
+from dataclasses import asdict, dataclass
+
+import numpy as np
+
+from .functionals import bohr_sum, corollary2_lhs, schwarz_pick_bound, theorem3_lhs, theorem5_lhs, theorem6_lhs
+from .radii import (
+    ANALYTIC_THRESHOLD_A,
+    UNIVERSAL_RADIUS,
+    theorem5_radius,
+    theorem6_radius,
+    theorem6_threshold,
+)
+from .series import DEFAULT_ORDER, BlaschkeSpec, compose, evaluate, make_series, mobius_series, mul
+from .witnesses import (
+    bounded_from_spec,
+    build_quasi_triple,
+    draw_blaschke_spec,
+    extremal_corollary2,
+    extremal_theorem3,
+    extremal_theorem5,
+    harmonic_witness,
+    p_symmetric_lift,
+    schwarz_from_spec,
+)
+
+TOLERANCE = 1e-9
+CERT_TOLERANCE = 1e-8
+DEFAULT_TRIALS = 1000
+DEFAULT_SEED = 42
+
+ODD_CAP = 3.0 ** -0.5
+CLASSICAL_CAP = 1.0 / 3.0
+
+_SUITE_IDS = {"t1": 1, "t2": 2, "t3": 3, "t5": 5, "t6": 6}
+
+_PHASES = np.exp(2j * np.pi * np.arange(16) / 16.0)
+
+_LADDER = (0.9, 0.99, 0.999)
+
+
+def _sine_fractions(n: int) -> tuple:
+    """n fractions in (0, 1], sine-spaced so points cluster near 1, ending at 1."""
+    xs = np.sin(np.pi * np.arange(1, n + 1) / (2.0 * n))
+    xs[-1] = 1.0
+    return tuple(float(x) for x in xs)
+
+
+def radius_grid(r_max: float, n: int) -> tuple:
+    """n radii in (0, r_max], sine-spaced so points cluster at the endpoint,
+    with the endpoint included exactly."""
+    if n < 1 or not 0.0 < r_max < 1.0:
+        raise ValueError("need n >= 1 and r_max in (0, 1)")
+    fractions = _sine_fractions(n)
+    return tuple(r_max * x for x in fractions[:-1]) + (r_max,)
+
+
+@dataclass
+class VerificationReport:
+    """Outcome of one suite run; reproducible from (suite, seed, trials, r_grid)."""
+
+    suite: str
+    trials: int
+    seed: int
+    r_grid: tuple
+    max_residual: float
+    worst_witness: dict
+    verdict: str
+    informational: bool = False
+    tolerance: float = TOLERANCE
+    beyond_radius: dict | None = None
+
+    def as_dict(self) -> dict:
+        return asdict(self)
+
+
+class _Tracker:
+    """Keeps the largest residual and the witness that produced it."""
+
+    def __init__(self):
+        self.max_residual = float("-inf")
+        self.worst = {}
+
+    def update(self, residual: float, witness: dict):
+        if residual > self.max_residual:
+            self.max_residual = float(residual)
+            self.worst = witness
+
+    def report(self, suite, trials, seed, r_grid, tolerance=TOLERANCE, informational=False, beyond=None):
+        verdict = "pass" if self.max_residual <= tolerance else "fail"
+        return VerificationReport(
+            suite=suite,
+            trials=trials,
+            seed=seed,
+            r_grid=tuple(r_grid),
+            max_residual=self.max_residual,
+            worst_witness=self.worst,
+            verdict=verdict,
+            informational=informational,
+            tolerance=tolerance,
+            beyond_radius=beyond,
+        )
+
+
+def _pair(z: complex) -> list:
+    return [float(z.real), float(z.imag)]
+
+
+def _spec_dict(spec: BlaschkeSpec) -> dict:
+    return {"zeros": [_pair(z) for z in spec.zeros], "rotation": _pair(spec.rotation)}
+
+
+def _spec_from_dict(d: dict) -> BlaschkeSpec:
+    return BlaschkeSpec(
+        zeros=tuple(complex(re, im) for re, im in d["zeros"]),
+        rotation=complex(d["rotation"][0], d["rotation"][1]),
+    )
+
+
+def _poly_dict(coeffs) -> list:
+    return [_pair(complex(c)) for c in coeffs]
+
+
+def _poly_from_dict(entries, order):
+    return make_series([complex(re, im) for re, im in entries], order)
+
+
+# ----------------------------------------------------------------------
+# Suite 1: quasi-multiplied composition never beats its outer function's
+# majorant for r <= 1/3.
+
+
+def _draw_t1_params(rng: np.random.Generator, trial: int) -> dict:
+    variant = ("general", "subordination", "majorization")[trial % 3]
+    degree = int(rng.integers(0, 9))
+    moduli = rng.uniform(0.0, 2.0, degree + 1)
+    phases = rng.uniform(0.0, 2.0 * np.pi, degree + 1)
+    g = _poly_dict(moduli * np.exp(1j * phases))
+    phi = _spec_dict(draw_blaschke_spec(rng))
+    omega = _spec_dict(draw_blaschke_spec(rng))
+    return {"trial": trial, "variant": variant, "g": g, "phi": phi, "omega": omega}
+
+
+def _t1_residual(params: dict, order: int, grid) -> tuple:
+    g = _poly_from_dict(params["g"], order)
+    if params["variant"] == "subordination":
+        phi = make_series([1.0], order)
+    else:
+        phi = bounded_from_spec(_spec_from_dict(params["phi"]), order)
+    if params["variant"] == "majorization":
+        omega = make_series([0.0, 1.0], order)
+    else:
+        omega = schwarz_from_spec(_spec_from_dict(params["omega"]), order=order)
+    triple = build_quasi_triple(g, phi, omega)
+    worst, worst_r = float("-inf"), 0.0
+    for r in grid:
+        res = bohr_sum(triple.f, r) - bohr_sum(g, r)
+        if res > worst:
+            worst, worst_r = res, r
+    return worst, worst_r
+
+
+def check_theorem1(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED, order: int = DEFAULT_ORDER) -> VerificationReport:
+    """Majorant domination for random multiplier/inner/outer triples.
+
+    Trials cycle through the general case and the two degenerate regimes
+    (multiplier identically one; inner equal to z), all on a 12-point grid
+    of (0, 1/3].
+    """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    grid = radius_grid(CLASSICAL_CAP, 12)
+    tracker = _Tracker()
+    for t in range(trials):
+        rng = np.random.default_rng((_SUITE_IDS["t1"], seed, t))
+        params = _draw_t1_params(rng, t)
+        res, r_at = _t1_residual(params, order, grid)
+        if res > TOLERANCE:
+            res, r_at = _t1_residual(params, 2 * order, grid)
+            params = dict(params, reevaluated_order=2 * order)
+        tracker.update(res, {"r": float(r_at), **params})
+    return tracker.report("t1", trials, seed, grid)
+
+
+# ----------------------------------------------------------------------
+# Suite 2: odd composition pairs, including partial-sum domination.
+
+
+def _draw_t2_params(rng: np.random.Generator, trial: int) -> dict:
+    degree = int(rng.integers(0, 4))
+    moduli = rng.uniform(0.0, 2.0, degree + 1)
+    phases = rng.uniform(0.0, 2.0 * np.pi, degree + 1)
+    q = _poly_dict(moduli * np.exp(1j * phases))
+    omega = _spec_dict(draw_blaschke_spec(rng))
+    identity_inner = trial % 5 == 0
+    return {"trial": trial, "q": q, "omega": omega, "identity_inner": identity_inner}
+
+
+def _t2_residual(params: dict, order: int, grid) -> tuple:
+    q = _poly_from_dict(params["q"], order // 2)
+    g = mul(make_series([0.0, 1.0], order), p_symmetric_lift(q, 2, order=order))
+    if params["identity_inner"]:
+        omega = make_series([0.0, 1.0], order)
+    else:
+        omega = schwarz_from_spec(_spec_from_dict(params["omega"]), odd=True, order=order)
+    f = compose(g, omega)
+
+    leak = float(np.max(np.abs(f.coeffs[0::2])))
+    rs = np.asarray(grid)
+    exponents = np.arange(1, order + 1, 2)
+    pow_grid = rs[:, None] ** exponents[None, :]
+    f_cum = np.cumsum(np.abs(f.coeffs[1::2])[None, :] * pow_grid, axis=1)
+    g_cum = np.cumsum(np.abs(g.coeffs[1::2])[None, :] * pow_grid, axis=1)
+    gaps = f_cum - g_cum
+    i, m = np.unravel_index(np.argmax(gaps), gaps.shape)
+    return max(float(gaps[i, m]), leak), float(rs[i]), int(m + 1), leak
+
+
+def check_theorem2_odd(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED, order: int = DEFAULT_ORDER) -> VerificationReport:
+    """Odd-pair domination on (0, 1/sqrt(3)] for every partial-sum length.
+
+    The outer is z times a random even lift, the inner z*B(z^2); both are
+    odd by construction, and any even-coefficient leak of the composition
+    is folded into the residual.
+    """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    grid = radius_grid(ODD_CAP, 12)
+    tracker = _Tracker()
+    for t in range(trials):
+        rng = np.random.default_rng((_SUITE_IDS["t2"], seed, t))
+        params = _draw_t2_params(rng, t)
+        res, r_at, m_at, leak = _t2_residual(params, order, grid)
+        if res > TOLERANCE:
+            res, r_at, m_at, leak = _t2_residual(params, 2 * order, grid)
+            params = dict(params, reevaluated_order=2 * order)
+        tracker.update(res, {"r": r_at, "partial_sum_length": m_at, "even_leak": leak, **params})
+    return tracker.report("t2", trials, seed, grid)
+
+
+# ----------------------------------------------------------------------
+# Suite 3: harmonic pairs with dilatation bound k.
+
+
+def _draw_t3_params(rng: np.random.Generator, trial: int) -> dict:
+    h = _spec_dict(draw_blaschke_spec(rng, min_zeros=1))
+    omega_tilde = _spec_dict(draw_blaschke_spec(rng))
+    a_extremal = float(rng.uniform(0.0, 0.95))
+    return {"trial": trial, "h": h, "omega_tilde": omega_tilde, "a_extremal": a_extremal}
+
+
+def _t3_residual(params: dict, k: float, order: int, grid) -> tuple:
+    h = bounded_from_spec(_spec_from_dict(params["h"]), order)
+    omega_tilde = bounded_from_spec(_spec_from_dict(params["omega_tilde"]), order)
+    pair = harmonic_witness(h, k, omega_tilde)
+    a0_mod = float(abs(h.coeffs[0]))
+    worst, worst_r = float("-inf"), 0.0
+    for r in grid:
+        res = theorem3_lhs(pair, a0_mod, r) - 1.0
+        if res > worst:
+            worst, worst_r = res, r
+    extremal = extremal_theorem3(params["a_extremal"], k, order)
+    for r in grid:
+        res = abs(theorem3_lhs(extremal, params["a_extremal"], r) - 1.0)
+        if res > worst:
+            worst, worst_r = res, r
+    return worst, worst_r
+
+
+def check_theorem3(
+    trials: int = 500,
+    seed: int = DEFAULT_SEED,
+    k_grid=(0.0, 0.5, 1.0),
+    order: int = DEFAULT_ORDER,
+) -> VerificationReport:
+    """Harmonic exact-form bound for random bounded parts and derived tails.
+
+    Each trial draws one bounded analytic part and one dilatation witness
+    and checks every k in k_grid; the sharp family (co-analytic scale equal
+    to k) must sit at one to within tolerance on the same grid.
+    """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    k_grid = tuple(float(k) for k in k_grid)
+    for k in k_grid:
+        if not 0.0 <= k <= 1.0:
+            raise ValueError("k_grid values must lie in [0, 1]")
+    grid = radius_grid(CLASSICAL_CAP, 12)
+    tracker = _Tracker()
+    for t in range(trials):
+        rng = np.random.default_rng((_SUITE_IDS["t3"], seed, t))
+        params = _draw_t3_params(rng, t)
+        for k in k_grid:
+            res, r_at = _t3_residual(params, k, order, grid)
+            if res > TOLERANCE:
+                res, r_at = _t3_residual(params, k, 2 * order, grid)
+                params = dict(params, reevaluated_order=2 * order)
+            tracker.update(res, {"r": float(r_at), "k": float(k), **params})
+    return tracker.report("t3", trials, seed, grid)
+
+
+# ----------------------------------------------------------------------
+# Suite 5: pointwise value plus tail for bounded analytic functions.
+
+
+def _t5_witness_residual(a: float, trial_key, order: int, rs) -> tuple:
+    rng = np.random.default_rng(trial_key)
+    phase = rng.uniform(0.0, 2.0 * np.pi)
+    a0 = a * np.exp(1j * phase)
+    spec = draw_blaschke_spec(rng)
+    omega = schwarz_from_spec(spec, order=order)
+    f = compose(extremal_theorem5(complex(a0), order), omega)
+    mags = np.abs(f.coeffs)
+    worst, worst_r = float("-inf"), 0.0
+    for r in rs:
+        tail = float(np.polynomial.polynomial.polyval(r, mags)) - mags[0]
+        value = float(np.max(np.abs(evaluate(f, r * _PHASES))))
+        res = value + tail - 1.0
+        if res > worst:
+            worst, worst_r = res, r
+    return worst, worst_r, _spec_dict(spec), float(phase)
+
+
+def check_theorem5(
+    a_grid=None,
+    trials: int = 400,
+    seed: int = DEFAULT_SEED,
+    order: int = DEFAULT_ORDER,
+) -> VerificationReport:
+    """Pointwise-plus-tail bound at and below the sharp radius.
+
+    ``trials`` is the total random-witness budget, split evenly over the
+    a-grid; every a must sit at or above the admissibility threshold.  The
+    sharp witness is evaluated on the same grid, the universal-radius sweep
+    runs over a 100-point grid of [0, 1), and the expected violation just
+    beyond the radius is recorded as informational beyond-radius data.
+    """
+    if a_grid is None:
+        a_grid = (ANALYTIC_THRESHOLD_A, 0.5, 0.55, 0.6, 0.7, 0.8, 0.9, 0.95)
+    a_grid = tuple(float(a) for a in a_grid)
+    for a in a_grid:
+        if a < ANALYTIC_THRESHOLD_A - 1e-12 or a >= 1.0:
+            raise ValueError(f"a={a} below the admissibility threshold {ANALYTIC_THRESHOLD_A:.7f}")
+    rel_grid = _sine_fractions(8)
+    n_per = max(1, trials // len(a_grid))
+    tracker = _Tracker()
+    beyond = []
+    for i, a in enumerate(a_grid):
+        r_a = theorem5_radius(a).value
+        rs = tuple(r_a * x for x in rel_grid[:-1]) + (r_a,)
+        for j in range(n_per):
+            res, r_at, spec_d, phase = _t5_witness_residual(a, (_SUITE_IDS["t5"], seed, i, j), order, rs)
+            if res > TOLERANCE:
+                res, r_at, spec_d, phase = _t5_witness_residual(
+                    a, (_SUITE_IDS["t5"], seed, i, j), 2 * order, rs
+                )
+            tracker.update(res, {"a": float(a), "r": float(r_at), "trial": j, "phase": phase, "omega": spec_d})
+        sharp = extremal_theorem5(a)
+        for r in rs:
+            tracker.update(theorem5_lhs(sharp, -r) - 1.0, {"a": float(a), "r": float(r), "witness": "extremal"})
+        r_beyond = r_a + 1e-3
+        lhs_beyond = theorem5_lhs(sharp, -r_beyond)
+        beyond.append({"a": float(a), "r": float(r_beyond), "lhs": float(lhs_beyond)})
+        if lhs_beyond <= 1.0:
+            tracker.update(1.0, {"a": float(a), "witness": "extremal-beyond", "lhs": float(lhs_beyond)})
+    for a in np.linspace(0.0, 0.99, 100):
+        lhs = theorem5_lhs(extremal_theorem5(float(a)), -UNIVERSAL_RADIUS)
+        tracker.update(lhs - 1.0, {"a": float(a), "r": UNIVERSAL_RADIUS, "witness": "universal-sweep"})
+    return tracker.report(
+        "t5",
+        trials,
+        seed,
+        rel_grid,
+        informational=True,
+        beyond={"kind": "sharp-witness just beyond its radius", "points": beyond},
+    )
+
+
+# ----------------------------------------------------------------------
+# Suite 6: harmonic pointwise value plus tails.
+
+
+def _t6_witness_residual(a: float, k: float, trial_key, order: int, rs) -> tuple:
+    rng = np.random.default_rng(trial_key)
+    phase = rng.uniform(0.0, 2.0 * np.pi)
+    a0 = a * np.exp(1j * phase)
+    omega = schwarz_from_spec(draw_blaschke_spec(rng), order=order)
+    omega_tilde = bounded_from_spec(draw_blaschke_spec(rng), order)
+    h = compose(mobius_series(complex(a0), order), omega)
+    pair = harmonic_witness(h, k, omega_tilde)
+    h_mags = np.abs(h.coeffs)
+    g_mags = np.abs(pair.g.coeffs)
+    worst, worst_r = float("-inf"), 0.0
+    for r in rs:
+        tails = (
+            float(np.polynomial.polynomial.polyval(r, h_mags)) - h_mags[0]
+            + float(np.polynomial.polynomial.polyval(r, g_mags))
+        )
+        value = float(np.max(np.abs(evaluate(h, r * _PHASES))))
+        res = value + tails - 1.0
+        if res > worst:
+            worst, worst_r = res, r
+    return worst, worst_r, float(phase)
+
+
+def check_theorem6(
+    a_grid=None,
+    k_grid=(0.0, 0.25, 0.5, 0.75, 1.0),
+    trials: int = 400,
+    seed: int = DEFAULT_SEED,
+    order: int = DEFAULT_ORDER,
+) -> VerificationReport:
+    """Harmonic pointwise-plus-tails bound at and below the sharp radius.
+
+    Parameter pairs take each k with four a-values spanning [alpha_k, 0.95]
+    unless an explicit a-grid is supplied (then every (a, k) pair must be
+    admissible).  At the radius, the sharp family is approached through
+    co-analytic scales 0.9k, 0.99k, 0.999k (monotone from below) and its
+    exact-scale closed form must attain one to within 1e-8; the expected
+    violation just beyond the radius is recorded.
+    """
+    k_grid = tuple(float(k) for k in k_grid)
+    pairs = []
+    for k in k_grid:
+        alpha = theorem6_threshold(k)
+        if a_grid is None:
+            a_values = tuple(alpha + (0.95 - alpha) * j / 3.0 for j in range(4))
+        else:
+            a_values = tuple(float(a) for a in a_grid)
+            for a in a_values:
+                if a < alpha - 1e-12 or a >= 1.0:
+                    raise ValueError(f"(a={a}, k={k}) is inadmissible: a must be >= {alpha:.7f}")
+        pairs.extend((a, k) for a in a_values)
+    n_per = max(1, trials // len(pairs))
+    rel_grid = _sine_fractions(8)
+    tracker = _Tracker()
+    beyond = []
+    for idx, (a, k) in enumerate(pairs):
+        r_ak = theorem6_radius(a, k).value
+        rs = tuple(r_ak * x for x in rel_grid[:-1]) + (r_ak,)
+        for j in range(n_per):
+            res, r_at, phase = _t6_witness_residual(a, k, (_SUITE_IDS["t6"], seed, idx, j), order, rs)
+            if res > TOLERANCE:
+                res, r_at, phase = _t6_witness_residual(
+                    a, k, (_SUITE_IDS["t6"], seed, idx, j), 2 * order, rs
+                )
+            tracker.update(res, {"a": float(a), "k": float(k), "r": float(r_at), "trial": j, "phase": phase})
+
+        tail = r_ak * (1.0 - a * a) / (1.0 - r_ak * a)
+        point = schwarz_pick_bound(a, r_ak)
+        ladder = [point + (1.0 + mu * k) * tail for mu in _LADDER]
+        attained = point + (1.0 + k) * tail
+        for lo, hi in zip(ladder, ladder[1:] + [attained]):
+            if lo > hi + 1e-12:
+                tracker.update(1.0, {"a": a, "k": k, "witness": "ladder-monotonicity"})
+        if ladder[-1] > 1.0 + 1e-12:
+            tracker.update(1.0, {"a": a, "k": k, "witness": "ladder-above-one"})
+        deviation = abs(attained - 1.0)
+        if deviation > CERT_TOLERANCE:
+            tracker.update(deviation, {"a": a, "k": k, "witness": "sharp-family-attainment"})
+
+        pair_sharp = extremal_theorem3(a, k)
+        r_beyond = r_ak + 1e-3
+        lhs_beyond = theorem6_lhs(pair_sharp, r_beyond)
+        beyond.append({"a": float(a), "k": float(k), "r": float(r_beyond), "lhs": float(lhs_beyond)})
+        if lhs_beyond <= 1.0:
+            tracker.update(1.0, {"a": a, "k": k, "witness": "extremal-beyond", "lhs": float(lhs_beyond)})
+    return tracker.report(
+        "t6",
+        trials,
+        seed,
+        rel_grid,
+        informational=True,
+        beyond={"kind": "sharp-family just beyond its radius", "points": beyond},
+    )
+
+
+# ----------------------------------------------------------------------
+# Sharpness certificates.
+
+
+def sharpness_certificate(theorem: str, params: dict, order: int = DEFAULT_ORDER) -> VerificationReport:
+    """Certify a sharpness claim with the named extremal witness.
+
+    Radius-type claims (``t5``, ``t6``) require the closed-form left-hand
+    side to attain one at the radius (within 1e-8) and to exceed one at
+    radius + 1e-3.  Equality-type claims (``cor2``, ``t3``) require the
+    extremal to sit at one across the whole claimed r-interval.  The
+    odd-function radius (``odd``) has no generated extremal witness here
+    and is refused.
+    """
+    if theorem == "odd":
+        raise ValueError(
+            "no extremal witness is generated for the odd-function radius; "
+            "its sharpness is not certified by this laboratory"
+        )
+    contributions = []
+    beyond = None
+    if theorem == "cor2":
+        a = float(params["a"])
+        grid = radius_grid(CLASSICAL_CAP, 25)
+        f = extremal_corollary2(a, order)
+        contributions = [abs(corollary2_lhs(f, a, r) - 1.0) for r in grid]
+        worst = {"a": a, "kind": "equality-on-interval"}
+    elif theorem == "t3":
+        a, k = float(params["a"]), float(params["k"])
+        grid = radius_grid(CLASSICAL_CAP, 25)
+        pair = extremal_theorem3(a, k, order)
+        contributions = [abs(theorem3_lhs(pair, a, r) - 1.0) for r in grid]
+        worst = {"a": a, "k": k, "kind": "equality-on-interval"}
+    elif theorem == "t5":
+        a = float(params["a"])
+        if a < ANALYTIC_THRESHOLD_A - 1e-12:
+            raise ValueError(f"a={a} is below the admissibility threshold {ANALYTIC_THRESHOLD_A:.7f}")
+        r = theorem5_radius(a).value
+        grid = (r,)
+        f = extremal_theorem5(a, order)
+        attained = theorem5_lhs(f, -r)
+        lhs_beyond = theorem5_lhs(f, -(r + 1e-3))
+        contributions = [abs(attained - 1.0)]
+        if lhs_beyond <= 1.0:
+            contributions.append(1.0 + (1.0 - lhs_beyond))
+        beyond = {"r": float(r + 1e-3), "lhs": float(lhs_beyond)}
+        worst = {"a": a, "radius": float(r), "attained": float(attained), "kind": "radius"}
+    elif theorem == "t6":
+        a, k = float(params["a"]), float(params["k"])
+        alpha = theorem6_threshold(k)
+        if a < alpha - 1e-12:
+            raise ValueError(f"(a={a}, k={k}) is inadmissible: a must be >= {alpha:.7f}")
+        r = theorem6_radius(a, k).value
+        grid = (r,)
+        pair = extremal_theorem3(a, k, order)
+        attained = theorem6_lhs(pair, r)
+        lhs_beyond = theorem6_lhs(pair, r + 1e-3)
+        contributions = [abs(attained - 1.0)]
+        if lhs_beyond <= 1.0:
+            contributions.append(1.0 + (1.0 - lhs_beyond))
+        beyond = {"r": float(r + 1e-3), "lhs": float(lhs_beyond)}
+        worst = {"a": a, "k": k, "radius": float(r), "attained": float(attained), "kind": "radius"}
+    else:
+        raise ValueError(f"unknown certificate target {theorem!r}")
+
+    tracker = _Tracker()
+    tracker.update(max(contributions), worst)
+    return tracker.report(
+        f"sharpness_{theorem}", 1, 0, grid, tolerance=CERT_TOLERANCE, beyond=beyond
+    )

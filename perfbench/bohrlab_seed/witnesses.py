@@ -1,0 +1,193 @@
+"""Witness generators: random and extremal functions for every hypothesis class.
+
+Boundedness of random witnesses is certified structurally - they are built
+from finite Blaschke products, whose modulus cannot exceed one on the disk.
+A 360-point boundary sample of the rational form at |z| = 0.95 is kept as a
+tripwire assertion on every draw.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from .functionals import HarmonicPair
+from .series import (
+    DEFAULT_ORDER,
+    BlaschkeSpec,
+    MobiusTag,
+    TruncatedSeries,
+    blaschke_series,
+    compose,
+    derivative,
+    eval_blaschke,
+    integrate,
+    make_series,
+    mobius_series,
+    mul,
+    scale,
+)
+
+# Tolerance of the construction-time convolution identity; any excess marks
+# an arithmetic bug, not a truncation artifact.
+CONVOLUTION_CHECK_TOL = 1e-12
+
+_BOUNDARY_SAMPLE = 0.95 * np.exp(2j * np.pi * np.arange(360) / 360.0)
+
+
+@dataclass(frozen=True, eq=False)
+class QuasiTriple:
+    """Multiplier phi, inner omega, polynomial outer g and the product f."""
+
+    g: TruncatedSeries
+    phi: TruncatedSeries
+    omega: TruncatedSeries
+    f: TruncatedSeries
+
+
+def build_quasi_triple(
+    g: TruncatedSeries, phi: TruncatedSeries, omega: TruncatedSeries
+) -> QuasiTriple:
+    """Assemble f = phi * g(omega) and cross-check the coefficient identity.
+
+    The outer series must be polynomial-exact (so comparison sums against it
+    are exact) and omega must vanish at the origin.  Construction verifies
+    that the Horner-composed product matches the direct expansion
+    a_k = sum_{m+j=k} phi_m B_j with B_j = sum_{n<=j} g_n alpha_j^(n),
+    where alpha^(n) are the coefficients of omega^n.
+    """
+    if g.exact_degree is None:
+        raise ValueError("outer series must be polynomial-exact (exact_degree set)")
+    f = mul(phi, compose(g, omega))
+
+    n = g.order + 1
+    b = np.zeros(n, dtype=np.complex128)
+    w_pow = make_series([1.0], g.order)
+    for coeff_n in g.coeffs[: g.exact_degree + 1]:
+        b += coeff_n * w_pow.coeffs
+        w_pow = mul(w_pow, omega)
+    direct = np.convolve(phi.coeffs, b)[:n]
+    gap = float(np.max(np.abs(direct - f.coeffs)))
+    assert gap <= CONVOLUTION_CHECK_TOL, (
+        f"convolution identity violated by {gap:.3e}; series arithmetic is inconsistent"
+    )
+    return QuasiTriple(g=g, phi=phi, omega=omega, f=f)
+
+
+def draw_blaschke_spec(rng: np.random.Generator, min_zeros: int = 0, max_zeros: int = 4) -> BlaschkeSpec:
+    """Draw zeros (count uniform on [min_zeros, max_zeros], moduli uniform on
+    [0, 0.9), phases uniform) and a uniform rotation."""
+    count = int(rng.integers(min_zeros, max_zeros + 1))
+    moduli = rng.uniform(0.0, 0.9, count)
+    phases = rng.uniform(0.0, 2.0 * np.pi, count)
+    zeros = tuple(moduli * np.exp(1j * phases))
+    rotation = complex(np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)))
+    return BlaschkeSpec(zeros=zeros, rotation=rotation)
+
+
+def draw_polynomial(
+    rng: np.random.Generator, order: int, max_degree: int = 8, coeff_cap: float = 2.0
+) -> TruncatedSeries:
+    """Random polynomial with complex coefficients of modulus below coeff_cap."""
+    degree = int(rng.integers(0, max_degree + 1))
+    moduli = rng.uniform(0.0, coeff_cap, degree + 1)
+    phases = rng.uniform(0.0, 2.0 * np.pi, degree + 1)
+    return make_series(moduli * np.exp(1j * phases), order)
+
+
+def _boundary_tripwire(values: np.ndarray):
+    worst = float(np.max(np.abs(values)))
+    assert worst <= 1.0 + 1e-9, f"witness exceeds modulus one on the boundary sample: {worst}"
+
+
+def bounded_from_spec(spec: BlaschkeSpec, order: int = DEFAULT_ORDER) -> TruncatedSeries:
+    """Series of the bounded analytic witness defined by a Blaschke product."""
+    _boundary_tripwire(eval_blaschke(spec, _BOUNDARY_SAMPLE))
+    return blaschke_series(spec, order)
+
+
+def schwarz_from_spec(spec: BlaschkeSpec, odd: bool = False, order: int = DEFAULT_ORDER) -> TruncatedSeries:
+    """Inner function z*B(z) (or z*B(z^2) when odd) from a Blaschke spec."""
+    if odd:
+        base = blaschke_series(spec, order // 2)
+        lifted = p_symmetric_lift(base, 2, order=order)
+        out = mul(make_series([0.0, 1.0], order), lifted)
+        _boundary_tripwire(_BOUNDARY_SAMPLE * eval_blaschke(spec, _BOUNDARY_SAMPLE**2))
+    else:
+        out = blaschke_series(spec, order, vanish_at_origin=True)
+        _boundary_tripwire(_BOUNDARY_SAMPLE * eval_blaschke(spec, _BOUNDARY_SAMPLE))
+    return out
+
+
+def random_schwarz(seed: int, odd: bool = False, order: int = DEFAULT_ORDER) -> TruncatedSeries:
+    """Seeded random inner function; odd draws have the form z*B(z^2)."""
+    rng = np.random.default_rng(seed)
+    return schwarz_from_spec(draw_blaschke_spec(rng), odd=odd, order=order)
+
+
+def extremal_corollary2(a0: complex, order: int = DEFAULT_ORDER) -> TruncatedSeries:
+    """Disk automorphism witness attaining the exact-form functional's bound."""
+    return mobius_series(a0, order)
+
+
+def extremal_theorem5(a0: complex, order: int = DEFAULT_ORDER) -> TruncatedSeries:
+    """Expansion of (a0 - z)/(1 - conj(a0) z): the pointwise-sharp witness.
+
+    Coefficient 0 is a0 and coefficient k is -(1 - |a0|^2) conj(a0)^(k-1).
+    """
+    a0 = complex(a0)
+    if abs(a0) >= 1.0:
+        raise ValueError("witness parameter must satisfy |a0| < 1")
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    out = np.zeros(order + 1, dtype=np.complex128)
+    out[0] = a0
+    out[1:] = -(1.0 - abs(a0) ** 2) * a0.conjugate() ** np.arange(order)
+    degree = 1 if a0 == 0 else None
+    return TruncatedSeries(out, exact_degree=degree, tag=MobiusTag(a0, "minus"))
+
+
+def extremal_theorem3(a0: complex, lam: float, order: int = DEFAULT_ORDER) -> HarmonicPair:
+    """Sharp harmonic pair: h a disk automorphism, co-analytic part lam * (h - h(0)).
+
+    The co-analytic constant never enters any majorant sum, so it is
+    dropped; the pair's dilatation bound is exactly lam.
+    """
+    if not 0.0 <= lam <= 1.0:
+        raise ValueError("lam must lie in [0, 1]")
+    h = mobius_series(a0, order)
+    tail = np.array(h.coeffs * lam)
+    tail[0] = 0.0
+    g = TruncatedSeries(
+        tail,
+        exact_degree=h.exact_degree,
+        tag=MobiusTag(complex(a0), "tail", scale=lam),
+    )
+    return HarmonicPair(h=h, g=g, k=lam)
+
+
+def harmonic_witness(h: TruncatedSeries, k: float, omega_tilde: TruncatedSeries) -> HarmonicPair:
+    """Pair with co-analytic part g = integral of k * omega_tilde * h'.
+
+    omega_tilde must come from a modulus-bounded family (its constant term
+    may be nonzero), which makes |g'| <= k |h'| hold by construction.
+    """
+    if not 0.0 <= k <= 1.0:
+        raise ValueError("k must lie in [0, 1]")
+    g = integrate(scale(mul(omega_tilde, derivative(h)), k))
+    return HarmonicPair(h=h, g=g, k=k)
+
+
+def p_symmetric_lift(base: TruncatedSeries, p: int, order: int | None = None) -> TruncatedSeries:
+    """Substitute z^p for the variable: coefficient p*k of the result is base
+    coefficient k.  The output order defaults to p times the base order."""
+    if p < 1:
+        raise ValueError("p must be >= 1")
+    n_out = p * base.order if order is None else order
+    if p * base.order > n_out:
+        raise ValueError(f"lift by p={p} overflows output order {n_out}")
+    out = np.zeros(n_out + 1, dtype=np.complex128)
+    out[0 : p * base.order + 1 : p] = base.coeffs
+    degree = None if base.exact_degree is None else p * base.exact_degree
+    return TruncatedSeries(out, exact_degree=degree)
