@@ -19,8 +19,10 @@ from .series import (
     derivative,
     eval_blaschke,
     evaluate,
+    evaluate_rows,
     integrate,
     majorant_eval,
+    majorant_rows,
     make_series,
     mobius_series,
     mul,

@@ -92,9 +92,16 @@ def theorem3_lhs(pair: HarmonicPair, a0_mod: float, r: float) -> float:
         raise ValueError("|h(0)| must lie in [0, 1)")
     if not 0.0 <= r < 1.0:
         raise ValueError("radius must lie in [0, 1)")
-    a, k = a0_mod, pair.k
-    rational = (1.0 - r * (a + (k + 1.0) * (1.0 - a * a))) / (1.0 - r * a)
-    return rational + _tail_sum(pair.h, r) + _tail_sum(pair.g, r)
+    return theorem3_rational(a0_mod, pair.k, r) + _tail_sum(pair.h, r) + _tail_sum(pair.g, r)
+
+
+def theorem3_rational(a, k, r):
+    """Rational first term (1 - r(a + (k+1)(1 - a^2))) / (1 - r a) of theorem3_lhs.
+
+    Plain arithmetic without validation, so it applies elementwise to arrays
+    of a, k and r with the same rounding as a scalar call.
+    """
+    return (1.0 - r * (a + (k + 1.0) * (1.0 - a * a))) / (1.0 - r * a)
 
 
 def theorem5_lhs(f: TruncatedSeries, z: complex) -> float:

@@ -274,6 +274,33 @@ def evaluate(f: TruncatedSeries, z):
     return np.polynomial.polynomial.polyval(z, f.coeffs)
 
 
+def majorant_rows(coeff_rows, rs, skip_constant: bool = False) -> np.ndarray:
+    """Truncated majorant sums of stacked coefficient vectors over a radius grid.
+
+    ``coeff_rows`` has shape (rows, N+1) and the result (rows, len(rs)).
+    Horner runs the same floating-point operations element by element as
+    ``majorant_eval``, so entry [i, j] equals majorant_eval of row i at
+    rs[j] bit for bit.
+    """
+    rs = np.asarray(rs, dtype=np.float64)
+    if not np.all((rs >= 0.0) & (rs < 1.0)):
+        raise ValueError("radius must lie in [0, 1)")
+    mags = np.abs(np.asarray(coeff_rows))
+    total = np.polynomial.polynomial.polyval(rs, mags.T)
+    if skip_constant:
+        return total - mags[:, :1]
+    return total
+
+
+def evaluate_rows(coeff_rows, zs) -> np.ndarray:
+    """Horner evaluation of stacked coefficient vectors at the same points.
+
+    ``coeff_rows`` has shape (rows, N+1); the result has shape
+    (rows,) + shape(zs), and row i equals ``evaluate`` of row i bit for bit.
+    """
+    return np.polynomial.polynomial.polyval(np.asarray(zs), np.asarray(coeff_rows).T)
+
+
 def mobius_series(a0: complex, order: int) -> TruncatedSeries:
     """Expansion of the disk automorphism (z + a0) / (1 + conj(a0) z).
 

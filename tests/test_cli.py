@@ -1,11 +1,17 @@
 """CLI surface tests: grammars, payload formats, exit codes."""
 
+import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bohrlab
 from bohrlab import cli
 from bohrlab.series import mobius_series
 
@@ -203,6 +209,29 @@ class TestVerifyCommand:
         assert code == 2
         assert json.loads(out)["verdict"] == "fail"
 
+    @pytest.mark.parametrize("suite, trials", [("t5", "0"), ("t6", "-5")])
+    def test_bad_trial_count_is_usage_error(self, capsys, suite, trials):
+        code, out, err = run_cli(capsys, "verify", "--suite", suite, "--trials", trials)
+        assert code == 1
+        assert out == ""
+        assert "trials must be >= 1" in err
+
+    # sha256 of the stdout of `verify --suite all --trials 100 --seed S` as
+    # produced by per-witness, per-radius evaluation (numpy 2.4, x86-64
+    # Linux); stacked evaluation must reproduce it byte for byte.
+    @pytest.mark.parametrize(
+        "seed, digest",
+        [
+            (0, "4b531f54974464bb0a056e9c4f262e86fdee5efcd878e19dfc9d18cbdb81c955"),
+            (42, "d8dfc7b992be21acb62ebcbdddc075d4cb9bbaf7ad0f3c89c1e9d632c9fb1dfd"),
+        ],
+    )
+    def test_golden_report_bytes(self, capsys, monkeypatch, seed, digest):
+        monkeypatch.delenv("BOHRLAB_ORDER", raising=False)
+        code, out, _ = run_cli(capsys, "verify", "--suite", "all", "--trials", "100", "--seed", str(seed))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_invalid_suite(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--suite", "t4")
         assert code == 1
@@ -219,3 +248,14 @@ class TestTopLevel:
         code, _, err = run_cli(capsys, "frobnicate")
         assert code == 1
         assert "usage" in err
+
+    def test_module_entry_point(self):
+        src = str(Path(bohrlab.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        done = subprocess.run(
+            [sys.executable, "-m", "bohrlab.cli", "radius", "--theorem", "classical"],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["value"] == pytest.approx(1 / 3)
+        assert done.stderr == ""

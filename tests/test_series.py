@@ -11,8 +11,10 @@ from bohrlab.series import (
     derivative,
     eval_blaschke,
     evaluate,
+    evaluate_rows,
     integrate,
     majorant_eval,
+    majorant_rows,
     make_series,
     mobius_series,
     mul,
@@ -267,6 +269,44 @@ class TestMajorant:
         assert all(b >= a for a, b in zip(vals, vals[1:]))
         assert vals[0] == pytest.approx(abs(f.coeffs[0]))
         assert majorant_eval(f, 0.0, skip_constant=True) == 0.0
+
+
+class TestStackedKernels:
+    """The stacked kernels must reproduce the per-series, per-radius results
+    bit for bit, so the verify reports do not depend on how witnesses are
+    blocked."""
+
+    @pytest.mark.parametrize("order", [8, 64, 256])
+    def test_majorant_rows_equal_majorant_eval(self, order):
+        rng = np.random.default_rng(order)
+        series = [rand_series(rng, order) for _ in range(5)]
+        rows = np.stack([f.coeffs for f in series])
+        rs = np.sort(rng.uniform(0.0, 0.99, 12))
+        for skip in (False, True):
+            got = majorant_rows(rows, rs, skip_constant=skip)
+            want = [[majorant_eval(f, float(r), skip_constant=skip) for r in rs] for f in series]
+            assert got.shape == (5, 12)
+            assert np.array_equal(got, np.array(want))
+
+    @pytest.mark.parametrize("order", [8, 64, 256])
+    def test_evaluate_rows_equal_evaluate(self, order):
+        rng = np.random.default_rng(order + 1)
+        series = [rand_series(rng, order) for _ in range(5)]
+        rows = np.stack([f.coeffs for f in series])
+        rs = np.sort(rng.uniform(0.0, 0.99, 8))
+        phases = np.exp(2j * np.pi * np.arange(16) / 16.0)
+        got = evaluate_rows(rows, rs[:, None] * phases)
+        assert got.shape == (5, 8, 16)
+        for f, block in zip(series, got):
+            for r, values in zip(rs, block):
+                assert np.array_equal(values, evaluate(f, float(r) * phases))
+
+    def test_single_row_and_domain(self):
+        f = mobius_series(0.5, 64)
+        assert majorant_rows(f.coeffs[None, :], [1 / 3])[0, 0] == majorant_eval(f, 1 / 3)
+        for r in (-0.1, 1.0):
+            with pytest.raises(ValueError):
+                majorant_rows(f.coeffs[None, :], [0.2, r])
 
 
 class TestMobiusSeries:

@@ -5,7 +5,9 @@ import json
 
 import pytest
 
+import bohrlab.verify as verify_mod
 from bohrlab.radii import ANALYTIC_THRESHOLD_A, UNIVERSAL_RADIUS, theorem5_radius
+from bohrlab.series import make_series
 from bohrlab.verify import (
     TOLERANCE,
     check_theorem1,
@@ -158,3 +160,60 @@ class TestConservativeness:
     def test_grid_constants(self):
         assert radius_grid(UNIVERSAL_RADIUS, 4)[-1] == UNIVERSAL_RADIUS
         assert ANALYTIC_THRESHOLD_A == pytest.approx(0.4641016, abs=1e-7)
+
+
+class TestRetryBookkeeping:
+    """A witness over the tolerance is re-evaluated once at doubled order and
+    is the only record that carries ``reevaluated_order``."""
+
+    ORDER = 16
+
+    @pytest.fixture
+    def records(self, monkeypatch):
+        seen = []
+        real_update = verify_mod._Tracker.update
+
+        def recording(self, residual, witness):
+            seen.append(witness)
+            real_update(self, residual, witness)
+
+        monkeypatch.setattr(verify_mod._Tracker, "update", recording)
+        return seen
+
+    def _spoil_nth(self, monkeypatch, name, n, spoil):
+        """Make the n-th call of verify's ``name`` at the base order return a
+        witness far over the tolerance; calls at doubled order stay genuine."""
+        real = getattr(verify_mod, name)
+        calls = []
+
+        def patched(*args, **kwargs):
+            out = real(*args, **kwargs)
+            if out.order == self.ORDER:
+                calls.append(None)
+                if len(calls) == n:
+                    return spoil(out)
+            return out
+
+        monkeypatch.setattr(verify_mod, name, patched)
+
+    def test_theorem3_flags_only_the_retried_k(self, monkeypatch, records):
+        bump = make_series([0.0, 10.0], self.ORDER)
+        # calls alternate h, omega_tilde per (trial, k): the third is h of (0, 0.5)
+        self._spoil_nth(monkeypatch, "bounded_from_spec", 3, lambda h: h + bump)
+        rep = check_theorem3(3, seed=1, k_grid=(0.0, 0.5, 1.0), order=self.ORDER)
+        assert rep.verdict == "pass"
+        flagged = [w for w in records if "reevaluated_order" in w]
+        assert len(flagged) == 1
+        assert (flagged[0]["trial"], flagged[0]["k"]) == (0, 0.5)
+        assert flagged[0]["reevaluated_order"] == 2 * self.ORDER
+        assert len(records) == 9
+
+    @pytest.mark.parametrize("check", [check_theorem5, check_theorem6])
+    def test_pointwise_suites_record_the_retry(self, monkeypatch, records, check):
+        bump = make_series([0.0, 10.0], self.ORDER)
+        self._spoil_nth(monkeypatch, "compose", 2, lambda f: f + bump)
+        rep = check(trials=40, seed=3, order=self.ORDER)
+        assert rep.verdict == "pass"
+        flagged = [w for w in records if "reevaluated_order" in w]
+        assert len(flagged) == 1
+        assert flagged[0]["trial"] == 1 and flagged[0]["reevaluated_order"] == 2 * self.ORDER
