@@ -197,6 +197,17 @@ def compose(g: TruncatedSeries, w: TruncatedSeries) -> TruncatedSeries:
     order+1 coefficients of the result are exact given the stored
     coefficients of g and w.  Computed by Horner accumulation over the
     coefficients of g (down from its exact degree when known).
+
+    Truncation window: the step that adds g_k is multiplied by w k more
+    times, so when w(0) == 0 its output at index m reaches only result
+    indices m + k and up, and the step convolves just the first n - k
+    coefficients of the accumulator and of w (n = order + 1).  This keeps
+    every bit of the full-length product: np.convolve forms output m as
+    one dot over the same m + 1 pairs whatever the input lengths, and the
+    one pair that differs pairs a not-yet-refreshed accumulator entry
+    with w(0), so it adds a signed zero to a sum that starts at +0.0 and
+    therefore never changes it.  An inner with a tiny nonzero constant
+    (up to COMPOSE_CONSTANT_TOL) is composed at full length.
     """
     _require_same_order(g, w)
     if abs(w.coeffs[0]) > COMPOSE_CONSTANT_TOL:
@@ -205,10 +216,12 @@ def compose(g: TruncatedSeries, w: TruncatedSeries) -> TruncatedSeries:
         )
     n = g.order + 1
     top = g.exact_degree if g.exact_degree is not None else g.order
+    windowed = w.coeffs[0] == 0
     acc = np.zeros(n, dtype=np.complex128)
     acc[0] = g.coeffs[top]
     for k in range(top - 1, -1, -1):
-        acc = np.convolve(acc, w.coeffs)[:n]
+        m = n - k if windowed else n
+        acc[:m] = np.convolve(acc[:m], w.coeffs[:m])[:m]
         acc[0] += g.coeffs[k]
     degree = None
     if g.exact_degree is not None and w.exact_degree is not None:
@@ -227,7 +240,8 @@ def power(w: TruncatedSeries, k: int) -> TruncatedSeries:
         out = mul(out, w)
     if w.coeffs[0] == 0:
         low = min(k, w.order + 1)
-        assert np.all(out.coeffs[:low] == 0), "power of origin-vanishing series leaked low-order terms"
+        if not np.all(out.coeffs[:low] == 0):
+            raise AssertionError("power of origin-vanishing series leaked low-order terms")
     return out
 
 

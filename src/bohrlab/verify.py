@@ -196,6 +196,12 @@ def _stacked_worst(items, build, residuals, points, order: int):
             yield item, witness, float(row[col]), float(points[col]), retry
 
 
+def _group_share(trials: int, groups: int, g: int) -> int:
+    """Random witnesses of group g when ``trials`` are split over ``groups``:
+    the shares differ by at most one and add up to ``trials``."""
+    return trials // groups + (g < trials % groups)
+
+
 def _stack(witnesses, index: int) -> np.ndarray:
     """(rows, N+1) array of the coefficient vectors at ``index`` of each witness tuple."""
     return np.stack([w[index] for w in witnesses])
@@ -422,8 +428,11 @@ def check_theorem5(
 ) -> VerificationReport:
     """Pointwise-plus-tail bound at and below the sharp radius.
 
-    ``trials`` is the total random-witness budget, split evenly over the
-    a-grid; every a must sit at or above the admissibility threshold.  The
+    ``trials`` is the exact number of random witnesses, split over the
+    a-grid as evenly as it goes (the first ``trials % len(a_grid)`` values
+    of a take one more); every a must sit at or above the admissibility
+    threshold.  A value of a left without random witnesses still runs its
+    sharp-witness and beyond-radius checks.  The
     sharp witness is evaluated on the same grid, the universal-radius sweep
     runs over a 100-point grid of [0, 1), and the expected violation just
     beyond the radius is recorded as informational beyond-radius data.
@@ -437,13 +446,13 @@ def check_theorem5(
         if a < ANALYTIC_THRESHOLD_A - 1e-12 or a >= 1.0:
             raise ValueError(f"a={a} below the admissibility threshold {ANALYTIC_THRESHOLD_A:.7f}")
     rel_grid = _sine_fractions(8)
-    n_per = max(1, trials // len(a_grid))
     tracker = _Tracker()
     beyond = []
     for i, a in enumerate(a_grid):
         r_a = theorem5_radius(a).value
         rs = tuple(r_a * x for x in rel_grid[:-1]) + (r_a,)
-        keys = ((_SUITE_IDS["t5"], seed, i, j) for j in range(n_per))
+        n_a = _group_share(trials, len(a_grid), i)
+        keys = ((_SUITE_IDS["t5"], seed, i, j) for j in range(n_a))
         for key, (_, spec_d, phase), res, r, retry in _stacked_worst(
             keys,
             lambda key, n: _t5_witness(a, key, n),
@@ -504,7 +513,11 @@ def check_theorem6(
     admissible).  At the radius, the sharp family is approached through
     co-analytic scales 0.9k, 0.99k, 0.999k (monotone from below) and its
     exact-scale closed form must attain one to within 1e-8; the expected
-    violation just beyond the radius is recorded.
+    violation just beyond the radius is recorded.  ``trials`` is the exact
+    number of random witnesses, split over the (a, k) pairs as evenly as it
+    goes (the first ``trials % len(pairs)`` pairs take one more); a pair
+    left without random witnesses still runs its ladder, attainment and
+    beyond-radius checks.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -520,14 +533,14 @@ def check_theorem6(
                 if a < alpha - 1e-12 or a >= 1.0:
                     raise ValueError(f"(a={a}, k={k}) is inadmissible: a must be >= {alpha:.7f}")
         pairs.extend((a, k) for a in a_values)
-    n_per = max(1, trials // len(pairs))
     rel_grid = _sine_fractions(8)
     tracker = _Tracker()
     beyond = []
     for idx, (a, k) in enumerate(pairs):
         r_ak = theorem6_radius(a, k).value
         rs = tuple(r_ak * x for x in rel_grid[:-1]) + (r_ak,)
-        keys = ((_SUITE_IDS["t6"], seed, idx, j) for j in range(n_per))
+        n_ak = _group_share(trials, len(pairs), idx)
+        keys = ((_SUITE_IDS["t6"], seed, idx, j) for j in range(n_ak))
         for key, (*_, phase), res, r, retry in _stacked_worst(
             keys,
             lambda key, n: _t6_witness(a, k, key, n),

@@ -3,7 +3,7 @@
 Boundedness of random witnesses is certified structurally - they are built
 from finite Blaschke products, whose modulus cannot exceed one on the disk.
 A 360-point boundary sample of the rational form at |z| = 0.95 is kept as a
-tripwire assertion on every draw.
+tripwire on every draw; it raises AssertionError, also under ``python -O``.
 """
 
 from __future__ import annotations
@@ -69,9 +69,10 @@ def build_quasi_triple(
         w_pow = mul(w_pow, omega)
     direct = np.convolve(phi.coeffs, b)[:n]
     gap = float(np.max(np.abs(direct - f.coeffs)))
-    assert gap <= CONVOLUTION_CHECK_TOL, (
-        f"convolution identity violated by {gap:.3e}; series arithmetic is inconsistent"
-    )
+    if not gap <= CONVOLUTION_CHECK_TOL:
+        raise AssertionError(
+            f"convolution identity violated by {gap:.3e}; series arithmetic is inconsistent"
+        )
     return QuasiTriple(g=g, phi=phi, omega=omega, f=f)
 
 
@@ -98,7 +99,8 @@ def draw_polynomial(
 
 def _boundary_tripwire(values: np.ndarray):
     worst = float(np.max(np.abs(values)))
-    assert worst <= 1.0 + 1e-9, f"witness exceeds modulus one on the boundary sample: {worst}"
+    if not worst <= 1.0 + 1e-9:
+        raise AssertionError(f"witness exceeds modulus one on the boundary sample: {worst}")
 
 
 def bounded_from_spec(spec: BlaschkeSpec, order: int = DEFAULT_ORDER) -> TruncatedSeries:

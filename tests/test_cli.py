@@ -232,6 +232,23 @@ class TestVerifyCommand:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    # Same, for `verify --suite all --order 256 --trials 40 --seed S`, as
+    # produced by full-length Horner composition: compose's truncation
+    # window must reproduce it byte for byte.
+    @pytest.mark.parametrize(
+        "seed, digest",
+        [
+            (0, "28b74b20daea10558f745a3bb589b98f299854d6bc780379ccdb221211e3c61e"),
+            (7, "3cded8a21a76f0858ab84ea1e019c00c66a6dd84161b9262eea41457d05c11c1"),
+        ],
+    )
+    def test_golden_deep_report_bytes(self, capsys, seed, digest):
+        code, out, _ = run_cli(
+            capsys, "verify", "--suite", "all", "--order", "256", "--trials", "40", "--seed", str(seed)
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_invalid_suite(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--suite", "t4")
         assert code == 1

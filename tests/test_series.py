@@ -5,6 +5,7 @@ import pytest
 
 from bohrlab.series import (
     BlaschkeSpec,
+    TruncatedSeries,
     add,
     blaschke_series,
     compose,
@@ -21,6 +22,7 @@ from bohrlab.series import (
     power,
     scale,
 )
+from bohrlab.witnesses import draw_blaschke_spec, extremal_theorem5, schwarz_from_spec
 
 from oracles import (
     geometric_mobius,
@@ -177,6 +179,48 @@ class TestCompose:
         assert compose(g, w).exact_degree == 4
         w_trunc = blaschke_series(BlaschkeSpec(zeros=(0.5,)), 10, vanish_at_origin=True)
         assert compose(g, w_trunc).exact_degree is None
+
+
+def full_length_compose(g, w):
+    """Horner composition with a full-length convolution at every step: the
+    reference for compose's truncation window."""
+    n = g.order + 1
+    top = g.exact_degree if g.exact_degree is not None else g.order
+    acc = np.zeros(n, dtype=np.complex128)
+    acc[0] = g.coeffs[top]
+    for k in range(top - 1, -1, -1):
+        acc = np.convolve(acc, w.coeffs)[:n]
+        acc[0] += g.coeffs[k]
+    return acc
+
+
+class TestComposeWindow:
+    """compose convolves only the prefix that can reach a kept coefficient;
+    the result must equal full-length Horner bit for bit."""
+
+    @pytest.mark.parametrize("order", [1, 2, 8, 64, 256])
+    def test_bytes_equal_full_length_horner(self, order):
+        rng = np.random.default_rng(order + 11)
+        a0 = complex(0.7 * np.exp(1.3j))
+        outers = [
+            mobius_series(a0, order),
+            extremal_theorem5(a0, order),
+            rand_series(rng, order, degree=min(6, order)),
+            TruncatedSeries(rng.normal(size=order + 1) + 1j * rng.normal(size=order + 1)),
+        ]
+        spec = draw_blaschke_spec(rng, min_zeros=2)
+        tiny_constant = rng.normal(size=order + 1) + 1j * rng.normal(size=order + 1)
+        tiny_constant[0] = 1e-16
+        inners = [
+            schwarz_from_spec(spec, order=order),
+            make_series([0.0, 1.0], order),
+            TruncatedSeries(tiny_constant),
+        ]
+        if order >= 2:  # z*B(z^2) needs B expanded to order // 2 >= 1
+            inners.append(schwarz_from_spec(spec, odd=True, order=order))
+        for g in outers:
+            for w in inners:
+                assert compose(g, w).coeffs.tobytes() == full_length_compose(g, w).tobytes()
 
 
 class TestPower:

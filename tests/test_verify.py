@@ -217,3 +217,24 @@ class TestRetryBookkeeping:
         flagged = [w for w in records if "reevaluated_order" in w]
         assert len(flagged) == 1
         assert flagged[0]["trial"] == 1 and flagged[0]["reevaluated_order"] == 2 * self.ORDER
+
+
+class TestWitnessCounts:
+    """t5 and t6 build exactly the reported number of random witnesses, also
+    when the trial count is not a multiple of the number of parameter groups."""
+
+    @pytest.mark.parametrize("trials", [3, 21])
+    @pytest.mark.parametrize(
+        "check, witness_fn", [(check_theorem5, "_t5_witness"), (check_theorem6, "_t6_witness")]
+    )
+    def test_builds_match_reported_trials(self, monkeypatch, check, witness_fn, trials):
+        real = getattr(verify_mod, witness_fn)
+        orders = []
+
+        def counting(*args):
+            orders.append(args[-1])
+            return real(*args)
+
+        monkeypatch.setattr(verify_mod, witness_fn, counting)
+        report = check(trials=trials, seed=5, order=8)
+        assert orders.count(8) == report.trials == trials

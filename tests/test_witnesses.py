@@ -1,7 +1,14 @@
 """Unit tests for witness generators and extremal families."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import bohrlab
 
 from bohrlab.functionals import bohr_sum, theorem3_lhs, theorem6_lhs
 from bohrlab.series import (
@@ -263,3 +270,48 @@ class TestOddStructure:
                 f_cum = np.cumsum(np.abs(f.coeffs[1::2]) * powers)
                 g_cum = np.cumsum(np.abs(g.coeffs[1::2]) * powers)
                 assert np.all(f_cum <= g_cum + 1e-9)
+
+
+# Each construction check is broken on purpose and must still raise under -O,
+# which strips plain assert statements.
+_OPTIMIZED_CHECKS = """
+import sys
+import numpy as np
+from bohrlab import series, witnesses
+from bohrlab.series import BlaschkeSpec, make_series
+
+print(sys.flags.optimize)
+
+def rejected(call):
+    try:
+        call()
+    except AssertionError as exc:
+        return str(exc)
+    return "accepted"
+
+witnesses.eval_blaschke = lambda spec, z: np.full(np.shape(z), 2.0 + 0.0j)
+print(rejected(lambda: witnesses.bounded_from_spec(BlaschkeSpec(), 8)))
+
+witnesses.compose = lambda g, w: g
+print(rejected(lambda: witnesses.build_quasi_triple(
+    make_series([0.0, 1.0], 8), make_series([1.0], 8), make_series([0.0, 0.5], 8))))
+
+series.mul = lambda f, g: make_series([1.0], f.order)
+print(rejected(lambda: series.power(make_series([0.0, 1.0], 8), 2)))
+"""
+
+
+class TestChecksUnderOptimization:
+    def test_broken_constructions_rejected_under_dash_O(self):
+        src = str(Path(bohrlab.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", _OPTIMIZED_CHECKS],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        assert done.returncode == 0, done.stderr
+        optimize, tripwire, identity, low_order = done.stdout.splitlines()
+        assert optimize == "1"
+        assert tripwire.startswith("witness exceeds modulus one on the boundary sample")
+        assert identity.startswith("convolution identity violated")
+        assert low_order == "power of origin-vanishing series leaked low-order terms"
