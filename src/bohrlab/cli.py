@@ -4,28 +4,25 @@ verification runs.
 Output goes to stdout (CSV for sweeps, JSON with sorted keys elsewhere);
 logs and usage errors go to stderr.  Exit codes: 0 success, 1 malformed
 arguments, 2 verification failure.  Truncation order resolves as
-flag > BOHRLAB_ORDER environment variable > 64.
+flag > BOHRLAB_ORDER environment variable > 64 and must be >= 2.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
 from . import radii, verify
 from .functionals import bohr_sum, corollary2_lhs, theorem3_lhs, theorem5_lhs, theorem6_lhs
+from .series import DEFAULT_ORDER
+from .verify import DEFAULT_SEED, DEFAULT_TRIALS
 from .witnesses import extremal_corollary2, extremal_theorem3, extremal_theorem5
-
-DEFAULT_ORDER = 64
-DEFAULT_TRIALS = 1000
-DEFAULT_SEED = 42
 
 # Decimal endpoints within 1e-9 of these constants snap to the exact value,
 # so endpoint rows probe the true radius rather than a rounded one.
-_SNAP_TARGETS = (1.0 / 3.0, 3.0 ** -0.5, math.sqrt(5.0) - 2.0)
+_SNAP_TARGETS = (radii.CLASSICAL_CAP, radii.ODD_CAP, radii.UNIVERSAL_RADIUS)
 
 
 class _UsageError(Exception):
@@ -49,18 +46,18 @@ def _snap(r: float) -> float:
 
 
 def _resolve_order(args) -> int:
-    if getattr(args, "order", None) is not None:
-        return args.order
-    env = os.environ.get("BOHRLAB_ORDER")
-    if env is not None:
+    order, source = args.order, "--order"
+    if order is None:
+        env = os.environ.get("BOHRLAB_ORDER")
+        if env is None:
+            return DEFAULT_ORDER
         try:
-            value = int(env)
+            order, source = int(env), "BOHRLAB_ORDER"
         except ValueError:
             raise _UsageError(f"BOHRLAB_ORDER must be an integer, got {env!r}")
-        if value < 2:
-            raise _UsageError("BOHRLAB_ORDER must be >= 2")
-        return value
-    return DEFAULT_ORDER
+    if order < 2:
+        raise _UsageError(f"{source} must be >= 2")
+    return order
 
 
 def _parse_params(tokens) -> dict:
@@ -109,7 +106,7 @@ def _build_parser() -> _Parser:
 
     p_ver = sub.add_parser("verify", help="run verification suites, JSON report")
     p_ver.add_argument("--suite", required=True, choices=["t1", "t2", "t3", "t5", "t6", "all"])
-    p_ver.add_argument("--trials", type=int, default=None)
+    p_ver.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
     p_ver.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_ver.add_argument("--order", type=int)
 
@@ -161,7 +158,7 @@ def _sweep_value(functional: str, params: dict, r: float) -> float:
 
 def _claimed_cap(functional: str, params: dict) -> float:
     if functional in ("bohr", "cor2", "t3"):
-        return 1.0 / 3.0
+        return radii.CLASSICAL_CAP
     if functional == "t5":
         a = params["a"]
         if a >= radii.ANALYTIC_THRESHOLD_A:
@@ -228,17 +225,15 @@ def _cmd_extremal(args) -> int:
 
 def _cmd_verify(args) -> int:
     order = _resolve_order(args)
-    trials = args.trials if args.trials is not None else DEFAULT_TRIALS
-    seed = args.seed
-    runners = {
-        "t1": lambda: verify.check_theorem1(trials, seed, order=order),
-        "t2": lambda: verify.check_theorem2_odd(trials, seed, order=order),
-        "t3": lambda: verify.check_theorem3(trials, seed, order=order),
-        "t5": lambda: verify.check_theorem5(trials=trials, seed=seed, order=order),
-        "t6": lambda: verify.check_theorem6(trials=trials, seed=seed, order=order),
+    checks = {
+        "t1": verify.check_theorem1,
+        "t2": verify.check_theorem2_odd,
+        "t3": verify.check_theorem3,
+        "t5": verify.check_theorem5,
+        "t6": verify.check_theorem6,
     }
-    names = list(runners) if args.suite == "all" else [args.suite]
-    reports = [runners[name]().as_dict() for name in names]
+    names = list(checks) if args.suite == "all" else [args.suite]
+    reports = [checks[name](trials=args.trials, seed=args.seed, order=order).as_dict() for name in names]
     failed = any(rep["verdict"] != "pass" for rep in reports)
     if args.suite == "all":
         _print_json({"reports": reports, "verdict": "fail" if failed else "pass"})

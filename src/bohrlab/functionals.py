@@ -16,9 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .radii import CLASSICAL_CAP
 from .series import TruncatedSeries, evaluate, majorant_eval
-
-CLASSICAL_CAP = 1.0 / 3.0
 
 
 @dataclass(frozen=True, eq=False)

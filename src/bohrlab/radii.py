@@ -11,7 +11,9 @@ ANALYTIC_THRESHOLD_A = 2.0 * math.sqrt(3.0) - 3.0
 # Radius below which the pointwise-plus-tail bound holds for every |f(0)| < 1.
 UNIVERSAL_RADIUS = math.sqrt(5.0) - 2.0
 
+# Caps on r of the classical claims and of the odd-pair claim.
 CLASSICAL_CAP = 1.0 / 3.0
+ODD_CAP = 3.0 ** -0.5
 
 # Bracket width for bisection; leaves plenty of headroom below the 1e-12
 # residual bar on returned roots.
@@ -47,7 +49,7 @@ class RadiusResult:
 
 def classical_radius() -> RadiusResult:
     """The unimprovable constant 1/3 for functions bounded by one."""
-    return RadiusResult(value=1.0 / 3.0)
+    return RadiusResult(value=CLASSICAL_CAP)
 
 
 def p_symmetric_radius(p: int) -> RadiusResult:

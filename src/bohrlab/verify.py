@@ -14,10 +14,10 @@ the true sums.  A truncated left-hand side can hide a violation that lives
 in the dropped tail, and the doubled-order retry guards only against false
 failures, so a pass is not a certificate for the untruncated functions.
 
-Suites t1, t3, t5 and t6 build their witnesses one trial at a time and
-evaluate them a block at a time: one stacked Horner pass (series.majorant_rows,
-series.evaluate_rows) per block runs the same floating-point operations as
-per-witness, per-radius evaluation, so reports keep every bit.
+All five suites share one driver that builds witnesses one trial at a time
+and evaluates them a block at a time; for t1, t3, t5 and t6 a block is one
+stacked Horner pass (series.majorant_rows, series.evaluate_rows) that runs
+the same floating-point operations as per-witness, per-radius evaluation.
 """
 
 from __future__ import annotations
@@ -37,6 +37,8 @@ from .functionals import (
 )
 from .radii import (
     ANALYTIC_THRESHOLD_A,
+    CLASSICAL_CAP,
+    ODD_CAP,
     UNIVERSAL_RADIUS,
     theorem5_radius,
     theorem6_radius,
@@ -56,6 +58,7 @@ from .witnesses import (
     bounded_from_spec,
     build_quasi_triple,
     draw_blaschke_spec,
+    draw_polynomial,
     extremal_corollary2,
     extremal_theorem3,
     extremal_theorem5,
@@ -69,17 +72,14 @@ CERT_TOLERANCE = 1e-8
 DEFAULT_TRIALS = 1000
 DEFAULT_SEED = 42
 
-ODD_CAP = 3.0 ** -0.5
-CLASSICAL_CAP = 1.0 / 3.0
-
 _SUITE_IDS = {"t1": 1, "t2": 2, "t3": 3, "t5": 5, "t6": 6}
 
 _PHASES = np.exp(2j * np.pi * np.arange(16) / 16.0)
 
 _LADDER = (0.9, 0.99, 0.999)
 
-# Stacked suites evaluate max(1, _COEFF_BUDGET // (order + 1)) witnesses per
-# block, which keeps memory flat in the trial count and the order.
+# Suites evaluate max(1, _COEFF_BUDGET // (order + 1)) witnesses per block,
+# which keeps memory flat in the trial count and the order.
 _COEFF_BUDGET = 2 ** 11
 
 
@@ -161,45 +161,65 @@ def _spec_from_dict(d: dict) -> BlaschkeSpec:
     )
 
 
-def _poly_dict(coeffs) -> list:
-    return [_pair(complex(c)) for c in coeffs]
+def _poly_dict(poly) -> list:
+    return [_pair(complex(c)) for c in poly.coeffs[: poly.exact_degree + 1]]
 
 
 def _poly_from_dict(entries, order):
     return make_series([complex(re, im) for re, im in entries], order)
 
 
-def _stacked_worst(items, build, residuals, points, order: int):
-    """Worst residual of each item's witness, yielded in item order.
+def _trial_params(suite: str, draw, trials: int, seed: int):
+    """draw(rng, t) for each trial t, rng keyed by (suite id, seed, t)."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    return (draw(np.random.default_rng((_SUITE_IDS[suite], seed, t)), t) for t in range(trials))
 
-    ``build(item, order)`` constructs one witness; ``residuals(witnesses)``
-    evaluates a list of them at once and returns one row per witness and
-    one column per entry of ``points``.  Witnesses are built one at a time
-    and evaluated a block at a time.  A witness whose worst residual exceeds
-    the tolerance is rebuilt at doubled order and re-evaluated as a block of
-    one.  Yields (item, witness, residual, point, retry), where retry is
-    {"reevaluated_order": 2 * order} for a re-evaluated witness and {}
-    otherwise.  np.argmax keeps the first of equal residuals, as the
-    tracker's strict comparison does.
+
+def _groups(suite: str, trials: int, seed: int, radii) -> list:
+    """radius_grid(r, 8) and the trial keys (suite id, seed, g, j) of each
+    group g with sharp radius radii[g]; the first trials % len(radii) groups
+    take one witness more than the others."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    if not radii:
+        raise ValueError("the parameter grid is empty")
+    share, extra = divmod(trials, len(radii))
+    return [
+        (radius_grid(r, 8), [(_SUITE_IDS[suite], seed, g, j) for j in range(share + (g < extra))])
+        for g, r in enumerate(radii)
+    ]
+
+
+def _run_suite(tracker: _Tracker, items, build, evaluate, record, order: int):
+    """Feed ``tracker`` the worst residual of each item's witness, in item order.
+
+    ``build(item, order)`` constructs one witness; ``evaluate(witnesses)``
+    returns one (residual, where) pair per witness, ``where`` being a dict
+    that locates the residual (its radius, say).  Witnesses are built one
+    at a time and evaluated a block at a time.  A witness whose residual
+    exceeds the tolerance is rebuilt at doubled order, re-evaluated as a
+    block of one and tagged {"reevaluated_order": 2 * order}.  The tracker
+    sees ``{**record(item, witness), **where}``.
     """
     rows = max(1, _COEFF_BUDGET // (order + 1))
     items = iter(items)
     while block := list(itertools.islice(items, rows)):
         witnesses = [build(item, order) for item in block]
-        for item, witness, row in zip(block, witnesses, residuals(witnesses)):
-            retry = {}
-            if row.max() > TOLERANCE:
+        for item, witness, (res, where) in zip(block, witnesses, evaluate(witnesses)):
+            if res > TOLERANCE:
                 witness = build(item, 2 * order)
-                row = residuals([witness])[0]
-                retry = {"reevaluated_order": 2 * order}
-            col = int(np.argmax(row))
-            yield item, witness, float(row[col]), float(points[col]), retry
+                [(res, where)] = evaluate([witness])
+                where = {**where, "reevaluated_order": 2 * order}
+            tracker.update(res, {**record(item, witness), **where})
 
 
-def _group_share(trials: int, groups: int, g: int) -> int:
-    """Random witnesses of group g when ``trials`` are split over ``groups``:
-    the shares differ by at most one and add up to ``trials``."""
-    return trials // groups + (g < trials % groups)
+def _row_worst(table: np.ndarray, points) -> list:
+    """(residual, {"r": point}) at the largest entry of each row of ``table``,
+    whose columns belong to ``points``.  np.argmax keeps the first of equal
+    residuals, as the tracker's strict comparison does."""
+    cols = np.argmax(table, axis=1)
+    return [(float(row[col]), {"r": float(points[col])}) for row, col in zip(table, cols)]
 
 
 def _stack(witnesses, index: int) -> np.ndarray:
@@ -225,10 +245,7 @@ def _pointwise_residuals(h_rows, rs, g_rows=None) -> np.ndarray:
 
 def _draw_t1_params(rng: np.random.Generator, trial: int) -> dict:
     variant = ("general", "subordination", "majorization")[trial % 3]
-    degree = int(rng.integers(0, 9))
-    moduli = rng.uniform(0.0, 2.0, degree + 1)
-    phases = rng.uniform(0.0, 2.0 * np.pi, degree + 1)
-    g = _poly_dict(moduli * np.exp(1j * phases))
+    g = _poly_dict(draw_polynomial(rng, 8))
     phi = _spec_dict(draw_blaschke_spec(rng))
     omega = _spec_dict(draw_blaschke_spec(rng))
     return {"trial": trial, "variant": variant, "g": g, "phi": phi, "omega": omega}
@@ -255,19 +272,15 @@ def check_theorem1(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED, order
     (multiplier identically one; inner equal to z), all on a 12-point grid
     of (0, 1/3].
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    draws = _trial_params("t1", _draw_t1_params, trials, seed)
     grid = radius_grid(CLASSICAL_CAP, 12)
-    draws = (
-        _draw_t1_params(np.random.default_rng((_SUITE_IDS["t1"], seed, t)), t) for t in range(trials)
-    )
 
-    def residuals(witnesses):
-        return majorant_rows(_stack(witnesses, 0), grid) - majorant_rows(_stack(witnesses, 1), grid)
+    def evaluate(witnesses):
+        table = majorant_rows(_stack(witnesses, 0), grid) - majorant_rows(_stack(witnesses, 1), grid)
+        return _row_worst(table, grid)
 
     tracker = _Tracker()
-    for params, _, res, r, retry in _stacked_worst(draws, _t1_witness, residuals, grid, order):
-        tracker.update(res, {"r": r, **params, **retry})
+    _run_suite(tracker, draws, _t1_witness, evaluate, lambda params, _: params, order)
     return tracker.report("t1", trials, seed, grid)
 
 
@@ -276,33 +289,36 @@ def check_theorem1(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED, order
 
 
 def _draw_t2_params(rng: np.random.Generator, trial: int) -> dict:
-    degree = int(rng.integers(0, 4))
-    moduli = rng.uniform(0.0, 2.0, degree + 1)
-    phases = rng.uniform(0.0, 2.0 * np.pi, degree + 1)
-    q = _poly_dict(moduli * np.exp(1j * phases))
+    q = _poly_dict(draw_polynomial(rng, 3, max_degree=3))
     omega = _spec_dict(draw_blaschke_spec(rng))
     identity_inner = trial % 5 == 0
     return {"trial": trial, "q": q, "omega": omega, "identity_inner": identity_inner}
 
 
-def _t2_residual(params: dict, order: int, grid) -> tuple:
+def _t2_witness(params: dict, order: int) -> tuple:
+    """Coefficients of the odd composition f = g(omega) and of its outer g."""
     q = _poly_from_dict(params["q"], order // 2)
     g = mul(make_series([0.0, 1.0], order), p_symmetric_lift(q, 2, order=order))
     if params["identity_inner"]:
         omega = make_series([0.0, 1.0], order)
     else:
         omega = schwarz_from_spec(_spec_from_dict(params["omega"]), odd=True, order=order)
-    f = compose(g, omega)
+    return compose(g, omega).coeffs, g.coeffs
 
-    leak = float(np.max(np.abs(f.coeffs[0::2])))
+
+def _t2_residual(f: np.ndarray, g: np.ndarray, grid) -> tuple:
+    """(residual, where) of one odd pair: the largest excess of a partial
+    majorant sum of f over g's on the grid, or f's even-coefficient leak
+    when that is larger."""
+    leak = float(np.max(np.abs(f[0::2])))
     rs = np.asarray(grid)
-    exponents = np.arange(1, order + 1, 2)
-    pow_grid = rs[:, None] ** exponents[None, :]
-    f_cum = np.cumsum(np.abs(f.coeffs[1::2])[None, :] * pow_grid, axis=1)
-    g_cum = np.cumsum(np.abs(g.coeffs[1::2])[None, :] * pow_grid, axis=1)
+    pow_grid = rs[:, None] ** np.arange(1, len(f), 2)
+    f_cum = np.cumsum(np.abs(f[1::2])[None, :] * pow_grid, axis=1)
+    g_cum = np.cumsum(np.abs(g[1::2])[None, :] * pow_grid, axis=1)
     gaps = f_cum - g_cum
     i, m = np.unravel_index(np.argmax(gaps), gaps.shape)
-    return max(float(gaps[i, m]), leak), float(rs[i]), int(m + 1), leak
+    where = {"r": float(rs[i]), "partial_sum_length": int(m + 1), "even_leak": leak}
+    return max(float(gaps[i, m]), leak), where
 
 
 def check_theorem2_odd(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED, order: int = DEFAULT_ORDER) -> VerificationReport:
@@ -312,18 +328,17 @@ def check_theorem2_odd(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED, o
     odd by construction, and any even-coefficient leak of the composition
     is folded into the residual.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    draws = _trial_params("t2", _draw_t2_params, trials, seed)
     grid = radius_grid(ODD_CAP, 12)
     tracker = _Tracker()
-    for t in range(trials):
-        rng = np.random.default_rng((_SUITE_IDS["t2"], seed, t))
-        params = _draw_t2_params(rng, t)
-        res, r_at, m_at, leak = _t2_residual(params, order, grid)
-        if res > TOLERANCE:
-            res, r_at, m_at, leak = _t2_residual(params, 2 * order, grid)
-            params = dict(params, reevaluated_order=2 * order)
-        tracker.update(res, {"r": r_at, "partial_sum_length": m_at, "even_leak": leak, **params})
+    _run_suite(
+        tracker,
+        draws,
+        _t2_witness,
+        lambda ws: [_t2_residual(f, g, grid) for f, g in ws],
+        lambda params, _: params,
+        order,
+    )
     return tracker.report("t2", trials, seed, grid)
 
 
@@ -384,24 +399,23 @@ def check_theorem3(
     and checks every k in k_grid; the sharp family (co-analytic scale equal
     to k) must sit at one to within tolerance on the same grid.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    draws = _trial_params("t3", _draw_t3_params, trials, seed)
     k_grid = tuple(float(k) for k in k_grid)
+    if not k_grid:
+        raise ValueError("k_grid must not be empty")
     for k in k_grid:
         if not 0.0 <= k <= 1.0:
             raise ValueError("k_grid values must lie in [0, 1]")
     grid = radius_grid(CLASSICAL_CAP, 12)
-
-    def draws():
-        for t in range(trials):
-            params = _draw_t3_params(np.random.default_rng((_SUITE_IDS["t3"], seed, t)), t)
-            yield from ((params, k) for k in k_grid)
-
     tracker = _Tracker()
-    for (params, k), _, res, r, retry in _stacked_worst(
-        draws(), _t3_witness, lambda ws: _t3_residuals(ws, grid), grid + grid, order
-    ):
-        tracker.update(res, {"r": r, "k": k, **params, **retry})
+    _run_suite(
+        tracker,
+        ((params, k) for params in draws for k in k_grid),
+        _t3_witness,
+        lambda ws: _row_worst(_t3_residuals(ws, grid), grid + grid),
+        lambda item, _: {**item[0], "k": item[1]},
+        order,
+    )
     return tracker.report("t3", trials, seed, grid)
 
 
@@ -430,46 +444,39 @@ def check_theorem5(
 
     ``trials`` is the exact number of random witnesses, split over the
     a-grid as evenly as it goes (the first ``trials % len(a_grid)`` values
-    of a take one more); every a must sit at or above the admissibility
-    threshold.  A value of a left without random witnesses still runs its
-    sharp-witness and beyond-radius checks.  The
-    sharp witness is evaluated on the same grid, the universal-radius sweep
-    runs over a 100-point grid of [0, 1), and the expected violation just
-    beyond the radius is recorded as informational beyond-radius data.
+    of a take one more); the a-grid must not be empty, and every a must sit
+    at or above the admissibility threshold.  A value of a left without
+    random witnesses still runs its sharp-witness and beyond-radius checks.
+    The sharp witness is evaluated on the same grid, the universal-radius
+    sweep runs over a 100-point grid of [0, 1), and the expected violation
+    just beyond the radius is recorded as informational beyond-radius data.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     if a_grid is None:
         a_grid = (ANALYTIC_THRESHOLD_A, 0.5, 0.55, 0.6, 0.7, 0.8, 0.9, 0.95)
     a_grid = tuple(float(a) for a in a_grid)
     for a in a_grid:
         if a < ANALYTIC_THRESHOLD_A - 1e-12 or a >= 1.0:
             raise ValueError(f"a={a} below the admissibility threshold {ANALYTIC_THRESHOLD_A:.7f}")
-    rel_grid = _sine_fractions(8)
+    groups = _groups("t5", trials, seed, [theorem5_radius(a).value for a in a_grid])
     tracker = _Tracker()
     beyond = []
-    for i, a in enumerate(a_grid):
-        r_a = theorem5_radius(a).value
-        rs = tuple(r_a * x for x in rel_grid[:-1]) + (r_a,)
-        n_a = _group_share(trials, len(a_grid), i)
-        keys = ((_SUITE_IDS["t5"], seed, i, j) for j in range(n_a))
-        for key, (_, spec_d, phase), res, r, retry in _stacked_worst(
+    for a, (rs, keys) in zip(a_grid, groups):
+        _run_suite(
+            tracker,
             keys,
             lambda key, n: _t5_witness(a, key, n),
-            lambda ws: _pointwise_residuals(_stack(ws, 0), rs),
-            rs,
+            lambda ws: _row_worst(_pointwise_residuals(_stack(ws, 0), rs), rs),
+            lambda key, w: {"a": a, "trial": key[-1], "phase": w[2], "omega": w[1]},
             order,
-        ):
-            witness = {"a": float(a), "r": r, "trial": key[-1], "phase": phase, "omega": spec_d}
-            tracker.update(res, {**witness, **retry})
+        )
         sharp = extremal_theorem5(a)
         for r in rs:
-            tracker.update(theorem5_lhs(sharp, -r) - 1.0, {"a": float(a), "r": float(r), "witness": "extremal"})
-        r_beyond = r_a + 1e-3
+            tracker.update(theorem5_lhs(sharp, -r) - 1.0, {"a": a, "r": r, "witness": "extremal"})
+        r_beyond = rs[-1] + 1e-3
         lhs_beyond = theorem5_lhs(sharp, -r_beyond)
-        beyond.append({"a": float(a), "r": float(r_beyond), "lhs": float(lhs_beyond)})
+        beyond.append({"a": a, "r": r_beyond, "lhs": float(lhs_beyond)})
         if lhs_beyond <= 1.0:
-            tracker.update(1.0, {"a": float(a), "witness": "extremal-beyond", "lhs": float(lhs_beyond)})
+            tracker.update(1.0, {"a": a, "witness": "extremal-beyond", "lhs": float(lhs_beyond)})
     for a in np.linspace(0.0, 0.99, 100):
         lhs = theorem5_lhs(extremal_theorem5(float(a)), -UNIVERSAL_RADIUS)
         tracker.update(lhs - 1.0, {"a": float(a), "r": UNIVERSAL_RADIUS, "witness": "universal-sweep"})
@@ -477,7 +484,7 @@ def check_theorem5(
         "t5",
         trials,
         seed,
-        rel_grid,
+        _sine_fractions(8),
         informational=True,
         beyond={"kind": "sharp-witness just beyond its radius", "points": beyond},
     )
@@ -510,17 +517,15 @@ def check_theorem6(
 
     Parameter pairs take each k with four a-values spanning [alpha_k, 0.95]
     unless an explicit a-grid is supplied (then every (a, k) pair must be
-    admissible).  At the radius, the sharp family is approached through
-    co-analytic scales 0.9k, 0.99k, 0.999k (monotone from below) and its
-    exact-scale closed form must attain one to within 1e-8; the expected
-    violation just beyond the radius is recorded.  ``trials`` is the exact
-    number of random witnesses, split over the (a, k) pairs as evenly as it
-    goes (the first ``trials % len(pairs)`` pairs take one more); a pair
-    left without random witnesses still runs its ladder, attainment and
-    beyond-radius checks.
+    admissible), and there must be at least one pair.  At the radius, the
+    sharp family is approached through co-analytic scales 0.9k, 0.99k,
+    0.999k (monotone from below) and its exact-scale closed form must attain
+    one to within 1e-8; the expected violation just beyond the radius is
+    recorded.  ``trials`` is the exact number of random witnesses, split over
+    the (a, k) pairs as evenly as it goes (the first ``trials % len(pairs)``
+    pairs take one more); a pair left without random witnesses still runs
+    its ladder, attainment and beyond-radius checks.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     k_grid = tuple(float(k) for k in k_grid)
     pairs = []
     for k in k_grid:
@@ -533,24 +538,20 @@ def check_theorem6(
                 if a < alpha - 1e-12 or a >= 1.0:
                     raise ValueError(f"(a={a}, k={k}) is inadmissible: a must be >= {alpha:.7f}")
         pairs.extend((a, k) for a in a_values)
-    rel_grid = _sine_fractions(8)
+    groups = _groups("t6", trials, seed, [theorem6_radius(a, k).value for a, k in pairs])
     tracker = _Tracker()
     beyond = []
-    for idx, (a, k) in enumerate(pairs):
-        r_ak = theorem6_radius(a, k).value
-        rs = tuple(r_ak * x for x in rel_grid[:-1]) + (r_ak,)
-        n_ak = _group_share(trials, len(pairs), idx)
-        keys = ((_SUITE_IDS["t6"], seed, idx, j) for j in range(n_ak))
-        for key, (*_, phase), res, r, retry in _stacked_worst(
+    for (a, k), (rs, keys) in zip(pairs, groups):
+        _run_suite(
+            tracker,
             keys,
             lambda key, n: _t6_witness(a, k, key, n),
-            lambda ws: _pointwise_residuals(_stack(ws, 0), rs, _stack(ws, 1)),
-            rs,
+            lambda ws: _row_worst(_pointwise_residuals(_stack(ws, 0), rs, _stack(ws, 1)), rs),
+            lambda key, w: {"a": a, "k": k, "trial": key[-1], "phase": w[2]},
             order,
-        ):
-            witness = {"a": float(a), "k": float(k), "r": r, "trial": key[-1], "phase": phase}
-            tracker.update(res, {**witness, **retry})
+        )
 
+        r_ak = rs[-1]
         tail = r_ak * (1.0 - a * a) / (1.0 - r_ak * a)
         point = schwarz_pick_bound(a, r_ak)
         ladder = [point + (1.0 + mu * k) * tail for mu in _LADDER]
@@ -567,14 +568,14 @@ def check_theorem6(
         pair_sharp = extremal_theorem3(a, k)
         r_beyond = r_ak + 1e-3
         lhs_beyond = theorem6_lhs(pair_sharp, r_beyond)
-        beyond.append({"a": float(a), "k": float(k), "r": float(r_beyond), "lhs": float(lhs_beyond)})
+        beyond.append({"a": a, "k": k, "r": r_beyond, "lhs": float(lhs_beyond)})
         if lhs_beyond <= 1.0:
             tracker.update(1.0, {"a": a, "k": k, "witness": "extremal-beyond", "lhs": float(lhs_beyond)})
     return tracker.report(
         "t6",
         trials,
         seed,
-        rel_grid,
+        _sine_fractions(8),
         informational=True,
         beyond={"kind": "sharp-family just beyond its radius", "points": beyond},
     )
@@ -599,54 +600,48 @@ def sharpness_certificate(theorem: str, params: dict, order: int = DEFAULT_ORDER
             "no extremal witness is generated for the odd-function radius; "
             "its sharpness is not certified by this laboratory"
         )
-    contributions = []
-    beyond = None
+    if theorem not in ("cor2", "t3", "t5", "t6"):
+        raise ValueError(f"unknown certificate target {theorem!r}")
+    a = float(params["a"])
+    worst = {"a": a}
     if theorem == "cor2":
-        a = float(params["a"])
-        grid = radius_grid(CLASSICAL_CAP, 25)
         f = extremal_corollary2(a, order)
-        contributions = [abs(corollary2_lhs(f, a, r) - 1.0) for r in grid]
-        worst = {"a": a, "kind": "equality-on-interval"}
+        lhs = lambda r: corollary2_lhs(f, a, r)
     elif theorem == "t3":
-        a, k = float(params["a"]), float(params["k"])
-        grid = radius_grid(CLASSICAL_CAP, 25)
+        k = worst["k"] = float(params["k"])
         pair = extremal_theorem3(a, k, order)
-        contributions = [abs(theorem3_lhs(pair, a, r) - 1.0) for r in grid]
-        worst = {"a": a, "k": k, "kind": "equality-on-interval"}
+        lhs = lambda r: theorem3_lhs(pair, a, r)
     elif theorem == "t5":
-        a = float(params["a"])
         if a < ANALYTIC_THRESHOLD_A - 1e-12:
             raise ValueError(f"a={a} is below the admissibility threshold {ANALYTIC_THRESHOLD_A:.7f}")
-        r = theorem5_radius(a).value
-        grid = (r,)
+        radius = theorem5_radius(a).value
         f = extremal_theorem5(a, order)
-        attained = theorem5_lhs(f, -r)
-        lhs_beyond = theorem5_lhs(f, -(r + 1e-3))
-        contributions = [abs(attained - 1.0)]
-        if lhs_beyond <= 1.0:
-            contributions.append(1.0 + (1.0 - lhs_beyond))
-        beyond = {"r": float(r + 1e-3), "lhs": float(lhs_beyond)}
-        worst = {"a": a, "radius": float(r), "attained": float(attained), "kind": "radius"}
-    elif theorem == "t6":
-        a, k = float(params["a"]), float(params["k"])
+        lhs = lambda r: theorem5_lhs(f, -r)
+    else:
+        k = worst["k"] = float(params["k"])
         alpha = theorem6_threshold(k)
         if a < alpha - 1e-12:
             raise ValueError(f"(a={a}, k={k}) is inadmissible: a must be >= {alpha:.7f}")
-        r = theorem6_radius(a, k).value
-        grid = (r,)
+        radius = theorem6_radius(a, k).value
         pair = extremal_theorem3(a, k, order)
-        attained = theorem6_lhs(pair, r)
-        lhs_beyond = theorem6_lhs(pair, r + 1e-3)
-        contributions = [abs(attained - 1.0)]
-        if lhs_beyond <= 1.0:
-            contributions.append(1.0 + (1.0 - lhs_beyond))
-        beyond = {"r": float(r + 1e-3), "lhs": float(lhs_beyond)}
-        worst = {"a": a, "k": k, "radius": float(r), "attained": float(attained), "kind": "radius"}
+        lhs = lambda r: theorem6_lhs(pair, r)
+
+    beyond = None
+    if theorem in ("cor2", "t3"):
+        grid = radius_grid(CLASSICAL_CAP, 25)
+        residual = max(abs(lhs(r) - 1.0) for r in grid)
+        worst["kind"] = "equality-on-interval"
     else:
-        raise ValueError(f"unknown certificate target {theorem!r}")
+        grid = (radius,)
+        attained, lhs_beyond = lhs(radius), lhs(radius + 1e-3)
+        residual = abs(attained - 1.0)
+        if lhs_beyond <= 1.0:
+            residual = max(residual, 1.0 + (1.0 - lhs_beyond))
+        beyond = {"r": float(radius + 1e-3), "lhs": float(lhs_beyond)}
+        worst.update(radius=float(radius), attained=float(attained), kind="radius")
 
     tracker = _Tracker()
-    tracker.update(max(contributions), worst)
+    tracker.update(residual, worst)
     return tracker.report(
         f"sharpness_{theorem}", 1, 0, grid, tolerance=CERT_TOLERANCE, beyond=beyond
     )

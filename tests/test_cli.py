@@ -216,6 +216,22 @@ class TestVerifyCommand:
         assert out == ""
         assert "trials must be >= 1" in err
 
+    # t3, t5 and t6 run to a verdict at order 1, so the order is checked
+    # before any suite runs, whichever source it comes from.
+    @pytest.mark.parametrize("suite", ["t3", "t5", "t6"])
+    @pytest.mark.parametrize("source", ["flag", "environment"])
+    def test_order_below_two_is_usage_error(self, capsys, monkeypatch, suite, source):
+        argv = ["verify", "--suite", suite, "--trials", "3"]
+        if source == "flag":
+            monkeypatch.delenv("BOHRLAB_ORDER", raising=False)
+            argv += ["--order", "1"]
+        else:
+            monkeypatch.setenv("BOHRLAB_ORDER", "1")
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert "must be >= 2" in err
+
     # sha256 of the stdout of `verify --suite all --trials 100 --seed S` as
     # produced by per-witness, per-radius evaluation (numpy 2.4, x86-64
     # Linux); stacked evaluation must reproduce it byte for byte.

@@ -107,6 +107,27 @@ class TestSuitesPass:
         with pytest.raises(ValueError):
             check_theorem1(0)
 
+    @pytest.mark.parametrize(
+        "check", [check_theorem1, check_theorem2_odd, check_theorem3, check_theorem5, check_theorem6]
+    )
+    def test_every_suite_rejects_zero_trials(self, check):
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            check(trials=0)
+
+    # An empty grid runs no random witness: t3 and t6 would report a pass
+    # with max_residual -inf, t5 a pass on its universal sweep alone.
+    @pytest.mark.parametrize(
+        "check, kwargs",
+        [
+            (check_theorem3, {"k_grid": ()}),
+            (check_theorem6, {"k_grid": ()}),
+            (check_theorem5, {"a_grid": ()}),
+        ],
+    )
+    def test_empty_grid_rejected(self, check, kwargs):
+        with pytest.raises(ValueError, match="empty"):
+            check(trials=5, **kwargs)
+
 
 class TestSharpnessCertificates:
     def test_corollary2_certified_on_whole_interval(self):
@@ -208,7 +229,7 @@ class TestRetryBookkeeping:
         assert flagged[0]["reevaluated_order"] == 2 * self.ORDER
         assert len(records) == 9
 
-    @pytest.mark.parametrize("check", [check_theorem5, check_theorem6])
+    @pytest.mark.parametrize("check", [check_theorem2_odd, check_theorem5, check_theorem6])
     def test_pointwise_suites_record_the_retry(self, monkeypatch, records, check):
         bump = make_series([0.0, 10.0], self.ORDER)
         self._spoil_nth(monkeypatch, "compose", 2, lambda f: f + bump)
