@@ -231,6 +231,107 @@ def compose(g: TruncatedSeries, w: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(acc, exact_degree=degree)
 
 
+def _finite_rows(rows: np.ndarray) -> np.ndarray:
+    """``rows`` itself, after the finiteness check TruncatedSeries makes per series."""
+    bad = np.argwhere(~np.isfinite(rows))
+    if bad.size:
+        row, index = bad[0]
+        raise ValueError(f"non-finite coefficient at index {int(index)} of row {int(row)}")
+    return rows
+
+
+def _prefix_stacks(a: np.ndarray, m: int) -> tuple:
+    """Views of the (rows, n) array ``a`` for outputs j < m of a row-wise
+    convolution: the (rows, 1, j+1) stacks of a[:, :j+1] and the (rows, 1, 1)
+    slots of column j."""
+    return [a[:, None, : j + 1] for j in range(m)], [a[:, j, None, None] for j in range(m)]
+
+
+def _reversed_prefixes(b: np.ndarray) -> list:
+    """For each j < L, the (rows, j+1, 1) stack of b[:, j::-1] of a (rows, L) array."""
+    rev = np.ascontiguousarray(b[:, ::-1])
+    last = b.shape[1] - 1
+    return [rev[:, last - j :, None] for j in range(last + 1)]
+
+
+def _convolve_into(lhs: list, rhs: list, out: list, m: int):
+    """Outputs j < m of a row-wise convolution, one np.matmul per output.
+
+    np.convolve of two equal-length vectors forms output j as one BLAS dot
+    of a[0:j+1] with b[j::-1]; np.matmul of a (rows, 1, j+1) stack by a
+    (rows, j+1, 1) stack sends each row to the same dot over the same
+    elements, so every row gets the bits np.convolve gives it.
+    """
+    for j in range(m):
+        np.matmul(lhs[j], rhs[j], out=out[j])
+
+
+def convolve_rows(a, b) -> np.ndarray:
+    """Row-wise np.convolve(a[i], b[i])[:L] of two (rows, L) stacks, bit for bit.
+
+    One np.matmul per kept output serves the whole block, and the outputs
+    past L are never formed.
+    """
+    a = np.asarray(a, dtype=np.complex128)
+    b = np.asarray(b, dtype=np.complex128)
+    if a.ndim != 2 or a.shape != b.shape or a.shape[1] < 1:
+        raise ValueError("convolve_rows needs two non-empty (rows, L) stacks of one shape")
+    n = a.shape[1]
+    out = np.empty_like(a)
+    _convolve_into(_prefix_stacks(a, n)[0], _reversed_prefixes(b), _prefix_stacks(out, n)[1], n)
+    return _finite_rows(out)
+
+
+def compose_rows(g_rows, w_rows, tops) -> np.ndarray:
+    """Row-wise compose(g, w) of (rows, N+1) stacks, bit for bit.
+
+    Every inner row must vanish exactly at the origin, so each Horner step
+    runs compose's truncation window: the step that adds g_k keeps outputs
+    j < N+1-k, and output j is the same BLAS dot as in compose.  ``tops``
+    gives the Horner start of each row: the outer's exact degree, or N for
+    a truncated outer.  Rows that share a start run as one stack.
+    """
+    g_rows = np.asarray(g_rows, dtype=np.complex128)
+    w_rows = np.asarray(w_rows, dtype=np.complex128)
+    if g_rows.ndim != 2 or g_rows.shape != w_rows.shape or g_rows.shape[1] < 2:
+        raise ValueError("compose_rows needs two (rows, N+1) stacks of one shape with N >= 1")
+    if np.any(w_rows[:, 0] != 0):
+        raise ValueError("inner rows must vanish exactly at the origin")
+    rows, n = g_rows.shape
+    tops = np.asarray(tops)
+    if tops.shape != (rows,) or np.any((tops < 0) | (tops > n - 1)):
+        raise ValueError(f"Horner starts must lie in [0, {n - 1}], one per row")
+    starts = np.unique(tops)
+    if starts.size == 1:
+        return _finite_rows(_compose_block(g_rows, w_rows, int(starts[0])))
+    out = np.empty((rows, n), dtype=np.complex128)
+    for top in starts:
+        sel = tops == top
+        out[sel] = _compose_block(g_rows[sel], w_rows[sel], int(top))
+    return _finite_rows(out)
+
+
+def _compose_block(g: np.ndarray, w: np.ndarray, top: int) -> np.ndarray:
+    """compose's windowed Horner loop on stacked rows with a shared start.
+
+    Two buffers alternate as the accumulator, so a step reads the previous
+    step's outputs from one while writing its own to the other.  Entry
+    m - 1 of the buffer a step of window m reads has never been written,
+    so it holds the zero compose's accumulator holds there.
+    """
+    rows, n = g.shape
+    rhs = _reversed_prefixes(w)
+    bufs = (np.zeros((rows, n), dtype=np.complex128), np.zeros((rows, n), dtype=np.complex128))
+    stacks = [_prefix_stacks(buf, n) for buf in bufs]
+    cur = 0
+    bufs[cur][:, 0] = g[:, top]
+    for k in range(top - 1, -1, -1):
+        _convolve_into(stacks[cur][0], rhs, stacks[1 - cur][1], n - k)
+        cur = 1 - cur
+        bufs[cur][:, 0] += g[:, k]
+    return bufs[cur]
+
+
 def power(w: TruncatedSeries, k: int) -> TruncatedSeries:
     """k-th power by repeated multiplication; w**0 is the constant one."""
     if k < 0:
@@ -300,7 +401,7 @@ def majorant_rows(coeff_rows, rs, skip_constant: bool = False) -> np.ndarray:
     if not np.all((rs >= 0.0) & (rs < 1.0)):
         raise ValueError("radius must lie in [0, 1)")
     mags = np.abs(np.asarray(coeff_rows))
-    total = np.polynomial.polynomial.polyval(rs, mags.T)
+    total = _polyval_rows(rs, mags)
     if skip_constant:
         return total - mags[:, :1]
     return total
@@ -312,7 +413,22 @@ def evaluate_rows(coeff_rows, zs) -> np.ndarray:
     ``coeff_rows`` has shape (rows, N+1); the result has shape
     (rows,) + shape(zs), and row i equals ``evaluate`` of row i bit for bit.
     """
-    return np.polynomial.polynomial.polyval(np.asarray(zs), np.asarray(coeff_rows).T)
+    return _polyval_rows(np.asarray(zs), np.asarray(coeff_rows))
+
+
+def _polyval_rows(x: np.ndarray, coeff_rows: np.ndarray) -> np.ndarray:
+    """np.polynomial.polynomial.polyval(x, coeff_rows.T), shape (rows,) + x.shape.
+
+    The same Horner operations in the same order, element by element, but
+    on one accumulator updated in place rather than two new temporaries a
+    step, which keeps a large block's memory at one result array.
+    """
+    c = coeff_rows.reshape(coeff_rows.shape + (1,) * x.ndim)
+    acc = c[:, -1] + x * 0
+    for i in range(2, c.shape[1] + 1):
+        np.multiply(acc, x, out=acc)
+        np.add(c[:, -i], acc, out=acc)
+    return acc
 
 
 def mobius_series(a0: complex, order: int) -> TruncatedSeries:
@@ -334,6 +450,25 @@ def mobius_series(a0: complex, order: int) -> TruncatedSeries:
     out[1:] = (-1.0) ** k * (1.0 - abs(a0) ** 2) * a0.conjugate() ** k
     degree = 1 if a0 == 0 else None
     return TruncatedSeries(out, exact_degree=degree, tag=MobiusTag(a0, "plus"))
+
+
+def mobius_rows(a0s, order: int) -> np.ndarray:
+    """Stacked mobius_series coefficients, one row per parameter, bit for bit.
+
+    A row whose parameter is zero is exact of degree one, as in
+    mobius_series; the tag is not formed.
+    """
+    a0s = [complex(a0) for a0 in a0s]
+    if any(abs(a0) >= 1.0 for a0 in a0s):
+        raise ValueError("automorphism parameter must satisfy |a0| < 1")
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    out = np.empty((len(a0s), order + 1), dtype=np.complex128)
+    out[:, 0] = a0s
+    k = np.arange(order)
+    scales = np.array([1.0 - abs(a0) ** 2 for a0 in a0s])[:, None]
+    out[:, 1:] = (-1.0) ** k * scales * np.conj(out[:, :1]) ** k
+    return _finite_rows(out)
 
 
 @dataclass(frozen=True)
@@ -395,3 +530,31 @@ def blaschke_series(spec: BlaschkeSpec, order: int, vanish_at_origin: bool = Fal
     else:
         degree = 1 if vanish_at_origin else 0
     return TruncatedSeries(acc, exact_degree=degree)
+
+
+def blaschke_rows(specs, order: int, vanish_at_origin: bool = False) -> np.ndarray:
+    """Stacked blaschke_series coefficients, one row per spec, bit for bit.
+
+    Factor i of every spec with more than i zeros is expanded and convolved
+    in one convolve_rows call; specs with fewer zeros are left out of it,
+    as blaschke_series never convolves them.
+    """
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    n = order + 1
+    acc = np.zeros((len(specs), n), dtype=np.complex128)
+    acc[:, 0] = [spec.rotation for spec in specs]
+    counts = np.array([len(spec.zeros) for spec in specs])
+    powers = np.arange(order)
+    for i in range(int(counts.max(initial=0))):
+        sel = np.flatnonzero(counts > i)
+        zeros = [specs[row].zeros[i] for row in sel]
+        factor = np.empty((sel.size, n), dtype=np.complex128)
+        factor[:, 0] = [-zero for zero in zeros]
+        scales = np.array([1.0 - abs(zero) ** 2 for zero in zeros])[:, None]
+        factor[:, 1:] = scales * np.conj(np.array(zeros))[:, None] ** powers
+        acc[sel] = convolve_rows(acc[sel], factor)
+    if vanish_at_origin:
+        acc[:, 1:] = acc[:, :-1].copy()
+        acc[:, 0] = 0.0
+    return _finite_rows(acc)

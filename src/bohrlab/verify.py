@@ -14,16 +14,22 @@ the true sums.  A truncated left-hand side can hide a violation that lives
 in the dropped tail, and the doubled-order retry guards only against false
 failures, so a pass is not a certificate for the untruncated functions.
 
-All five suites share one driver that builds witnesses one trial at a time
-and evaluates them a block at a time; for t1, t3, t5 and t6 a block is one
-stacked Horner pass (series.majorant_rows, series.evaluate_rows) that runs
-the same floating-point operations as per-witness, per-radius evaluation.
+All five suites share one driver that builds and evaluates witnesses a
+block at a time.  t5 and t6 build a block as stacked (rows, N+1) arrays
+(series.blaschke_rows, series.compose_rows, witnesses.harmonic_rows) whose
+every coefficient is the one the per-series functions give; a t5 or t6
+block may span parameter groups.  t1, t2 and t3 build a block one witness
+at a time.  For t1, t3, t5 and t6 evaluation is one stacked Horner pass
+(series.majorant_rows, series.evaluate_rows) that runs the same
+floating-point operations as per-witness, per-radius evaluation.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,23 +54,28 @@ from .series import (
     DEFAULT_ORDER,
     BlaschkeSpec,
     compose,
+    compose_rows,
     evaluate_rows,
     majorant_rows,
     make_series,
-    mobius_series,
+    mobius_rows,
     mul,
 )
 from .witnesses import (
     bounded_from_spec,
+    bounded_rows,
     build_quasi_triple,
     draw_blaschke_spec,
     draw_polynomial,
     extremal_corollary2,
     extremal_theorem3,
     extremal_theorem5,
+    extremal_theorem5_rows,
+    harmonic_rows,
     harmonic_witness,
     p_symmetric_lift,
     schwarz_from_spec,
+    schwarz_rows,
 )
 
 TOLERANCE = 1e-9
@@ -78,9 +89,17 @@ _PHASES = np.exp(2j * np.pi * np.arange(16) / 16.0)
 
 _LADDER = (0.9, 0.99, 0.999)
 
-# Suites evaluate max(1, _COEFF_BUDGET // (order + 1)) witnesses per block,
-# which keeps memory flat in the trial count and the order.
-_COEFF_BUDGET = 2 ** 11
+# Largest degree of t1's random outer and of t2's even lift base; the
+# suites need an order that holds them (t2 builds its base at order // 2).
+_T1_OUTER_DEGREE = 8
+_T2_BASE_DEGREE = 3
+
+# Suites build and evaluate max(1, _COEFF_BUDGET // (order + 1)) witnesses
+# per block (252 at order 64, 63 at order 256), which keeps memory flat in
+# the trial count and the order.  Stacked construction pays one numpy call
+# per convolution output for the whole block, so t5 and t6 blocks are cut
+# by this budget alone and may span parameter groups.
+_COEFF_BUDGET = 2 ** 14
 
 
 def _sine_fractions(n: int) -> tuple:
@@ -126,9 +145,16 @@ class _Tracker:
         self.worst = {}
 
     def update(self, residual: float, witness: dict):
+        if not math.isfinite(residual):
+            raise ValueError(f"non-finite residual {residual} at {witness}")
         if residual > self.max_residual:
             self.max_residual = float(residual)
             self.worst = witness
+
+    def extend(self, results):
+        """update() with each (residual, witness) pair of ``results``, in order."""
+        for residual, witness in results:
+            self.update(residual, witness)
 
     def report(self, suite, trials, seed, r_grid, tolerance=TOLERANCE, informational=False, beyond=None):
         verdict = "pass" if self.max_residual <= tolerance else "fail"
@@ -191,27 +217,31 @@ def _groups(suite: str, trials: int, seed: int, radii) -> list:
     ]
 
 
-def _run_suite(tracker: _Tracker, items, build, evaluate, record, order: int):
-    """Feed ``tracker`` the worst residual of each item's witness, in item order.
+def _run_suite(items, build, evaluate, record, order: int):
+    """Yield (residual, record) for each item, in item order, one block at a time.
 
-    ``build(item, order)`` constructs one witness; ``evaluate(witnesses)``
-    returns one (residual, where) pair per witness, ``where`` being a dict
-    that locates the residual (its radius, say).  Witnesses are built one
-    at a time and evaluated a block at a time.  A witness whose residual
-    exceeds the tolerance is rebuilt at doubled order, re-evaluated as a
-    block of one and tagged {"reevaluated_order": 2 * order}.  The tracker
-    sees ``{**record(item, witness), **where}``.
+    ``build(block, order)`` constructs the witnesses of a list of items and
+    ``evaluate(block, witnesses)`` returns one (residual, where) pair per
+    item, ``where`` being a dict that locates the residual (its radius,
+    say).  A block holds max(1, _COEFF_BUDGET // (order + 1)) items.  An
+    item whose residual exceeds the tolerance is rebuilt at doubled order
+    as a block of one, re-evaluated and tagged
+    {"reevaluated_order": 2 * order}.  The record is
+    ``{**record(item), **where}``.
     """
     rows = max(1, _COEFF_BUDGET // (order + 1))
     items = iter(items)
     while block := list(itertools.islice(items, rows)):
-        witnesses = [build(item, order) for item in block]
-        for item, witness, (res, where) in zip(block, witnesses, evaluate(witnesses)):
+        for item, (res, where) in zip(block, evaluate(block, build(block, order))):
             if res > TOLERANCE:
-                witness = build(item, 2 * order)
-                [(res, where)] = evaluate([witness])
+                [(res, where)] = evaluate([item], build([item], 2 * order))
                 where = {**where, "reevaluated_order": 2 * order}
-            tracker.update(res, {**record(item, witness), **where})
+            yield res, {**record(item), **where}
+
+
+def _each(witness):
+    """build(block, order) that builds the items of a block one at a time."""
+    return lambda block, order: [witness(item, order) for item in block]
 
 
 def _row_worst(table: np.ndarray, points) -> list:
@@ -238,6 +268,47 @@ def _pointwise_residuals(h_rows, rs, g_rows=None) -> np.ndarray:
     return values + tails - 1.0
 
 
+class _Draw(NamedTuple):
+    """One random t5/t6 witness: its group, trial index, phase, rotated
+    a0 = a * exp(i * phase) and Blaschke specs."""
+
+    group: int
+    trial: int
+    phase: float
+    a0: complex
+    specs: tuple
+
+
+def _pointwise_draws(groups, a_values, specs: int):
+    """The draws of each group in turn: the trial's stream gives the phase
+    first, then ``specs`` Blaschke specs."""
+    for g, (a, (_, keys)) in enumerate(zip(a_values, groups)):
+        for key in keys:
+            rng = np.random.default_rng(key)
+            phase = rng.uniform(0.0, 2.0 * np.pi)
+            a0 = complex(a * np.exp(1j * phase))
+            yield _Draw(g, key[-1], phase, a0, tuple(draw_blaschke_spec(rng) for _ in range(specs)))
+
+
+def _horner_tops(a0s, order: int) -> np.ndarray:
+    """Horner start of each Mobius-type outer: exact of degree one at a0 == 0,
+    a truncation otherwise."""
+    return np.where(np.asarray(a0s) == 0, 1, order)
+
+
+def _group_worst(block, groups, table) -> list:
+    """(residual, where) of each draw of a block; the rows of a run of draws
+    from one group g are evaluated as one stack, table(rows, rs), on that
+    group's radius grid rs = groups[g][0]."""
+    out, start = [], 0
+    for g, run in itertools.groupby(draw.group for draw in block):
+        stop = start + sum(1 for _ in run)
+        rs = groups[g][0]
+        out += _row_worst(table(slice(start, stop), rs), rs)
+        start = stop
+    return out
+
+
 # ----------------------------------------------------------------------
 # Suite 1: quasi-multiplied composition never beats its outer function's
 # majorant for r <= 1/3.
@@ -245,7 +316,7 @@ def _pointwise_residuals(h_rows, rs, g_rows=None) -> np.ndarray:
 
 def _draw_t1_params(rng: np.random.Generator, trial: int) -> dict:
     variant = ("general", "subordination", "majorization")[trial % 3]
-    g = _poly_dict(draw_polynomial(rng, 8))
+    g = _poly_dict(draw_polynomial(rng, _T1_OUTER_DEGREE))
     phi = _spec_dict(draw_blaschke_spec(rng))
     omega = _spec_dict(draw_blaschke_spec(rng))
     return {"trial": trial, "variant": variant, "g": g, "phi": phi, "omega": omega}
@@ -272,15 +343,17 @@ def check_theorem1(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED, order
     (multiplier identically one; inner equal to z), all on a 12-point grid
     of (0, 1/3].
     """
+    if order < _T1_OUTER_DEGREE:
+        raise ValueError(f"t1 needs order >= {_T1_OUTER_DEGREE}, the degree of its random outers")
     draws = _trial_params("t1", _draw_t1_params, trials, seed)
     grid = radius_grid(CLASSICAL_CAP, 12)
 
-    def evaluate(witnesses):
+    def evaluate(_, witnesses):
         table = majorant_rows(_stack(witnesses, 0), grid) - majorant_rows(_stack(witnesses, 1), grid)
         return _row_worst(table, grid)
 
     tracker = _Tracker()
-    _run_suite(tracker, draws, _t1_witness, evaluate, lambda params, _: params, order)
+    tracker.extend(_run_suite(draws, _each(_t1_witness), evaluate, lambda params: params, order))
     return tracker.report("t1", trials, seed, grid)
 
 
@@ -289,7 +362,7 @@ def check_theorem1(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED, order
 
 
 def _draw_t2_params(rng: np.random.Generator, trial: int) -> dict:
-    q = _poly_dict(draw_polynomial(rng, 3, max_degree=3))
+    q = _poly_dict(draw_polynomial(rng, _T2_BASE_DEGREE, max_degree=_T2_BASE_DEGREE))
     omega = _spec_dict(draw_blaschke_spec(rng))
     identity_inner = trial % 5 == 0
     return {"trial": trial, "q": q, "omega": omega, "identity_inner": identity_inner}
@@ -328,16 +401,19 @@ def check_theorem2_odd(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED, o
     odd by construction, and any even-coefficient leak of the composition
     is folded into the residual.
     """
+    if order // 2 < _T2_BASE_DEGREE:
+        raise ValueError(f"t2 needs order >= {2 * _T2_BASE_DEGREE}, twice the degree of its lift bases")
     draws = _trial_params("t2", _draw_t2_params, trials, seed)
     grid = radius_grid(ODD_CAP, 12)
     tracker = _Tracker()
-    _run_suite(
-        tracker,
-        draws,
-        _t2_witness,
-        lambda ws: [_t2_residual(f, g, grid) for f, g in ws],
-        lambda params, _: params,
-        order,
+    tracker.extend(
+        _run_suite(
+            draws,
+            _each(_t2_witness),
+            lambda _, ws: [_t2_residual(f, g, grid) for f, g in ws],
+            lambda params: params,
+            order,
+        )
     )
     return tracker.report("t2", trials, seed, grid)
 
@@ -353,14 +429,27 @@ def _draw_t3_params(rng: np.random.Generator, trial: int) -> dict:
     return {"trial": trial, "h": h, "omega_tilde": omega_tilde, "a_extremal": a_extremal}
 
 
-def _t3_witness(item: tuple, order: int) -> tuple:
-    """(h, g, |h(0)|, k) of the random harmonic pair, then the sharp pair at a_extremal."""
-    params, k = item
-    h = bounded_from_spec(_spec_from_dict(params["h"]), order)
-    omega_tilde = bounded_from_spec(_spec_from_dict(params["omega_tilde"]), order)
-    pair = harmonic_witness(h, k, omega_tilde)
-    extremal = extremal_theorem3(params["a_extremal"], k, order)
-    return pair.h.coeffs, pair.g.coeffs, float(abs(h.coeffs[0])), k, extremal, params["a_extremal"]
+def _t3_builder():
+    """build(block, order) for t3 items (params, k): (h, g, |h(0)|, k) of the
+    random harmonic pair, then the sharp pair at a_extremal.  A trial's h
+    and omega_tilde are expanded once per order and shared by its k values."""
+    expanded = {}
+
+    def build(block, order):
+        out = []
+        for params, k in block:
+            if expanded.get(order, (None,))[0] is not params:
+                h = bounded_from_spec(_spec_from_dict(params["h"]), order)
+                omega_tilde = bounded_from_spec(_spec_from_dict(params["omega_tilde"]), order)
+                expanded[order] = params, h, omega_tilde
+            _, h, omega_tilde = expanded[order]
+            pair = harmonic_witness(h, k, omega_tilde)
+            extremal = extremal_theorem3(params["a_extremal"], k, order)
+            a0_mod = float(abs(h.coeffs[0]))
+            out.append((pair.h.coeffs, pair.g.coeffs, a0_mod, k, extremal, params["a_extremal"]))
+        return out
+
+    return build
 
 
 def _t3_residuals(witnesses, grid) -> np.ndarray:
@@ -408,13 +497,14 @@ def check_theorem3(
             raise ValueError("k_grid values must lie in [0, 1]")
     grid = radius_grid(CLASSICAL_CAP, 12)
     tracker = _Tracker()
-    _run_suite(
-        tracker,
-        ((params, k) for params in draws for k in k_grid),
-        _t3_witness,
-        lambda ws: _row_worst(_t3_residuals(ws, grid), grid + grid),
-        lambda item, _: {**item[0], "k": item[1]},
-        order,
+    tracker.extend(
+        _run_suite(
+            ((params, k) for params in draws for k in k_grid),
+            _t3_builder(),
+            lambda _, ws: _row_worst(_t3_residuals(ws, grid), grid + grid),
+            lambda item: {**item[0], "k": item[1]},
+            order,
+        )
     )
     return tracker.report("t3", trials, seed, grid)
 
@@ -423,15 +513,12 @@ def check_theorem3(
 # Suite 5: pointwise value plus tail for bounded analytic functions.
 
 
-def _t5_witness(a: float, trial_key, order: int) -> tuple:
-    """(f, omega spec, phase) of the sharp witness at a rotated a0, composed with a random omega."""
-    rng = np.random.default_rng(trial_key)
-    phase = rng.uniform(0.0, 2.0 * np.pi)
-    a0 = a * np.exp(1j * phase)
-    spec = draw_blaschke_spec(rng)
-    omega = schwarz_from_spec(spec, order=order)
-    f = compose(extremal_theorem5(complex(a0), order), omega)
-    return f.coeffs, _spec_dict(spec), float(phase)
+def _t5_witness(block, order: int) -> np.ndarray:
+    """f rows of a block of draws: the sharp witness at each draw's a0
+    composed with the Schwarz function of its spec."""
+    a0s = [draw.a0 for draw in block]
+    omega = schwarz_rows([draw.specs[0] for draw in block], order)
+    return compose_rows(extremal_theorem5_rows(a0s, order), omega, _horner_tops(a0s, order))
 
 
 def check_theorem5(
@@ -458,17 +545,17 @@ def check_theorem5(
         if a < ANALYTIC_THRESHOLD_A - 1e-12 or a >= 1.0:
             raise ValueError(f"a={a} below the admissibility threshold {ANALYTIC_THRESHOLD_A:.7f}")
     groups = _groups("t5", trials, seed, [theorem5_radius(a).value for a in a_grid])
+    results = _run_suite(
+        _pointwise_draws(groups, a_grid, 1),
+        _t5_witness,
+        lambda block, f: _group_worst(block, groups, lambda rows, rs: _pointwise_residuals(f[rows], rs)),
+        lambda d: {"a": a_grid[d.group], "trial": d.trial, "phase": d.phase, "omega": _spec_dict(d.specs[0])},
+        order,
+    )
     tracker = _Tracker()
     beyond = []
     for a, (rs, keys) in zip(a_grid, groups):
-        _run_suite(
-            tracker,
-            keys,
-            lambda key, n: _t5_witness(a, key, n),
-            lambda ws: _row_worst(_pointwise_residuals(_stack(ws, 0), rs), rs),
-            lambda key, w: {"a": a, "trial": key[-1], "phase": w[2], "omega": w[1]},
-            order,
-        )
+        tracker.extend(itertools.islice(results, len(keys)))
         sharp = extremal_theorem5(a)
         for r in rs:
             tracker.update(theorem5_lhs(sharp, -r) - 1.0, {"a": a, "r": r, "witness": "extremal"})
@@ -494,16 +581,16 @@ def check_theorem5(
 # Suite 6: harmonic pointwise value plus tails.
 
 
-def _t6_witness(a: float, k: float, trial_key, order: int) -> tuple:
-    """(h, g, phase) of a random harmonic pair whose analytic part has |h(0)| = a."""
-    rng = np.random.default_rng(trial_key)
-    phase = rng.uniform(0.0, 2.0 * np.pi)
-    a0 = a * np.exp(1j * phase)
-    omega = schwarz_from_spec(draw_blaschke_spec(rng), order=order)
-    omega_tilde = bounded_from_spec(draw_blaschke_spec(rng), order)
-    h = compose(mobius_series(complex(a0), order), omega)
-    pair = harmonic_witness(h, k, omega_tilde)
-    return pair.h.coeffs, pair.g.coeffs, float(phase)
+def _t6_witness(block, order: int, ks) -> tuple:
+    """(h rows, g rows) of a block of draws with dilatation bounds ks: h is
+    the disk automorphism at the draw's a0 composed with the Schwarz
+    function of its first spec, g the co-analytic part built with the
+    bounded function of its second."""
+    a0s = [draw.a0 for draw in block]
+    omega = schwarz_rows([draw.specs[0] for draw in block], order)
+    h = compose_rows(mobius_rows(a0s, order), omega, _horner_tops(a0s, order))
+    del omega  # a block's arrays dominate peak memory; keep few alive at once
+    return h, harmonic_rows(h, ks, bounded_rows([draw.specs[1] for draw in block], order))
 
 
 def check_theorem6(
@@ -539,17 +626,19 @@ def check_theorem6(
                     raise ValueError(f"(a={a}, k={k}) is inadmissible: a must be >= {alpha:.7f}")
         pairs.extend((a, k) for a in a_values)
     groups = _groups("t6", trials, seed, [theorem6_radius(a, k).value for a, k in pairs])
+    results = _run_suite(
+        _pointwise_draws(groups, [a for a, _ in pairs], 2),
+        lambda block, n: _t6_witness(block, n, [pairs[d.group][1] for d in block]),
+        lambda block, hg: _group_worst(
+            block, groups, lambda rows, rs: _pointwise_residuals(hg[0][rows], rs, hg[1][rows])
+        ),
+        lambda d: {"a": pairs[d.group][0], "k": pairs[d.group][1], "trial": d.trial, "phase": d.phase},
+        order,
+    )
     tracker = _Tracker()
     beyond = []
     for (a, k), (rs, keys) in zip(pairs, groups):
-        _run_suite(
-            tracker,
-            keys,
-            lambda key, n: _t6_witness(a, k, key, n),
-            lambda ws: _row_worst(_pointwise_residuals(_stack(ws, 0), rs, _stack(ws, 1)), rs),
-            lambda key, w: {"a": a, "k": k, "trial": key[-1], "phase": w[2]},
-            order,
-        )
+        tracker.extend(itertools.islice(results, len(keys)))
 
         r_ak = rs[-1]
         tail = r_ak * (1.0 - a * a) / (1.0 - r_ak * a)

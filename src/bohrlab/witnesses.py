@@ -18,8 +18,10 @@ from .series import (
     BlaschkeSpec,
     MobiusTag,
     TruncatedSeries,
+    blaschke_rows,
     blaschke_series,
     compose,
+    convolve_rows,
     derivative,
     eval_blaschke,
     integrate,
@@ -122,6 +124,22 @@ def schwarz_from_spec(spec: BlaschkeSpec, odd: bool = False, order: int = DEFAUL
     return out
 
 
+def bounded_rows(specs, order: int) -> np.ndarray:
+    """Stacked bounded_from_spec coefficients, one row per spec, bit for bit;
+    the boundary tripwire runs on every spec."""
+    for spec in specs:
+        _boundary_tripwire(eval_blaschke(spec, _BOUNDARY_SAMPLE))
+    return blaschke_rows(specs, order)
+
+
+def schwarz_rows(specs, order: int) -> np.ndarray:
+    """Stacked schwarz_from_spec coefficients (z*B(z)), one row per spec, bit
+    for bit; the boundary tripwire runs on every spec."""
+    for spec in specs:
+        _boundary_tripwire(_BOUNDARY_SAMPLE * eval_blaschke(spec, _BOUNDARY_SAMPLE))
+    return blaschke_rows(specs, order, vanish_at_origin=True)
+
+
 def random_schwarz(seed: int, odd: bool = False, order: int = DEFAULT_ORDER) -> TruncatedSeries:
     """Seeded random inner function; odd draws have the form z*B(z^2)."""
     rng = np.random.default_rng(seed)
@@ -148,6 +166,21 @@ def extremal_theorem5(a0: complex, order: int = DEFAULT_ORDER) -> TruncatedSerie
     out[1:] = -(1.0 - abs(a0) ** 2) * a0.conjugate() ** np.arange(order)
     degree = 1 if a0 == 0 else None
     return TruncatedSeries(out, exact_degree=degree, tag=MobiusTag(a0, "minus"))
+
+
+def extremal_theorem5_rows(a0s, order: int) -> np.ndarray:
+    """Stacked extremal_theorem5 coefficients, one row per parameter, bit for
+    bit; a row whose parameter is zero is exact of degree one."""
+    a0s = [complex(a0) for a0 in a0s]
+    if any(abs(a0) >= 1.0 for a0 in a0s):
+        raise ValueError("witness parameter must satisfy |a0| < 1")
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    out = np.empty((len(a0s), order + 1), dtype=np.complex128)
+    out[:, 0] = a0s
+    scales = np.array([-(1.0 - abs(a0) ** 2) for a0 in a0s])[:, None]
+    out[:, 1:] = scales * np.conj(out[:, :1]) ** np.arange(order)
+    return out
 
 
 def extremal_theorem3(a0: complex, lam: float, order: int = DEFAULT_ORDER) -> HarmonicPair:
@@ -179,6 +212,21 @@ def harmonic_witness(h: TruncatedSeries, k: float, omega_tilde: TruncatedSeries)
         raise ValueError("k must lie in [0, 1]")
     g = integrate(scale(mul(omega_tilde, derivative(h)), k))
     return HarmonicPair(h=h, g=g, k=k)
+
+
+def harmonic_rows(h_rows, ks, omega_tilde_rows) -> np.ndarray:
+    """Stacked harmonic_witness: the co-analytic rows g = integral of
+    k * omega_tilde * h' of (rows, N+1) stacks, bit for bit."""
+    ks = np.asarray(ks, dtype=np.float64)
+    if not np.all((ks >= 0.0) & (ks <= 1.0)):
+        raise ValueError("k must lie in [0, 1]")
+    n = np.shape(h_rows)[1]
+    slopes = np.zeros_like(h_rows)
+    slopes[:, :-1] = h_rows[:, 1:] * np.arange(1, n)
+    scaled = convolve_rows(omega_tilde_rows, slopes) * ks.astype(np.complex128)[:, None]
+    g_rows = np.zeros_like(h_rows)
+    g_rows[:, 1:] = scaled[:, :-1] / np.arange(1, n)
+    return g_rows
 
 
 def p_symmetric_lift(base: TruncatedSeries, p: int, order: int | None = None) -> TruncatedSeries:

@@ -232,6 +232,19 @@ class TestVerifyCommand:
         assert out == ""
         assert "must be >= 2" in err
 
+    # Before the floor existed, t1 at order 4 exited 0 or 1 depending on
+    # whether the seed drew an outer of degree above 4 (seed 3: 0, seed 0: 1).
+    @pytest.mark.parametrize("seed", ["0", "3"])
+    @pytest.mark.parametrize("suite, order, floor", [("t1", "4", "8"), ("t2", "5", "6")])
+    def test_order_below_suite_floor_is_usage_error(self, capsys, monkeypatch, seed, suite, order, floor):
+        monkeypatch.delenv("BOHRLAB_ORDER", raising=False)
+        code, out, err = run_cli(
+            capsys, "verify", "--suite", suite, "--order", order, "--trials", "3", "--seed", seed
+        )
+        assert code == 1
+        assert out == ""
+        assert f"needs order >= {floor}" in err
+
     # sha256 of the stdout of `verify --suite all --trials 100 --seed S` as
     # produced by per-witness, per-radius evaluation (numpy 2.4, x86-64
     # Linux); stacked evaluation must reproduce it byte for byte.

@@ -7,8 +7,11 @@ from bohrlab.series import (
     BlaschkeSpec,
     TruncatedSeries,
     add,
+    blaschke_rows,
     blaschke_series,
     compose,
+    compose_rows,
+    convolve_rows,
     derivative,
     eval_blaschke,
     evaluate,
@@ -17,6 +20,7 @@ from bohrlab.series import (
     majorant_eval,
     majorant_rows,
     make_series,
+    mobius_rows,
     mobius_series,
     mul,
     power,
@@ -221,6 +225,90 @@ class TestComposeWindow:
         for g in outers:
             for w in inners:
                 assert compose(g, w).coeffs.tobytes() == full_length_compose(g, w).tobytes()
+
+
+def mixed_specs(rng, rows):
+    """Blaschke specs whose zero counts run through 0..4 within one block."""
+    return [draw_blaschke_spec(rng, min_zeros=i % 5, max_zeros=i % 5) for i in range(rows)]
+
+
+class TestRowKernels:
+    """The stacked kernels give each row the bytes of the per-series path."""
+
+    ORDERS = [1, 2, 8, 64, 256]
+
+    @pytest.mark.parametrize("order", ORDERS)
+    @pytest.mark.parametrize("rows", [1, 13])
+    def test_convolve_rows_matches_np_convolve(self, order, rows):
+        rng = np.random.default_rng(order + rows)
+        n = order + 1
+        a = rng.normal(size=(rows, n)) + 1j * rng.normal(size=(rows, n))
+        b = rng.normal(size=(rows, n)) + 1j * rng.normal(size=(rows, n))
+        expected = np.stack([np.convolve(a[i], b[i])[:n] for i in range(rows)])
+        assert convolve_rows(a, b).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("order", ORDERS)
+    @pytest.mark.parametrize("rows", [1, 13])
+    def test_blaschke_rows_match_blaschke_series(self, order, rows):
+        specs = mixed_specs(np.random.default_rng(order + 3 * rows), rows)
+        for vanish in (False, True):
+            expected = np.stack([blaschke_series(s, order, vanish_at_origin=vanish).coeffs for s in specs])
+            assert blaschke_rows(specs, order, vanish_at_origin=vanish).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("order", ORDERS)
+    @pytest.mark.parametrize("rows", [1, 13])
+    def test_compose_rows_matches_compose(self, order, rows):
+        rng = np.random.default_rng(order + 5 * rows)
+        specs = mixed_specs(rng, rows)
+        a0s = [complex(a * np.exp(1j * p)) for a, p in zip(rng.uniform(0, 0.95, rows), rng.uniform(0, 6.3, rows))]
+        a0s[-1] = 0j  # an exact outer of degree one, Horner from 1
+        outers = [mobius_series(a0, order) for a0 in a0s]
+        inners = [schwarz_from_spec(spec, order=order) for spec in specs]
+        tops = [g.exact_degree if g.exact_degree is not None else order for g in outers]
+        got = compose_rows(mobius_rows(a0s, order), blaschke_rows(specs, order, vanish_at_origin=True), tops)
+        expected = np.stack([compose(g, w).coeffs for g, w in zip(outers, inners)])
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_compose_rows_truncated_and_polynomial_outers(self, order):
+        rng = np.random.default_rng(order)
+        outers = [TruncatedSeries(rng.normal(size=order + 1) + 1j * rng.normal(size=order + 1)) for _ in range(3)]
+        outers.append(rand_series(rng, order, degree=min(3, order)))
+        inners = [schwarz_from_spec(spec, order=order) for spec in mixed_specs(rng, 4)]
+        tops = [order] * 3 + [outers[-1].exact_degree]
+        got = compose_rows([g.coeffs for g in outers], [w.coeffs for w in inners], tops)
+        expected = np.stack([compose(g, w).coeffs for g, w in zip(outers, inners)])
+        assert got.tobytes() == expected.tobytes()
+
+    def test_mobius_rows_match_mobius_series(self):
+        a0s = [0.3, -0.5j, 0j, complex(0.9 * np.exp(2.1j))]
+        for order in self.ORDERS:
+            expected = np.stack([mobius_series(a0, order).coeffs for a0 in a0s])
+            assert mobius_rows(a0s, order).tobytes() == expected.tobytes()
+
+    def test_compose_rows_refuses_inner_off_the_origin(self):
+        g = np.zeros((2, 5), dtype=complex)
+        w = np.zeros((2, 5), dtype=complex)
+        w[1, 0] = 1e-17  # compose would accept it; the stacked window cannot
+        with pytest.raises(ValueError, match="vanish exactly at the origin"):
+            compose_rows(g, w, [4, 4])
+
+    def test_compose_rows_refuses_bad_starts(self):
+        g = np.zeros((2, 5), dtype=complex)
+        with pytest.raises(ValueError, match="Horner starts"):
+            compose_rows(g, g, [1, 5])
+
+    def test_non_finite_block_rejected(self):
+        a = np.ones((3, 4), dtype=complex)
+        a[2, 1] = np.inf
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite coefficient at index 1 of row 2"):
+            convolve_rows(a, np.ones((3, 4)))
+        with pytest.raises(ValueError, match="non-finite coefficient"):
+            compose_rows(np.full((2, 4), np.nan), np.zeros((2, 4)), [3, 3])
+
+    def test_convolve_rows_refuses_mismatched_shapes(self):
+        with pytest.raises(ValueError):
+            convolve_rows(np.ones((2, 4)), np.ones((2, 5)))
 
 
 class TestPower:

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 import bohrlab.verify as verify_mod
@@ -201,7 +202,7 @@ class TestRetryBookkeeping:
         monkeypatch.setattr(verify_mod._Tracker, "update", recording)
         return seen
 
-    def _spoil_nth(self, monkeypatch, name, n, spoil):
+    def _spoil_nth(self, monkeypatch, name, n, spoil, order_of=lambda out: out.order):
         """Make the n-th call of verify's ``name`` at the base order return a
         witness far over the tolerance; calls at doubled order stay genuine."""
         real = getattr(verify_mod, name)
@@ -209,7 +210,7 @@ class TestRetryBookkeeping:
 
         def patched(*args, **kwargs):
             out = real(*args, **kwargs)
-            if out.order == self.ORDER:
+            if order_of(out) == self.ORDER:
                 calls.append(None)
                 if len(calls) == n:
                     return spoil(out)
@@ -219,8 +220,14 @@ class TestRetryBookkeeping:
 
     def test_theorem3_flags_only_the_retried_k(self, monkeypatch, records):
         bump = make_series([0.0, 10.0], self.ORDER)
-        # calls alternate h, omega_tilde per (trial, k): the third is h of (0, 0.5)
-        self._spoil_nth(monkeypatch, "bounded_from_spec", 3, lambda h: h + bump)
+        # one harmonic_witness call per (trial, k): the second is (0, 0.5)
+        self._spoil_nth(
+            monkeypatch,
+            "harmonic_witness",
+            2,
+            lambda pair: dataclasses.replace(pair, h=pair.h + bump),
+            order_of=lambda pair: pair.h.order,
+        )
         rep = check_theorem3(3, seed=1, k_grid=(0.0, 0.5, 1.0), order=self.ORDER)
         assert rep.verdict == "pass"
         flagged = [w for w in records if "reevaluated_order" in w]
@@ -229,10 +236,24 @@ class TestRetryBookkeeping:
         assert flagged[0]["reevaluated_order"] == 2 * self.ORDER
         assert len(records) == 9
 
+    @staticmethod
+    def _bump_row_1(rows):
+        rows = rows.copy()
+        rows[1, 1] += 10.0
+        return rows
+
     @pytest.mark.parametrize("check", [check_theorem2_odd, check_theorem5, check_theorem6])
     def test_pointwise_suites_record_the_retry(self, monkeypatch, records, check):
-        bump = make_series([0.0, 10.0], self.ORDER)
-        self._spoil_nth(monkeypatch, "compose", 2, lambda f: f + bump)
+        if check is check_theorem2_odd:
+            # t2 composes one trial at a time: the second call is trial 1
+            bump = make_series([0.0, 10.0], self.ORDER)
+            self._spoil_nth(monkeypatch, "compose", 2, lambda f: f + bump)
+        else:
+            # t5 and t6 compose a block at a time: row 1 of the first block
+            # is trial 1 of the first parameter group
+            self._spoil_nth(
+                monkeypatch, "compose_rows", 1, self._bump_row_1, order_of=lambda rows: rows.shape[1] - 1
+            )
         rep = check(trials=40, seed=3, order=self.ORDER)
         assert rep.verdict == "pass"
         flagged = [w for w in records if "reevaluated_order" in w]
@@ -252,10 +273,79 @@ class TestWitnessCounts:
         real = getattr(verify_mod, witness_fn)
         orders = []
 
-        def counting(*args):
-            orders.append(args[-1])
-            return real(*args)
+        # the builders take a block of draws: one order entry per row built
+        def counting(block, order, *rest):
+            out = real(block, order, *rest)
+            rows = out[0] if isinstance(out, tuple) else out
+            orders.extend([rows.shape[1] - 1] * rows.shape[0])
+            return out
 
         monkeypatch.setattr(verify_mod, witness_fn, counting)
         report = check(trials=trials, seed=5, order=8)
         assert orders.count(8) == report.trials == trials
+
+
+class TestStackedBlocks:
+    """Block boundaries never show in a report: a block may span parameter
+    groups, and a block of one gives the same bytes."""
+
+    @pytest.mark.parametrize("check", [check_theorem1, check_theorem3, check_theorem5, check_theorem6])
+    def test_report_independent_of_block_size(self, monkeypatch, check):
+        wide = check(trials=30, seed=4, order=16).as_dict()
+        monkeypatch.setattr(verify_mod, "_COEFF_BUDGET", 1)
+        assert check(trials=30, seed=4, order=16).as_dict() == wide
+
+    def test_theorem3_expands_each_trial_once_per_order(self, monkeypatch):
+        real = verify_mod.bounded_from_spec
+        orders = []
+
+        def counting(spec, order):
+            orders.append(order)
+            return real(spec, order)
+
+        monkeypatch.setattr(verify_mod, "bounded_from_spec", counting)
+        check_theorem3(7, seed=2, k_grid=(0.0, 0.5, 1.0), order=16)
+        assert orders == [16] * 14  # h and omega_tilde of each of 7 trials
+
+
+class TestNonFiniteResiduals:
+    """A NaN residual would never beat the running maximum, so it must stop
+    the suite instead of letting it pass."""
+
+    def test_tracker_refuses_nan(self):
+        with pytest.raises(ValueError, match=r"non-finite residual nan at \{'trial': 3\}"):
+            verify_mod._Tracker().update(float("nan"), {"trial": 3})
+
+    @pytest.mark.parametrize("check", [check_theorem5, check_theorem6])
+    def test_pointwise_suites_refuse_nan(self, monkeypatch, check):
+        real = verify_mod._pointwise_residuals
+
+        def poisoned(*args, **kwargs):
+            table = real(*args, **kwargs)
+            table[-1, 0] = np.nan
+            return table
+
+        monkeypatch.setattr(verify_mod, "_pointwise_residuals", poisoned)
+        with pytest.raises(ValueError, match="non-finite residual nan at .*'trial'"):
+            check(trials=10, seed=1, order=16)
+
+    def test_theorem2_refuses_nan(self, monkeypatch):
+        monkeypatch.setattr(verify_mod, "_t2_residual", lambda f, g, grid: (float("nan"), {"r": 0.5}))
+        with pytest.raises(ValueError, match="non-finite residual"):
+            check_theorem2_odd(trials=3, seed=1, order=16)
+
+
+class TestOrderFloor:
+    """t1 draws outers of degree up to 8 and t2 lift bases of degree up to 3
+    at order // 2, so lower orders are refused before any draw."""
+
+    @pytest.mark.parametrize("check, floor", [(check_theorem1, 8), (check_theorem2_odd, 6)])
+    def test_orders_below_the_floor_refused(self, monkeypatch, check, floor):
+        monkeypatch.setattr(verify_mod, "draw_polynomial", None)  # any draw would fail differently
+        for order in (2, floor - 1):
+            with pytest.raises(ValueError, match=f"needs order >= {floor}"):
+                check(trials=3, seed=0, order=order)
+
+    @pytest.mark.parametrize("check, floor", [(check_theorem1, 8), (check_theorem2_odd, 6)])
+    def test_floor_order_runs(self, check, floor):
+        assert check(trials=12, seed=3, order=floor).verdict == "pass"

@@ -22,16 +22,20 @@ from bohrlab.series import (
 )
 from bohrlab.witnesses import (
     bounded_from_spec,
+    bounded_rows,
     build_quasi_triple,
     draw_blaschke_spec,
     draw_polynomial,
     extremal_corollary2,
     extremal_theorem3,
     extremal_theorem5,
+    extremal_theorem5_rows,
+    harmonic_rows,
     harmonic_witness,
     p_symmetric_lift,
     random_schwarz,
     schwarz_from_spec,
+    schwarz_rows,
 )
 
 from oracles import mobius_by_long_division, quasi_convolution
@@ -219,6 +223,42 @@ class TestHarmonicWitness:
             harmonic_witness(h, -0.1, make_series([1], 8))
 
 
+class TestStackedBuilders:
+    """The stacked builders give each row the bytes of the per-spec builders."""
+
+    @pytest.mark.parametrize("order", [1, 2, 8, 64, 256])
+    @pytest.mark.parametrize("rows", [1, 11])
+    def test_rows_match_per_spec_builders(self, order, rows):
+        rng = np.random.default_rng(7 * order + rows)
+        specs = [draw_blaschke_spec(rng, min_zeros=i % 5, max_zeros=i % 5) for i in range(rows)]
+        specs_tilde = [draw_blaschke_spec(rng) for _ in range(rows)]
+        a0s = [complex(a * np.exp(1j * p)) for a, p in zip(rng.uniform(0, 0.95, rows), rng.uniform(0, 6.3, rows))]
+        ks = rng.uniform(0.0, 1.0, rows)
+        ks[0] = 1.0
+
+        omega = schwarz_rows(specs, order)
+        omega_tilde = bounded_rows(specs_tilde, order)
+        assert omega.tobytes() == np.stack([schwarz_from_spec(s, order=order).coeffs for s in specs]).tobytes()
+        assert omega_tilde.tobytes() == np.stack([bounded_from_spec(s, order).coeffs for s in specs_tilde]).tobytes()
+        sharp = extremal_theorem5_rows(a0s, order)
+        assert sharp.tobytes() == np.stack([extremal_theorem5(a0, order).coeffs for a0 in a0s]).tobytes()
+
+        hs = [compose(mobius_series(a0, order), schwarz_from_spec(s, order=order)) for a0, s in zip(a0s, specs)]
+        pairs = [harmonic_witness(h, k, bounded_from_spec(t, order)) for h, k, t in zip(hs, ks, specs_tilde)]
+        h_rows = np.stack([h.coeffs for h in hs])
+        g_rows = harmonic_rows(h_rows, ks, omega_tilde)
+        assert g_rows.tobytes() == np.stack([p.g.coeffs for p in pairs]).tobytes()
+
+    def test_harmonic_rows_rejects_bad_k(self):
+        h = np.zeros((2, 5), dtype=complex)
+        with pytest.raises(ValueError, match="k must lie"):
+            harmonic_rows(h, [0.5, 1.2], h)
+
+    def test_extremal_rows_reject_unit_parameter(self):
+        with pytest.raises(ValueError):
+            extremal_theorem5_rows([0.2, 1.0], 8)
+
+
 class TestPSymmetricLift:
     def test_z_to_z_squared(self):
         lifted = p_symmetric_lift(make_series([0, 1], 4), 2)
@@ -301,6 +341,32 @@ print(rejected(lambda: series.power(make_series([0.0, 1.0], 8), 2)))
 """
 
 
+# The boundary tripwire of the stacked builders runs per spec through
+# eval_blaschke looked up at call time, so breaking it must raise under -O.
+_OPTIMIZED_STACKED_CHECKS = """
+import sys
+import numpy as np
+from bohrlab import witnesses
+from bohrlab.series import BlaschkeSpec
+
+print(sys.flags.optimize)
+
+def rejected(call):
+    try:
+        call()
+    except AssertionError as exc:
+        return str(exc)
+    return "accepted"
+
+real = witnesses.eval_blaschke
+broken = BlaschkeSpec(zeros=(0.5,))
+witnesses.eval_blaschke = lambda spec, z: np.full(np.shape(z), 2.0 + 0.0j) if spec is broken else real(spec, z)
+specs = [BlaschkeSpec(), broken, BlaschkeSpec(zeros=(0.2j,))]
+print(rejected(lambda: witnesses.bounded_rows(specs, 8)))
+print(rejected(lambda: witnesses.schwarz_rows(specs, 8)))
+"""
+
+
 class TestChecksUnderOptimization:
     def test_broken_constructions_rejected_under_dash_O(self):
         src = str(Path(bohrlab.__file__).resolve().parents[1])
@@ -315,3 +381,16 @@ class TestChecksUnderOptimization:
         assert tripwire.startswith("witness exceeds modulus one on the boundary sample")
         assert identity.startswith("convolution identity violated")
         assert low_order == "power of origin-vanishing series leaked low-order terms"
+
+    def test_broken_stacked_constructions_rejected_under_dash_O(self):
+        src = str(Path(bohrlab.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", _OPTIMIZED_STACKED_CHECKS],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        assert done.returncode == 0, done.stderr
+        optimize, bounded, schwarz = done.stdout.splitlines()
+        assert optimize == "1"
+        assert bounded.startswith("witness exceeds modulus one on the boundary sample")
+        assert schwarz.startswith("witness exceeds modulus one on the boundary sample")
