@@ -231,8 +231,10 @@ def compose(g: TruncatedSeries, w: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(acc, exact_degree=degree)
 
 
-def _finite_rows(rows: np.ndarray) -> np.ndarray:
-    """``rows`` itself, after the finiteness check TruncatedSeries makes per series."""
+def finite_rows(rows: np.ndarray) -> np.ndarray:
+    """``rows`` itself, after the finiteness check TruncatedSeries makes per
+    series.  The stacked builders skip it on intermediate blocks and make it
+    once on each block a witness leaves them with."""
     bad = np.argwhere(~np.isfinite(rows))
     if bad.size:
         row, index = bad[0]
@@ -279,7 +281,7 @@ def convolve_rows(a, b) -> np.ndarray:
     n = a.shape[1]
     out = np.empty_like(a)
     _convolve_into(_prefix_stacks(a, n)[0], _reversed_prefixes(b), _prefix_stacks(out, n)[1], n)
-    return _finite_rows(out)
+    return out
 
 
 def compose_rows(g_rows, w_rows, tops) -> np.ndarray:
@@ -303,12 +305,12 @@ def compose_rows(g_rows, w_rows, tops) -> np.ndarray:
         raise ValueError(f"Horner starts must lie in [0, {n - 1}], one per row")
     starts = np.unique(tops)
     if starts.size == 1:
-        return _finite_rows(_compose_block(g_rows, w_rows, int(starts[0])))
+        return finite_rows(_compose_block(g_rows, w_rows, int(starts[0])))
     out = np.empty((rows, n), dtype=np.complex128)
     for top in starts:
         sel = tops == top
         out[sel] = _compose_block(g_rows[sel], w_rows[sel], int(top))
-    return _finite_rows(out)
+    return finite_rows(out)
 
 
 def _compose_block(g: np.ndarray, w: np.ndarray, top: int) -> np.ndarray:
@@ -452,25 +454,6 @@ def mobius_series(a0: complex, order: int) -> TruncatedSeries:
     return TruncatedSeries(out, exact_degree=degree, tag=MobiusTag(a0, "plus"))
 
 
-def mobius_rows(a0s, order: int) -> np.ndarray:
-    """Stacked mobius_series coefficients, one row per parameter, bit for bit.
-
-    A row whose parameter is zero is exact of degree one, as in
-    mobius_series; the tag is not formed.
-    """
-    a0s = [complex(a0) for a0 in a0s]
-    if any(abs(a0) >= 1.0 for a0 in a0s):
-        raise ValueError("automorphism parameter must satisfy |a0| < 1")
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    out = np.empty((len(a0s), order + 1), dtype=np.complex128)
-    out[:, 0] = a0s
-    k = np.arange(order)
-    scales = np.array([1.0 - abs(a0) ** 2 for a0 in a0s])[:, None]
-    out[:, 1:] = (-1.0) ** k * scales * np.conj(out[:, :1]) ** k
-    return _finite_rows(out)
-
-
 @dataclass(frozen=True)
 class BlaschkeSpec:
     """Zeros and rotation defining a finite Blaschke product.
@@ -557,4 +540,4 @@ def blaschke_rows(specs, order: int, vanish_at_origin: bool = False) -> np.ndarr
     if vanish_at_origin:
         acc[:, 1:] = acc[:, :-1].copy()
         acc[:, 0] = 0.0
-    return _finite_rows(acc)
+    return acc

@@ -58,7 +58,7 @@ from .series import (
     evaluate_rows,
     majorant_rows,
     make_series,
-    mobius_rows,
+    mobius_series,
     mul,
 )
 from .witnesses import (
@@ -70,7 +70,6 @@ from .witnesses import (
     extremal_corollary2,
     extremal_theorem3,
     extremal_theorem5,
-    extremal_theorem5_rows,
     harmonic_rows,
     harmonic_witness,
     p_symmetric_lift,
@@ -90,7 +89,7 @@ _PHASES = np.exp(2j * np.pi * np.arange(16) / 16.0)
 _LADDER = (0.9, 0.99, 0.999)
 
 # Largest degree of t1's random outer and of t2's even lift base; the
-# suites need an order that holds them (t2 builds its base at order // 2).
+# suites need an order that holds t1's outer and t2's outer z*q(z^2).
 _T1_OUTER_DEGREE = 8
 _T2_BASE_DEGREE = 3
 
@@ -290,10 +289,13 @@ def _pointwise_draws(groups, a_values, specs: int):
             yield _Draw(g, key[-1], phase, a0, tuple(draw_blaschke_spec(rng) for _ in range(specs)))
 
 
-def _horner_tops(a0s, order: int) -> np.ndarray:
-    """Horner start of each Mobius-type outer: exact of degree one at a0 == 0,
-    a truncation otherwise."""
-    return np.where(np.asarray(a0s) == 0, 1, order)
+def _stacked_outers(build, block, order: int) -> tuple:
+    """(coefficient rows, Horner starts) of the outers build(a0, order) at the
+    a0 of each draw of a block; an outer starts Horner at its exact degree,
+    as in compose, or at the order when it is a truncation."""
+    outers = [build(draw.a0, order) for draw in block]
+    tops = [order if g.exact_degree is None else g.exact_degree for g in outers]
+    return np.stack([g.coeffs for g in outers]), tops
 
 
 def _group_worst(block, groups, table) -> list:
@@ -401,8 +403,8 @@ def check_theorem2_odd(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED, o
     odd by construction, and any even-coefficient leak of the composition
     is folded into the residual.
     """
-    if order // 2 < _T2_BASE_DEGREE:
-        raise ValueError(f"t2 needs order >= {2 * _T2_BASE_DEGREE}, twice the degree of its lift bases")
+    if order < 2 * _T2_BASE_DEGREE + 1:
+        raise ValueError(f"t2 needs order >= {2 * _T2_BASE_DEGREE + 1}, the degree of its outers z*q(z^2)")
     draws = _trial_params("t2", _draw_t2_params, trials, seed)
     grid = radius_grid(ODD_CAP, 12)
     tracker = _Tracker()
@@ -516,9 +518,8 @@ def check_theorem3(
 def _t5_witness(block, order: int) -> np.ndarray:
     """f rows of a block of draws: the sharp witness at each draw's a0
     composed with the Schwarz function of its spec."""
-    a0s = [draw.a0 for draw in block]
-    omega = schwarz_rows([draw.specs[0] for draw in block], order)
-    return compose_rows(extremal_theorem5_rows(a0s, order), omega, _horner_tops(a0s, order))
+    outer, tops = _stacked_outers(extremal_theorem5, block, order)
+    return compose_rows(outer, schwarz_rows([draw.specs[0] for draw in block], order), tops)
 
 
 def check_theorem5(
@@ -586,10 +587,9 @@ def _t6_witness(block, order: int, ks) -> tuple:
     the disk automorphism at the draw's a0 composed with the Schwarz
     function of its first spec, g the co-analytic part built with the
     bounded function of its second."""
-    a0s = [draw.a0 for draw in block]
-    omega = schwarz_rows([draw.specs[0] for draw in block], order)
-    h = compose_rows(mobius_rows(a0s, order), omega, _horner_tops(a0s, order))
-    del omega  # a block's arrays dominate peak memory; keep few alive at once
+    outer, tops = _stacked_outers(mobius_series, block, order)
+    h = compose_rows(outer, schwarz_rows([draw.specs[0] for draw in block], order), tops)
+    del outer  # a block's arrays dominate peak memory; keep few alive at once
     return h, harmonic_rows(h, ks, bounded_rows([draw.specs[1] for draw in block], order))
 
 

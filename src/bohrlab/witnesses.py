@@ -24,6 +24,7 @@ from .series import (
     convolve_rows,
     derivative,
     eval_blaschke,
+    finite_rows,
     integrate,
     make_series,
     mobius_series,
@@ -168,21 +169,6 @@ def extremal_theorem5(a0: complex, order: int = DEFAULT_ORDER) -> TruncatedSerie
     return TruncatedSeries(out, exact_degree=degree, tag=MobiusTag(a0, "minus"))
 
 
-def extremal_theorem5_rows(a0s, order: int) -> np.ndarray:
-    """Stacked extremal_theorem5 coefficients, one row per parameter, bit for
-    bit; a row whose parameter is zero is exact of degree one."""
-    a0s = [complex(a0) for a0 in a0s]
-    if any(abs(a0) >= 1.0 for a0 in a0s):
-        raise ValueError("witness parameter must satisfy |a0| < 1")
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    out = np.empty((len(a0s), order + 1), dtype=np.complex128)
-    out[:, 0] = a0s
-    scales = np.array([-(1.0 - abs(a0) ** 2) for a0 in a0s])[:, None]
-    out[:, 1:] = scales * np.conj(out[:, :1]) ** np.arange(order)
-    return out
-
-
 def extremal_theorem3(a0: complex, lam: float, order: int = DEFAULT_ORDER) -> HarmonicPair:
     """Sharp harmonic pair: h a disk automorphism, co-analytic part lam * (h - h(0)).
 
@@ -216,7 +202,7 @@ def harmonic_witness(h: TruncatedSeries, k: float, omega_tilde: TruncatedSeries)
 
 def harmonic_rows(h_rows, ks, omega_tilde_rows) -> np.ndarray:
     """Stacked harmonic_witness: the co-analytic rows g = integral of
-    k * omega_tilde * h' of (rows, N+1) stacks, bit for bit."""
+    k * omega_tilde * h' of (rows, N+1) stacks, bit for bit, checked finite."""
     ks = np.asarray(ks, dtype=np.float64)
     if not np.all((ks >= 0.0) & (ks <= 1.0)):
         raise ValueError("k must lie in [0, 1]")
@@ -226,7 +212,7 @@ def harmonic_rows(h_rows, ks, omega_tilde_rows) -> np.ndarray:
     scaled = convolve_rows(omega_tilde_rows, slopes) * ks.astype(np.complex128)[:, None]
     g_rows = np.zeros_like(h_rows)
     g_rows[:, 1:] = scaled[:, :-1] / np.arange(1, n)
-    return g_rows
+    return finite_rows(g_rows)
 
 
 def p_symmetric_lift(base: TruncatedSeries, p: int, order: int | None = None) -> TruncatedSeries:

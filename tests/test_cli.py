@@ -235,7 +235,7 @@ class TestVerifyCommand:
     # Before the floor existed, t1 at order 4 exited 0 or 1 depending on
     # whether the seed drew an outer of degree above 4 (seed 3: 0, seed 0: 1).
     @pytest.mark.parametrize("seed", ["0", "3"])
-    @pytest.mark.parametrize("suite, order, floor", [("t1", "4", "8"), ("t2", "5", "6")])
+    @pytest.mark.parametrize("suite, order, floor", [("t1", "4", "8"), ("t2", "6", "7")])
     def test_order_below_suite_floor_is_usage_error(self, capsys, monkeypatch, seed, suite, order, floor):
         monkeypatch.delenv("BOHRLAB_ORDER", raising=False)
         code, out, err = run_cli(

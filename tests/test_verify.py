@@ -336,16 +336,27 @@ class TestNonFiniteResiduals:
 
 
 class TestOrderFloor:
-    """t1 draws outers of degree up to 8 and t2 lift bases of degree up to 3
-    at order // 2, so lower orders are refused before any draw."""
+    """t1 draws outers of degree up to 8 and t2 outers z*q(z^2) with q of
+    degree up to 3, so orders that cannot hold them are refused before any
+    draw."""
 
-    @pytest.mark.parametrize("check, floor", [(check_theorem1, 8), (check_theorem2_odd, 6)])
+    @pytest.mark.parametrize("check, floor", [(check_theorem1, 8), (check_theorem2_odd, 7)])
     def test_orders_below_the_floor_refused(self, monkeypatch, check, floor):
         monkeypatch.setattr(verify_mod, "draw_polynomial", None)  # any draw would fail differently
         for order in (2, floor - 1):
             with pytest.raises(ValueError, match=f"needs order >= {floor}"):
                 check(trials=3, seed=0, order=order)
 
-    @pytest.mark.parametrize("check, floor", [(check_theorem1, 8), (check_theorem2_odd, 6)])
+    @pytest.mark.parametrize("check, floor", [(check_theorem1, 8), (check_theorem2_odd, 7)])
     def test_floor_order_runs(self, check, floor):
         assert check(trials=12, seed=3, order=floor).verdict == "pass"
+
+    def test_t2_floor_outer_keeps_every_recorded_coefficient(self):
+        # At order 6 the top term z^7 of z*q(z^2) was cut off, so the suite
+        # checked a different outer from the one its report records.
+        for trial in range(12):
+            params = verify_mod._draw_t2_params(np.random.default_rng(trial), trial)
+            _, g = verify_mod._t2_witness(params, 7)
+            q = [complex(re, im) for re, im in params["q"]]
+            assert list(g[1 : 2 * len(q) : 2]) == q
+            assert not np.any(g[0::2]) and not np.any(g[2 * len(q) + 1 :])

@@ -29,7 +29,6 @@ from bohrlab.witnesses import (
     extremal_corollary2,
     extremal_theorem3,
     extremal_theorem5,
-    extremal_theorem5_rows,
     harmonic_rows,
     harmonic_witness,
     p_symmetric_lift,
@@ -240,8 +239,6 @@ class TestStackedBuilders:
         omega_tilde = bounded_rows(specs_tilde, order)
         assert omega.tobytes() == np.stack([schwarz_from_spec(s, order=order).coeffs for s in specs]).tobytes()
         assert omega_tilde.tobytes() == np.stack([bounded_from_spec(s, order).coeffs for s in specs_tilde]).tobytes()
-        sharp = extremal_theorem5_rows(a0s, order)
-        assert sharp.tobytes() == np.stack([extremal_theorem5(a0, order).coeffs for a0 in a0s]).tobytes()
 
         hs = [compose(mobius_series(a0, order), schwarz_from_spec(s, order=order)) for a0, s in zip(a0s, specs)]
         pairs = [harmonic_witness(h, k, bounded_from_spec(t, order)) for h, k, t in zip(hs, ks, specs_tilde)]
@@ -254,9 +251,13 @@ class TestStackedBuilders:
         with pytest.raises(ValueError, match="k must lie"):
             harmonic_rows(h, [0.5, 1.2], h)
 
-    def test_extremal_rows_reject_unit_parameter(self):
-        with pytest.raises(ValueError):
-            extremal_theorem5_rows([0.2, 1.0], 8)
+    def test_harmonic_rows_reject_non_finite_block(self):
+        h = np.zeros((3, 5), dtype=complex)
+        h[:, 1] = 1.0
+        omega_tilde = np.ones((3, 5), dtype=complex)
+        omega_tilde[2, 1] = np.inf
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite coefficient at index 2 of row 2"):
+            harmonic_rows(h, [0.5, 0.5, 0.5], omega_tilde)
 
 
 class TestPSymmetricLift:
