@@ -139,21 +139,23 @@ def _cmd_radius(args) -> int:
     return 0
 
 
-def _sweep_value(functional: str, params: dict, r: float) -> float:
+def _swept(functional: str, params: dict):
+    """The functional of a sweep as a function of r; its order-8 extremal
+    witness is built once, here, since a, k and lambda are fixed."""
     a = params["a"]
-    if functional == "bohr":
-        return bohr_sum(extremal_corollary2(a, 8), r)
-    if functional == "cor2":
-        return corollary2_lhs(extremal_corollary2(a, 8), a, r)
-    if functional == "t3":
-        k = params["k"]
-        lam = params.get("lambda", k)
-        return theorem3_lhs(extremal_theorem3(a, lam, 8), a, r)
     if functional == "t5":
-        return theorem5_lhs(extremal_theorem5(a, 8), -r)
-    k = params["k"]
-    lam = params.get("lambda", k)
-    return theorem6_lhs(extremal_theorem3(a, lam, 8), r)
+        f = extremal_theorem5(a, 8)
+        return lambda r: theorem5_lhs(f, -r)
+    if functional == "bohr":
+        f = extremal_corollary2(a, 8)
+        return lambda r: bohr_sum(f, r)
+    if functional == "cor2":
+        f = extremal_corollary2(a, 8)
+        return lambda r: corollary2_lhs(f, a, r)
+    pair = extremal_theorem3(a, params.get("lambda", params["k"]), 8)
+    if functional == "t3":
+        return lambda r: theorem3_lhs(pair, a, r)
+    return lambda r: theorem6_lhs(pair, r)
 
 
 def _claimed_cap(functional: str, params: dict) -> float:
@@ -176,19 +178,22 @@ def _cmd_sweep(args) -> int:
     for key in needed[args.functional]:
         if key not in params:
             raise _UsageError(f"sweep --functional {args.functional} requires --params {key}=...")
+    if not 0.0 <= params["a"] < 1.0:
+        raise _UsageError("a must lie in [0, 1)")
     if args.steps < 0:
         raise _UsageError("--steps must be >= 0")
     r_min, r_max = _snap(args.r_min), _snap(args.r_max)
     if not 0.0 <= r_min <= r_max < 1.0:
         raise _UsageError("need 0 <= r-min <= r-max < 1")
     cap = _claimed_cap(args.functional, params)
+    value_at = _swept(args.functional, params)
     count = args.steps + 1
     rows = []
     for i in range(count):
         r = r_min + (r_max - r_min) * i / args.steps if args.steps else r_min
         if i == count - 1:
             r = r_max
-        value = _sweep_value(args.functional, params, r)
+        value = value_at(r)
         record = dict(params)
         record["informational"] = 0.0 if r <= cap + 1e-12 else 1.0
         cell = ";".join(f"{key}={_fmt(val)}" for key, val in sorted(record.items()))

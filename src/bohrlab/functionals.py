@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .radii import CLASSICAL_CAP
-from .series import TruncatedSeries, evaluate, majorant_eval
+from .series import TruncatedSeries, evaluate, majorant_eval, mobius_tail
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,7 +139,7 @@ def lemma2_bound(a: float, k: float, r: float) -> float:
         raise ValueError("k must lie in [0, 1]")
     if not 0.0 <= r <= CLASSICAL_CAP + 1e-12:
         raise ValueError("the bound is only claimed for r in [0, 1/3]")
-    return (1.0 + k) * r * (1.0 - a * a) / (1.0 - r * a)
+    return mobius_tail(a, r, 1.0 + k)
 
 
 def schwarz_pick_bound(a: float, r: float) -> float:

@@ -27,6 +27,13 @@ BLASCHKE_ZERO_CAP = 0.9
 MAX_BLASCHKE_ZEROS = 4
 
 
+def mobius_tail(a, r, scale=1.0):
+    """Constant-free majorant scale * r * (1 - a^2) / (1 - r a) of a Mobius
+    series with |a0| = a.  Plain arithmetic, so it applies elementwise to
+    arrays with the same rounding as a scalar call."""
+    return scale * r * (1.0 - a * a) / (1.0 - r * a)
+
+
 @dataclass(frozen=True)
 class MobiusTag:
     """Closed-form certificate carried by disk-automorphism series.
@@ -60,7 +67,7 @@ class MobiusTag:
     def majorant(self, r: float, skip_constant: bool = False) -> float:
         """Exact value of sum_k |c_k| r^k, bypassing truncation."""
         a = self.a
-        tail = self.scale * r * (1.0 - a * a) / (1.0 - r * a)
+        tail = mobius_tail(a, r, self.scale)
         if skip_constant or self.kind == "tail":
             return tail
         return a + tail

@@ -15,12 +15,16 @@ in the dropped tail, and the doubled-order retry guards only against false
 failures, so a pass is not a certificate for the untruncated functions.
 
 All five suites share one driver that builds and evaluates witnesses a
-block at a time.  t5 and t6 build a block as stacked (rows, N+1) arrays
-(series.blaschke_rows, series.compose_rows, witnesses.harmonic_rows) whose
-every coefficient is the one the per-series functions give; a t5 or t6
-block may span parameter groups.  t1, t2 and t3 build a block one witness
-at a time.  For t1, t3, t5 and t6 evaluation is one stacked Horner pass
-(series.majorant_rows, series.evaluate_rows) that runs the same
+block at a time.  t1, t3, t5 and t6 build a block as stacked (rows, N+1)
+arrays (series.blaschke_rows, series.compose_rows, series.convolve_rows,
+witnesses.quasi_rows, witnesses.harmonic_rows) whose every coefficient is
+the one the per-series functions give; a t5 or t6 block may span
+parameter groups.  t2 still builds its witnesses one at a time through
+series.compose and stacks them: perfbench's traced run counts that
+function's calls, so t2's construction moves to row kernels when the
+tracer learns to count them.  Every suite evaluates a block in one
+stacked pass (series.majorant_rows and series.evaluate_rows for Horner
+sums, cumulative sums for t2's partial sums) that runs the same
 floating-point operations as per-witness, per-radius evaluation.
 """
 
@@ -53,26 +57,27 @@ from .radii import (
 from .series import (
     DEFAULT_ORDER,
     BlaschkeSpec,
+    TruncatedSeries,
     compose,
     compose_rows,
     evaluate_rows,
+    finite_rows,
     majorant_rows,
     make_series,
     mobius_series,
+    mobius_tail,
     mul,
 )
 from .witnesses import (
-    bounded_from_spec,
     bounded_rows,
-    build_quasi_triple,
     draw_blaschke_spec,
     draw_polynomial,
     extremal_corollary2,
     extremal_theorem3,
     extremal_theorem5,
     harmonic_rows,
-    harmonic_witness,
     p_symmetric_lift,
+    quasi_rows,
     schwarz_from_spec,
     schwarz_rows,
 )
@@ -238,22 +243,12 @@ def _run_suite(items, build, evaluate, record, order: int):
             yield res, {**record(item), **where}
 
 
-def _each(witness):
-    """build(block, order) that builds the items of a block one at a time."""
-    return lambda block, order: [witness(item, order) for item in block]
-
-
 def _row_worst(table: np.ndarray, points) -> list:
     """(residual, {"r": point}) at the largest entry of each row of ``table``,
     whose columns belong to ``points``.  np.argmax keeps the first of equal
     residuals, as the tracker's strict comparison does."""
     cols = np.argmax(table, axis=1)
     return [(float(row[col]), {"r": float(points[col])}) for row, col in zip(table, cols)]
-
-
-def _stack(witnesses, index: int) -> np.ndarray:
-    """(rows, N+1) array of the coefficient vectors at ``index`` of each witness tuple."""
-    return np.stack([w[index] for w in witnesses])
 
 
 def _pointwise_residuals(h_rows, rs, g_rows=None) -> np.ndarray:
@@ -316,26 +311,51 @@ def _group_worst(block, groups, table) -> list:
 # majorant for r <= 1/3.
 
 
-def _draw_t1_params(rng: np.random.Generator, trial: int) -> dict:
+class _T1Draw(NamedTuple):
+    """One t1 trial: its index, variant, polynomial outer g (exact, order 8)
+    and the Blaschke specs of phi and omega.  Its record is built when the
+    suite reports it, so a block holds only the drawn objects."""
+
+    trial: int
+    variant: str
+    g: TruncatedSeries
+    phi: BlaschkeSpec
+    omega: BlaschkeSpec
+
+
+def _draw_t1_params(rng: np.random.Generator, trial: int) -> _T1Draw:
     variant = ("general", "subordination", "majorization")[trial % 3]
-    g = _poly_dict(draw_polynomial(rng, _T1_OUTER_DEGREE))
-    phi = _spec_dict(draw_blaschke_spec(rng))
-    omega = _spec_dict(draw_blaschke_spec(rng))
-    return {"trial": trial, "variant": variant, "g": g, "phi": phi, "omega": omega}
+    g = draw_polynomial(rng, _T1_OUTER_DEGREE)
+    return _T1Draw(trial, variant, g, draw_blaschke_spec(rng), draw_blaschke_spec(rng))
 
 
-def _t1_witness(params: dict, order: int) -> tuple:
-    """Coefficients of the composition f = phi * g(omega) and of its outer g."""
-    g = _poly_from_dict(params["g"], order)
-    if params["variant"] == "subordination":
-        phi = make_series([1.0], order)
-    else:
-        phi = bounded_from_spec(_spec_from_dict(params["phi"]), order)
-    if params["variant"] == "majorization":
-        omega = make_series([0.0, 1.0], order)
-    else:
-        omega = schwarz_from_spec(_spec_from_dict(params["omega"]), order=order)
-    return build_quasi_triple(g, phi, omega).f.coeffs, g.coeffs
+def _t1_record(d: _T1Draw) -> dict:
+    return {
+        "trial": d.trial,
+        "variant": d.variant,
+        "g": _poly_dict(d.g),
+        "phi": _spec_dict(d.phi),
+        "omega": _spec_dict(d.omega),
+    }
+
+
+def _t1_witness(block, order: int) -> tuple:
+    """(f rows, g rows) of a block of t1 trials: the composition
+    f = phi * g(omega) and the coefficients 0..8 of its outer g.  phi is the
+    constant one for subordination trials and omega the identity for
+    majorization trials.  A majorant sum over g's 9 columns has the bits of
+    one over its order-N series: Horner keeps +0.0 through zero tops."""
+    n = order + 1
+    phi = np.zeros((len(block), n), dtype=np.complex128)
+    phi[:, 0] = 1.0
+    drawn = [i for i, d in enumerate(block) if d.variant != "subordination"]
+    phi[drawn] = bounded_rows([block[i].phi for i in drawn], order)
+    omega = np.zeros((len(block), n), dtype=np.complex128)
+    omega[:, 1] = 1.0
+    drawn = [i for i, d in enumerate(block) if d.variant != "majorization"]
+    omega[drawn] = schwarz_rows([block[i].omega for i in drawn], order)
+    g = np.stack([d.g.coeffs for d in block])
+    return quasi_rows(g, [d.g.exact_degree for d in block], phi, omega), g
 
 
 def check_theorem1(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED, order: int = DEFAULT_ORDER) -> VerificationReport:
@@ -350,12 +370,11 @@ def check_theorem1(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED, order
     draws = _trial_params("t1", _draw_t1_params, trials, seed)
     grid = radius_grid(CLASSICAL_CAP, 12)
 
-    def evaluate(_, witnesses):
-        table = majorant_rows(_stack(witnesses, 0), grid) - majorant_rows(_stack(witnesses, 1), grid)
-        return _row_worst(table, grid)
+    def evaluate(_, fg):
+        return _row_worst(majorant_rows(fg[0], grid) - majorant_rows(fg[1], grid), grid)
 
     tracker = _Tracker()
-    tracker.extend(_run_suite(draws, _each(_t1_witness), evaluate, lambda params: params, order))
+    tracker.extend(_run_suite(draws, _t1_witness, evaluate, _t1_record, order))
     return tracker.report("t1", trials, seed, grid)
 
 
@@ -381,19 +400,42 @@ def _t2_witness(params: dict, order: int) -> tuple:
     return compose(g, omega).coeffs, g.coeffs
 
 
+def _t2_rows(block, order: int) -> tuple:
+    """(f rows, g rows) of a block of t2 trials, built one witness at a time."""
+    f, g = zip(*(_t2_witness(params, order) for params in block))
+    return np.stack(f), np.stack(g)
+
+
 def _t2_residual(f: np.ndarray, g: np.ndarray, grid) -> tuple:
-    """(residual, where) of one odd pair: the largest excess of a partial
-    majorant sum of f over g's on the grid, or f's even-coefficient leak
-    when that is larger."""
-    leak = float(np.max(np.abs(f[0::2])))
+    """(residual, where) of odd pairs stacked along the leading axes of f
+    and g: the largest excess of a partial majorant sum of f over g's on
+    the grid, or f's even-coefficient leak when that is larger.  ``where``
+    maps "r", "partial_sum_length" and "even_leak" to arrays of the
+    leading shape.  The first of equal excesses in (radius, length) order
+    is kept, as np.argmax over one pair's flattened table does; the table
+    is formed one radius at a time to keep a block's memory small."""
+    leak = np.max(np.abs(f[..., 0::2]), axis=-1)
     rs = np.asarray(grid)
-    pow_grid = rs[:, None] ** np.arange(1, len(f), 2)
-    f_cum = np.cumsum(np.abs(f[1::2])[None, :] * pow_grid, axis=1)
-    g_cum = np.cumsum(np.abs(g[1::2])[None, :] * pow_grid, axis=1)
-    gaps = f_cum - g_cum
-    i, m = np.unravel_index(np.argmax(gaps), gaps.shape)
-    where = {"r": float(rs[i]), "partial_sum_length": int(m + 1), "even_leak": leak}
-    return max(float(gaps[i, m]), leak), where
+    pow_grid = rs[:, None] ** np.arange(1, f.shape[-1], 2)
+    f_odd, g_odd = np.abs(f[..., 1::2]), np.abs(g[..., 1::2])
+    lengths, tops = [], []
+    for powers in pow_grid:
+        gaps = np.cumsum(f_odd * powers, axis=-1) - np.cumsum(g_odd * powers, axis=-1)
+        lengths.append(np.argmax(gaps, axis=-1))
+        tops.append(np.max(gaps, axis=-1))
+    tops, lengths = np.stack(tops, axis=-1), np.stack(lengths, axis=-1)
+    i = np.argmax(tops, axis=-1)[..., None]
+    worst, m = np.take_along_axis(tops, i, -1)[..., 0], np.take_along_axis(lengths, i, -1)[..., 0]
+    where = {"r": rs[i[..., 0]], "partial_sum_length": m + 1, "even_leak": leak}
+    return np.where(leak > worst, leak, worst), where
+
+
+def _split_rows(residuals, where: dict, rows: int) -> list:
+    """One (residual, where) pair per row from a residual array over rows and
+    a where dict of such arrays; a scalar applies to every row."""
+    residuals = np.broadcast_to(residuals, (rows,))
+    columns = {key: np.broadcast_to(value, (rows,)) for key, value in where.items()}
+    return [(float(res), {key: col[i].item() for key, col in columns.items()}) for i, res in enumerate(residuals)]
 
 
 def check_theorem2_odd(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED, order: int = DEFAULT_ORDER) -> VerificationReport:
@@ -411,8 +453,8 @@ def check_theorem2_odd(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED, o
     tracker.extend(
         _run_suite(
             draws,
-            _each(_t2_witness),
-            lambda _, ws: [_t2_residual(f, g, grid) for f, g in ws],
+            _t2_rows,
+            lambda block, fg: _split_rows(*_t2_residual(*fg, grid), len(block)),
             lambda params: params,
             order,
         )
@@ -424,57 +466,57 @@ def check_theorem2_odd(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED, o
 # Suite 3: harmonic pairs with dilatation bound k.
 
 
-def _draw_t3_params(rng: np.random.Generator, trial: int) -> dict:
-    h = _spec_dict(draw_blaschke_spec(rng, min_zeros=1))
-    omega_tilde = _spec_dict(draw_blaschke_spec(rng))
+class _T3Draw(NamedTuple):
+    """One t3 trial: its record and the Blaschke specs of h and omega_tilde."""
+
+    record: dict
+    h: BlaschkeSpec
+    omega_tilde: BlaschkeSpec
+
+
+def _draw_t3_params(rng: np.random.Generator, trial: int) -> _T3Draw:
+    h = draw_blaschke_spec(rng, min_zeros=1)
+    omega_tilde = draw_blaschke_spec(rng)
     a_extremal = float(rng.uniform(0.0, 0.95))
-    return {"trial": trial, "h": h, "omega_tilde": omega_tilde, "a_extremal": a_extremal}
+    record = {"trial": trial, "h": _spec_dict(h), "omega_tilde": _spec_dict(omega_tilde), "a_extremal": a_extremal}
+    return _T3Draw(record, h, omega_tilde)
 
 
-def _t3_builder():
-    """build(block, order) for t3 items (params, k): (h, g, |h(0)|, k) of the
-    random harmonic pair, then the sharp pair at a_extremal.  A trial's h
-    and omega_tilde are expanded once per order and shared by its k values."""
-    expanded = {}
-
-    def build(block, order):
-        out = []
-        for params, k in block:
-            if expanded.get(order, (None,))[0] is not params:
-                h = bounded_from_spec(_spec_from_dict(params["h"]), order)
-                omega_tilde = bounded_from_spec(_spec_from_dict(params["omega_tilde"]), order)
-                expanded[order] = params, h, omega_tilde
-            _, h, omega_tilde = expanded[order]
-            pair = harmonic_witness(h, k, omega_tilde)
-            extremal = extremal_theorem3(params["a_extremal"], k, order)
-            a0_mod = float(abs(h.coeffs[0]))
-            out.append((pair.h.coeffs, pair.g.coeffs, a0_mod, k, extremal, params["a_extremal"]))
-        return out
-
-    return build
+def _t3_witness(block, order: int) -> tuple:
+    """(h rows, row of h per item, g rows, |h(0)|, k, a_extremal) of a block
+    of t3 items (trial, k).  Each trial's h and omega_tilde are expanded,
+    and omega_tilde * h' convolved, once per block for all its k values; g
+    is the co-analytic part of the random pair of each item."""
+    trials, index = [], []
+    for trial, _ in block:
+        if not trials or trial is not trials[-1]:
+            trials.append(trial)
+        index.append(len(trials) - 1)
+    expanded = bounded_rows([t.h for t in trials] + [t.omega_tilde for t in trials], order)
+    h = finite_rows(expanded[: len(trials)].copy())
+    ks = np.array([k for _, k in block])
+    g = harmonic_rows(h, ks, expanded[len(trials) :], index)
+    del expanded
+    # np.hypot rounds as abs() of a Python complex does; np.abs may not
+    a0_mods = np.hypot(h[index, 0].real, h[index, 0].imag)
+    a_extremal = np.array([trial.record["a_extremal"] for trial, _ in block])
+    return h, index, g, a0_mods, ks, a_extremal
 
 
 def _t3_residuals(witnesses, grid) -> np.ndarray:
     """theorem3_lhs - 1 of the random pairs on the grid, then |theorem3_lhs - 1|
-    of the sharp pairs (closed-form tails) on the same grid."""
+    of the sharp pairs (an automorphism at a_extremal and its tail scaled by
+    k, summed in closed form) on the same grid."""
+    h, index, g, a0_mods, ks, a_extremal = witnesses
     rs = np.asarray(grid)
-    a0_mods = np.array([w[2] for w in witnesses])[:, None]
-    ks = np.array([w[3] for w in witnesses])[:, None]
+    ks, a = ks[:, None], a_extremal[:, None]
     random = (
-        theorem3_rational(a0_mods, ks, rs)
-        + majorant_rows(_stack(witnesses, 0), rs, skip_constant=True)
-        + majorant_rows(_stack(witnesses, 1), rs, skip_constant=True)
+        theorem3_rational(a0_mods[:, None], ks, rs)
+        + majorant_rows(h, rs, skip_constant=True)[index]
+        + majorant_rows(g, rs, skip_constant=True)
         - 1.0
     )
-    sharp = [
-        np.abs(
-            theorem3_rational(a, pair.k, rs)
-            + pair.h.tag.majorant(rs, skip_constant=True)
-            + pair.g.tag.majorant(rs, skip_constant=True)
-            - 1.0
-        )
-        for *_, pair, a in witnesses
-    ]
+    sharp = np.abs(theorem3_rational(a, ks, rs) + mobius_tail(a, rs) + mobius_tail(a, rs, ks) - 1.0)
     return np.hstack([random, sharp])
 
 
@@ -502,9 +544,9 @@ def check_theorem3(
     tracker.extend(
         _run_suite(
             ((params, k) for params in draws for k in k_grid),
-            _t3_builder(),
+            _t3_witness,
             lambda _, ws: _row_worst(_t3_residuals(ws, grid), grid + grid),
-            lambda item: {**item[0], "k": item[1]},
+            lambda item: {**item[0].record, "k": item[1]},
             order,
         )
     )
@@ -641,7 +683,7 @@ def check_theorem6(
         tracker.extend(itertools.islice(results, len(keys)))
 
         r_ak = rs[-1]
-        tail = r_ak * (1.0 - a * a) / (1.0 - r_ak * a)
+        tail = mobius_tail(a, r_ak)
         point = schwarz_pick_bound(a, r_ak)
         ladder = [point + (1.0 + mu * k) * tail for mu in _LADDER]
         attained = point + (1.0 + k) * tail

@@ -21,6 +21,7 @@ from .series import (
     blaschke_rows,
     blaschke_series,
     compose,
+    compose_rows,
     convolve_rows,
     derivative,
     eval_blaschke,
@@ -63,20 +64,57 @@ def build_quasi_triple(
     if g.exact_degree is None:
         raise ValueError("outer series must be polynomial-exact (exact_degree set)")
     f = mul(phi, compose(g, omega))
+    _check_convolution_identity(
+        g.coeffs[None, : g.exact_degree + 1], phi.coeffs[None], omega.coeffs[None], f.coeffs[None]
+    )
+    return QuasiTriple(g=g, phi=phi, omega=omega, f=f)
 
-    n = g.order + 1
-    b = np.zeros(n, dtype=np.complex128)
-    w_pow = make_series([1.0], g.order)
-    for coeff_n in g.coeffs[: g.exact_degree + 1]:
-        b += coeff_n * w_pow.coeffs
-        w_pow = mul(w_pow, omega)
-    direct = np.convolve(phi.coeffs, b)[:n]
-    gap = float(np.max(np.abs(direct - f.coeffs)))
+
+def quasi_rows(g_rows, tops, phi_rows, omega_rows) -> np.ndarray:
+    """Stacked build_quasi_triple: the rows f = phi * g(omega) of (rows, N+1)
+    stacks phi and omega, bit for bit, checked finite and cross-checked by
+    the same convolution identity.  ``g_rows`` holds the outers'
+    coefficients 0..D (D <= N) and ``tops`` their exact degrees; every
+    inner row must vanish exactly at the origin (see compose_rows)."""
+    outer = np.zeros_like(phi_rows)
+    outer[:, : g_rows.shape[1]] = g_rows
+    inner = compose_rows(outer, omega_rows, tops)
+    del outer  # a block's arrays dominate peak memory; keep few alive at once
+    f_rows = finite_rows(convolve_rows(phi_rows, inner))
+    del inner
+    _check_convolution_identity(g_rows, phi_rows, omega_rows, f_rows)
+    return f_rows
+
+
+def _check_convolution_identity(g_rows, phi_rows, omega_rows, f_rows):
+    """Raise AssertionError unless every row of f_rows is within
+    CONVOLUTION_CHECK_TOL of phi * sum_n g_n omega^n expanded from the powers
+    of omega.  ``g_rows`` holds outer coefficients 0..D; a coefficient past
+    a row's degree is zero and adds nothing.  When every inner vanishes
+    exactly at the origin, omega^d vanishes below index d, so only its
+    entries from d on are formed, which drops exact zeros alone."""
+    n = f_rows.shape[1]
+    b = np.zeros_like(f_rows)
+    w_pow = np.zeros_like(f_rows)
+    w_pow[:, 0] = 1.0
+    shift = not np.any(omega_rows[:, 0])
+    lo, last = 0, g_rows.shape[1] - 1  # w_pow holds entries lo..N of omega^d
+    for d in range(last + 1):
+        # form omega^(d+1) before w_pow is scaled in place to g_d omega^d
+        w_next = convolve_rows(w_pow, omega_rows[:, : n - lo]) if d < last else None
+        w_pow *= g_rows[:, d, None]
+        b[:, lo:] += w_pow
+        if d < last:
+            w_pow, lo = (w_next[:, 1:], lo + 1) if shift else (w_next, lo)
+    del w_pow, w_next
+    direct = convolve_rows(phi_rows, b)
+    del b
+    direct -= f_rows
+    gap = float(np.max(np.abs(direct)))
     if not gap <= CONVOLUTION_CHECK_TOL:
         raise AssertionError(
             f"convolution identity violated by {gap:.3e}; series arithmetic is inconsistent"
         )
-    return QuasiTriple(g=g, phi=phi, omega=omega, f=f)
 
 
 def draw_blaschke_spec(rng: np.random.Generator, min_zeros: int = 0, max_zeros: int = 4) -> BlaschkeSpec:
@@ -200,17 +238,24 @@ def harmonic_witness(h: TruncatedSeries, k: float, omega_tilde: TruncatedSeries)
     return HarmonicPair(h=h, g=g, k=k)
 
 
-def harmonic_rows(h_rows, ks, omega_tilde_rows) -> np.ndarray:
+def harmonic_rows(h_rows, ks, omega_tilde_rows, index=None) -> np.ndarray:
     """Stacked harmonic_witness: the co-analytic rows g = integral of
-    k * omega_tilde * h' of (rows, N+1) stacks, bit for bit, checked finite."""
+    k * omega_tilde * h' of (rows, N+1) stacks, bit for bit, checked finite.
+    With ``index``, row i of the result pairs ks[i] with row index[i] of h
+    and omega_tilde, so rows shared by several k are convolved once."""
     ks = np.asarray(ks, dtype=np.float64)
     if not np.all((ks >= 0.0) & (ks <= 1.0)):
         raise ValueError("k must lie in [0, 1]")
     n = np.shape(h_rows)[1]
     slopes = np.zeros_like(h_rows)
     slopes[:, :-1] = h_rows[:, 1:] * np.arange(1, n)
-    scaled = convolve_rows(omega_tilde_rows, slopes) * ks.astype(np.complex128)[:, None]
-    g_rows = np.zeros_like(h_rows)
+    products = convolve_rows(omega_tilde_rows, slopes)
+    del slopes
+    if index is not None:
+        products = products[index]
+    scaled = products * ks.astype(np.complex128)[:, None]
+    del products
+    g_rows = np.zeros_like(scaled)
     g_rows[:, 1:] = scaled[:, :-1] / np.arange(1, n)
     return finite_rows(g_rows)
 

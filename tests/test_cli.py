@@ -135,6 +135,49 @@ class TestSweepCommand:
         assert all(v > 1 for v in beyond)
 
 
+    @pytest.mark.parametrize(
+        "functional, builder",
+        [
+            ("bohr", "extremal_corollary2"),
+            ("cor2", "extremal_corollary2"),
+            ("t3", "extremal_theorem3"),
+            ("t5", "extremal_theorem5"),
+            ("t6", "extremal_theorem3"),
+        ],
+    )
+    def test_extremal_built_once_per_sweep(self, capsys, monkeypatch, functional, builder):
+        real = getattr(cli, builder)
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(cli, builder, counting)
+        code, out, _ = run_cli(
+            capsys,
+            "sweep", "--functional", functional, "--params", "a=0.6", "k=0.5",
+            "--r-min", "0", "--r-max", "0.5", "--steps", "1000",
+        )
+        assert code == 0
+        assert len(out.splitlines()) == 1002
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("functional", ["bohr", "cor2", "t3", "t5", "t6"])
+    @pytest.mark.parametrize("a", ["-0.5", "1", "nan"])
+    def test_parameter_a_outside_unit_interval_refused(self, capsys, functional, a):
+        # t5 and t6 sweeps used to print rows for a = -0.5, with an
+        # informational column judged against the wrong radius
+        code, out, err = run_cli(
+            capsys,
+            "sweep", "--functional", functional, "--params", f"a={a}", "k=0.5",
+            "--r-min", "0", "--r-max", "0.3", "--steps", "2",
+        )
+        assert code == 1
+        assert out == ""
+        assert "a must lie in [0, 1)" in err
+
+
 class TestExtremalCommand:
     def test_cor2_dump_matches_series(self, capsys):
         code, out, _ = run_cli(

@@ -7,8 +7,16 @@ import numpy as np
 import pytest
 
 import bohrlab.verify as verify_mod
-from bohrlab.radii import ANALYTIC_THRESHOLD_A, UNIVERSAL_RADIUS, theorem5_radius
-from bohrlab.series import make_series
+from bohrlab.functionals import theorem3_rational
+from bohrlab.radii import ANALYTIC_THRESHOLD_A, CLASSICAL_CAP, ODD_CAP, UNIVERSAL_RADIUS, theorem5_radius
+from bohrlab.series import BlaschkeSpec, majorant_eval, make_series
+from bohrlab.witnesses import (
+    bounded_from_spec,
+    build_quasi_triple,
+    extremal_theorem3,
+    harmonic_witness,
+    schwarz_from_spec,
+)
 from bohrlab.verify import (
     TOLERANCE,
     check_theorem1,
@@ -219,14 +227,9 @@ class TestRetryBookkeeping:
         monkeypatch.setattr(verify_mod, name, patched)
 
     def test_theorem3_flags_only_the_retried_k(self, monkeypatch, records):
-        bump = make_series([0.0, 10.0], self.ORDER)
-        # one harmonic_witness call per (trial, k): the second is (0, 0.5)
+        # one harmonic_rows row per (trial, k): row 1 of the first block is (0, 0.5)
         self._spoil_nth(
-            monkeypatch,
-            "harmonic_witness",
-            2,
-            lambda pair: dataclasses.replace(pair, h=pair.h + bump),
-            order_of=lambda pair: pair.h.order,
+            monkeypatch, "harmonic_rows", 1, self._bump_row_1, order_of=lambda rows: rows.shape[1] - 1
         )
         rep = check_theorem3(3, seed=1, k_grid=(0.0, 0.5, 1.0), order=self.ORDER)
         assert rep.verdict == "pass"
@@ -260,14 +263,34 @@ class TestRetryBookkeeping:
         assert len(flagged) == 1
         assert flagged[0]["trial"] == 1 and flagged[0]["reevaluated_order"] == 2 * self.ORDER
 
+    def test_theorem1_records_the_retry(self, monkeypatch, records):
+        # A spoiled composition would trip the convolution identity check
+        # inside quasi_rows, so spoil the f rows it returns: row 1 of the
+        # first block is trial 1.
+        self._spoil_nth(monkeypatch, "quasi_rows", 1, self._bump_row_1, order_of=lambda rows: rows.shape[1] - 1)
+        rep = check_theorem1(trials=40, seed=3, order=self.ORDER)
+        assert rep.verdict == "pass"
+        flagged = [w for w in records if "reevaluated_order" in w]
+        assert len(flagged) == 1
+        assert flagged[0]["trial"] == 1 and flagged[0]["reevaluated_order"] == 2 * self.ORDER
+        assert len(records) == 40
+
 
 class TestWitnessCounts:
-    """t5 and t6 build exactly the reported number of random witnesses, also
-    when the trial count is not a multiple of the number of parameter groups."""
+    """Every suite builds exactly the reported number of random witnesses (for
+    t3, one h per trial), also when the trial count is not a multiple of the
+    number of t5 or t6 parameter groups."""
 
     @pytest.mark.parametrize("trials", [3, 21])
     @pytest.mark.parametrize(
-        "check, witness_fn", [(check_theorem5, "_t5_witness"), (check_theorem6, "_t6_witness")]
+        "check, witness_fn",
+        [
+            (check_theorem1, "_t1_witness"),
+            (check_theorem2_odd, "_t2_rows"),
+            (check_theorem3, "_t3_witness"),
+            (check_theorem5, "_t5_witness"),
+            (check_theorem6, "_t6_witness"),
+        ],
     )
     def test_builds_match_reported_trials(self, monkeypatch, check, witness_fn, trials):
         real = getattr(verify_mod, witness_fn)
@@ -289,23 +312,118 @@ class TestStackedBlocks:
     """Block boundaries never show in a report: a block may span parameter
     groups, and a block of one gives the same bytes."""
 
-    @pytest.mark.parametrize("check", [check_theorem1, check_theorem3, check_theorem5, check_theorem6])
+    @pytest.mark.parametrize(
+        "check", [check_theorem1, check_theorem2_odd, check_theorem3, check_theorem5, check_theorem6]
+    )
     def test_report_independent_of_block_size(self, monkeypatch, check):
         wide = check(trials=30, seed=4, order=16).as_dict()
         monkeypatch.setattr(verify_mod, "_COEFF_BUDGET", 1)
         assert check(trials=30, seed=4, order=16).as_dict() == wide
 
     def test_theorem3_expands_each_trial_once_per_order(self, monkeypatch):
-        real = verify_mod.bounded_from_spec
+        real = verify_mod.bounded_rows
         orders = []
 
-        def counting(spec, order):
-            orders.append(order)
-            return real(spec, order)
+        def counting(specs, order):
+            orders.extend([order] * len(specs))
+            return real(specs, order)
 
-        monkeypatch.setattr(verify_mod, "bounded_from_spec", counting)
+        monkeypatch.setattr(verify_mod, "bounded_rows", counting)
         check_theorem3(7, seed=2, k_grid=(0.0, 0.5, 1.0), order=16)
         assert orders == [16] * 14  # h and omega_tilde of each of 7 trials
+
+
+def _t2_residual_one(f, g, grid):
+    """Per-witness t2 residual as the suite computed it one pair at a time."""
+    leak = float(np.max(np.abs(f[0::2])))
+    rs = np.asarray(grid)
+    pow_grid = rs[:, None] ** np.arange(1, len(f), 2)
+    f_cum = np.cumsum(np.abs(f[1::2])[None, :] * pow_grid, axis=1)
+    g_cum = np.cumsum(np.abs(g[1::2])[None, :] * pow_grid, axis=1)
+    gaps = f_cum - g_cum
+    i, m = np.unravel_index(np.argmax(gaps), gaps.shape)
+    where = {"r": float(rs[i]), "partial_sum_length": int(m + 1), "even_leak": leak}
+    return max(float(gaps[i, m]), leak), where
+
+
+def _draws(draw, suite_id, trials, seed=9):
+    return [draw(np.random.default_rng((suite_id, seed, t)), t) for t in range(trials)]
+
+
+def _spec(d):
+    return BlaschkeSpec(zeros=tuple(complex(*z) for z in d["zeros"]), rotation=complex(*d["rotation"]))
+
+
+class TestStackedWitnesses:
+    """The stacked t1-t3 builders and evaluators give the bytes of the
+    per-witness constructions built from the recorded draws."""
+
+    @pytest.mark.parametrize("order", [8, 64, 256])
+    @pytest.mark.parametrize("rows", [1, 13])
+    def test_t1_rows_match_build_quasi_triple(self, order, rows):
+        trials = _draws(verify_mod._draw_t1_params, 1, 13)
+        blocks = [trials] if rows == 13 else [[t] for t in trials[:3]]  # blocks of one: each variant
+        for block in blocks:
+            f_rows, g_rows = verify_mod._t1_witness(block, order)
+            for trial, f, g in zip(block, f_rows, g_rows):
+                rec = verify_mod._t1_record(trial)
+                outer = make_series([complex(*c) for c in rec["g"]], order)
+                phi = make_series([1.0], order)
+                if rec["variant"] != "subordination":
+                    phi = bounded_from_spec(_spec(rec["phi"]), order)
+                omega = make_series([0.0, 1.0], order)
+                if rec["variant"] != "majorization":
+                    omega = schwarz_from_spec(_spec(rec["omega"]), order=order)
+                assert f.tobytes() == build_quasi_triple(outer, phi, omega).f.coeffs.tobytes()
+                assert g.tobytes() == outer.coeffs[:9].tobytes() and not np.any(outer.coeffs[9:])
+        assert {t.variant for block in blocks for t in block} == {"general", "subordination", "majorization"}
+
+    @pytest.mark.parametrize("order", [8, 64])
+    def test_t3_rows_match_per_series_pairs(self, order):
+        trials = _draws(verify_mod._draw_t3_params, 3, 6)
+        block = [(t, k) for t in trials for k in (0.0, 0.3, 0.7, 1.0)][1:-1]  # trials cut at both ends
+        grid = verify_mod.radius_grid(CLASSICAL_CAP, 12)
+        rs = np.asarray(grid)
+        table = verify_mod._t3_residuals(verify_mod._t3_witness(block, order), grid)
+        for (trial, k), row in zip(block, table):
+            h = bounded_from_spec(_spec(trial.record["h"]), order)
+            pair = harmonic_witness(h, k, bounded_from_spec(_spec(trial.record["omega_tilde"]), order))
+            a0 = float(abs(h.coeffs[0]))
+            random = np.array(
+                [
+                    theorem3_rational(a0, k, r)
+                    + majorant_eval(pair.h, r, skip_constant=True)
+                    + majorant_eval(pair.g, r, skip_constant=True)
+                    - 1.0
+                    for r in grid
+                ]
+            )
+            a = trial.record["a_extremal"]
+            sharp_pair = extremal_theorem3(a, k, order)
+            sharp = np.abs(
+                theorem3_rational(a, sharp_pair.k, rs)
+                + sharp_pair.h.tag.majorant(rs, skip_constant=True)
+                + sharp_pair.g.tag.majorant(rs, skip_constant=True)
+                - 1.0
+            )
+            assert row[:12].tobytes() == random.tobytes()
+            assert row[12:].tobytes() == sharp.tobytes()
+
+    @pytest.mark.parametrize("order", [7, 64, 256])
+    def test_t2_residual_matches_per_witness(self, order):
+        block = _draws(verify_mod._draw_t2_params, 2, 20)
+        f_rows, g_rows = verify_mod._t2_rows(block, order)
+        # a leak larger than every gap, and a row whose gaps all tie at zero
+        f_rows[3, 2] = 0.5
+        f_rows[4] = g_rows[4]
+        grid = verify_mod.radius_grid(ODD_CAP, 12)
+        stacked = verify_mod._split_rows(*verify_mod._t2_residual(f_rows, g_rows, grid), len(block))
+        for (res, where), f, g in zip(stacked, f_rows, g_rows):
+            expected_res, expected_where = _t2_residual_one(f, g, grid)
+            assert np.float64(res).tobytes() == np.float64(expected_res).tobytes()
+            assert where == expected_where
+            assert [type(v) for v in where.values()] == [type(v) for v in expected_where.values()]
+        assert stacked[3][0] == 0.5 and stacked[4][1]["partial_sum_length"] == 1
 
 
 class TestNonFiniteResiduals:

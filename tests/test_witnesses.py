@@ -113,6 +113,15 @@ class TestBuildQuasiTriple:
         with pytest.raises(ValueError, match="vanish"):
             build_quasi_triple(g, make_series([1], 16), make_series([0.2, 1], 16))
 
+    def test_inner_with_tiny_constant_passes_identity(self):
+        # compose accepts an inner constant up to 1e-15; the identity check
+        # then forms every entry of each power of omega
+        rng = np.random.default_rng(5)
+        g = draw_polynomial(rng, 24)
+        omega = schwarz_from_spec(draw_blaschke_spec(rng), order=24) + make_series([1e-16], 24)
+        triple = build_quasi_triple(g, bounded_from_spec(draw_blaschke_spec(rng), 24), omega)
+        assert triple.f.order == 24
+
     def test_majorant_domination_property(self):
         rng = np.random.default_rng(19)
         grid = np.linspace(1e-3, 1 / 3, 12)
@@ -368,6 +377,38 @@ print(rejected(lambda: witnesses.schwarz_rows(specs, 8)))
 """
 
 
+# The stacked quasi-triple builder runs the same convolution identity check
+# once per block, with compose_rows looked up at call time.
+_OPTIMIZED_STACKED_IDENTITY = """
+import sys
+import numpy as np
+from bohrlab import witnesses
+
+print(sys.flags.optimize)
+
+g = np.zeros((3, 9), dtype=complex)
+g[:, :2] = [0.3, 1.0]
+phi = np.zeros((3, 9), dtype=complex)
+phi[:, 0] = 1.0
+omega = np.zeros((3, 9), dtype=complex)
+omega[:, 1] = [1.0, 0.5, 0.5j]
+real = witnesses.compose_rows
+
+def spoiled(g_rows, w_rows, tops):
+    out = real(g_rows, w_rows, tops)
+    out[2, 3] += 1e-9
+    return out
+
+witnesses.compose_rows = spoiled
+try:
+    witnesses.quasi_rows(g, [1, 1, 1], phi, omega)
+except AssertionError as exc:
+    print(exc)
+else:
+    print("accepted")
+"""
+
+
 class TestChecksUnderOptimization:
     def test_broken_constructions_rejected_under_dash_O(self):
         src = str(Path(bohrlab.__file__).resolve().parents[1])
@@ -395,3 +436,15 @@ class TestChecksUnderOptimization:
         assert optimize == "1"
         assert bounded.startswith("witness exceeds modulus one on the boundary sample")
         assert schwarz.startswith("witness exceeds modulus one on the boundary sample")
+
+    def test_broken_stacked_identity_rejected_under_dash_O(self):
+        src = str(Path(bohrlab.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", _OPTIMIZED_STACKED_IDENTITY],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        assert done.returncode == 0, done.stderr
+        optimize, identity = done.stdout.splitlines()
+        assert optimize == "1"
+        assert identity.startswith("convolution identity violated by 1.000e-09")
