@@ -11,15 +11,14 @@ import numpy as np
 from bohrlab import (
     draw_blaschke_spec,
     bounded_from_spec,
-    extremal_theorem3,
     harmonic_witness,
     lemma2_bound,
-    schwarz_pick_bound,
+    sharp_lhs,
     sharpness_certificate,
     theorem3_lhs,
-    theorem6_lhs,
     theorem6_radius,
 )
+from bohrlab.functionals import theorem3_rational
 
 print("=== random admissible pairs respect the exact-form bound ===")
 rng = np.random.default_rng(13)
@@ -31,29 +30,26 @@ for trial in range(4):
     pair = harmonic_witness(h, k, omega_tilde)
     a = float(abs(h.coeffs[0]))
     value = theorem3_lhs(pair, a, r)
-    tails = value - (1 - r * (a + (k + 1) * (1 - a * a))) / (1 - r * a)
+    tails = value - theorem3_rational(a, k, r)
     print(f"  trial {trial}: k={k:.3f} |h(0)|={a:.3f}"
           f"  LHS={value:.6f} <= 1;  tails {tails:.6f} <= bound {lemma2_bound(a, k, r):.6f}")
 
 print()
 print("=== the matched-scale family sits exactly at one ===")
 a, k = 0.55, 0.6
-pair = extremal_theorem3(a, k)
-for rr in (0.1, 0.25, 1 / 3):
-    print(f"  r={rr:.4f}: LHS = {theorem3_lhs(pair, a, rr):.15f}")
+radii = (0.1, 0.25, 1 / 3)
+for rr, value in zip(radii, sharp_lhs("t3", a, radii, k)):
+    print(f"  r={rr:.4f}: LHS = {value:.15f}")
 
 print()
 print("=== approaching the sharp scale from below at the radius ===")
 r_ak = theorem6_radius(a, k).value
-tail = r_ak * (1 - a * a) / (1 - r_ak * a)
 print(f"a={a}, k={k}, radius r_ak = {r_ak:.10f}")
 for fraction in (0.9, 0.99, 0.999, 1.0):
     lam = fraction * k
-    value = schwarz_pick_bound(a, r_ak) + (1 + lam) * tail
-    print(f"  co-analytic scale {lam:.4f}: pointwise LHS = {value:.10f}")
+    print(f"  co-analytic scale {lam:.4f}: pointwise LHS = {sharp_lhs('t6', a, r_ak, lam):.10f}")
 print("only the full scale k attains one; beyond the radius it breaks:")
-beyond = theorem6_lhs(extremal_theorem3(a, k), r_ak + 1e-3)
-print(f"  at r_ak + 0.001 the LHS is {beyond:.10f} > 1")
+print(f"  at r_ak + 0.001 the LHS is {sharp_lhs('t6', a, r_ak + 1e-3, k):.10f} > 1")
 
 print()
 print("=== certificates ===")

@@ -35,6 +35,7 @@ from .functionals import (
     corollary2_lhs,
     lemma2_bound,
     schwarz_pick_bound,
+    sharp_lhs,
     theorem3_lhs,
     theorem5_lhs,
     theorem6_lhs,

@@ -14,11 +14,12 @@ import json
 import os
 import sys
 
-from . import radii, verify
-from .functionals import bohr_sum, corollary2_lhs, theorem3_lhs, theorem5_lhs, theorem6_lhs
-from .series import DEFAULT_ORDER
+import numpy as np
+
+from . import radii, verify, witnesses
+from .functionals import SHARP_FUNCTIONALS, sharp_lhs
+from .series import DEFAULT_ORDER, unit_interval
 from .verify import DEFAULT_SEED, DEFAULT_TRIALS
-from .witnesses import extremal_corollary2, extremal_theorem3, extremal_theorem5
 
 # Decimal endpoints within 1e-9 of these constants snap to the exact value,
 # so endpoint rows probe the true radius rather than a rounded one.
@@ -91,7 +92,7 @@ def _build_parser() -> _Parser:
     p_rad.add_argument("--p", type=int)
 
     p_sweep = sub.add_parser("sweep", help="CSV sweep of a functional over r")
-    p_sweep.add_argument("--functional", required=True, choices=["bohr", "cor2", "t3", "t5", "t6"])
+    p_sweep.add_argument("--functional", required=True, choices=SHARP_FUNCTIONALS)
     p_sweep.add_argument("--params", nargs="*", default=[], metavar="KEY=VALUE")
     p_sweep.add_argument("--r-min", type=float, required=True)
     p_sweep.add_argument("--r-max", type=float, required=True)
@@ -139,37 +140,13 @@ def _cmd_radius(args) -> int:
     return 0
 
 
-def _swept(functional: str, params: dict):
-    """The functional of a sweep as a function of r; its order-8 extremal
-    witness is built once, here, since a, k and lambda are fixed."""
-    a = params["a"]
-    if functional == "t5":
-        f = extremal_theorem5(a, 8)
-        return lambda r: theorem5_lhs(f, -r)
-    if functional == "bohr":
-        f = extremal_corollary2(a, 8)
-        return lambda r: bohr_sum(f, r)
-    if functional == "cor2":
-        f = extremal_corollary2(a, 8)
-        return lambda r: corollary2_lhs(f, a, r)
-    pair = extremal_theorem3(a, params.get("lambda", params["k"]), 8)
-    if functional == "t3":
-        return lambda r: theorem3_lhs(pair, a, r)
-    return lambda r: theorem6_lhs(pair, r)
-
-
 def _claimed_cap(functional: str, params: dict) -> float:
-    if functional in ("bohr", "cor2", "t3"):
-        return radii.CLASSICAL_CAP
+    a, k = params["a"], params.get("k")
     if functional == "t5":
-        a = params["a"]
-        if a >= radii.ANALYTIC_THRESHOLD_A:
-            return radii.theorem5_radius(a).value
-        return radii.UNIVERSAL_RADIUS
-    alpha = radii.theorem6_threshold(params["k"])
-    if params["a"] >= alpha:
-        return radii.theorem6_radius(params["a"], params["k"]).value
-    return 0.0
+        return radii.theorem5_radius(a).value if a >= radii.ANALYTIC_THRESHOLD_A else radii.UNIVERSAL_RADIUS
+    if functional == "t6":
+        return radii.theorem6_radius(a, k).value if a >= radii.theorem6_threshold(k) else 0.0
+    return radii.CLASSICAL_CAP
 
 
 def _cmd_sweep(args) -> int:
@@ -178,28 +155,27 @@ def _cmd_sweep(args) -> int:
     for key in needed[args.functional]:
         if key not in params:
             raise _UsageError(f"sweep --functional {args.functional} requires --params {key}=...")
-    if not 0.0 <= params["a"] < 1.0:
-        raise _UsageError("a must lie in [0, 1)")
+    for key in ("a", "k", "lambda"):
+        if key in params:
+            unit_interval(key, params[key], closed=key != "a")
     if args.steps < 0:
         raise _UsageError("--steps must be >= 0")
     r_min, r_max = _snap(args.r_min), _snap(args.r_max)
     if not 0.0 <= r_min <= r_max < 1.0:
         raise _UsageError("need 0 <= r-min <= r-max < 1")
     cap = _claimed_cap(args.functional, params)
-    value_at = _swept(args.functional, params)
-    count = args.steps + 1
-    rows = []
-    for i in range(count):
-        r = r_min + (r_max - r_min) * i / args.steps if args.steps else r_min
-        if i == count - 1:
-            r = r_max
-        value = value_at(r)
-        record = dict(params)
-        record["informational"] = 0.0 if r <= cap + 1e-12 else 1.0
-        cell = ";".join(f"{key}={_fmt(val)}" for key, val in sorted(record.items()))
-        rows.append(f"{_fmt(r)},{_fmt(value)},{args.functional},{cell}")
-    sys.stdout.write("r,value,functional,params\n")
-    sys.stdout.write("\n".join(rows) + ("\n" if rows else ""))
+    rs = r_min + (r_max - r_min) * np.arange(args.steps + 1) / max(args.steps, 1)
+    rs[-1] = r_max
+    values = sharp_lhs(args.functional, params["a"], rs, params.get("lambda", params.get("k", 0.0)))
+    cells = [
+        ";".join(f"{key}={_fmt(val)}" for key, val in sorted({**params, "informational": flag}.items()))
+        for flag in (0.0, 1.0)
+    ]
+    rows = [
+        f"{_fmt(r)},{_fmt(value)},{args.functional},{cells[r > cap + 1e-12]}"
+        for r, value in zip(rs.tolist(), values.tolist())
+    ]
+    sys.stdout.write("r,value,functional,params\n" + "\n".join(rows) + "\n")
     return 0
 
 
@@ -212,14 +188,14 @@ def _cmd_extremal(args) -> int:
     a = args.a
     payload = {"theorem": args.theorem, "a": a, "order": order}
     if args.theorem == "cor2":
-        payload["coefficients"] = _coeff_list(extremal_corollary2(a, order))
+        payload["coefficients"] = _coeff_list(witnesses.extremal_corollary2(a, order))
     elif args.theorem == "t5":
-        payload["coefficients"] = _coeff_list(extremal_theorem5(a, order))
+        payload["coefficients"] = _coeff_list(witnesses.extremal_theorem5(a, order))
     else:
         if args.k is None and args.lam is None:
             raise _UsageError(f"extremal --theorem {args.theorem} requires --k or --lambda")
         lam = args.lam if args.lam is not None else args.k
-        pair = extremal_theorem3(a, lam, order)
+        pair = witnesses.extremal_theorem3(a, lam, order)
         payload["lambda"] = lam
         payload["k"] = args.k if args.k is not None else lam
         payload["h_coefficients"] = _coeff_list(pair.h)

@@ -3,7 +3,13 @@
 Each function returns the left-hand side of one of the inequalities the
 package verifies.  Series carrying a Mobius closed-form tag are summed
 exactly; untagged series fall back to the truncated majorant, which is a
-lower bound of the true sum, so the verification suites stay conservative.
+lower bound of the true sum, so it can hide a violation in the dropped
+tail: a value at or below the bound holds for the truncation only.
+
+The stacked forms serve sweeps, certificates and suites: ``sharp_lhs``
+sums the sharp witnesses in closed form, with the bits of the tagged
+scalar call, and the ``theorem*_rows`` functions evaluate stacked
+untagged rows over a radius grid with the bits of per-row evaluation.
 
 The rational-term functionals are claimed only up to r = 1/3 (the classical
 cap); evaluating them beyond that radius is permitted for scans, but the
@@ -17,7 +23,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .radii import CLASSICAL_CAP
-from .series import TruncatedSeries, evaluate, majorant_eval, mobius_tail
+from .series import (
+    TruncatedSeries,
+    evaluate,
+    evaluate_rows,
+    majorant_eval,
+    majorant_rows,
+    mobius_tail,
+    unit_interval,
+)
+
+SHARP_FUNCTIONALS = ("bohr", "cor2", "t3", "t5", "t6")
+
+# theorem5_rows and theorem6_rows maximise over these points of |z| = r.
+_PHASES = np.exp(2j * np.pi * np.arange(16) / 16.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -29,8 +48,7 @@ class HarmonicPair:
     k: float = 1.0
 
     def __post_init__(self):
-        if not 0.0 <= self.k <= 1.0:
-            raise ValueError("dilatation bound k must lie in [0, 1]")
+        unit_interval("dilatation bound k", self.k, closed=True)
         if self.h.order != self.g.order:
             raise ValueError("analytic and co-analytic parts must share a truncation order")
         if abs(self.g.coeffs[0]) > 1e-15:
@@ -51,19 +69,26 @@ def _tail_sum(f: TruncatedSeries, r: float) -> float:
     return majorant_eval(f, r, skip_constant=True)
 
 
-def _abs_value(f: TruncatedSeries, z: complex) -> float:
-    if f.tag is not None:
-        return abs(f.tag.value_at(z))
-    return float(np.abs(evaluate(f, z)))
-
-
 def bohr_sum(f: TruncatedSeries, r: float) -> float:
     """Classical majorant sum |c_0| + sum |c_k| r^k."""
     if f.tag is not None:
-        if not 0.0 <= r < 1.0:
-            raise ValueError("radius must lie in [0, 1)")
+        unit_interval("radius", r)
         return f.tag.majorant(r)
     return majorant_eval(f, r)
+
+
+def theorem1_rows(f_rows, g_rows, rs) -> np.ndarray:
+    """Majorant domination gaps sum |a_k| r^k - sum |b_k| r^k of stacked rows
+    f and outers g over a radius grid, with the bits of per-row majorant_eval."""
+    return majorant_rows(f_rows, rs) - majorant_rows(g_rows, rs)
+
+
+def theorem2_rows(f_rows, g_rows, r: float) -> np.ndarray:
+    """Partial-sum domination gaps of stacked odd pairs at one radius: entry
+    [..., m] is sum_{j<=m} |a_(2j+1)| r^(2j+1) minus the same sum over g."""
+    powers = r ** np.arange(1, f_rows.shape[-1], 2)
+    f_sums = np.cumsum(np.abs(f_rows[..., 1::2]) * powers, axis=-1)
+    return f_sums - np.cumsum(np.abs(g_rows[..., 1::2]) * powers, axis=-1)
 
 
 def corollary2_lhs(f: TruncatedSeries, a0_mod: float, r: float) -> float:
@@ -72,13 +97,14 @@ def corollary2_lhs(f: TruncatedSeries, a0_mod: float, r: float) -> float:
     Returns (1 - (1 + a - a^2) r) / (1 - a r) plus the constant-free
     majorant sum of f.  The bound by one is claimed for r <= 1/3 only.
     """
-    if not 0.0 <= a0_mod < 1.0:
-        raise ValueError("|f(0)| must lie in [0, 1)")
-    if not 0.0 <= r < 1.0:
-        raise ValueError("radius must lie in [0, 1)")
-    a = a0_mod
-    rational = (1.0 - (1.0 + a - a * a) * r) / (1.0 - a * r)
-    return rational + _tail_sum(f, r)
+    unit_interval("|f(0)|", a0_mod)
+    unit_interval("radius", r)
+    return corollary2_rational(a0_mod, r) + _tail_sum(f, r)
+
+
+def corollary2_rational(a, r):
+    """Rational first term of corollary2_lhs; plain arithmetic, like theorem3_rational."""
+    return (1.0 - (1.0 + a - a * a) * r) / (1.0 - a * r)
 
 
 def theorem3_lhs(pair: HarmonicPair, a0_mod: float, r: float) -> float:
@@ -87,10 +113,8 @@ def theorem3_lhs(pair: HarmonicPair, a0_mod: float, r: float) -> float:
     Rational first term (1 - r(a + (k+1)(1 - a^2))) / (1 - r a) plus the
     constant-free majorant sums of both parts; claimed <= 1 for r <= 1/3.
     """
-    if not 0.0 <= a0_mod < 1.0:
-        raise ValueError("|h(0)| must lie in [0, 1)")
-    if not 0.0 <= r < 1.0:
-        raise ValueError("radius must lie in [0, 1)")
+    unit_interval("|h(0)|", a0_mod)
+    unit_interval("radius", r)
     return theorem3_rational(a0_mod, pair.k, r) + _tail_sum(pair.h, r) + _tail_sum(pair.g, r)
 
 
@@ -103,28 +127,79 @@ def theorem3_rational(a, k, r):
     return (1.0 - r * (a + (k + 1.0) * (1.0 - a * a))) / (1.0 - r * a)
 
 
+def theorem3_rows(h_rows, index, g_rows, a, k, rs) -> np.ndarray:
+    """theorem3_lhs of stacked untagged pairs (h_rows[index[i]], g_rows[i])
+    with |h(0)| = a[i] and bound k[i] (a scalar applies to every row) over a
+    radius grid; entry [i, j] has the bits of the scalar call at rs[j].  An
+    h row shared by several pairs is summed once."""
+    rs = np.asarray(rs)
+    rational = theorem3_rational(np.asarray(a)[..., None], np.asarray(k)[..., None], rs)
+    h_tails = majorant_rows(h_rows, rs, skip_constant=True)[index]
+    return rational + h_tails + majorant_rows(g_rows, rs, skip_constant=True)
+
+
 def theorem5_lhs(f: TruncatedSeries, z: complex) -> float:
     """Pointwise-plus-tail functional |f(z)| + sum_{k>=1} |a_k| |z|^k.
 
     |f(z)| comes from the exact rational form when f carries a tag,
-    otherwise from Horner evaluation of the stored coefficients (the
-    geometric decay of every witness family keeps the dropped tail far
-    below the verification tolerance at the radii in play).
+    otherwise from Horner evaluation of the stored coefficients, which
+    drops the tail past the truncation order (see the module docstring).
     """
     z = complex(z)
     r = abs(z)
     if r >= 1.0:
         raise ValueError("evaluation point must lie in the open unit disk")
-    return _abs_value(f, z) + _tail_sum(f, r)
+    value = abs(f.tag.value_at(z)) if f.tag is not None else float(np.abs(evaluate(f, z)))
+    return value + _tail_sum(f, r)
 
 
 def theorem6_lhs(pair: HarmonicPair, z: complex) -> float:
-    """Harmonic pointwise-plus-tails functional |h(z)| + both majorant tails."""
-    z = complex(z)
-    r = abs(z)
-    if r >= 1.0:
-        raise ValueError("evaluation point must lie in the open unit disk")
-    return _abs_value(pair.h, z) + _tail_sum(pair.h, r) + _tail_sum(pair.g, r)
+    """Harmonic pointwise-plus-tails functional |h(z)| + both majorant tails:
+    theorem5_lhs of h plus the tail of g."""
+    return theorem5_lhs(pair.h, z) + _tail_sum(pair.g, abs(complex(z)))
+
+
+def _max_modulus_rows(rows, rs: np.ndarray) -> np.ndarray:
+    """Largest |f| of each row over the _PHASES points of each circle |z| = rs[j]."""
+    return np.abs(evaluate_rows(rows, rs[:, None] * _PHASES)).max(axis=-1)
+
+
+def theorem5_rows(f_rows, rs) -> np.ndarray:
+    """theorem5_lhs of stacked untagged series over a radius grid, maximised
+    over 16 equally spaced phases: entry [i, j] is the largest
+    |f_i(z)| + sum_{k>=1} |a_k| rs[j]^k on the circle |z| = rs[j]."""
+    rs = np.asarray(rs)
+    return _max_modulus_rows(f_rows, rs) + majorant_rows(f_rows, rs, skip_constant=True)
+
+
+def theorem6_rows(h_rows, g_rows, rs) -> np.ndarray:
+    """theorem6_lhs of stacked untagged pairs, maximised as in theorem5_rows;
+    the tails are summed before |h| is added, so bits may differ from it."""
+    rs = np.asarray(rs)
+    tails = majorant_rows(h_rows, rs, skip_constant=True) + majorant_rows(g_rows, rs, skip_constant=True)
+    return _max_modulus_rows(h_rows, rs) + tails
+
+
+def sharp_lhs(name: str, a, rs, k=0.0):
+    """Left-hand side of functional ``name`` at its sharp witness, in closed
+    form: the automorphism (z + a)/(1 + a z) for ``bohr`` and ``cor2``, the
+    pair extremal_theorem3(a, k) for ``t3`` and ``t6`` (at z = r), and
+    (a - z)/(1 - a z) at z = -r for ``t5``.  a, rs and k broadcast; each
+    entry has the bits of the tagged scalar call, and no series is built.
+    a and r must lie in [0, 1), k in [0, 1]."""
+    if name not in SHARP_FUNCTIONALS:
+        raise ValueError(f"unknown functional {name!r}; expected one of {', '.join(SHARP_FUNCTIONALS)}")
+    a, rs, k = unit_interval("a", a), unit_interval("r", rs), unit_interval("k", k, closed=True)
+    tail = mobius_tail(a, rs)
+    if name == "bohr":
+        return a + tail
+    if name == "cor2":
+        return corollary2_rational(a, rs) + tail
+    if name == "t3":
+        return theorem3_rational(a, k, rs) + tail + mobius_tail(a, rs, k)
+    if name == "t5":
+        return schwarz_pick_bound(a, rs) + tail
+    return schwarz_pick_bound(a, rs) + tail + mobius_tail(a, rs, k)
 
 
 def lemma2_bound(a: float, k: float, r: float) -> float:
@@ -133,19 +208,15 @@ def lemma2_bound(a: float, k: float, r: float) -> float:
     Dominates the combined tail sums of any admissible harmonic pair with
     |h(0)| = a for r <= 1/3.
     """
-    if not 0.0 <= a < 1.0:
-        raise ValueError("a must lie in [0, 1)")
-    if not 0.0 <= k <= 1.0:
-        raise ValueError("k must lie in [0, 1]")
+    unit_interval("a", a)
+    unit_interval("k", k, closed=True)
     if not 0.0 <= r <= CLASSICAL_CAP + 1e-12:
         raise ValueError("the bound is only claimed for r in [0, 1/3]")
     return mobius_tail(a, r, 1.0 + k)
 
 
-def schwarz_pick_bound(a: float, r: float) -> float:
-    """Pointwise bound (r + a) / (1 + a r) for |f| <= 1 with |f(0)| = a."""
-    if not 0.0 <= a < 1.0:
-        raise ValueError("a must lie in [0, 1)")
-    if not 0.0 <= r < 1.0:
-        raise ValueError("r must lie in [0, 1)")
+def schwarz_pick_bound(a, r):
+    """Pointwise bound (r + a) / (1 + a r) for |f| <= 1 with |f(0)| = a,
+    elementwise over arrays of a and r."""
+    a, r = unit_interval("a", a), unit_interval("r", r)
     return (r + a) / (1.0 + a * r)

@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, asdict
 
+from .series import unit_interval
+
 # Minimal |f(0)| for which the pointwise-plus-tail radius drops to 1/3.
 ANALYTIC_THRESHOLD_A = 2.0 * math.sqrt(3.0) - 3.0
 
@@ -102,8 +104,7 @@ def theorem5_radius(a: float) -> RadiusResult:
     continuous limit, where the value equals the universal radius
     sqrt(5) - 2.
     """
-    if not 0.0 <= a <= 1.0:
-        raise ValueError("a must lie in [0, 1]")
+    unit_interval("a", a, closed=True)
     value = 1.0 / (math.sqrt((1.0 + a) ** 2 + a * a) + 1.0 + a)
     return RadiusResult(
         value=value,
@@ -116,8 +117,7 @@ def theorem5_radius(a: float) -> RadiusResult:
 
 def theorem6_threshold(k: float) -> float:
     """Minimal |h(0)| for which the harmonic radius stays at or under 1/3."""
-    if not 0.0 <= k <= 1.0:
-        raise ValueError("k must lie in [0, 1]")
+    unit_interval("k", k, closed=True)
     return (math.sqrt(k * k + 12.0 * k + 12.0) - (2.0 * k + 3.0)) / (k + 1.0)
 
 
@@ -130,10 +130,8 @@ def theorem6_radius(a: float, k: float) -> RadiusResult:
     quotient is algebraically identical to the difference form and
     degenerates gracefully to the linear root 1/(k+2) at a = 0.
     """
-    if not 0.0 <= a <= 1.0:
-        raise ValueError("a must lie in [0, 1]")
-    if not 0.0 <= k <= 1.0:
-        raise ValueError("k must lie in [0, 1]")
+    unit_interval("a", a, closed=True)
+    unit_interval("k", k, closed=True)
     b = math.sqrt(
         a * a * (k * k + 8.0 * k + 8.0) + 2.0 * a * (k * k + 6.0 * k + 4.0) + (k + 2.0) ** 2
     )

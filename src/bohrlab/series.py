@@ -34,6 +34,15 @@ def mobius_tail(a, r, scale=1.0):
     return scale * r * (1.0 - a * a) / (1.0 - r * a)
 
 
+def unit_interval(name: str, value, closed: bool = False) -> np.ndarray:
+    """``value`` as a float array once every entry lies in [0, 1) ([0, 1] when
+    ``closed``); otherwise, nan included, a ValueError naming the parameter."""
+    arr = np.asarray(value, dtype=np.float64)
+    if not np.all((arr >= 0.0) & ((arr <= 1.0) if closed else (arr < 1.0))):
+        raise ValueError(f"{name} must lie in [0, 1{']' if closed else ')'}")
+    return arr
+
+
 @dataclass(frozen=True)
 class MobiusTag:
     """Closed-form certificate carried by disk-automorphism series.
@@ -249,11 +258,14 @@ def finite_rows(rows: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _prefix_stacks(a: np.ndarray, m: int) -> tuple:
-    """Views of the (rows, n) array ``a`` for outputs j < m of a row-wise
-    convolution: the (rows, 1, j+1) stacks of a[:, :j+1] and the (rows, 1, 1)
-    slots of column j."""
-    return [a[:, None, : j + 1] for j in range(m)], [a[:, j, None, None] for j in range(m)]
+def _prefix_stacks(a: np.ndarray, m: int) -> list:
+    """For each j < m, the (rows, 1, j+1) stack of a[:, :j+1] of a (rows, n) array."""
+    return [a[:, None, : j + 1] for j in range(m)]
+
+
+def _output_slots(a: np.ndarray, m: int) -> list:
+    """For each j < m, the (rows, 1, 1) slot of column j of a (rows, n) array."""
+    return [a[:, j, None, None] for j in range(m)]
 
 
 def _reversed_prefixes(b: np.ndarray) -> list:
@@ -287,7 +299,7 @@ def convolve_rows(a, b) -> np.ndarray:
         raise ValueError("convolve_rows needs two non-empty (rows, L) stacks of one shape")
     n = a.shape[1]
     out = np.empty_like(a)
-    _convolve_into(_prefix_stacks(a, n)[0], _reversed_prefixes(b), _prefix_stacks(out, n)[1], n)
+    _convolve_into(_prefix_stacks(a, n), _reversed_prefixes(b), _output_slots(out, n), n)
     return out
 
 
@@ -331,11 +343,12 @@ def _compose_block(g: np.ndarray, w: np.ndarray, top: int) -> np.ndarray:
     rows, n = g.shape
     rhs = _reversed_prefixes(w)
     bufs = (np.zeros((rows, n), dtype=np.complex128), np.zeros((rows, n), dtype=np.complex128))
-    stacks = [_prefix_stacks(buf, n) for buf in bufs]
+    lhs = [_prefix_stacks(buf, n) for buf in bufs]
+    slots = [_output_slots(buf, n) for buf in bufs]
     cur = 0
     bufs[cur][:, 0] = g[:, top]
     for k in range(top - 1, -1, -1):
-        _convolve_into(stacks[cur][0], rhs, stacks[1 - cur][1], n - k)
+        _convolve_into(lhs[cur], rhs, slots[1 - cur], n - k)
         cur = 1 - cur
         bufs[cur][:, 0] += g[:, k]
     return bufs[cur]
@@ -382,15 +395,9 @@ def majorant_eval(f: TruncatedSeries, r: float, skip_constant: bool = False) -> 
     """Truncated majorant sum: sum_k |c_k| r^k over the stored coefficients.
 
     Exact when exact_degree is set; otherwise a lower bound on the full
-    majorant sum of the represented function.
+    majorant sum of the represented function.  A one-row majorant_rows call.
     """
-    if not 0.0 <= r < 1.0:
-        raise ValueError("radius must lie in [0, 1)")
-    mags = np.abs(f.coeffs)
-    total = float(np.polynomial.polynomial.polyval(r, mags))
-    if skip_constant:
-        return total - float(mags[0])
-    return total
+    return float(majorant_rows(f.coeffs[None], [r], skip_constant)[0, 0])
 
 
 def evaluate(f: TruncatedSeries, z):
@@ -403,12 +410,9 @@ def majorant_rows(coeff_rows, rs, skip_constant: bool = False) -> np.ndarray:
 
     ``coeff_rows`` has shape (rows, N+1) and the result (rows, len(rs)).
     Horner runs the same floating-point operations element by element as
-    ``majorant_eval``, so entry [i, j] equals majorant_eval of row i at
-    rs[j] bit for bit.
+    np.polynomial.polynomial.polyval of each row at each radius.
     """
-    rs = np.asarray(rs, dtype=np.float64)
-    if not np.all((rs >= 0.0) & (rs < 1.0)):
-        raise ValueError("radius must lie in [0, 1)")
+    rs = unit_interval("radius", rs)
     mags = np.abs(np.asarray(coeff_rows))
     total = _polyval_rows(rs, mags)
     if skip_constant:

@@ -16,16 +16,14 @@ failures, so a pass is not a certificate for the untruncated functions.
 
 All five suites share one driver that builds and evaluates witnesses a
 block at a time.  t1, t3, t5 and t6 build a block as stacked (rows, N+1)
-arrays (series.blaschke_rows, series.compose_rows, series.convolve_rows,
-witnesses.quasi_rows, witnesses.harmonic_rows) whose every coefficient is
-the one the per-series functions give; a t5 or t6 block may span
-parameter groups.  t2 still builds its witnesses one at a time through
-series.compose and stacks them: perfbench's traced run counts that
-function's calls, so t2's construction moves to row kernels when the
-tracer learns to count them.  Every suite evaluates a block in one
-stacked pass (series.majorant_rows and series.evaluate_rows for Horner
-sums, cumulative sums for t2's partial sums) that runs the same
-floating-point operations as per-witness, per-radius evaluation.
+arrays through the row kernels of series and witnesses, whose every
+coefficient is the one the per-series functions give; t2 builds its
+witnesses one at a time through series.compose, whose calls perfbench's
+traced run counts, and stacks them.  Every left-hand side comes from
+bohrlab.functionals: its theorem*_rows functions evaluate a block in
+one pass with the bits of per-witness, per-radius evaluation, and
+sharp_lhs sums the sharp witnesses of t3, t5, t6 and the certificates in
+closed form without building a series.
 """
 
 from __future__ import annotations
@@ -38,12 +36,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .functionals import (
-    corollary2_lhs,
-    schwarz_pick_bound,
-    theorem3_lhs,
-    theorem3_rational,
-    theorem5_lhs,
-    theorem6_lhs,
+    sharp_lhs,
+    theorem1_rows,
+    theorem2_rows,
+    theorem3_rows,
+    theorem5_rows,
+    theorem6_rows,
 )
 from .radii import (
     ANALYTIC_THRESHOLD_A,
@@ -60,20 +58,16 @@ from .series import (
     TruncatedSeries,
     compose,
     compose_rows,
-    evaluate_rows,
     finite_rows,
-    majorant_rows,
     make_series,
     mobius_series,
-    mobius_tail,
     mul,
+    unit_interval,
 )
 from .witnesses import (
     bounded_rows,
     draw_blaschke_spec,
     draw_polynomial,
-    extremal_corollary2,
-    extremal_theorem3,
     extremal_theorem5,
     harmonic_rows,
     p_symmetric_lift,
@@ -88,8 +82,6 @@ DEFAULT_TRIALS = 1000
 DEFAULT_SEED = 42
 
 _SUITE_IDS = {"t1": 1, "t2": 2, "t3": 3, "t5": 5, "t6": 6}
-
-_PHASES = np.exp(2j * np.pi * np.arange(16) / 16.0)
 
 _LADDER = (0.9, 0.99, 0.999)
 
@@ -251,17 +243,6 @@ def _row_worst(table: np.ndarray, points) -> list:
     return [(float(row[col]), {"r": float(points[col])}) for row, col in zip(table, cols)]
 
 
-def _pointwise_residuals(h_rows, rs, g_rows=None) -> np.ndarray:
-    """theorem5_lhs (or theorem6_lhs with ``g_rows``) minus one for stacked
-    untagged series, maximising |h| over 16 phases at each radius."""
-    rs = np.asarray(rs)
-    tails = majorant_rows(h_rows, rs, skip_constant=True)
-    if g_rows is not None:
-        tails = tails + majorant_rows(g_rows, rs)
-    values = np.abs(evaluate_rows(h_rows, rs[:, None] * _PHASES)).max(axis=-1)
-    return values + tails - 1.0
-
-
 class _Draw(NamedTuple):
     """One random t5/t6 witness: its group, trial index, phase, rotated
     a0 = a * exp(i * phase) and Blaschke specs."""
@@ -291,6 +272,17 @@ def _stacked_outers(build, block, order: int) -> tuple:
     outers = [build(draw.a0, order) for draw in block]
     tops = [order if g.exact_degree is None else g.exact_degree for g in outers]
     return np.stack([g.coeffs for g in outers]), tops
+
+
+def _sharp_radius(theorem: str, a: float, k: float = 0.0) -> float:
+    """The sharp radius of t5, or of t6 with dilatation bound k, at a in
+    [0, 1) at or above the admissibility threshold; other a are refused."""
+    unit_interval("a", a)
+    threshold = ANALYTIC_THRESHOLD_A if theorem == "t5" else theorem6_threshold(k)
+    if a < threshold - 1e-12:
+        where = f"a={a}" if theorem == "t5" else f"(a={a}, k={k})"
+        raise ValueError(f"{where} is inadmissible: below the admissibility threshold {threshold:.7f}")
+    return (theorem5_radius(a) if theorem == "t5" else theorem6_radius(a, k)).value
 
 
 def _group_worst(block, groups, table) -> list:
@@ -371,7 +363,7 @@ def check_theorem1(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED, order
     grid = radius_grid(CLASSICAL_CAP, 12)
 
     def evaluate(_, fg):
-        return _row_worst(majorant_rows(fg[0], grid) - majorant_rows(fg[1], grid), grid)
+        return _row_worst(theorem1_rows(*fg, grid), grid)
 
     tracker = _Tracker()
     tracker.extend(_run_suite(draws, _t1_witness, evaluate, _t1_record, order))
@@ -415,18 +407,15 @@ def _t2_residual(f: np.ndarray, g: np.ndarray, grid) -> tuple:
     is kept, as np.argmax over one pair's flattened table does; the table
     is formed one radius at a time to keep a block's memory small."""
     leak = np.max(np.abs(f[..., 0::2]), axis=-1)
-    rs = np.asarray(grid)
-    pow_grid = rs[:, None] ** np.arange(1, f.shape[-1], 2)
-    f_odd, g_odd = np.abs(f[..., 1::2]), np.abs(g[..., 1::2])
     lengths, tops = [], []
-    for powers in pow_grid:
-        gaps = np.cumsum(f_odd * powers, axis=-1) - np.cumsum(g_odd * powers, axis=-1)
+    for r in grid:
+        gaps = theorem2_rows(f, g, r)
         lengths.append(np.argmax(gaps, axis=-1))
         tops.append(np.max(gaps, axis=-1))
     tops, lengths = np.stack(tops, axis=-1), np.stack(lengths, axis=-1)
     i = np.argmax(tops, axis=-1)[..., None]
     worst, m = np.take_along_axis(tops, i, -1)[..., 0], np.take_along_axis(lengths, i, -1)[..., 0]
-    where = {"r": rs[i[..., 0]], "partial_sum_length": m + 1, "even_leak": leak}
+    where = {"r": np.asarray(grid)[i[..., 0]], "partial_sum_length": m + 1, "even_leak": leak}
     return np.where(leak > worst, leak, worst), where
 
 
@@ -505,18 +494,10 @@ def _t3_witness(block, order: int) -> tuple:
 
 def _t3_residuals(witnesses, grid) -> np.ndarray:
     """theorem3_lhs - 1 of the random pairs on the grid, then |theorem3_lhs - 1|
-    of the sharp pairs (an automorphism at a_extremal and its tail scaled by
-    k, summed in closed form) on the same grid."""
+    of the sharp pairs (extremal_theorem3(a_extremal, k)) on the same grid."""
     h, index, g, a0_mods, ks, a_extremal = witnesses
-    rs = np.asarray(grid)
-    ks, a = ks[:, None], a_extremal[:, None]
-    random = (
-        theorem3_rational(a0_mods[:, None], ks, rs)
-        + majorant_rows(h, rs, skip_constant=True)[index]
-        + majorant_rows(g, rs, skip_constant=True)
-        - 1.0
-    )
-    sharp = np.abs(theorem3_rational(a, ks, rs) + mobius_tail(a, rs) + mobius_tail(a, rs, ks) - 1.0)
+    random = theorem3_rows(h, index, g, a0_mods, ks, grid) - 1.0
+    sharp = np.abs(sharp_lhs("t3", a_extremal[:, None], grid, ks[:, None]) - 1.0)
     return np.hstack([random, sharp])
 
 
@@ -536,9 +517,7 @@ def check_theorem3(
     k_grid = tuple(float(k) for k in k_grid)
     if not k_grid:
         raise ValueError("k_grid must not be empty")
-    for k in k_grid:
-        if not 0.0 <= k <= 1.0:
-            raise ValueError("k_grid values must lie in [0, 1]")
+    unit_interval("k_grid values", k_grid, closed=True)
     grid = radius_grid(CLASSICAL_CAP, 12)
     tracker = _Tracker()
     tracker.extend(
@@ -584,14 +563,11 @@ def check_theorem5(
     if a_grid is None:
         a_grid = (ANALYTIC_THRESHOLD_A, 0.5, 0.55, 0.6, 0.7, 0.8, 0.9, 0.95)
     a_grid = tuple(float(a) for a in a_grid)
-    for a in a_grid:
-        if a < ANALYTIC_THRESHOLD_A - 1e-12 or a >= 1.0:
-            raise ValueError(f"a={a} below the admissibility threshold {ANALYTIC_THRESHOLD_A:.7f}")
-    groups = _groups("t5", trials, seed, [theorem5_radius(a).value for a in a_grid])
+    groups = _groups("t5", trials, seed, [_sharp_radius("t5", a) for a in a_grid])
     results = _run_suite(
         _pointwise_draws(groups, a_grid, 1),
         _t5_witness,
-        lambda block, f: _group_worst(block, groups, lambda rows, rs: _pointwise_residuals(f[rows], rs)),
+        lambda block, f: _group_worst(block, groups, lambda rows, rs: theorem5_rows(f[rows], rs) - 1.0),
         lambda d: {"a": a_grid[d.group], "trial": d.trial, "phase": d.phase, "omega": _spec_dict(d.specs[0])},
         order,
     )
@@ -599,16 +575,15 @@ def check_theorem5(
     beyond = []
     for a, (rs, keys) in zip(a_grid, groups):
         tracker.extend(itertools.islice(results, len(keys)))
-        sharp = extremal_theorem5(a)
-        for r in rs:
-            tracker.update(theorem5_lhs(sharp, -r) - 1.0, {"a": a, "r": r, "witness": "extremal"})
         r_beyond = rs[-1] + 1e-3
-        lhs_beyond = theorem5_lhs(sharp, -r_beyond)
+        *sharp, lhs_beyond = sharp_lhs("t5", a, rs + (r_beyond,))
+        for r, lhs in zip(rs, sharp):
+            tracker.update(lhs - 1.0, {"a": a, "r": r, "witness": "extremal"})
         beyond.append({"a": a, "r": r_beyond, "lhs": float(lhs_beyond)})
         if lhs_beyond <= 1.0:
             tracker.update(1.0, {"a": a, "witness": "extremal-beyond", "lhs": float(lhs_beyond)})
-    for a in np.linspace(0.0, 0.99, 100):
-        lhs = theorem5_lhs(extremal_theorem5(float(a)), -UNIVERSAL_RADIUS)
+    a_sweep = np.linspace(0.0, 0.99, 100)
+    for a, lhs in zip(a_sweep, sharp_lhs("t5", a_sweep, UNIVERSAL_RADIUS)):
         tracker.update(lhs - 1.0, {"a": float(a), "r": UNIVERSAL_RADIUS, "witness": "universal-sweep"})
     return tracker.report(
         "t5",
@@ -663,16 +638,13 @@ def check_theorem6(
             a_values = tuple(alpha + (0.95 - alpha) * j / 3.0 for j in range(4))
         else:
             a_values = tuple(float(a) for a in a_grid)
-            for a in a_values:
-                if a < alpha - 1e-12 or a >= 1.0:
-                    raise ValueError(f"(a={a}, k={k}) is inadmissible: a must be >= {alpha:.7f}")
         pairs.extend((a, k) for a in a_values)
-    groups = _groups("t6", trials, seed, [theorem6_radius(a, k).value for a, k in pairs])
+    groups = _groups("t6", trials, seed, [_sharp_radius("t6", a, k) for a, k in pairs])
     results = _run_suite(
         _pointwise_draws(groups, [a for a, _ in pairs], 2),
         lambda block, n: _t6_witness(block, n, [pairs[d.group][1] for d in block]),
         lambda block, hg: _group_worst(
-            block, groups, lambda rows, rs: _pointwise_residuals(hg[0][rows], rs, hg[1][rows])
+            block, groups, lambda rows, rs: theorem6_rows(hg[0][rows], hg[1][rows], rs) - 1.0
         ),
         lambda d: {"a": pairs[d.group][0], "k": pairs[d.group][1], "trial": d.trial, "phase": d.phase},
         order,
@@ -683,10 +655,7 @@ def check_theorem6(
         tracker.extend(itertools.islice(results, len(keys)))
 
         r_ak = rs[-1]
-        tail = mobius_tail(a, r_ak)
-        point = schwarz_pick_bound(a, r_ak)
-        ladder = [point + (1.0 + mu * k) * tail for mu in _LADDER]
-        attained = point + (1.0 + k) * tail
+        *ladder, attained = sharp_lhs("t6", a, r_ak, [mu * k for mu in _LADDER] + [k])
         for lo, hi in zip(ladder, ladder[1:] + [attained]):
             if lo > hi + 1e-12:
                 tracker.update(1.0, {"a": a, "k": k, "witness": "ladder-monotonicity"})
@@ -696,9 +665,8 @@ def check_theorem6(
         if deviation > CERT_TOLERANCE:
             tracker.update(deviation, {"a": a, "k": k, "witness": "sharp-family-attainment"})
 
-        pair_sharp = extremal_theorem3(a, k)
         r_beyond = r_ak + 1e-3
-        lhs_beyond = theorem6_lhs(pair_sharp, r_beyond)
+        lhs_beyond = sharp_lhs("t6", a, r_beyond, k)
         beyond.append({"a": a, "k": k, "r": r_beyond, "lhs": float(lhs_beyond)})
         if lhs_beyond <= 1.0:
             tracker.update(1.0, {"a": a, "k": k, "witness": "extremal-beyond", "lhs": float(lhs_beyond)})
@@ -716,7 +684,7 @@ def check_theorem6(
 # Sharpness certificates.
 
 
-def sharpness_certificate(theorem: str, params: dict, order: int = DEFAULT_ORDER) -> VerificationReport:
+def sharpness_certificate(theorem: str, params: dict) -> VerificationReport:
     """Certify a sharpness claim with the named extremal witness.
 
     Radius-type claims (``t5``, ``t6``) require the closed-form left-hand
@@ -724,7 +692,7 @@ def sharpness_certificate(theorem: str, params: dict, order: int = DEFAULT_ORDER
     radius + 1e-3.  Equality-type claims (``cor2``, ``t3``) require the
     extremal to sit at one across the whole claimed r-interval.  The
     odd-function radius (``odd``) has no generated extremal witness here
-    and is refused.
+    and is refused.  ``params`` gives a, and k for ``t3`` and ``t6``.
     """
     if theorem == "odd":
         raise ValueError(
@@ -735,41 +703,24 @@ def sharpness_certificate(theorem: str, params: dict, order: int = DEFAULT_ORDER
         raise ValueError(f"unknown certificate target {theorem!r}")
     a = float(params["a"])
     worst = {"a": a}
-    if theorem == "cor2":
-        f = extremal_corollary2(a, order)
-        lhs = lambda r: corollary2_lhs(f, a, r)
-    elif theorem == "t3":
+    k = 0.0
+    if theorem in ("t3", "t6"):
         k = worst["k"] = float(params["k"])
-        pair = extremal_theorem3(a, k, order)
-        lhs = lambda r: theorem3_lhs(pair, a, r)
-    elif theorem == "t5":
-        if a < ANALYTIC_THRESHOLD_A - 1e-12:
-            raise ValueError(f"a={a} is below the admissibility threshold {ANALYTIC_THRESHOLD_A:.7f}")
-        radius = theorem5_radius(a).value
-        f = extremal_theorem5(a, order)
-        lhs = lambda r: theorem5_lhs(f, -r)
-    else:
-        k = worst["k"] = float(params["k"])
-        alpha = theorem6_threshold(k)
-        if a < alpha - 1e-12:
-            raise ValueError(f"(a={a}, k={k}) is inadmissible: a must be >= {alpha:.7f}")
-        radius = theorem6_radius(a, k).value
-        pair = extremal_theorem3(a, k, order)
-        lhs = lambda r: theorem6_lhs(pair, r)
 
     beyond = None
     if theorem in ("cor2", "t3"):
         grid = radius_grid(CLASSICAL_CAP, 25)
-        residual = max(abs(lhs(r) - 1.0) for r in grid)
+        residual = float(np.max(np.abs(sharp_lhs(theorem, a, grid, k) - 1.0)))
         worst["kind"] = "equality-on-interval"
     else:
+        radius = _sharp_radius(theorem, a, k)
         grid = (radius,)
-        attained, lhs_beyond = lhs(radius), lhs(radius + 1e-3)
+        attained, lhs_beyond = (float(x) for x in sharp_lhs(theorem, a, [radius, radius + 1e-3], k))
         residual = abs(attained - 1.0)
         if lhs_beyond <= 1.0:
             residual = max(residual, 1.0 + (1.0 - lhs_beyond))
-        beyond = {"r": float(radius + 1e-3), "lhs": float(lhs_beyond)}
-        worst.update(radius=float(radius), attained=float(attained), kind="radius")
+        beyond = {"r": float(radius + 1e-3), "lhs": lhs_beyond}
+        worst.update(radius=float(radius), attained=attained, kind="radius")
 
     tracker = _Tracker()
     tracker.update(residual, worst)

@@ -31,6 +31,7 @@ from .series import (
     mobius_series,
     mul,
     scale,
+    unit_interval,
 )
 
 # Tolerance of the construction-time convolution identity; any excess marks
@@ -213,8 +214,7 @@ def extremal_theorem3(a0: complex, lam: float, order: int = DEFAULT_ORDER) -> Ha
     The co-analytic constant never enters any majorant sum, so it is
     dropped; the pair's dilatation bound is exactly lam.
     """
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError("lam must lie in [0, 1]")
+    unit_interval("lam", lam, closed=True)
     h = mobius_series(a0, order)
     tail = np.array(h.coeffs * lam)
     tail[0] = 0.0
@@ -232,8 +232,7 @@ def harmonic_witness(h: TruncatedSeries, k: float, omega_tilde: TruncatedSeries)
     omega_tilde must come from a modulus-bounded family (its constant term
     may be nonzero), which makes |g'| <= k |h'| hold by construction.
     """
-    if not 0.0 <= k <= 1.0:
-        raise ValueError("k must lie in [0, 1]")
+    unit_interval("k", k, closed=True)
     g = integrate(scale(mul(omega_tilde, derivative(h)), k))
     return HarmonicPair(h=h, g=g, k=k)
 
@@ -243,9 +242,7 @@ def harmonic_rows(h_rows, ks, omega_tilde_rows, index=None) -> np.ndarray:
     k * omega_tilde * h' of (rows, N+1) stacks, bit for bit, checked finite.
     With ``index``, row i of the result pairs ks[i] with row index[i] of h
     and omega_tilde, so rows shared by several k are convolved once."""
-    ks = np.asarray(ks, dtype=np.float64)
-    if not np.all((ks >= 0.0) & (ks <= 1.0)):
-        raise ValueError("k must lie in [0, 1]")
+    ks = unit_interval("k", ks, closed=True)
     n = np.shape(h_rows)[1]
     slopes = np.zeros_like(h_rows)
     slopes[:, :-1] = h_rows[:, 1:] * np.arange(1, n)

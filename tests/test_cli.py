@@ -13,7 +13,7 @@ import pytest
 
 import bohrlab
 from bohrlab import cli
-from bohrlab.series import mobius_series
+from bohrlab.series import TruncatedSeries, mobius_series
 
 
 def run_cli(capsys, *argv):
@@ -135,25 +135,18 @@ class TestSweepCommand:
         assert all(v > 1 for v in beyond)
 
 
-    @pytest.mark.parametrize(
-        "functional, builder",
-        [
-            ("bohr", "extremal_corollary2"),
-            ("cor2", "extremal_corollary2"),
-            ("t3", "extremal_theorem3"),
-            ("t5", "extremal_theorem5"),
-            ("t6", "extremal_theorem3"),
-        ],
-    )
-    def test_extremal_built_once_per_sweep(self, capsys, monkeypatch, functional, builder):
-        real = getattr(cli, builder)
-        calls = []
+    @pytest.mark.parametrize("functional", ["bohr", "cor2", "t3", "t5", "t6"])
+    def test_sweep_builds_no_series(self, capsys, monkeypatch, functional):
+        # sweeps read the closed form of the sharp witness, so no
+        # TruncatedSeries is built, whatever the step count
+        real = TruncatedSeries.__post_init__
+        built = []
 
-        def counting(*args):
-            calls.append(args)
-            return real(*args)
+        def counting(self):
+            built.append(self)
+            real(self)
 
-        monkeypatch.setattr(cli, builder, counting)
+        monkeypatch.setattr(TruncatedSeries, "__post_init__", counting)
         code, out, _ = run_cli(
             capsys,
             "sweep", "--functional", functional, "--params", "a=0.6", "k=0.5",
@@ -161,7 +154,55 @@ class TestSweepCommand:
         )
         assert code == 0
         assert len(out.splitlines()) == 1002
-        assert len(calls) == 1
+        assert built == []
+
+    # sha256 prefixes of each functional's concatenated stdout over its
+    # cases, recorded from the per-r scalar evaluation of an order-8
+    # extremal series that sweeps ran before the closed form: steps 1000,
+    # 1 and 0, endpoints snapped to 1/3, 1/sqrt(3) and sqrt(5)-2, a = 0,
+    # k in {0, 1} and an explicit lambda.
+    SWEEP_GOLDEN = {
+        "bohr": (
+            [(["a=0.5"], "0", "0.3333333333", 1000), (["a=0"], "0.2", "0.9", 1),
+             (["a=0.95"], "0.5773502692", "0.5773502692", 0)],
+            "f31485eaa868a28b",
+        ),
+        "cor2": (
+            [(["a=0.3"], "0", "0.3333333333", 1000), (["a=0"], "0.1", "0.5", 1),
+             (["a=0.7"], "0.2360679775", "0.6", 0)],
+            "d7d0dcd328420842",
+        ),
+        "t3": (
+            [(["a=0.4", "k=0"], "0", "0.3333333333", 1000), (["a=0", "k=1"], "0", "0.9", 1),
+             (["a=0.6", "k=0.5", "lambda=0.25"], "0.1", "0.3333333333", 0)],
+            "0c4f5dc37ba0cae9",
+        ),
+        "t5": (
+            [(["a=0.6"], "0", "0.6", 1000), (["a=0"], "0", "0.2360679775", 1),
+             (["a=0.4641016151377544"], "0.2360679775", "0.5", 0)],
+            "4ae2e8fbcbc1bd06",
+        ),
+        "t6": (
+            [(["a=0.6", "k=1"], "0", "0.9", 1000), (["a=0", "k=0"], "0.1", "0.5773502692", 1),
+             (["a=0.8", "k=0.5", "lambda=0.3"], "0", "0.4", 0)],
+            "369c3277df0157a2",
+        ),
+    }
+
+    @pytest.mark.parametrize("functional", sorted(SWEEP_GOLDEN))
+    def test_stdout_matches_golden_digest(self, capsys, functional):
+        cases, expected = self.SWEEP_GOLDEN[functional]
+        digest = hashlib.sha256()
+        for params, r_min, r_max, steps in cases:
+            code, out, err = run_cli(
+                capsys,
+                "sweep", "--functional", functional, "--params", *params,
+                "--r-min", r_min, "--r-max", r_max, "--steps", str(steps),
+            )
+            assert code == 0 and err == ""
+            assert len(out.splitlines()) == steps + 2
+            digest.update(out.encode())
+        assert digest.hexdigest()[:16] == expected
 
     @pytest.mark.parametrize("functional", ["bohr", "cor2", "t3", "t5", "t6"])
     @pytest.mark.parametrize("a", ["-0.5", "1", "nan"])
@@ -176,6 +217,22 @@ class TestSweepCommand:
         assert code == 1
         assert out == ""
         assert "a must lie in [0, 1)" in err
+
+    @pytest.mark.parametrize("functional", ["t3", "t6"])
+    @pytest.mark.parametrize("key", ["a", "k", "lambda"])
+    @pytest.mark.parametrize("value", ["-0.5", "1.5", "nan"])
+    def test_bad_parameter_refused_by_name(self, capsys, functional, key, value):
+        params = {"a": "0.6", "k": "0.5", "lambda": "0.5"}
+        params[key] = value
+        code, out, err = run_cli(
+            capsys,
+            "sweep", "--functional", functional, "--params", *(f"{k}={v}" for k, v in params.items()),
+            "--r-min", "0", "--r-max", "0.3", "--steps", "2",
+        )
+        assert code == 1
+        assert out == ""
+        interval = "[0, 1)" if key == "a" else "[0, 1]"
+        assert err == f"bohrlab: error: {key} must lie in {interval}\n"
 
 
 class TestExtremalCommand:

@@ -9,13 +9,17 @@ from bohrlab.functionals import (
     corollary2_lhs,
     lemma2_bound,
     schwarz_pick_bound,
+    sharp_lhs,
     theorem3_lhs,
     theorem5_lhs,
+    theorem5_rows,
     theorem6_lhs,
+    theorem6_rows,
 )
 from bohrlab.series import BlaschkeSpec, compose, make_series, mobius_series
 from bohrlab.witnesses import (
     bounded_from_spec,
+    extremal_corollary2,
     extremal_theorem3,
     extremal_theorem5,
     harmonic_witness,
@@ -231,3 +235,75 @@ class TestHarmonicPair:
         zero = make_series([], 4)
         assert HarmonicPair(h=zero, g=zero, k=0.5).quasiconformal_K == pytest.approx(3.0)
         assert HarmonicPair(h=zero, g=zero, k=1.0).quasiconformal_K == np.inf
+
+
+class TestSharpLhs:
+    """sharp_lhs gives the bits of the tagged scalar functionals at the
+    extremal witnesses, on a 200 x 100 grid of (a, r) per functional."""
+
+    A = np.concatenate([[0.0, 0.5, 0.999], np.random.default_rng(71).uniform(0.0, 1.0, 197)])
+    R = np.concatenate([[0.0, 1 / 3, 0.999], np.random.default_rng(72).uniform(0.0, 1.0, 97)])
+
+    @staticmethod
+    def _scalar(name, a, k):
+        if name in ("bohr", "cor2"):
+            f = extremal_corollary2(a, 8)
+            return (lambda r: bohr_sum(f, r)) if name == "bohr" else (lambda r: corollary2_lhs(f, a, r))
+        if name == "t5":
+            f = extremal_theorem5(a, 8)
+            return lambda r: theorem5_lhs(f, -r)
+        pair = extremal_theorem3(a, k, 8)
+        return (lambda r: theorem3_lhs(pair, a, r)) if name == "t3" else (lambda r: theorem6_lhs(pair, r))
+
+    @pytest.mark.parametrize(
+        "name, k",
+        [("bohr", 0.0), ("cor2", 0.0), ("t5", 0.0), ("t3", 0.0), ("t3", 1.0), ("t3", 0.37),
+         ("t6", 0.0), ("t6", 1.0), ("t6", 0.37)],
+    )
+    def test_matches_tagged_scalar_bits(self, name, k):
+        got = sharp_lhs(name, self.A[:, None], self.R, k)
+        expected = np.array([[value(r) for r in self.R] for value in (self._scalar(name, a, k) for a in self.A)])
+        assert got.shape == (200, 100)
+        assert got.tobytes() == expected.tobytes()
+
+    def test_k_broadcasts_elementwise(self):
+        ks = np.array([0.0, 0.25, 1.0])
+        got = sharp_lhs("t6", 0.6, 0.3, ks)
+        assert got.tobytes() == np.array([sharp_lhs("t6", 0.6, 0.3, k) for k in ks]).tobytes()
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"a": -0.5}, r"a must lie in \[0, 1\)"),
+            ({"a": 1.0}, r"a must lie in \[0, 1\)"),
+            ({"a": float("nan")}, r"a must lie in \[0, 1\)"),
+            ({"rs": [0.2, 1.0]}, r"r must lie in \[0, 1\)"),
+            ({"rs": float("nan")}, r"r must lie in \[0, 1\)"),
+            ({"k": 1.5}, r"k must lie in \[0, 1\]"),
+            ({"k": [0.5, float("nan")]}, r"k must lie in \[0, 1\]"),
+            ({"name": "t9"}, "unknown functional"),
+        ],
+    )
+    def test_refuses_out_of_range(self, kwargs, message):
+        args = {"name": "t6", "a": 0.5, "rs": 0.2, "k": 0.5, **kwargs}
+        with pytest.raises(ValueError, match=message):
+            sharp_lhs(**args)
+
+
+class TestPointwiseRows:
+    """theorem5_rows and theorem6_rows take the largest value over 16 phases
+    of the scalar functionals at each radius."""
+
+    def test_rows_bound_the_scalar_values_at_the_phases(self):
+        rng = np.random.default_rng(8)
+        specs = [BlaschkeSpec(zeros=(complex(rng.uniform(0, 0.9)),)) for _ in range(3)]
+        h = [compose(mobius_series(0.6, 32), schwarz_from_spec(spec, order=32)) for spec in specs]
+        pairs = [harmonic_witness(f, 0.5, bounded_from_spec(specs[0], 32)) for f in h]
+        rs = np.array([0.1, 0.3])
+        five = theorem5_rows(np.stack([f.coeffs for f in h]), rs)
+        six = theorem6_rows(np.stack([f.coeffs for f in h]), np.stack([p.g.coeffs for p in pairs]), rs)
+        phases = np.exp(2j * np.pi * np.arange(16) / 16.0)
+        for i, (f, pair) in enumerate(zip(h, pairs)):
+            for j, r in enumerate(rs):
+                assert five[i, j] == pytest.approx(max(theorem5_lhs(f, r * z) for z in phases), abs=1e-15)
+                assert six[i, j] == pytest.approx(max(theorem6_lhs(pair, r * z) for z in phases), abs=1e-15)

@@ -174,6 +174,25 @@ class TestSharpnessCertificates:
         with pytest.raises(ValueError, match="unknown"):
             sharpness_certificate("t9", {})
 
+    @pytest.mark.parametrize(
+        "theorem, key",
+        [("cor2", "a"), ("t3", "a"), ("t3", "k"), ("t5", "a"), ("t6", "a"), ("t6", "k")],
+    )
+    @pytest.mark.parametrize("value", [-0.5, 1.5, float("nan")])
+    def test_bad_parameter_refused_by_name(self, theorem, key, value):
+        params = {"a": 0.6, "k": 0.5, key: value}
+        interval = r"\[0, 1\)" if key == "a" else r"\[0, 1\]"
+        with pytest.raises(ValueError, match=f"^{key} must lie in {interval}$"):
+            sharpness_certificate(theorem, params)
+
+    def test_certificate_builds_no_series(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("a certificate built a series")
+
+        monkeypatch.setattr(verify_mod.TruncatedSeries, "__post_init__", refuse)
+        for theorem in ("cor2", "t3", "t5", "t6"):
+            assert sharpness_certificate(theorem, {"a": 0.6, "k": 0.5}).verdict == "pass"
+
 
 class TestConservativeness:
     def test_universal_radius_sweep_is_inside(self):
@@ -436,14 +455,15 @@ class TestNonFiniteResiduals:
 
     @pytest.mark.parametrize("check", [check_theorem5, check_theorem6])
     def test_pointwise_suites_refuse_nan(self, monkeypatch, check):
-        real = verify_mod._pointwise_residuals
+        rows = "theorem5_rows" if check is check_theorem5 else "theorem6_rows"
+        real = getattr(verify_mod, rows)
 
         def poisoned(*args, **kwargs):
             table = real(*args, **kwargs)
             table[-1, 0] = np.nan
             return table
 
-        monkeypatch.setattr(verify_mod, "_pointwise_residuals", poisoned)
+        monkeypatch.setattr(verify_mod, rows, poisoned)
         with pytest.raises(ValueError, match="non-finite residual nan at .*'trial'"):
             check(trials=10, seed=1, order=16)
 
