@@ -77,6 +77,15 @@ def _parse_params(tokens) -> dict:
     return out
 
 
+def _refuse_unread(where: str, given: dict, read) -> None:
+    """Refuse every entry of ``given`` (name -> value, None when absent) whose
+    name ``where`` does not read, so mistyped or misplaced input is never
+    silently ignored."""
+    unread = [name for name, value in given.items() if value is not None and name not in read]
+    if unread:
+        raise ValueError(f"{where} does not read {', '.join(unread)}")
+
+
 def _print_json(payload):
     sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
@@ -116,6 +125,8 @@ def _build_parser() -> _Parser:
 
 def _cmd_radius(args) -> int:
     theorem = args.theorem
+    read = {"classical": (), "odd": (), "psym": ("--p",), "t5": ("--a",), "t6": ("--a", "--k")}[theorem]
+    _refuse_unread(f"radius --theorem {theorem}", {"--a": args.a, "--k": args.k, "--p": args.p}, read)
     if theorem == "classical":
         result = radii.classical_radius()
     elif theorem == "odd":
@@ -151,6 +162,7 @@ def _claimed_cap(functional: str, params: dict) -> float:
 
 def _cmd_sweep(args) -> int:
     params = _parse_params(args.params)
+    _refuse_unread(f"sweep --functional {args.functional}", params, ("a", "k", "lambda"))
     needed = {"bohr": ("a",), "cor2": ("a",), "t3": ("a", "k"), "t5": ("a",), "t6": ("a", "k")}
     for key in needed[args.functional]:
         if key not in params:
@@ -184,6 +196,8 @@ def _coeff_list(series) -> list:
 
 
 def _cmd_extremal(args) -> int:
+    read = ("--k", "--lambda") if args.theorem in ("t3", "t6") else ()
+    _refuse_unread(f"extremal --theorem {args.theorem}", {"--k": args.k, "--lambda": args.lam}, read)
     order = _resolve_order(args)
     a = args.a
     payload = {"theorem": args.theorem, "a": a, "order": order}

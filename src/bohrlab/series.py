@@ -450,19 +450,39 @@ def mobius_series(a0: complex, order: int) -> TruncatedSeries:
     Coefficient 0 is a0 and coefficient k is
     (-1)^(k-1) (1 - |a0|^2) conj(a0)^(k-1) for k >= 1, so the moduli form
     the geometric family (1 - |a0|^2) |a0|^(k-1).  The result carries a
-    closed-form tag used by the functional layer.
+    closed-form tag used by the functional layer.  A one-row mobius_rows call.
     """
     a0 = complex(a0)
-    if abs(a0) >= 1.0:
+    out = mobius_rows([a0], order)[0]
+    degree = 1 if a0 == 0 else None
+    return TruncatedSeries(out, exact_degree=degree, tag=MobiusTag(a0, "plus"))
+
+
+def mobius_rows(a0s, order: int, kind: str = "plus") -> np.ndarray:
+    """Coefficient rows, one per a0 of a 1-D array, of the disk automorphism
+    (z + a0) / (1 + conj(a0) z) (``kind`` "plus", as mobius_series) or
+    (a0 - z) / (1 - conj(a0) z) ("minus", whose coefficient k >= 1 is
+    -(1 - |a0|^2) conj(a0)^(k-1)).  Each row has the bits of the one-row
+    call; an a0 of 0 gives a polynomial of degree 1.
+
+    1 - |a0|^2 is formed one a0 at a time with Python's abs and ``**``,
+    because ``**`` goes through libm's pow, which differs from the rounded
+    product x * x for about one a0 in a thousand.
+    """
+    if kind not in ("plus", "minus"):
+        raise ValueError(f"unknown automorphism kind {kind!r}")
+    a0s = np.asarray(a0s, dtype=np.complex128)
+    if np.any(np.hypot(a0s.real, a0s.imag) >= 1.0):
         raise ValueError("automorphism parameter must satisfy |a0| < 1")
     if order < 1:
         raise ValueError("order must be >= 1")
-    out = np.zeros(order + 1, dtype=np.complex128)
-    out[0] = a0
     k = np.arange(order)
-    out[1:] = (-1.0) ** k * (1.0 - abs(a0) ** 2) * a0.conjugate() ** k
-    degree = 1 if a0 == 0 else None
-    return TruncatedSeries(out, exact_degree=degree, tag=MobiusTag(a0, "plus"))
+    signs = (-1.0) ** k if kind == "plus" else np.full(order, -1.0)
+    scales = np.array([1.0 - abs(a0) ** 2 for a0 in a0s.tolist()]).reshape(-1, 1)
+    out = np.empty((a0s.size, order + 1), dtype=np.complex128)
+    out[:, 0] = a0s
+    out[:, 1:] = signs * scales * np.conj(a0s)[:, None] ** k
+    return out
 
 
 @dataclass(frozen=True)
@@ -478,16 +498,39 @@ class BlaschkeSpec:
 
     def __post_init__(self):
         zeros = tuple(complex(z) for z in self.zeros)
-        if len(zeros) > MAX_BLASCHKE_ZEROS:
-            raise ValueError(f"at most {MAX_BLASCHKE_ZEROS} zeros per Blaschke product")
-        for z in zeros:
-            if abs(z) > BLASCHKE_ZERO_CAP + 1e-12:
-                raise ValueError(f"zero with modulus {abs(z):.4f} exceeds cap {BLASCHKE_ZERO_CAP}")
         rot = complex(self.rotation)
-        if abs(abs(rot) - 1.0) > ROTATION_TOL:
-            raise ValueError("rotation must be unimodular")
+        _check_blaschke(len(zeros), [abs(z) for z in zeros], abs(rot))
         object.__setattr__(self, "zeros", zeros)
         object.__setattr__(self, "rotation", rot)
+
+
+def _check_blaschke(counts, zero_moduli, rotation_moduli):
+    """BlaschkeSpec's checks, on one spec or on columns of many: at most
+    MAX_BLASCHKE_ZEROS zeros, none of modulus above BLASCHKE_ZERO_CAP, and
+    a unimodular rotation."""
+    if np.any(np.asarray(counts) > MAX_BLASCHKE_ZEROS):
+        raise ValueError(f"at most {MAX_BLASCHKE_ZEROS} zeros per Blaschke product")
+    zero_moduli = np.asarray(zero_moduli, dtype=np.float64)
+    over = zero_moduli > BLASCHKE_ZERO_CAP + 1e-12
+    if np.any(over):
+        raise ValueError(f"zero with modulus {zero_moduli[over][0]:.4f} exceeds cap {BLASCHKE_ZERO_CAP}")
+    if np.any(np.abs(np.asarray(rotation_moduli) - 1.0) > ROTATION_TOL):
+        raise ValueError("rotation must be unimodular")
+
+
+def _spec_columns(specs) -> tuple:
+    """(zeros, counts, rotations) of a sequence of specs, each an object with
+    ``zeros`` and ``rotation`` as BlaschkeSpec has: zeros is a
+    (rows, MAX_BLASCHKE_ZEROS) array holding the zeros of each spec in
+    order and zero after them.  Every spec passes BlaschkeSpec's checks."""
+    counts = np.array([len(spec.zeros) for spec in specs], dtype=np.intp)
+    rotations = np.array([spec.rotation for spec in specs], dtype=np.complex128)
+    width = max(MAX_BLASCHKE_ZEROS, int(counts.max(initial=0)))  # wider only for specs refused below
+    zeros = np.zeros((counts.size, width), dtype=np.complex128)
+    if counts.any():
+        zeros[np.arange(width) < counts[:, None]] = np.concatenate([spec.zeros for spec in specs])
+    _check_blaschke(counts, np.abs(zeros), np.abs(rotations))
+    return zeros, counts, rotations
 
 
 def eval_blaschke(spec: BlaschkeSpec, z):
@@ -529,24 +572,27 @@ def blaschke_series(spec: BlaschkeSpec, order: int, vanish_at_origin: bool = Fal
 def blaschke_rows(specs, order: int, vanish_at_origin: bool = False) -> np.ndarray:
     """Stacked blaschke_series coefficients, one row per spec, bit for bit.
 
-    Factor i of every spec with more than i zeros is expanded and convolved
-    in one convolve_rows call; specs with fewer zeros are left out of it,
-    as blaschke_series never convolves them.
+    ``specs`` is a sequence of BlaschkeSpec or of any objects with its
+    ``zeros`` and ``rotation``, such as witnesses.DrawnSpec, and every spec
+    must pass BlaschkeSpec's checks.  Factor i of every spec with more than
+    i zeros is expanded and convolved in one convolve_rows call; specs with
+    fewer zeros are left out of it, as blaschke_series never convolves them.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
+    zeros, counts, rotations = _spec_columns(specs)
     n = order + 1
-    acc = np.zeros((len(specs), n), dtype=np.complex128)
-    acc[:, 0] = [spec.rotation for spec in specs]
-    counts = np.array([len(spec.zeros) for spec in specs])
+    acc = np.zeros((counts.size, n), dtype=np.complex128)
+    acc[:, 0] = rotations
     powers = np.arange(order)
     for i in range(int(counts.max(initial=0))):
         sel = np.flatnonzero(counts > i)
-        zeros = [specs[row].zeros[i] for row in sel]
+        zero = zeros[sel, i]
         factor = np.empty((sel.size, n), dtype=np.complex128)
-        factor[:, 0] = [-zero for zero in zeros]
-        scales = np.array([1.0 - abs(zero) ** 2 for zero in zeros])[:, None]
-        factor[:, 1:] = scales * np.conj(np.array(zeros))[:, None] ** powers
+        factor[:, 0] = -zero
+        # Python's abs and ** per zero, as blaschke_series forms the scale
+        scales = np.array([1.0 - abs(z) ** 2 for z in zero.tolist()])[:, None]
+        factor[:, 1:] = scales * np.conj(zero)[:, None] ** powers
         acc[sel] = convolve_rows(acc[sel], factor)
     if vanish_at_origin:
         acc[:, 1:] = acc[:, :-1].copy()

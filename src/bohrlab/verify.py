@@ -14,16 +14,19 @@ the true sums.  A truncated left-hand side can hide a violation that lives
 in the dropped tail, and the doubled-order retry guards only against false
 failures, so a pass is not a certificate for the untruncated functions.
 
-All five suites share one driver that builds and evaluates witnesses a
-block at a time.  t1, t3, t5 and t6 build a block as stacked (rows, N+1)
-arrays through the row kernels of series and witnesses, whose every
-coefficient is the one the per-series functions give; t2 builds its
-witnesses one at a time through series.compose, whose calls perfbench's
-traced run counts, and stacks them.  Every left-hand side comes from
-bohrlab.functionals: its theorem*_rows functions evaluate a block in
-one pass with the bits of per-witness, per-radius evaluation, and
-sharp_lhs sums the sharp witnesses of t3, t5, t6 and the certificates in
-closed form without building a series.
+Each suite draws its trials a chunk at a time and column by column: the
+polynomial coefficients, Blaschke zeros and rotations of a chunk are formed
+as arrays from one run of doubles per trial and spec, with the bits and the
+generator calls of per-object draws.  All five suites share one driver
+that builds and evaluates witnesses a block at a time as stacked (rows,
+N+1) arrays through the row kernels of series and witnesses, whose every
+coefficient is the one the per-series functions give.  t2 builds its outers
+and inners as rows and only composes each witness on its own, through
+series.compose, whose calls perfbench's traced run counts.  Every
+left-hand side comes from bohrlab.functionals: its theorem*_rows functions
+evaluate a block in one pass with the bits of per-witness, per-radius
+evaluation, and sharp_lhs sums the sharp witnesses of t3, t5, t6 and the
+certificates in closed form without building a series.
 """
 
 from __future__ import annotations
@@ -54,25 +57,21 @@ from .radii import (
 )
 from .series import (
     DEFAULT_ORDER,
-    BlaschkeSpec,
     TruncatedSeries,
     compose,
     compose_rows,
     finite_rows,
-    make_series,
-    mobius_series,
-    mul,
+    mobius_rows,
     unit_interval,
 )
 from .witnesses import (
+    DrawnSpec,
     bounded_rows,
-    draw_blaschke_spec,
-    draw_polynomial,
-    extremal_theorem5,
+    draw_polynomials,
+    draw_specs,
     harmonic_rows,
-    p_symmetric_lift,
+    odd_rows,
     quasi_rows,
-    schwarz_from_spec,
     schwarz_rows,
 )
 
@@ -96,6 +95,10 @@ _T2_BASE_DEGREE = 3
 # per convolution output for the whole block, so t5 and t6 blocks are cut
 # by this budget alone and may span parameter groups.
 _COEFF_BUDGET = 2 ** 14
+
+# Trials are drawn this many at a time; a trial's draws do not depend on
+# the chunk it falls in, so the count bounds only the draws held at once.
+_DRAW_ROWS = 256
 
 
 def _sine_fractions(n: int) -> tuple:
@@ -172,30 +175,27 @@ def _pair(z: complex) -> list:
     return [float(z.real), float(z.imag)]
 
 
-def _spec_dict(spec: BlaschkeSpec) -> dict:
-    return {"zeros": [_pair(z) for z in spec.zeros], "rotation": _pair(spec.rotation)}
+def _spec_dict(spec: DrawnSpec) -> dict:
+    return {"zeros": [_pair(z) for z in spec.zeros.tolist()], "rotation": _pair(spec.rotation)}
 
 
-def _spec_from_dict(d: dict) -> BlaschkeSpec:
-    return BlaschkeSpec(
-        zeros=tuple(complex(re, im) for re, im in d["zeros"]),
-        rotation=complex(d["rotation"][0], d["rotation"][1]),
-    )
+def _poly_dict(coeffs: np.ndarray, degree: int) -> list:
+    return [_pair(c) for c in coeffs[: degree + 1].tolist()]
 
 
-def _poly_dict(poly) -> list:
-    return [_pair(complex(c)) for c in poly.coeffs[: poly.exact_degree + 1]]
-
-
-def _poly_from_dict(entries, order):
-    return make_series([complex(re, im) for re, im in entries], order)
+def _keyed_draws(keys, draw):
+    """The items of draw(rngs, chunk) over consecutive chunks of ``keys``, in
+    order, where rngs[i] is the PCG64 stream keyed by chunk[i]."""
+    keys = iter(keys)
+    while chunk := list(itertools.islice(keys, _DRAW_ROWS)):
+        yield from draw([np.random.default_rng(key) for key in chunk], chunk)
 
 
 def _trial_params(suite: str, draw, trials: int, seed: int):
-    """draw(rng, t) for each trial t, rng keyed by (suite id, seed, t)."""
+    """The items of draw(rngs, keys) over the trial keys (suite id, seed, t)."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    return (draw(np.random.default_rng((_SUITE_IDS[suite], seed, t)), t) for t in range(trials))
+    return _keyed_draws(((_SUITE_IDS[suite], seed, t) for t in range(trials)), draw)
 
 
 def _groups(suite: str, trials: int, seed: int, radii) -> list:
@@ -257,21 +257,26 @@ class _Draw(NamedTuple):
 def _pointwise_draws(groups, a_values, specs: int):
     """The draws of each group in turn: the trial's stream gives the phase
     first, then ``specs`` Blaschke specs."""
-    for g, (a, (_, keys)) in enumerate(zip(a_values, groups)):
-        for key in keys:
-            rng = np.random.default_rng(key)
-            phase = rng.uniform(0.0, 2.0 * np.pi)
-            a0 = complex(a * np.exp(1j * phase))
-            yield _Draw(g, key[-1], phase, a0, tuple(draw_blaschke_spec(rng) for _ in range(specs)))
+
+    def draw(rngs, keys):
+        phases = (2.0 * np.pi) * np.array([rng.random() for rng in rngs])
+        drawn = [draw_specs(rngs) for _ in range(specs)]
+        a0s = np.array([a_values[key[2]] for key in keys]) * np.exp(1j * phases)
+        return [
+            _Draw(key[2], key[3], phase, a0, tuple(row))
+            for key, phase, a0, *row in zip(keys, phases.tolist(), a0s.tolist(), *drawn)
+        ]
+
+    return _keyed_draws((key for _, keys in groups for key in keys), draw)
 
 
-def _stacked_outers(build, block, order: int) -> tuple:
-    """(coefficient rows, Horner starts) of the outers build(a0, order) at the
-    a0 of each draw of a block; an outer starts Horner at its exact degree,
-    as in compose, or at the order when it is a truncation."""
-    outers = [build(draw.a0, order) for draw in block]
-    tops = [order if g.exact_degree is None else g.exact_degree for g in outers]
-    return np.stack([g.coeffs for g in outers]), tops
+def _automorphisms(block, order: int, kind: str) -> tuple:
+    """(coefficient rows, Horner starts) of the disk automorphisms
+    (mobius_rows) at the a0 of each draw of a block.  The one at a0 = 0 is
+    a polynomial of degree 1 and starts Horner there, as compose starts at
+    an exact degree; any other is a truncation and starts at the order."""
+    a0s = np.array([draw.a0 for draw in block])
+    return mobius_rows(a0s, order, kind), np.where(a0s == 0, 1, order)
 
 
 def _sharp_radius(theorem: str, a: float, k: float = 0.0) -> float:
@@ -304,28 +309,35 @@ def _group_worst(block, groups, table) -> list:
 
 
 class _T1Draw(NamedTuple):
-    """One t1 trial: its index, variant, polynomial outer g (exact, order 8)
-    and the Blaschke specs of phi and omega.  Its record is built when the
-    suite reports it, so a block holds only the drawn objects."""
+    """One t1 trial: its index, variant, the coefficients 0..8 of its
+    polynomial outer g and g's degree, and the Blaschke specs of phi and
+    omega.  Its record is built when the suite reports it, so a block holds
+    only the drawn objects."""
 
     trial: int
     variant: str
-    g: TruncatedSeries
-    phi: BlaschkeSpec
-    omega: BlaschkeSpec
+    g: np.ndarray
+    degree: int
+    phi: DrawnSpec
+    omega: DrawnSpec
 
 
-def _draw_t1_params(rng: np.random.Generator, trial: int) -> _T1Draw:
-    variant = ("general", "subordination", "majorization")[trial % 3]
-    g = draw_polynomial(rng, _T1_OUTER_DEGREE)
-    return _T1Draw(trial, variant, g, draw_blaschke_spec(rng), draw_blaschke_spec(rng))
+def _t1_draws(rngs, keys) -> list:
+    """The t1 trials keyed by ``keys``: each stream gives g, then phi, then omega."""
+    g, degrees = draw_polynomials(rngs, _T1_OUTER_DEGREE)
+    phis, omegas = draw_specs(rngs), draw_specs(rngs)
+    variants = ("general", "subordination", "majorization")
+    return [
+        _T1Draw(key[-1], variants[key[-1] % 3], *drawn)
+        for key, *drawn in zip(keys, g, degrees, phis, omegas)
+    ]
 
 
 def _t1_record(d: _T1Draw) -> dict:
     return {
         "trial": d.trial,
         "variant": d.variant,
-        "g": _poly_dict(d.g),
+        "g": _poly_dict(d.g, d.degree),
         "phi": _spec_dict(d.phi),
         "omega": _spec_dict(d.omega),
     }
@@ -346,8 +358,8 @@ def _t1_witness(block, order: int) -> tuple:
     omega[:, 1] = 1.0
     drawn = [i for i, d in enumerate(block) if d.variant != "majorization"]
     omega[drawn] = schwarz_rows([block[i].omega for i in drawn], order)
-    g = np.stack([d.g.coeffs for d in block])
-    return quasi_rows(g, [d.g.exact_degree for d in block], phi, omega), g
+    g = np.stack([d.g for d in block])
+    return quasi_rows(g, [d.degree for d in block], phi, omega), g
 
 
 def check_theorem1(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED, order: int = DEFAULT_ORDER) -> VerificationReport:
@@ -359,7 +371,7 @@ def check_theorem1(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED, order
     """
     if order < _T1_OUTER_DEGREE:
         raise ValueError(f"t1 needs order >= {_T1_OUTER_DEGREE}, the degree of its random outers")
-    draws = _trial_params("t1", _draw_t1_params, trials, seed)
+    draws = _trial_params("t1", _t1_draws, trials, seed)
     grid = radius_grid(CLASSICAL_CAP, 12)
 
     def evaluate(_, fg):
@@ -374,28 +386,49 @@ def check_theorem1(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED, order
 # Suite 2: odd composition pairs, including partial-sum domination.
 
 
-def _draw_t2_params(rng: np.random.Generator, trial: int) -> dict:
-    q = _poly_dict(draw_polynomial(rng, _T2_BASE_DEGREE, max_degree=_T2_BASE_DEGREE))
-    omega = _spec_dict(draw_blaschke_spec(rng))
-    identity_inner = trial % 5 == 0
-    return {"trial": trial, "q": q, "omega": omega, "identity_inner": identity_inner}
+class _T2Draw(NamedTuple):
+    """One t2 trial: its index, the coefficients 0..3 of its base q and q's
+    degree, the Blaschke spec of its inner and whether the inner is z."""
+
+    trial: int
+    q: np.ndarray
+    degree: int
+    omega: DrawnSpec
+    identity_inner: bool
 
 
-def _t2_witness(params: dict, order: int) -> tuple:
-    """Coefficients of the odd composition f = g(omega) and of its outer g."""
-    q = _poly_from_dict(params["q"], order // 2)
-    g = mul(make_series([0.0, 1.0], order), p_symmetric_lift(q, 2, order=order))
-    if params["identity_inner"]:
-        omega = make_series([0.0, 1.0], order)
-    else:
-        omega = schwarz_from_spec(_spec_from_dict(params["omega"]), odd=True, order=order)
-    return compose(g, omega).coeffs, g.coeffs
+def _t2_draws(rngs, keys) -> list:
+    """The t2 trials keyed by ``keys``: each stream gives q, then omega's spec."""
+    q, degrees = draw_polynomials(rngs, _T2_BASE_DEGREE)
+    omegas = draw_specs(rngs)
+    return [
+        _T2Draw(key[-1], *drawn, key[-1] % 5 == 0) for key, *drawn in zip(keys, q, degrees, omegas)
+    ]
+
+
+def _t2_record(d: _T2Draw) -> dict:
+    return {
+        "trial": d.trial,
+        "q": _poly_dict(d.q, d.degree),
+        "omega": _spec_dict(d.omega),
+        "identity_inner": d.identity_inner,
+    }
 
 
 def _t2_rows(block, order: int) -> tuple:
-    """(f rows, g rows) of a block of t2 trials, built one witness at a time."""
-    f, g = zip(*(_t2_witness(params, order) for params in block))
-    return np.stack(f), np.stack(g)
+    """(f rows, g rows) of a block of t2 trials: the outers g = z*q(z^2) and
+    the inners z*B(z^2) (z itself for identity-inner trials) are built as
+    rows, and each odd composition f = g(omega) through compose."""
+    g = odd_rows(np.stack([d.q for d in block]), order)
+    omega = np.zeros_like(g)
+    omega[:, 1] = 1.0
+    drawn = [i for i, d in enumerate(block) if not d.identity_inner]
+    omega[drawn] = schwarz_rows([block[i].omega for i in drawn], order, odd=True)
+    f = [
+        compose(TruncatedSeries(outer, exact_degree=2 * d.degree + 1), TruncatedSeries(inner)).coeffs
+        for d, outer, inner in zip(block, g, omega)
+    ]
+    return np.stack(f), g
 
 
 def _t2_residual(f: np.ndarray, g: np.ndarray, grid) -> tuple:
@@ -436,7 +469,7 @@ def check_theorem2_odd(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED, o
     """
     if order < 2 * _T2_BASE_DEGREE + 1:
         raise ValueError(f"t2 needs order >= {2 * _T2_BASE_DEGREE + 1}, the degree of its outers z*q(z^2)")
-    draws = _trial_params("t2", _draw_t2_params, trials, seed)
+    draws = _trial_params("t2", _t2_draws, trials, seed)
     grid = radius_grid(ODD_CAP, 12)
     tracker = _Tracker()
     tracker.extend(
@@ -444,7 +477,7 @@ def check_theorem2_odd(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED, o
             draws,
             _t2_rows,
             lambda block, fg: _split_rows(*_t2_residual(*fg, grid), len(block)),
-            lambda params: params,
+            _t2_record,
             order,
         )
     )
@@ -459,16 +492,20 @@ class _T3Draw(NamedTuple):
     """One t3 trial: its record and the Blaschke specs of h and omega_tilde."""
 
     record: dict
-    h: BlaschkeSpec
-    omega_tilde: BlaschkeSpec
+    h: DrawnSpec
+    omega_tilde: DrawnSpec
 
 
-def _draw_t3_params(rng: np.random.Generator, trial: int) -> _T3Draw:
-    h = draw_blaschke_spec(rng, min_zeros=1)
-    omega_tilde = draw_blaschke_spec(rng)
-    a_extremal = float(rng.uniform(0.0, 0.95))
-    record = {"trial": trial, "h": _spec_dict(h), "omega_tilde": _spec_dict(omega_tilde), "a_extremal": a_extremal}
-    return _T3Draw(record, h, omega_tilde)
+def _t3_draws(rngs, keys) -> list:
+    """The t3 trials keyed by ``keys``: each stream gives h's spec (at least
+    one zero), omega_tilde's, then a_extremal uniform on [0, 0.95)."""
+    hs = draw_specs(rngs, min_zeros=1)
+    omega_tildes = draw_specs(rngs)
+    a_extremal = 0.95 * np.array([rng.random() for rng in rngs])
+    return [
+        _T3Draw({"trial": key[-1], "h": _spec_dict(h), "omega_tilde": _spec_dict(w), "a_extremal": a}, h, w)
+        for key, h, w, a in zip(keys, hs, omega_tildes, a_extremal.tolist())
+    ]
 
 
 def _t3_witness(block, order: int) -> tuple:
@@ -513,7 +550,7 @@ def check_theorem3(
     and checks every k in k_grid; the sharp family (co-analytic scale equal
     to k) must sit at one to within tolerance on the same grid.
     """
-    draws = _trial_params("t3", _draw_t3_params, trials, seed)
+    draws = _trial_params("t3", _t3_draws, trials, seed)
     k_grid = tuple(float(k) for k in k_grid)
     if not k_grid:
         raise ValueError("k_grid must not be empty")
@@ -539,7 +576,7 @@ def check_theorem3(
 def _t5_witness(block, order: int) -> np.ndarray:
     """f rows of a block of draws: the sharp witness at each draw's a0
     composed with the Schwarz function of its spec."""
-    outer, tops = _stacked_outers(extremal_theorem5, block, order)
+    outer, tops = _automorphisms(block, order, "minus")
     return compose_rows(outer, schwarz_rows([draw.specs[0] for draw in block], order), tops)
 
 
@@ -604,7 +641,7 @@ def _t6_witness(block, order: int, ks) -> tuple:
     the disk automorphism at the draw's a0 composed with the Schwarz
     function of its first spec, g the co-analytic part built with the
     bounded function of its second."""
-    outer, tops = _stacked_outers(mobius_series, block, order)
+    outer, tops = _automorphisms(block, order, "plus")
     h = compose_rows(outer, schwarz_rows([draw.specs[0] for draw in block], order), tops)
     del outer  # a block's arrays dominate peak memory; keep few alive at once
     return h, harmonic_rows(h, ks, bounded_rows([draw.specs[1] for draw in block], order))

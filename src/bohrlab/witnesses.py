@@ -9,12 +9,15 @@ tripwire on every draw; it raises AssertionError, also under ``python -O``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .functionals import HarmonicPair
 from .series import (
+    BLASCHKE_ZERO_CAP,
     DEFAULT_ORDER,
+    MAX_BLASCHKE_ZEROS,
     BlaschkeSpec,
     MobiusTag,
     TruncatedSeries,
@@ -28,6 +31,7 @@ from .series import (
     finite_rows,
     integrate,
     make_series,
+    mobius_rows,
     mobius_series,
     mul,
     scale,
@@ -118,25 +122,77 @@ def _check_convolution_identity(g_rows, phi_rows, omega_rows, f_rows):
         )
 
 
+class DrawnSpec(NamedTuple):
+    """A drawn Blaschke spec: its zeros as a 1-D array and its rotation.
+    It is not checked when drawn; blaschke_rows makes BlaschkeSpec's checks
+    on every spec it expands."""
+
+    zeros: np.ndarray
+    rotation: complex
+
+
+def _polar_runs(rngs, lo: int, hi: int, extra: int, tail: int, width: int) -> tuple:
+    """One draw from each generator in turn: a count n uniform on [lo, hi],
+    then one run of 2 (n + extra) + tail doubles uniform on [0, 1), read as
+    n + extra modulus fractions, as many phase fractions and ``tail`` more.
+    Returns (counts, moduli, phases, tails) with (rows, width) moduli and
+    phases, zero past each row's n + extra, and (rows, tail) tails.
+
+    Generator.uniform(0, c, m) is c times the next m doubles of the stream,
+    so reading a run from one random() call and scaling it keeps the bits
+    and the order of the generator calls that per-object draws made.
+    """
+    counts, runs = [], []
+    for rng in rngs:
+        n = int(rng.integers(lo, hi + 1))
+        counts.append(n)
+        runs.append(rng.random(2 * (n + extra) + tail))
+    used = np.array(counts, dtype=np.intp) + extra
+    starts = np.cumsum(2 * used + tail) - (2 * used + tail)
+    flat = np.concatenate(runs) if runs else np.empty(0)
+    cols = np.arange(width)
+    mask = cols < used[:, None]
+    moduli = np.zeros((used.size, width))
+    phases = np.zeros((used.size, width))
+    moduli[mask] = flat[(starts[:, None] + cols)[mask]]
+    phases[mask] = flat[((starts + used)[:, None] + cols)[mask]]
+    tails = flat[(starts + 2 * used)[:, None] + np.arange(tail)]
+    return counts, moduli, phases, tails
+
+
+def draw_specs(rngs, min_zeros: int = 0, max_zeros: int = MAX_BLASCHKE_ZEROS) -> list:
+    """One spec from each generator, as draw_blaschke_spec draws it, with the
+    zeros and rotations of all generators formed at once."""
+    counts, moduli, phases, turns = _polar_runs(rngs, min_zeros, max_zeros, 0, 1, max_zeros)
+    zeros = (BLASCHKE_ZERO_CAP * moduli) * np.exp(1j * ((2.0 * np.pi) * phases))
+    rotations = np.exp(1j * ((2.0 * np.pi) * turns[:, 0]))
+    return [DrawnSpec(row[:n], rot) for row, n, rot in zip(zeros, counts, rotations.tolist())]
+
+
+def draw_polynomials(rngs, max_degree: int = 8, coeff_cap: float = 2.0) -> tuple:
+    """(coefficient rows, degrees) of one polynomial from each generator, as
+    draw_polynomial draws it: the rows have max_degree + 1 columns, zero
+    past each degree, and are checked finite."""
+    degrees, moduli, phases, _ = _polar_runs(rngs, 0, max_degree, 1, 0, max_degree + 1)
+    coeffs = (coeff_cap * moduli) * np.exp(1j * ((2.0 * np.pi) * phases))
+    return finite_rows(coeffs), degrees
+
+
 def draw_blaschke_spec(rng: np.random.Generator, min_zeros: int = 0, max_zeros: int = 4) -> BlaschkeSpec:
     """Draw zeros (count uniform on [min_zeros, max_zeros], moduli uniform on
-    [0, 0.9), phases uniform) and a uniform rotation."""
-    count = int(rng.integers(min_zeros, max_zeros + 1))
-    moduli = rng.uniform(0.0, 0.9, count)
-    phases = rng.uniform(0.0, 2.0 * np.pi, count)
-    zeros = tuple(moduli * np.exp(1j * phases))
-    rotation = complex(np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)))
-    return BlaschkeSpec(zeros=zeros, rotation=rotation)
+    [0, 0.9), phases uniform) and a uniform rotation.  A one-row draw_specs
+    call."""
+    [spec] = draw_specs([rng], min_zeros, max_zeros)
+    return BlaschkeSpec(zeros=tuple(spec.zeros), rotation=spec.rotation)
 
 
 def draw_polynomial(
     rng: np.random.Generator, order: int, max_degree: int = 8, coeff_cap: float = 2.0
 ) -> TruncatedSeries:
-    """Random polynomial with complex coefficients of modulus below coeff_cap."""
-    degree = int(rng.integers(0, max_degree + 1))
-    moduli = rng.uniform(0.0, coeff_cap, degree + 1)
-    phases = rng.uniform(0.0, 2.0 * np.pi, degree + 1)
-    return make_series(moduli * np.exp(1j * phases), order)
+    """Random polynomial with complex coefficients of modulus below coeff_cap.
+    A one-row draw_polynomials call."""
+    coeffs, [degree] = draw_polynomials([rng], max_degree, coeff_cap)
+    return make_series(coeffs[0, : degree + 1], order)
 
 
 def _boundary_tripwire(values: np.ndarray):
@@ -172,12 +228,28 @@ def bounded_rows(specs, order: int) -> np.ndarray:
     return blaschke_rows(specs, order)
 
 
-def schwarz_rows(specs, order: int) -> np.ndarray:
-    """Stacked schwarz_from_spec coefficients (z*B(z)), one row per spec, bit
-    for bit; the boundary tripwire runs on every spec."""
+def schwarz_rows(specs, order: int, odd: bool = False) -> np.ndarray:
+    """Stacked schwarz_from_spec coefficients, z*B(z) or, when odd, z*B(z^2),
+    one row per spec, bit for bit; the boundary tripwire runs on every spec."""
+    sample = _BOUNDARY_SAMPLE**2 if odd else _BOUNDARY_SAMPLE
     for spec in specs:
-        _boundary_tripwire(_BOUNDARY_SAMPLE * eval_blaschke(spec, _BOUNDARY_SAMPLE))
+        _boundary_tripwire(_BOUNDARY_SAMPLE * eval_blaschke(spec, sample))
+    if odd:
+        return odd_rows(blaschke_rows(specs, order // 2), order)
     return blaschke_rows(specs, order, vanish_at_origin=True)
+
+
+def odd_rows(base_rows, order: int) -> np.ndarray:
+    """Rows of z * b(z^2) at the given order, one per row b of a stack, bit
+    for bit as mul(z, p_symmetric_lift(b, 2, order=order)): base
+    coefficients that land past the order drop out, and the +0.0 that
+    np.convolve's sum adds to each shifted coefficient turns a -0.0 part
+    into +0.0."""
+    base_rows = np.asarray(base_rows, dtype=np.complex128)
+    out = np.zeros((base_rows.shape[0], order + 1), dtype=np.complex128)
+    m = min(base_rows.shape[1], (order + 1) // 2)
+    out[:, 1 : 2 * m : 2] = base_rows[:, :m] + 0.0
+    return out
 
 
 def random_schwarz(seed: int, odd: bool = False, order: int = DEFAULT_ORDER) -> TruncatedSeries:
@@ -195,15 +267,12 @@ def extremal_theorem5(a0: complex, order: int = DEFAULT_ORDER) -> TruncatedSerie
     """Expansion of (a0 - z)/(1 - conj(a0) z): the pointwise-sharp witness.
 
     Coefficient 0 is a0 and coefficient k is -(1 - |a0|^2) conj(a0)^(k-1).
+    A one-row mobius_rows call.
     """
     a0 = complex(a0)
     if abs(a0) >= 1.0:
         raise ValueError("witness parameter must satisfy |a0| < 1")
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    out = np.zeros(order + 1, dtype=np.complex128)
-    out[0] = a0
-    out[1:] = -(1.0 - abs(a0) ** 2) * a0.conjugate() ** np.arange(order)
+    out = mobius_rows([a0], order, "minus")[0]
     degree = 1 if a0 == 0 else None
     return TruncatedSeries(out, exact_degree=degree, tag=MobiusTag(a0, "minus"))
 

@@ -2,8 +2,12 @@
 
 Everything here is deliberately written with plain Python loops (no
 numpy.convolve, no closed forms shared with the library) so each test pins
-its expectation through a second, independent route.
+its expectation through a second, independent route.  The exception is the
+last section: the per-object draws and closed forms that the stacked code
+replaced, kept as they were so tests can pin the stacked bits to them.
 """
+
+import numpy as np
 
 
 def divide_series(num, den, n):
@@ -103,3 +107,39 @@ def geometric_tail(a, r, scale=1.0):
 def assert_close(x, y, tol, label=""):
     if abs(x - y) > tol:
         raise AssertionError(f"{label}: |{x} - {y}| = {abs(x - y)} > {tol}")
+
+
+# ----------------------------------------------------------------------
+# Per-object references of the stacked draws and closed forms.
+
+
+def per_object_spec(rng, min_zeros=0, max_zeros=4):
+    """(zeros, rotation) of one Blaschke spec, one uniform call per run."""
+    count = int(rng.integers(min_zeros, max_zeros + 1))
+    moduli = rng.uniform(0.0, 0.9, count)
+    phases = rng.uniform(0.0, 2.0 * np.pi, count)
+    zeros = moduli * np.exp(1j * phases)
+    rotation = complex(np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)))
+    return zeros, rotation
+
+
+def per_object_polynomial(rng, max_degree=8, coeff_cap=2.0):
+    """Coefficients 0..degree of one random polynomial."""
+    degree = int(rng.integers(0, max_degree + 1))
+    moduli = rng.uniform(0.0, coeff_cap, degree + 1)
+    phases = rng.uniform(0.0, 2.0 * np.pi, degree + 1)
+    return moduli * np.exp(1j * phases)
+
+
+def per_object_mobius(a0, order, kind="plus"):
+    """Coefficients of (z + a0)/(1 + conj(a0) z) ("plus") or
+    (a0 - z)/(1 - conj(a0) z) ("minus") as one expansion each."""
+    a0 = complex(a0)
+    out = np.zeros(order + 1, dtype=np.complex128)
+    out[0] = a0
+    if kind == "plus":
+        k = np.arange(order)
+        out[1:] = (-1.0) ** k * (1.0 - abs(a0) ** 2) * a0.conjugate() ** k
+    else:
+        out[1:] = -(1.0 - abs(a0) ** 2) * a0.conjugate() ** np.arange(order)
+    return out

@@ -58,6 +58,23 @@ class TestRadiusCommand:
         assert code == 1
         assert "usage" in err
 
+    # Each of these exited 0 and silently ignored the flags named.
+    @pytest.mark.parametrize(
+        "argv, unread",
+        [
+            (["classical", "--a", "0.5", "--k", "0.2", "--p", "3"], "--a, --k, --p"),
+            (["odd", "--p", "2"], "--p"),
+            (["psym", "--p", "2", "--a", "0.5"], "--a"),
+            (["t5", "--a", "0.5", "--k", "0.3"], "--k"),
+            (["t6", "--a", "0.6", "--k", "0.5", "--p", "1"], "--p"),
+        ],
+    )
+    def test_unread_flag_refused(self, capsys, argv, unread):
+        code, out, err = run_cli(capsys, "radius", "--theorem", *argv)
+        assert code == 1
+        assert out == ""
+        assert err == f"bohrlab: error: radius --theorem {argv[0]} does not read {unread}\n"
+
 
 class TestSweepCommand:
     def test_cor2_identity_rows(self, capsys):
@@ -234,6 +251,19 @@ class TestSweepCommand:
         interval = "[0, 1)" if key == "a" else "[0, 1]"
         assert err == f"bohrlab: error: {key} must lie in {interval}\n"
 
+    # `kk=3` exited 0, ran bohr with its default and echoed kk=3 in every row.
+    @pytest.mark.parametrize("functional", ["bohr", "cor2", "t3", "t5", "t6"])
+    @pytest.mark.parametrize("params, unread", [(["kk=3"], "kk"), (["K=0.5", "lam=0.2"], "K, lam")])
+    def test_unknown_key_refused(self, capsys, functional, params, unread):
+        code, out, err = run_cli(
+            capsys,
+            "sweep", "--functional", functional, "--params", "a=0.5", "k=0.5", *params,
+            "--r-min", "0", "--r-max", "0.3", "--steps", "1",
+        )
+        assert code == 1
+        assert out == ""
+        assert err == f"bohrlab: error: sweep --functional {functional} does not read {unread}\n"
+
 
 class TestExtremalCommand:
     def test_cor2_dump_matches_series(self, capsys):
@@ -278,6 +308,24 @@ class TestExtremalCommand:
         code, _, err = run_cli(capsys, "extremal", "--theorem", "t5", "--a", "0.5")
         assert code == 1
         assert "BOHRLAB_ORDER" in err
+
+    # cor2 and t5 have no co-analytic part, so --k and --lambda were ignored.
+    @pytest.mark.parametrize("theorem", ["cor2", "t5"])
+    @pytest.mark.parametrize(
+        "flags, unread", [(["--k", "0.3"], "--k"), (["--lambda", "0.3", "--k", "0"], "--k, --lambda")]
+    )
+    def test_unread_flag_refused(self, capsys, theorem, flags, unread):
+        code, out, err = run_cli(capsys, "extremal", "--theorem", theorem, "--a", "0.5", *flags, "--order", "4")
+        assert code == 1
+        assert out == ""
+        assert err == f"bohrlab: error: extremal --theorem {theorem} does not read {unread}\n"
+
+    @pytest.mark.parametrize("theorem", ["t3", "t6"])
+    @pytest.mark.parametrize("flag", ["--k", "--lambda"])
+    def test_scale_flags_read_by_harmonic_theorems(self, capsys, theorem, flag):
+        code, out, _ = run_cli(capsys, "extremal", "--theorem", theorem, "--a", "0.5", flag, "0.3", "--order", "4")
+        assert code == 0
+        assert json.loads(out)["lambda"] == 0.3
 
 
 class TestVerifyCommand:
@@ -377,6 +425,18 @@ class TestVerifyCommand:
         )
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    # Same, for `verify --suite all --order 65 --trials 300 --seed 5`, as
+    # produced by t2 inners built one witness at a time: at an odd order
+    # the odd inner z*B(z^2) keeps the last coefficient of its base B.
+    def test_golden_odd_order_report_bytes(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "verify", "--suite", "all", "--order", "65", "--trials", "300", "--seed", "5"
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "a6974b089580744b9b05264bb7821bd55e48076a68b31c6ad1bac0070f93236d"
+        )
 
     def test_invalid_suite(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--suite", "t4")

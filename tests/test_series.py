@@ -20,16 +20,18 @@ from bohrlab.series import (
     majorant_eval,
     majorant_rows,
     make_series,
+    mobius_rows,
     mobius_series,
     mul,
     power,
     scale,
 )
-from bohrlab.witnesses import draw_blaschke_spec, extremal_theorem5, schwarz_from_spec
+from bohrlab.witnesses import DrawnSpec, draw_blaschke_spec, extremal_theorem5, schwarz_from_spec
 
 from oracles import (
     geometric_mobius,
     mobius_by_long_division,
+    per_object_mobius,
     py_convolve,
     rational_mobius_value,
 )
@@ -306,6 +308,55 @@ class TestRowKernels:
     def test_convolve_rows_refuses_mismatched_shapes(self):
         with pytest.raises(ValueError):
             convolve_rows(np.ones((2, 4)), np.ones((2, 5)))
+
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_mobius_rows_match_per_object_expansions(self, order):
+        # 1 - |a0|^2 goes through libm's pow, which differs from x * x for
+        # about one a0 in a thousand: 3000 a0 meet such cases
+        rng = np.random.default_rng(order + 29)
+        a0s = rng.uniform(0, 0.999, 3000) * np.exp(1j * rng.uniform(0, 2 * np.pi, 3000))
+        a0s[:4] = [0j, 0.5, -0.5j, complex(0.3, -0.0)]
+        for kind in ("plus", "minus"):
+            expected = np.stack([per_object_mobius(a0, order, kind) for a0 in a0s])
+            assert mobius_rows(a0s, order, kind).tobytes() == expected.tobytes()
+        for a0 in a0s[:8]:
+            for series in (mobius_series(a0, order), extremal_theorem5(a0, order)):
+                assert series.coeffs.tobytes() == per_object_mobius(a0, order, series.tag.kind).tobytes()
+                assert series.exact_degree == (1 if a0 == 0 else None)
+
+    def test_mobius_rows_refuse_parameters_off_the_disk(self):
+        with pytest.raises(ValueError, match=r"\|a0\| < 1"):
+            mobius_rows([0.5, 1.0], 8)
+        with pytest.raises(ValueError, match="order must be >= 1"):
+            mobius_rows([0.5], 0)
+
+
+class TestBlaschkeRowChecks:
+    """blaschke_rows makes BlaschkeSpec's checks on every spec it expands,
+    drawn specs included, before expanding any."""
+
+    GOOD = DrawnSpec(np.array([0.5j]), 1.0 + 0.0j)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (DrawnSpec(np.array([0.95 + 0.0j]), 1.0 + 0.0j), "zero with modulus 0.9500 exceeds cap 0.9"),
+            (DrawnSpec(np.full(5, 0.1 + 0.0j), 1.0 + 0.0j), "at most 4 zeros"),
+            (DrawnSpec(np.array([], dtype=complex), 1.0 + 1e-13 + 0.0j), "rotation must be unimodular"),
+        ],
+    )
+    def test_bad_spec_refused(self, bad, message):
+        with pytest.raises(ValueError, match=message):
+            blaschke_rows([self.GOOD, bad, self.GOOD], 8)
+        with pytest.raises(ValueError, match=message):
+            BlaschkeSpec(zeros=tuple(bad.zeros), rotation=bad.rotation)
+
+    def test_specs_and_drawn_specs_stack_alike(self):
+        rng = np.random.default_rng(4)
+        specs = mixed_specs(rng, 7)
+        drawn = [DrawnSpec(np.array(s.zeros, dtype=complex), s.rotation) for s in specs]
+        assert blaschke_rows(drawn, 16).tobytes() == blaschke_rows(specs, 16).tobytes()
+        assert blaschke_rows([], 16).shape == (0, 17)
 
 
 class TestPower:

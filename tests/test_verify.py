@@ -7,14 +7,16 @@ import numpy as np
 import pytest
 
 import bohrlab.verify as verify_mod
+import bohrlab.witnesses as witnesses_mod
 from bohrlab.functionals import theorem3_rational
 from bohrlab.radii import ANALYTIC_THRESHOLD_A, CLASSICAL_CAP, ODD_CAP, UNIVERSAL_RADIUS, theorem5_radius
-from bohrlab.series import BlaschkeSpec, majorant_eval, make_series
+from bohrlab.series import BlaschkeSpec, compose, majorant_eval, make_series, mul
 from bohrlab.witnesses import (
     bounded_from_spec,
     build_quasi_triple,
     extremal_theorem3,
     harmonic_witness,
+    p_symmetric_lift,
     schwarz_from_spec,
 )
 from bohrlab.verify import (
@@ -27,6 +29,8 @@ from bohrlab.verify import (
     radius_grid,
     sharpness_certificate,
 )
+
+from oracles import per_object_polynomial, per_object_spec
 
 
 class TestRadiusGrid:
@@ -366,7 +370,8 @@ def _t2_residual_one(f, g, grid):
 
 
 def _draws(draw, suite_id, trials, seed=9):
-    return [draw(np.random.default_rng((suite_id, seed, t)), t) for t in range(trials)]
+    keys = [(suite_id, seed, t) for t in range(trials)]
+    return draw([np.random.default_rng(key) for key in keys], keys)
 
 
 def _spec(d):
@@ -380,7 +385,7 @@ class TestStackedWitnesses:
     @pytest.mark.parametrize("order", [8, 64, 256])
     @pytest.mark.parametrize("rows", [1, 13])
     def test_t1_rows_match_build_quasi_triple(self, order, rows):
-        trials = _draws(verify_mod._draw_t1_params, 1, 13)
+        trials = _draws(verify_mod._t1_draws, 1, 13)
         blocks = [trials] if rows == 13 else [[t] for t in trials[:3]]  # blocks of one: each variant
         for block in blocks:
             f_rows, g_rows = verify_mod._t1_witness(block, order)
@@ -399,7 +404,7 @@ class TestStackedWitnesses:
 
     @pytest.mark.parametrize("order", [8, 64])
     def test_t3_rows_match_per_series_pairs(self, order):
-        trials = _draws(verify_mod._draw_t3_params, 3, 6)
+        trials = _draws(verify_mod._t3_draws, 3, 6)
         block = [(t, k) for t in trials for k in (0.0, 0.3, 0.7, 1.0)][1:-1]  # trials cut at both ends
         grid = verify_mod.radius_grid(CLASSICAL_CAP, 12)
         rs = np.asarray(grid)
@@ -428,9 +433,24 @@ class TestStackedWitnesses:
             assert row[:12].tobytes() == random.tobytes()
             assert row[12:].tobytes() == sharp.tobytes()
 
+    @pytest.mark.parametrize("order", [7, 8, 64, 65])
+    def test_t2_rows_match_per_witness_construction(self, order):
+        # the outer z*q(z^2) and the odd inner z*B(z^2) as t2 built them
+        # one witness at a time; at an even order B loses its last coefficient
+        block = _draws(verify_mod._t2_draws, 2, 30)
+        f_rows, g_rows = verify_mod._t2_rows(block, order)
+        z = make_series([0.0, 1.0], order)
+        for d, f, g in zip(block, f_rows, g_rows):
+            rec = verify_mod._t2_record(d)
+            q = make_series([complex(*c) for c in rec["q"]], order // 2)
+            outer = mul(z, p_symmetric_lift(q, 2, order=order))
+            inner = z if d.identity_inner else schwarz_from_spec(_spec(rec["omega"]), odd=True, order=order)
+            assert g.tobytes() == outer.coeffs.tobytes()
+            assert f.tobytes() == compose(outer, inner).coeffs.tobytes()
+
     @pytest.mark.parametrize("order", [7, 64, 256])
     def test_t2_residual_matches_per_witness(self, order):
-        block = _draws(verify_mod._draw_t2_params, 2, 20)
+        block = _draws(verify_mod._t2_draws, 2, 20)
         f_rows, g_rows = verify_mod._t2_rows(block, order)
         # a leak larger than every gap, and a row whose gaps all tie at zero
         f_rows[3, 2] = 0.5
@@ -480,7 +500,7 @@ class TestOrderFloor:
 
     @pytest.mark.parametrize("check, floor", [(check_theorem1, 8), (check_theorem2_odd, 7)])
     def test_orders_below_the_floor_refused(self, monkeypatch, check, floor):
-        monkeypatch.setattr(verify_mod, "draw_polynomial", None)  # any draw would fail differently
+        monkeypatch.setattr(verify_mod, "draw_polynomials", None)  # any draw would fail differently
         for order in (2, floor - 1):
             with pytest.raises(ValueError, match=f"needs order >= {floor}"):
                 check(trials=3, seed=0, order=order)
@@ -492,9 +512,126 @@ class TestOrderFloor:
     def test_t2_floor_outer_keeps_every_recorded_coefficient(self):
         # At order 6 the top term z^7 of z*q(z^2) was cut off, so the suite
         # checked a different outer from the one its report records.
-        for trial in range(12):
-            params = verify_mod._draw_t2_params(np.random.default_rng(trial), trial)
-            _, g = verify_mod._t2_witness(params, 7)
-            q = [complex(re, im) for re, im in params["q"]]
+        draws = _draws(verify_mod._t2_draws, 2, 12, seed=0)
+        assert max(d.degree for d in draws) == verify_mod._T2_BASE_DEGREE
+        _, g_rows = verify_mod._t2_rows(draws, 7)
+        for d, g in zip(draws, g_rows):
+            q = [complex(re, im) for re, im in verify_mod._t2_record(d)["q"]]
             assert list(g[1 : 2 * len(q) : 2]) == q
             assert not np.any(g[0::2]) and not np.any(g[2 * len(q) + 1 :])
+
+
+def _same_spec(drawn, reference) -> bool:
+    zeros, rotation = reference
+    same_rotation = np.complex128(drawn.rotation).tobytes() == np.complex128(rotation).tobytes()
+    return drawn.zeros.tobytes() == zeros.tobytes() and same_rotation
+
+
+class TestColumnarTrials:
+    """Each suite's columnar draws give every trial the bits of the
+    per-object draws that each trial's stream made before, in the same
+    order, and whatever chunk the trial falls in."""
+
+    TRIALS = 300  # past one draw chunk
+
+    def test_t1_t2_t3_draws_match_per_object_streams(self):
+        t1 = _draws(verify_mod._t1_draws, 1, self.TRIALS)
+        t2 = _draws(verify_mod._t2_draws, 2, self.TRIALS)
+        t3 = _draws(verify_mod._t3_draws, 3, self.TRIALS)
+        for t, (d1, d2, d3) in enumerate(zip(t1, t2, t3)):
+            rng = np.random.default_rng((1, 9, t))
+            g = per_object_polynomial(rng)
+            assert d1.g[: d1.degree + 1].tobytes() == g.tobytes() and not np.any(d1.g[d1.degree + 1 :])
+            assert _same_spec(d1.phi, per_object_spec(rng)) and _same_spec(d1.omega, per_object_spec(rng))
+            rng = np.random.default_rng((2, 9, t))
+            assert d2.q[: d2.degree + 1].tobytes() == per_object_polynomial(rng, 3).tobytes()
+            assert _same_spec(d2.omega, per_object_spec(rng)) and d2.identity_inner == (t % 5 == 0)
+            rng = np.random.default_rng((3, 9, t))
+            assert _same_spec(d3.h, per_object_spec(rng, 1)) and _same_spec(d3.omega_tilde, per_object_spec(rng))
+            a_extremal = rng.uniform(0.0, 0.95)
+            assert np.float64(d3.record["a_extremal"]).tobytes() == np.float64(a_extremal).tobytes()
+        assert {d.degree for d in t1} == set(range(9)) and {d.degree for d in t2} == set(range(4))
+
+    @pytest.mark.parametrize("specs", [1, 2])
+    def test_pointwise_draws_match_per_object_streams(self, specs):
+        a_values = (0.4, 0.75, 0.9)
+        groups = verify_mod._groups("t5" if specs == 1 else "t6", self.TRIALS, 9, [0.3, 0.3, 0.3])
+        draws = list(verify_mod._pointwise_draws(groups, a_values, specs))
+        keys = [key for _, group_keys in groups for key in group_keys]
+        assert len(draws) == len(keys) == self.TRIALS
+        for d, key in zip(draws, keys):
+            rng = np.random.default_rng(key)
+            phase = rng.uniform(0.0, 2.0 * np.pi)
+            a0 = complex(a_values[key[2]] * np.exp(1j * phase))
+            assert (d.group, d.trial) == key[2:]
+            assert np.float64(d.phase).tobytes() == np.float64(phase).tobytes()
+            assert np.complex128(d.a0).tobytes() == np.complex128(a0).tobytes()
+            assert all(_same_spec(spec, per_object_spec(rng)) for spec in d.specs)
+
+    @pytest.mark.parametrize(
+        "check", [check_theorem1, check_theorem2_odd, check_theorem3, check_theorem5, check_theorem6]
+    )
+    def test_longer_run_extends_shorter(self, monkeypatch, check):
+        """The records of a T-trial run are the first records of each
+        parameter group (one group for t1-t3) of a 2T-trial run."""
+        seen = []
+        real_update = verify_mod._Tracker.update
+
+        def recording(self, residual, witness):
+            seen.append((residual, witness))
+            real_update(self, residual, witness)
+
+        monkeypatch.setattr(verify_mod._Tracker, "update", recording)
+
+        def random_records(trials):
+            seen.clear()
+            check(trials=trials, seed=6, order=8)
+            groups = {}
+            for residual, witness in seen:
+                if "trial" in witness:
+                    groups.setdefault((witness.get("a"), witness.get("k")), []).append((residual, witness))
+            return groups
+
+        short, long = random_records(self.TRIALS // 2), random_records(self.TRIALS)
+        assert short.keys() == long.keys()
+        for group, records in short.items():
+            assert records == long[group][: len(records)]
+            assert len(long[group]) >= len(records)
+
+
+class TestDrawnSpecsChecked:
+    """Every spec a suite expands passes BlaschkeSpec's checks and the
+    boundary tripwire."""
+
+    CHECKS = [check_theorem1, check_theorem2_odd, check_theorem3, check_theorem5, check_theorem6]
+
+    @pytest.mark.parametrize("check", CHECKS)
+    def test_every_expanded_spec_passes_the_tripwire(self, monkeypatch, check):
+        evaluated, expanded = [], []
+        real_eval, real_rows = witnesses_mod.eval_blaschke, witnesses_mod.blaschke_rows
+
+        def counting_eval(spec, z):
+            evaluated.append(spec)
+            return real_eval(spec, z)
+
+        def counting_rows(specs, order, **kwargs):
+            expanded.extend(specs)
+            return real_rows(specs, order, **kwargs)
+
+        monkeypatch.setattr(witnesses_mod, "eval_blaschke", counting_eval)
+        monkeypatch.setattr(witnesses_mod, "blaschke_rows", counting_rows)
+        check(trials=40, seed=2, order=8)
+        assert expanded and [id(s) for s in evaluated] == [id(s) for s in expanded]
+
+    @pytest.mark.parametrize("check", CHECKS)
+    def test_off_circle_rotation_refused(self, monkeypatch, check):
+        # 1e-13 off the unit circle passes the tripwire's 1e-9 slack, so only
+        # BlaschkeSpec's rotation check can refuse it
+        real = verify_mod.draw_specs
+
+        def nudged(*args, **kwargs):
+            return [spec._replace(rotation=spec.rotation * (1.0 + 1e-13)) for spec in real(*args, **kwargs)]
+
+        monkeypatch.setattr(verify_mod, "draw_specs", nudged)
+        with pytest.raises(ValueError, match="rotation must be unimodular"):
+            check(trials=12, seed=2, order=8)

@@ -11,6 +11,7 @@ import pytest
 import bohrlab
 
 from bohrlab.functionals import bohr_sum, theorem3_lhs, theorem6_lhs
+from bohrlab import witnesses
 from bohrlab.series import (
     BlaschkeSpec,
     compose,
@@ -19,25 +20,30 @@ from bohrlab.series import (
     majorant_eval,
     make_series,
     mobius_series,
+    mul,
 )
 from bohrlab.witnesses import (
+    DrawnSpec,
     bounded_from_spec,
     bounded_rows,
     build_quasi_triple,
     draw_blaschke_spec,
     draw_polynomial,
+    draw_polynomials,
+    draw_specs,
     extremal_corollary2,
     extremal_theorem3,
     extremal_theorem5,
     harmonic_rows,
     harmonic_witness,
+    odd_rows,
     p_symmetric_lift,
     random_schwarz,
     schwarz_from_spec,
     schwarz_rows,
 )
 
-from oracles import mobius_by_long_division, quasi_convolution
+from oracles import mobius_by_long_division, per_object_polynomial, per_object_spec, quasi_convolution
 
 
 class TestRandomSchwarz:
@@ -267,6 +273,98 @@ class TestStackedBuilders:
         omega_tilde[2, 1] = np.inf
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite coefficient at index 2 of row 2"):
             harmonic_rows(h, [0.5, 0.5, 0.5], omega_tilde)
+
+
+class TestColumnarDraws:
+    """Columnar draws give every row the bits of the per-object draw it
+    replaces and leave each generator where that draw left it."""
+
+    KEYS = [(7, 1, t) for t in range(400)]
+
+    @staticmethod
+    def _rngs(keys):
+        return [np.random.default_rng(key) for key in keys]
+
+    def test_specs_match_per_object_draws(self):
+        rngs, refs = self._rngs(self.KEYS), self._rngs(self.KEYS)
+        counts = set()
+        for lo, hi in [(0, 4), (1, 4), (0, 0), (4, 4), (2, 3)]:
+            for spec, ref in zip(draw_specs(rngs, lo, hi), refs):
+                zeros, rotation = per_object_spec(ref, lo, hi)
+                assert spec.zeros.tobytes() == zeros.tobytes()
+                assert np.complex128(spec.rotation).tobytes() == np.complex128(rotation).tobytes()
+                counts.add(len(zeros))
+        assert counts == {0, 1, 2, 3, 4}
+        # an integer draw after a run of doubles reads the same buffered state
+        assert [int(r.integers(0, 1000)) for r in rngs] == [int(r.integers(0, 1000)) for r in refs]
+
+    @pytest.mark.parametrize("max_degree, coeff_cap", [(8, 2.0), (3, 2.0), (5, 0.7)])
+    def test_polynomials_match_per_object_draws(self, max_degree, coeff_cap):
+        rngs, refs = self._rngs(self.KEYS), self._rngs(self.KEYS)
+        for _ in range(2):  # the second round starts after a run of doubles
+            rows, degrees = draw_polynomials(rngs, max_degree, coeff_cap)
+            assert rows.shape == (len(self.KEYS), max_degree + 1)
+            for row, degree, ref in zip(rows, degrees, refs):
+                coeffs = per_object_polynomial(ref, max_degree, coeff_cap)
+                assert row[: degree + 1].tobytes() == coeffs.tobytes() and not np.any(row[degree + 1 :])
+            assert set(degrees) == set(range(max_degree + 1))
+        assert [float(r.random()) for r in rngs] == [float(r.random()) for r in refs]
+
+    def test_one_row_draws_match_per_object_draws(self):
+        for key in self.KEYS[:50]:
+            rng, ref = np.random.default_rng(key), np.random.default_rng(key)
+            g = draw_polynomial(rng, 12)
+            spec = draw_blaschke_spec(rng, min_zeros=1)
+            coeffs = per_object_polynomial(ref)
+            assert g.coeffs.tobytes() == make_series(coeffs, 12).coeffs.tobytes()
+            assert g.exact_degree == len(coeffs) - 1
+            assert spec == BlaschkeSpec(*per_object_spec(ref, 1))
+
+    def test_drawn_coefficients_checked_finite(self):
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite coefficient"):
+            draw_polynomials(self._rngs(self.KEYS[:3]), 2, coeff_cap=np.inf)
+
+    def test_empty_draws(self):
+        assert draw_specs([]) == []
+        rows, degrees = draw_polynomials([], 3)
+        assert rows.shape == (0, 4) and list(degrees) == []
+
+
+class TestOddRows:
+    """t2's row-built outers z*q(z^2) and inners z*B(z^2) equal the
+    per-series constructions at odd and even orders, signed zeros included."""
+
+    @pytest.mark.parametrize("order", [7, 8, 64, 65])
+    def test_outer_rows_match_mul_of_lift(self, order):
+        rng = np.random.default_rng(order)
+        q = rng.normal(size=(12, 4)) + 1j * rng.normal(size=(12, 4))
+        q[0, 1] = complex(-0.0, 0.5)
+        q[1, 2] = complex(0.3, -0.0)
+        q[2, 3] = complex(-0.0, -0.0)
+        q[3, 2:] = 0.0
+        z = make_series([0.0, 1.0], order)
+        expected = [mul(z, p_symmetric_lift(make_series(row, order // 2), 2, order=order)).coeffs for row in q]
+        got = odd_rows(q, order)
+        assert got.tobytes() == np.stack(expected).tobytes()
+        assert np.signbit(q[0, 1].real) and not np.signbit(got[0, 3].real)
+
+    @pytest.mark.parametrize("order", [7, 8, 64, 65, 256])
+    def test_inner_rows_match_schwarz_from_spec(self, order):
+        specs = [draw_blaschke_spec(np.random.default_rng((order, i)), i % 5, i % 5) for i in range(10)]
+        specs.append(BlaschkeSpec(zeros=(complex(0.5, -0.0), complex(-0.0, 0.25)), rotation=complex(-1.0, 0.0)))
+        expected = np.stack([schwarz_from_spec(s, odd=True, order=order).coeffs for s in specs])
+        assert schwarz_rows(specs, order, odd=True).tobytes() == expected.tobytes()
+
+    def test_odd_tripwire_runs_on_every_spec(self, monkeypatch):
+        real = witnesses.eval_blaschke
+        broken = DrawnSpec(np.array([0.5 + 0.0j]), 1.0 + 0.0j)
+        specs = [DrawnSpec(np.array([], dtype=complex), 1.0 + 0.0j), broken]
+        def broken_eval(spec, z):
+            return np.full(np.shape(z), 2.0 + 0j) if spec is broken else real(spec, z)
+
+        monkeypatch.setattr(witnesses, "eval_blaschke", broken_eval)
+        with pytest.raises(AssertionError, match="exceeds modulus one"):
+            schwarz_rows(specs, 8, odd=True)
 
 
 class TestPSymmetricLift:
