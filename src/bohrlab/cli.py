@@ -25,6 +25,16 @@ from .verify import DEFAULT_SEED, DEFAULT_TRIALS
 # so endpoint rows probe the true radius rather than a rounded one.
 _SNAP_TARGETS = (radii.CLASSICAL_CAP, radii.ODD_CAP, radii.UNIVERSAL_RADIUS)
 
+# The flags each radius theorem reads, every one of them required, and the
+# bohrlab.radii function it passes them to, looked up when called.
+_RADIUS_THEOREMS = {
+    "classical": ((), "classical_radius"),
+    "odd": ((), "odd_bohr_radius"),
+    "psym": (("--p",), "p_symmetric_radius"),
+    "t5": (("--a",), "theorem5_radius"),
+    "t6": (("--a", "--k"), "theorem6_radius"),
+}
+
 
 class _UsageError(Exception):
     pass
@@ -95,7 +105,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", metavar="command")
 
     p_rad = sub.add_parser("radius", help="sharp radius as JSON", add_help=True)
-    p_rad.add_argument("--theorem", required=True, choices=["classical", "odd", "psym", "t5", "t6"])
+    p_rad.add_argument("--theorem", required=True, choices=list(_RADIUS_THEOREMS))
     p_rad.add_argument("--a", type=float)
     p_rad.add_argument("--k", type=float)
     p_rad.add_argument("--p", type=int)
@@ -125,25 +135,12 @@ def _build_parser() -> _Parser:
 
 def _cmd_radius(args) -> int:
     theorem = args.theorem
-    read = {"classical": (), "odd": (), "psym": ("--p",), "t5": ("--a",), "t6": ("--a", "--k")}[theorem]
-    _refuse_unread(f"radius --theorem {theorem}", {"--a": args.a, "--k": args.k, "--p": args.p}, read)
-    if theorem == "classical":
-        result = radii.classical_radius()
-    elif theorem == "odd":
-        result = radii.odd_bohr_radius()
-    elif theorem == "psym":
-        if args.p is None:
-            raise _UsageError("radius --theorem psym requires --p")
-        result = radii.p_symmetric_radius(args.p)
-    elif theorem == "t5":
-        if args.a is None:
-            raise _UsageError("radius --theorem t5 requires --a")
-        result = radii.theorem5_radius(args.a)
-    else:
-        if args.a is None or args.k is None:
-            raise _UsageError("radius --theorem t6 requires --a and --k")
-        result = radii.theorem6_radius(args.a, args.k)
-    payload = result.as_dict()
+    flags, function = _RADIUS_THEOREMS[theorem]
+    given = {"--a": args.a, "--k": args.k, "--p": args.p}
+    _refuse_unread(f"radius --theorem {theorem}", given, flags)
+    if any(given[flag] is None for flag in flags):
+        raise _UsageError(f"radius --theorem {theorem} requires {' and '.join(flags)}")
+    payload = getattr(radii, function)(*(given[flag] for flag in flags)).as_dict()
     payload["theorem"] = theorem
     if theorem == "t6":
         payload["alpha_k"] = radii.theorem6_threshold(args.k)
@@ -162,12 +159,15 @@ def _claimed_cap(functional: str, params: dict) -> float:
 
 def _cmd_sweep(args) -> int:
     params = _parse_params(args.params)
-    _refuse_unread(f"sweep --functional {args.functional}", params, ("a", "k", "lambda"))
-    needed = {"bohr": ("a",), "cor2": ("a",), "t3": ("a", "k"), "t5": ("a",), "t6": ("a", "k")}
-    for key in needed[args.functional]:
+    needed = {"bohr": ("a",), "cor2": ("a",), "t3": ("a", "k"), "t5": ("a",), "t6": ("a", "k")}[args.functional]
+    # a functional that needs the dilatation bound k also reads its
+    # co-analytic scale lambda, which defaults to k
+    read = needed + ("lambda",) if "k" in needed else needed
+    _refuse_unread(f"sweep --functional {args.functional}", params, read)
+    for key in needed:
         if key not in params:
             raise _UsageError(f"sweep --functional {args.functional} requires --params {key}=...")
-    for key in ("a", "k", "lambda"):
+    for key in read:
         if key in params:
             unit_interval(key, params[key], closed=key != "a")
     if args.steps < 0:
@@ -198,6 +198,7 @@ def _coeff_list(series) -> list:
 def _cmd_extremal(args) -> int:
     read = ("--k", "--lambda") if args.theorem in ("t3", "t6") else ()
     _refuse_unread(f"extremal --theorem {args.theorem}", {"--k": args.k, "--lambda": args.lam}, read)
+    unit_interval("a", args.a)
     order = _resolve_order(args)
     a = args.a
     payload = {"theorem": args.theorem, "a": a, "order": order}

@@ -158,9 +158,6 @@ def make_series(coeffs, order: int) -> TruncatedSeries:
     arr = np.asarray(list(coeffs), dtype=np.complex128)
     if arr.size > order + 1:
         raise ValueError(f"{arr.size} coefficients exceed order {order}")
-    bad = np.flatnonzero(~np.isfinite(arr))
-    if bad.size:
-        raise ValueError(f"non-finite coefficient at index {int(bad[0])}")
     out = np.zeros(order + 1, dtype=np.complex128)
     out[: arr.size] = arr
     degree = max(arr.size - 1, 0)
@@ -458,16 +455,23 @@ def mobius_series(a0: complex, order: int) -> TruncatedSeries:
     return TruncatedSeries(out, exact_degree=degree, tag=MobiusTag(a0, "plus"))
 
 
+def _unit_gaps(values) -> np.ndarray:
+    """1 - |a|^2 for each a of a 1-D sequence, the scale of the coefficients
+    of a Mobius or Blaschke factor, formed one a at a time with Python's abs
+    and ``**``.  np.abs rounds differently from abs of a Python complex
+    about a third of the time, and ``**`` goes through libm's pow, which
+    differs from the rounded product x * x for about one a in a thousand,
+    so every builder of these coefficients forms the scale here."""
+    values = np.asarray(values, dtype=np.complex128).tolist()
+    return np.array([1.0 - abs(a) ** 2 for a in values], dtype=np.float64)
+
+
 def mobius_rows(a0s, order: int, kind: str = "plus") -> np.ndarray:
     """Coefficient rows, one per a0 of a 1-D array, of the disk automorphism
     (z + a0) / (1 + conj(a0) z) (``kind`` "plus", as mobius_series) or
     (a0 - z) / (1 - conj(a0) z) ("minus", whose coefficient k >= 1 is
     -(1 - |a0|^2) conj(a0)^(k-1)).  Each row has the bits of the one-row
     call; an a0 of 0 gives a polynomial of degree 1.
-
-    1 - |a0|^2 is formed one a0 at a time with Python's abs and ``**``,
-    because ``**`` goes through libm's pow, which differs from the rounded
-    product x * x for about one a0 in a thousand.
     """
     if kind not in ("plus", "minus"):
         raise ValueError(f"unknown automorphism kind {kind!r}")
@@ -478,7 +482,7 @@ def mobius_rows(a0s, order: int, kind: str = "plus") -> np.ndarray:
         raise ValueError("order must be >= 1")
     k = np.arange(order)
     signs = (-1.0) ** k if kind == "plus" else np.full(order, -1.0)
-    scales = np.array([1.0 - abs(a0) ** 2 for a0 in a0s.tolist()]).reshape(-1, 1)
+    scales = _unit_gaps(a0s)[:, None]
     out = np.empty((a0s.size, order + 1), dtype=np.complex128)
     out[:, 0] = a0s
     out[:, 1:] = signs * scales * np.conj(a0s)[:, None] ** k
@@ -555,10 +559,10 @@ def blaschke_series(spec: BlaschkeSpec, order: int, vanish_at_origin: bool = Fal
     n = order + 1
     acc = np.zeros(n, dtype=np.complex128)
     acc[0] = spec.rotation
-    for zero in spec.zeros:
+    for zero, gap in zip(spec.zeros, _unit_gaps(spec.zeros)):
         factor = np.zeros(n, dtype=np.complex128)
         factor[0] = -zero
-        factor[1:] = (1.0 - abs(zero) ** 2) * np.conj(zero) ** np.arange(order)
+        factor[1:] = gap * np.conj(zero) ** np.arange(order)
         acc = np.convolve(acc, factor)[:n]
     if vanish_at_origin:
         acc = np.concatenate(([0.0], acc[:-1]))
@@ -590,9 +594,7 @@ def blaschke_rows(specs, order: int, vanish_at_origin: bool = False) -> np.ndarr
         zero = zeros[sel, i]
         factor = np.empty((sel.size, n), dtype=np.complex128)
         factor[:, 0] = -zero
-        # Python's abs and ** per zero, as blaschke_series forms the scale
-        scales = np.array([1.0 - abs(z) ** 2 for z in zero.tolist()])[:, None]
-        factor[:, 1:] = scales * np.conj(zero)[:, None] ** powers
+        factor[:, 1:] = _unit_gaps(zero)[:, None] * np.conj(zero)[:, None] ** powers
         acc[sel] = convolve_rows(acc[sel], factor)
     if vanish_at_origin:
         acc[:, 1:] = acc[:, :-1].copy()

@@ -270,13 +270,15 @@ def _pointwise_draws(groups, a_values, specs: int):
     return _keyed_draws((key for _, keys in groups for key in keys), draw)
 
 
-def _automorphisms(block, order: int, kind: str) -> tuple:
-    """(coefficient rows, Horner starts) of the disk automorphisms
-    (mobius_rows) at the a0 of each draw of a block.  The one at a0 = 0 is
-    a polynomial of degree 1 and starts Horner there, as compose starts at
-    an exact degree; any other is a truncation and starts at the order."""
+def _automorphisms(block, order: int, kind: str) -> np.ndarray:
+    """Rows of the disk automorphism (mobius_rows) at the a0 of each draw of
+    a block composed with the Schwarz function of the draw's first spec.
+    The automorphism at a0 = 0 is a polynomial of degree 1 and starts Horner
+    there, as compose starts at an exact degree; any other is a truncation
+    and starts at the order."""
     a0s = np.array([draw.a0 for draw in block])
-    return mobius_rows(a0s, order, kind), np.where(a0s == 0, 1, order)
+    inner = schwarz_rows([draw.specs[0] for draw in block], order)
+    return compose_rows(mobius_rows(a0s, order, kind), inner, np.where(a0s == 0, 1, order))
 
 
 def _sharp_radius(theorem: str, a: float, k: float = 0.0) -> float:
@@ -576,8 +578,7 @@ def check_theorem3(
 def _t5_witness(block, order: int) -> np.ndarray:
     """f rows of a block of draws: the sharp witness at each draw's a0
     composed with the Schwarz function of its spec."""
-    outer, tops = _automorphisms(block, order, "minus")
-    return compose_rows(outer, schwarz_rows([draw.specs[0] for draw in block], order), tops)
+    return _automorphisms(block, order, "minus")
 
 
 def check_theorem5(
@@ -641,9 +642,7 @@ def _t6_witness(block, order: int, ks) -> tuple:
     the disk automorphism at the draw's a0 composed with the Schwarz
     function of its first spec, g the co-analytic part built with the
     bounded function of its second."""
-    outer, tops = _automorphisms(block, order, "plus")
-    h = compose_rows(outer, schwarz_rows([draw.specs[0] for draw in block], order), tops)
-    del outer  # a block's arrays dominate peak memory; keep few alive at once
+    h = _automorphisms(block, order, "plus")
     return h, harmonic_rows(h, ks, bounded_rows([draw.specs[1] for draw in block], order))
 
 

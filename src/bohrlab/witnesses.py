@@ -95,23 +95,15 @@ def _check_convolution_identity(g_rows, phi_rows, omega_rows, f_rows):
     """Raise AssertionError unless every row of f_rows is within
     CONVOLUTION_CHECK_TOL of phi * sum_n g_n omega^n expanded from the powers
     of omega.  ``g_rows`` holds outer coefficients 0..D; a coefficient past
-    a row's degree is zero and adds nothing.  When every inner vanishes
-    exactly at the origin, omega^d vanishes below index d, so only its
-    entries from d on are formed, which drops exact zeros alone."""
-    n = f_rows.shape[1]
+    a row's degree is zero and adds nothing."""
     b = np.zeros_like(f_rows)
     w_pow = np.zeros_like(f_rows)
     w_pow[:, 0] = 1.0
-    shift = not np.any(omega_rows[:, 0])
-    lo, last = 0, g_rows.shape[1] - 1  # w_pow holds entries lo..N of omega^d
-    for d in range(last + 1):
-        # form omega^(d+1) before w_pow is scaled in place to g_d omega^d
-        w_next = convolve_rows(w_pow, omega_rows[:, : n - lo]) if d < last else None
-        w_pow *= g_rows[:, d, None]
-        b[:, lo:] += w_pow
-        if d < last:
-            w_pow, lo = (w_next[:, 1:], lo + 1) if shift else (w_next, lo)
-    del w_pow, w_next
+    for d in range(g_rows.shape[1]):
+        if d:
+            w_pow = convolve_rows(w_pow, omega_rows)
+        b += g_rows[:, d, None] * w_pow
+    del w_pow
     direct = convolve_rows(phi_rows, b)
     del b
     direct -= f_rows
@@ -195,45 +187,48 @@ def draw_polynomial(
     return make_series(coeffs[0, : degree + 1], order)
 
 
-def _boundary_tripwire(values: np.ndarray):
-    worst = float(np.max(np.abs(values)))
-    if not worst <= 1.0 + 1e-9:
-        raise AssertionError(f"witness exceeds modulus one on the boundary sample: {worst}")
+def _boundary_tripwire(specs, inner: bool = False, odd: bool = False):
+    """Raise AssertionError unless the witness of every spec, its Blaschke
+    product B or, when ``inner``, z*B(z) (z*B(z^2) when odd), stays within
+    modulus one (up to 1e-9) on the boundary sample."""
+    sample = _BOUNDARY_SAMPLE**2 if odd else _BOUNDARY_SAMPLE
+    for spec in specs:
+        values = eval_blaschke(spec, sample)
+        worst = float(np.max(np.abs(_BOUNDARY_SAMPLE * values if inner else values)))
+        if not worst <= 1.0 + 1e-9:
+            raise AssertionError(f"witness exceeds modulus one on the boundary sample: {worst}")
 
 
 def bounded_from_spec(spec: BlaschkeSpec, order: int = DEFAULT_ORDER) -> TruncatedSeries:
     """Series of the bounded analytic witness defined by a Blaschke product."""
-    _boundary_tripwire(eval_blaschke(spec, _BOUNDARY_SAMPLE))
+    _boundary_tripwire([spec])
     return blaschke_series(spec, order)
 
 
 def schwarz_from_spec(spec: BlaschkeSpec, odd: bool = False, order: int = DEFAULT_ORDER) -> TruncatedSeries:
-    """Inner function z*B(z) (or z*B(z^2) when odd) from a Blaschke spec."""
+    """Inner function z*B(z) (or z*B(z^2) when odd) from a Blaschke spec.
+    The odd one is the odd_rows lift of B expanded at order // 2, exact of
+    degree 1 when B has no zeros."""
     if odd:
-        base = blaschke_series(spec, order // 2)
-        lifted = p_symmetric_lift(base, 2, order=order)
-        out = mul(make_series([0.0, 1.0], order), lifted)
-        _boundary_tripwire(_BOUNDARY_SAMPLE * eval_blaschke(spec, _BOUNDARY_SAMPLE**2))
+        lifted = odd_rows(blaschke_series(spec, order // 2).coeffs[None], order)[0]
+        out = TruncatedSeries(lifted, exact_degree=None if spec.zeros else 1)
     else:
         out = blaschke_series(spec, order, vanish_at_origin=True)
-        _boundary_tripwire(_BOUNDARY_SAMPLE * eval_blaschke(spec, _BOUNDARY_SAMPLE))
+    _boundary_tripwire([spec], inner=True, odd=odd)
     return out
 
 
 def bounded_rows(specs, order: int) -> np.ndarray:
     """Stacked bounded_from_spec coefficients, one row per spec, bit for bit;
     the boundary tripwire runs on every spec."""
-    for spec in specs:
-        _boundary_tripwire(eval_blaschke(spec, _BOUNDARY_SAMPLE))
+    _boundary_tripwire(specs)
     return blaschke_rows(specs, order)
 
 
 def schwarz_rows(specs, order: int, odd: bool = False) -> np.ndarray:
     """Stacked schwarz_from_spec coefficients, z*B(z) or, when odd, z*B(z^2),
     one row per spec, bit for bit; the boundary tripwire runs on every spec."""
-    sample = _BOUNDARY_SAMPLE**2 if odd else _BOUNDARY_SAMPLE
-    for spec in specs:
-        _boundary_tripwire(_BOUNDARY_SAMPLE * eval_blaschke(spec, sample))
+    _boundary_tripwire(specs, inner=True, odd=odd)
     if odd:
         return odd_rows(blaschke_rows(specs, order // 2), order)
     return blaschke_rows(specs, order, vanish_at_origin=True)
@@ -267,11 +262,9 @@ def extremal_theorem5(a0: complex, order: int = DEFAULT_ORDER) -> TruncatedSerie
     """Expansion of (a0 - z)/(1 - conj(a0) z): the pointwise-sharp witness.
 
     Coefficient 0 is a0 and coefficient k is -(1 - |a0|^2) conj(a0)^(k-1).
-    A one-row mobius_rows call.
+    A one-row mobius_rows call, which refuses |a0| >= 1.
     """
     a0 = complex(a0)
-    if abs(a0) >= 1.0:
-        raise ValueError("witness parameter must satisfy |a0| < 1")
     out = mobius_rows([a0], order, "minus")[0]
     degree = 1 if a0 == 0 else None
     return TruncatedSeries(out, exact_degree=degree, tag=MobiusTag(a0, "minus"))

@@ -22,6 +22,11 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def k_param(functional):
+    """The dilatation bound k=0.5 for the sweeps that read it (t3, t6)."""
+    return ["k=0.5"] if functional in ("t3", "t6") else []
+
+
 class TestRadiusCommand:
     def test_odd_radius_payload(self, capsys):
         code, out, _ = run_cli(capsys, "radius", "--theorem", "odd")
@@ -166,7 +171,7 @@ class TestSweepCommand:
         monkeypatch.setattr(TruncatedSeries, "__post_init__", counting)
         code, out, _ = run_cli(
             capsys,
-            "sweep", "--functional", functional, "--params", "a=0.6", "k=0.5",
+            "sweep", "--functional", functional, "--params", "a=0.6", *k_param(functional),
             "--r-min", "0", "--r-max", "0.5", "--steps", "1000",
         )
         assert code == 0
@@ -228,7 +233,7 @@ class TestSweepCommand:
         # informational column judged against the wrong radius
         code, out, err = run_cli(
             capsys,
-            "sweep", "--functional", functional, "--params", f"a={a}", "k=0.5",
+            "sweep", "--functional", functional, "--params", f"a={a}", *k_param(functional),
             "--r-min", "0", "--r-max", "0.3", "--steps", "2",
         )
         assert code == 1
@@ -257,7 +262,21 @@ class TestSweepCommand:
     def test_unknown_key_refused(self, capsys, functional, params, unread):
         code, out, err = run_cli(
             capsys,
-            "sweep", "--functional", functional, "--params", "a=0.5", "k=0.5", *params,
+            "sweep", "--functional", functional, "--params", "a=0.5", *k_param(functional), *params,
+            "--r-min", "0", "--r-max", "0.3", "--steps", "1",
+        )
+        assert code == 1
+        assert out == ""
+        assert err == f"bohrlab: error: sweep --functional {functional} does not read {unread}\n"
+
+    # bohr, cor2 and t5 have no dilatation bound: k and lambda exited 0 and
+    # were echoed in every row.
+    @pytest.mark.parametrize("functional", ["bohr", "cor2", "t5"])
+    @pytest.mark.parametrize("params, unread", [(["k=0.3"], "k"), (["lambda=0.2", "k=0"], "lambda, k")])
+    def test_dilatation_keys_refused_where_unread(self, capsys, functional, params, unread):
+        code, out, err = run_cli(
+            capsys,
+            "sweep", "--functional", functional, "--params", "a=0.5", *params,
             "--r-min", "0", "--r-max", "0.3", "--steps", "1",
         )
         assert code == 1
@@ -319,6 +338,17 @@ class TestExtremalCommand:
         assert code == 1
         assert out == ""
         assert err == f"bohrlab: error: extremal --theorem {theorem} does not read {unread}\n"
+
+    # t6 printed a witness for a = -0.3; nan and 1 were refused with
+    # messages about coefficients or |a0| rather than about a.
+    @pytest.mark.parametrize("theorem", ["cor2", "t3", "t5", "t6"])
+    @pytest.mark.parametrize("a", ["-0.3", "1", "nan"])
+    def test_a_outside_unit_interval_refused(self, capsys, theorem, a):
+        scale = ["--k", "0.5"] if theorem in ("t3", "t6") else []
+        code, out, err = run_cli(capsys, "extremal", "--theorem", theorem, "--a", a, *scale, "--order", "3")
+        assert code == 1
+        assert out == ""
+        assert err == "bohrlab: error: a must lie in [0, 1)\n"
 
     @pytest.mark.parametrize("theorem", ["t3", "t6"])
     @pytest.mark.parametrize("flag", ["--k", "--lambda"])

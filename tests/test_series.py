@@ -554,6 +554,25 @@ class TestBlaschke:
         for z in (0.1, 0.25j, -0.3 + 0.1j):
             assert abs(complex(evaluate(s, z)) - complex(eval_blaschke(spec, z))) < 1e-12
 
+    def test_factor_scale_rounds_as_python_abs_and_pow(self):
+        # 1 - |z|^2 is formed with Python's abs and **: np.abs differs from
+        # abs for about a third of these zeros, and for the last three
+        # 1 - x * x differs from 1 - x ** 2
+        rng = np.random.default_rng(61)
+        zeros = rng.uniform(0, 0.9, 500) * np.exp(2j * np.pi * rng.uniform(size=500))
+        pow_cases = [0.28913086537829197 + 0.804863892294941j, 0.608663498096065 - 0.578642626732383j,
+                     -0.7141710867428176 - 0.3422441696417266j]
+        zeros = np.append(zeros, pow_cases)
+        mods = [abs(z) for z in zeros.tolist()]
+        assert np.any(np.abs(zeros) != mods)
+        assert all(1.0 - m**2 != 1.0 - m * m for m in mods[-3:])
+        gaps = np.array([1.0 - m**2 for m in mods])
+        rows = blaschke_rows([DrawnSpec(np.array([z]), 1.0 + 0.0j) for z in zeros], 2)
+        assert rows[:, 1].real.tobytes() == gaps.tobytes()
+        for z, gap in zip(zeros.tolist(), gaps):
+            assert blaschke_series(BlaschkeSpec(zeros=(z,)), 2).coeffs[1].real == gap
+            assert mobius_series(z, 2).coeffs[1].real == gap
+
     def test_zero_cap_enforced(self):
         with pytest.raises(ValueError, match="cap"):
             BlaschkeSpec(zeros=(0.95,))

@@ -14,7 +14,9 @@ from bohrlab.functionals import bohr_sum, theorem3_lhs, theorem6_lhs
 from bohrlab import witnesses
 from bohrlab.series import (
     BlaschkeSpec,
+    blaschke_series,
     compose,
+    convolve_rows,
     derivative,
     evaluate,
     majorant_eval,
@@ -38,6 +40,7 @@ from bohrlab.witnesses import (
     harmonic_witness,
     odd_rows,
     p_symmetric_lift,
+    quasi_rows,
     random_schwarz,
     schwarz_from_spec,
     schwarz_rows,
@@ -120,13 +123,29 @@ class TestBuildQuasiTriple:
             build_quasi_triple(g, make_series([1], 16), make_series([0.2, 1], 16))
 
     def test_inner_with_tiny_constant_passes_identity(self):
-        # compose accepts an inner constant up to 1e-15; the identity check
-        # then forms every entry of each power of omega
+        # compose accepts an inner constant up to 1e-15, and so does the
+        # identity check, which forms every entry of each power of omega
         rng = np.random.default_rng(5)
         g = draw_polynomial(rng, 24)
         omega = schwarz_from_spec(draw_blaschke_spec(rng), order=24) + make_series([1e-16], 24)
         triple = build_quasi_triple(g, bounded_from_spec(draw_blaschke_spec(rng), 24), omega)
         assert triple.f.order == 24
+
+    def test_identity_check_rejects_f_off_by_1e9(self):
+        rng = np.random.default_rng(11)
+        g, degrees = draw_polynomials([np.random.default_rng((11, i)) for i in range(6)])
+        phi = bounded_rows([draw_blaschke_spec(rng) for _ in range(6)], 24)
+        omega = schwarz_rows([draw_blaschke_spec(rng) for _ in range(6)], 24)
+        f = quasi_rows(g, degrees, phi, omega)
+        for row, index in [(0, 0), (3, 7), (5, 24)]:
+            spoiled = f.copy()
+            spoiled[row, index] += 1e-9
+            expected = f"by {shifted_identity_gap(g, phi, omega, spoiled):.3e};"
+            assert expected == "by 1.000e-09;"
+            with pytest.raises(AssertionError, match=expected):
+                witnesses._check_convolution_identity(g, phi, omega, spoiled)
+        assert shifted_identity_gap(g, phi, omega, f) <= witnesses.CONVOLUTION_CHECK_TOL
+        witnesses._check_convolution_identity(g, phi, omega, f)
 
     def test_majorant_domination_property(self):
         rng = np.random.default_rng(19)
@@ -138,6 +157,22 @@ class TestBuildQuasiTriple:
             triple = build_quasi_triple(g, phi, omega)
             for r in grid:
                 assert bohr_sum(triple.f, r) <= bohr_sum(g, r) + 1e-9
+
+
+def shifted_identity_gap(g_rows, phi_rows, omega_rows, f_rows):
+    """The gap the convolution identity check measured before it formed full
+    powers of omega: for inners that vanish exactly at the origin, only the
+    entries of omega^d from index d on, which drops exact zeros alone."""
+    n = f_rows.shape[1]
+    b = np.zeros_like(f_rows)
+    w_pow = np.zeros_like(f_rows)
+    w_pow[:, 0] = 1.0
+    lo = 0
+    for d in range(g_rows.shape[1]):
+        if d:
+            w_pow, lo = convolve_rows(w_pow, omega_rows[:, : n - lo])[:, 1:], lo + 1
+        b[:, lo:] += g_rows[:, d, None] * w_pow
+    return float(np.max(np.abs(convolve_rows(phi_rows, b) - f_rows)))
 
 
 class TestExtremals:
@@ -354,6 +389,20 @@ class TestOddRows:
         specs.append(BlaschkeSpec(zeros=(complex(0.5, -0.0), complex(-0.0, 0.25)), rotation=complex(-1.0, 0.0)))
         expected = np.stack([schwarz_from_spec(s, odd=True, order=order).coeffs for s in specs])
         assert schwarz_rows(specs, order, odd=True).tobytes() == expected.tobytes()
+
+    # the odd inner used to be built as mul(z, p_symmetric_lift(B, 2)) of B
+    # expanded at order // 2; odd_rows now builds it
+    @pytest.mark.parametrize("order", [2, 7, 8, 64, 65])
+    def test_odd_schwarz_matches_mul_of_lift(self, order):
+        specs = [draw_blaschke_spec(np.random.default_rng((order, i)), i % 5, i % 5) for i in range(10)]
+        specs.append(BlaschkeSpec(zeros=(complex(0.5, -0.0), complex(-0.0, 0.25))))
+        specs.append(BlaschkeSpec(rotation=complex(-1.0, 0.0)))
+        z = make_series([0.0, 1.0], order)
+        for spec in specs:
+            expected = mul(z, p_symmetric_lift(blaschke_series(spec, order // 2), 2, order=order))
+            got = schwarz_from_spec(spec, odd=True, order=order)
+            assert got.coeffs.tobytes() == expected.coeffs.tobytes()
+            assert got.exact_degree == expected.exact_degree == (None if spec.zeros else 1)
 
     def test_odd_tripwire_runs_on_every_spec(self, monkeypatch):
         real = witnesses.eval_blaschke
