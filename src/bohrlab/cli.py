@@ -10,6 +10,7 @@ flag > BOHRLAB_ORDER environment variable > 64 and must be >= 2.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -100,7 +101,10 @@ def _print_json(payload):
     sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built on the first call and shared by every
+    later run() of the process; parsing leaves it as it was."""
     parser = _Parser(prog="bohrlab", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", metavar="command")
 
@@ -112,7 +116,7 @@ def _build_parser() -> _Parser:
 
     p_sweep = sub.add_parser("sweep", help="CSV sweep of a functional over r")
     p_sweep.add_argument("--functional", required=True, choices=SHARP_FUNCTIONALS)
-    p_sweep.add_argument("--params", nargs="*", default=[], metavar="KEY=VALUE")
+    p_sweep.add_argument("--params", nargs="*", default=(), metavar="KEY=VALUE")
     p_sweep.add_argument("--r-min", type=float, required=True)
     p_sweep.add_argument("--r-max", type=float, required=True)
     p_sweep.add_argument("--steps", type=int, required=True)
@@ -199,6 +203,9 @@ def _cmd_extremal(args) -> int:
     read = ("--k", "--lambda") if args.theorem in ("t3", "t6") else ()
     _refuse_unread(f"extremal --theorem {args.theorem}", {"--k": args.k, "--lambda": args.lam}, read)
     unit_interval("a", args.a)
+    for name, value in (("k", args.k), ("lambda", args.lam)):
+        if value is not None:
+            unit_interval(name, value, closed=True)
     order = _resolve_order(args)
     a = args.a
     payload = {"theorem": args.theorem, "a": a, "order": order}

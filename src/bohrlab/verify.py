@@ -7,6 +7,15 @@ trial whose residual exceeds the tolerance is re-evaluated once at doubled
 truncation order before being reported, so a truncation artifact does not
 fail a suite.
 
+Every stream is the one np.random.default_rng(key) gives, but the
+generators of a chunk of trials are seeded together: numpy's SeedSequence
+hash of each key (every field as little-endian 32-bit words, 0 as one
+word; the entropy mix into a pool of four words; generate_state(4,
+np.uint64)) is formed with uint32 arrays for the whole chunk, and each
+trial's PCG64 starts from its four words.  A chunk with a key that is not
+a tuple of non-negative ints, a negative seed say, is seeded by
+default_rng itself, which refuses such a key with its own error.
+
 Residuals are "most positive value of LHS - RHS observed"; a suite passes
 when the maximum stays at or below the tolerance.  Left-hand sides are
 either exact (closed forms, polynomial outers) or truncated lower bounds of
@@ -100,6 +109,14 @@ _COEFF_BUDGET = 2 ** 14
 # the chunk it falls in, so the count bounds only the draws held at once.
 _DRAW_ROWS = 256
 
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx): its pool
+# of four 32-bit words, the entropy and state hashes and the pool mix.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
 
 def _sine_fractions(n: int) -> tuple:
     """n fractions in (0, 1], sine-spaced so points cluster near 1, ending at 1."""
@@ -183,12 +200,102 @@ def _poly_dict(coeffs: np.ndarray, degree: int) -> list:
     return [_pair(c) for c in coeffs[: degree + 1].tolist()]
 
 
+class _SeedWords:
+    """The seed of one PCG64: the four 64-bit words that SeedSequence(key)
+    generates for it, hashed with the rest of its chunk by _seed_states.
+    _generators registers the class as a
+    numpy.random.bit_generator.ISeedSequence, the interface PCG64 reads."""
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError("a PCG64 seed holds four uint64 words only")
+        return self.words
+
+
+def _entropy_words(key):
+    """The 32-bit words SeedSequence assembles from a tuple of non-negative
+    Python ints, each field little-endian and 0 as one word; None for any
+    other key."""
+    if type(key) is not tuple:
+        return None
+    words = []
+    for n in key:
+        if type(n) is not int or n < 0:
+            return None
+        words.append(n & _MASK32)
+        while n := n >> 32:
+            words.append(n & _MASK32)
+    return words
+
+
+def _seed_states(entropy) -> np.ndarray:
+    """(rows, 4) uint64 words, row i being
+    SeedSequence(key).generate_state(4, np.uint64) for the entropy words
+    entropy[i] of a key, hashed for all rows at once with numpy's uint32
+    arithmetic, which wraps as SeedSequence's does."""
+    lengths = np.array([len(words) for words in entropy], dtype=np.intp)
+    table = np.zeros((lengths.size, max(_POOL_SIZE, int(lengths.max()))), dtype=np.uint32)
+    table[np.arange(table.shape[1]) < lengths[:, None]] = np.fromiter(
+        itertools.chain.from_iterable(entropy), dtype=np.uint32, count=int(lengths.sum())
+    )
+    const = _INIT_A  # advanced by every hashmix, the same for every row
+
+    def hashmix(values):
+        nonlocal const
+        values = values ^ np.uint32(const)
+        const = const * _MULT_A & _MASK32
+        values = values * np.uint32(const)
+        return values ^ (values >> 16)
+
+    def mix(x, y):
+        out = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return out ^ (out >> 16)
+
+    # a key of fewer words than the pool hashes zeros in their place
+    pool = [hashmix(table[:, i]) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL_SIZE, table.shape[1]):
+        longer = lengths > src
+        for dst in range(_POOL_SIZE):
+            pool[dst] = np.where(longer, mix(pool[dst], hashmix(table[:, src])), pool[dst])
+    const = _INIT_B
+    state = np.empty((lengths.size, 8), dtype=np.uint32)
+    for i in range(8):
+        value = pool[i % _POOL_SIZE] ^ np.uint32(const)
+        const = const * _MULT_B & _MASK32
+        value = value * np.uint32(const)
+        state[:, i] = value ^ (value >> 16)
+    # word 2j is the low half of 64-bit word j, as in numpy's little-endian view
+    return state[:, 0::2].astype(np.uint64) | state[:, 1::2].astype(np.uint64) << np.uint64(32)
+
+
+def _generators(chunk) -> list:
+    """np.random.default_rng(key) for each key of a chunk, bit for bit, with
+    the SeedSequence hash of all keys formed at once.  A chunk holding a key
+    that is not a tuple of non-negative Python ints goes to default_rng
+    itself, which reads it or refuses it as it always has."""
+    entropy = [_entropy_words(key) for key in chunk]
+    if None in entropy:
+        return [np.random.default_rng(key) for key in chunk]
+    # registered here, not at import, since numpy loads numpy.random on
+    # first use; registering again is a no-op
+    np.random.bit_generator.ISeedSequence.register(_SeedWords)
+    return [np.random.Generator(np.random.PCG64(_SeedWords(words))) for words in _seed_states(entropy)]
+
+
 def _keyed_draws(keys, draw):
     """The items of draw(rngs, chunk) over consecutive chunks of ``keys``, in
-    order, where rngs[i] is the PCG64 stream keyed by chunk[i]."""
+    order, where rngs[i] is the PCG64 stream keyed by chunk[i], as
+    np.random.default_rng(chunk[i]) seeds it."""
     keys = iter(keys)
     while chunk := list(itertools.islice(keys, _DRAW_ROWS)):
-        yield from draw([np.random.default_rng(key) for key in chunk], chunk)
+        yield from draw(_generators(chunk), chunk)
 
 
 def _trial_params(suite: str, draw, trials: int, seed: int):

@@ -358,6 +358,22 @@ class TestExtremalCommand:
         assert json.loads(out)["lambda"] == 0.3
 
 
+    # t6 printed a witness for --k 1.5 and t3 refused it as lam, a name
+    # neither flag has.
+    @pytest.mark.parametrize("theorem", ["t3", "t6"])
+    @pytest.mark.parametrize("flag, name", [("--k", "k"), ("--lambda", "lambda")])
+    @pytest.mark.parametrize("value", ["1.5", "-0.5", "nan"])
+    def test_scale_outside_unit_interval_refused_by_name(self, capsys, theorem, flag, name, value):
+        other = ["--lambda", "0.3"] if flag == "--k" else ["--k", "0.3"]
+        for extra in ([], other):
+            code, out, err = run_cli(
+                capsys, "extremal", "--theorem", theorem, "--a", "0.5", flag, value, *extra, "--order", "2"
+            )
+            assert code == 1
+            assert out == ""
+            assert err == f"bohrlab: error: {name} must lie in [0, 1]\n"
+
+
 class TestVerifyCommand:
     def test_single_suite_pass(self, capsys):
         code, out, _ = run_cli(
@@ -468,6 +484,25 @@ class TestVerifyCommand:
             "a6974b089580744b9b05264bb7821bd55e48076a68b31c6ad1bac0070f93236d"
         )
 
+    # Same, for `verify --suite all --order 16 --trials 300 --seed 2**32`, as
+    # produced by a np.random.default_rng call per trial: the seed takes two
+    # words of each trial key.
+    def test_golden_multiword_seed_report_bytes(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "verify", "--suite", "all", "--order", "16", "--trials", "300", "--seed", "4294967296"
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "99e49122a29ee239b192f27caec9ecc1d5865db6b5cca66f3213d7a415970e9b"
+        )
+
+    @pytest.mark.parametrize("suite", ["t1", "t5", "all"])
+    def test_negative_seed_refused(self, capsys, suite):
+        code, out, err = run_cli(capsys, "verify", "--suite", suite, "--trials", "3", "--seed", "-1")
+        assert code == 1
+        assert out == ""
+        assert err == "bohrlab: error: expected non-negative integer\n"
+
     def test_invalid_suite(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--suite", "t4")
         assert code == 1
@@ -475,6 +510,14 @@ class TestVerifyCommand:
 
 
 class TestTopLevel:
+    def test_parser_built_once_and_reused(self, capsys):
+        parser = cli._build_parser()
+        argv = ["sweep", "--functional", "t3", "--params", "a=0.5", "k=0.25", "--r-min", "0", "--r-max", "0.4", "--steps", "3"]
+        first, second = run_cli(capsys, *argv), run_cli(capsys, *argv)
+        assert first == second and first[0] == 0
+        assert cli._build_parser() is parser
+        assert parser.parse_args(["sweep", "--functional", "bohr", "--r-min", "0", "--r-max", "0.1", "--steps", "1"]).params == ()
+
     def test_no_subcommand(self, capsys):
         code, _, err = run_cli(capsys)
         assert code == 1

@@ -599,6 +599,67 @@ class TestColumnarTrials:
             assert len(long[group]) >= len(records)
 
 
+def _same_stream(rng, key) -> bool:
+    """rng is where np.random.default_rng(key) starts and draws as it does."""
+    ref = np.random.default_rng(key)
+    if rng.bit_generator.state != ref.bit_generator.state:
+        return False
+    return rng.random(5).tobytes() == ref.random(5).tobytes() and rng.integers(0, 2**63, 3).tolist() == ref.integers(0, 2**63, 3).tolist()
+
+
+# Trial keys of t1-t3 and t5/t6 at seeds of one, two and three words, and
+# keys of five words and more.
+_SEEDS = [0, 1, 42, 2**32 - 1, 2**32, 2**40 + 5, 2**64 + 1]
+_TRIAL_KEYS = [(suite, seed, t) for suite in (1, 2, 3) for seed in _SEEDS for t in range(13)]
+_TRIAL_KEYS += [(suite, seed, g, j) for suite in (5, 6) for seed in _SEEDS for g in range(3) for j in range(5)]
+_TRIAL_KEYS += [(1, 2, 3, 4, 5), (0, 0, 0, 0, 0), (7, 2**64 + 1, 0), (2**160 + 9, 3), (0,), ()]
+
+
+class TestKeyedGenerators:
+    """The chunk-hashed generators start every stream where
+    np.random.default_rng(key) starts it, and refuse what it refuses."""
+
+    KEYS = _TRIAL_KEYS
+
+    @pytest.mark.parametrize("size", [1, 255, 256, 257])
+    def test_chunk_matches_default_rng(self, size):
+        keys = (self.KEYS * 2)[-size:]
+        rngs = verify_mod._generators(keys)
+        assert len(rngs) == size
+        assert all(_same_stream(rng, key) for rng, key in zip(rngs, keys))
+
+    def test_every_key_in_chunks_of_one(self):
+        assert all(_same_stream(rng, key) for key in self.KEYS for rng in verify_mod._generators([key]))
+
+    def test_keyed_draws_cross_chunks(self):
+        keys = [(1, 2**32, t) for t in range(2 * verify_mod._DRAW_ROWS + 1)]
+        seen = list(verify_mod._keyed_draws(keys, lambda rngs, chunk: list(zip(rngs, chunk))))
+        assert [key for _, key in seen] == keys
+        assert all(_same_stream(rng, key) for rng, key in seen)
+
+    @pytest.mark.parametrize(
+        "seed, error, message",
+        [(-1, ValueError, "expected non-negative integer"), (1.5, TypeError, "seed must be integer")],
+    )
+    def test_refused_as_default_rng_refuses(self, seed, error, message):
+        with pytest.raises(error) as expected:
+            np.random.default_rng((1, seed, 0))
+        assert str(expected.value) == message
+        with pytest.raises(error, match=f"^{message}$"):
+            verify_mod._generators([(1, 0, 0), (1, seed, 0)])
+        with pytest.raises(error, match=f"^{message}$"):
+            check_theorem1(trials=3, seed=seed, order=8)
+
+    def test_numpy_integer_seed_reads_as_default_rng(self):
+        keys = [(1, np.uint64(2**63), 0), (1, True, 4)]
+        assert all(_same_stream(rng, key) for rng, key in zip(verify_mod._generators(keys), keys))
+
+    def test_seed_words_serve_pcg64_only(self):
+        [words] = verify_mod._seed_states([[1, 2, 3]])
+        with pytest.raises(ValueError, match="four uint64 words"):
+            verify_mod._SeedWords(words).generate_state(8)
+
+
 class TestDrawnSpecsChecked:
     """Every spec a suite expands passes BlaschkeSpec's checks and the
     boundary tripwire."""
@@ -607,21 +668,27 @@ class TestDrawnSpecsChecked:
 
     @pytest.mark.parametrize("check", CHECKS)
     def test_every_expanded_spec_passes_the_tripwire(self, monkeypatch, check):
+        # the stacked evaluator sees spec columns, not spec objects, so the
+        # specs are compared by the bits of their zeros and rotations
         evaluated, expanded = [], []
-        real_eval, real_rows = witnesses_mod.eval_blaschke, witnesses_mod.blaschke_rows
+        real_moduli, real_rows = witnesses_mod._boundary_moduli, witnesses_mod.blaschke_rows
 
-        def counting_eval(spec, z):
-            evaluated.append(spec)
-            return real_eval(spec, z)
+        def counting_moduli(zeros, counts, rotations, z):
+            evaluated.extend(
+                (row[:n].tobytes(), rotation.tobytes()) for row, n, rotation in zip(zeros, counts, rotations)
+            )
+            return real_moduli(zeros, counts, rotations, z)
 
         def counting_rows(specs, order, **kwargs):
-            expanded.extend(specs)
+            expanded.extend(
+                (np.asarray(s.zeros, dtype=complex).tobytes(), np.complex128(s.rotation).tobytes()) for s in specs
+            )
             return real_rows(specs, order, **kwargs)
 
-        monkeypatch.setattr(witnesses_mod, "eval_blaschke", counting_eval)
+        monkeypatch.setattr(witnesses_mod, "_boundary_moduli", counting_moduli)
         monkeypatch.setattr(witnesses_mod, "blaschke_rows", counting_rows)
         check(trials=40, seed=2, order=8)
-        assert expanded and [id(s) for s in evaluated] == [id(s) for s in expanded]
+        assert expanded and evaluated == expanded
 
     @pytest.mark.parametrize("check", CHECKS)
     def test_off_circle_rotation_refused(self, monkeypatch, check):

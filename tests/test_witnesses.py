@@ -14,10 +14,12 @@ from bohrlab.functionals import bohr_sum, theorem3_lhs, theorem6_lhs
 from bohrlab import witnesses
 from bohrlab.series import (
     BlaschkeSpec,
+    _spec_columns,
     blaschke_series,
     compose,
     convolve_rows,
     derivative,
+    eval_blaschke,
     evaluate,
     majorant_eval,
     make_series,
@@ -405,15 +407,74 @@ class TestOddRows:
             assert got.exact_degree == expected.exact_degree == (None if spec.zeros else 1)
 
     def test_odd_tripwire_runs_on_every_spec(self, monkeypatch):
-        real = witnesses.eval_blaschke
+        real = witnesses._boundary_moduli
         broken = DrawnSpec(np.array([0.5 + 0.0j]), 1.0 + 0.0j)
         specs = [DrawnSpec(np.array([], dtype=complex), 1.0 + 0.0j), broken]
-        def broken_eval(spec, z):
-            return np.full(np.shape(z), 2.0 + 0j) if spec is broken else real(spec, z)
+        def broken_moduli(zeros, counts, rotations, z):
+            return np.where((zeros[:, :1] == 0.5) & (counts[:, None] == 1), 2.0, real(zeros, counts, rotations, z))
 
-        monkeypatch.setattr(witnesses, "eval_blaschke", broken_eval)
+        monkeypatch.setattr(witnesses, "_boundary_moduli", broken_moduli)
         with pytest.raises(AssertionError, match="exceeds modulus one"):
             schwarz_rows(specs, 8, odd=True)
+
+
+class TestBoundaryTripwire:
+    """The stacked tripwire reads the moduli eval_blaschke gives and checks
+    every spec it is handed."""
+
+    @staticmethod
+    def _specs(key, rows):
+        """rows drawn specs, then eight zero-free and eight four-zero ones."""
+        specs = draw_specs([np.random.default_rng((key, i)) for i in range(rows)])
+        specs += draw_specs([np.random.default_rng((key, rows, i)) for i in range(8)], 0, 0)
+        return specs + draw_specs([np.random.default_rng((key, rows + 1, i)) for i in range(8)], 4, 4)
+
+    @pytest.mark.parametrize("inner, odd", [(False, False), (True, False), (True, True)])
+    def test_worst_modulus_matches_eval_blaschke(self, inner, odd):
+        specs = self._specs(3, 200)
+        assert {len(s.zeros) for s in specs} == {0, 1, 2, 3, 4}
+        sample = witnesses._BOUNDARY_SAMPLE
+        z = sample**2 if odd else sample
+        moduli = witnesses._boundary_moduli(*_spec_columns(specs), z)
+        got = np.max(moduli * np.abs(sample) if inner else moduli, axis=1)
+        for worst, spec in zip(got, specs):
+            values = eval_blaschke(spec, z)
+            assert abs(worst - np.max(np.abs(sample * values if inner else values))) <= 1e-15
+
+    # 130 specs span three chunks of the tripwire; the spec the broken
+    # evaluator reports over one sits at each chunk's first and last row.
+    @pytest.mark.parametrize("position", [0, 1, 63, 64, 65, 127, 128, 129])
+    @pytest.mark.parametrize("build", ["bounded", "schwarz", "odd"])
+    def test_one_broken_row_raises(self, monkeypatch, position, build):
+        specs = [DrawnSpec(np.array([0.005 * i + 0.0j]), 1.0 + 0.0j) for i in range(130)]
+        real = witnesses._boundary_moduli
+        def broken_moduli(zeros, counts, rotations, z):
+            moduli = real(zeros, counts, rotations, z)
+            moduli[zeros[:, 0] == specs[position].zeros[0], 7] = 2.0
+            return moduli
+
+        monkeypatch.setattr(witnesses, "_boundary_moduli", broken_moduli)
+        call = {
+            "bounded": lambda: bounded_rows(specs, 8),
+            "schwarz": lambda: schwarz_rows(specs, 8),
+            "odd": lambda: schwarz_rows(specs, 8, odd=True),
+        }[build]
+        with pytest.raises(AssertionError, match="exceeds modulus one on the boundary sample"):
+            call()
+
+    # An inner witness z*B(z) is bounded by 0.95 |B| on the sample, so a
+    # modulus of B up to 1/0.95 passes there and fails for B itself.
+    def test_inner_witness_carries_the_factor_z(self, monkeypatch):
+        monkeypatch.setattr(witnesses, "_boundary_moduli", lambda zeros, counts, rotations, z: np.full((counts.size, z.size), 1.05))
+        schwarz_rows([BlaschkeSpec()], 8)
+        schwarz_rows([BlaschkeSpec()], 8, odd=True)
+        with pytest.raises(AssertionError, match="boundary sample: 1.05"):
+            bounded_rows([BlaschkeSpec()], 8)
+
+    def test_nan_modulus_raises(self, monkeypatch):
+        monkeypatch.setattr(witnesses, "_boundary_moduli", lambda zeros, counts, rotations, z: np.full((counts.size, z.size), np.nan))
+        with pytest.raises(AssertionError, match="boundary sample: nan"):
+            bounded_rows([BlaschkeSpec()], 8)
 
 
 class TestPSymmetricLift:
@@ -486,7 +547,7 @@ def rejected(call):
         return str(exc)
     return "accepted"
 
-witnesses.eval_blaschke = lambda spec, z: np.full(np.shape(z), 2.0 + 0.0j)
+witnesses._boundary_moduli = lambda zeros, counts, rotations, z: np.full((counts.size, z.size), 2.0)
 print(rejected(lambda: witnesses.bounded_from_spec(BlaschkeSpec(), 8)))
 
 witnesses.compose = lambda g, w: g
@@ -498,8 +559,9 @@ print(rejected(lambda: series.power(make_series([0.0, 1.0], 8), 2)))
 """
 
 
-# The boundary tripwire of the stacked builders runs per spec through
-# eval_blaschke looked up at call time, so breaking it must raise under -O.
+# The boundary tripwire of the stacked builders checks every spec through
+# _boundary_moduli looked up at call time, so breaking it for one spec must
+# raise under -O.
 _OPTIMIZED_STACKED_CHECKS = """
 import sys
 import numpy as np
@@ -515,9 +577,10 @@ def rejected(call):
         return str(exc)
     return "accepted"
 
-real = witnesses.eval_blaschke
+real = witnesses._boundary_moduli
 broken = BlaschkeSpec(zeros=(0.5,))
-witnesses.eval_blaschke = lambda spec, z: np.full(np.shape(z), 2.0 + 0.0j) if spec is broken else real(spec, z)
+witnesses._boundary_moduli = lambda zeros, counts, rotations, z: np.where(
+    zeros[:, :1] == 0.5, 2.0, real(zeros, counts, rotations, z))
 specs = [BlaschkeSpec(), broken, BlaschkeSpec(zeros=(0.2j,))]
 print(rejected(lambda: witnesses.bounded_rows(specs, 8)))
 print(rejected(lambda: witnesses.schwarz_rows(specs, 8)))
