@@ -22,6 +22,9 @@ from .functionals import SHARP_FUNCTIONALS, sharp_lhs
 from .series import DEFAULT_ORDER, unit_interval
 from .verify import DEFAULT_SEED, DEFAULT_TRIALS
 
+# The parser's description, held apart from the docstring that -OO strips.
+_DESCRIPTION = "Command-line surface: radius tables, functional sweeps, extremal dumps, verification runs."
+
 # Decimal endpoints within 1e-9 of these constants snap to the exact value,
 # so endpoint rows probe the true radius rather than a rounded one.
 _SNAP_TARGETS = (radii.CLASSICAL_CAP, radii.ODD_CAP, radii.UNIVERSAL_RADIUS)
@@ -105,7 +108,7 @@ def _print_json(payload):
 def _build_parser() -> _Parser:
     """The argument parser, built on the first call and shared by every
     later run() of the process; parsing leaves it as it was."""
-    parser = _Parser(prog="bohrlab", description=__doc__.splitlines()[0])
+    parser = _Parser(prog="bohrlab", description=_DESCRIPTION)
     sub = parser.add_subparsers(dest="command", metavar="command")
 
     p_rad = sub.add_parser("radius", help="sharp radius as JSON", add_help=True)

@@ -6,6 +6,14 @@ d, every coefficient beyond index d is identically zero and the vector
 represents the function exactly rather than as a truncation.  All
 operations are pure and never mutate their inputs, so values can be shared
 freely across threads.
+
+Blaschke rows are expanded from spec columns (_spec_columns, which makes
+BlaschkeSpec's checks): blaschke_rows forms them and expands, and the
+stacked builders of bohrlab.witnesses form them once and hand the same
+columns to their boundary tripwire and to the expansion.  Every disk
+automorphism series, mobius_series and witnesses.extremal_theorem5, comes
+from _automorphism, and _automorphism_degree holds the rule that makes one
+exact (degree 1 at a0 = 0) for it and for verify's Horner starts.
 """
 
 from __future__ import annotations
@@ -447,12 +455,26 @@ def mobius_series(a0: complex, order: int) -> TruncatedSeries:
     Coefficient 0 is a0 and coefficient k is
     (-1)^(k-1) (1 - |a0|^2) conj(a0)^(k-1) for k >= 1, so the moduli form
     the geometric family (1 - |a0|^2) |a0|^(k-1).  The result carries a
-    closed-form tag used by the functional layer.  A one-row mobius_rows call.
+    closed-form tag used by the functional layer.  The "plus" _automorphism.
     """
+    return _automorphism(a0, order, "plus")
+
+
+def _automorphism_degree(a0) -> int | None:
+    """Exact degree of the disk automorphism at a0: 1 at a0 = 0, where it is
+    the polynomial z or -z, and None elsewhere, where its series is a
+    truncation.  Stacked builders start Horner at this degree, or at the
+    order where it is None, as compose does."""
+    return 1 if a0 == 0 else None
+
+
+def _automorphism(a0, order: int, kind: str) -> TruncatedSeries:
+    """The disk automorphism of ``kind`` at a0 as a tagged series: a one-row
+    mobius_rows call, which refuses |a0| >= 1, with its exact degree and
+    its MobiusTag."""
     a0 = complex(a0)
-    out = mobius_rows([a0], order)[0]
-    degree = 1 if a0 == 0 else None
-    return TruncatedSeries(out, exact_degree=degree, tag=MobiusTag(a0, "plus"))
+    row = mobius_rows([a0], order, kind)[0]
+    return TruncatedSeries(row, exact_degree=_automorphism_degree(a0), tag=MobiusTag(a0, kind))
 
 
 def _unit_gaps(values) -> np.ndarray:
@@ -578,13 +600,22 @@ def blaschke_rows(specs, order: int, vanish_at_origin: bool = False) -> np.ndarr
 
     ``specs`` is a sequence of BlaschkeSpec or of any objects with its
     ``zeros`` and ``rotation``, such as witnesses.DrawnSpec, and every spec
-    must pass BlaschkeSpec's checks.  Factor i of every spec with more than
-    i zeros is expanded and convolved in one convolve_rows call; specs with
-    fewer zeros are left out of it, as blaschke_series never convolves them.
+    must pass BlaschkeSpec's checks.  The _blaschke_expansion of the specs'
+    _spec_columns.
+    """
+    return _blaschke_expansion(*_spec_columns(specs), order, vanish_at_origin)
+
+
+def _blaschke_expansion(zeros, counts, rotations, order: int, vanish_at_origin: bool = False) -> np.ndarray:
+    """blaschke_rows of the specs whose _spec_columns are zeros, counts and
+    rotations.
+
+    Factor i of every spec with more than i zeros is expanded and convolved
+    in one convolve_rows call; specs with fewer zeros are left out of it,
+    as blaschke_series never convolves them.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    zeros, counts, rotations = _spec_columns(specs)
     n = order + 1
     acc = np.zeros((counts.size, n), dtype=np.complex128)
     acc[:, 0] = rotations

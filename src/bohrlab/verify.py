@@ -67,6 +67,7 @@ from .radii import (
 from .series import (
     DEFAULT_ORDER,
     TruncatedSeries,
+    _automorphism_degree,
     compose,
     compose_rows,
     finite_rows,
@@ -380,12 +381,11 @@ def _pointwise_draws(groups, a_values, specs: int):
 def _automorphisms(block, order: int, kind: str) -> np.ndarray:
     """Rows of the disk automorphism (mobius_rows) at the a0 of each draw of
     a block composed with the Schwarz function of the draw's first spec.
-    The automorphism at a0 = 0 is a polynomial of degree 1 and starts Horner
-    there, as compose starts at an exact degree; any other is a truncation
-    and starts at the order."""
-    a0s = np.array([draw.a0 for draw in block])
+    Horner starts at the automorphism's exact degree, as compose does, or
+    at the order where it is a truncation (series._automorphism_degree)."""
+    a0s = [draw.a0 for draw in block]
     inner = schwarz_rows([draw.specs[0] for draw in block], order)
-    return compose_rows(mobius_rows(a0s, order, kind), inner, np.where(a0s == 0, 1, order))
+    return compose_rows(mobius_rows(a0s, order, kind), inner, [_automorphism_degree(a0) or order for a0 in a0s])
 
 
 def _sharp_radius(theorem: str, a: float, k: float = 0.0) -> float:
@@ -540,33 +540,24 @@ def _t2_rows(block, order: int) -> tuple:
     return np.stack(f), g
 
 
-def _t2_residual(f: np.ndarray, g: np.ndarray, grid) -> tuple:
-    """(residual, where) of odd pairs stacked along the leading axes of f
-    and g: the largest excess of a partial majorant sum of f over g's on
+def _t2_residual(f: np.ndarray, g: np.ndarray, grid) -> list:
+    """One (residual, where) pair per row of (rows, N+1) stacks of odd pairs
+    f and g: the largest excess of a partial majorant sum of f over g's on
     the grid, or f's even-coefficient leak when that is larger.  ``where``
-    maps "r", "partial_sum_length" and "even_leak" to arrays of the
-    leading shape.  The first of equal excesses in (radius, length) order
-    is kept, as np.argmax over one pair's flattened table does; the table
-    is formed one radius at a time to keep a block's memory small."""
-    leak = np.max(np.abs(f[..., 0::2]), axis=-1)
+    maps "r", "partial_sum_length" and "even_leak" to Python numbers.  The
+    first of equal excesses in (radius, length) order is kept, as np.argmax
+    over one pair's flattened table does; the table is formed one radius at
+    a time to keep a block's memory small."""
+    leak = np.max(np.abs(f[:, 0::2]), axis=1)
     lengths, tops = [], []
     for r in grid:
         gaps = theorem2_rows(f, g, r)
-        lengths.append(np.argmax(gaps, axis=-1))
-        tops.append(np.max(gaps, axis=-1))
-    tops, lengths = np.stack(tops, axis=-1), np.stack(lengths, axis=-1)
-    i = np.argmax(tops, axis=-1)[..., None]
-    worst, m = np.take_along_axis(tops, i, -1)[..., 0], np.take_along_axis(lengths, i, -1)[..., 0]
-    where = {"r": np.asarray(grid)[i[..., 0]], "partial_sum_length": m + 1, "even_leak": leak}
-    return np.where(leak > worst, leak, worst), where
-
-
-def _split_rows(residuals, where: dict, rows: int) -> list:
-    """One (residual, where) pair per row from a residual array over rows and
-    a where dict of such arrays; a scalar applies to every row."""
-    residuals = np.broadcast_to(residuals, (rows,))
-    columns = {key: np.broadcast_to(value, (rows,)) for key, value in where.items()}
-    return [(float(res), {key: col[i].item() for key, col in columns.items()}) for i, res in enumerate(residuals)]
+        lengths.append(np.argmax(gaps, axis=1))
+        tops.append(np.max(gaps, axis=1))
+    tops, lengths = np.stack(tops, axis=1), np.stack(lengths, axis=1)
+    i, rows = np.argmax(tops, axis=1), np.arange(len(f))
+    columns = zip(tops[rows, i].tolist(), np.asarray(grid)[i].tolist(), (lengths[rows, i] + 1).tolist(), leak.tolist())
+    return [(max(worst, lk), {"r": r, "partial_sum_length": m, "even_leak": lk}) for worst, r, m, lk in columns]
 
 
 def check_theorem2_odd(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED, order: int = DEFAULT_ORDER) -> VerificationReport:
@@ -585,7 +576,7 @@ def check_theorem2_odd(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED, o
         _run_suite(
             draws,
             _t2_rows,
-            lambda block, fg: _split_rows(*_t2_residual(*fg, grid), len(block)),
+            lambda block, fg: _t2_residual(*fg, grid),
             _t2_record,
             order,
         )

@@ -6,7 +6,12 @@ A 360-point boundary sample of the rational form at |z| = 0.95 is kept as a
 tripwire on every draw; it raises AssertionError, also under ``python -O``,
 when a witness exceeds modulus 1 + 1e-9 there.  It checks the specs of a
 call together, 64 at a time, multiplying squared factor moduli in real
-arithmetic; its worst modulus per spec is eval_blaschke's to 1e-15.
+arithmetic; its worst modulus per spec is eval_blaschke's to 1e-15.  A
+stacked builder forms the spec columns (series._spec_columns, which makes
+BlaschkeSpec's checks) once per call and hands them to the tripwire and to
+the Blaschke expansion, so a bad spec is refused before either runs.  The
+extremal automorphisms come from series._automorphism, the one home of
+their exact-degree rule.
 """
 
 from __future__ import annotations
@@ -24,8 +29,9 @@ from .series import (
     BlaschkeSpec,
     MobiusTag,
     TruncatedSeries,
+    _automorphism,
+    _blaschke_expansion,
     _spec_columns,
-    blaschke_rows,
     blaschke_series,
     compose,
     compose_rows,
@@ -34,7 +40,6 @@ from .series import (
     finite_rows,
     integrate,
     make_series,
-    mobius_rows,
     mobius_series,
     mul,
     scale,
@@ -123,8 +128,8 @@ def _check_convolution_identity(g_rows, phi_rows, omega_rows, f_rows):
 
 class DrawnSpec(NamedTuple):
     """A drawn Blaschke spec: its zeros as a 1-D array and its rotation.
-    It is not checked when drawn; blaschke_rows makes BlaschkeSpec's checks
-    on every spec it expands."""
+    It is not checked when drawn; series._spec_columns makes BlaschkeSpec's
+    checks on every spec the builders expand."""
 
     zeros: np.ndarray
     rotation: complex
@@ -213,13 +218,13 @@ def _boundary_moduli(zeros, counts, rotations, z) -> np.ndarray:
     return np.sqrt(squares) * np.abs(rotations)[:, None]
 
 
-def _boundary_tripwire(specs, inner: bool = False, odd: bool = False):
-    """Raise AssertionError unless the witness of every spec, its Blaschke
-    product B or, when ``inner``, z*B(z) (z*B(z^2) when odd), stays within
-    modulus one (up to 1e-9) on the boundary sample.  Specs are checked
-    _TRIPWIRE_ROWS at a time, through _boundary_moduli looked up when
-    called."""
-    zeros, counts, rotations = _spec_columns(specs)
+def _boundary_tripwire(zeros, counts, rotations, inner: bool = False, odd: bool = False):
+    """Raise AssertionError unless the witness of every spec of the columns
+    zeros, counts and rotations (series._spec_columns, which has made
+    BlaschkeSpec's checks), its Blaschke product B or, when ``inner``,
+    z*B(z) (z*B(z^2) when odd), stays within modulus one (up to 1e-9) on
+    the boundary sample.  Specs are checked _TRIPWIRE_ROWS at a time,
+    through _boundary_moduli looked up when called."""
     sample = _BOUNDARY_SAMPLE**2 if odd else _BOUNDARY_SAMPLE
     for start in range(0, counts.size, _TRIPWIRE_ROWS):
         rows = slice(start, start + _TRIPWIRE_ROWS)
@@ -232,7 +237,7 @@ def _boundary_tripwire(specs, inner: bool = False, odd: bool = False):
 
 def bounded_from_spec(spec: BlaschkeSpec, order: int = DEFAULT_ORDER) -> TruncatedSeries:
     """Series of the bounded analytic witness defined by a Blaschke product."""
-    _boundary_tripwire([spec])
+    _boundary_tripwire(*_spec_columns([spec]))
     return blaschke_series(spec, order)
 
 
@@ -245,24 +250,28 @@ def schwarz_from_spec(spec: BlaschkeSpec, odd: bool = False, order: int = DEFAUL
         out = TruncatedSeries(lifted, exact_degree=None if spec.zeros else 1)
     else:
         out = blaschke_series(spec, order, vanish_at_origin=True)
-    _boundary_tripwire([spec], inner=True, odd=odd)
+    _boundary_tripwire(*_spec_columns([spec]), inner=True, odd=odd)
     return out
 
 
 def bounded_rows(specs, order: int) -> np.ndarray:
     """Stacked bounded_from_spec coefficients, one row per spec, bit for bit;
-    the boundary tripwire runs on every spec."""
-    _boundary_tripwire(specs)
-    return blaschke_rows(specs, order)
+    the boundary tripwire runs on every spec.  One _spec_columns pass feeds
+    the tripwire and the expansion."""
+    columns = _spec_columns(specs)
+    _boundary_tripwire(*columns)
+    return _blaschke_expansion(*columns, order)
 
 
 def schwarz_rows(specs, order: int, odd: bool = False) -> np.ndarray:
     """Stacked schwarz_from_spec coefficients, z*B(z) or, when odd, z*B(z^2),
-    one row per spec, bit for bit; the boundary tripwire runs on every spec."""
-    _boundary_tripwire(specs, inner=True, odd=odd)
+    one row per spec, bit for bit; the boundary tripwire runs on every spec.
+    One _spec_columns pass feeds the tripwire and the expansion."""
+    columns = _spec_columns(specs)
+    _boundary_tripwire(*columns, inner=True, odd=odd)
     if odd:
-        return odd_rows(blaschke_rows(specs, order // 2), order)
-    return blaschke_rows(specs, order, vanish_at_origin=True)
+        return odd_rows(_blaschke_expansion(*columns, order // 2), order)
+    return _blaschke_expansion(*columns, order, vanish_at_origin=True)
 
 
 def odd_rows(base_rows, order: int) -> np.ndarray:
@@ -293,12 +302,9 @@ def extremal_theorem5(a0: complex, order: int = DEFAULT_ORDER) -> TruncatedSerie
     """Expansion of (a0 - z)/(1 - conj(a0) z): the pointwise-sharp witness.
 
     Coefficient 0 is a0 and coefficient k is -(1 - |a0|^2) conj(a0)^(k-1).
-    A one-row mobius_rows call, which refuses |a0| >= 1.
+    The "minus" series._automorphism, which refuses |a0| >= 1.
     """
-    a0 = complex(a0)
-    out = mobius_rows([a0], order, "minus")[0]
-    degree = 1 if a0 == 0 else None
-    return TruncatedSeries(out, exact_degree=degree, tag=MobiusTag(a0, "minus"))
+    return _automorphism(a0, order, "minus")
 
 
 def extremal_theorem3(a0: complex, lam: float, order: int = DEFAULT_ORDER) -> HarmonicPair:

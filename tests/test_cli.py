@@ -538,3 +538,28 @@ class TestTopLevel:
         assert done.returncode == 0, done.stderr
         assert json.loads(done.stdout)["value"] == pytest.approx(1 / 3)
         assert done.stderr == ""
+
+    # -OO strips docstrings, so nothing a command runs may read one.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["radius", "--theorem", "classical"],
+            ["sweep", "--functional", "t6", "--params", "a=0.6", "k=0.5", "--r-min", "0", "--r-max", "0.4", "--steps", "4"],
+            ["extremal", "--theorem", "t5", "--a", "0.5", "--order", "8"],
+            ["verify", "--suite", "all", "--trials", "5", "--order", "16"],
+        ],
+        ids=["radius", "sweep", "extremal", "verify"],
+    )
+    def test_docstrings_stripped(self, argv):
+        src = str(Path(bohrlab.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        plain, stripped = (
+            subprocess.run(
+                [sys.executable, *flags, "-m", "bohrlab.cli", *argv],
+                capture_output=True, text=True, env=env, check=False,
+            )
+            for flags in ([], ["-OO"])
+        )
+        assert plain.returncode == 0, plain.stderr
+        assert stripped.returncode == 0, stripped.stderr
+        assert stripped.stdout == plain.stdout

@@ -5,6 +5,7 @@ import pytest
 
 from bohrlab.series import (
     BlaschkeSpec,
+    MobiusTag,
     TruncatedSeries,
     add,
     blaschke_rows,
@@ -490,6 +491,19 @@ class TestStackedKernels:
 
 
 class TestMobiusSeries:
+    # Both automorphisms come from one builder; each keeps its kind's bits,
+    # exact degree 1 only at a0 = 0 (also at order 1, where a truncation has
+    # degree 1 too) and a tag of its kind.
+    @pytest.mark.parametrize("order", [1, 8, 64])
+    @pytest.mark.parametrize("a0, degree", [(0.0, 1), (-0.0, 1), (0.5, None), (0.3 + 0.4j, None)])
+    def test_automorphisms_keep_bytes_degree_and_tag(self, a0, degree, order):
+        for build, kind in ((mobius_series, "plus"), (extremal_theorem5, "minus")):
+            s = build(a0, order)
+            assert s.coeffs.tobytes() == per_object_mobius(a0, order, kind).tobytes()
+            assert s.exact_degree == degree
+            assert s.tag == MobiusTag(complex(a0), kind)
+            assert np.complex128(s.tag.a0).tobytes() == np.complex128(a0).tobytes()
+
     def test_identity_automorphism(self):
         s = mobius_series(0.0, 6)
         assert np.array_equal(s.coeffs, [0, 1, 0, 0, 0, 0, 0])

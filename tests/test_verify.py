@@ -456,7 +456,8 @@ class TestStackedWitnesses:
         f_rows[3, 2] = 0.5
         f_rows[4] = g_rows[4]
         grid = verify_mod.radius_grid(ODD_CAP, 12)
-        stacked = verify_mod._split_rows(*verify_mod._t2_residual(f_rows, g_rows, grid), len(block))
+        stacked = verify_mod._t2_residual(f_rows, g_rows, grid)
+        assert len(stacked) == len(block)
         for (res, where), f, g in zip(stacked, f_rows, g_rows):
             expected_res, expected_where = _t2_residual_one(f, g, grid)
             assert np.float64(res).tobytes() == np.float64(expected_res).tobytes()
@@ -488,7 +489,7 @@ class TestNonFiniteResiduals:
             check(trials=10, seed=1, order=16)
 
     def test_theorem2_refuses_nan(self, monkeypatch):
-        monkeypatch.setattr(verify_mod, "_t2_residual", lambda f, g, grid: (float("nan"), {"r": 0.5}))
+        monkeypatch.setattr(verify_mod, "_t2_residual", lambda f, g, grid: [(float("nan"), {"r": 0.5})] * len(f))
         with pytest.raises(ValueError, match="non-finite residual"):
             check_theorem2_odd(trials=3, seed=1, order=16)
 
@@ -668,25 +669,25 @@ class TestDrawnSpecsChecked:
 
     @pytest.mark.parametrize("check", CHECKS)
     def test_every_expanded_spec_passes_the_tripwire(self, monkeypatch, check):
-        # the stacked evaluator sees spec columns, not spec objects, so the
-        # specs are compared by the bits of their zeros and rotations
+        # the stacked evaluator and the expansion see spec columns, not spec
+        # objects, so the specs are compared by the bits of their zeros and
+        # rotations
         evaluated, expanded = [], []
-        real_moduli, real_rows = witnesses_mod._boundary_moduli, witnesses_mod.blaschke_rows
+        real_moduli, real_expansion = witnesses_mod._boundary_moduli, witnesses_mod._blaschke_expansion
+
+        def specs_of(zeros, counts, rotations):
+            return [(row[:n].tobytes(), rotation.tobytes()) for row, n, rotation in zip(zeros, counts, rotations)]
 
         def counting_moduli(zeros, counts, rotations, z):
-            evaluated.extend(
-                (row[:n].tobytes(), rotation.tobytes()) for row, n, rotation in zip(zeros, counts, rotations)
-            )
+            evaluated.extend(specs_of(zeros, counts, rotations))
             return real_moduli(zeros, counts, rotations, z)
 
-        def counting_rows(specs, order, **kwargs):
-            expanded.extend(
-                (np.asarray(s.zeros, dtype=complex).tobytes(), np.complex128(s.rotation).tobytes()) for s in specs
-            )
-            return real_rows(specs, order, **kwargs)
+        def counting_expansion(zeros, counts, rotations, order, **kwargs):
+            expanded.extend(specs_of(zeros, counts, rotations))
+            return real_expansion(zeros, counts, rotations, order, **kwargs)
 
         monkeypatch.setattr(witnesses_mod, "_boundary_moduli", counting_moduli)
-        monkeypatch.setattr(witnesses_mod, "blaschke_rows", counting_rows)
+        monkeypatch.setattr(witnesses_mod, "_blaschke_expansion", counting_expansion)
         check(trials=40, seed=2, order=8)
         assert expanded and evaluated == expanded
 

@@ -11,7 +11,7 @@ import pytest
 import bohrlab
 
 from bohrlab.functionals import bohr_sum, theorem3_lhs, theorem6_lhs
-from bohrlab import witnesses
+from bohrlab import series, witnesses
 from bohrlab.series import (
     BlaschkeSpec,
     _spec_columns,
@@ -475,6 +475,58 @@ class TestBoundaryTripwire:
         monkeypatch.setattr(witnesses, "_boundary_moduli", lambda zeros, counts, rotations, z: np.full((counts.size, z.size), np.nan))
         with pytest.raises(AssertionError, match="boundary sample: nan"):
             bounded_rows([BlaschkeSpec()], 8)
+
+
+
+# The stacked builders, each called with the specs it builds from.
+_STACKED_BUILDERS = {
+    "bounded": lambda specs: bounded_rows(specs, 8),
+    "schwarz": lambda specs: schwarz_rows(specs, 8),
+    "odd": lambda specs: schwarz_rows(specs, 8, odd=True),
+}
+
+
+class TestSpecColumnsOnce:
+    """A stacked builder forms its spec columns, and makes BlaschkeSpec's
+    checks, once a call: the tripwire and the expansion read the same
+    columns, and a bad spec is refused before any tripwire arithmetic."""
+
+    GOOD = DrawnSpec(np.array([0.5j]), 1.0 + 0.0j)
+
+    @pytest.mark.parametrize("build", list(_STACKED_BUILDERS))
+    def test_columns_formed_once_per_call(self, monkeypatch, build):
+        specs = [BlaschkeSpec(), BlaschkeSpec(zeros=(0.5j, -0.3)), self.GOOD]
+        expected = _STACKED_BUILDERS[build](specs)
+        # counted in both namespaces that hold it, so a call from either
+        # module is seen
+        calls = []
+        real = series._spec_columns
+
+        def counting(specs):
+            calls.append(len(specs))
+            return real(specs)
+
+        monkeypatch.setattr(series, "_spec_columns", counting)
+        monkeypatch.setattr(witnesses, "_spec_columns", counting)
+        assert _STACKED_BUILDERS[build](specs).tobytes() == expected.tobytes()
+        assert calls == [3]
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (DrawnSpec(np.array([0.95 + 0.0j]), 1.0 + 0.0j), "zero with modulus 0.9500 exceeds cap 0.9"),
+            (DrawnSpec(np.full(5, 0.1 + 0.0j), 1.0 + 0.0j), "at most 4 zeros"),
+            (DrawnSpec(np.array([], dtype=complex), 1.0 + 1e-13 + 0.0j), "rotation must be unimodular"),
+        ],
+    )
+    @pytest.mark.parametrize("build", list(_STACKED_BUILDERS))
+    def test_bad_spec_refused_before_the_tripwire(self, monkeypatch, build, bad, message):
+        def unreached(zeros, counts, rotations, z):
+            raise AssertionError("tripwire arithmetic ran on unchecked specs")
+
+        monkeypatch.setattr(witnesses, "_boundary_moduli", unreached)
+        with pytest.raises(ValueError, match=message):
+            _STACKED_BUILDERS[build]([self.GOOD, bad, self.GOOD])
 
 
 class TestPSymmetricLift:
