@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import radii, verify, witnesses
-from .functionals import SHARP_FUNCTIONALS, sharp_lhs
+from .functionals import SHARP_PARAMETERS, sharp_lhs
 from .series import DEFAULT_ORDER, unit_interval
 from .verify import DEFAULT_SEED, DEFAULT_TRIALS
 
@@ -37,6 +37,20 @@ _RADIUS_THEOREMS = {
     "psym": (("--p",), "p_symmetric_radius"),
     "t5": (("--a",), "theorem5_radius"),
     "t6": (("--a", "--k"), "theorem6_radius"),
+}
+
+# The cap a t5 or t6 sweep claims where its sharp radius does not bind
+# (RadiusResult.cap_binds): sqrt(5) - 2 for t5, none for t6.
+_UNBOUND_CAPS = {"t5": radii.UNIVERSAL_RADIUS, "t6": 0.0}
+
+# The bohrlab.verify function of each suite, in report order, looked up when
+# called.
+_SUITES = {
+    "t1": "check_theorem1",
+    "t2": "check_theorem2_odd",
+    "t3": "check_theorem3",
+    "t5": "check_theorem5",
+    "t6": "check_theorem6",
 }
 
 
@@ -84,8 +98,11 @@ def _parse_params(tokens) -> dict:
             if "=" not in piece:
                 raise _UsageError(f"parameter {piece!r} is not of the form key=value")
             key, _, value = piece.partition("=")
+            key = key.strip()
+            if key in out:
+                raise ValueError(f"parameter {key} is given more than once")
             try:
-                out[key.strip()] = float(value)
+                out[key] = float(value)
             except ValueError:
                 raise _UsageError(f"parameter {piece!r} has a non-numeric value")
     return out
@@ -118,7 +135,7 @@ def _build_parser() -> _Parser:
     p_rad.add_argument("--p", type=int)
 
     p_sweep = sub.add_parser("sweep", help="CSV sweep of a functional over r")
-    p_sweep.add_argument("--functional", required=True, choices=SHARP_FUNCTIONALS)
+    p_sweep.add_argument("--functional", required=True, choices=list(SHARP_PARAMETERS))
     p_sweep.add_argument("--params", nargs="*", default=(), metavar="KEY=VALUE")
     p_sweep.add_argument("--r-min", type=float, required=True)
     p_sweep.add_argument("--r-max", type=float, required=True)
@@ -132,7 +149,7 @@ def _build_parser() -> _Parser:
     p_ext.add_argument("--order", type=int)
 
     p_ver = sub.add_parser("verify", help="run verification suites, JSON report")
-    p_ver.add_argument("--suite", required=True, choices=["t1", "t2", "t3", "t5", "t6", "all"])
+    p_ver.add_argument("--suite", required=True, choices=[*_SUITES, "all"])
     p_ver.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
     p_ver.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_ver.add_argument("--order", type=int)
@@ -150,23 +167,24 @@ def _cmd_radius(args) -> int:
     payload = getattr(radii, function)(*(given[flag] for flag in flags)).as_dict()
     payload["theorem"] = theorem
     if theorem == "t6":
-        payload["alpha_k"] = radii.theorem6_threshold(args.k)
+        payload["alpha_k"] = payload["threshold_a"]
     _print_json(payload)
     return 0
 
 
 def _claimed_cap(functional: str, params: dict) -> float:
-    a, k = params["a"], params.get("k")
-    if functional == "t5":
-        return radii.theorem5_radius(a).value if a >= radii.ANALYTIC_THRESHOLD_A else radii.UNIVERSAL_RADIUS
-    if functional == "t6":
-        return radii.theorem6_radius(a, k).value if a >= radii.theorem6_threshold(k) else 0.0
-    return radii.CLASSICAL_CAP
+    """The radius up to which a sweep asserts its bound: 1/3, or for t5 and
+    t6 their radius command's result where it binds, else _UNBOUND_CAPS."""
+    if functional not in _UNBOUND_CAPS:
+        return radii.CLASSICAL_CAP
+    flags, function = _RADIUS_THEOREMS[functional]
+    result = getattr(radii, function)(*(params[flag.removeprefix("--")] for flag in flags))
+    return result.value if result.cap_binds else _UNBOUND_CAPS[functional]
 
 
 def _cmd_sweep(args) -> int:
     params = _parse_params(args.params)
-    needed = {"bohr": ("a",), "cor2": ("a",), "t3": ("a", "k"), "t5": ("a",), "t6": ("a", "k")}[args.functional]
+    needed = SHARP_PARAMETERS[args.functional]
     # a functional that needs the dilatation bound k also reads its
     # co-analytic scale lambda, which defaults to k
     read = needed + ("lambda",) if "k" in needed else needed
@@ -203,7 +221,7 @@ def _coeff_list(series) -> list:
 
 
 def _cmd_extremal(args) -> int:
-    read = ("--k", "--lambda") if args.theorem in ("t3", "t6") else ()
+    read = ("--k", "--lambda") if "k" in SHARP_PARAMETERS[args.theorem] else ()
     _refuse_unread(f"extremal --theorem {args.theorem}", {"--k": args.k, "--lambda": args.lam}, read)
     unit_interval("a", args.a)
     for name, value in (("k", args.k), ("lambda", args.lam)):
@@ -231,15 +249,8 @@ def _cmd_extremal(args) -> int:
 
 def _cmd_verify(args) -> int:
     order = _resolve_order(args)
-    checks = {
-        "t1": verify.check_theorem1,
-        "t2": verify.check_theorem2_odd,
-        "t3": verify.check_theorem3,
-        "t5": verify.check_theorem5,
-        "t6": verify.check_theorem6,
-    }
-    names = list(checks) if args.suite == "all" else [args.suite]
-    reports = [checks[name](trials=args.trials, seed=args.seed, order=order).as_dict() for name in names]
+    names = list(_SUITES) if args.suite == "all" else [args.suite]
+    reports = [getattr(verify, _SUITES[name])(trials=args.trials, seed=args.seed, order=order).as_dict() for name in names]
     failed = any(rep["verdict"] != "pass" for rep in reports)
     if args.suite == "all":
         _print_json({"reports": reports, "verdict": "fail" if failed else "pass"})

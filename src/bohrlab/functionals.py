@@ -33,7 +33,9 @@ from .series import (
     unit_interval,
 )
 
-SHARP_FUNCTIONALS = ("bohr", "cor2", "t3", "t5", "t6")
+# The sharp functionals and the parameters each requires: every one reads
+# |f(0)| = a, and the harmonic ones also the dilatation bound k.
+SHARP_PARAMETERS = {"bohr": ("a",), "cor2": ("a",), "t3": ("a", "k"), "t5": ("a",), "t6": ("a", "k")}
 
 # theorem5_rows and theorem6_rows maximise over these points of |z| = r.
 _PHASES = np.exp(2j * np.pi * np.arange(16) / 16.0)
@@ -187,8 +189,8 @@ def sharp_lhs(name: str, a, rs, k=0.0):
     (a - z)/(1 - a z) at z = -r for ``t5``.  a, rs and k broadcast; each
     entry has the bits of the tagged scalar call, and no series is built.
     a and r must lie in [0, 1), k in [0, 1]."""
-    if name not in SHARP_FUNCTIONALS:
-        raise ValueError(f"unknown functional {name!r}; expected one of {', '.join(SHARP_FUNCTIONALS)}")
+    if name not in SHARP_PARAMETERS:
+        raise ValueError(f"unknown functional {name!r}; expected one of {', '.join(SHARP_PARAMETERS)}")
     a, rs, k = unit_interval("a", a), unit_interval("r", rs), unit_interval("k", k, closed=True)
     tail = mobius_tail(a, rs)
     if name == "bohr":

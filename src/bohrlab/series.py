@@ -7,10 +7,10 @@ represents the function exactly rather than as a truncation.  All
 operations are pure and never mutate their inputs, so values can be shared
 freely across threads.
 
-Blaschke rows are expanded from spec columns (_spec_columns, which makes
-BlaschkeSpec's checks): blaschke_rows forms them and expands, and the
-stacked builders of bohrlab.witnesses form them once and hand the same
-columns to their boundary tripwire and to the expansion.  Every disk
+Blaschke rows are expanded by _blaschke_expansion from spec columns
+(_spec_columns, which makes BlaschkeSpec's checks): the stacked builders of
+bohrlab.witnesses, bounded_rows and schwarz_rows, form the columns once and
+hand them to their boundary tripwire and to the expansion.  Every disk
 automorphism series, mobius_series and witnesses.extremal_theorem5, comes
 from _automorphism, and _automorphism_degree holds the rule that makes one
 exact (degree 1 at a0 = 0) for it and for verify's Horner starts.
@@ -548,14 +548,14 @@ def _spec_columns(specs) -> tuple:
     """(zeros, counts, rotations) of a sequence of specs, each an object with
     ``zeros`` and ``rotation`` as BlaschkeSpec has: zeros is a
     (rows, MAX_BLASCHKE_ZEROS) array holding the zeros of each spec in
-    order and zero after them.  Every spec passes BlaschkeSpec's checks."""
+    order and zero after them.  Every spec passes BlaschkeSpec's checks
+    before the array is formed."""
     counts = np.array([len(spec.zeros) for spec in specs], dtype=np.intp)
     rotations = np.array([spec.rotation for spec in specs], dtype=np.complex128)
-    width = max(MAX_BLASCHKE_ZEROS, int(counts.max(initial=0)))  # wider only for specs refused below
-    zeros = np.zeros((counts.size, width), dtype=np.complex128)
-    if counts.any():
-        zeros[np.arange(width) < counts[:, None]] = np.concatenate([spec.zeros for spec in specs])
-    _check_blaschke(counts, np.abs(zeros), np.abs(rotations))
+    flat = np.concatenate([np.empty(0, dtype=np.complex128), *(spec.zeros for spec in specs)])
+    _check_blaschke(counts, np.abs(flat), np.abs(rotations))
+    zeros = np.zeros((counts.size, MAX_BLASCHKE_ZEROS), dtype=np.complex128)
+    zeros[np.arange(MAX_BLASCHKE_ZEROS) < counts[:, None]] = flat
     return zeros, counts, rotations
 
 
@@ -595,20 +595,9 @@ def blaschke_series(spec: BlaschkeSpec, order: int, vanish_at_origin: bool = Fal
     return TruncatedSeries(acc, exact_degree=degree)
 
 
-def blaschke_rows(specs, order: int, vanish_at_origin: bool = False) -> np.ndarray:
-    """Stacked blaschke_series coefficients, one row per spec, bit for bit.
-
-    ``specs`` is a sequence of BlaschkeSpec or of any objects with its
-    ``zeros`` and ``rotation``, such as witnesses.DrawnSpec, and every spec
-    must pass BlaschkeSpec's checks.  The _blaschke_expansion of the specs'
-    _spec_columns.
-    """
-    return _blaschke_expansion(*_spec_columns(specs), order, vanish_at_origin)
-
-
 def _blaschke_expansion(zeros, counts, rotations, order: int, vanish_at_origin: bool = False) -> np.ndarray:
-    """blaschke_rows of the specs whose _spec_columns are zeros, counts and
-    rotations.
+    """Stacked blaschke_series coefficients, one row per spec, bit for bit,
+    of the specs whose _spec_columns are zeros, counts and rotations.
 
     Factor i of every spec with more than i zeros is expanded and convolved
     in one convolve_rows call; specs with fewer zeros are left out of it,

@@ -48,6 +48,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .functionals import (
+    SHARP_PARAMETERS,
     sharp_lhs,
     theorem1_rows,
     theorem2_rows,
@@ -93,6 +94,10 @@ DEFAULT_SEED = 42
 _SUITE_IDS = {"t1": 1, "t2": 2, "t3": 3, "t5": 5, "t6": 6}
 
 _LADDER = (0.9, 0.99, 0.999)
+
+# The t5 and t6 suites and certificates evaluate each sharp witness this far
+# beyond its radius, where it must exceed one.
+_BEYOND_STEP = 1e-3
 
 # Largest degree of t1's random outer and of t2's even lift base; the
 # suites need an order that holds t1's outer and t2's outer z*q(z^2).
@@ -390,13 +395,24 @@ def _automorphisms(block, order: int, kind: str) -> np.ndarray:
 
 def _sharp_radius(theorem: str, a: float, k: float = 0.0) -> float:
     """The sharp radius of t5, or of t6 with dilatation bound k, at a in
-    [0, 1) at or above the admissibility threshold; other a are refused."""
+    [0, 1) where it binds (RadiusResult.cap_binds); other a are refused."""
     unit_interval("a", a)
-    threshold = ANALYTIC_THRESHOLD_A if theorem == "t5" else theorem6_threshold(k)
-    if a < threshold - 1e-12:
+    result = theorem5_radius(a) if theorem == "t5" else theorem6_radius(a, k)
+    if not result.cap_binds:
         where = f"a={a}" if theorem == "t5" else f"(a={a}, k={k})"
-        raise ValueError(f"{where} is inadmissible: below the admissibility threshold {threshold:.7f}")
-    return (theorem5_radius(a) if theorem == "t5" else theorem6_radius(a, k)).value
+        raise ValueError(f"{where} is inadmissible: below the admissibility threshold {result.threshold_a:.7f}")
+    return result.value
+
+
+def _probe_beyond(tracker: _Tracker, theorem: str, where: dict, radius: float) -> dict:
+    """The beyond-radius point of the sharp witness of t5 or t6 at ``where``
+    (its a, and k for t6): the left-hand side _BEYOND_STEP past ``radius``,
+    which must exceed one.  The tracker takes 1.0 where it does not."""
+    r = radius + _BEYOND_STEP
+    lhs = float(sharp_lhs(theorem, where["a"], r, where.get("k", 0.0)))
+    if lhs <= 1.0:
+        tracker.update(1.0, {**where, "witness": "extremal-beyond", "lhs": lhs})
+    return {**where, "r": r, "lhs": lhs}
 
 
 def _group_worst(block, groups, table) -> list:
@@ -420,8 +436,9 @@ def _group_worst(block, groups, table) -> list:
 class _T1Draw(NamedTuple):
     """One t1 trial: its index, variant, the coefficients 0..8 of its
     polynomial outer g and g's degree, and the Blaschke specs of phi and
-    omega.  Its record is built when the suite reports it, so a block holds
-    only the drawn objects."""
+    omega.  _run_suite builds its record (_t1_record) as it yields the
+    trial's residual, which it does for every trial, so a block holds only
+    the drawn objects."""
 
     trial: int
     variant: str
@@ -711,13 +728,9 @@ def check_theorem5(
     beyond = []
     for a, (rs, keys) in zip(a_grid, groups):
         tracker.extend(itertools.islice(results, len(keys)))
-        r_beyond = rs[-1] + 1e-3
-        *sharp, lhs_beyond = sharp_lhs("t5", a, rs + (r_beyond,))
-        for r, lhs in zip(rs, sharp):
+        for r, lhs in zip(rs, sharp_lhs("t5", a, rs)):
             tracker.update(lhs - 1.0, {"a": a, "r": r, "witness": "extremal"})
-        beyond.append({"a": a, "r": r_beyond, "lhs": float(lhs_beyond)})
-        if lhs_beyond <= 1.0:
-            tracker.update(1.0, {"a": a, "witness": "extremal-beyond", "lhs": float(lhs_beyond)})
+        beyond.append(_probe_beyond(tracker, "t5", {"a": a}, rs[-1]))
     a_sweep = np.linspace(0.0, 0.99, 100)
     for a, lhs in zip(a_sweep, sharp_lhs("t5", a_sweep, UNIVERSAL_RADIUS)):
         tracker.update(lhs - 1.0, {"a": float(a), "r": UNIVERSAL_RADIUS, "witness": "universal-sweep"})
@@ -798,12 +811,7 @@ def check_theorem6(
         deviation = abs(attained - 1.0)
         if deviation > CERT_TOLERANCE:
             tracker.update(deviation, {"a": a, "k": k, "witness": "sharp-family-attainment"})
-
-        r_beyond = r_ak + 1e-3
-        lhs_beyond = sharp_lhs("t6", a, r_beyond, k)
-        beyond.append({"a": a, "k": k, "r": r_beyond, "lhs": float(lhs_beyond)})
-        if lhs_beyond <= 1.0:
-            tracker.update(1.0, {"a": a, "k": k, "witness": "extremal-beyond", "lhs": float(lhs_beyond)})
+        beyond.append(_probe_beyond(tracker, "t6", {"a": a, "k": k}, r_ak))
     return tracker.report(
         "t6",
         trials,
@@ -835,11 +843,8 @@ def sharpness_certificate(theorem: str, params: dict) -> VerificationReport:
         )
     if theorem not in ("cor2", "t3", "t5", "t6"):
         raise ValueError(f"unknown certificate target {theorem!r}")
-    a = float(params["a"])
-    worst = {"a": a}
-    k = 0.0
-    if theorem in ("t3", "t6"):
-        k = worst["k"] = float(params["k"])
+    worst = {key: float(params[key]) for key in SHARP_PARAMETERS[theorem]}
+    a, k = worst["a"], worst.get("k", 0.0)
 
     beyond = None
     if theorem in ("cor2", "t3"):
@@ -849,11 +854,12 @@ def sharpness_certificate(theorem: str, params: dict) -> VerificationReport:
     else:
         radius = _sharp_radius(theorem, a, k)
         grid = (radius,)
-        attained, lhs_beyond = (float(x) for x in sharp_lhs(theorem, a, [radius, radius + 1e-3], k))
+        r_beyond = radius + _BEYOND_STEP
+        attained, lhs_beyond = (float(x) for x in sharp_lhs(theorem, a, [radius, r_beyond], k))
         residual = abs(attained - 1.0)
         if lhs_beyond <= 1.0:
             residual = max(residual, 1.0 + (1.0 - lhs_beyond))
-        beyond = {"r": float(radius + 1e-3), "lhs": lhs_beyond}
+        beyond = {"r": r_beyond, "lhs": lhs_beyond}
         worst.update(radius=float(radius), attained=attained, kind="radius")
 
     tracker = _Tracker()

@@ -13,7 +13,9 @@ import pytest
 
 import bohrlab
 from bohrlab import cli
+from bohrlab.radii import ANALYTIC_THRESHOLD_A, theorem6_threshold
 from bohrlab.series import TruncatedSeries, mobius_series
+from bohrlab.verify import VerificationReport, check_theorem5, check_theorem6, sharpness_certificate
 
 
 def run_cli(capsys, *argv):
@@ -143,6 +145,26 @@ class TestSweepCommand:
         )
         assert code == 1
         assert "key=value" in err
+
+    # A repeated key exited 0 and swept the last value given.
+    @pytest.mark.parametrize(
+        "functional, params, key",
+        [
+            ("bohr", ["a=0.5", "a=0.9"], "a"),
+            ("bohr", ["a=0.5,a=0.9"], "a"),
+            ("bohr", ["a=0.5", " a=0.5"], "a"),
+            ("t6", ["a=0.5", "k=0.2", "k=0.3"], "k"),
+        ],
+    )
+    def test_repeated_key_refused(self, capsys, functional, params, key):
+        code, out, err = run_cli(
+            capsys,
+            "sweep", "--functional", functional, "--params", *params,
+            "--r-min", "0", "--r-max", "0.3", "--steps", "1",
+        )
+        assert code == 1
+        assert out == ""
+        assert err == f"bohrlab: error: parameter {key} is given more than once\n"
 
     def test_t5_sweep_crosses_one_beyond_radius(self, capsys):
         _, out, _ = run_cli(
@@ -507,6 +529,67 @@ class TestVerifyCommand:
         code, _, err = run_cli(capsys, "verify", "--suite", "t4")
         assert code == 1
         assert "invalid choice" in err
+
+    def test_suite_choices_are_the_table(self):
+        commands = next(action for action in cli._build_parser()._actions if action.dest == "command")
+        suite = next(action for action in commands.choices["verify"]._actions if action.dest == "suite")
+        assert suite.choices == [*cli._SUITES, "all"]
+        assert list(cli._SUITES) == list(cli.verify._SUITE_IDS)
+
+    def test_suite_function_looked_up_when_called(self, capsys, monkeypatch):
+        calls = []
+
+        def fake(**kwargs):
+            calls.append(kwargs)
+            return VerificationReport("t1", 3, 5, (0.25,), 0.0, {}, "pass")
+
+        monkeypatch.setattr(cli.verify, "check_theorem1", fake)
+        code, out, _ = run_cli(capsys, "verify", "--suite", "t1", "--trials", "3", "--seed", "5", "--order", "16")
+        assert code == 0
+        assert calls == [{"trials": 3, "seed": 5, "order": 16}]
+        assert json.loads(out)["r_grid"] == [0.25]
+
+
+class TestAdmissibilityAgreement:
+    """radius's cap_binds, the sweep's informational flag at the radius, the
+    sharpness certificate and the suite agree on whether the sharp radius
+    of t5 or t6 binds, at the threshold and 5e-13 below it, where the
+    certificate and the suite once accepted a above the 1/3 cap."""
+
+    @pytest.mark.parametrize(
+        "theorem, a, k, binds",
+        [
+            ("t5", ANALYTIC_THRESHOLD_A, None, True),
+            ("t5", ANALYTIC_THRESHOLD_A - 5e-13, None, False),
+            ("t6", theorem6_threshold(0.5), 0.5, True),
+            ("t6", theorem6_threshold(0.5) - 5e-13, 0.5, False),
+        ],
+    )
+    def test_radius_sweep_certificate_and_suite_agree(self, capsys, theorem, a, k, binds):
+        k_flags, k_params = ([], []) if k is None else (["--k", repr(k)], [f"k={k!r}"])
+        code, out, _ = run_cli(capsys, "radius", "--theorem", theorem, "--a", repr(a), *k_flags)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["cap_binds"] is binds
+        r = repr(payload["value"])
+        code, out, _ = run_cli(
+            capsys,
+            "sweep", "--functional", theorem, "--params", f"a={a!r}", *k_params,
+            "--r-min", r, "--r-max", r, "--steps", "0",
+        )
+        assert code == 0
+        [row] = out.splitlines()[1:]
+        assert f"informational={0 if binds else 1}" in row.split(",")[3].split(";")
+        if theorem == "t5":
+            suite = lambda: check_theorem5(a_grid=(a,), trials=2, order=16)  # noqa: E731
+        else:
+            suite = lambda: check_theorem6(a_grid=(a,), k_grid=(k,), trials=2, order=16)  # noqa: E731
+        for run in (lambda: sharpness_certificate(theorem, {"a": a, "k": k}), suite):
+            if binds:
+                assert run().verdict == "pass"
+            else:
+                with pytest.raises(ValueError, match="inadmissible"):
+                    run()
 
 
 class TestTopLevel:

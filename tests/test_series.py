@@ -8,7 +8,6 @@ from bohrlab.series import (
     MobiusTag,
     TruncatedSeries,
     add,
-    blaschke_rows,
     blaschke_series,
     compose,
     compose_rows,
@@ -27,7 +26,14 @@ from bohrlab.series import (
     power,
     scale,
 )
-from bohrlab.witnesses import DrawnSpec, draw_blaschke_spec, extremal_theorem5, schwarz_from_spec
+from bohrlab.witnesses import (
+    DrawnSpec,
+    bounded_rows,
+    draw_blaschke_spec,
+    extremal_theorem5,
+    schwarz_from_spec,
+    schwarz_rows,
+)
 
 from oracles import (
     geometric_mobius,
@@ -252,10 +258,12 @@ class TestRowKernels:
     @pytest.mark.parametrize("order", ORDERS)
     @pytest.mark.parametrize("rows", [1, 13])
     def test_blaschke_rows_match_blaschke_series(self, order, rows):
+        """The Blaschke rows of bounded_rows (B) and schwarz_rows (z*B) have
+        the bytes of blaschke_series."""
         specs = mixed_specs(np.random.default_rng(order + 3 * rows), rows)
-        for vanish in (False, True):
+        for build, vanish in ((bounded_rows, False), (schwarz_rows, True)):
             expected = np.stack([blaschke_series(s, order, vanish_at_origin=vanish).coeffs for s in specs])
-            assert blaschke_rows(specs, order, vanish_at_origin=vanish).tobytes() == expected.tobytes()
+            assert build(specs, order).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("order", ORDERS)
     @pytest.mark.parametrize("rows", [1, 13])
@@ -267,7 +275,7 @@ class TestRowKernels:
         outers = [mobius_series(a0, order) for a0 in a0s]
         inners = [schwarz_from_spec(spec, order=order) for spec in specs]
         tops = [g.exact_degree if g.exact_degree is not None else order for g in outers]
-        got = compose_rows([g.coeffs for g in outers], blaschke_rows(specs, order, vanish_at_origin=True), tops)
+        got = compose_rows([g.coeffs for g in outers], schwarz_rows(specs, order), tops)
         expected = np.stack([compose(g, w).coeffs for g, w in zip(outers, inners)])
         assert got.tobytes() == expected.tobytes()
 
@@ -296,7 +304,7 @@ class TestRowKernels:
 
     def test_non_finite_block_rejected(self):
         # compose_rows checks the block it returns; the internal steps
-        # (convolve_rows, blaschke_rows) leave that to it.
+        # (convolve_rows, the Blaschke expansion) leave that to it.
         g = np.ones((3, 4), dtype=complex)
         g[2, 0] = np.inf
         w = np.zeros((3, 4), dtype=complex)
@@ -333,8 +341,10 @@ class TestRowKernels:
 
 
 class TestBlaschkeRowChecks:
-    """blaschke_rows makes BlaschkeSpec's checks on every spec it expands,
-    drawn specs included, before expanding any."""
+    """The stacked builders make BlaschkeSpec's checks on every spec they
+    expand, drawn specs included, before expanding any."""
+
+    BUILDERS = [bounded_rows, schwarz_rows, lambda specs, order: schwarz_rows(specs, order, odd=True)]
 
     GOOD = DrawnSpec(np.array([0.5j]), 1.0 + 0.0j)
 
@@ -347,8 +357,9 @@ class TestBlaschkeRowChecks:
         ],
     )
     def test_bad_spec_refused(self, bad, message):
-        with pytest.raises(ValueError, match=message):
-            blaschke_rows([self.GOOD, bad, self.GOOD], 8)
+        for build in self.BUILDERS:
+            with pytest.raises(ValueError, match=message):
+                build([self.GOOD, bad, self.GOOD], 8)
         with pytest.raises(ValueError, match=message):
             BlaschkeSpec(zeros=tuple(bad.zeros), rotation=bad.rotation)
 
@@ -356,8 +367,9 @@ class TestBlaschkeRowChecks:
         rng = np.random.default_rng(4)
         specs = mixed_specs(rng, 7)
         drawn = [DrawnSpec(np.array(s.zeros, dtype=complex), s.rotation) for s in specs]
-        assert blaschke_rows(drawn, 16).tobytes() == blaschke_rows(specs, 16).tobytes()
-        assert blaschke_rows([], 16).shape == (0, 17)
+        for build in self.BUILDERS:
+            assert build(drawn, 16).tobytes() == build(specs, 16).tobytes()
+            assert build([], 16).shape == (0, 17)
 
 
 class TestPower:
@@ -581,7 +593,7 @@ class TestBlaschke:
         assert np.any(np.abs(zeros) != mods)
         assert all(1.0 - m**2 != 1.0 - m * m for m in mods[-3:])
         gaps = np.array([1.0 - m**2 for m in mods])
-        rows = blaschke_rows([DrawnSpec(np.array([z]), 1.0 + 0.0j) for z in zeros], 2)
+        rows = bounded_rows([DrawnSpec(np.array([z]), 1.0 + 0.0j) for z in zeros], 2)
         assert rows[:, 1].real.tobytes() == gaps.tobytes()
         for z, gap in zip(zeros.tolist(), gaps):
             assert blaschke_series(BlaschkeSpec(zeros=(z,)), 2).coeffs[1].real == gap
