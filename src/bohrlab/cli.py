@@ -2,7 +2,8 @@
 verification runs.
 
 Output goes to stdout (CSV for sweeps, JSON with sorted keys elsewhere);
-logs and usage errors go to stderr.  Exit codes: 0 success, 1 malformed
+logs and usage errors go to stderr, every refusal of a command's input on
+one line that begins "bohrlab: error: ".  Exit codes: 0 success, 1 malformed
 arguments, 2 verification failure.  Truncation order resolves as
 flag > BOHRLAB_ORDER environment variable > 64 and must be >= 2.
 """
@@ -25,8 +26,9 @@ from .verify import DEFAULT_SEED, DEFAULT_TRIALS
 # The parser's description, held apart from the docstring that -OO strips.
 _DESCRIPTION = "Command-line surface: radius tables, functional sweeps, extremal dumps, verification runs."
 
-# Decimal endpoints within 1e-9 of these constants snap to the exact value,
-# so endpoint rows probe the true radius rather than a rounded one.
+# Decimal endpoints within 1e-9 of these constants, or of the sharp radius
+# a t5 or t6 sweep claims, snap to the nearest exact value, so endpoint rows
+# probe the true radius rather than a rounded one.
 _SNAP_TARGETS = (radii.CLASSICAL_CAP, radii.ODD_CAP, radii.UNIVERSAL_RADIUS)
 
 # The flags each radius theorem reads, every one of them required, and the
@@ -67,11 +69,9 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _snap(r: float) -> float:
-    for target in _SNAP_TARGETS:
-        if abs(r - target) <= 1e-9:
-            return target
-    return r
+def _snap(r: float, targets) -> float:
+    nearest = min(targets, key=lambda target: abs(r - target))
+    return nearest if abs(r - nearest) <= 1e-9 else r
 
 
 def _resolve_order(args) -> int:
@@ -83,9 +83,9 @@ def _resolve_order(args) -> int:
         try:
             order, source = int(env), "BOHRLAB_ORDER"
         except ValueError:
-            raise _UsageError(f"BOHRLAB_ORDER must be an integer, got {env!r}")
+            raise ValueError(f"BOHRLAB_ORDER must be an integer, got {env!r}")
     if order < 2:
-        raise _UsageError(f"{source} must be >= 2")
+        raise ValueError(f"{source} must be >= 2")
     return order
 
 
@@ -96,7 +96,7 @@ def _parse_params(tokens) -> dict:
             if not piece:
                 continue
             if "=" not in piece:
-                raise _UsageError(f"parameter {piece!r} is not of the form key=value")
+                raise ValueError(f"parameter {piece!r} is not of the form key=value")
             key, _, value = piece.partition("=")
             key = key.strip()
             if key in out:
@@ -104,7 +104,7 @@ def _parse_params(tokens) -> dict:
             try:
                 out[key] = float(value)
             except ValueError:
-                raise _UsageError(f"parameter {piece!r} has a non-numeric value")
+                raise ValueError(f"parameter {piece!r} has a non-numeric value")
     return out
 
 
@@ -163,7 +163,7 @@ def _cmd_radius(args) -> int:
     given = {"--a": args.a, "--k": args.k, "--p": args.p}
     _refuse_unread(f"radius --theorem {theorem}", given, flags)
     if any(given[flag] is None for flag in flags):
-        raise _UsageError(f"radius --theorem {theorem} requires {' and '.join(flags)}")
+        raise ValueError(f"radius --theorem {theorem} requires {' and '.join(flags)}")
     payload = getattr(radii, function)(*(given[flag] for flag in flags)).as_dict()
     payload["theorem"] = theorem
     if theorem == "t6":
@@ -172,14 +172,18 @@ def _cmd_radius(args) -> int:
     return 0
 
 
-def _claimed_cap(functional: str, params: dict) -> float:
-    """The radius up to which a sweep asserts its bound: 1/3, or for t5 and
-    t6 their radius command's result where it binds, else _UNBOUND_CAPS."""
+def _claimed_cap(functional: str, params: dict) -> tuple:
+    """The radius up to which a sweep asserts its bound (1/3, or for t5 and
+    t6 their radius command's result where it binds, else _UNBOUND_CAPS)
+    and the values its endpoints snap to: _SNAP_TARGETS, and that radius
+    where it binds."""
     if functional not in _UNBOUND_CAPS:
-        return radii.CLASSICAL_CAP
+        return radii.CLASSICAL_CAP, _SNAP_TARGETS
     flags, function = _RADIUS_THEOREMS[functional]
     result = getattr(radii, function)(*(params[flag.removeprefix("--")] for flag in flags))
-    return result.value if result.cap_binds else _UNBOUND_CAPS[functional]
+    if result.cap_binds:
+        return result.value, (*_SNAP_TARGETS, result.value)
+    return _UNBOUND_CAPS[functional], _SNAP_TARGETS
 
 
 def _cmd_sweep(args) -> int:
@@ -191,16 +195,16 @@ def _cmd_sweep(args) -> int:
     _refuse_unread(f"sweep --functional {args.functional}", params, read)
     for key in needed:
         if key not in params:
-            raise _UsageError(f"sweep --functional {args.functional} requires --params {key}=...")
+            raise ValueError(f"sweep --functional {args.functional} requires --params {key}=...")
     for key in read:
         if key in params:
             unit_interval(key, params[key], closed=key != "a")
     if args.steps < 0:
-        raise _UsageError("--steps must be >= 0")
-    r_min, r_max = _snap(args.r_min), _snap(args.r_max)
+        raise ValueError("--steps must be >= 0")
+    cap, targets = _claimed_cap(args.functional, params)
+    r_min, r_max = _snap(args.r_min, targets), _snap(args.r_max, targets)
     if not 0.0 <= r_min <= r_max < 1.0:
-        raise _UsageError("need 0 <= r-min <= r-max < 1")
-    cap = _claimed_cap(args.functional, params)
+        raise ValueError("need 0 <= r-min <= r-max < 1")
     rs = r_min + (r_max - r_min) * np.arange(args.steps + 1) / max(args.steps, 1)
     rs[-1] = r_max
     values = sharp_lhs(args.functional, params["a"], rs, params.get("lambda", params.get("k", 0.0)))
@@ -236,7 +240,7 @@ def _cmd_extremal(args) -> int:
         payload["coefficients"] = _coeff_list(witnesses.extremal_theorem5(a, order))
     else:
         if args.k is None and args.lam is None:
-            raise _UsageError(f"extremal --theorem {args.theorem} requires --k or --lambda")
+            raise ValueError(f"extremal --theorem {args.theorem} requires --k or --lambda")
         lam = args.lam if args.lam is not None else args.k
         pair = witnesses.extremal_theorem3(a, lam, order)
         payload["lambda"] = lam

@@ -26,12 +26,16 @@ failures, so a pass is not a certificate for the untruncated functions.
 Each suite draws its trials a chunk at a time and column by column: the
 polynomial coefficients, Blaschke zeros and rotations of a chunk are formed
 as arrays from one run of doubles per trial and spec, with the bits and the
-generator calls of per-object draws.  All five suites share one driver
-that builds and evaluates witnesses a block at a time as stacked (rows,
-N+1) arrays through the row kernels of series and witnesses, whose every
-coefficient is the one the per-series functions give.  t2 builds its outers
-and inners as rows and only composes each witness on its own, through
-series.compose, whose calls perfbench's traced run counts.  Every
+generator calls of per-object draws.  All five suites share one driver,
+_run_suite, that builds and evaluates witnesses a block at a time as
+stacked (rows, N+1) arrays through the row kernels of series and
+witnesses, whose every coefficient is the one the per-series functions
+give, and fills the report's tracker with every random witness in trial
+order.  t5 and t6 then add each group's closed-form checks to that tracker
+in group order, and t5 its universal-radius sweep last; the tracker keeps
+the first of equal maxima.  t2 builds its outers and inners as rows and
+only composes each witness on its own, through series.compose, whose
+calls perfbench's traced run counts.  Every
 left-hand side comes from bohrlab.functionals: its theorem*_rows functions
 evaluate a block in one pass with the bits of per-witness, per-radius
 evaluation, and sharp_lhs sums the sharp witnesses of t3, t5, t6 and the
@@ -172,11 +176,6 @@ class _Tracker:
         if residual > self.max_residual:
             self.max_residual = float(residual)
             self.worst = witness
-
-    def extend(self, results):
-        """update() with each (residual, witness) pair of ``results``, in order."""
-        for residual, witness in results:
-            self.update(residual, witness)
 
     def report(self, suite, trials, seed, r_grid, tolerance=TOLERANCE, informational=False, beyond=None):
         verdict = "pass" if self.max_residual <= tolerance else "fail"
@@ -326,8 +325,9 @@ def _groups(suite: str, trials: int, seed: int, radii) -> list:
     ]
 
 
-def _run_suite(items, build, evaluate, record, order: int):
-    """Yield (residual, record) for each item, in item order, one block at a time.
+def _run_suite(items, build, evaluate, record, order: int) -> _Tracker:
+    """A _Tracker updated with (residual, record) for each item, in item
+    order, one block at a time.
 
     ``build(block, order)`` constructs the witnesses of a list of items and
     ``evaluate(block, witnesses)`` returns one (residual, where) pair per
@@ -338,6 +338,7 @@ def _run_suite(items, build, evaluate, record, order: int):
     {"reevaluated_order": 2 * order}.  The record is
     ``{**record(item), **where}``.
     """
+    tracker = _Tracker()
     rows = max(1, _COEFF_BUDGET // (order + 1))
     items = iter(items)
     while block := list(itertools.islice(items, rows)):
@@ -345,7 +346,8 @@ def _run_suite(items, build, evaluate, record, order: int):
             if res > TOLERANCE:
                 [(res, where)] = evaluate([item], build([item], 2 * order))
                 where = {**where, "reevaluated_order": 2 * order}
-            yield res, {**record(item), **where}
+            tracker.update(res, {**record(item), **where})
+    return tracker
 
 
 def _row_worst(table: np.ndarray, points) -> list:
@@ -436,9 +438,9 @@ def _group_worst(block, groups, table) -> list:
 class _T1Draw(NamedTuple):
     """One t1 trial: its index, variant, the coefficients 0..8 of its
     polynomial outer g and g's degree, and the Blaschke specs of phi and
-    omega.  _run_suite builds its record (_t1_record) as it yields the
-    trial's residual, which it does for every trial, so a block holds only
-    the drawn objects."""
+    omega.  _run_suite builds its record (_t1_record) when it hands the
+    trial's residual to the tracker, which it does for every trial, so a
+    block holds only the drawn objects."""
 
     trial: int
     variant: str
@@ -503,8 +505,7 @@ def check_theorem1(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED, order
     def evaluate(_, fg):
         return _row_worst(theorem1_rows(*fg, grid), grid)
 
-    tracker = _Tracker()
-    tracker.extend(_run_suite(draws, _t1_witness, evaluate, _t1_record, order))
+    tracker = _run_suite(draws, _t1_witness, evaluate, _t1_record, order)
     return tracker.report("t1", trials, seed, grid)
 
 
@@ -588,15 +589,12 @@ def check_theorem2_odd(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED, o
         raise ValueError(f"t2 needs order >= {2 * _T2_BASE_DEGREE + 1}, the degree of its outers z*q(z^2)")
     draws = _trial_params("t2", _t2_draws, trials, seed)
     grid = radius_grid(ODD_CAP, 12)
-    tracker = _Tracker()
-    tracker.extend(
-        _run_suite(
-            draws,
-            _t2_rows,
-            lambda block, fg: _t2_residual(*fg, grid),
-            _t2_record,
-            order,
-        )
+    tracker = _run_suite(
+        draws,
+        _t2_rows,
+        lambda block, fg: _t2_residual(*fg, grid),
+        _t2_record,
+        order,
     )
     return tracker.report("t2", trials, seed, grid)
 
@@ -673,15 +671,12 @@ def check_theorem3(
         raise ValueError("k_grid must not be empty")
     unit_interval("k_grid values", k_grid, closed=True)
     grid = radius_grid(CLASSICAL_CAP, 12)
-    tracker = _Tracker()
-    tracker.extend(
-        _run_suite(
-            ((params, k) for params in draws for k in k_grid),
-            _t3_witness,
-            lambda _, ws: _row_worst(_t3_residuals(ws, grid), grid + grid),
-            lambda item: {**item[0].record, "k": item[1]},
-            order,
-        )
+    tracker = _run_suite(
+        ((params, k) for params in draws for k in k_grid),
+        _t3_witness,
+        lambda _, ws: _row_worst(_t3_residuals(ws, grid), grid + grid),
+        lambda item: {**item[0].record, "k": item[1]},
+        order,
     )
     return tracker.report("t3", trials, seed, grid)
 
@@ -717,17 +712,15 @@ def check_theorem5(
         a_grid = (ANALYTIC_THRESHOLD_A, 0.5, 0.55, 0.6, 0.7, 0.8, 0.9, 0.95)
     a_grid = tuple(float(a) for a in a_grid)
     groups = _groups("t5", trials, seed, [_sharp_radius("t5", a) for a in a_grid])
-    results = _run_suite(
+    tracker = _run_suite(
         _pointwise_draws(groups, a_grid, 1),
         _t5_witness,
         lambda block, f: _group_worst(block, groups, lambda rows, rs: theorem5_rows(f[rows], rs) - 1.0),
         lambda d: {"a": a_grid[d.group], "trial": d.trial, "phase": d.phase, "omega": _spec_dict(d.specs[0])},
         order,
     )
-    tracker = _Tracker()
     beyond = []
-    for a, (rs, keys) in zip(a_grid, groups):
-        tracker.extend(itertools.islice(results, len(keys)))
+    for a, (rs, _) in zip(a_grid, groups):
         for r, lhs in zip(rs, sharp_lhs("t5", a, rs)):
             tracker.update(lhs - 1.0, {"a": a, "r": r, "witness": "extremal"})
         beyond.append(_probe_beyond(tracker, "t5", {"a": a}, rs[-1]))
@@ -787,7 +780,7 @@ def check_theorem6(
             a_values = tuple(float(a) for a in a_grid)
         pairs.extend((a, k) for a in a_values)
     groups = _groups("t6", trials, seed, [_sharp_radius("t6", a, k) for a, k in pairs])
-    results = _run_suite(
+    tracker = _run_suite(
         _pointwise_draws(groups, [a for a, _ in pairs], 2),
         lambda block, n: _t6_witness(block, n, [pairs[d.group][1] for d in block]),
         lambda block, hg: _group_worst(
@@ -796,11 +789,8 @@ def check_theorem6(
         lambda d: {"a": pairs[d.group][0], "k": pairs[d.group][1], "trial": d.trial, "phase": d.phase},
         order,
     )
-    tracker = _Tracker()
     beyond = []
-    for (a, k), (rs, keys) in zip(pairs, groups):
-        tracker.extend(itertools.islice(results, len(keys)))
-
+    for (a, k), (rs, _) in zip(pairs, groups):
         r_ak = rs[-1]
         *ladder, attained = sharp_lhs("t6", a, r_ak, [mu * k for mu in _LADDER] + [k])
         for lo, hi in zip(ladder, ladder[1:] + [attained]):

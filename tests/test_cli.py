@@ -179,6 +179,34 @@ class TestSweepCommand:
         assert all(v > 1 for v in beyond)
 
 
+    # Both endpoints used to snap to 1/3, 2.5e-11 and 3.1e-11 above the
+    # radius, whose row then read 1.0000000000422649 and 1.0000000000780034
+    # with informational=1.
+    @pytest.mark.parametrize(
+        "functional, params, radius",
+        [
+            ("t5", ["a=0.4641016152377544"], "0.3333333333082731"),
+            ("t6", ["a=0.18133458187251014", "k=0.5"], "0.3333333333021737"),
+        ],
+    )
+    def test_endpoint_at_bound_radius_probes_the_radius(self, capsys, functional, params, radius):
+        flags = ["--a", params[0][2:]] + (["--k", params[1][2:]] if functional == "t6" else [])
+        code, out, _ = run_cli(capsys, "radius", "--theorem", functional, *flags)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["cap_binds"] is True and repr(payload["value"]) == radius
+        code, out, _ = run_cli(
+            capsys,
+            "sweep", "--functional", functional, "--params", *params,
+            "--r-min", radius, "--r-max", radius, "--steps", "0",
+        )
+        assert code == 0
+        [row] = out.splitlines()[1:]
+        r, value, _, cell = row.split(",")
+        assert float(r) == float(radius)
+        assert "informational=0" in cell.split(";")
+        assert float(value) <= 1.0 + 1e-12
+
     @pytest.mark.parametrize("functional", ["bohr", "cor2", "t3", "t5", "t6"])
     def test_sweep_builds_no_series(self, capsys, monkeypatch, functional):
         # sweeps read the closed form of the sharp witness, so no
@@ -590,6 +618,57 @@ class TestAdmissibilityAgreement:
             else:
                 with pytest.raises(ValueError, match="inadmissible"):
                     run()
+
+
+_SWEEP = ("sweep", "--functional")
+_R_SPAN = ("--r-min", "0", "--r-max", "0.3", "--steps", "1")
+
+# (argv, BOHRLAB_ORDER or None, message) of refusals.  The first nine
+# printed a bare message; the rest are the refusals the CI workflow checked
+# with python -O, where the tier-1 run under -O now makes them.
+_REFUSALS = [
+    (("extremal", "--theorem", "t5", "--a", "0.5", "--order", "1"), None, "--order must be >= 2"),
+    (("extremal", "--theorem", "t5", "--a", "0.5"), "x", "BOHRLAB_ORDER must be an integer, got 'x'"),
+    ((*_SWEEP, "bohr", "--params", "a", *_R_SPAN), None, "parameter 'a' is not of the form key=value"),
+    ((*_SWEEP, "bohr", "--params", "a=x", *_R_SPAN), None, "parameter 'a=x' has a non-numeric value"),
+    ((*_SWEEP, "t3", "--params", "a=0.5", *_R_SPAN), None, "sweep --functional t3 requires --params k=..."),
+    (("radius", "--theorem", "t5"), None, "radius --theorem t5 requires --a"),
+    (("extremal", "--theorem", "t3", "--a", "0.4"), None, "extremal --theorem t3 requires --k or --lambda"),
+    ((*_SWEEP, "bohr", "--params", "a=0.5", "--r-min", "0", "--r-max", "0.3", "--steps", "-1"), None,
+     "--steps must be >= 0"),
+    ((*_SWEEP, "bohr", "--params", "a=0.5", "--r-min", "0.3", "--r-max", "0.2", "--steps", "1"), None,
+     "need 0 <= r-min <= r-max < 1"),
+    *(
+        ((*_SWEEP, f, "--params", "a=1.5", "--r-min", "0", "--r-max", "0.5", "--steps", "10"), None,
+         "a must lie in [0, 1)")
+        for f in ("bohr", "cor2", "t5")
+    ),
+    *(
+        ((*_SWEEP, f, "--params", "a=0.6", "k=0.5", "lambda=1.5", "--r-min", "0", "--r-max", "0.5", "--steps", "10"),
+         None, "lambda must lie in [0, 1]")
+        for f in ("t3", "t6")
+    ),
+    (("extremal", "--theorem", "t5", "--a", "0.5", "--k", "0.3"), None, "extremal --theorem t5 does not read --k"),
+    (("extremal", "--theorem", "cor2", "--a", "-0.5"), None, "a must lie in [0, 1)"),
+    (("extremal", "--theorem", "t6", "--a", "0.5", "--lambda", "0.3", "--k", "1.5"), None, "k must lie in [0, 1]"),
+    (("verify", "--suite", "t1", "--seed", "-1"), None, "expected non-negative integer"),
+]
+
+
+class TestRefusals:
+    """Every refusal of a command's input is one stderr line naming the
+    program, with an exit code of 1 and nothing on stdout."""
+
+    @pytest.mark.parametrize("argv, env, message", _REFUSALS, ids=[" ".join(argv) for argv, _, _ in _REFUSALS])
+    def test_refusal_names_the_program(self, capsys, monkeypatch, argv, env, message):
+        if env is None:
+            monkeypatch.delenv("BOHRLAB_ORDER", raising=False)
+        else:
+            monkeypatch.setenv("BOHRLAB_ORDER", env)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err == f"bohrlab: error: {message}\n"
 
 
 class TestTopLevel:

@@ -299,6 +299,31 @@ class TestRetryBookkeeping:
         assert len(records) == 40
 
 
+class TestRecordOrder:
+    """t5 and t6 hand every random witness to the tracker before any of the
+    closed-form checks of their groups (sharp_lhs) run."""
+
+    @pytest.mark.parametrize("check", [check_theorem5, check_theorem6])
+    def test_closed_forms_follow_random_witnesses(self, monkeypatch, check):
+        events = []
+        real_update, real_sharp = verify_mod._Tracker.update, verify_mod.sharp_lhs
+
+        def update(self, residual, witness):
+            if "trial" in witness:
+                events.append("random")
+            real_update(self, residual, witness)
+
+        def sharp(*args, **kwargs):
+            events.append("sharp")
+            return real_sharp(*args, **kwargs)
+
+        monkeypatch.setattr(verify_mod._Tracker, "update", update)
+        monkeypatch.setattr(verify_mod, "sharp_lhs", sharp)
+        assert check(trials=24, seed=3, order=8).verdict == "pass"
+        assert "sharp" in events
+        assert events == ["random"] * 24 + ["sharp"] * events.count("sharp")
+
+
 class TestWitnessCounts:
     """Every suite builds exactly the reported number of random witnesses (for
     t3, one h per trial), also when the trial count is not a multiple of the
