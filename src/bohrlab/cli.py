@@ -172,18 +172,14 @@ def _cmd_radius(args) -> int:
     return 0
 
 
-def _claimed_cap(functional: str, params: dict) -> tuple:
-    """The radius up to which a sweep asserts its bound (1/3, or for t5 and
-    t6 their radius command's result where it binds, else _UNBOUND_CAPS)
-    and the values its endpoints snap to: _SNAP_TARGETS, and that radius
-    where it binds."""
+def _claimed_cap(functional: str, params: dict) -> float:
+    """The radius up to which a sweep asserts its bound: 1/3, or for t5 and
+    t6 their radius command's result where it binds, else _UNBOUND_CAPS."""
     if functional not in _UNBOUND_CAPS:
-        return radii.CLASSICAL_CAP, _SNAP_TARGETS
+        return radii.CLASSICAL_CAP
     flags, function = _RADIUS_THEOREMS[functional]
     result = getattr(radii, function)(*(params[flag.removeprefix("--")] for flag in flags))
-    if result.cap_binds:
-        return result.value, (*_SNAP_TARGETS, result.value)
-    return _UNBOUND_CAPS[functional], _SNAP_TARGETS
+    return result.value if result.cap_binds else _UNBOUND_CAPS[functional]
 
 
 def _cmd_sweep(args) -> int:
@@ -201,7 +197,9 @@ def _cmd_sweep(args) -> int:
             unit_interval(key, params[key], closed=key != "a")
     if args.steps < 0:
         raise ValueError("--steps must be >= 0")
-    cap, targets = _claimed_cap(args.functional, params)
+    cap = _claimed_cap(args.functional, params)
+    # an endpoint also snaps to the claimed cap; t6's unbound cap 0 is no radius
+    targets = (*_SNAP_TARGETS, cap) if cap else _SNAP_TARGETS
     r_min, r_max = _snap(args.r_min, targets), _snap(args.r_max, targets)
     if not 0.0 <= r_min <= r_max < 1.0:
         raise ValueError("need 0 <= r-min <= r-max < 1")
