@@ -20,7 +20,7 @@ import numpy as np
 
 from . import radii, verify, witnesses
 from .functionals import SHARP_PARAMETERS, sharp_lhs
-from .series import DEFAULT_ORDER, unit_interval
+from .series import DEFAULT_ORDER, refuse_unread, unit_interval
 from .verify import DEFAULT_SEED, DEFAULT_TRIALS
 
 # The parser's description, held apart from the docstring that -OO strips.
@@ -108,15 +108,6 @@ def _parse_params(tokens) -> dict:
     return out
 
 
-def _refuse_unread(where: str, given: dict, read) -> None:
-    """Refuse every entry of ``given`` (name -> value, None when absent) whose
-    name ``where`` does not read, so mistyped or misplaced input is never
-    silently ignored."""
-    unread = [name for name, value in given.items() if value is not None and name not in read]
-    if unread:
-        raise ValueError(f"{where} does not read {', '.join(unread)}")
-
-
 def _print_json(payload):
     sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
@@ -161,7 +152,7 @@ def _cmd_radius(args) -> int:
     theorem = args.theorem
     flags, function = _RADIUS_THEOREMS[theorem]
     given = {"--a": args.a, "--k": args.k, "--p": args.p}
-    _refuse_unread(f"radius --theorem {theorem}", given, flags)
+    refuse_unread(f"radius --theorem {theorem}", given, flags)
     if any(given[flag] is None for flag in flags):
         raise ValueError(f"radius --theorem {theorem} requires {' and '.join(flags)}")
     payload = getattr(radii, function)(*(given[flag] for flag in flags)).as_dict()
@@ -188,7 +179,7 @@ def _cmd_sweep(args) -> int:
     # a functional that needs the dilatation bound k also reads its
     # co-analytic scale lambda, which defaults to k
     read = needed + ("lambda",) if "k" in needed else needed
-    _refuse_unread(f"sweep --functional {args.functional}", params, read)
+    refuse_unread(f"sweep --functional {args.functional}", params, read)
     for key in needed:
         if key not in params:
             raise ValueError(f"sweep --functional {args.functional} requires --params {key}=...")
@@ -224,7 +215,7 @@ def _coeff_list(series) -> list:
 
 def _cmd_extremal(args) -> int:
     read = ("--k", "--lambda") if "k" in SHARP_PARAMETERS[args.theorem] else ()
-    _refuse_unread(f"extremal --theorem {args.theorem}", {"--k": args.k, "--lambda": args.lam}, read)
+    refuse_unread(f"extremal --theorem {args.theorem}", {"--k": args.k, "--lambda": args.lam}, read)
     unit_interval("a", args.a)
     for name, value in (("k", args.k), ("lambda", args.lam)):
         if value is not None:

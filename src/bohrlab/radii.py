@@ -17,10 +17,6 @@ UNIVERSAL_RADIUS = math.sqrt(5.0) - 2.0
 CLASSICAL_CAP = 1.0 / 3.0
 ODD_CAP = 3.0 ** -0.5
 
-# Bracket width for bisection; leaves plenty of headroom below the 1e-12
-# residual bar on returned roots.
-ROOT_BRACKET_TOL = 1e-14
-
 
 @dataclass(frozen=True)
 class RadiusResult:
@@ -68,30 +64,17 @@ def _odd_quartic(r: float) -> float:
 def odd_bohr_radius() -> RadiusResult:
     """Maximal positive root of 8 r^4 + r^2 - 6 r + 1 = 0.
 
-    The quartic has two positive roots below 1 (the smaller near 0.17), so
-    the root is located by a descending sign scan from 1.0 with step 1e-3
-    followed by bisection to a 1e-14 bracket.
+    Newton's method from r = 1, stopped at the first step that does not
+    lower the iterate.  The quartic is convex (its second derivative
+    96 r^2 + 2 is positive) and positive and increasing at 1, so every
+    Newton step from the right of the largest root stays to its right and
+    lowers the iterate, and the smaller root near 0.17 is never approached.
+    The loop stops once rounding no longer lowers the iterate, which for
+    this quartic is at the double nearest the root.
     """
-    step = 1e-3
-    hi = 1.0
-    f_hi = _odd_quartic(hi)
-    lo = hi - step
-    while lo > 0.0:
-        f_lo = _odd_quartic(lo)
-        if f_lo <= 0.0 <= f_hi or f_hi <= 0.0 <= f_lo:
-            break
-        hi, f_hi = lo, f_lo
-        lo = hi - step
-    else:
-        raise RuntimeError("sign scan found no bracket in (0, 1)")
-    while hi - lo > ROOT_BRACKET_TOL:
-        mid = 0.5 * (lo + hi)
-        f_mid = _odd_quartic(mid)
-        if (f_mid <= 0.0) == (f_lo <= 0.0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi, f_hi = mid, f_mid
-    root = 0.5 * (lo + hi)
+    root = 1.0
+    while (lower := root - _odd_quartic(root) / ((32.0 * root * root + 2.0) * root - 6.0)) < root:
+        root = lower
     return RadiusResult(value=root, residual=_odd_quartic(root))
 
 

@@ -51,6 +51,15 @@ def unit_interval(name: str, value, closed: bool = False) -> np.ndarray:
     return arr
 
 
+def refuse_unread(where: str, given: dict, read) -> None:
+    """Refuse every entry of ``given`` (name -> value, None when absent) whose
+    name ``where`` does not read, so mistyped or misplaced input is never
+    silently ignored."""
+    unread = [name for name, value in given.items() if value is not None and name not in read]
+    if unread:
+        raise ValueError(f"{where} does not read {', '.join(unread)}")
+
+
 @dataclass(frozen=True)
 class MobiusTag:
     """Closed-form certificate carried by disk-automorphism series.

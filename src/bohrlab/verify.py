@@ -77,6 +77,7 @@ from .series import (
     compose_rows,
     finite_rows,
     mobius_rows,
+    refuse_unread,
     unit_interval,
 )
 from .witnesses import (
@@ -140,8 +141,7 @@ def radius_grid(r_max: float, n: int) -> tuple:
     with the endpoint included exactly."""
     if n < 1 or not 0.0 < r_max < 1.0:
         raise ValueError("need n >= 1 and r_max in (0, 1)")
-    fractions = _sine_fractions(n)
-    return tuple(r_max * x for x in fractions[:-1]) + (r_max,)
+    return tuple(r_max * x for x in _sine_fractions(n))
 
 
 @dataclass
@@ -824,7 +824,9 @@ def sharpness_certificate(theorem: str, params: dict) -> VerificationReport:
     radius + 1e-3.  Equality-type claims (``cor2``, ``t3``) require the
     extremal to sit at one across the whole claimed r-interval.  The
     odd-function radius (``odd``) has no generated extremal witness here
-    and is refused.  ``params`` gives a, and k for ``t3`` and ``t6``.
+    and is refused.  ``params`` gives a, and k for ``t3`` and ``t6``; a
+    missing key, or one the target does not read, is refused (a key whose
+    value is None counts as absent).
     """
     if theorem == "odd":
         raise ValueError(
@@ -833,7 +835,12 @@ def sharpness_certificate(theorem: str, params: dict) -> VerificationReport:
         )
     if theorem not in ("cor2", "t3", "t5", "t6"):
         raise ValueError(f"unknown certificate target {theorem!r}")
-    worst = {key: float(params[key]) for key in SHARP_PARAMETERS[theorem]}
+    read = SHARP_PARAMETERS[theorem]
+    refuse_unread(f"sharpness_certificate {theorem}", params, read)
+    missing = [key for key in read if params.get(key) is None]
+    if missing:
+        raise ValueError(f"sharpness_certificate {theorem} requires {' and '.join(missing)}")
+    worst = {key: float(params[key]) for key in read}
     a, k = worst["a"], worst.get("k", 0.0)
 
     beyond = None

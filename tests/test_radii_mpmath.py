@@ -4,17 +4,18 @@ quadratics' residuals.
 Each defining equation is solved again in mpmath at 50 significant digits,
 from the float parameters taken exactly, on a grid of a and k in [0, 1]
 that holds both endpoints and the admissibility thresholds.  The closed
-forms agree to 1e-15, the bisected odd radius to its bracket width, and
+forms agree to 1e-15, the odd radius to half an ulp (correctly rounded), and
 every residual a RadiusResult or quadratic_residual reports at a float root
 to 1e-15.
 """
+
+import math
 
 import numpy as np
 import pytest
 
 from bohrlab.radii import (
     ANALYTIC_THRESHOLD_A,
-    ROOT_BRACKET_TOL,
     odd_bohr_radius,
     quadratic_residual,
     theorem5_radius,
@@ -87,7 +88,8 @@ class TestRadiiAgainstFiftyDigits:
         real = [mp.re(x) for x in roots if abs(mp.im(x)) < mp.mpf(10) ** -40 and 0 < mp.re(x) < 1]
         assert len(real) == 2
         result = odd_bohr_radius()
-        assert abs(result.value - max(real)) <= ROOT_BRACKET_TOL
+        assert abs(result.value - max(real)) <= math.ulp(result.value) / 2
+        assert abs(result.residual) <= 1e-15
         r = mp.mpf(result.value)
         assert abs(result.residual - (8 * r**4 + r**2 - 6 * r + 1)) <= 1e-15
 

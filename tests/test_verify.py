@@ -8,7 +8,7 @@ import pytest
 
 import bohrlab.verify as verify_mod
 import bohrlab.witnesses as witnesses_mod
-from bohrlab.functionals import theorem3_rational
+from bohrlab.functionals import SHARP_PARAMETERS, theorem3_rational
 from bohrlab.radii import ANALYTIC_THRESHOLD_A, CLASSICAL_CAP, ODD_CAP, UNIVERSAL_RADIUS, theorem5_radius
 from bohrlab.series import BlaschkeSpec, compose, majorant_eval, make_series, mul
 from bohrlab.witnesses import (
@@ -31,6 +31,12 @@ from bohrlab.verify import (
 )
 
 from oracles import per_object_polynomial, per_object_spec
+
+
+def certificate_params(theorem, **changed):
+    """a = 0.6, and k = 0.5 where the certificate reads it: exactly the keys
+    sharpness_certificate(theorem, ...) accepts, with ``changed`` applied."""
+    return {key: changed.get(key, {"a": 0.6, "k": 0.5}[key]) for key in SHARP_PARAMETERS[theorem]}
 
 
 class TestRadiusGrid:
@@ -184,7 +190,7 @@ class TestSharpnessCertificates:
     )
     @pytest.mark.parametrize("value", [-0.5, 1.5, float("nan")])
     def test_bad_parameter_refused_by_name(self, theorem, key, value):
-        params = {"a": 0.6, "k": 0.5, key: value}
+        params = certificate_params(theorem, **{key: value})
         interval = r"\[0, 1\)" if key == "a" else r"\[0, 1\]"
         with pytest.raises(ValueError, match=f"^{key} must lie in {interval}$"):
             sharpness_certificate(theorem, params)
@@ -195,7 +201,19 @@ class TestSharpnessCertificates:
 
         monkeypatch.setattr(verify_mod.TruncatedSeries, "__post_init__", refuse)
         for theorem in ("cor2", "t3", "t5", "t6"):
-            assert sharpness_certificate(theorem, {"a": 0.6, "k": 0.5}).verdict == "pass"
+            assert sharpness_certificate(theorem, certificate_params(theorem)).verdict == "pass"
+
+    @pytest.mark.parametrize(
+        "theorem, params, message",
+        [
+            ("t3", {"a": 0.5}, "sharpness_certificate t3 requires k"),
+            ("t5", {"a": 0.6, "k": 0.3}, "sharpness_certificate t5 does not read k"),
+            ("cor2", {"a": 0.5, "lambda": 2}, "sharpness_certificate cor2 does not read lambda"),
+        ],
+    )
+    def test_missing_or_unread_key_refused(self, theorem, params, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            sharpness_certificate(theorem, params)
 
 
 class TestConservativeness:
