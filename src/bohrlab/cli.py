@@ -45,17 +45,6 @@ _RADIUS_THEOREMS = {
 # (RadiusResult.cap_binds): sqrt(5) - 2 for t5, none for t6.
 _UNBOUND_CAPS = {"t5": radii.UNIVERSAL_RADIUS, "t6": 0.0}
 
-# The bohrlab.verify function of each suite, in report order, looked up when
-# called.
-_SUITES = {
-    "t1": "check_theorem1",
-    "t2": "check_theorem2_odd",
-    "t3": "check_theorem3",
-    "t5": "check_theorem5",
-    "t6": "check_theorem6",
-}
-
-
 class _UsageError(Exception):
     pass
 
@@ -95,10 +84,10 @@ def _parse_params(tokens) -> dict:
         for piece in token.split(","):
             if not piece:
                 continue
-            if "=" not in piece:
-                raise ValueError(f"parameter {piece!r} is not of the form key=value")
-            key, _, value = piece.partition("=")
+            key, eq, value = piece.partition("=")
             key = key.strip()
+            if not eq or not key:
+                raise ValueError(f"parameter {piece!r} is not of the form key=value")
             if key in out:
                 raise ValueError(f"parameter {key} is given more than once")
             try:
@@ -140,7 +129,7 @@ def _build_parser() -> _Parser:
     p_ext.add_argument("--order", type=int)
 
     p_ver = sub.add_parser("verify", help="run verification suites, JSON report")
-    p_ver.add_argument("--suite", required=True, choices=[*_SUITES, "all"])
+    p_ver.add_argument("--suite", required=True, choices=[*verify.SUITES, "all"])
     p_ver.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
     p_ver.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_ver.add_argument("--order", type=int)
@@ -194,6 +183,8 @@ def _cmd_sweep(args) -> int:
     r_min, r_max = _snap(args.r_min, targets), _snap(args.r_max, targets)
     if not 0.0 <= r_min <= r_max < 1.0:
         raise ValueError("need 0 <= r-min <= r-max < 1")
+    if args.steps == 0 and r_min != r_max:
+        raise ValueError("--steps must be >= 1 when r-min < r-max")
     rs = r_min + (r_max - r_min) * np.arange(args.steps + 1) / max(args.steps, 1)
     rs[-1] = r_max
     values = sharp_lhs(args.functional, params["a"], rs, params.get("lambda", params.get("k", 0.0)))
@@ -242,8 +233,10 @@ def _cmd_extremal(args) -> int:
 
 def _cmd_verify(args) -> int:
     order = _resolve_order(args)
-    names = list(_SUITES) if args.suite == "all" else [args.suite]
-    reports = [getattr(verify, _SUITES[name])(trials=args.trials, seed=args.seed, order=order).as_dict() for name in names]
+    suites = list(verify.SUITES) if args.suite == "all" else [args.suite]
+    # each suite's check function is looked up in bohrlab.verify when called
+    checks = [getattr(verify, verify.SUITES[suite][1]) for suite in suites]
+    reports = [check(trials=args.trials, seed=args.seed, order=order).as_dict() for check in checks]
     failed = any(rep["verdict"] != "pass" for rep in reports)
     if args.suite == "all":
         _print_json({"reports": reports, "verdict": "fail" if failed else "pass"})

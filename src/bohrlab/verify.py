@@ -26,20 +26,24 @@ failures, so a pass is not a certificate for the untruncated functions.
 Each suite draws its trials a chunk at a time and column by column: the
 polynomial coefficients, Blaschke zeros and rotations of a chunk are formed
 as arrays from one run of doubles per trial and spec, with the bits and the
-generator calls of per-object draws.  All five suites share one driver,
-_run_suite, that builds and evaluates witnesses a block at a time as
-stacked (rows, N+1) arrays through the row kernels of series and
-witnesses, whose every coefficient is the one the per-series functions
-give, and fills the report's tracker with every random witness in trial
+generator calls of per-object draws.  All five suites, listed once in
+SUITES, share one driver, _run_suite, to which each hands one function
+that builds the witnesses of a block as stacked (rows, N+1) arrays,
+through the row kernels of series and witnesses whose every coefficient
+is the one the per-series functions give, and returns their residuals.
+The driver fills the report's tracker with every random witness in trial
 order.  t5 and t6 then add each group's closed-form checks to that tracker
 in group order, and t5 its universal-radius sweep last; the tracker keeps
-the first of equal maxima.  t2 builds its outers and inners as rows and
-only composes each witness on its own, through series.compose, whose
-calls perfbench's traced run counts.  Every
-left-hand side comes from bohrlab.functionals: its theorem*_rows functions
-evaluate a block in one pass with the bits of per-witness, per-radius
-evaluation, and sharp_lhs sums the sharp witnesses of t3, t5, t6 and the
-certificates in closed form without building a series.
+the first of equal maxima.  Subordination, majorization and the identity
+inner are the Blaschke product with no zeros: t1 and t2 expand the
+zero-free spec _ZERO_FREE in place of such a trial's drawn phi or omega.
+t2 builds its outers and inners as rows and only composes each witness on
+its own, through series.compose, whose calls perfbench's traced run
+counts.  Every left-hand side comes from bohrlab.functionals: its
+theorem*_rows functions evaluate a block in one pass with the bits of
+per-witness, per-radius evaluation, and sharp_lhs sums the sharp witnesses
+of t3, t5, t6 and the certificates in closed form without building a
+series.
 """
 
 from __future__ import annotations
@@ -96,7 +100,15 @@ CERT_TOLERANCE = 1e-8
 DEFAULT_TRIALS = 1000
 DEFAULT_SEED = 42
 
-_SUITE_IDS = {"t1": 1, "t2": 2, "t3": 3, "t5": 5, "t6": 6}
+# The suites in report order: the stream id that opens each trial key and
+# the name of the check function, which the CLI looks up when called.
+SUITES = {
+    "t1": (1, "check_theorem1"),
+    "t2": (2, "check_theorem2_odd"),
+    "t3": (3, "check_theorem3"),
+    "t5": (5, "check_theorem5"),
+    "t6": (6, "check_theorem6"),
+}
 
 _LADDER = (0.9, 0.99, 0.999)
 
@@ -115,6 +127,12 @@ _T2_BASE_DEGREE = 3
 # per convolution output for the whole block, so t5 and t6 blocks are cut
 # by this budget alone and may span parameter groups.
 _COEFF_BUDGET = 2 ** 14
+
+# The Blaschke spec without zeros, of rotation one: its bounded function is
+# the constant one and its inner z*B(z), like z*B(z^2), the identity.  t1's
+# subordination and majorization trials and t2's identity-inner trials
+# expand it in place of the drawn phi or omega.
+_ZERO_FREE = DrawnSpec(np.empty(0, dtype=np.complex128), 1 + 0j)
 
 # Trials are drawn this many at a time; a trial's draws do not depend on
 # the chunk it falls in, so the count bounds only the draws held at once.
@@ -307,7 +325,7 @@ def _trial_params(suite: str, draw, trials: int, seed: int):
     """The items of draw(rngs, keys) over the trial keys (suite id, seed, t)."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    return _keyed_draws(((_SUITE_IDS[suite], seed, t) for t in range(trials)), draw)
+    return _keyed_draws(((SUITES[suite][0], seed, t) for t in range(trials)), draw)
 
 
 def _groups(suite: str, trials: int, seed: int, radii) -> list:
@@ -320,21 +338,21 @@ def _groups(suite: str, trials: int, seed: int, radii) -> list:
         raise ValueError("the parameter grid is empty")
     share, extra = divmod(trials, len(radii))
     return [
-        (radius_grid(r, 8), [(_SUITE_IDS[suite], seed, g, j) for j in range(share + (g < extra))])
+        (radius_grid(r, 8), [(SUITES[suite][0], seed, g, j) for j in range(share + (g < extra))])
         for g, r in enumerate(radii)
     ]
 
 
-def _run_suite(items, build, evaluate, record, order: int) -> _Tracker:
+def _run_suite(items, residuals, record, order: int) -> _Tracker:
     """A _Tracker updated with (residual, record) for each item, in item
     order, one block at a time.
 
-    ``build(block, order)`` constructs the witnesses of a list of items and
-    ``evaluate(block, witnesses)`` returns one (residual, where) pair per
+    ``residuals(block, order)`` builds the witnesses of a list of items at
+    the given truncation order and returns one (residual, where) pair per
     item, ``where`` being a dict that locates the residual (its radius,
     say).  A block holds max(1, _COEFF_BUDGET // (order + 1)) items.  An
-    item whose residual exceeds the tolerance is rebuilt at doubled order
-    as a block of one, re-evaluated and tagged
+    item whose residual exceeds the tolerance is rebuilt and re-evaluated
+    at doubled order as a block of one and tagged
     {"reevaluated_order": 2 * order}.  The record is
     ``{**record(item), **where}``.
     """
@@ -342,9 +360,9 @@ def _run_suite(items, build, evaluate, record, order: int) -> _Tracker:
     rows = max(1, _COEFF_BUDGET // (order + 1))
     items = iter(items)
     while block := list(itertools.islice(items, rows)):
-        for item, (res, where) in zip(block, evaluate(block, build(block, order))):
+        for item, (res, where) in zip(block, residuals(block, order)):
             if res > TOLERANCE:
-                [(res, where)] = evaluate([item], build([item], 2 * order))
+                [(res, where)] = residuals([item], 2 * order)
                 where = {**where, "reevaluated_order": 2 * order}
             tracker.update(res, {**record(item), **where})
     return tracker
@@ -417,15 +435,16 @@ def _probe_beyond(tracker: _Tracker, theorem: str, where: dict, radius: float) -
     return {**where, "r": r, "lhs": lhs}
 
 
-def _group_worst(block, groups, table) -> list:
-    """(residual, where) of each draw of a block; the rows of a run of draws
-    from one group g are evaluated as one stack, table(rows, rs), on that
-    group's radius grid rs = groups[g][0]."""
+def _group_worst(block, groups, lhs_rows, *stacks) -> list:
+    """(residual, where) of each draw of a block, the residual being the
+    left-hand side lhs_rows(*rows, rs) less one.  The rows of a run of
+    draws from one group g, sliced from each of the ``stacks``, are
+    evaluated as one stack on that group's radius grid rs = groups[g][0]."""
     out, start = [], 0
     for g, run in itertools.groupby(draw.group for draw in block):
         stop = start + sum(1 for _ in run)
         rs = groups[g][0]
-        out += _row_worst(table(slice(start, stop), rs), rs)
+        out += _row_worst(lhs_rows(*(rows[start:stop] for rows in stacks), rs) - 1.0, rs)
         start = stop
     return out
 
@@ -473,19 +492,14 @@ def _t1_record(d: _T1Draw) -> dict:
 
 def _t1_witness(block, order: int) -> tuple:
     """(f rows, g rows) of a block of t1 trials: the composition
-    f = phi * g(omega) and the coefficients 0..8 of its outer g.  phi is the
-    constant one for subordination trials and omega the identity for
-    majorization trials.  A majorant sum over g's 9 columns has the bits of
-    one over its order-N series: Horner keeps +0.0 through zero tops."""
-    n = order + 1
-    phi = np.zeros((len(block), n), dtype=np.complex128)
-    phi[:, 0] = 1.0
-    drawn = [i for i, d in enumerate(block) if d.variant != "subordination"]
-    phi[drawn] = bounded_rows([block[i].phi for i in drawn], order)
-    omega = np.zeros((len(block), n), dtype=np.complex128)
-    omega[:, 1] = 1.0
-    drawn = [i for i, d in enumerate(block) if d.variant != "majorization"]
-    omega[drawn] = schwarz_rows([block[i].omega for i in drawn], order)
+    f = phi * g(omega) and the coefficients 0..8 of its outer g.  A
+    subordination trial expands the zero-free spec _ZERO_FREE in place of
+    its phi (the constant one) and a majorization trial in place of its
+    omega (the identity z); the drawn specs stay in the trial's record.  A
+    majorant sum over g's 9 columns has the bits of one over its order-N
+    series: Horner keeps +0.0 through zero tops."""
+    phi = bounded_rows([_ZERO_FREE if d.variant == "subordination" else d.phi for d in block], order)
+    omega = schwarz_rows([_ZERO_FREE if d.variant == "majorization" else d.omega for d in block], order)
     g = np.stack([d.g for d in block])
     return quasi_rows(g, [d.degree for d in block], phi, omega), g
 
@@ -502,10 +516,10 @@ def check_theorem1(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED, order
     draws = _trial_params("t1", _t1_draws, trials, seed)
     grid = radius_grid(CLASSICAL_CAP, 12)
 
-    def evaluate(_, fg):
-        return _row_worst(theorem1_rows(*fg, grid), grid)
+    def residuals(block, n):
+        return _row_worst(theorem1_rows(*_t1_witness(block, n), grid), grid)
 
-    tracker = _run_suite(draws, _t1_witness, evaluate, _t1_record, order)
+    tracker = _run_suite(draws, residuals, _t1_record, order)
     return tracker.report("t1", trials, seed, grid)
 
 
@@ -544,13 +558,11 @@ def _t2_record(d: _T2Draw) -> dict:
 
 def _t2_rows(block, order: int) -> tuple:
     """(f rows, g rows) of a block of t2 trials: the outers g = z*q(z^2) and
-    the inners z*B(z^2) (z itself for identity-inner trials) are built as
-    rows, and each odd composition f = g(omega) through compose."""
+    the inners z*B(z^2) are built as rows, an identity-inner trial
+    expanding the zero-free spec _ZERO_FREE (whose inner is z) in place of
+    its drawn one, and each odd composition f = g(omega) through compose."""
     g = odd_rows(np.stack([d.q for d in block]), order)
-    omega = np.zeros_like(g)
-    omega[:, 1] = 1.0
-    drawn = [i for i, d in enumerate(block) if not d.identity_inner]
-    omega[drawn] = schwarz_rows([block[i].omega for i in drawn], order, odd=True)
+    omega = schwarz_rows([_ZERO_FREE if d.identity_inner else d.omega for d in block], order, odd=True)
     f = [
         compose(TruncatedSeries(outer, exact_degree=2 * d.degree + 1), TruncatedSeries(inner)).coeffs
         for d, outer, inner in zip(block, g, omega)
@@ -589,13 +601,7 @@ def check_theorem2_odd(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED, o
         raise ValueError(f"t2 needs order >= {2 * _T2_BASE_DEGREE + 1}, the degree of its outers z*q(z^2)")
     draws = _trial_params("t2", _t2_draws, trials, seed)
     grid = radius_grid(ODD_CAP, 12)
-    tracker = _run_suite(
-        draws,
-        _t2_rows,
-        lambda block, fg: _t2_residual(*fg, grid),
-        _t2_record,
-        order,
-    )
+    tracker = _run_suite(draws, lambda block, n: _t2_residual(*_t2_rows(block, n), grid), _t2_record, order)
     return tracker.report("t2", trials, seed, grid)
 
 
@@ -673,8 +679,7 @@ def check_theorem3(
     grid = radius_grid(CLASSICAL_CAP, 12)
     tracker = _run_suite(
         ((params, k) for params in draws for k in k_grid),
-        _t3_witness,
-        lambda _, ws: _row_worst(_t3_residuals(ws, grid), grid + grid),
+        lambda block, n: _row_worst(_t3_residuals(_t3_witness(block, n), grid), grid + grid),
         lambda item: {**item[0].record, "k": item[1]},
         order,
     )
@@ -714,8 +719,7 @@ def check_theorem5(
     groups = _groups("t5", trials, seed, [_sharp_radius("t5", a) for a in a_grid])
     tracker = _run_suite(
         _pointwise_draws(groups, a_grid, 1),
-        _t5_witness,
-        lambda block, f: _group_worst(block, groups, lambda rows, rs: theorem5_rows(f[rows], rs) - 1.0),
+        lambda block, n: _group_worst(block, groups, theorem5_rows, _t5_witness(block, n)),
         lambda d: {"a": a_grid[d.group], "trial": d.trial, "phase": d.phase, "omega": _spec_dict(d.specs[0])},
         order,
     )
@@ -782,9 +786,8 @@ def check_theorem6(
     groups = _groups("t6", trials, seed, [_sharp_radius("t6", a, k) for a, k in pairs])
     tracker = _run_suite(
         _pointwise_draws(groups, [a for a, _ in pairs], 2),
-        lambda block, n: _t6_witness(block, n, [pairs[d.group][1] for d in block]),
-        lambda block, hg: _group_worst(
-            block, groups, lambda rows, rs: theorem6_rows(hg[0][rows], hg[1][rows], rs) - 1.0
+        lambda block, n: _group_worst(
+            block, groups, theorem6_rows, *_t6_witness(block, n, [pairs[d.group][1] for d in block])
         ),
         lambda d: {"a": pairs[d.group][0], "k": pairs[d.group][1], "trial": d.trial, "phase": d.phase},
         order,

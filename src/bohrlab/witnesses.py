@@ -243,10 +243,10 @@ def bounded_from_spec(spec: BlaschkeSpec, order: int = DEFAULT_ORDER) -> Truncat
 
 def schwarz_from_spec(spec: BlaschkeSpec, odd: bool = False, order: int = DEFAULT_ORDER) -> TruncatedSeries:
     """Inner function z*B(z) (or z*B(z^2) when odd) from a Blaschke spec.
-    The odd one is the odd_rows lift of B expanded at order // 2, exact of
-    degree 1 when B has no zeros."""
+    The odd one is the odd_rows lift of B expanded at order // 2 (at 1 when
+    the order is 1), exact of degree 1 when B has no zeros."""
     if odd:
-        lifted = odd_rows(blaschke_series(spec, order // 2).coeffs[None], order)[0]
+        lifted = odd_rows(blaschke_series(spec, max(order // 2, 1)).coeffs[None], order)[0]
         out = TruncatedSeries(lifted, exact_degree=None if spec.zeros else 1)
     else:
         out = blaschke_series(spec, order, vanish_at_origin=True)
@@ -270,7 +270,7 @@ def schwarz_rows(specs, order: int, odd: bool = False) -> np.ndarray:
     columns = _spec_columns(specs)
     _boundary_tripwire(*columns, inner=True, odd=odd)
     if odd:
-        return odd_rows(_blaschke_expansion(*columns, order // 2), order)
+        return odd_rows(_blaschke_expansion(*columns, max(order // 2, 1)), order)
     return _blaschke_expansion(*columns, order, vanish_at_origin=True)
 
 

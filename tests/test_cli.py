@@ -1,6 +1,7 @@
 """CLI surface tests: grammars, payload formats, exit codes."""
 
 import hashlib
+import importlib
 import json
 import math
 import os
@@ -178,6 +179,14 @@ class TestSweepCommand:
         assert all(v <= 1 for v in below)
         assert all(v > 1 for v in beyond)
 
+    def test_zero_steps_between_endpoints_that_snap_together(self, capsys):
+        # both endpoints lie within 1e-9 of 1/3, so --steps 0 sweeps it once
+        code, out, err = run_cli(
+            capsys, *"sweep --functional bohr --params a=0.5 --r-min 0.3333333333 --r-max 0.33333333334 --steps 0".split()
+        )
+        assert (code, err) == (0, "")
+        [row] = out.splitlines()[1:]
+        assert float(row.split(",")[0]) == 1 / 3
 
     # Both endpoints used to snap to 1/3, 2.5e-11 and 3.1e-11 above the
     # radius, whose row then read 1.0000000000422649 and 1.0000000000780034
@@ -232,7 +241,8 @@ class TestSweepCommand:
     # cases, recorded from the per-r scalar evaluation of an order-8
     # extremal series that sweeps ran before the closed form: steps 1000,
     # 1 and 0, endpoints snapped to 1/3, 1/sqrt(3) and sqrt(5)-2, a = 0,
-    # k in {0, 1} and an explicit lambda.
+    # k in {0, 1} and an explicit lambda.  A steps-0 case sweeps its one
+    # radius, r-max, so its r-min equals r-max.
     SWEEP_GOLDEN = {
         "bohr": (
             [(["a=0.5"], "0", "0.3333333333", 1000), (["a=0"], "0.2", "0.9", 1),
@@ -241,22 +251,22 @@ class TestSweepCommand:
         ),
         "cor2": (
             [(["a=0.3"], "0", "0.3333333333", 1000), (["a=0"], "0.1", "0.5", 1),
-             (["a=0.7"], "0.2360679775", "0.6", 0)],
+             (["a=0.7"], "0.6", "0.6", 0)],
             "d7d0dcd328420842",
         ),
         "t3": (
             [(["a=0.4", "k=0"], "0", "0.3333333333", 1000), (["a=0", "k=1"], "0", "0.9", 1),
-             (["a=0.6", "k=0.5", "lambda=0.25"], "0.1", "0.3333333333", 0)],
+             (["a=0.6", "k=0.5", "lambda=0.25"], "0.3333333333", "0.3333333333", 0)],
             "0c4f5dc37ba0cae9",
         ),
         "t5": (
             [(["a=0.6"], "0", "0.6", 1000), (["a=0"], "0", "0.2360679775", 1),
-             (["a=0.4641016151377544"], "0.2360679775", "0.5", 0)],
+             (["a=0.4641016151377544"], "0.5", "0.5", 0)],
             "4ae2e8fbcbc1bd06",
         ),
         "t6": (
             [(["a=0.6", "k=1"], "0", "0.9", 1000), (["a=0", "k=0"], "0.1", "0.5773502692", 1),
-             (["a=0.8", "k=0.5", "lambda=0.3"], "0", "0.4", 0)],
+             (["a=0.8", "k=0.5", "lambda=0.3"], "0.4", "0.4", 0)],
             "369c3277df0157a2",
         ),
     }
@@ -561,8 +571,10 @@ class TestVerifyCommand:
     def test_suite_choices_are_the_table(self):
         commands = next(action for action in cli._build_parser()._actions if action.dest == "command")
         suite = next(action for action in commands.choices["verify"]._actions if action.dest == "suite")
-        assert suite.choices == [*cli._SUITES, "all"]
-        assert list(cli._SUITES) == list(cli.verify._SUITE_IDS)
+        assert suite.choices == [*cli.verify.SUITES, "all"]
+        ids, names = zip(*cli.verify.SUITES.values())
+        assert len(set(ids)) == len(ids)
+        assert all(callable(getattr(cli.verify, name)) for name in names)
 
     def test_suite_function_looked_up_when_called(self, capsys, monkeypatch):
         calls = []
@@ -652,6 +664,14 @@ _REFUSALS = [
     (("extremal", "--theorem", "cor2", "--a", "-0.5"), None, "a must lie in [0, 1)"),
     (("extremal", "--theorem", "t6", "--a", "0.5", "--lambda", "0.3", "--k", "1.5"), None, "k must lie in [0, 1]"),
     (("verify", "--suite", "t1", "--seed", "-1"), None, "expected non-negative integer"),
+    # --steps 0 once swept r-max alone, dropping r-min without a word
+    ((*_SWEEP, "bohr", "--params", "a=0.5", "--r-min", "0.1", "--r-max", "0.3", "--steps", "0"), None,
+     "--steps must be >= 1 when r-min < r-max"),
+    # an empty key was refused as an unread parameter with a blank name
+    *(
+        ((*_SWEEP, "bohr", "--params", piece, *_R_SPAN), None, f"parameter {piece!r} is not of the form key=value")
+        for piece in ("=0.5", " =0.5")
+    ),
 ]
 
 
@@ -700,6 +720,21 @@ class TestTopLevel:
         assert done.returncode == 0, done.stderr
         assert json.loads(done.stdout)["value"] == pytest.approx(1 / 3)
         assert done.stderr == ""
+
+    def test_console_script_entry_point(self, capsys, monkeypatch):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["bohrlab"]
+        module, _, name = target.partition(":")
+        main = getattr(importlib.import_module(module), name)
+        monkeypatch.setattr(sys, "argv", ["bohrlab", "radius", "--theorem", "classical"])
+        with pytest.raises(SystemExit) as exit_info:
+            main()
+        assert exit_info.value.code == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert json.loads(out)["value"] == 1 / 3
+        assert out == run_cli(capsys, "radius", "--theorem", "classical")[1]
 
     # -OO strips docstrings, so nothing a command runs may read one.
     @pytest.mark.parametrize(

@@ -421,6 +421,39 @@ def _spec(d):
     return BlaschkeSpec(zeros=tuple(complex(*z) for z in d["zeros"]), rotation=complex(*d["rotation"]))
 
 
+class TestZeroFreeSpec:
+    """Subordination, majorization and the identity inner are the Blaschke
+    product without zeros: its bounded row is the constant one and its
+    inner rows z, with the bytes of the rows the suites once wrote by hand,
+    and it leaves the rows of drawn specs in its block as they are."""
+
+    ORDERS = [1, 2, 8, 64, 256]
+    BUILDS = {
+        "bounded": (witnesses_mod.bounded_rows, 0),
+        "schwarz": (witnesses_mod.schwarz_rows, 1),
+        "odd schwarz": (lambda specs, order: witnesses_mod.schwarz_rows(specs, order, odd=True), 1),
+    }
+
+    @pytest.mark.parametrize("order", ORDERS)
+    @pytest.mark.parametrize("build", list(BUILDS))
+    def test_rows_are_one_and_z(self, order, build):
+        rows, one_at = self.BUILDS[build]
+        expected = np.zeros((1, order + 1), dtype=np.complex128)
+        expected[0, one_at] = 1.0
+        assert rows([verify_mod._ZERO_FREE], order).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("order", ORDERS)
+    @pytest.mark.parametrize("build", list(BUILDS))
+    def test_drawn_rows_keep_their_bytes(self, order, build):
+        rows, _ = self.BUILDS[build]
+        rngs = [np.random.default_rng((order, i)) for i in range(10)]
+        drawn = [spec for i, rng in enumerate(rngs) for spec in witnesses_mod.draw_specs([rng], i % 5, i % 5)]
+        block = [spec for d in drawn for spec in (verify_mod._ZERO_FREE, d)]
+        stacked = rows(block, order)
+        for spec, row in zip(block, stacked):
+            assert row.tobytes() == rows([spec], order)[0].tobytes()
+
+
 class TestStackedWitnesses:
     """The stacked t1-t3 builders and evaluators give the bytes of the
     per-witness constructions built from the recorded draws."""

@@ -406,6 +406,13 @@ class TestOddRows:
             assert got.coeffs.tobytes() == expected.coeffs.tobytes()
             assert got.exact_degree == expected.exact_degree == (None if spec.zeros else 1)
 
+    def test_odd_inner_at_order_one_is_z_times_b0(self):
+        # B was expanded at order 1 // 2 = 0, which blaschke_series refused
+        spec = BlaschkeSpec(zeros=(0.5j, -0.25), rotation=-1.0)
+        expected = np.array([0.0, blaschke_series(spec, 1).coeffs[0] + 0.0])
+        assert schwarz_from_spec(spec, odd=True, order=1).coeffs.tobytes() == expected.tobytes()
+        assert schwarz_rows([spec], 1, odd=True)[0].tobytes() == expected.tobytes()
+
     def test_odd_tripwire_runs_on_every_spec(self, monkeypatch):
         real = witnesses._boundary_moduli
         broken = DrawnSpec(np.array([0.5 + 0.0j]), 1.0 + 0.0j)
