@@ -39,11 +39,13 @@ inner are the Blaschke product with no zeros: t1 and t2 expand the
 zero-free spec _ZERO_FREE in place of such a trial's drawn phi or omega.
 t2 builds its outers and inners as rows and only composes each witness on
 its own, through series.compose, whose calls perfbench's traced run
-counts.  Every left-hand side comes from bohrlab.functionals: its
-theorem*_rows functions evaluate a block in one pass with the bits of
-per-witness, per-radius evaluation, and sharp_lhs sums the sharp witnesses
-of t3, t5, t6 and the certificates in closed form without building a
-series.
+counts.  A t5 or t6 witness, a disk automorphism of z*B(z), is a rational
+function of degree at most 5, which _automorphisms expands by its
+denominator's recurrence (series.rational_rows) rather than composing.
+Every left-hand side comes from bohrlab.functionals: its theorem*_rows
+functions evaluate a block in one pass with the bits of per-witness,
+per-radius evaluation, and sharp_lhs sums the sharp witnesses of t3, t5,
+t6 and the certificates in closed form without building a series.
 """
 
 from __future__ import annotations
@@ -76,16 +78,17 @@ from .radii import (
 from .series import (
     DEFAULT_ORDER,
     TruncatedSeries,
-    _automorphism_degree,
+    _schwarz_polynomials,
+    _spec_columns,
     compose,
-    compose_rows,
     finite_rows,
-    mobius_rows,
+    rational_rows,
     refuse_unread,
     unit_interval,
 )
 from .witnesses import (
     DrawnSpec,
+    _boundary_tripwire,
     bounded_rows,
     draw_polynomials,
     draw_specs,
@@ -404,13 +407,24 @@ def _pointwise_draws(groups, a_values, specs: int):
 
 
 def _automorphisms(block, order: int, kind: str) -> np.ndarray:
-    """Rows of the disk automorphism (mobius_rows) at the a0 of each draw of
-    a block composed with the Schwarz function of the draw's first spec.
-    Horner starts at the automorphism's exact degree, as compose does, or
-    at the order where it is a truncation (series._automorphism_degree)."""
-    a0s = [draw.a0 for draw in block]
-    inner = schwarz_rows([draw.specs[0] for draw in block], order)
-    return compose_rows(mobius_rows(a0s, order, kind), inner, [_automorphism_degree(a0) or order for a0 in a0s])
+    """Rows of the disk automorphism of ``kind`` (series.MobiusTag) at the a0
+    of each draw of a block composed with the inner function z*B(z) = zP/Q
+    of the draw's first spec, after the spec checks and the boundary
+    tripwire schwarz_rows makes.  The composition is the rational function
+    (a0 Q - zP) / (Q - conj(a0) zP) ("minus") or (zP + a0 Q) /
+    (Q + conj(a0) zP) ("plus") of degree at most 5, expanded by
+    rational_rows; its denominator has no zero in the closed disk, where
+    |zB| <= 1 < 1 / |a0|."""
+    a0s = np.array([draw.a0 for draw in block], dtype=np.complex128)
+    if np.any(np.hypot(a0s.real, a0s.imag) >= 1.0):
+        raise ValueError("automorphism parameter must satisfy |a0| < 1")
+    columns = _spec_columns([draw.specs[0] for draw in block])
+    _boundary_tripwire(*columns, inner=True)
+    zp, q = _schwarz_polynomials(*columns)
+    sign = 1.0 if kind == "plus" else -1.0
+    num = a0s[:, None] * q + sign * zp
+    den = q + sign * np.conj(a0s)[:, None] * zp
+    return finite_rows(rational_rows(num, den, order))
 
 
 def _sharp_radius(theorem: str, a: float, k: float = 0.0) -> float:

@@ -233,23 +233,26 @@ class TestConservativeness:
         assert ANALYTIC_THRESHOLD_A == pytest.approx(0.4641016, abs=1e-7)
 
 
+@pytest.fixture
+def records(monkeypatch):
+    """Every record the suites hand a tracker, in order, each a copy of the
+    witness dict with its residual under "residual"."""
+    seen = []
+    real_update = verify_mod._Tracker.update
+
+    def recording(self, residual, witness):
+        seen.append({**witness, "residual": residual})
+        real_update(self, residual, witness)
+
+    monkeypatch.setattr(verify_mod._Tracker, "update", recording)
+    return seen
+
+
 class TestRetryBookkeeping:
     """A witness over the tolerance is re-evaluated once at doubled order and
     is the only record that carries ``reevaluated_order``."""
 
     ORDER = 16
-
-    @pytest.fixture
-    def records(self, monkeypatch):
-        seen = []
-        real_update = verify_mod._Tracker.update
-
-        def recording(self, residual, witness):
-            seen.append(witness)
-            real_update(self, residual, witness)
-
-        monkeypatch.setattr(verify_mod._Tracker, "update", recording)
-        return seen
 
     def _spoil_nth(self, monkeypatch, name, n, spoil, order_of=lambda out: out.order):
         """Make the n-th call of verify's ``name`` at the base order return a
@@ -293,10 +296,10 @@ class TestRetryBookkeeping:
             bump = make_series([0.0, 10.0], self.ORDER)
             self._spoil_nth(monkeypatch, "compose", 2, lambda f: f + bump)
         else:
-            # t5 and t6 compose a block at a time: row 1 of the first block
+            # t5 and t6 expand a block at a time: row 1 of the first block
             # is trial 1 of the first parameter group
             self._spoil_nth(
-                monkeypatch, "compose_rows", 1, self._bump_row_1, order_of=lambda rows: rows.shape[1] - 1
+                monkeypatch, "rational_rows", 1, self._bump_row_1, order_of=lambda rows: rows.shape[1] - 1
             )
         rep = check(trials=40, seed=3, order=self.ORDER)
         assert rep.verdict == "pass"
@@ -315,6 +318,21 @@ class TestRetryBookkeeping:
         assert len(flagged) == 1
         assert flagged[0]["trial"] == 1 and flagged[0]["reevaluated_order"] == 2 * self.ORDER
         assert len(records) == 40
+
+
+class TestNegativeControls:
+    """t5 and t6 can still fail.  With the sharp radius scaled by 1.01, the
+    random witnesses themselves (records with a ``trial`` key), not only
+    the closed forms, exceed the tolerance: at order 16 and 100 trials each
+    suite failed that way for 20 seeds of 20 (seeds 0-19), the smallest
+    worst random residual being 5.2e-3 for t5 and 4.0e-3 for t6."""
+
+    @pytest.mark.parametrize("check", [check_theorem5, check_theorem6])
+    def test_radius_past_the_sharp_one_fails_on_a_random_witness(self, monkeypatch, records, check):
+        real = verify_mod._sharp_radius
+        monkeypatch.setattr(verify_mod, "_sharp_radius", lambda *args: 1.01 * real(*args))
+        assert check(trials=100, seed=3, order=16).verdict == "fail"
+        assert any("trial" in w and w["residual"] > TOLERANCE for w in records)
 
 
 class TestRecordOrder:
@@ -745,11 +763,13 @@ class TestDrawnSpecsChecked:
 
     @pytest.mark.parametrize("check", CHECKS)
     def test_every_expanded_spec_passes_the_tripwire(self, monkeypatch, check):
-        # the stacked evaluator and the expansion see spec columns, not spec
+        # the stacked evaluator and the expansions see spec columns, not spec
         # objects, so the specs are compared by the bits of their zeros and
-        # rotations
+        # rotations; t5 and t6 expand the inner of their automorphism as the
+        # polynomials zP and Q (series._schwarz_polynomials)
         evaluated, expanded = [], []
         real_moduli, real_expansion = witnesses_mod._boundary_moduli, witnesses_mod._blaschke_expansion
+        real_polynomials = verify_mod._schwarz_polynomials
 
         def specs_of(zeros, counts, rotations):
             return [(row[:n].tobytes(), rotation.tobytes()) for row, n, rotation in zip(zeros, counts, rotations)]
@@ -762,8 +782,13 @@ class TestDrawnSpecsChecked:
             expanded.extend(specs_of(zeros, counts, rotations))
             return real_expansion(zeros, counts, rotations, order, **kwargs)
 
+        def counting_polynomials(zeros, counts, rotations):
+            expanded.extend(specs_of(zeros, counts, rotations))
+            return real_polynomials(zeros, counts, rotations)
+
         monkeypatch.setattr(witnesses_mod, "_boundary_moduli", counting_moduli)
         monkeypatch.setattr(witnesses_mod, "_blaschke_expansion", counting_expansion)
+        monkeypatch.setattr(verify_mod, "_schwarz_polynomials", counting_polynomials)
         check(trials=40, seed=2, order=8)
         assert expanded and evaluated == expanded
 
