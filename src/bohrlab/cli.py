@@ -162,6 +162,14 @@ def _claimed_cap(functional: str, params: dict) -> float:
     return result.value if result.cap_binds else _UNBOUND_CAPS[functional]
 
 
+def _refuse_lambda_over_k(k, lam) -> None:
+    """Refuse a co-analytic scale lambda above the dilatation bound k when
+    both are given: the sharp pair with scale lambda has dilatation lambda,
+    so it is no witness of the class whose radius k sets."""
+    if k is not None and lam is not None and lam > k:
+        raise ValueError("lambda must not exceed k")
+
+
 def _cmd_sweep(args) -> int:
     params = _parse_params(args.params)
     needed = SHARP_PARAMETERS[args.functional]
@@ -175,6 +183,7 @@ def _cmd_sweep(args) -> int:
     for key in read:
         if key in params:
             unit_interval(key, params[key], closed=key != "a")
+    _refuse_lambda_over_k(params.get("k"), params.get("lambda"))
     if args.steps < 0:
         raise ValueError("--steps must be >= 0")
     cap = _claimed_cap(args.functional, params)
@@ -211,6 +220,7 @@ def _cmd_extremal(args) -> int:
     for name, value in (("k", args.k), ("lambda", args.lam)):
         if value is not None:
             unit_interval(name, value, closed=True)
+    _refuse_lambda_over_k(args.k, args.lam)
     order = _resolve_order(args)
     a = args.a
     payload = {"theorem": args.theorem, "a": a, "order": order}

@@ -7,14 +7,22 @@ represents the function exactly rather than as a truncation.  All
 operations are pure and never mutate their inputs, so values can be shared
 freely across threads.
 
-Blaschke rows are expanded by _blaschke_expansion from spec columns
-(_spec_columns, which makes BlaschkeSpec's checks): the stacked builders of
-bohrlab.witnesses, bounded_rows and schwarz_rows, form the columns once and
-hand them to their boundary tripwire and to the expansion.  Every disk
-automorphism series, mobius_series and witnesses.extremal_theorem5, comes
-from _automorphism.  A rational function whose denominator has constant
-term 1, such as a disk automorphism of z*B(z) (whose zP and Q
-_schwarz_polynomials forms), is expanded by rational_rows.
+Each construction rule has one kernel, which works on stacked (rows, N+1)
+coefficient rows, and the per-series function of the rule is its one-row
+call, adding only the TruncatedSeries, its exact degree and its tag:
+convolve_rows multiplies, its per-row path being mul's np.convolve, and
+_compose_block composes for compose and compose_rows.  Both kernels take
+each row through np.convolve below _MATMUL_ROWS rows and make one
+np.matmul per kept output for the whole block from there on, with the
+same bits either way.  Blaschke rows are expanded by _blaschke_expansion
+from spec columns (_spec_columns, which makes BlaschkeSpec's checks): the
+stacked builders of bohrlab.witnesses, bounded_rows and schwarz_rows, form
+the columns once and hand them to their boundary tripwire and to the
+expansion, and blaschke_series is its one-row call.  Every disk
+automorphism series, mobius_series and witnesses.extremal_theorem5, is a
+one-row mobius_rows call made by _automorphism.  A rational function whose
+denominator has constant term 1, such as a disk automorphism of z*B(z)
+(whose zP and Q _schwarz_polynomials forms), is expanded by rational_rows.
 """
 
 from __future__ import annotations
@@ -26,10 +34,14 @@ import numpy as np
 
 DEFAULT_ORDER = 64
 
-# Constant-term slack for inner series of a composition.  Witnesses build
-# the inner function with an exactly zero constant term, so anything above
-# this indicates a construction bug rather than roundoff.
-COMPOSE_CONSTANT_TOL = 1e-15
+# Row count from which a row kernel (convolve_rows, _compose_block) makes
+# one np.matmul per kept output for the whole block; below it, each row goes
+# through np.convolve, whose per-call cost is far lower than a matmul's.
+# Both give every row the same bits.  Measured on a 2-core x86 VM with numpy
+# 2.4.6, the per-row loop wins below about 8 (compose, 17 coefficients) to
+# 40 rows (convolve_rows, 257 coefficients), and at 16 rows the two paths
+# are within 1.5x of each other at 17, 65 and 257 coefficients.
+_MATMUL_ROWS = 16
 
 ROTATION_TOL = 1e-15
 BLASCHKE_ZERO_CAP = 0.9
@@ -222,44 +234,24 @@ def mul(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
 
 
 def compose(g: TruncatedSeries, w: TruncatedSeries) -> TruncatedSeries:
-    """Composition g(w(z)) for an inner series with zero constant term.
+    """Composition g(w(z)) for an inner series with w(0) exactly zero.
 
     Because w(0) = 0, the k-th power of w starts at z^k, so the first
     order+1 coefficients of the result are exact given the stored
-    coefficients of g and w.  Computed by Horner accumulation over the
-    coefficients of g (down from its exact degree when known).
-
-    Truncation window: the step that adds g_k is multiplied by w k more
-    times, so when w(0) == 0 its output at index m reaches only result
-    indices m + k and up, and the step convolves just the first n - k
-    coefficients of the accumulator and of w (n = order + 1).  This keeps
-    every bit of the full-length product: np.convolve forms output m as
-    one dot over the same m + 1 pairs whatever the input lengths, and the
-    one pair that differs pairs a not-yet-refreshed accumulator entry
-    with w(0), so it adds a signed zero to a sum that starts at +0.0 and
-    therefore never changes it.  An inner with a tiny nonzero constant
-    (up to COMPOSE_CONSTANT_TOL) is composed at full length.
+    coefficients of g and w.  A one-row call of compose_rows' block kernel,
+    Horner from g's exact degree when known; the result is exact of degree
+    deg g * deg w when both are known and it fits the order.
     """
     _require_same_order(g, w)
-    if abs(w.coeffs[0]) > COMPOSE_CONSTANT_TOL:
-        raise ValueError(
-            f"inner series must vanish at the origin (|w(0)| = {abs(w.coeffs[0]):.3e})"
-        )
-    n = g.order + 1
+    if w.coeffs[0] != 0:
+        raise ValueError(f"inner series must vanish at the origin (|w(0)| = {abs(w.coeffs[0]):.3e})")
     top = g.exact_degree if g.exact_degree is not None else g.order
-    windowed = w.coeffs[0] == 0
-    acc = np.zeros(n, dtype=np.complex128)
-    acc[0] = g.coeffs[top]
-    for k in range(top - 1, -1, -1):
-        m = n - k if windowed else n
-        acc[:m] = np.convolve(acc[:m], w.coeffs[:m])[:m]
-        acc[0] += g.coeffs[k]
     degree = None
     if g.exact_degree is not None and w.exact_degree is not None:
         d = g.exact_degree * w.exact_degree
         if d <= g.order:
             degree = d
-    return TruncatedSeries(acc, exact_degree=degree)
+    return TruncatedSeries(_compose_block(g.coeffs[None], w.coeffs[None], top)[0], exact_degree=degree)
 
 
 def finite_rows(rows: np.ndarray) -> np.ndarray:
@@ -305,16 +297,21 @@ def _convolve_into(lhs: list, rhs: list, out: list, m: int):
 def convolve_rows(a, b) -> np.ndarray:
     """Row-wise np.convolve(a[i], b[i])[:L] of two (rows, L) stacks, bit for bit.
 
-    One np.matmul per kept output serves the whole block, and the outputs
+    Below _MATMUL_ROWS rows each row is that np.convolve call; from it on,
+    one np.matmul per kept output serves the whole block, and the outputs
     past L are never formed.
     """
     a = np.asarray(a, dtype=np.complex128)
     b = np.asarray(b, dtype=np.complex128)
     if a.ndim != 2 or a.shape != b.shape or a.shape[1] < 1:
         raise ValueError("convolve_rows needs two non-empty (rows, L) stacks of one shape")
-    n = a.shape[1]
+    rows, n = a.shape
     out = np.empty_like(a)
-    _convolve_into(_prefix_stacks(a, n), _reversed_prefixes(b), _output_slots(out, n), n)
+    if rows < _MATMUL_ROWS:
+        for i in range(rows):
+            out[i] = np.convolve(a[i], b[i])[:n]
+    else:
+        _convolve_into(_prefix_stacks(a, n), _reversed_prefixes(b), _output_slots(out, n), n)
     return out
 
 
@@ -322,10 +319,9 @@ def compose_rows(g_rows, w_rows, tops) -> np.ndarray:
     """Row-wise compose(g, w) of (rows, N+1) stacks, bit for bit.
 
     Every inner row must vanish exactly at the origin, so each Horner step
-    runs compose's truncation window: the step that adds g_k keeps outputs
-    j < N+1-k, and output j is the same BLAS dot as in compose.  ``tops``
-    gives the Horner start of each row: the outer's exact degree, or N for
-    a truncated outer.  Rows that share a start run as one stack.
+    runs _compose_block's truncation window.  ``tops`` gives the Horner
+    start of each row: the outer's exact degree, or N for a truncated
+    outer.  Rows that share a start run as one stack.
     """
     g_rows = np.asarray(g_rows, dtype=np.complex128)
     w_rows = np.asarray(w_rows, dtype=np.complex128)
@@ -337,27 +333,45 @@ def compose_rows(g_rows, w_rows, tops) -> np.ndarray:
     tops = np.asarray(tops)
     if tops.shape != (rows,) or np.any((tops < 0) | (tops > n - 1)):
         raise ValueError(f"Horner starts must lie in [0, {n - 1}], one per row")
-    starts = np.unique(tops)
-    if starts.size == 1:
-        return finite_rows(_compose_block(g_rows, w_rows, int(starts[0])))
     out = np.empty((rows, n), dtype=np.complex128)
-    for top in starts:
+    for top in np.unique(tops):
         sel = tops == top
         out[sel] = _compose_block(g_rows[sel], w_rows[sel], int(top))
     return finite_rows(out)
 
 
 def _compose_block(g: np.ndarray, w: np.ndarray, top: int) -> np.ndarray:
-    """compose's windowed Horner loop on stacked rows with a shared start.
+    """Horner composition of stacked rows with a shared start ``top``, every
+    inner row vanishing exactly at the origin; the kernel of compose and
+    compose_rows.
 
-    Two buffers alternate as the accumulator, so a step reads the previous
-    step's outputs from one while writing its own to the other.  Entry
-    m - 1 of the buffer a step of window m reads has never been written,
-    so it holds the zero compose's accumulator holds there.
+    Truncation window: the step that adds g_k is multiplied by w k more
+    times, so its output at index m reaches only result indices m + k and
+    up, and the step convolves just the first n - k coefficients of the
+    accumulator and of w.  This keeps every bit of the full-length product:
+    np.convolve forms output m as one dot over the same m + 1 pairs whatever
+    the input lengths, and the one pair that differs pairs a not-yet-refreshed
+    accumulator entry with w(0), so it adds a signed zero to a sum that
+    starts at +0.0 and therefore never changes it.
+
+    Below _MATMUL_ROWS rows each row runs the loop on one accumulator with
+    np.convolve.  From it on, two buffers alternate as the accumulator, so a
+    step reads the previous step's outputs from one while writing its own
+    to the other, one np.matmul per kept output; entry m - 1 of the buffer a
+    step of window m reads has never been written, so it holds the zero the
+    one accumulator holds there.
     """
     rows, n = g.shape
+    out = np.zeros((rows, n), dtype=np.complex128)
+    if rows < _MATMUL_ROWS:
+        for acc, g_row, w_row in zip(out, g, w):
+            acc[0] = g_row[top]
+            for k in range(top - 1, -1, -1):
+                acc[: n - k] = np.convolve(acc[: n - k], w_row[: n - k])[: n - k]
+                acc[0] += g_row[k]
+        return out
     rhs = _reversed_prefixes(w)
-    bufs = (np.zeros((rows, n), dtype=np.complex128), np.zeros((rows, n), dtype=np.complex128))
+    bufs = (out, np.zeros((rows, n), dtype=np.complex128))
     lhs = [_prefix_stacks(buf, n) for buf in bufs]
     slots = [_output_slots(buf, n) for buf in bufs]
     cur = 0
@@ -606,53 +620,53 @@ def eval_blaschke(spec: BlaschkeSpec, z):
 
 
 def blaschke_series(spec: BlaschkeSpec, order: int, vanish_at_origin: bool = False) -> TruncatedSeries:
-    """Expand a finite Blaschke product to the given truncation order.
-
-    Each factor (z - z_i)/(1 - conj(z_i) z) is expanded in closed form
-    (geometric series), the factors are convolved together, and an extra
-    factor z is appended when ``vanish_at_origin`` so the result is a valid
-    inner function for composition.
-    """
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    n = order + 1
-    acc = np.zeros(n, dtype=np.complex128)
-    acc[0] = spec.rotation
-    for zero, gap in zip(spec.zeros, _unit_gaps(spec.zeros)):
-        factor = np.zeros(n, dtype=np.complex128)
-        factor[0] = -zero
-        factor[1:] = gap * np.conj(zero) ** np.arange(order)
-        acc = np.convolve(acc, factor)[:n]
-    if vanish_at_origin:
-        acc = np.concatenate(([0.0], acc[:-1]))
-    if spec.zeros:
-        degree = None
-    else:
-        degree = 1 if vanish_at_origin else 0
-    return TruncatedSeries(acc, exact_degree=degree)
+    """Expand a finite Blaschke product to the given truncation order, times
+    z when ``vanish_at_origin`` (a valid inner function for composition): a
+    one-row _blaschke_expansion call, exact of degree 0 (1 with the factor
+    z) when the spec has no zeros.  The spec's one row of columns is formed
+    here, not by _spec_columns: BlaschkeSpec made its checks when built,
+    and repeating them would add about a third to a call at order 16."""
+    zeros = np.array([spec.zeros], dtype=np.complex128)
+    rotations = np.array([spec.rotation], dtype=np.complex128)
+    row = _blaschke_expansion(zeros, np.array([zeros.shape[1]]), rotations, order, vanish_at_origin)[0]
+    return TruncatedSeries(row, exact_degree=None if zeros.size else int(vanish_at_origin))
 
 
 def _blaschke_expansion(zeros, counts, rotations, order: int, vanish_at_origin: bool = False) -> np.ndarray:
-    """Stacked blaschke_series coefficients, one row per spec, bit for bit,
-    of the specs whose _spec_columns are zeros, counts and rotations.
+    """Coefficient rows 0..order of the Blaschke products whose _spec_columns
+    are zeros, counts and rotations, one row per spec; the kernel of
+    blaschke_series and of the stacked builders of bohrlab.witnesses.
 
-    Factor i of every spec with more than i zeros is expanded and convolved
-    in one convolve_rows call; specs with fewer zeros are left out of it,
-    as blaschke_series never convolves them.
+    The factor (z - a)/(1 - conj(a) z) of every zero a of the block is
+    expanded in closed form at once, -a and then (1 - |a|^2) conj(a)^(k-1).
+    Factor i is then convolved in one convolve_rows call for every spec
+    with more than i zeros; specs with fewer zeros are left out of it.  With
+    ``vanish_at_origin`` every row is shifted by one place: the factor z.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
     n = order + 1
+    # live[i] marks the specs with more than i zeros, and the factors are
+    # formed in that order, so factor i of those specs is one slice.  Each
+    # factor row is written in place: a block's factors are its largest
+    # temporary.
+    live = np.arange(zeros.shape[1])[:, None] < counts
+    zero = zeros.T[live]
+    factors = np.empty((zero.size, n), dtype=np.complex128)
+    factors[:, 0] = -zero
+    np.power(np.conj(zero)[:, None], np.arange(order), out=factors[:, 1:])
+    np.multiply(_unit_gaps(zero)[:, None], factors[:, 1:], out=factors[:, 1:])
     acc = np.zeros((counts.size, n), dtype=np.complex128)
     acc[:, 0] = rotations
-    powers = np.arange(order)
-    for i in range(int(counts.max(initial=0))):
-        sel = np.flatnonzero(counts > i)
-        zero = zeros[sel, i]
-        factor = np.empty((sel.size, n), dtype=np.complex128)
-        factor[:, 0] = -zero
-        factor[:, 1:] = _unit_gaps(zero)[:, None] * np.conj(zero)[:, None] ** powers
-        acc[sel] = convolve_rows(acc[sel], factor)
+    stop = 0
+    for rows, size in zip(live, live.sum(axis=1).tolist()):
+        if not size:
+            break
+        start, stop = stop, stop + size
+        if size == counts.size:
+            acc = convolve_rows(acc, factors[start:stop])
+        else:
+            acc[rows] = convolve_rows(acc[rows], factors[start:stop])
     if vanish_at_origin:
         acc[:, 1:] = acc[:, :-1].copy()
         acc[:, 0] = 0.0

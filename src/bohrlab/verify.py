@@ -29,8 +29,9 @@ as arrays from one run of doubles per trial and spec, with the bits and the
 generator calls of per-object draws.  All five suites, listed once in
 SUITES, share one driver, _run_suite, to which each hands one function
 that builds the witnesses of a block as stacked (rows, N+1) arrays,
-through the row kernels of series and witnesses whose every coefficient
-is the one the per-series functions give, and returns their residuals.
+through the row kernels of series and witnesses, one per construction
+rule, whose one-row calls are the per-series functions, and returns their
+residuals.
 The driver fills the report's tracker with every random witness in trial
 order.  t5 and t6 then add each group's closed-form checks to that tracker
 in group order, and t5 its universal-radius sweep last; the tracker keeps
@@ -38,10 +39,11 @@ the first of equal maxima.  Subordination, majorization and the identity
 inner are the Blaschke product with no zeros: t1 and t2 expand the
 zero-free spec _ZERO_FREE in place of such a trial's drawn phi or omega.
 t2 builds its outers and inners as rows and only composes each witness on
-its own, through series.compose, whose calls perfbench's traced run
-counts.  A t5 or t6 witness, a disk automorphism of z*B(z), is a rational
-function of degree at most 5, which _automorphisms expands by its
-denominator's recurrence (series.rational_rows) rather than composing.
+its own, through series.compose, the one-row call of compose_rows' kernel,
+whose calls perfbench's traced run counts.  A t5 or t6 witness, a disk
+automorphism of z*B(z), is a rational function of degree at most 5, which
+_automorphisms expands by its denominator's recurrence
+(series.rational_rows) rather than composing.
 Every left-hand side comes from bohrlab.functionals: its theorem*_rows
 functions evaluate a block in one pass with the bits of per-witness,
 per-radius evaluation, and sharp_lhs sums the sharp witnesses of t3, t5,

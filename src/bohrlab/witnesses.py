@@ -12,6 +12,13 @@ BlaschkeSpec's checks) once per call and hands them to the tripwire and to
 the Blaschke expansion, so a bad spec is refused before either runs.  The
 extremal automorphisms come from series._automorphism, the one home of
 their exact-degree rule.
+
+Each construction rule has one row kernel: bounded_rows and schwarz_rows
+for the bounded and inner functions of Blaschke specs, harmonic_rows for
+the pairs g' = k * omega_tilde * h', quasi_rows for f = phi * g(omega).
+The per-object builders are their one-row calls, which add the
+TruncatedSeries and its exact degree; build_quasi_triple makes the same
+one-row call through compose and mul.
 """
 
 from __future__ import annotations
@@ -31,18 +38,15 @@ from .series import (
     TruncatedSeries,
     _automorphism,
     _blaschke_expansion,
+    _require_same_order,
     _spec_columns,
-    blaschke_series,
     compose,
     compose_rows,
     convolve_rows,
-    derivative,
     finite_rows,
-    integrate,
     make_series,
     mobius_series,
     mul,
-    scale,
     unit_interval,
 )
 
@@ -73,10 +77,12 @@ def build_quasi_triple(
     """Assemble f = phi * g(omega) and cross-check the coefficient identity.
 
     The outer series must be polynomial-exact (so comparison sums against it
-    are exact) and omega must vanish at the origin.  Construction verifies
-    that the Horner-composed product matches the direct expansion
+    are exact) and omega must vanish exactly at the origin.  Construction
+    verifies that the Horner-composed product matches the direct expansion
     a_k = sum_{m+j=k} phi_m B_j with B_j = sum_{n<=j} g_n alpha_j^(n),
-    where alpha^(n) are the coefficients of omega^n.
+    where alpha^(n) are the coefficients of omega^n.  quasi_rows for one
+    witness: it composes and multiplies through compose and mul, the
+    one-row forms of quasi_rows' kernels, and runs the same check.
     """
     if g.exact_degree is None:
         raise ValueError("outer series must be polynomial-exact (exact_degree set)")
@@ -236,22 +242,15 @@ def _boundary_tripwire(zeros, counts, rotations, inner: bool = False, odd: bool 
 
 
 def bounded_from_spec(spec: BlaschkeSpec, order: int = DEFAULT_ORDER) -> TruncatedSeries:
-    """Series of the bounded analytic witness defined by a Blaschke product."""
-    _boundary_tripwire(*_spec_columns([spec]))
-    return blaschke_series(spec, order)
+    """Series of the bounded analytic witness defined by a Blaschke product:
+    a one-row bounded_rows call, exact of degree 0 when B has no zeros."""
+    return TruncatedSeries(bounded_rows([spec], order)[0], exact_degree=None if len(spec.zeros) else 0)
 
 
 def schwarz_from_spec(spec: BlaschkeSpec, odd: bool = False, order: int = DEFAULT_ORDER) -> TruncatedSeries:
-    """Inner function z*B(z) (or z*B(z^2) when odd) from a Blaschke spec.
-    The odd one is the odd_rows lift of B expanded at order // 2 (at 1 when
-    the order is 1), exact of degree 1 when B has no zeros."""
-    if odd:
-        lifted = odd_rows(blaschke_series(spec, max(order // 2, 1)).coeffs[None], order)[0]
-        out = TruncatedSeries(lifted, exact_degree=None if spec.zeros else 1)
-    else:
-        out = blaschke_series(spec, order, vanish_at_origin=True)
-    _boundary_tripwire(*_spec_columns([spec]), inner=True, odd=odd)
-    return out
+    """Inner function z*B(z) (or z*B(z^2) when odd) from a Blaschke spec: a
+    one-row schwarz_rows call, exact of degree 1 when B has no zeros."""
+    return TruncatedSeries(schwarz_rows([spec], order, odd)[0], exact_degree=None if len(spec.zeros) else 1)
 
 
 def bounded_rows(specs, order: int) -> np.ndarray:
@@ -329,11 +328,18 @@ def harmonic_witness(h: TruncatedSeries, k: float, omega_tilde: TruncatedSeries)
     """Pair with co-analytic part g = integral of k * omega_tilde * h'.
 
     omega_tilde must come from a modulus-bounded family (its constant term
-    may be nonzero), which makes |g'| <= k |h'| hold by construction.
+    may be nonzero), which makes |g'| <= k |h'| hold by construction.  A
+    one-row harmonic_rows call; g is exact when h and omega_tilde are and
+    its degree, deg omega_tilde + max(deg h - 1, 0) + 1, fits the order.
     """
-    unit_interval("k", k, closed=True)
-    g = integrate(scale(mul(omega_tilde, derivative(h)), k))
-    return HarmonicPair(h=h, g=g, k=k)
+    _require_same_order(h, omega_tilde)
+    g = harmonic_rows(h.coeffs[None], [k], omega_tilde.coeffs[None])[0]
+    degree = None
+    if h.exact_degree is not None and omega_tilde.exact_degree is not None:
+        d = omega_tilde.exact_degree + max(h.exact_degree - 1, 0) + 1
+        if d <= h.order:
+            degree = d
+    return HarmonicPair(h=h, g=TruncatedSeries(g, exact_degree=degree), k=k)
 
 
 def harmonic_rows(h_rows, ks, omega_tilde_rows, index=None) -> np.ndarray:

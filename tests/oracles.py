@@ -143,3 +143,22 @@ def per_object_mobius(a0, order, kind="plus"):
     else:
         out[1:] = -(1.0 - abs(a0) ** 2) * a0.conjugate() ** np.arange(order)
     return out
+
+
+def per_object_blaschke(zeros, rotation, order, vanish_at_origin=False):
+    """Coefficients 0..order of rotation * prod (z - a)/(1 - conj(a) z), times
+    z when ``vanish_at_origin``: each factor expanded in closed form, -a and
+    then (1 - |a|^2) conj(a)^(k-1), and convolved into the product with
+    np.convolve, one factor after another."""
+    n = order + 1
+    acc = np.zeros(n, dtype=np.complex128)
+    acc[0] = rotation
+    for zero in zeros:
+        zero = complex(zero)
+        factor = np.zeros(n, dtype=np.complex128)
+        factor[0] = -zero
+        factor[1:] = (1.0 - abs(zero) ** 2) * np.conj(zero) ** np.arange(order)
+        acc = np.convolve(acc, factor)[:n]
+    if vanish_at_origin:
+        acc = np.concatenate(([0.0], acc[:-1]))
+    return acc

@@ -316,6 +316,18 @@ class TestSweepCommand:
         interval = "[0, 1)" if key == "a" else "[0, 1]"
         assert err == f"bohrlab: error: {key} must lie in {interval}\n"
 
+    @pytest.mark.parametrize("functional", ["t3", "t6"])
+    def test_lambda_up_to_k_swept_within_one(self, capsys, functional):
+        # lambda = k is the sharp pair itself, which reaches one at the radius
+        code, out, _ = run_cli(
+            capsys,
+            "sweep", "--functional", functional, "--params", "a=0.5", "k=0.3", "lambda=0.3",
+            "--r-min", "0.2", "--r-max", "0.2758", "--steps", "2",
+        )
+        assert code == 0
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert len(rows) == 3 and all(float(value) <= 1.0 + 1e-12 for _, value, _, _ in rows)
+
     # `kk=3` exited 0, ran bohr with its default and echoed kk=3 in every row.
     @pytest.mark.parametrize("functional", ["bohr", "cor2", "t3", "t5", "t6"])
     @pytest.mark.parametrize("params, unread", [(["kk=3"], "kk"), (["K=0.5", "lam=0.2"], "K, lam")])
@@ -417,6 +429,16 @@ class TestExtremalCommand:
         assert code == 0
         assert json.loads(out)["lambda"] == 0.3
 
+
+    @pytest.mark.parametrize("theorem", ["t3", "t6"])
+    @pytest.mark.parametrize("lam", ["0.3", "0.5"])
+    def test_lambda_up_to_k_accepted(self, capsys, theorem, lam):
+        code, out, _ = run_cli(
+            capsys, "extremal", "--theorem", theorem, "--a", "0.5", "--k", "0.5", "--lambda", lam, "--order", "4"
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["k"], payload["lambda"]) == (0.5, float(lam))
 
     # t6 printed a witness for --k 1.5 and t3 refused it as lam, a name
     # neither flag has.
@@ -674,6 +696,18 @@ _REFUSALS = [
     *(
         ((*_SWEEP, "bohr", "--params", piece, *_R_SPAN), None, f"parameter {piece!r} is not of the form key=value")
         for piece in ("=0.5", " =0.5")
+    ),
+    # a co-analytic scale above k was evaluated against the radius k sets:
+    # t6 printed 1.0645 and 1.1617 with informational=0 inside its sharp
+    # radius 0.2791, and extremal dumped a pair of dilatation 0.7 as "k": 0.5
+    *(
+        ((*_SWEEP, f, "--params", "a=0.5", "k=0.3", "lambda=1", "--r-min", "0.2", "--r-max", "0.2758", "--steps", "2"),
+         None, "lambda must not exceed k")
+        for f in ("t3", "t6")
+    ),
+    *(
+        (("extremal", "--theorem", t, "--a", "0.5", "--k", "0.5", "--lambda", "0.7"), None, "lambda must not exceed k")
+        for t in ("t3", "t6")
     ),
 ]
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bohrlab.series import (
+    _MATMUL_ROWS,
     BlaschkeSpec,
     MobiusTag,
     TruncatedSeries,
@@ -41,6 +42,7 @@ from oracles import (
     divide_series,
     geometric_mobius,
     mobius_by_long_division,
+    per_object_blaschke,
     per_object_mobius,
     py_convolve,
     rational_mobius_value,
@@ -166,6 +168,12 @@ class TestCompose:
         w = make_series([0, 1, 1], 6)
         assert np.array_equal(compose(g, w).coeffs, [0, 0, 1, 2, 1, 0, 0])
 
+    def test_order_zero_returns_the_outer(self):
+        g = make_series([3.0 + 1.0j], 0)
+        out = compose(g, make_series([0.0], 0))
+        assert out.coeffs.tobytes() == g.coeffs.tobytes()
+        assert out.exact_degree == 0
+
     def test_rejects_nonzero_constant(self):
         g = make_series([0, 1], 6)
         w = make_series([0.5, 1], 6)
@@ -211,7 +219,8 @@ def full_length_compose(g, w):
 
 class TestComposeWindow:
     """compose convolves only the prefix that can reach a kept coefficient;
-    the result must equal full-length Horner bit for bit."""
+    the result must equal full-length Horner bit for bit.  An inner whose
+    constant is not exactly zero is refused, however small it is."""
 
     @pytest.mark.parametrize("order", [1, 2, 8, 64, 256])
     def test_bytes_equal_full_length_horner(self, order):
@@ -229,12 +238,13 @@ class TestComposeWindow:
         inners = [
             schwarz_from_spec(spec, order=order),
             make_series([0.0, 1.0], order),
-            TruncatedSeries(tiny_constant),
             schwarz_from_spec(spec, odd=True, order=order),
         ]
         for g in outers:
             for w in inners:
                 assert compose(g, w).coeffs.tobytes() == full_length_compose(g, w).tobytes()
+            with pytest.raises(ValueError, match=r"vanish at the origin \(\|w\(0\)\| = 1\.000e-16\)"):
+                compose(g, TruncatedSeries(tiny_constant))
 
 
 def mixed_specs(rng, rows):
@@ -243,12 +253,16 @@ def mixed_specs(rng, rows):
 
 
 class TestRowKernels:
-    """The stacked kernels give each row the bytes of the per-series path."""
+    """The stacked kernels give each row the bytes of an independent
+    per-row reference, on both sides of the row count at which they switch
+    from per-row np.convolve to one matmul per output (compose, their
+    one-row call, meets the same reference in TestComposeWindow)."""
 
     ORDERS = [1, 2, 8, 64, 256]
+    ROWS = [1, 13, _MATMUL_ROWS - 1, _MATMUL_ROWS, 40]
 
     @pytest.mark.parametrize("order", ORDERS)
-    @pytest.mark.parametrize("rows", [1, 13])
+    @pytest.mark.parametrize("rows", ROWS)
     def test_convolve_rows_matches_np_convolve(self, order, rows):
         rng = np.random.default_rng(order + rows)
         n = order + 1
@@ -258,17 +272,19 @@ class TestRowKernels:
         assert convolve_rows(a, b).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("order", ORDERS)
-    @pytest.mark.parametrize("rows", [1, 13])
+    @pytest.mark.parametrize("rows", ROWS)
     def test_blaschke_rows_match_blaschke_series(self, order, rows):
         """The Blaschke rows of bounded_rows (B) and schwarz_rows (z*B) have
-        the bytes of blaschke_series."""
+        the bytes of the per-factor chain and of blaschke_series."""
         specs = mixed_specs(np.random.default_rng(order + 3 * rows), rows)
         for build, vanish in ((bounded_rows, False), (schwarz_rows, True)):
-            expected = np.stack([blaschke_series(s, order, vanish_at_origin=vanish).coeffs for s in specs])
-            assert build(specs, order).tobytes() == expected.tobytes()
+            expected = np.stack([per_object_blaschke(s.zeros, s.rotation, order, vanish) for s in specs])
+            one_row = np.stack([blaschke_series(s, order, vanish_at_origin=vanish).coeffs for s in specs])
+            got = build(specs, order)
+            assert got.tobytes() == expected.tobytes() == one_row.tobytes()
 
     @pytest.mark.parametrize("order", ORDERS)
-    @pytest.mark.parametrize("rows", [1, 13])
+    @pytest.mark.parametrize("rows", ROWS)
     def test_compose_rows_matches_compose(self, order, rows):
         rng = np.random.default_rng(order + 5 * rows)
         specs = mixed_specs(rng, rows)
@@ -278,7 +294,7 @@ class TestRowKernels:
         inners = [schwarz_from_spec(spec, order=order) for spec in specs]
         tops = [g.exact_degree if g.exact_degree is not None else order for g in outers]
         got = compose_rows([g.coeffs for g in outers], schwarz_rows(specs, order), tops)
-        expected = np.stack([compose(g, w).coeffs for g, w in zip(outers, inners)])
+        expected = np.stack([full_length_compose(g, w) for g, w in zip(outers, inners)])
         assert got.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("order", ORDERS)
@@ -289,7 +305,7 @@ class TestRowKernels:
         inners = [schwarz_from_spec(spec, order=order) for spec in mixed_specs(rng, 4)]
         tops = [order] * 3 + [outers[-1].exact_degree]
         got = compose_rows([g.coeffs for g in outers], [w.coeffs for w in inners], tops)
-        expected = np.stack([compose(g, w).coeffs for g, w in zip(outers, inners)])
+        expected = np.stack([full_length_compose(g, w) for g, w in zip(outers, inners)])
         assert got.tobytes() == expected.tobytes()
 
     def test_compose_rows_refuses_inner_off_the_origin(self):

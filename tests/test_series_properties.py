@@ -7,7 +7,17 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
-from bohrlab.series import TruncatedSeries, compose, derivative, integrate, make_series, mul  # noqa: E402
+from bohrlab.series import (  # noqa: E402
+    _MATMUL_ROWS,
+    TruncatedSeries,
+    compose,
+    compose_rows,
+    convolve_rows,
+    derivative,
+    integrate,
+    make_series,
+    mul,
+)
 
 # Parts below 1e-100 are flushed to zero, so no product of three
 # coefficients and no quotient by an index up to 81 leaves the normal range,
@@ -59,3 +69,31 @@ def test_derivative_undoes_integrate_below_top(fs):
     back = derivative(integrate(f)).coeffs
     assert np.all(np.abs(back[:-1] - f.coeffs[:-1]) <= 1e-15 * np.abs(f.coeffs[:-1]))
     assert back[-1] == 0
+
+
+@st.composite
+def _blocks(draw):
+    """(a, b, tops): two (rows, N+1) stacks of seeded normal parts, rows on
+    both sides of the row count at which the row kernels switch paths, b
+    vanishing at the origin, and one Horner start per row, shared by every
+    row half of the time."""
+    rows = draw(st.integers(1, 2 * _MATMUL_ROWS + 8))
+    order = draw(st.integers(1, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a, b = rng.normal(size=(2, rows, order + 1)) + 1j * rng.normal(size=(2, rows, order + 1))
+    b[:, 0] = 0.0
+    if draw(st.booleans()):
+        tops = [draw(st.integers(0, order))] * rows
+    else:
+        tops = draw(st.lists(st.integers(0, order), min_size=rows, max_size=rows))
+    return a, b, tops
+
+
+@_SETTINGS
+@given(_blocks())
+def test_block_rows_have_the_bytes_of_one_row_calls(block):
+    a, b, tops = block
+    convolved, composed = convolve_rows(a, b), compose_rows(a, b, tops)
+    for i, top in enumerate(tops):
+        assert convolved[i].tobytes() == convolve_rows(a[i : i + 1], b[i : i + 1]).tobytes()
+        assert composed[i].tobytes() == compose_rows(a[i : i + 1], b[i : i + 1], [top]).tobytes()

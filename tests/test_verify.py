@@ -321,17 +321,36 @@ class TestRetryBookkeeping:
 
 
 class TestNegativeControls:
-    """t5 and t6 can still fail.  With the sharp radius scaled by 1.01, the
-    random witnesses themselves (records with a ``trial`` key), not only
-    the closed forms, exceed the tolerance: at order 16 and 100 trials each
-    suite failed that way for 20 seeds of 20 (seeds 0-19), the smallest
-    worst random residual being 5.2e-3 for t5 and 4.0e-3 for t6."""
+    """Every suite can still fail on its own random witnesses (records with
+    a ``trial`` key), not only on the closed forms, once its claim is moved
+    past the sharp value through the module globals it reads when called.
+
+    At order 16, for 20 seeds of 20 (seeds 0-19): with the sharp radius
+    scaled by 1.01 and 100 trials, t5 and t6 failed that way, the smallest
+    worst random residual being 5.2e-3 for t5 and 4.0e-3 for t6; with
+    CLASSICAL_CAP at 0.4, t1 failed at 1000 trials (smallest worst random
+    residual 2.0e-3); with CLASSICAL_CAP at 0.45, t3 failed at 500 trials
+    (1.5e-2; at 0.4 it failed for 15 seeds); with ODD_CAP at 0.65, t2
+    failed at 1000 trials (2.3e-2)."""
 
     @pytest.mark.parametrize("check", [check_theorem5, check_theorem6])
     def test_radius_past_the_sharp_one_fails_on_a_random_witness(self, monkeypatch, records, check):
         real = verify_mod._sharp_radius
         monkeypatch.setattr(verify_mod, "_sharp_radius", lambda *args: 1.01 * real(*args))
         assert check(trials=100, seed=3, order=16).verdict == "fail"
+        assert any("trial" in w and w["residual"] > TOLERANCE for w in records)
+
+    @pytest.mark.parametrize(
+        "check, cap, value, trials",
+        [
+            (check_theorem1, "CLASSICAL_CAP", 0.4, 1000),
+            (check_theorem2_odd, "ODD_CAP", 0.65, 1000),
+            (check_theorem3, "CLASSICAL_CAP", 0.45, 500),
+        ],
+    )
+    def test_cap_past_the_sharp_one_fails_on_a_random_witness(self, monkeypatch, records, check, cap, value, trials):
+        monkeypatch.setattr(verify_mod, cap, value)
+        assert check(trials=trials, seed=3, order=16).verdict == "fail"
         assert any("trial" in w and w["residual"] > TOLERANCE for w in records)
 
 

@@ -21,10 +21,12 @@ from bohrlab.series import (
     derivative,
     eval_blaschke,
     evaluate,
+    integrate,
     majorant_eval,
     make_series,
     mobius_series,
     mul,
+    scale,
 )
 from bohrlab.witnesses import (
     DrawnSpec,
@@ -48,7 +50,13 @@ from bohrlab.witnesses import (
     schwarz_rows,
 )
 
-from oracles import mobius_by_long_division, per_object_polynomial, per_object_spec, quasi_convolution
+from oracles import (
+    mobius_by_long_division,
+    per_object_blaschke,
+    per_object_polynomial,
+    per_object_spec,
+    quasi_convolution,
+)
 
 
 class TestRandomSchwarz:
@@ -124,14 +132,14 @@ class TestBuildQuasiTriple:
         with pytest.raises(ValueError, match="vanish"):
             build_quasi_triple(g, make_series([1], 16), make_series([0.2, 1], 16))
 
-    def test_inner_with_tiny_constant_passes_identity(self):
-        # compose accepts an inner constant up to 1e-15, and so does the
-        # identity check, which forms every entry of each power of omega
+    def test_inner_with_tiny_constant_refused(self):
+        # compose refuses an inner whose constant is not exactly zero, 1e-16
+        # included, so no such triple reaches the identity check
         rng = np.random.default_rng(5)
         g = draw_polynomial(rng, 24)
         omega = schwarz_from_spec(draw_blaschke_spec(rng), order=24) + make_series([1e-16], 24)
-        triple = build_quasi_triple(g, bounded_from_spec(draw_blaschke_spec(rng), 24), omega)
-        assert triple.f.order == 24
+        with pytest.raises(ValueError, match="vanish at the origin"):
+            build_quasi_triple(g, bounded_from_spec(draw_blaschke_spec(rng), 24), omega)
 
     def test_identity_check_rejects_f_off_by_1e9(self):
         rng = np.random.default_rng(11)
@@ -273,12 +281,35 @@ class TestHarmonicWitness:
         with pytest.raises(ValueError):
             harmonic_witness(h, -0.1, make_series([1], 8))
 
+    def test_rejects_order_mismatch(self):
+        with pytest.raises(ValueError, match="truncation order mismatch: 8 vs 16"):
+            harmonic_witness(make_series([0, 1], 8), 0.5, make_series([1], 16))
+
+    @pytest.mark.parametrize(
+        "h, omega_tilde",
+        [
+            (make_series([0.5, 1.0, 0.25j], 8), make_series([0.3, 0.2], 8)),
+            (make_series([0.5], 8), make_series([1.0], 8)),
+            (make_series([0.0, 0.5, 0.25, 0.1, 0.2, 0.3], 8), make_series([0.1, 0.2, 0.3, 0.4], 8)),
+            (make_series([0.0, 1.0], 8), bounded_from_spec(BlaschkeSpec(zeros=(0.5,)), 8)),
+        ],
+    )
+    def test_exact_degree_follows_the_series_operations(self, h, omega_tilde):
+        # degrees 3, 1, 8 and truncated: g = integral of k * omega_tilde * h'
+        expected = integrate(scale(mul(omega_tilde, derivative(h)), 0.5))
+        got = harmonic_witness(h, 0.5, omega_tilde).g
+        assert got.coeffs.tobytes() == expected.coeffs.tobytes()
+        assert got.exact_degree == expected.exact_degree
+
 
 class TestStackedBuilders:
-    """The stacked builders give each row the bytes of the per-spec builders."""
+    """The stacked builders give each row the bytes of an independent
+    per-row reference, on both sides of the row count at which the row
+    kernels switch from per-row np.convolve to one matmul per output, and
+    of the per-spec builders, their one-row calls."""
 
     @pytest.mark.parametrize("order", [1, 2, 8, 64, 256])
-    @pytest.mark.parametrize("rows", [1, 11])
+    @pytest.mark.parametrize("rows", [1, 11, series._MATMUL_ROWS - 1, series._MATMUL_ROWS, 40])
     def test_rows_match_per_spec_builders(self, order, rows):
         rng = np.random.default_rng(7 * order + rows)
         specs = [draw_blaschke_spec(rng, min_zeros=i % 5, max_zeros=i % 5) for i in range(rows)]
@@ -289,13 +320,21 @@ class TestStackedBuilders:
 
         omega = schwarz_rows(specs, order)
         omega_tilde = bounded_rows(specs_tilde, order)
-        assert omega.tobytes() == np.stack([schwarz_from_spec(s, order=order).coeffs for s in specs]).tobytes()
-        assert omega_tilde.tobytes() == np.stack([bounded_from_spec(s, order).coeffs for s in specs_tilde]).tobytes()
+        for got, specs_of, vanish, one_row in (
+            (omega, specs, True, lambda s: schwarz_from_spec(s, order=order)),
+            (omega_tilde, specs_tilde, False, lambda s: bounded_from_spec(s, order)),
+        ):
+            expected = np.stack([per_object_blaschke(s.zeros, s.rotation, order, vanish) for s in specs_of])
+            assert got.tobytes() == expected.tobytes()
+            assert got.tobytes() == np.stack([one_row(s).coeffs for s in specs_of]).tobytes()
 
         hs = [compose(mobius_series(a0, order), schwarz_from_spec(s, order=order)) for a0, s in zip(a0s, specs)]
-        pairs = [harmonic_witness(h, k, bounded_from_spec(t, order)) for h, k, t in zip(hs, ks, specs_tilde)]
-        h_rows = np.stack([h.coeffs for h in hs])
-        g_rows = harmonic_rows(h_rows, ks, omega_tilde)
+        tildes = [bounded_from_spec(t, order) for t in specs_tilde]
+        # g = integral of k * omega_tilde * h', one series operation at a time
+        expected = np.stack([integrate(scale(mul(t, derivative(h)), k)).coeffs for h, k, t in zip(hs, ks, tildes)])
+        g_rows = harmonic_rows(np.stack([h.coeffs for h in hs]), ks, omega_tilde)
+        assert g_rows.tobytes() == expected.tobytes()
+        pairs = [harmonic_witness(h, k, t) for h, k, t in zip(hs, ks, tildes)]
         assert g_rows.tobytes() == np.stack([p.g.coeffs for p in pairs]).tobytes()
 
     def test_harmonic_rows_rejects_bad_k(self):
