@@ -9,7 +9,11 @@ tail: a value at or below the bound holds for the truncation only.
 The stacked forms serve sweeps, certificates and suites: ``sharp_lhs``
 sums the sharp witnesses in closed form, with the bits of the tagged
 scalar call, and the ``theorem*_rows`` functions evaluate stacked
-untagged rows over a radius grid with the bits of per-row evaluation.
+untagged rows over a radius grid, shared or one per row, their majorant
+sums with the bits of per-row evaluation.  theorem5_rows and
+theorem6_rows take |f(z)| from each row's rational form num / den, so it
+is the value of the untruncated function, where theorem5_lhs of an
+untagged series evaluates its stored coefficients.
 
 The rational-term functionals are claimed only up to r = 1/3 (the classical
 cap); evaluating them beyond that radius is permitted for scans, but the
@@ -25,8 +29,8 @@ import numpy as np
 from .radii import CLASSICAL_CAP
 from .series import (
     TruncatedSeries,
+    _polyval_rows,
     evaluate,
-    evaluate_rows,
     majorant_eval,
     majorant_rows,
     mobius_tail,
@@ -136,8 +140,25 @@ def theorem3_rows(h_rows, index, g_rows, a, k, rs) -> np.ndarray:
     h row shared by several pairs is summed once."""
     rs = np.asarray(rs)
     rational = theorem3_rational(np.asarray(a)[..., None], np.asarray(k)[..., None], rs)
-    h_tails = majorant_rows(h_rows, rs, skip_constant=True)[index]
-    return rational + h_tails + majorant_rows(g_rows, rs, skip_constant=True)
+    h_tails, g_tails = _paired_tails(h_rows, g_rows, rs)
+    return rational + h_tails[index] + g_tails
+
+
+def _paired_tails(f_rows, g_rows, rs) -> tuple:
+    """(f tails, g tails): the constant-free majorant_rows sums of two stacks
+    over rs, made in one Horner pass over their stacked magnitudes.  Horner
+    works element by element, so each entry has the bits of its own
+    majorant_rows call.  rs is one grid for every row, or one grid per row
+    of f and of g alike."""
+    split = len(f_rows)
+    if rs.ndim == 2:
+        rs = np.concatenate([rs, rs])
+    # magnitudes rather than the complex rows: half the bytes of the stack
+    mags = np.empty((split + len(g_rows), f_rows.shape[1]))
+    np.abs(f_rows, out=mags[:split])
+    np.abs(g_rows, out=mags[split:])
+    tails = majorant_rows(mags, rs, skip_constant=True)
+    return tails[:split], tails[split:]
 
 
 def theorem5_lhs(f: TruncatedSeries, z: complex) -> float:
@@ -161,25 +182,37 @@ def theorem6_lhs(pair: HarmonicPair, z: complex) -> float:
     return theorem5_lhs(pair.h, z) + _tail_sum(pair.g, abs(complex(z)))
 
 
-def _max_modulus_rows(rows, rs: np.ndarray) -> np.ndarray:
-    """Largest |f| of each row over the _PHASES points of each circle |z| = rs[j]."""
-    return np.abs(evaluate_rows(rows, rs[:, None] * _PHASES)).max(axis=-1)
+def _max_modulus_rows(num, den, rs: np.ndarray) -> np.ndarray:
+    """Largest |num / den| of each row of (rows, k) polynomial coefficients
+    over the _PHASES points of each circle of its radius grid (rs as in
+    majorant_rows), the phases taken one at a time: np.maximum is exact, so
+    the bits are those of the maximum over one (rows, m, 16) table."""
+    rs = rs if rs.ndim == 2 else rs[None]
+    out = np.zeros((len(num), rs.shape[1]))
+    for phase in _PHASES:
+        z = rs * phase
+        np.maximum(out, np.abs(_polyval_rows(z, num) / _polyval_rows(z, den)), out=out)
+    return out
 
 
-def theorem5_rows(f_rows, rs) -> np.ndarray:
-    """theorem5_lhs of stacked untagged series over a radius grid, maximised
-    over 16 equally spaced phases: entry [i, j] is the largest
-    |f_i(z)| + sum_{k>=1} |a_k| rs[j]^k on the circle |z| = rs[j]."""
+def theorem5_rows(f_rows, num, den, rs) -> np.ndarray:
+    """theorem5_lhs of stacked untagged series, each the Taylor rows of its
+    rational form num / den, maximised over 16 equally spaced phases: entry
+    [i, j] is the largest |f_i(z)| + sum_{k>=1} |a_k| r^k on the circle
+    |z| = r, r being rs[j], or rs[i, j] when rs holds one grid per row.
+    |f_i(z)| is the value of the untruncated function, from num and den;
+    the tail sums the stored coefficients, as theorem5_lhs does."""
     rs = np.asarray(rs)
-    return _max_modulus_rows(f_rows, rs) + majorant_rows(f_rows, rs, skip_constant=True)
+    return _max_modulus_rows(num, den, rs) + majorant_rows(f_rows, rs, skip_constant=True)
 
 
-def theorem6_rows(h_rows, g_rows, rs) -> np.ndarray:
-    """theorem6_lhs of stacked untagged pairs, maximised as in theorem5_rows;
-    the tails are summed before |h| is added, so bits may differ from it."""
+def theorem6_rows(h_rows, num, den, g_rows, rs) -> np.ndarray:
+    """theorem6_lhs of stacked untagged pairs, h_i with rational form num /
+    den, maximised and evaluated as in theorem5_rows; the tails are summed
+    before |h| is added, so bits may differ from it."""
     rs = np.asarray(rs)
-    tails = majorant_rows(h_rows, rs, skip_constant=True) + majorant_rows(g_rows, rs, skip_constant=True)
-    return _max_modulus_rows(h_rows, rs) + tails
+    h_tails, g_tails = _paired_tails(h_rows, g_rows, rs)
+    return _max_modulus_rows(num, den, rs) + (h_tails + g_tails)
 
 
 def sharp_lhs(name: str, a, rs, k=0.0):

@@ -469,15 +469,17 @@ def evaluate(f: TruncatedSeries, z):
 
 
 def majorant_rows(coeff_rows, rs, skip_constant: bool = False) -> np.ndarray:
-    """Truncated majorant sums of stacked coefficient vectors over a radius grid.
+    """Truncated majorant sums of stacked coefficient vectors over radius grids.
 
-    ``coeff_rows`` has shape (rows, N+1) and the result (rows, len(rs)).
-    Horner runs the same floating-point operations element by element as
-    np.polynomial.polynomial.polyval of each row at each radius.
+    ``coeff_rows`` has shape (rows, N+1).  ``rs`` is one grid for every row,
+    giving a (rows, len(rs)) result, or a (rows, m) array holding one grid
+    per row, giving a (rows, m) result.  Horner runs the same floating-point
+    operations element by element as np.polynomial.polynomial.polyval of
+    each row at each of its radii.
     """
     rs = unit_interval("radius", rs)
     mags = np.abs(np.asarray(coeff_rows))
-    total = _polyval_rows(rs, mags)
+    total = _polyval_rows(rs if rs.ndim == 2 else rs[None], mags)
     if skip_constant:
         return total - mags[:, :1]
     return total
@@ -489,17 +491,20 @@ def evaluate_rows(coeff_rows, zs) -> np.ndarray:
     ``coeff_rows`` has shape (rows, N+1); the result has shape
     (rows,) + shape(zs), and row i equals ``evaluate`` of row i bit for bit.
     """
-    return _polyval_rows(np.asarray(zs), np.asarray(coeff_rows))
+    return _polyval_rows(np.asarray(zs)[None], np.asarray(coeff_rows))
 
 
 def _polyval_rows(x: np.ndarray, coeff_rows: np.ndarray) -> np.ndarray:
-    """np.polynomial.polynomial.polyval(x, coeff_rows.T), shape (rows,) + x.shape.
+    """Row i of the result is np.polynomial.polynomial.polyval(x[i],
+    coeff_rows[i]), where the points x have a leading axis of length rows,
+    or of length one for points shared by every row; the result has shape
+    (rows,) + x.shape[1:].
 
     The same Horner operations in the same order, element by element, but
     on one accumulator updated in place rather than two new temporaries a
     step, which keeps a large block's memory at one result array.
     """
-    c = coeff_rows.reshape(coeff_rows.shape + (1,) * x.ndim)
+    c = coeff_rows.reshape(coeff_rows.shape + (1,) * (x.ndim - 1))
     acc = c[:, -1] + x * 0
     for i in range(2, c.shape[1] + 1):
         np.multiply(acc, x, out=acc)
@@ -584,15 +589,21 @@ class BlaschkeSpec:
 def _check_blaschke(counts, zero_moduli, rotation_moduli):
     """BlaschkeSpec's checks, on one spec or on columns of many: at most
     MAX_BLASCHKE_ZEROS zeros, none of modulus above BLASCHKE_ZERO_CAP, and
-    a unimodular rotation."""
+    a unimodular rotation.  Each check asks that the good comparison hold,
+    so a NaN zero or rotation, for which no comparison holds, is refused."""
     if np.any(np.asarray(counts) > MAX_BLASCHKE_ZEROS):
         raise ValueError(f"at most {MAX_BLASCHKE_ZEROS} zeros per Blaschke product")
     zero_moduli = np.asarray(zero_moduli, dtype=np.float64)
-    over = zero_moduli > BLASCHKE_ZERO_CAP + 1e-12
-    if np.any(over):
-        raise ValueError(f"zero with modulus {zero_moduli[over][0]:.4f} exceeds cap {BLASCHKE_ZERO_CAP}")
-    if np.any(np.abs(np.asarray(rotation_moduli) - 1.0) > ROTATION_TOL):
-        raise ValueError("rotation must be unimodular")
+    bad = ~(zero_moduli <= BLASCHKE_ZERO_CAP + 1e-12)
+    if np.any(bad):
+        modulus = zero_moduli[bad][0]
+        if np.isnan(modulus):
+            raise ValueError("zero with modulus nan: every Blaschke zero must be a number")
+        raise ValueError(f"zero with modulus {modulus:.4f} exceeds cap {BLASCHKE_ZERO_CAP}")
+    rotation_moduli = np.asarray(rotation_moduli, dtype=np.float64)
+    bad = ~(np.abs(rotation_moduli - 1.0) <= ROTATION_TOL)
+    if np.any(bad):
+        raise ValueError(f"rotation must be unimodular (modulus {rotation_moduli[bad][0]:.17g})")
 
 
 def _spec_columns(specs) -> tuple:

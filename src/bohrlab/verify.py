@@ -43,10 +43,12 @@ its own, through series.compose, the one-row call of compose_rows' kernel,
 whose calls perfbench's traced run counts.  A t5 or t6 witness, a disk
 automorphism of z*B(z), is a rational function of degree at most 5, which
 _automorphisms expands by its denominator's recurrence
-(series.rational_rows) rather than composing.
+(series.rational_rows) rather than composing, and whose numerator and
+denominator it hands on, so that |h| is the untruncated witness's value.
 Every left-hand side comes from bohrlab.functionals: its theorem*_rows
-functions evaluate a block in one pass with the bits of per-witness,
-per-radius evaluation, and sharp_lhs sums the sharp witnesses of t3, t5,
+functions evaluate a block in one pass, the majorant sums with the bits
+of per-witness, per-radius evaluation, each t5 or t6 row on its own
+group's radius grid, and sharp_lhs sums the sharp witnesses of t3, t5,
 t6 and the certificates in closed form without building a series.
 """
 
@@ -375,10 +377,13 @@ def _run_suite(items, residuals, record, order: int) -> _Tracker:
 
 def _row_worst(table: np.ndarray, points) -> list:
     """(residual, {"r": point}) at the largest entry of each row of ``table``,
-    whose columns belong to ``points``.  np.argmax keeps the first of equal
-    residuals, as the tracker's strict comparison does."""
+    whose columns belong to ``points``: one grid for every row, or one per
+    row.  np.argmax keeps the first of equal residuals, as the tracker's
+    strict comparison does."""
+    rows = np.arange(len(table))
     cols = np.argmax(table, axis=1)
-    return [(float(row[col]), {"r": float(points[col])}) for row, col in zip(table, cols)]
+    points = np.broadcast_to(np.asarray(points, dtype=np.float64), table.shape)
+    return [(res, {"r": r}) for res, r in zip(table[rows, cols].tolist(), points[rows, cols].tolist())]
 
 
 class _Draw(NamedTuple):
@@ -408,14 +413,15 @@ def _pointwise_draws(groups, a_values, specs: int):
     return _keyed_draws((key for _, keys in groups for key in keys), draw)
 
 
-def _automorphisms(block, order: int, kind: str) -> np.ndarray:
-    """Rows of the disk automorphism of ``kind`` (series.MobiusTag) at the a0
-    of each draw of a block composed with the inner function z*B(z) = zP/Q
-    of the draw's first spec, after the spec checks and the boundary
-    tripwire schwarz_rows makes.  The composition is the rational function
-    (a0 Q - zP) / (Q - conj(a0) zP) ("minus") or (zP + a0 Q) /
-    (Q + conj(a0) zP) ("plus") of degree at most 5, expanded by
-    rational_rows; its denominator has no zero in the closed disk, where
+def _automorphisms(block, order: int, kind: str) -> tuple:
+    """(rows, num, den) of the disk automorphism of ``kind``
+    (series.MobiusTag) at the a0 of each draw of a block composed with the
+    inner function z*B(z) = zP/Q of the draw's first spec, after the spec
+    checks and the boundary tripwire schwarz_rows makes.  The composition
+    is the rational function num / den, (a0 Q - zP) / (Q - conj(a0) zP)
+    ("minus") or (zP + a0 Q) / (Q + conj(a0) zP) ("plus"), of degree at
+    most 5; rows are its Taylor coefficients 0..order, expanded by
+    rational_rows.  The denominator has no zero in the closed disk, where
     |zB| <= 1 < 1 / |a0|."""
     a0s = np.array([draw.a0 for draw in block], dtype=np.complex128)
     if np.any(np.hypot(a0s.real, a0s.imag) >= 1.0):
@@ -426,7 +432,7 @@ def _automorphisms(block, order: int, kind: str) -> np.ndarray:
     sign = 1.0 if kind == "plus" else -1.0
     num = a0s[:, None] * q + sign * zp
     den = q + sign * np.conj(a0s)[:, None] * zp
-    return finite_rows(rational_rows(num, den, order))
+    return finite_rows(rational_rows(num, den, order)), num, den
 
 
 def _sharp_radius(theorem: str, a: float, k: float = 0.0) -> float:
@@ -451,18 +457,13 @@ def _probe_beyond(tracker: _Tracker, theorem: str, where: dict, radius: float) -
     return {**where, "r": r, "lhs": lhs}
 
 
-def _group_worst(block, groups, lhs_rows, *stacks) -> list:
+def _group_worst(block, grids: np.ndarray, lhs_rows, *stacks) -> list:
     """(residual, where) of each draw of a block, the residual being the
-    left-hand side lhs_rows(*rows, rs) less one.  The rows of a run of
-    draws from one group g, sliced from each of the ``stacks``, are
-    evaluated as one stack on that group's radius grid rs = groups[g][0]."""
-    out, start = [], 0
-    for g, run in itertools.groupby(draw.group for draw in block):
-        stop = start + sum(1 for _ in run)
-        rs = groups[g][0]
-        out += _row_worst(lhs_rows(*(rows[start:stop] for rows in stacks), rs) - 1.0, rs)
-        start = stop
-    return out
+    left-hand side lhs_rows(*stacks, rs) less one, where row i of rs is the
+    radius grid grids[g] of the group g of draw i: a block that spans
+    groups is one call."""
+    rs = grids[[draw.group for draw in block]]
+    return _row_worst(lhs_rows(*stacks, rs) - 1.0, rs)
 
 
 # ----------------------------------------------------------------------
@@ -706,9 +707,10 @@ def check_theorem3(
 # Suite 5: pointwise value plus tail for bounded analytic functions.
 
 
-def _t5_witness(block, order: int) -> np.ndarray:
-    """f rows of a block of draws: the sharp witness at each draw's a0
-    composed with the Schwarz function of its spec."""
+def _t5_witness(block, order: int) -> tuple:
+    """(f rows, num, den) of a block of draws: the sharp witness at each
+    draw's a0 composed with the Schwarz function of its spec, with its
+    rational form num / den."""
     return _automorphisms(block, order, "minus")
 
 
@@ -733,9 +735,10 @@ def check_theorem5(
         a_grid = (ANALYTIC_THRESHOLD_A, 0.5, 0.55, 0.6, 0.7, 0.8, 0.9, 0.95)
     a_grid = tuple(float(a) for a in a_grid)
     groups = _groups("t5", trials, seed, [_sharp_radius("t5", a) for a in a_grid])
+    grids = np.array([rs for rs, _ in groups])
     tracker = _run_suite(
         _pointwise_draws(groups, a_grid, 1),
-        lambda block, n: _group_worst(block, groups, theorem5_rows, _t5_witness(block, n)),
+        lambda block, n: _group_worst(block, grids, theorem5_rows, *_t5_witness(block, n)),
         lambda d: {"a": a_grid[d.group], "trial": d.trial, "phase": d.phase, "omega": _spec_dict(d.specs[0])},
         order,
     )
@@ -762,12 +765,12 @@ def check_theorem5(
 
 
 def _t6_witness(block, order: int, ks) -> tuple:
-    """(h rows, g rows) of a block of draws with dilatation bounds ks: h is
-    the disk automorphism at the draw's a0 composed with the Schwarz
-    function of its first spec, g the co-analytic part built with the
-    bounded function of its second."""
-    h = _automorphisms(block, order, "plus")
-    return h, harmonic_rows(h, ks, bounded_rows([draw.specs[1] for draw in block], order))
+    """(h rows, num, den, g rows) of a block of draws with dilatation bounds
+    ks: h is the disk automorphism at the draw's a0 composed with the
+    Schwarz function of its first spec, num / den its rational form, and g
+    the co-analytic part built with the bounded function of its second."""
+    h, num, den = _automorphisms(block, order, "plus")
+    return h, num, den, harmonic_rows(h, ks, bounded_rows([draw.specs[1] for draw in block], order))
 
 
 def check_theorem6(
@@ -800,10 +803,11 @@ def check_theorem6(
             a_values = tuple(float(a) for a in a_grid)
         pairs.extend((a, k) for a in a_values)
     groups = _groups("t6", trials, seed, [_sharp_radius("t6", a, k) for a, k in pairs])
+    grids = np.array([rs for rs, _ in groups])
     tracker = _run_suite(
         _pointwise_draws(groups, [a for a, _ in pairs], 2),
         lambda block, n: _group_worst(
-            block, groups, theorem6_rows, *_t6_witness(block, n, [pairs[d.group][1] for d in block])
+            block, grids, theorem6_rows, *_t6_witness(block, n, [pairs[d.group][1] for d in block])
         ),
         lambda d: {"a": pairs[d.group][0], "k": pairs[d.group][1], "trial": d.trial, "phase": d.phase},
         order,

@@ -525,11 +525,13 @@ class TestVerifyCommand:
     # produced by per-witness, per-radius evaluation (numpy 2.4, x86-64
     # Linux); stacked evaluation must reproduce it byte for byte.  Seed 0
     # was re-recorded when t5 and t6 came to expand their witnesses by
-    # series.rational_rows: only t6's max_residual moved, by 2.2e-16.
+    # series.rational_rows, and again when they came to take |h| from the
+    # witness's rational form: each time only t6's max_residual moved, by
+    # 2.2e-16 and by 1.1e-16.
     @pytest.mark.parametrize(
         "seed, digest",
         [
-            (0, "076c35c2a03d7ba0f0dd46f78e98b5de6e4ebb8e355174aed77d876e055d1f77"),
+            (0, "562741b1f00ecabda83baba27280acb386e158429b55bf3766a6d08b91989824"),
             (42, "d8dfc7b992be21acb62ebcbdddc075d4cb9bbaf7ad0f3c89c1e9d632c9fb1dfd"),
         ],
     )
@@ -542,12 +544,14 @@ class TestVerifyCommand:
     # Same, for `verify --suite all --order 256 --trials 40 --seed S`, as
     # produced by full-length Horner composition: compose's truncation
     # window must reproduce it byte for byte.  Seed 7 was re-recorded with
-    # the t5/t6 rational expansion: only t6's max_residual moved, by 2.2e-16.
+    # the t5/t6 rational expansion (t6's max_residual moved by 2.2e-16), and
+    # both seeds when t5 and t6 came to take |h| from the witness's rational
+    # form: only t6's max_residual moved, by 1.1e-16 and 2.2e-16.
     @pytest.mark.parametrize(
         "seed, digest",
         [
-            (0, "28b74b20daea10558f745a3bb589b98f299854d6bc780379ccdb221211e3c61e"),
-            (7, "2e799414b04f85f30a013a61884d35b4a0ac9a010a4e0da1fe16af1f1601228f"),
+            (0, "b9309eda95fb3e1746e8613dcf7d59255191d4e43dfe7d8e483526d645f8f0b0"),
+            (7, "3cded8a21a76f0858ab84ea1e019c00c66a6dd84161b9262eea41457d05c11c1"),
         ],
     )
     def test_golden_deep_report_bytes(self, capsys, seed, digest):
@@ -571,14 +575,16 @@ class TestVerifyCommand:
 
     # Same, for `verify --suite all --order 16 --trials 300 --seed 2**32`, as
     # produced by a np.random.default_rng call per trial: the seed takes two
-    # words of each trial key.
+    # words of each trial key.  Re-recorded when t5 and t6 came to take |h|
+    # from the witness's rational form: only t6's max_residual moved, by
+    # 1.2e-12, the part of |h| that truncation at order 16 had dropped.
     def test_golden_multiword_seed_report_bytes(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "--suite", "all", "--order", "16", "--trials", "300", "--seed", "4294967296"
         )
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "99e49122a29ee239b192f27caec9ecc1d5865db6b5cca66f3213d7a415970e9b"
+            "e67a113ad4f2df5dde9699f2a25fd85f66595cd76ec38070521a58002d522896"
         )
 
     @pytest.mark.parametrize("suite", ["t1", "t5", "all"])

@@ -16,8 +16,20 @@ from bohrlab.functionals import (
     theorem6_lhs,
     theorem6_rows,
 )
-from bohrlab.series import BlaschkeSpec, compose, make_series, mobius_series
+import bohrlab.functionals as functionals
+from bohrlab.series import (
+    BlaschkeSpec,
+    TruncatedSeries,
+    _schwarz_polynomials,
+    _spec_columns,
+    compose,
+    evaluate_rows,
+    make_series,
+    mobius_series,
+)
+from bohrlab.verify import _automorphisms, _Draw
 from bohrlab.witnesses import (
+    DrawnSpec,
     bounded_from_spec,
     extremal_corollary2,
     extremal_theorem3,
@@ -292,18 +304,71 @@ class TestSharpLhs:
 
 class TestPointwiseRows:
     """theorem5_rows and theorem6_rows take the largest value over 16 phases
-    of the scalar functionals at each radius."""
+    of the scalar functionals at each radius, |h| coming from the rational
+    form num / den of the witness."""
+
+    @staticmethod
+    def _witnesses(specs, a0, order):
+        """Rows, num and den of (z*B(z) + a0) / (1 + a0 z*B(z)) for each spec."""
+        zp, q = _schwarz_polynomials(*_spec_columns(specs))
+        rows = np.stack([compose(mobius_series(a0, order), schwarz_from_spec(s, order=order)).coeffs for s in specs])
+        return rows, zp + a0 * q, q + a0 * zp
 
     def test_rows_bound_the_scalar_values_at_the_phases(self):
         rng = np.random.default_rng(8)
         specs = [BlaschkeSpec(zeros=(complex(rng.uniform(0, 0.9)),)) for _ in range(3)]
-        h = [compose(mobius_series(0.6, 32), schwarz_from_spec(spec, order=32)) for spec in specs]
-        pairs = [harmonic_witness(f, 0.5, bounded_from_spec(specs[0], 32)) for f in h]
+        h, num, den = self._witnesses(specs, 0.6, 32)
+        series = [TruncatedSeries(row) for row in h]
+        pairs = [harmonic_witness(f, 0.5, bounded_from_spec(specs[0], 32)) for f in series]
         rs = np.array([0.1, 0.3])
-        five = theorem5_rows(np.stack([f.coeffs for f in h]), rs)
-        six = theorem6_rows(np.stack([f.coeffs for f in h]), np.stack([p.g.coeffs for p in pairs]), rs)
+        five = theorem5_rows(h, num, den, rs)
+        six = theorem6_rows(h, num, den, np.stack([p.g.coeffs for p in pairs]), rs)
         phases = np.exp(2j * np.pi * np.arange(16) / 16.0)
-        for i, (f, pair) in enumerate(zip(h, pairs)):
+        for i, (f, pair) in enumerate(zip(series, pairs)):
             for j, r in enumerate(rs):
                 assert five[i, j] == pytest.approx(max(theorem5_lhs(f, r * z) for z in phases), abs=1e-15)
                 assert six[i, j] == pytest.approx(max(theorem6_lhs(pair, r * z) for z in phases), abs=1e-15)
+
+    def test_grid_per_row_has_the_bytes_of_one_row_calls(self):
+        rng = np.random.default_rng(9)
+        specs = [BlaschkeSpec(zeros=tuple(complex(z) for z in rng.uniform(0, 0.9, n))) for n in (0, 1, 2, 4)]
+        h, num, den = self._witnesses(specs, 0.7, 24)
+        g = 0.3 * np.roll(h, 1, axis=1)
+        rs = rng.uniform(0.05, 0.5, (4, 3))
+        five, six = theorem5_rows(h, num, den, rs), theorem6_rows(h, num, den, g, rs)
+        for i in range(4):
+            one = slice(i, i + 1)
+            assert five[i].tobytes() == theorem5_rows(h[one], num[one], den[one], rs[i]).tobytes()
+            assert six[i].tobytes() == theorem6_rows(h[one], num[one], den[one], g[one], rs[i]).tobytes()
+
+    @pytest.mark.parametrize("kind", ["minus", "plus"])
+    def test_modulus_is_the_untruncated_witness_value(self, kind):
+        """At order 16 the truncation drops more than 1e-14 of |h| near the
+        t5/t6 radii; the rows' |h| is within 1e-14 of a 50-digit value of
+        the rational witness itself, max over the same 16 phases."""
+        mpmath = pytest.importorskip("mpmath")
+        a0s = [0.95, 0.8j, -0.5 + 0.3j]
+        zeros = [0.9 * np.exp(0.01j * j) for j in range(4)]
+        specs = [DrawnSpec(np.array(zeros[: i + 2]), np.exp(0.4j * i)) for i in range(len(a0s))]
+        block = [_Draw(0, i, 0.0, a0, (spec,)) for i, (a0, spec) in enumerate(zip(a0s, specs))]
+        rows, num, den = _automorphisms(block, 16, kind)
+        rs = np.array([0.2, 0.3, 1 / 3])
+        got = functionals._max_modulus_rows(num, den, rs)
+        truncated = np.abs(evaluate_rows(rows, rs[:, None] * functionals._PHASES)).max(axis=-1)
+        assert np.max(np.abs(truncated - got)) > 1e-14
+        sign = 1 if kind == "plus" else -1
+        with mpmath.workdps(50):
+            for i, draw in enumerate(block):
+                a0 = mpmath.mpc(draw.a0.real, draw.a0.imag)
+                spec = draw.specs[0]
+
+                def h(z):
+                    b = mpmath.mpc(spec.rotation.real, spec.rotation.imag)
+                    for w in spec.zeros.tolist():
+                        w = mpmath.mpc(w.real, w.imag)
+                        b *= (z - w) / (1 - mpmath.conj(w) * z)
+                    return (a0 + sign * z * b) / (1 + sign * mpmath.conj(a0) * z * b)
+
+                for j, r in enumerate(rs.tolist()):
+                    points = [mpmath.mpf(r) * mpmath.expjpi(mpmath.mpf(2 * p) / 16) for p in range(16)]
+                    assert abs(got[i, j] - float(max(abs(h(z)) for z in points))) <= 1e-14

@@ -405,7 +405,7 @@ class TestRationalRows:
         a0s = list(rng.uniform(0, 0.95, 14) * np.exp(1j * rng.uniform(0, 2 * np.pi, 14)))
         a0s[0] = a0s[-2] = 0j
         block = [_Draw(0, i, 0.0, a0, (spec,)) for i, (a0, spec) in enumerate(zip(a0s, specs))]
-        got = _automorphisms(block, order, kind)
+        got, _, _ = _automorphisms(block, order, kind)
         assert np.max(np.abs(got - self._composed(a0s, specs, order, kind))) <= 1e-14
 
     def test_automorphism_parameter_off_the_disk_refused(self):
@@ -427,7 +427,7 @@ class TestRationalRows:
         order = 256
         zeros = [complex(0.9 * np.exp(0.01j * j)) for j in range(4)]
         spec = DrawnSpec(np.array(zeros), 1 + 0j)
-        got = _automorphisms([_Draw(0, 0, 0.0, complex(a0), (spec,))], order, kind)[0]
+        got = _automorphisms([_Draw(0, 0, 0.0, complex(a0), (spec,))], order, kind)[0][0]
         sign = 1 if kind == "plus" else -1
         with mpmath.workdps(50):
             w0, *ws = (mpmath.mpc(z.real, z.imag) for z in [complex(a0), *zeros])
@@ -456,6 +456,8 @@ class TestBlaschkeRowChecks:
             (DrawnSpec(np.array([0.95 + 0.0j]), 1.0 + 0.0j), "zero with modulus 0.9500 exceeds cap 0.9"),
             (DrawnSpec(np.full(5, 0.1 + 0.0j), 1.0 + 0.0j), "at most 4 zeros"),
             (DrawnSpec(np.array([], dtype=complex), 1.0 + 1e-13 + 0.0j), "rotation must be unimodular"),
+            (DrawnSpec(np.array([0.5, complex(np.nan, 0.1)]), 1.0 + 0.0j), "zero with modulus nan"),
+            (DrawnSpec(np.array([0.5 + 0.0j]), complex(np.nan, 0.0)), "rotation must be unimodular .modulus nan."),
         ],
     )
     def test_bad_spec_refused(self, bad, message):
@@ -712,6 +714,13 @@ class TestBlaschke:
     def test_rotation_must_be_unimodular(self):
         with pytest.raises(ValueError, match="unimodular"):
             BlaschkeSpec(rotation=0.9)
+
+    def test_nan_zero_and_rotation_refused(self):
+        # NaN fails every comparison, so each check must ask for the good case
+        with pytest.raises(ValueError, match="zero with modulus nan"):
+            BlaschkeSpec(zeros=(float("nan"),))
+        with pytest.raises(ValueError, match="rotation must be unimodular"):
+            BlaschkeSpec(rotation=float("nan"))
 
 
 class TestDunders:

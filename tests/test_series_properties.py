@@ -5,7 +5,6 @@ import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
-from hypothesis.extra.numpy import arrays  # noqa: E402
 
 from bohrlab.series import (  # noqa: E402
     _MATMUL_ROWS,
@@ -19,24 +18,32 @@ from bohrlab.series import (  # noqa: E402
     mul,
 )
 
-# Parts below 1e-100 are flushed to zero, so no product of three
-# coefficients and no quotient by an index up to 81 leaves the normal range,
-# where rounding is relative.
-_PARTS = st.floats(-1e3, 1e3, allow_nan=False).map(lambda x: x if abs(x) >= 1e-100 else 0.0)
 _SETTINGS = settings(max_examples=100, deadline=None)
 
 
-def _coeffs(order: int):
-    return arrays(np.float64, (2, order + 1), elements=_PARTS).map(lambda parts: parts[0] + 1j * parts[1])
+def _coeffs(rng, order: int) -> np.ndarray:
+    """order + 1 coefficients whose parts lie in [-1e3, 1e3]: uniform, and
+    for about a quarter of them of log-uniform magnitude from 1e-110.  Parts
+    below 1e-100 are flushed to zero, so no product of three coefficients
+    and no quotient by an index up to 81 leaves the normal range, where
+    rounding is relative."""
+    parts = rng.uniform(-1e3, 1e3, (2, order + 1))
+    tiny = rng.random(parts.shape) < 0.25
+    parts[tiny] = np.copysign(10.0 ** rng.uniform(-110, 3, int(tiny.sum())), parts[tiny])
+    parts[np.abs(parts) < 1e-100] = 0.0
+    return parts[0] + 1j * parts[1]
 
 
 @st.composite
 def _series(draw, count: int, vanish: bool = False):
-    """``count`` series of one drawn order; with ``vanish`` they vanish at 0."""
+    """``count`` series of one drawn order from 1 to 80, their coefficients
+    drawn by numpy from a seed hypothesis draws; with ``vanish`` they vanish
+    at 0."""
     order = draw(st.integers(1, 80))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     out = []
     for _ in range(count):
-        coeffs = draw(_coeffs(order))
+        coeffs = _coeffs(rng, order)
         if vanish:
             coeffs[0] = 0.0
         out.append(TruncatedSeries(coeffs))

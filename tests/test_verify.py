@@ -423,6 +423,31 @@ class TestStackedBlocks:
         monkeypatch.setattr(verify_mod, "_COEFF_BUDGET", 1)
         assert check(trials=30, seed=4, order=16).as_dict() == wide
 
+    @pytest.mark.parametrize("suite", ["t5", "t6"])
+    def test_block_spanning_groups_has_the_bytes_of_group_calls(self, suite):
+        # a block is one call on a radius grid per row; each run of draws
+        # from one group, evaluated on that group's shared grid, gives the
+        # same residuals and radii bit for bit
+        pairs = [(0.5, 0.0), (0.7, 0.25), (0.9, 1.0), (0.95, 0.5)]
+        radii = [verify_mod._sharp_radius(suite, a, k) for a, k in pairs]
+        groups = verify_mod._groups(suite, 37, 4, radii)
+        block = list(verify_mod._pointwise_draws(groups, [a for a, _ in pairs], 1 if suite == "t5" else 2))
+        if suite == "t5":
+            lhs_rows, witness = verify_mod.theorem5_rows, verify_mod._t5_witness(block, 16)
+        else:
+            ks = [pairs[d.group][1] for d in block]
+            lhs_rows, witness = verify_mod.theorem6_rows, verify_mod._t6_witness(block, 16, ks)
+        grids = np.array([rs for rs, _ in groups])
+        got = verify_mod._group_worst(block, grids, lhs_rows, *witness)
+        expected, start = [], 0
+        for rs, keys in groups:
+            rows = [part[start : start + len(keys)] for part in witness]
+            expected += verify_mod._row_worst(lhs_rows(*rows, np.array(rs)) - 1.0, rs)
+            start += len(keys)
+        assert len(got) == len(block) == 37
+        assert [np.float64(res).tobytes() for res, _ in got] == [np.float64(res).tobytes() for res, _ in expected]
+        assert [where for _, where in got] == [where for _, where in expected]
+
     def test_theorem3_expands_each_trial_once_per_order(self, monkeypatch):
         real = verify_mod.bounded_rows
         orders = []
