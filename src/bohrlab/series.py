@@ -14,15 +14,18 @@ convolve_rows multiplies, its per-row path being mul's np.convolve, and
 _compose_block composes for compose and compose_rows.  Both kernels take
 each row through np.convolve below _MATMUL_ROWS rows and make one
 np.matmul per kept output for the whole block from there on, with the
-same bits either way.  Blaschke rows are expanded by _blaschke_expansion
-from spec columns (_spec_columns, which makes BlaschkeSpec's checks): the
-stacked builders of bohrlab.witnesses, bounded_rows and schwarz_rows, form
-the columns once and hand them to their boundary tripwire and to the
-expansion, and blaschke_series is its one-row call.  Every disk
-automorphism series, mobius_series and witnesses.extremal_theorem5, is a
-one-row mobius_rows call made by _automorphism.  A rational function whose
-denominator has constant term 1, such as a disk automorphism of z*B(z)
-(whose zP and Q _schwarz_polynomials forms), is expanded by rational_rows.
+same bits either way.  A first step whose accumulator holds one
+coefficient, a Horner start or a Blaschke rotation, computes one product
+per output, which _lead_products forms directly.  Blaschke rows are
+expanded by _blaschke_expansion from spec columns (_spec_columns, which
+makes BlaschkeSpec's checks): the stacked builders of bohrlab.witnesses,
+bounded_rows and schwarz_rows, form the columns once and hand them to
+their boundary tripwire and to the expansion, and blaschke_series is its
+one-row call.  Every disk automorphism series, mobius_series and
+witnesses.extremal_theorem5, is a one-row mobius_rows call made by
+_automorphism.  A rational function whose denominator has constant term
+1, such as a disk automorphism of z*B(z) (whose zP and Q
+_schwarz_polynomials forms), is expanded by rational_rows.
 """
 
 from __future__ import annotations
@@ -35,12 +38,13 @@ import numpy as np
 DEFAULT_ORDER = 64
 
 # Row count from which a row kernel (convolve_rows, _compose_block) makes
-# one np.matmul per kept output for the whole block; below it, each row goes
-# through np.convolve, whose per-call cost is far lower than a matmul's.
-# Both give every row the same bits.  Measured on a 2-core x86 VM with numpy
-# 2.4.6, the per-row loop wins below about 8 (compose, 17 coefficients) to
-# 40 rows (convolve_rows, 257 coefficients), and at 16 rows the two paths
-# are within 1.5x of each other at 17, 65 and 257 coefficients.
+# one np.matmul per kept output for the whole block, and _lead_products
+# forms its products for the whole block; below it, each row goes through
+# np.convolve, whose per-call cost is far lower than a matmul's.  Both give
+# every row the same bits.  Measured on a 2-core x86 VM with numpy 2.4.6,
+# the per-row loop wins below about 8 (compose, 17 coefficients) to 40 rows
+# (convolve_rows, 257 coefficients), and at 16 rows the two paths are
+# within 1.5x of each other at 17, 65 and 257 coefficients.
 _MATMUL_ROWS = 16
 
 ROTATION_TOL = 1e-15
@@ -294,6 +298,34 @@ def _convolve_into(lhs: list, rhs: list, out: list, m: int):
         np.matmul(lhs[j], rhs[j], out=out[j])
 
 
+def _lead_products(x0, y) -> np.ndarray:
+    """Row-wise np.convolve(x[i], y[i])[:L] of a (rows, L) stack y and a stack
+    x that is zero past its first column x0, bit for bit: the first step of
+    a kernel whose accumulator holds one coefficient.
+
+    Output j of that convolution is one BLAS dot whose one nonzero product
+    is x0[i] * y[i, j]; every other product is a signed zero added to a sum
+    that starts at +0.0.  Below _MATMUL_ROWS rows each row is
+    np.convolve(x0[i:i+1], y[i]), the same dot without its zero terms.  From
+    it on, the dot's rounding in real arithmetic, for the whole block at
+    once: each real product rounded once and added to +0.0, then
+    re = rr - ii and im = ri + ir.  numpy's complex x * y is not used: it
+    may fuse a multiply with the subtraction, and it rounds most such
+    products to other bits (tests/test_series.py, TestFirstStep).
+    """
+    rows = y.shape[0]
+    out = np.empty_like(y)
+    if rows < _MATMUL_ROWS:
+        for i in range(rows):
+            out[i] = np.convolve(x0[i : i + 1], y[i])
+        return out
+    xr, xi = x0.real[:, None], x0.imag[:, None]
+    yr, yi = y.real, y.imag
+    out.real = (xr * yr + 0.0) - (xi * yi + 0.0)
+    out.imag = (xr * yi + 0.0) + (xi * yr + 0.0)
+    return out
+
+
 def convolve_rows(a, b) -> np.ndarray:
     """Row-wise np.convolve(a[i], b[i])[:L] of two (rows, L) stacks, bit for bit.
 
@@ -354,19 +386,25 @@ def _compose_block(g: np.ndarray, w: np.ndarray, top: int) -> np.ndarray:
     accumulator entry with w(0), so it adds a signed zero to a sum that
     starts at +0.0 and therefore never changes it.
 
-    Below _MATMUL_ROWS rows each row runs the loop on one accumulator with
-    np.convolve.  From it on, two buffers alternate as the accumulator, so a
-    step reads the previous step's outputs from one while writing its own
-    to the other, one np.matmul per kept output; entry m - 1 of the buffer a
-    step of window m reads has never been written, so it holds the zero the
-    one accumulator holds there.
+    The first step's accumulator holds g_top alone, so that step is
+    _lead_products of g_top and the window of w.  Below _MATMUL_ROWS rows
+    each row runs the later steps on one accumulator with np.convolve.
+    From it on, two buffers alternate as the accumulator, so a step reads
+    the previous step's outputs from one while writing its own to the
+    other, one np.matmul per kept output; entry m - 1 of the buffer a step
+    of window m reads has never been written, so it holds the zero the one
+    accumulator holds there.
     """
     rows, n = g.shape
     out = np.zeros((rows, n), dtype=np.complex128)
+    if top == 0:
+        out[:, 0] = g[:, 0]
+        return out
+    out[:, : n - top + 1] = _lead_products(g[:, top], w[:, : n - top + 1])
+    out[:, 0] += g[:, top - 1]
     if rows < _MATMUL_ROWS:
         for acc, g_row, w_row in zip(out, g, w):
-            acc[0] = g_row[top]
-            for k in range(top - 1, -1, -1):
+            for k in range(top - 2, -1, -1):
                 acc[: n - k] = np.convolve(acc[: n - k], w_row[: n - k])[: n - k]
                 acc[0] += g_row[k]
         return out
@@ -375,8 +413,7 @@ def _compose_block(g: np.ndarray, w: np.ndarray, top: int) -> np.ndarray:
     lhs = [_prefix_stacks(buf, n) for buf in bufs]
     slots = [_output_slots(buf, n) for buf in bufs]
     cur = 0
-    bufs[cur][:, 0] = g[:, top]
-    for k in range(top - 1, -1, -1):
+    for k in range(top - 2, -1, -1):
         _convolve_into(lhs[cur], rhs, slots[1 - cur], n - k)
         cur = 1 - cur
         bufs[cur][:, 0] += g[:, k]
@@ -650,9 +687,12 @@ def _blaschke_expansion(zeros, counts, rotations, order: int, vanish_at_origin: 
 
     The factor (z - a)/(1 - conj(a) z) of every zero a of the block is
     expanded in closed form at once, -a and then (1 - |a|^2) conj(a)^(k-1).
-    Factor i is then convolved in one convolve_rows call for every spec
-    with more than i zeros; specs with fewer zeros are left out of it.  With
-    ``vanish_at_origin`` every row is shifted by one place: the factor z.
+    Factor 0 meets the rotation alone, so it is _lead_products of the
+    rotation and the factor; factor i >= 1 is then convolved in one
+    convolve_rows call for every spec with more than i zeros.  Specs with
+    fewer zeros are left out of a step, so a block whose largest zero count
+    is c >= 1 makes c - 1 convolve_rows calls.  With ``vanish_at_origin``
+    every row is shifted by one place: the factor z.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -670,11 +710,13 @@ def _blaschke_expansion(zeros, counts, rotations, order: int, vanish_at_origin: 
     acc = np.zeros((counts.size, n), dtype=np.complex128)
     acc[:, 0] = rotations
     stop = 0
-    for rows, size in zip(live, live.sum(axis=1).tolist()):
+    for i, (rows, size) in enumerate(zip(live, live.sum(axis=1).tolist())):
         if not size:
             break
         start, stop = stop, stop + size
-        if size == counts.size:
+        if i == 0:
+            acc[rows] = _lead_products(rotations[rows], factors[:stop])
+        elif size == counts.size:
             acc = convolve_rows(acc, factors[start:stop])
         else:
             acc[rows] = convolve_rows(acc[rows], factors[start:stop])

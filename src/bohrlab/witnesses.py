@@ -113,14 +113,23 @@ def _check_convolution_identity(g_rows, phi_rows, omega_rows, f_rows):
     """Raise AssertionError unless every row of f_rows is within
     CONVOLUTION_CHECK_TOL of phi * sum_n g_n omega^n expanded from the powers
     of omega.  ``g_rows`` holds outer coefficients 0..D; a coefficient past
-    a row's degree is zero and adds nothing."""
+    a row's degree is zero and adds nothing, so omega^d is formed only for
+    the rows whose outer has a nonzero coefficient at d or above, and
+    omega^1 is omega itself: outers of degree <= 1 take no power product."""
     b = np.zeros_like(f_rows)
-    w_pow = np.zeros_like(f_rows)
-    w_pow[:, 0] = 1.0
-    for d in range(g_rows.shape[1]):
-        if d:
-            w_pow = convolve_rows(w_pow, omega_rows)
-        b += g_rows[:, d, None] * w_pow
+    b[:, 0] = g_rows[:, 0]
+    # live[:, d] marks the rows that need omega^d; it shrinks as d grows.
+    live = np.logical_or.accumulate(g_rows[:, ::-1] != 0, axis=1)[:, ::-1]
+    w_pow, prev = omega_rows, np.ones(len(b), dtype=bool)
+    for d in range(1, g_rows.shape[1]):
+        rows = live[:, d]
+        if not rows.any():
+            break
+        w_pow = w_pow[rows[prev]]
+        if d > 1:
+            w_pow = convolve_rows(w_pow, omega_rows[rows])
+        b[rows] += g_rows[rows, d, None] * w_pow
+        prev = rows
     del w_pow
     direct = convolve_rows(phi_rows, b)
     del b

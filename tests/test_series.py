@@ -3,9 +3,13 @@
 import numpy as np
 import pytest
 
+from bohrlab import series
 from bohrlab.series import (
     _MATMUL_ROWS,
     BlaschkeSpec,
+    _blaschke_expansion,
+    _lead_products,
+    _spec_columns,
     MobiusTag,
     TruncatedSeries,
     add,
@@ -356,6 +360,141 @@ class TestRowKernels:
             mobius_rows([0.5, 1.0], 8)
         with pytest.raises(ValueError, match="order must be >= 1"):
             mobius_rows([0.5], 0)
+
+
+def with_signed_zeros(rng, values):
+    """A copy of the complex array ``values`` with about a quarter of its
+    real and of its imaginary parts set to +0.0 or -0.0 at random."""
+    out = np.array(values, dtype=np.complex128)
+    for part in (out.real, out.imag):
+        hit = rng.random(part.shape) < 0.25
+        part[hit] = np.where(rng.random(part.shape) < 0.5, 0.0, -0.0)[hit]
+    return out
+
+
+def full_first_step(x0, y):
+    """The first step of a row kernel as it was taken before _lead_products:
+    the full np.convolve of each row of y with a row holding x0[i] and then
+    zeros."""
+    x = np.zeros_like(y)
+    x[:, 0] = x0
+    return np.stack([np.convolve(x[i], y[i])[: y.shape[1]] for i in range(len(y))])
+
+
+class TestFirstStep:
+    """The first step of each row kernel, whose accumulator holds one
+    coefficient (the rotation of a Blaschke expansion, the top coefficient
+    of a Horner composition), is series._lead_products: the one product per
+    output that the step computes, formed directly.  Every kernel keeps the
+    bytes of the full first-step convolution, per_object_blaschke's and
+    full_length_compose's, on both sides of _MATMUL_ROWS and with signed
+    zeros on either side of the product."""
+
+    ORDERS = [1, 2, 64, 256]
+    ROWS = [1, _MATMUL_ROWS - 1, _MATMUL_ROWS, 40]
+
+    # Zero counts of the specs in turn: a block of one count takes every row
+    # through the first step at once, the mixed one leaves rows out of it.
+    COUNTS = [(4,), (1,), (4, 1, 0)]
+
+    @staticmethod
+    def specs(rng, rows, counts=(4, 1, 0)):
+        """Specs with the given zero counts in turn, rotations of exactly 1
+        (and 1 - 0j) among drawn ones, signed zeros in the zeros' parts."""
+        rotations = [1.0 + 0.0j, complex(1.0, -0.0), None]
+        specs = []
+        for i in range(rows):
+            count = counts[i % len(counts)]
+            zeros = 0.9 * rng.random(count) * np.exp(2j * np.pi * rng.random(count))
+            rotation = rotations[(i // 3) % 3]
+            if rotation is None:
+                rotation = complex(np.exp(2j * np.pi * rng.random()))
+            specs.append(DrawnSpec(with_signed_zeros(rng, zeros), rotation))
+        return specs
+
+    @pytest.mark.parametrize("order", ORDERS)
+    @pytest.mark.parametrize("rows", ROWS)
+    def test_lead_products_match_the_full_convolution(self, order, rows):
+        rng = np.random.default_rng(order + 7 * rows)
+        x0 = with_signed_zeros(rng, rng.normal(size=rows) + 1j * rng.normal(size=rows))
+        x0[0] = 1.0
+        y = with_signed_zeros(rng, rng.normal(size=(rows, order + 1)) + 1j * rng.normal(size=(rows, order + 1)))
+        assert _lead_products(x0, y).tobytes() == full_first_step(x0, y).tobytes()
+
+    def test_lead_products_match_on_many_rows(self):
+        # numpy's complex x * y rounds 3000 such products differently from
+        # the dot in most rows; the real-arithmetic form must in none
+        rng = np.random.default_rng(3000)
+        x0 = rng.normal(size=3000) + 1j * rng.normal(size=3000)
+        y = rng.normal(size=(3000, 2)) + 1j * rng.normal(size=(3000, 2))
+        assert _lead_products(x0, y).tobytes() == full_first_step(x0, y).tobytes()
+
+    @pytest.mark.parametrize("order", ORDERS)
+    @pytest.mark.parametrize("rows", ROWS)
+    @pytest.mark.parametrize("counts", COUNTS)
+    def test_expansion_matches_the_full_first_step(self, order, rows, counts):
+        specs = self.specs(np.random.default_rng(order + 11 * rows), rows, counts)
+        columns = _spec_columns(specs)
+        for vanish in (False, True):
+            expected = np.stack([per_object_blaschke(s.zeros, s.rotation, order, vanish) for s in specs])
+            assert _blaschke_expansion(*columns, order, vanish).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("order", ORDERS)
+    @pytest.mark.parametrize("rows", ROWS)
+    @pytest.mark.parametrize("top", [0, 1, 8])
+    def test_compose_matches_the_full_first_step(self, order, rows, top):
+        """Outers of one top (at most the order), so that every row runs in
+        one block, with signed zeros among their coefficients; inners z*B(z)
+        and odd z*B(z^2), whose even coefficients are exact zeros."""
+        rng = np.random.default_rng(order + 13 * rows + top)
+        n = order + 1
+        tops = np.full(rows, min(top, order))
+        g = with_signed_zeros(rng, rng.normal(size=(rows, n)) + 1j * rng.normal(size=(rows, n)))
+        g[np.arange(n) > tops[:, None]] = 0.0
+        specs = self.specs(rng, rows)
+        odd = np.arange(rows) % 2 == 1
+        w = np.where(odd[:, None], schwarz_rows(specs, order, odd=True), schwarz_rows(specs, order))
+        outers = [TruncatedSeries(row, exact_degree=tops[0]) for row in g]
+        expected = np.stack([full_length_compose(outer, TruncatedSeries(row)) for outer, row in zip(outers, w)])
+        assert compose_rows(g, w, tops).tobytes() == expected.tobytes()
+        one_row = np.stack([compose(outer, TruncatedSeries(row)).coeffs for outer, row in zip(outers, w)])
+        assert one_row.tobytes() == expected.tobytes()
+
+
+class TestConvolveCalls:
+    """Work pins of the Blaschke expansion, counted through the module
+    global series.convolve_rows that it looks up when called (the row
+    kernels make no call the benchmark's coefficient count sees).  Factor 0
+    meets the rotation alone and costs no convolution."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Row counts of the convolve_rows calls made from bohrlab.series."""
+        made, real = [], series.convolve_rows
+
+        def counting(a, b):
+            made.append(len(a))
+            return real(a, b)
+
+        monkeypatch.setattr(series, "convolve_rows", counting)
+        return made
+
+    @pytest.mark.parametrize("rows", [1, 40])
+    def test_one_zero_specs_expand_without_a_convolution(self, calls, rows):
+        rng = np.random.default_rng(rows)
+        specs = [draw_blaschke_spec(rng, min_zeros=1, max_zeros=1) for _ in range(rows)]
+        bounded_rows(specs, 64)
+        schwarz_rows(specs, 64)
+        schwarz_rows(specs, 64, odd=True)
+        blaschke_series(specs[0], 64)
+        assert calls == []
+
+    @pytest.mark.parametrize("most", [1, 2, 3, 4])
+    def test_block_makes_one_call_per_zero_past_the_first(self, calls, most):
+        rng = np.random.default_rng(most)
+        counts = [i % (most + 1) for i in range(40)]
+        bounded_rows([draw_blaschke_spec(rng, min_zeros=c, max_zeros=c) for c in counts], 64)
+        assert calls == [sum(c > i for c in counts) for i in range(1, most)]
 
 
 class TestRationalRows:

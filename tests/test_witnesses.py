@@ -157,6 +157,41 @@ class TestBuildQuasiTriple:
         assert shifted_identity_gap(g, phi, omega, f) <= witnesses.CONVOLUTION_CHECK_TOL
         witnesses._check_convolution_identity(g, phi, omega, f)
 
+    @pytest.mark.parametrize("copies", [1, 2])
+    def test_identity_check_rejects_each_spoiled_row_of_every_degree(self, copies):
+        # one outer of each degree 0..8 (two of each: 18 rows, past
+        # _MATMUL_ROWS), so that every row meets a different live set of
+        # powers of omega; each row is spoiled at index 0, at its degree
+        # and at N
+        g, degrees, phi, omega = every_degree_block(copies, 24)
+        f = quasi_rows(g, degrees, phi, omega)
+        witnesses._check_convolution_identity(g, phi, omega, f)
+        for row, degree in enumerate(degrees):
+            for index in (0, degree, 24):
+                spoiled = f.copy()
+                spoiled[row, index] += 1e-9
+                with pytest.raises(AssertionError, match="by 1.000e-09;"):
+                    witnesses._check_convolution_identity(g, phi, omega, spoiled)
+
+    def test_identity_check_forms_omega_powers_for_live_rows_only(self, monkeypatch):
+        # omega^d is formed for the 9 - d rows of degree d and up, omega^1 is
+        # omega itself, and then phi * b is one call for every row
+        g, degrees, phi, omega = every_degree_block(1, 24)
+        f = quasi_rows(g, degrees, phi, omega)
+        calls, real = [], witnesses.convolve_rows
+
+        def counting(a, b):
+            calls.append(len(a))
+            return real(a, b)
+
+        monkeypatch.setattr(witnesses, "convolve_rows", counting)
+        witnesses._check_convolution_identity(g, phi, omega, f)
+        assert calls == [7, 6, 5, 4, 3, 2, 1, 9]
+        calls.clear()
+        low = degrees <= 1
+        witnesses._check_convolution_identity(g[low], phi[low], omega[low], f[low])
+        assert calls == [2]
+
     def test_majorant_domination_property(self):
         rng = np.random.default_rng(19)
         grid = np.linspace(1e-3, 1 / 3, 12)
@@ -167,6 +202,18 @@ class TestBuildQuasiTriple:
             triple = build_quasi_triple(g, phi, omega)
             for r in grid:
                 assert bohr_sum(triple.f, r) <= bohr_sum(g, r) + 1e-9
+
+
+def every_degree_block(copies, order):
+    """(g, degrees, phi, omega) of a quasi_rows block with ``copies`` outers
+    of each degree 0..8, every coefficient up to the degree nonzero."""
+    rng = np.random.default_rng(copies)
+    degrees = np.tile(np.arange(9), copies)
+    g = rng.uniform(0.5, 2.0, (degrees.size, 9)) * np.exp(2j * np.pi * rng.random((degrees.size, 9)))
+    g[np.arange(9) > degrees[:, None]] = 0.0
+    phi = bounded_rows([draw_blaschke_spec(rng) for _ in degrees], order)
+    omega = schwarz_rows([draw_blaschke_spec(rng) for _ in degrees], order)
+    return g, degrees, phi, omega
 
 
 def shifted_identity_gap(g_rows, phi_rows, omega_rows, f_rows):
