@@ -38,13 +38,12 @@ import numpy as np
 DEFAULT_ORDER = 64
 
 # Row count from which a row kernel (convolve_rows, _compose_block) makes
-# one np.matmul per kept output for the whole block, and _lead_products
-# forms its products for the whole block; below it, each row goes through
-# np.convolve, whose per-call cost is far lower than a matmul's.  Both give
-# every row the same bits.  Measured on a 2-core x86 VM with numpy 2.4.6,
-# the per-row loop wins below about 8 (compose, 17 coefficients) to 40 rows
-# (convolve_rows, 257 coefficients), and at 16 rows the two paths are
-# within 1.5x of each other at 17, 65 and 257 coefficients.
+# one np.matmul per kept output for the whole block; below it, each row goes
+# through np.convolve, whose per-call cost is far lower than a matmul's.
+# Both give every row the same bits.  Measured on a 2-core x86 VM with numpy
+# 2.4.6, the per-row loop wins below about 8 (compose, 17 coefficients) to
+# 40 rows (convolve_rows, 257 coefficients), and at 16 rows the two paths
+# are within 1.5x of each other at 17, 65 and 257 coefficients.
 _MATMUL_ROWS = 16
 
 ROTATION_TOL = 1e-15
@@ -305,20 +304,14 @@ def _lead_products(x0, y) -> np.ndarray:
 
     Output j of that convolution is one BLAS dot whose one nonzero product
     is x0[i] * y[i, j]; every other product is a signed zero added to a sum
-    that starts at +0.0.  Below _MATMUL_ROWS rows each row is
-    np.convolve(x0[i:i+1], y[i]), the same dot without its zero terms.  From
-    it on, the dot's rounding in real arithmetic, for the whole block at
-    once: each real product rounded once and added to +0.0, then
+    that starts at +0.0.  That dot's rounding is formed in real arithmetic,
+    element by element, so one row and a block of any size get the same
+    bits: each real product rounded once and added to +0.0, then
     re = rr - ii and im = ri + ir.  numpy's complex x * y is not used: it
     may fuse a multiply with the subtraction, and it rounds most such
     products to other bits (tests/test_series.py, TestFirstStep).
     """
-    rows = y.shape[0]
     out = np.empty_like(y)
-    if rows < _MATMUL_ROWS:
-        for i in range(rows):
-            out[i] = np.convolve(x0[i : i + 1], y[i])
-        return out
     xr, xi = x0.real[:, None], x0.imag[:, None]
     yr, yi = y.real, y.imag
     out.real = (xr * yr + 0.0) - (xi * yi + 0.0)
