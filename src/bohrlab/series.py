@@ -11,21 +11,25 @@ Each construction rule has one kernel, which works on stacked (rows, N+1)
 coefficient rows, and the per-series function of the rule is its one-row
 call, adding only the TruncatedSeries, its exact degree and its tag:
 convolve_rows multiplies, its per-row path being mul's np.convolve, and
-_compose_block composes for compose and compose_rows.  Both kernels take
-each row through np.convolve below _MATMUL_ROWS rows and make one
+_compose_block composes for compose and compose_rows.  convolve_rows
+takes each row through np.convolve below _MATMUL_ROWS rows and makes one
 np.matmul per kept output for the whole block from there on, with the
-same bits either way.  A first step whose accumulator holds one
-coefficient, a Horner start or a Blaschke rotation, computes one product
-per output, which _lead_products forms directly.  Blaschke rows are
-expanded by _blaschke_expansion from spec columns (_spec_columns, which
-makes BlaschkeSpec's checks): the stacked builders of bohrlab.witnesses,
-bounded_rows and schwarz_rows, form the columns once and hand them to
-their boundary tripwire and to the expansion, and blaschke_series is its
-one-row call.  Every disk automorphism series, mobius_series and
-witnesses.extremal_theorem5, is a one-row mobius_rows call made by
-_automorphism.  A rational function whose denominator has constant term
-1, such as a disk automorphism of z*B(z) (whose zP and Q
-_schwarz_polynomials forms), is expanded by rational_rows.
+same bits either way; _compose_block runs each row's later Horner steps,
+from the row's own start, through np.convolve.  A first step whose
+accumulator holds one coefficient, a Horner start or a Blaschke rotation,
+computes one product per output, which _lead_products forms directly for
+a whole block at once.  Blaschke rows are expanded by _blaschke_expansion
+from spec columns (_spec_columns, which makes BlaschkeSpec's checks): the
+stacked builders of bohrlab.witnesses, bounded_rows and schwarz_rows,
+form the columns once and hand them to their boundary tripwire and to
+the expansion, and blaschke_series is its one-row call.  Every disk
+automorphism series, mobius_series and witnesses.extremal_theorem5, is a
+one-row mobius_rows call made by _automorphism, and the automorphism
+parameters of mobius_rows and of bohrlab.verify's t5/t6 witnesses pass
+one check, _automorphism_parameters.  A rational function whose
+denominator has constant term 1, such as a disk automorphism of z*B(z)
+(whose zP and Q _schwarz_polynomials forms), is expanded by
+rational_rows.
 """
 
 from __future__ import annotations
@@ -37,13 +41,13 @@ import numpy as np
 
 DEFAULT_ORDER = 64
 
-# Row count from which a row kernel (convolve_rows, _compose_block) makes
-# one np.matmul per kept output for the whole block; below it, each row goes
-# through np.convolve, whose per-call cost is far lower than a matmul's.
-# Both give every row the same bits.  Measured on a 2-core x86 VM with numpy
-# 2.4.6, the per-row loop wins below about 8 (compose, 17 coefficients) to
-# 40 rows (convolve_rows, 257 coefficients), and at 16 rows the two paths
-# are within 1.5x of each other at 17, 65 and 257 coefficients.
+# Row count from which convolve_rows makes one np.matmul per kept output
+# for the whole block; below it, each row goes through np.convolve, whose
+# per-call cost is far lower than a matmul's.  Both give every row the same
+# bits.  Measured on a 2-core x86 VM with numpy 2.4.6, the per-row loop
+# wins below about 16 rows at 17 coefficients and below about 35 to 40 rows
+# at 65 and 257, and at 16 rows the matmul path takes 1.0, 1.7 and 1.5
+# times the loop's time at 17, 65 and 257 coefficients.
 _MATMUL_ROWS = 16
 
 ROTATION_TOL = 1e-15
@@ -254,7 +258,7 @@ def compose(g: TruncatedSeries, w: TruncatedSeries) -> TruncatedSeries:
         d = g.exact_degree * w.exact_degree
         if d <= g.order:
             degree = d
-    return TruncatedSeries(_compose_block(g.coeffs[None], w.coeffs[None], top)[0], exact_degree=degree)
+    return TruncatedSeries(_compose_block(g.coeffs[None], w.coeffs[None], np.array([top]))[0], exact_degree=degree)
 
 
 def finite_rows(rows: np.ndarray) -> np.ndarray:
@@ -266,35 +270,6 @@ def finite_rows(rows: np.ndarray) -> np.ndarray:
         row, index = bad[0]
         raise ValueError(f"non-finite coefficient at index {int(index)} of row {int(row)}")
     return rows
-
-
-def _prefix_stacks(a: np.ndarray, m: int) -> list:
-    """For each j < m, the (rows, 1, j+1) stack of a[:, :j+1] of a (rows, n) array."""
-    return [a[:, None, : j + 1] for j in range(m)]
-
-
-def _output_slots(a: np.ndarray, m: int) -> list:
-    """For each j < m, the (rows, 1, 1) slot of column j of a (rows, n) array."""
-    return [a[:, j, None, None] for j in range(m)]
-
-
-def _reversed_prefixes(b: np.ndarray) -> list:
-    """For each j < L, the (rows, j+1, 1) stack of b[:, j::-1] of a (rows, L) array."""
-    rev = np.ascontiguousarray(b[:, ::-1])
-    last = b.shape[1] - 1
-    return [rev[:, last - j :, None] for j in range(last + 1)]
-
-
-def _convolve_into(lhs: list, rhs: list, out: list, m: int):
-    """Outputs j < m of a row-wise convolution, one np.matmul per output.
-
-    np.convolve of two equal-length vectors forms output j as one BLAS dot
-    of a[0:j+1] with b[j::-1]; np.matmul of a (rows, 1, j+1) stack by a
-    (rows, j+1, 1) stack sends each row to the same dot over the same
-    elements, so every row gets the bits np.convolve gives it.
-    """
-    for j in range(m):
-        np.matmul(lhs[j], rhs[j], out=out[j])
 
 
 def _lead_products(x0, y) -> np.ndarray:
@@ -322,9 +297,12 @@ def _lead_products(x0, y) -> np.ndarray:
 def convolve_rows(a, b) -> np.ndarray:
     """Row-wise np.convolve(a[i], b[i])[:L] of two (rows, L) stacks, bit for bit.
 
-    Below _MATMUL_ROWS rows each row is that np.convolve call; from it on,
+    Below _MATMUL_ROWS rows each row is that np.convolve call.  From it on,
     one np.matmul per kept output serves the whole block, and the outputs
-    past L are never formed.
+    past L are never formed: np.convolve forms output j as one BLAS dot of
+    a[0:j+1] with b[j::-1], and np.matmul of the (rows, 1, j+1) stack of
+    a[:, :j+1] by the (rows, j+1, 1) stack of b[:, j::-1] sends each row to
+    the same dot over the same elements.
     """
     a = np.asarray(a, dtype=np.complex128)
     b = np.asarray(b, dtype=np.complex128)
@@ -336,7 +314,9 @@ def convolve_rows(a, b) -> np.ndarray:
         for i in range(rows):
             out[i] = np.convolve(a[i], b[i])[:n]
     else:
-        _convolve_into(_prefix_stacks(a, n), _reversed_prefixes(b), _output_slots(out, n), n)
+        rev = np.ascontiguousarray(b[:, ::-1])
+        for j in range(n):
+            np.matmul(a[:, None, : j + 1], rev[:, n - 1 - j :, None], out=out[:, j, None, None])
     return out
 
 
@@ -345,8 +325,10 @@ def compose_rows(g_rows, w_rows, tops) -> np.ndarray:
 
     Every inner row must vanish exactly at the origin, so each Horner step
     runs _compose_block's truncation window.  ``tops`` gives the Horner
-    start of each row: the outer's exact degree, or N for a truncated
-    outer.  Rows that share a start run as one stack.
+    start of each row, an integer: the outer's exact degree, or N for a
+    truncated outer.  The whole block is one _compose_block call.  The
+    inputs are checked finite, so that no product of an infinity meets an
+    exact zero, and so is the result, which may overflow.
     """
     g_rows = np.asarray(g_rows, dtype=np.complex128)
     w_rows = np.asarray(w_rows, dtype=np.complex128)
@@ -354,21 +336,19 @@ def compose_rows(g_rows, w_rows, tops) -> np.ndarray:
         raise ValueError("compose_rows needs two (rows, N+1) stacks of one shape with N >= 1")
     if np.any(w_rows[:, 0] != 0):
         raise ValueError("inner rows must vanish exactly at the origin")
+    finite_rows(g_rows)
+    finite_rows(w_rows)
     rows, n = g_rows.shape
     tops = np.asarray(tops)
-    if tops.shape != (rows,) or np.any((tops < 0) | (tops > n - 1)):
-        raise ValueError(f"Horner starts must lie in [0, {n - 1}], one per row")
-    out = np.empty((rows, n), dtype=np.complex128)
-    for top in np.unique(tops):
-        sel = tops == top
-        out[sel] = _compose_block(g_rows[sel], w_rows[sel], int(top))
-    return finite_rows(out)
+    if tops.shape != (rows,) or not np.all((tops >= 0) & (tops <= n - 1) & (np.floor(tops) == tops)):
+        raise ValueError(f"Horner starts must be integers in [0, {n - 1}], one per row")
+    return finite_rows(_compose_block(g_rows, w_rows, tops.astype(np.intp)))
 
 
-def _compose_block(g: np.ndarray, w: np.ndarray, top: int) -> np.ndarray:
-    """Horner composition of stacked rows with a shared start ``top``, every
-    inner row vanishing exactly at the origin; the kernel of compose and
-    compose_rows.
+def _compose_block(g: np.ndarray, w: np.ndarray, tops: np.ndarray) -> np.ndarray:
+    """Horner composition of stacked rows, row i from its own start tops[i]
+    and every inner row vanishing exactly at the origin; the kernel of
+    compose and compose_rows.
 
     Truncation window: the step that adds g_k is multiplied by w k more
     times, so its output at index m reaches only result indices m + k and
@@ -379,38 +359,29 @@ def _compose_block(g: np.ndarray, w: np.ndarray, top: int) -> np.ndarray:
     accumulator entry with w(0), so it adds a signed zero to a sum that
     starts at +0.0 and therefore never changes it.
 
-    The first step's accumulator holds g_top alone, so that step is
-    _lead_products of g_top and the window of w.  Below _MATMUL_ROWS rows
-    each row runs the later steps on one accumulator with np.convolve.
-    From it on, two buffers alternate as the accumulator, so a step reads
-    the previous step's outputs from one while writing its own to the
-    other, one np.matmul per kept output; entry m - 1 of the buffer a step
-    of window m reads has never been written, so it holds the zero the one
-    accumulator holds there.
+    The first step's accumulator holds g_top alone, so every row takes that
+    step in one _lead_products call of its g_top and w.  Each row then sets
+    its entries from n - top + 1 on, past the step's window, to the zero
+    its accumulator holds there (a later step pairs such an entry with
+    w(0), and a product there that overflowed would turn the pair into
+    nan), and runs its later steps on its own accumulator with np.convolve;
+    a row with top 0 is [g_0, 0, ...].
+    That set-up is per row: as block-wide masks it made each one-row call
+    (compose, and so every t2 witness) about 8 us dearer at order 64.
     """
     rows, n = g.shape
-    out = np.zeros((rows, n), dtype=np.complex128)
-    if top == 0:
-        out[:, 0] = g[:, 0]
-        return out
-    out[:, : n - top + 1] = _lead_products(g[:, top], w[:, : n - top + 1])
-    out[:, 0] += g[:, top - 1]
-    if rows < _MATMUL_ROWS:
-        for acc, g_row, w_row in zip(out, g, w):
-            for k in range(top - 2, -1, -1):
-                acc[: n - k] = np.convolve(acc[: n - k], w_row[: n - k])[: n - k]
-                acc[0] += g_row[k]
-        return out
-    rhs = _reversed_prefixes(w)
-    bufs = (out, np.zeros((rows, n), dtype=np.complex128))
-    lhs = [_prefix_stacks(buf, n) for buf in bufs]
-    slots = [_output_slots(buf, n) for buf in bufs]
-    cur = 0
-    for k in range(top - 2, -1, -1):
-        _convolve_into(lhs[cur], rhs, slots[1 - cur], n - k)
-        cur = 1 - cur
-        bufs[cur][:, 0] += g[:, k]
-    return bufs[cur]
+    out = _lead_products(g[np.arange(rows), tops], w)
+    for acc, g_row, w_row, top in zip(out, g, w, tops.tolist()):
+        if top == 0:
+            acc[:] = 0.0
+            acc[0] = g_row[0]
+            continue
+        acc[n - top + 1 :] = 0.0
+        acc[0] += g_row[top - 1]
+        for k in range(top - 2, -1, -1):
+            acc[: n - k] = np.convolve(acc[: n - k], w_row[: n - k])[: n - k]
+            acc[0] += g_row[k]
+    return out
 
 
 def rational_rows(num_rows, den_rows, order: int) -> np.ndarray:
@@ -574,6 +545,17 @@ def _unit_gaps(values) -> np.ndarray:
     return np.array([1.0 - abs(a) ** 2 for a in values], dtype=np.float64)
 
 
+def _automorphism_parameters(a0s) -> np.ndarray:
+    """``a0s`` as a complex array once every entry lies in the open unit
+    disk, the parameters of disk automorphisms; otherwise, nan included, a
+    ValueError.  |a0| is formed by np.hypot, which rounds as abs() of a
+    Python complex does."""
+    a0s = np.asarray(a0s, dtype=np.complex128)
+    if not np.all(np.hypot(a0s.real, a0s.imag) < 1.0):
+        raise ValueError("automorphism parameter must satisfy |a0| < 1")
+    return a0s
+
+
 def mobius_rows(a0s, order: int, kind: str = "plus") -> np.ndarray:
     """Coefficient rows, one per a0 of a 1-D array, of the disk automorphism
     (z + a0) / (1 + conj(a0) z) (``kind`` "plus", as mobius_series) or
@@ -583,9 +565,7 @@ def mobius_rows(a0s, order: int, kind: str = "plus") -> np.ndarray:
     """
     if kind not in ("plus", "minus"):
         raise ValueError(f"unknown automorphism kind {kind!r}")
-    a0s = np.asarray(a0s, dtype=np.complex128)
-    if np.any(np.hypot(a0s.real, a0s.imag) >= 1.0):
-        raise ValueError("automorphism parameter must satisfy |a0| < 1")
+    a0s = _automorphism_parameters(a0s)
     if order < 1:
         raise ValueError("order must be >= 1")
     k = np.arange(order)

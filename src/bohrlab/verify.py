@@ -82,6 +82,7 @@ from .radii import (
 from .series import (
     DEFAULT_ORDER,
     TruncatedSeries,
+    _automorphism_parameters,
     _schwarz_polynomials,
     _spec_columns,
     compose,
@@ -423,9 +424,7 @@ def _automorphisms(block, order: int, kind: str) -> tuple:
     most 5; rows are its Taylor coefficients 0..order, expanded by
     rational_rows.  The denominator has no zero in the closed disk, where
     |zB| <= 1 < 1 / |a0|."""
-    a0s = np.array([draw.a0 for draw in block], dtype=np.complex128)
-    if np.any(np.hypot(a0s.real, a0s.imag) >= 1.0):
-        raise ValueError("automorphism parameter must satisfy |a0| < 1")
+    a0s = _automorphism_parameters([draw.a0 for draw in block])
     columns = _spec_columns([draw.specs[0] for draw in block])
     _boundary_tripwire(*columns, inner=True)
     zp, q = _schwarz_polynomials(*columns)

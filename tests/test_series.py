@@ -258,9 +258,10 @@ def mixed_specs(rng, rows):
 
 class TestRowKernels:
     """The stacked kernels give each row the bytes of an independent
-    per-row reference, on both sides of the row count at which they switch
-    from per-row np.convolve to one matmul per output (compose, their
-    one-row call, meets the same reference in TestComposeWindow)."""
+    per-row reference, on both sides of the row count at which convolve_rows
+    switches from per-row np.convolve to one matmul per output (compose,
+    compose_rows' one-row call, meets the same reference in
+    TestComposeWindow)."""
 
     ORDERS = [1, 2, 8, 64, 256]
     ROWS = [1, 13, _MATMUL_ROWS - 1, _MATMUL_ROWS, 40]
@@ -312,6 +313,48 @@ class TestRowKernels:
         expected = np.stack([full_length_compose(g, w) for g, w in zip(outers, inners)])
         assert got.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("order", ORDERS)
+    @pytest.mark.parametrize("rows", [1, 15, 16, 40])
+    def test_compose_rows_mixes_every_start(self, order, rows):
+        """One block whose Horner starts run through 0..min(8, N), unsorted
+        and repeated, with signed zeros among the outers' coefficients and
+        inners z*B(z) and odd z*B(z^2): every row has the bytes of
+        full-length Horner, and a row with start 0 is [g_0, +0.0, ...]."""
+        rng = np.random.default_rng(order + 17 * rows)
+        n = order + 1
+        tops = rng.permutation(np.arange(rows) % (min(8, order) + 1))
+        g = with_signed_zeros(rng, rng.normal(size=(rows, n)) + 1j * rng.normal(size=(rows, n)))
+        g[np.arange(n) > tops[:, None]] = 0.0
+        specs = TestFirstStep.specs(rng, rows)
+        odd = np.arange(rows) % 2 == 1
+        w = np.where(odd[:, None], schwarz_rows(specs, order, odd=True), schwarz_rows(specs, order))
+        got = compose_rows(g, w, tops)
+        for row, outer, inner, top in zip(got, g, w, tops):
+            expected = full_length_compose(TruncatedSeries(outer, exact_degree=top), TruncatedSeries(inner))
+            assert row.tobytes() == expected.tobytes()
+            if top == 0:
+                constant = np.zeros(n, dtype=np.complex128)
+                constant[0] = outer[0]
+                assert row.tobytes() == constant.tobytes()
+
+    @pytest.mark.parametrize("tops", [[0], [5], [0, 0, 0], [8, 8, 8], [3, 0, 8, 1, 8, 2, 0] * 6])
+    def test_compose_rows_takes_every_first_step_at_once(self, monkeypatch, tops):
+        """A block makes one _lead_products call, whatever its mix of
+        starts; counted through the module global compose_rows' kernel looks
+        up when called."""
+        rng = np.random.default_rng(len(tops))
+        g = rng.normal(size=(len(tops), 9)) + 1j * rng.normal(size=(len(tops), 9))
+        w = schwarz_rows(mixed_specs(rng, len(tops)), 8)
+        made, real = [], series._lead_products
+
+        def counting(x0, y):
+            made.append(len(y))
+            return real(x0, y)
+
+        monkeypatch.setattr(series, "_lead_products", counting)
+        compose_rows(g, w, tops)
+        assert made == [len(tops)]
+
     def test_compose_rows_refuses_inner_off_the_origin(self):
         g = np.zeros((2, 5), dtype=complex)
         w = np.zeros((2, 5), dtype=complex)
@@ -323,18 +366,41 @@ class TestRowKernels:
         g = np.zeros((2, 5), dtype=complex)
         with pytest.raises(ValueError, match="Horner starts"):
             compose_rows(g, g, [1, 5])
+        # a start of 2.7 would run from 2 and drop g_3 unseen
+        g = make_series([1, 2, 3, 4], 8).coeffs[None]
+        w = make_series([0, 1, 0.5], 8).coeffs[None]
+        with pytest.raises(ValueError, match="Horner starts"):
+            compose_rows(g, w, [2.7])
+        assert compose_rows(g, w, [3]).real[0, :4].tolist() == [1, 2, 4, 7]
 
     def test_non_finite_block_rejected(self):
-        # compose_rows checks the block it returns; the internal steps
-        # (convolve_rows, the Blaschke expansion) leave that to it.
+        # compose_rows checks its inputs and the block it returns; the
+        # internal steps (convolve_rows, the Blaschke expansion) leave that
+        # to it.  An infinite Horner start is refused, not multiplied into
+        # the exact zeros of w, at any start.
         g = np.ones((3, 4), dtype=complex)
         g[2, 0] = np.inf
         w = np.zeros((3, 4), dtype=complex)
         w[:, 1] = 1.0
-        with pytest.raises(ValueError, match="non-finite coefficient at index 0 of row 2"):
+        for tops in ([3, 3, 3], [3, 3, 0]):
+            with pytest.raises(ValueError, match="non-finite coefficient at index 0 of row 2"):
+                compose_rows(g, w, tops)
+        g[2] = [1.0, 1.0, 1.0, np.inf]
+        with pytest.raises(ValueError, match="non-finite coefficient at index 3 of row 2"):
             compose_rows(g, w, [3, 3, 3])
         with pytest.raises(ValueError, match="non-finite coefficient"):
             compose_rows(np.full((2, 4), np.nan), np.zeros((2, 4)), [3, 3])
+
+    def test_first_step_products_past_the_window_never_reach_the_result(self):
+        """g(w) with g = z + 1e10 z^3 and w = z + 1e300 z^8 at order 8 is
+        z + 1e10 z^3 + 1e300 z^8.  The first step forms g_3 * w_8 = inf, past
+        the row's first window; the accumulator must hold a zero there, or
+        the last step pairs that inf with w(0) = 0 and returns nan."""
+        g = make_series([0, 1, 0, 1e10], 8).coeffs[None]
+        w = make_series([0, 1, 0, 0, 0, 0, 0, 0, 1e300], 8).coeffs[None]
+        with np.errstate(over="ignore"):
+            got = compose_rows(g, w, [3])
+        assert got.tobytes() == make_series([0, 1, 0, 1e10, 0, 0, 0, 0, 1e300], 8).coeffs[None].tobytes()
 
     def test_convolve_rows_refuses_mismatched_shapes(self):
         with pytest.raises(ValueError):
@@ -356,8 +422,9 @@ class TestRowKernels:
                 assert series.exact_degree == (1 if a0 == 0 else None)
 
     def test_mobius_rows_refuse_parameters_off_the_disk(self):
-        with pytest.raises(ValueError, match=r"\|a0\| < 1"):
-            mobius_rows([0.5, 1.0], 8)
+        for a0s in ([0.5, 1.0], [complex(np.nan, 0.0)]):
+            with pytest.raises(ValueError, match=r"\|a0\| < 1"):
+                mobius_rows(a0s, 8)
         with pytest.raises(ValueError, match="order must be >= 1"):
             mobius_rows([0.5], 0)
 
@@ -443,9 +510,9 @@ class TestFirstStep:
     @pytest.mark.parametrize("rows", ROWS)
     @pytest.mark.parametrize("top", [0, 1, 8])
     def test_compose_matches_the_full_first_step(self, order, rows, top):
-        """Outers of one top (at most the order), so that every row runs in
-        one block, with signed zeros among their coefficients; inners z*B(z)
-        and odd z*B(z^2), whose even coefficients are exact zeros."""
+        """Outers of one top (at most the order), with signed zeros among
+        their coefficients; inners z*B(z) and odd z*B(z^2), whose even
+        coefficients are exact zeros."""
         rng = np.random.default_rng(order + 13 * rows + top)
         n = order + 1
         tops = np.full(rows, min(top, order))

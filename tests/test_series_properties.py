@@ -81,7 +81,7 @@ def test_derivative_undoes_integrate_below_top(fs):
 @st.composite
 def _blocks(draw):
     """(a, b, tops): two (rows, N+1) stacks of seeded normal parts, rows on
-    both sides of the row count at which the row kernels switch paths, b
+    both sides of the row count at which convolve_rows switches paths, b
     vanishing at the origin, and one Horner start per row, shared by every
     row half of the time."""
     rows = draw(st.integers(1, 2 * _MATMUL_ROWS + 8))

@@ -351,9 +351,9 @@ class TestHarmonicWitness:
 
 class TestStackedBuilders:
     """The stacked builders give each row the bytes of an independent
-    per-row reference, on both sides of the row count at which the row
-    kernels switch from per-row np.convolve to one matmul per output, and
-    of the per-spec builders, their one-row calls."""
+    per-row reference, on both sides of the row count at which
+    convolve_rows switches from per-row np.convolve to one matmul per
+    output, and of the per-spec builders, their one-row calls."""
 
     @pytest.mark.parametrize("order", [1, 2, 8, 64, 256])
     @pytest.mark.parametrize("rows", [1, 11, series._MATMUL_ROWS - 1, series._MATMUL_ROWS, 40])
