@@ -12,24 +12,27 @@ coefficient rows, and the per-series function of the rule is its one-row
 call, adding only the TruncatedSeries, its exact degree and its tag:
 convolve_rows multiplies, its per-row path being mul's np.convolve, and
 _compose_block composes for compose and compose_rows.  convolve_rows
-takes each row through np.convolve below _MATMUL_ROWS rows and makes one
-np.matmul per kept output for the whole block from there on, with the
-same bits either way; _compose_block runs each row's later Horner steps,
-from the row's own start, through np.convolve.  A first step whose
-accumulator holds one coefficient, a Horner start or a Blaschke rotation,
-computes one product per output, which _lead_products forms directly for
-a whole block at once.  Blaschke rows are expanded by _blaschke_expansion
-from spec columns (_spec_columns, which makes BlaschkeSpec's checks): the
-stacked builders of bohrlab.witnesses, bounded_rows and schwarz_rows,
-form the columns once and hand them to their boundary tripwire and to
-the expansion, and blaschke_series is its one-row call.  Every disk
-automorphism series, mobius_series and witnesses.extremal_theorem5, is a
-one-row mobius_rows call made by _automorphism, and the automorphism
-parameters of mobius_rows and of bohrlab.verify's t5/t6 witnesses pass
-one check, _automorphism_parameters.  A rational function whose
-denominator has constant term 1, such as a disk automorphism of z*B(z)
-(whose zP and Q _schwarz_polynomials forms), is expanded by
-rational_rows.
+takes each row through np.convolve below _matmul_rows rows, a count that
+grows with the row length, and makes one np.matmul per kept output for
+the whole block from there on, with the same bits either way;
+_compose_block runs each row's later Horner steps, from the row's own
+start, through np.convolve.  A first step whose accumulator holds one
+coefficient, a Horner start or a Blaschke rotation, computes one product
+per output, which _lead_products forms directly for a whole block at
+once.  The kernels run with numpy's overflow and invalid-value warnings
+off: an overflow leaves inf or nan in the rows, which finite_rows refuses
+wherever it happened.  Blaschke rows are expanded by _blaschke_expansion
+from spec columns (_spec_columns, which makes BlaschkeSpec's checks, the
+bound of every Blaschke witness): the stacked builders of
+bohrlab.witnesses, bounded_rows and schwarz_rows, form the columns once
+and hand them to the expansion, and blaschke_series is its one-row call.
+Every disk automorphism series, mobius_series and
+witnesses.extremal_theorem5, is a one-row mobius_rows call made by
+_automorphism, and the automorphism parameters of mobius_rows and of
+bohrlab.verify's t5/t6 witnesses pass one check,
+_automorphism_parameters.  A rational function whose denominator has
+constant term 1, such as a disk automorphism of z*B(z) (whose zP and Q
+_schwarz_polynomials forms), is expanded by rational_rows.
 """
 
 from __future__ import annotations
@@ -40,15 +43,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 DEFAULT_ORDER = 64
-
-# Row count from which convolve_rows makes one np.matmul per kept output
-# for the whole block; below it, each row goes through np.convolve, whose
-# per-call cost is far lower than a matmul's.  Both give every row the same
-# bits.  Measured on a 2-core x86 VM with numpy 2.4.6, the per-row loop
-# wins below about 16 rows at 17 coefficients and below about 35 to 40 rows
-# at 65 and 257, and at 16 rows the matmul path takes 1.0, 1.7 and 1.5
-# times the loop's time at 17, 65 and 257 coefficients.
-_MATMUL_ROWS = 16
 
 ROTATION_TOL = 1e-15
 BLASCHKE_ZERO_CAP = 0.9
@@ -272,6 +266,7 @@ def finite_rows(rows: np.ndarray) -> np.ndarray:
     return rows
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _lead_products(x0, y) -> np.ndarray:
     """Row-wise np.convolve(x[i], y[i])[:L] of a (rows, L) stack y and a stack
     x that is zero past its first column x0, bit for bit: the first step of
@@ -294,15 +289,27 @@ def _lead_products(x0, y) -> np.ndarray:
     return out
 
 
+def _matmul_rows(n: int) -> int:
+    """Row count from which convolve_rows makes one np.matmul per kept output
+    for a block of rows of n coefficients; below it, each row goes through
+    np.convolve, whose per-call cost is far lower than a matmul's.  Both
+    give every row the same bits.  Measured on a 2-core x86 VM with numpy
+    2.4.6, the per-row loop wins below about 8, 14, 23, 30 and 35 rows at
+    9, 17, 33, 65 and 129 to 257 coefficients; the rule is within four
+    rows of each."""
+    return min(8 + n // 2, 32)
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def convolve_rows(a, b) -> np.ndarray:
     """Row-wise np.convolve(a[i], b[i])[:L] of two (rows, L) stacks, bit for bit.
 
-    Below _MATMUL_ROWS rows each row is that np.convolve call.  From it on,
-    one np.matmul per kept output serves the whole block, and the outputs
-    past L are never formed: np.convolve forms output j as one BLAS dot of
-    a[0:j+1] with b[j::-1], and np.matmul of the (rows, 1, j+1) stack of
-    a[:, :j+1] by the (rows, j+1, 1) stack of b[:, j::-1] sends each row to
-    the same dot over the same elements.
+    Below _matmul_rows(L) rows each row is that np.convolve call.  From it
+    on, one np.matmul per kept output serves the whole block, and the
+    outputs past L are never formed: np.convolve forms output j as one BLAS
+    dot of a[0:j+1] with b[j::-1], and np.matmul of the (rows, 1, j+1) stack
+    of a[:, :j+1] by the (rows, j+1, 1) stack of b[:, j::-1] sends each row
+    to the same dot over the same elements.
     """
     a = np.asarray(a, dtype=np.complex128)
     b = np.asarray(b, dtype=np.complex128)
@@ -310,7 +317,7 @@ def convolve_rows(a, b) -> np.ndarray:
         raise ValueError("convolve_rows needs two non-empty (rows, L) stacks of one shape")
     rows, n = a.shape
     out = np.empty_like(a)
-    if rows < _MATMUL_ROWS:
+    if rows < _matmul_rows(n):
         for i in range(rows):
             out[i] = np.convolve(a[i], b[i])[:n]
     else:
@@ -384,6 +391,7 @@ def _compose_block(g: np.ndarray, w: np.ndarray, tops: np.ndarray) -> np.ndarray
     return out
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def rational_rows(num_rows, den_rows, order: int) -> np.ndarray:
     """Row-wise Taylor coefficients 0..order of num / den, for (rows, k) stacks
     of polynomial coefficients whose denominators have constant term 1.
@@ -600,7 +608,14 @@ def _check_blaschke(counts, zero_moduli, rotation_moduli):
     """BlaschkeSpec's checks, on one spec or on columns of many: at most
     MAX_BLASCHKE_ZEROS zeros, none of modulus above BLASCHKE_ZERO_CAP, and
     a unimodular rotation.  Each check asks that the good comparison hold,
-    so a NaN zero or rotation, for which no comparison holds, is refused."""
+    so a NaN zero or rotation, for which no comparison holds, is refused.
+
+    They are what bounds every witness built from a spec; no witness is
+    evaluated on the boundary.  Each zero a has modulus at most
+    BLASCHKE_ZERO_CAP + 1e-12 < 1, so each factor |z - a| / |1 - conj(a) z|
+    is at most 1 on the closed disk, and the rotation has modulus within
+    ROTATION_TOL (1e-15) of 1, so |B| <= 1 + 1e-15 there, and so are
+    |z B(z)| and |z B(z^2)|."""
     if np.any(np.asarray(counts) > MAX_BLASCHKE_ZEROS):
         raise ValueError(f"at most {MAX_BLASCHKE_ZEROS} zeros per Blaschke product")
     zero_moduli = np.asarray(zero_moduli, dtype=np.float64)

@@ -93,7 +93,6 @@ from .series import (
 )
 from .witnesses import (
     DrawnSpec,
-    _boundary_tripwire,
     bounded_rows,
     draw_polynomials,
     draw_specs,
@@ -418,16 +417,14 @@ def _automorphisms(block, order: int, kind: str) -> tuple:
     """(rows, num, den) of the disk automorphism of ``kind``
     (series.MobiusTag) at the a0 of each draw of a block composed with the
     inner function z*B(z) = zP/Q of the draw's first spec, after the spec
-    checks and the boundary tripwire schwarz_rows makes.  The composition
-    is the rational function num / den, (a0 Q - zP) / (Q - conj(a0) zP)
-    ("minus") or (zP + a0 Q) / (Q + conj(a0) zP) ("plus"), of degree at
-    most 5; rows are its Taylor coefficients 0..order, expanded by
-    rational_rows.  The denominator has no zero in the closed disk, where
-    |zB| <= 1 < 1 / |a0|."""
+    checks _spec_columns makes.  The composition is the rational function
+    num / den, (a0 Q - zP) / (Q - conj(a0) zP) ("minus") or
+    (zP + a0 Q) / (Q + conj(a0) zP) ("plus"), of degree at most 5; rows are
+    its Taylor coefficients 0..order, expanded by rational_rows.  The
+    denominator has no zero in the closed disk while |a0| (1 + 1e-15) < 1:
+    there |zB| <= 1 + 1e-15 (series._check_blaschke)."""
     a0s = _automorphism_parameters([draw.a0 for draw in block])
-    columns = _spec_columns([draw.specs[0] for draw in block])
-    _boundary_tripwire(*columns, inner=True)
-    zp, q = _schwarz_polynomials(*columns)
+    zp, q = _schwarz_polynomials(*_spec_columns([draw.specs[0] for draw in block]))
     sign = 1.0 if kind == "plus" else -1.0
     num = a0s[:, None] * q + sign * zp
     den = q + sign * np.conj(a0s)[:, None] * zp

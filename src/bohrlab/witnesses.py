@@ -1,17 +1,13 @@
 """Witness generators: random and extremal functions for every hypothesis class.
 
 Boundedness of random witnesses is certified structurally - they are built
-from finite Blaschke products, whose modulus cannot exceed one on the disk.
-A 360-point boundary sample of the rational form at |z| = 0.95 is kept as a
-tripwire on every draw; it raises AssertionError, also under ``python -O``,
-when a witness exceeds modulus 1 + 1e-9 there.  It checks the specs of a
-call together, 64 at a time, multiplying squared factor moduli in real
-arithmetic; its worst modulus per spec is eval_blaschke's to 1e-15.  A
-stacked builder forms the spec columns (series._spec_columns, which makes
-BlaschkeSpec's checks) once per call and hands them to the tripwire and to
-the Blaschke expansion, so a bad spec is refused before either runs.  The
-extremal automorphisms come from series._automorphism, the one home of
-their exact-degree rule.
+from finite Blaschke products, whose modulus cannot exceed one on the disk
+once the spec has passed BlaschkeSpec's checks (series._check_blaschke
+gives the argument).  A stacked builder forms the spec columns
+(series._spec_columns, which makes those checks) once per call and hands
+them to the Blaschke expansion, so a bad spec is refused before any
+expansion runs.  The extremal automorphisms come from
+series._automorphism, the one home of their exact-degree rule.
 
 Each construction rule has one row kernel: bounded_rows and schwarz_rows
 for the bounded and inner functions of Blaschke specs, harmonic_rows for
@@ -53,12 +49,6 @@ from .series import (
 # Tolerance of the construction-time convolution identity; any excess marks
 # an arithmetic bug, not a truncation artifact.
 CONVOLUTION_CHECK_TOL = 1e-12
-
-_BOUNDARY_SAMPLE = 0.95 * np.exp(2j * np.pi * np.arange(360) / 360.0)
-
-# Specs the boundary tripwire checks at once; its (rows, 360) arrays of
-# this many rows keep a block's peak memory where per-spec checks left it.
-_TRIPWIRE_ROWS = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,42 +204,6 @@ def draw_polynomial(
     return make_series(coeffs[0, : degree + 1], order)
 
 
-def _boundary_moduli(zeros, counts, rotations, z) -> np.ndarray:
-    """(rows, points) moduli |B(z)| of the Blaschke product of each row of
-    spec columns (series._spec_columns) on the 1-D points z, in real
-    arithmetic: the squared factor moduli |z - a|^2 / |1 - conj(a) z|^2
-    multiplied, the root scaled by |rotation|.  The denominator is formed
-    as |z - a|^2 + (1 - |a|^2)(1 - |z|^2), an identity of two positive
-    terms."""
-    x, y = z.real, z.imag
-    rest = 1.0 - (x * x + y * y)
-    squares = np.ones((counts.size, z.size))
-    for i in range(int(counts.max(initial=0))):
-        rows = np.flatnonzero(counts > i)
-        a = zeros[rows, i]
-        ar, ai = a.real[:, None], a.imag[:, None]
-        near = (x - ar) ** 2 + (y - ai) ** 2
-        squares[rows] *= near / (near + (1.0 - (ar * ar + ai * ai)) * rest)
-    return np.sqrt(squares) * np.abs(rotations)[:, None]
-
-
-def _boundary_tripwire(zeros, counts, rotations, inner: bool = False, odd: bool = False):
-    """Raise AssertionError unless the witness of every spec of the columns
-    zeros, counts and rotations (series._spec_columns, which has made
-    BlaschkeSpec's checks), its Blaschke product B or, when ``inner``,
-    z*B(z) (z*B(z^2) when odd), stays within modulus one (up to 1e-9) on
-    the boundary sample.  Specs are checked _TRIPWIRE_ROWS at a time,
-    through _boundary_moduli looked up when called."""
-    sample = _BOUNDARY_SAMPLE**2 if odd else _BOUNDARY_SAMPLE
-    for start in range(0, counts.size, _TRIPWIRE_ROWS):
-        rows = slice(start, start + _TRIPWIRE_ROWS)
-        moduli = _boundary_moduli(zeros[rows], counts[rows], rotations[rows], sample)
-        worst = np.max(moduli * np.abs(_BOUNDARY_SAMPLE) if inner else moduli, axis=1)
-        over = np.flatnonzero(~(worst <= 1.0 + 1e-9))
-        if over.size:
-            raise AssertionError(f"witness exceeds modulus one on the boundary sample: {float(worst[over[0]])}")
-
-
 def bounded_from_spec(spec: BlaschkeSpec, order: int = DEFAULT_ORDER) -> TruncatedSeries:
     """Series of the bounded analytic witness defined by a Blaschke product:
     a one-row bounded_rows call, exact of degree 0 when B has no zeros."""
@@ -263,20 +217,16 @@ def schwarz_from_spec(spec: BlaschkeSpec, odd: bool = False, order: int = DEFAUL
 
 
 def bounded_rows(specs, order: int) -> np.ndarray:
-    """Stacked bounded_from_spec coefficients, one row per spec, bit for bit;
-    the boundary tripwire runs on every spec.  One _spec_columns pass feeds
-    the tripwire and the expansion."""
-    columns = _spec_columns(specs)
-    _boundary_tripwire(*columns)
-    return _blaschke_expansion(*columns, order)
+    """Stacked bounded_from_spec coefficients, one row per spec, bit for bit.
+    One _spec_columns pass checks every spec and feeds the expansion."""
+    return _blaschke_expansion(*_spec_columns(specs), order)
 
 
 def schwarz_rows(specs, order: int, odd: bool = False) -> np.ndarray:
     """Stacked schwarz_from_spec coefficients, z*B(z) or, when odd, z*B(z^2),
-    one row per spec, bit for bit; the boundary tripwire runs on every spec.
-    One _spec_columns pass feeds the tripwire and the expansion."""
+    one row per spec, bit for bit.  One _spec_columns pass checks every spec
+    and feeds the expansion."""
     columns = _spec_columns(specs)
-    _boundary_tripwire(*columns, inner=True, odd=odd)
     if odd:
         return odd_rows(_blaschke_expansion(*columns, max(order // 2, 1)), order)
     return _blaschke_expansion(*columns, order, vanish_at_origin=True)
@@ -351,6 +301,7 @@ def harmonic_witness(h: TruncatedSeries, k: float, omega_tilde: TruncatedSeries)
     return HarmonicPair(h=h, g=TruncatedSeries(g, exact_degree=degree), k=k)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def harmonic_rows(h_rows, ks, omega_tilde_rows, index=None) -> np.ndarray:
     """Stacked harmonic_witness: the co-analytic rows g = integral of
     k * omega_tilde * h' of (rows, N+1) stacks, bit for bit, checked finite.

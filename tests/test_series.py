@@ -5,10 +5,10 @@ import pytest
 
 from bohrlab import series
 from bohrlab.series import (
-    _MATMUL_ROWS,
     BlaschkeSpec,
     _blaschke_expansion,
     _lead_products,
+    _matmul_rows,
     _spec_columns,
     MobiusTag,
     TruncatedSeries,
@@ -256,6 +256,13 @@ def mixed_specs(rng, rows):
     return [draw_blaschke_spec(rng, min_zeros=i % 5, max_zeros=i % 5) for i in range(rows)]
 
 
+def straddling(orders, rows):
+    """(rows, order) pairs: each row count at each order, and the two row
+    counts on either side of convolve_rows' switch to one matmul per output
+    at that order, _matmul_rows(order + 1)."""
+    return [(r, o) for o in orders for r in sorted({*rows, _matmul_rows(o + 1) - 1, _matmul_rows(o + 1)})]
+
+
 class TestRowKernels:
     """The stacked kernels give each row the bytes of an independent
     per-row reference, on both sides of the row count at which convolve_rows
@@ -264,10 +271,9 @@ class TestRowKernels:
     TestComposeWindow)."""
 
     ORDERS = [1, 2, 8, 64, 256]
-    ROWS = [1, 13, _MATMUL_ROWS - 1, _MATMUL_ROWS, 40]
+    ROWS = straddling(ORDERS, [1, 13, 15, 16, 40])
 
-    @pytest.mark.parametrize("order", ORDERS)
-    @pytest.mark.parametrize("rows", ROWS)
+    @pytest.mark.parametrize("rows, order", ROWS)
     def test_convolve_rows_matches_np_convolve(self, order, rows):
         rng = np.random.default_rng(order + rows)
         n = order + 1
@@ -276,8 +282,7 @@ class TestRowKernels:
         expected = np.stack([np.convolve(a[i], b[i])[:n] for i in range(rows)])
         assert convolve_rows(a, b).tobytes() == expected.tobytes()
 
-    @pytest.mark.parametrize("order", ORDERS)
-    @pytest.mark.parametrize("rows", ROWS)
+    @pytest.mark.parametrize("rows, order", ROWS)
     def test_blaschke_rows_match_blaschke_series(self, order, rows):
         """The Blaschke rows of bounded_rows (B) and schwarz_rows (z*B) have
         the bytes of the per-factor chain and of blaschke_series."""
@@ -288,8 +293,7 @@ class TestRowKernels:
             got = build(specs, order)
             assert got.tobytes() == expected.tobytes() == one_row.tobytes()
 
-    @pytest.mark.parametrize("order", ORDERS)
-    @pytest.mark.parametrize("rows", ROWS)
+    @pytest.mark.parametrize("rows, order", ROWS)
     def test_compose_rows_matches_compose(self, order, rows):
         rng = np.random.default_rng(order + 5 * rows)
         specs = mixed_specs(rng, rows)
@@ -391,15 +395,47 @@ class TestRowKernels:
         with pytest.raises(ValueError, match="non-finite coefficient"):
             compose_rows(np.full((2, 4), np.nan), np.zeros((2, 4)), [3, 3])
 
+    # Finite blocks whose composition overflows: in the first step
+    # (_lead_products, a numpy product that would warn), in a later
+    # np.convolve step (which never warns), and in the first step of complex
+    # parts, whose inf - inf is nan.  Each is refused as non-finite, also
+    # where RuntimeWarnings are errors.
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "g, w, top",
+        [
+            ([1e300] * 4, [0, 1e300, 1e300, 1e300], 3),
+            ([1e300, 1e300, 0, 0], [0, 1e10, 0, 0], 1),
+            ([0, 0, 0, 1], [0, 1e150, 0, 0], 3),
+            ([(1 + 1j) * 1e300] * 4, [0] + [(1 + 1j) * 1e300] * 3, 3),
+        ],
+    )
+    def test_overflow_refused_as_non_finite(self, g, w, top):
+        with pytest.raises(ValueError, match="non-finite coefficient"):
+            compose_rows(np.array([g], dtype=complex), np.array([w], dtype=complex), [top])
+
+    # The kernels whose rows their callers check, on either convolve_rows
+    # path, leave an overflow to finite_rows too.
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("rows", [1, 40])
+    def test_overflowing_kernels_leave_their_rows_to_finite_rows(self, rows):
+        big = np.full((rows, 4), (1 + 1j) * 1e300)
+        den = big.copy()
+        den[:, 0] = 1.0
+        for block in (convolve_rows(big, big), rational_rows(big, den, 8)):
+            with pytest.raises(ValueError, match="non-finite coefficient"):
+                series.finite_rows(block)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_first_step_products_past_the_window_never_reach_the_result(self):
         """g(w) with g = z + 1e10 z^3 and w = z + 1e300 z^8 at order 8 is
         z + 1e10 z^3 + 1e300 z^8.  The first step forms g_3 * w_8 = inf, past
-        the row's first window; the accumulator must hold a zero there, or
-        the last step pairs that inf with w(0) = 0 and returns nan."""
+        the row's first window, without a warning; the accumulator must hold
+        a zero there, or the last step pairs that inf with w(0) = 0 and
+        returns nan."""
         g = make_series([0, 1, 0, 1e10], 8).coeffs[None]
         w = make_series([0, 1, 0, 0, 0, 0, 0, 0, 1e300], 8).coeffs[None]
-        with np.errstate(over="ignore"):
-            got = compose_rows(g, w, [3])
+        got = compose_rows(g, w, [3])
         assert got.tobytes() == make_series([0, 1, 0, 1e10, 0, 0, 0, 0, 1e300], 8).coeffs[None].tobytes()
 
     def test_convolve_rows_refuses_mismatched_shapes(self):
@@ -454,11 +490,11 @@ class TestFirstStep:
     of a Horner composition), is series._lead_products: the one product per
     output that the step computes, formed directly.  Every kernel keeps the
     bytes of the full first-step convolution, per_object_blaschke's and
-    full_length_compose's, on both sides of _MATMUL_ROWS and with signed
+    full_length_compose's, on both sides of _matmul_rows and with signed
     zeros on either side of the product."""
 
     ORDERS = [1, 2, 64, 256]
-    ROWS = [1, _MATMUL_ROWS - 1, _MATMUL_ROWS, 40]
+    ROWS = straddling(ORDERS, [1, 15, 16, 40])
 
     # Zero counts of the specs in turn: a block of one count takes every row
     # through the first step at once, the mixed one leaves rows out of it.
@@ -479,8 +515,7 @@ class TestFirstStep:
             specs.append(DrawnSpec(with_signed_zeros(rng, zeros), rotation))
         return specs
 
-    @pytest.mark.parametrize("order", ORDERS)
-    @pytest.mark.parametrize("rows", ROWS)
+    @pytest.mark.parametrize("rows, order", ROWS)
     def test_lead_products_match_the_full_convolution(self, order, rows):
         rng = np.random.default_rng(order + 7 * rows)
         x0 = with_signed_zeros(rng, rng.normal(size=rows) + 1j * rng.normal(size=rows))
@@ -496,8 +531,7 @@ class TestFirstStep:
         y = rng.normal(size=(3000, 2)) + 1j * rng.normal(size=(3000, 2))
         assert _lead_products(x0, y).tobytes() == full_first_step(x0, y).tobytes()
 
-    @pytest.mark.parametrize("order", ORDERS)
-    @pytest.mark.parametrize("rows", ROWS)
+    @pytest.mark.parametrize("rows, order", ROWS)
     @pytest.mark.parametrize("counts", COUNTS)
     def test_expansion_matches_the_full_first_step(self, order, rows, counts):
         specs = self.specs(np.random.default_rng(order + 11 * rows), rows, counts)
@@ -506,8 +540,7 @@ class TestFirstStep:
             expected = np.stack([per_object_blaschke(s.zeros, s.rotation, order, vanish) for s in specs])
             assert _blaschke_expansion(*columns, order, vanish).tobytes() == expected.tobytes()
 
-    @pytest.mark.parametrize("order", ORDERS)
-    @pytest.mark.parametrize("rows", ROWS)
+    @pytest.mark.parametrize("rows, order", ROWS)
     @pytest.mark.parametrize("top", [0, 1, 8])
     def test_compose_matches_the_full_first_step(self, order, rows, top):
         """Outers of one top (at most the order), with signed zeros among
@@ -648,9 +681,19 @@ class TestRationalRows:
         assert np.max(np.abs(got - exact)) <= 1e-12
 
 
+# The zero cap with its slack, and the largest doubles within ROTATION_TOL =
+# 1e-15 of 1 on either side; a modulus of 1 + 1e-15 itself rounds to
+# 1 + 5 * 2**-52, which is 1.1e-15 off the circle.
+_CAP = series.BLASCHKE_ZERO_CAP + 1e-12
+_EPS = np.finfo(np.float64).eps
+
+
 class TestBlaschkeRowChecks:
     """The stacked builders make BlaschkeSpec's checks on every spec they
-    expand, drawn specs included, before expanding any."""
+    expand, drawn specs included, before expanding any.  Those checks are
+    all that bounds a Blaschke witness, so each bound is pinned on both
+    sides: zeros of modulus up to 0.9 + 1e-12 and rotations within 1e-15 of
+    the unit circle pass, and the next double out is refused."""
 
     BUILDERS = [bounded_rows, schwarz_rows, lambda specs, order: schwarz_rows(specs, order, odd=True)]
 
@@ -664,6 +707,11 @@ class TestBlaschkeRowChecks:
             (DrawnSpec(np.array([], dtype=complex), 1.0 + 1e-13 + 0.0j), "rotation must be unimodular"),
             (DrawnSpec(np.array([0.5, complex(np.nan, 0.1)]), 1.0 + 0.0j), "zero with modulus nan"),
             (DrawnSpec(np.array([0.5 + 0.0j]), complex(np.nan, 0.0)), "rotation must be unimodular .modulus nan."),
+            (DrawnSpec(np.array([0.5, np.nextafter(_CAP, 1.0)]), 1.0 + 0.0j), "zero with modulus 0.9000 exceeds cap"),
+            (DrawnSpec(np.array([1j * (0.9 + 2e-12)]), 1.0 + 0.0j), "zero with modulus 0.9000 exceeds cap"),
+            (DrawnSpec(np.array([], dtype=complex), 1.0 + 5 * _EPS + 0.0j), "unimodular .modulus 1.0000000000000011."),
+            (DrawnSpec(np.array([], dtype=complex), 1j * (1.0 - 5 * _EPS)), "unimodular .modulus 0.99999999999999889."),
+            (DrawnSpec(np.array([], dtype=complex), 1.0 + 2e-15 + 0.0j), "unimodular .modulus 1.000000000000002."),
         ],
     )
     def test_bad_spec_refused(self, bad, message):
@@ -671,7 +719,19 @@ class TestBlaschkeRowChecks:
             with pytest.raises(ValueError, match=message):
                 build([self.GOOD, bad, self.GOOD], 8)
         with pytest.raises(ValueError, match=message):
+            _spec_columns([self.GOOD, bad])
+        with pytest.raises(ValueError, match=message):
             BlaschkeSpec(zeros=tuple(bad.zeros), rotation=bad.rotation)
+
+    def test_specs_at_the_bounds_pass(self):
+        # moduli exact: real and imaginary zeros and rotations
+        specs = [DrawnSpec(np.array([_CAP, -1j * _CAP, 0.5]), 1.0 + 0.0j)]
+        specs += [DrawnSpec(np.array([], dtype=complex), complex(r * f)) for r in (1.0 + 4 * _EPS, 1.0 - 4.5 * _EPS) for f in (1, 1j)]
+        for build in self.BUILDERS:
+            assert np.all(np.isfinite(build(specs, 8)))
+        _spec_columns(specs)
+        for spec in specs:
+            BlaschkeSpec(zeros=tuple(spec.zeros), rotation=spec.rotation)
 
     def test_specs_and_drawn_specs_stack_alike(self):
         rng = np.random.default_rng(4)

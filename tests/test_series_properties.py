@@ -7,8 +7,8 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from bohrlab.series import (  # noqa: E402
-    _MATMUL_ROWS,
     TruncatedSeries,
+    _matmul_rows,
     compose,
     compose_rows,
     convolve_rows,
@@ -84,8 +84,8 @@ def _blocks(draw):
     both sides of the row count at which convolve_rows switches paths, b
     vanishing at the origin, and one Horner start per row, shared by every
     row half of the time."""
-    rows = draw(st.integers(1, 2 * _MATMUL_ROWS + 8))
     order = draw(st.integers(1, 24))
+    rows = draw(st.integers(1, 2 * _matmul_rows(order + 1) + 8))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     a, b = rng.normal(size=(2, rows, order + 1)) + 1j * rng.normal(size=(2, rows, order + 1))
     b[:, 0] = 0.0

@@ -800,27 +800,31 @@ class TestKeyedGenerators:
 
 
 class TestDrawnSpecsChecked:
-    """Every spec a suite expands passes BlaschkeSpec's checks and the
-    boundary tripwire."""
+    """Every spec a suite expands has passed BlaschkeSpec's checks
+    (series._check_blaschke), which bound its witness."""
 
     CHECKS = [check_theorem1, check_theorem2_odd, check_theorem3, check_theorem5, check_theorem6]
 
     @pytest.mark.parametrize("check", CHECKS)
     def test_every_expanded_spec_passes_the_tripwire(self, monkeypatch, check):
-        # the stacked evaluator and the expansions see spec columns, not spec
-        # objects, so the specs are compared by the bits of their zeros and
-        # rotations; t5 and t6 expand the inner of their automorphism as the
-        # polynomials zP and Q (series._schwarz_polynomials)
-        evaluated, expanded = [], []
-        real_moduli, real_expansion = witnesses_mod._boundary_moduli, witnesses_mod._blaschke_expansion
+        # the name is kept from the boundary tripwire that once evaluated
+        # every spec; the spec checks are the only tripwire now
+        # the expansions see spec columns, not spec objects, so the columns
+        # _spec_columns returned after its checks are compared with the ones
+        # expanded by the bits of their zeros and rotations; t5 and t6 expand
+        # the inner of their automorphism as the polynomials zP and Q
+        # (series._schwarz_polynomials)
+        checked, expanded = [], []
+        real_columns, real_expansion = witnesses_mod._spec_columns, witnesses_mod._blaschke_expansion
         real_polynomials = verify_mod._schwarz_polynomials
 
         def specs_of(zeros, counts, rotations):
             return [(row[:n].tobytes(), rotation.tobytes()) for row, n, rotation in zip(zeros, counts, rotations)]
 
-        def counting_moduli(zeros, counts, rotations, z):
-            evaluated.extend(specs_of(zeros, counts, rotations))
-            return real_moduli(zeros, counts, rotations, z)
+        def counting_columns(specs):
+            columns = real_columns(specs)
+            checked.extend(specs_of(*columns))
+            return columns
 
         def counting_expansion(zeros, counts, rotations, order, **kwargs):
             expanded.extend(specs_of(zeros, counts, rotations))
@@ -830,16 +834,17 @@ class TestDrawnSpecsChecked:
             expanded.extend(specs_of(zeros, counts, rotations))
             return real_polynomials(zeros, counts, rotations)
 
-        monkeypatch.setattr(witnesses_mod, "_boundary_moduli", counting_moduli)
+        monkeypatch.setattr(witnesses_mod, "_spec_columns", counting_columns)
+        monkeypatch.setattr(verify_mod, "_spec_columns", counting_columns)
         monkeypatch.setattr(witnesses_mod, "_blaschke_expansion", counting_expansion)
         monkeypatch.setattr(verify_mod, "_schwarz_polynomials", counting_polynomials)
         check(trials=40, seed=2, order=8)
-        assert expanded and evaluated == expanded
+        assert expanded and checked == expanded
 
     @pytest.mark.parametrize("check", CHECKS)
     def test_off_circle_rotation_refused(self, monkeypatch, check):
-        # 1e-13 off the unit circle passes the tripwire's 1e-9 slack, so only
-        # BlaschkeSpec's rotation check can refuse it
+        # 1e-13 off the unit circle, which only BlaschkeSpec's rotation check
+        # refuses
         real = verify_mod.draw_specs
 
         def nudged(*args, **kwargs):

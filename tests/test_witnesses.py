@@ -157,12 +157,12 @@ class TestBuildQuasiTriple:
         assert shifted_identity_gap(g, phi, omega, f) <= witnesses.CONVOLUTION_CHECK_TOL
         witnesses._check_convolution_identity(g, phi, omega, f)
 
-    @pytest.mark.parametrize("copies", [1, 2])
+    @pytest.mark.parametrize("copies", [1, 2, 3])
     def test_identity_check_rejects_each_spoiled_row_of_every_degree(self, copies):
-        # one outer of each degree 0..8 (two of each: 18 rows, past
-        # _MATMUL_ROWS), so that every row meets a different live set of
-        # powers of omega; each row is spoiled at index 0, at its degree
-        # and at N
+        # one outer of each degree 0..8 (three of each: 27 rows, past
+        # _matmul_rows(25) = 20), so that every row meets a different live
+        # set of powers of omega; each row is spoiled at index 0, at its
+        # degree and at N
         g, degrees, phi, omega = every_degree_block(copies, 24)
         f = quasi_rows(g, degrees, phi, omega)
         witnesses._check_convolution_identity(g, phi, omega, f)
@@ -355,8 +355,16 @@ class TestStackedBuilders:
     convolve_rows switches from per-row np.convolve to one matmul per
     output, and of the per-spec builders, their one-row calls."""
 
-    @pytest.mark.parametrize("order", [1, 2, 8, 64, 256])
-    @pytest.mark.parametrize("rows", [1, 11, series._MATMUL_ROWS - 1, series._MATMUL_ROWS, 40])
+    # each row count at each order, and the two on either side of
+    # convolve_rows' switch to matmul at that order
+    @pytest.mark.parametrize(
+        "rows, order",
+        [
+            (rows, order)
+            for order in [1, 2, 8, 64, 256]
+            for rows in sorted({1, 11, 15, 16, 40, series._matmul_rows(order + 1) - 1, series._matmul_rows(order + 1)})
+        ],
+    )
     def test_rows_match_per_spec_builders(self, order, rows):
         rng = np.random.default_rng(7 * order + rows)
         specs = [draw_blaschke_spec(rng, min_zeros=i % 5, max_zeros=i % 5) for i in range(rows)]
@@ -389,13 +397,20 @@ class TestStackedBuilders:
         with pytest.raises(ValueError, match="k must lie"):
             harmonic_rows(h, [0.5, 1.2], h)
 
+    # harmonic_rows leaves the infinities and nans of its products to its
+    # finiteness check, also where RuntimeWarnings are errors: an infinite
+    # input, and finite ones whose products overflow.
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_harmonic_rows_reject_non_finite_block(self):
         h = np.zeros((3, 5), dtype=complex)
         h[:, 1] = 1.0
         omega_tilde = np.ones((3, 5), dtype=complex)
         omega_tilde[2, 1] = np.inf
-        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite coefficient at index 2 of row 2"):
+        with pytest.raises(ValueError, match="non-finite coefficient at index 2 of row 2"):
             harmonic_rows(h, [0.5, 0.5, 0.5], omega_tilde)
+        big = np.full((1, 5), (1 + 1j) * 1e300)
+        with pytest.raises(ValueError, match="non-finite coefficient"):
+            harmonic_rows(big, [0.5], big)
 
 
 class TestColumnarDraws:
@@ -499,77 +514,6 @@ class TestOddRows:
         assert schwarz_from_spec(spec, odd=True, order=1).coeffs.tobytes() == expected.tobytes()
         assert schwarz_rows([spec], 1, odd=True)[0].tobytes() == expected.tobytes()
 
-    def test_odd_tripwire_runs_on_every_spec(self, monkeypatch):
-        real = witnesses._boundary_moduli
-        broken = DrawnSpec(np.array([0.5 + 0.0j]), 1.0 + 0.0j)
-        specs = [DrawnSpec(np.array([], dtype=complex), 1.0 + 0.0j), broken]
-        def broken_moduli(zeros, counts, rotations, z):
-            return np.where((zeros[:, :1] == 0.5) & (counts[:, None] == 1), 2.0, real(zeros, counts, rotations, z))
-
-        monkeypatch.setattr(witnesses, "_boundary_moduli", broken_moduli)
-        with pytest.raises(AssertionError, match="exceeds modulus one"):
-            schwarz_rows(specs, 8, odd=True)
-
-
-class TestBoundaryTripwire:
-    """The stacked tripwire reads the moduli eval_blaschke gives and checks
-    every spec it is handed."""
-
-    @staticmethod
-    def _specs(key, rows):
-        """rows drawn specs, then eight zero-free and eight four-zero ones."""
-        specs = draw_specs([np.random.default_rng((key, i)) for i in range(rows)])
-        specs += draw_specs([np.random.default_rng((key, rows, i)) for i in range(8)], 0, 0)
-        return specs + draw_specs([np.random.default_rng((key, rows + 1, i)) for i in range(8)], 4, 4)
-
-    @pytest.mark.parametrize("inner, odd", [(False, False), (True, False), (True, True)])
-    def test_worst_modulus_matches_eval_blaschke(self, inner, odd):
-        specs = self._specs(3, 200)
-        assert {len(s.zeros) for s in specs} == {0, 1, 2, 3, 4}
-        sample = witnesses._BOUNDARY_SAMPLE
-        z = sample**2 if odd else sample
-        moduli = witnesses._boundary_moduli(*_spec_columns(specs), z)
-        got = np.max(moduli * np.abs(sample) if inner else moduli, axis=1)
-        for worst, spec in zip(got, specs):
-            values = eval_blaschke(spec, z)
-            assert abs(worst - np.max(np.abs(sample * values if inner else values))) <= 1e-15
-
-    # 130 specs span three chunks of the tripwire; the spec the broken
-    # evaluator reports over one sits at each chunk's first and last row.
-    @pytest.mark.parametrize("position", [0, 1, 63, 64, 65, 127, 128, 129])
-    @pytest.mark.parametrize("build", ["bounded", "schwarz", "odd"])
-    def test_one_broken_row_raises(self, monkeypatch, position, build):
-        specs = [DrawnSpec(np.array([0.005 * i + 0.0j]), 1.0 + 0.0j) for i in range(130)]
-        real = witnesses._boundary_moduli
-        def broken_moduli(zeros, counts, rotations, z):
-            moduli = real(zeros, counts, rotations, z)
-            moduli[zeros[:, 0] == specs[position].zeros[0], 7] = 2.0
-            return moduli
-
-        monkeypatch.setattr(witnesses, "_boundary_moduli", broken_moduli)
-        call = {
-            "bounded": lambda: bounded_rows(specs, 8),
-            "schwarz": lambda: schwarz_rows(specs, 8),
-            "odd": lambda: schwarz_rows(specs, 8, odd=True),
-        }[build]
-        with pytest.raises(AssertionError, match="exceeds modulus one on the boundary sample"):
-            call()
-
-    # An inner witness z*B(z) is bounded by 0.95 |B| on the sample, so a
-    # modulus of B up to 1/0.95 passes there and fails for B itself.
-    def test_inner_witness_carries_the_factor_z(self, monkeypatch):
-        monkeypatch.setattr(witnesses, "_boundary_moduli", lambda zeros, counts, rotations, z: np.full((counts.size, z.size), 1.05))
-        schwarz_rows([BlaschkeSpec()], 8)
-        schwarz_rows([BlaschkeSpec()], 8, odd=True)
-        with pytest.raises(AssertionError, match="boundary sample: 1.05"):
-            bounded_rows([BlaschkeSpec()], 8)
-
-    def test_nan_modulus_raises(self, monkeypatch):
-        monkeypatch.setattr(witnesses, "_boundary_moduli", lambda zeros, counts, rotations, z: np.full((counts.size, z.size), np.nan))
-        with pytest.raises(AssertionError, match="boundary sample: nan"):
-            bounded_rows([BlaschkeSpec()], 8)
-
-
 
 # The stacked builders, each called with the specs it builds from.
 _STACKED_BUILDERS = {
@@ -579,10 +523,28 @@ _STACKED_BUILDERS = {
 }
 
 
+class TestBoundaryTripwire:
+    """The bound on the boundary that a tripwire once sampled is held by the
+    spec checks alone (series._check_blaschke): in a stack of specs, one
+    zero just past BLASCHKE_ZERO_CAP + 1e-12 is refused wherever it sits,
+    and one just inside is built."""
+
+    # 130 specs; the one at the edge of the cap sits at either end of the
+    # stack and at rows spread through it
+    @pytest.mark.parametrize("position", [0, 1, 63, 64, 65, 127, 128, 129])
+    @pytest.mark.parametrize("build", ["bounded", "schwarz", "odd"])
+    def test_one_broken_row_raises(self, position, build):
+        specs = [DrawnSpec(np.array([0.005 * i + 0.0j]), 1.0 + 0.0j) for i in range(130)]
+        specs[position] = DrawnSpec(np.array([0.9 + 1e-12 + 0.0j]), 1.0 + 0.0j)
+        assert _STACKED_BUILDERS[build](specs).shape == (130, 9)
+        specs[position] = DrawnSpec(np.array([0.9 + 2e-12 + 0.0j]), 1.0 + 0.0j)
+        with pytest.raises(ValueError, match="zero with modulus 0.9000 exceeds cap 0.9"):
+            _STACKED_BUILDERS[build](specs)
+
+
 class TestSpecColumnsOnce:
     """A stacked builder forms its spec columns, and makes BlaschkeSpec's
-    checks, once a call: the tripwire and the expansion read the same
-    columns, and a bad spec is refused before any tripwire arithmetic."""
+    checks, once a call, and a bad spec is refused before any expansion."""
 
     GOOD = DrawnSpec(np.array([0.5j]), 1.0 + 0.0j)
 
@@ -616,10 +578,12 @@ class TestSpecColumnsOnce:
     )
     @pytest.mark.parametrize("build", list(_STACKED_BUILDERS))
     def test_bad_spec_refused_before_the_tripwire(self, monkeypatch, build, bad, message):
-        def unreached(zeros, counts, rotations, z):
-            raise AssertionError("tripwire arithmetic ran on unchecked specs")
+        # the name is kept from the boundary tripwire that once ran after the
+        # checks; the expansion is now the first arithmetic on the columns
+        def unreached(*args, **kwargs):
+            raise AssertionError("expansion ran on unchecked specs")
 
-        monkeypatch.setattr(witnesses, "_boundary_moduli", unreached)
+        monkeypatch.setattr(witnesses, "_blaschke_expansion", unreached)
         with pytest.raises(ValueError, match=message):
             _STACKED_BUILDERS[build]([self.GOOD, bad, self.GOOD])
 
@@ -677,8 +641,8 @@ class TestOddStructure:
                 assert np.all(f_cum <= g_cum + 1e-9)
 
 
-# Each construction check is broken on purpose and must still raise under -O,
-# which strips plain assert statements.
+# Each construction check is broken on purpose, or handed a spec past its
+# bounds, and must still raise under -O, which strips plain assert statements.
 _OPTIMIZED_CHECKS = """
 import sys
 import numpy as np
@@ -690,12 +654,12 @@ print(sys.flags.optimize)
 def rejected(call):
     try:
         call()
-    except AssertionError as exc:
-        return str(exc)
+    except (AssertionError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
     return "accepted"
 
-witnesses._boundary_moduli = lambda zeros, counts, rotations, z: np.full((counts.size, z.size), 2.0)
-print(rejected(lambda: witnesses.bounded_from_spec(BlaschkeSpec(), 8)))
+print(rejected(lambda: BlaschkeSpec(zeros=(0.95,))))
+print(rejected(lambda: BlaschkeSpec(rotation=1.0 + 1e-13)))
 
 witnesses.compose = lambda g, w: g
 print(rejected(lambda: witnesses.build_quasi_triple(
@@ -706,31 +670,30 @@ print(rejected(lambda: series.power(make_series([0.0, 1.0], 8), 2)))
 """
 
 
-# The boundary tripwire of the stacked builders checks every spec through
-# _boundary_moduli looked up at call time, so breaking it for one spec must
-# raise under -O.
+# The stacked builders make BlaschkeSpec's checks on every spec they are
+# handed, so a spec past the zero cap or off the unit circle among good ones
+# must be refused under -O.
 _OPTIMIZED_STACKED_CHECKS = """
 import sys
 import numpy as np
 from bohrlab import witnesses
-from bohrlab.series import BlaschkeSpec
+from bohrlab.witnesses import DrawnSpec
 
 print(sys.flags.optimize)
 
 def rejected(call):
     try:
         call()
-    except AssertionError as exc:
-        return str(exc)
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}"
     return "accepted"
 
-real = witnesses._boundary_moduli
-broken = BlaschkeSpec(zeros=(0.5,))
-witnesses._boundary_moduli = lambda zeros, counts, rotations, z: np.where(
-    zeros[:, :1] == 0.5, 2.0, real(zeros, counts, rotations, z))
-specs = [BlaschkeSpec(), broken, BlaschkeSpec(zeros=(0.2j,))]
-print(rejected(lambda: witnesses.bounded_rows(specs, 8)))
-print(rejected(lambda: witnesses.schwarz_rows(specs, 8)))
+good = DrawnSpec(np.array([0.2j]), 1.0 + 0.0j)
+for bad in (DrawnSpec(np.array([0.95 + 0.0j]), 1.0 + 0.0j), DrawnSpec(np.array([0.5 + 0.0j]), 1.0 + 1e-13 + 0.0j)):
+    specs = [good, bad, good]
+    print(rejected(lambda: witnesses.bounded_rows(specs, 8)))
+    print(rejected(lambda: witnesses.schwarz_rows(specs, 8)))
+    print(rejected(lambda: witnesses.schwarz_rows(specs, 8, odd=True)))
 """
 
 
@@ -775,11 +738,12 @@ class TestChecksUnderOptimization:
             capture_output=True, text=True, env=env, check=False,
         )
         assert done.returncode == 0, done.stderr
-        optimize, tripwire, identity, low_order = done.stdout.splitlines()
+        optimize, zero, rotation, identity, low_order = done.stdout.splitlines()
         assert optimize == "1"
-        assert tripwire.startswith("witness exceeds modulus one on the boundary sample")
-        assert identity.startswith("convolution identity violated")
-        assert low_order == "power of origin-vanishing series leaked low-order terms"
+        assert zero == "ValueError: zero with modulus 0.9500 exceeds cap 0.9"
+        assert rotation == "ValueError: rotation must be unimodular (modulus 1.0000000000000999)"
+        assert identity.startswith("AssertionError: convolution identity violated")
+        assert low_order == "AssertionError: power of origin-vanishing series leaked low-order terms"
 
     def test_broken_stacked_constructions_rejected_under_dash_O(self):
         src = str(Path(bohrlab.__file__).resolve().parents[1])
@@ -789,10 +753,10 @@ class TestChecksUnderOptimization:
             capture_output=True, text=True, env=env, check=False,
         )
         assert done.returncode == 0, done.stderr
-        optimize, bounded, schwarz = done.stdout.splitlines()
+        optimize, *refusals = done.stdout.splitlines()
         assert optimize == "1"
-        assert bounded.startswith("witness exceeds modulus one on the boundary sample")
-        assert schwarz.startswith("witness exceeds modulus one on the boundary sample")
+        assert refusals[:3] == ["ValueError: zero with modulus 0.9500 exceeds cap 0.9"] * 3
+        assert refusals[3:] == ["ValueError: rotation must be unimodular (modulus 1.0000000000000999)"] * 3
 
     def test_broken_stacked_identity_rejected_under_dash_O(self):
         src = str(Path(bohrlab.__file__).resolve().parents[1])
