@@ -7,14 +7,15 @@ trial whose residual exceeds the tolerance is re-evaluated once at doubled
 truncation order before being reported, so a truncation artifact does not
 fail a suite.
 
-Every stream is the one np.random.default_rng(key) gives, but the
-generators of a chunk of trials are seeded together: numpy's SeedSequence
-hash of each key (every field as little-endian 32-bit words, 0 as one
-word; the entropy mix into a pool of four words; generate_state(4,
-np.uint64)) is formed with uint32 arrays for the whole chunk, and each
-trial's PCG64 starts from its four words.  A chunk with a key that is not
-a tuple of non-negative ints, a negative seed say, is seeded by
-default_rng itself, which refuses such a key with its own error.
+Every stream is the one np.random.default_rng(key) gives, but the streams
+of a chunk of trials are one vectorised PCG64, _PCG64Rows, with a row per
+trial: numpy's SeedSequence hash of each key (every field as
+little-endian 32-bit words, 0 as one word; the entropy mix into a pool of
+four words; generate_state(4, np.uint64)) is formed with uint32 arrays for
+the whole chunk, and the 128-bit LCG steps of all rows are formed with
+uint64 arrays, so a verify run never loads numpy.random.  A chunk with a
+key that is not a tuple of non-negative ints, a negative seed say, is
+seeded by default_rng itself, which refuses such a key with its own error.
 
 Residuals are "most positive value of LHS - RHS observed"; a suite passes
 when the maximum stays at or below the tolerance.  Left-hand sides are
@@ -25,13 +26,14 @@ failures, so a pass is not a certificate for the untruncated functions.
 
 Each suite draws its trials a chunk at a time and column by column: the
 polynomial coefficients, Blaschke zeros and rotations of a chunk are formed
-as arrays from one run of doubles per trial and spec, with the bits and the
-generator calls of per-object draws.  All five suites, listed once in
-SUITES, share one driver, _run_suite, to which each hands one function
-that builds the witnesses of a block as stacked (rows, N+1) arrays,
-through the row kernels of series and witnesses, one per construction
-rule, whose one-row calls are the per-series functions, and returns their
-residuals.
+as arrays from one integer and one run of doubles per trial and spec,
+each drawn for the whole chunk by one call of its streams, with the bits
+and the stream order of per-object Generator draws.  All five suites,
+listed once in SUITES, share one driver, _run_suite, to which each hands
+one function that builds the witnesses of a block as stacked (rows, N+1)
+arrays, through the row kernels of series and witnesses, one per
+construction rule, whose one-row calls are the per-series functions, and
+returns their residuals.
 The driver fills the report's tracker with every random witness in trial
 order.  t5 and t6 then add each group's closed-form checks to that tracker
 in group order, and t5 its universal-radius sweep last; the tracker keeps
@@ -93,6 +95,7 @@ from .series import (
 )
 from .witnesses import (
     DrawnSpec,
+    _GeneratorRows,
     bounded_rows,
     draw_polynomials,
     draw_specs,
@@ -143,7 +146,9 @@ _ZERO_FREE = DrawnSpec(np.empty(0, dtype=np.complex128), 1 + 0j)
 
 # Trials are drawn this many at a time; a trial's draws do not depend on
 # the chunk it falls in, so the count bounds only the draws held at once.
-_DRAW_ROWS = 256
+# A chunk's streams step with a fixed number of numpy calls per draw, so
+# larger chunks pay fewer of them per trial.
+_DRAW_ROWS = 1024
 
 # numpy's SeedSequence constants (numpy/random/bit_generator.pyx): its pool
 # of four 32-bit words, the entropy and state hashes and the pool mix.
@@ -152,6 +157,11 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _MASK32 = 0xFFFFFFFF
+
+# PCG64's 128-bit multiplier (numpy/random/src/pcg64/pcg64.h) in 64-bit
+# halves.  Python ints: numpy casts them to the uint64 of the arrays they
+# meet, and the wrapping products stay array operations.
+_PCG_MULT_HI, _PCG_MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
 
 
 def _sine_fractions(n: int) -> tuple:
@@ -230,21 +240,6 @@ def _poly_dict(coeffs: np.ndarray, degree: int) -> list:
     return [_pair(c) for c in coeffs[: degree + 1].tolist()]
 
 
-class _SeedWords:
-    """The seed of one PCG64: the four 64-bit words that SeedSequence(key)
-    generates for it, hashed with the rest of its chunk by _seed_states.
-    _generators registers the class as a
-    numpy.random.bit_generator.ISeedSequence, the interface PCG64 reads."""
-
-    def __init__(self, words):
-        self.words = words
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != 4 or np.dtype(dtype) != np.uint64:
-            raise ValueError("a PCG64 seed holds four uint64 words only")
-        return self.words
-
-
 def _entropy_words(key):
     """The 32-bit words SeedSequence assembles from a tuple of non-negative
     Python ints, each field little-endian and 0 as one word; None for any
@@ -305,31 +300,117 @@ def _seed_states(entropy) -> np.ndarray:
     return state[:, 0::2].astype(np.uint64) | state[:, 1::2].astype(np.uint64) << np.uint64(32)
 
 
-def _generators(chunk) -> list:
-    """np.random.default_rng(key) for each key of a chunk, bit for bit, with
-    the SeedSequence hash of all keys formed at once.  A chunk holding a key
-    that is not a tuple of non-negative Python ints goes to default_rng
-    itself, which reads it or refuses it as it always has."""
+def _mul_high(a: np.ndarray, b: int) -> np.ndarray:
+    """The high 64 bits of each a * b, for a uint64 array a and b < 2**64,
+    from 32-bit halves whose products fit in uint64."""
+    a0, a1, b0, b1 = a & _MASK32, a >> 32, b & _MASK32, b >> 32
+    low = a0 * b0
+    mid = a1 * b0 + (low >> 32)
+    return a1 * b1 + (mid >> 32) + (a0 * b1 + (mid & _MASK32) >> 32)
+
+
+class _PCG64Rows:
+    """One PCG64 per row, each as numpy's PCG64 runs it from the four seed
+    words that row of ``words`` holds (SeedSequence.generate_state(4,
+    np.uint64)), stepped for all rows at once in uint64 halves.  It makes
+    the two draw calls of witnesses._polar_runs, with a Generator's bits:
+    random(counts) and integers(lo, hi)."""
+
+    def __init__(self, words: np.ndarray):
+        # numpy's pcg64_set_seed: seed and increment are words 0:2 and 2:4,
+        # high half first; the state steps from 0, takes the seed, steps
+        self.inc_hi = words[:, 2] << 1 | words[:, 3] >> 63
+        self.inc_lo = words[:, 3] << 1 | 1
+        hi, lo = self._step(*np.zeros((2, len(words)), dtype=np.uint64))
+        lo = lo + words[:, 1]
+        self.hi, self.lo = self._step(hi + words[:, 0] + (lo < words[:, 1]), lo)
+        # next_uint32 takes the low half of a fresh output and holds the high
+        self.held = np.zeros(len(words), dtype=np.uint64)
+        self.has_held = np.zeros(len(words), dtype=bool)
+
+    def __len__(self) -> int:
+        return len(self.hi)
+
+    def _step(self, hi, lo) -> tuple:
+        """The LCG step state * multiplier + inc mod 2**128 of every row."""
+        new_lo = lo * _PCG_MULT_LO + self.inc_lo
+        new_hi = _mul_high(lo, _PCG_MULT_LO) + lo * _PCG_MULT_HI + hi * _PCG_MULT_LO
+        return new_hi + self.inc_hi + (new_lo < self.inc_lo), new_lo
+
+    def _raw(self, counts) -> np.ndarray:
+        """(rows, max(counts)) uint64 outputs: row i steps counts[i] times
+        and its first counts[i] entries are those steps' XSL-RR outputs; the
+        entries past them are not to be read."""
+        hi, lo, out = self.hi, self.lo, []
+        his, los = [hi], [lo]
+        for _ in range(int(counts.max(initial=0))):
+            hi, lo = self._step(hi, lo)
+            his.append(hi)
+            los.append(lo)
+            x, turn = hi ^ lo, hi >> 58
+            out.append(x >> turn | x << (64 - turn & 63))
+        rows = np.arange(len(counts))
+        self.hi, self.lo = np.array(his)[counts, rows], np.array(los)[counts, rows]
+        return np.stack(out, axis=1) if out else np.empty((len(counts), 0), dtype=np.uint64)
+
+    def random(self, counts) -> np.ndarray:
+        """(rows, max(counts)) doubles, row i's first counts[i] being its
+        next Generator.random(counts[i]); the entries past them are not to
+        be read."""
+        counts = np.broadcast_to(np.asarray(counts, dtype=np.intp), (len(self),))
+        return (self._raw(counts) >> 11) * 2.0**-53
+
+    def _uint32(self, rows: np.ndarray) -> np.ndarray:
+        """next_uint32 of the rows marked in ``rows``: a held high half, or
+        the low half of a fresh output, whose high half is then held."""
+        fresh = rows & ~self.has_held
+        raw = self._raw(fresh.astype(np.intp))
+        self.has_held ^= rows
+        if not raw.shape[1]:
+            return self.held
+        out = np.where(fresh, raw[:, 0] & _MASK32, self.held)
+        self.held = np.where(fresh, raw[:, 0] >> 32, self.held)
+        return out
+
+    def integers(self, lo: int, hi: int) -> np.ndarray:
+        """One Generator.integers(lo, hi + 1) per row: numpy's 32-bit Lemire
+        draw and its rejection loop for 0 < hi - lo < 2**32 - 1; a range of
+        0 consumes nothing."""
+        span = hi - lo
+        if span == 0:
+            return np.full(len(self), lo, dtype=np.intp)
+        threshold = (_MASK32 - span) % (span + 1)
+        scaled = self._uint32(np.ones(len(self), dtype=bool)) * (span + 1)
+        redraw = (scaled & _MASK32) < threshold
+        while redraw.any():
+            scaled = np.where(redraw, self._uint32(redraw) * (span + 1), scaled)
+            redraw &= (scaled & _MASK32) < threshold
+        return (scaled >> 32).astype(np.intp) + lo
+
+
+def _streams(chunk):
+    """The PCG64 stream np.random.default_rng(key) gives for each key of a
+    chunk, one row each, with the SeedSequence hash of all keys formed at
+    once.  A chunk holding a key that is not a tuple of non-negative Python
+    ints goes to default_rng itself, which reads it or refuses it as it
+    always has, through witnesses' one-row-per-Generator adapter."""
     entropy = [_entropy_words(key) for key in chunk]
     if None in entropy:
-        return [np.random.default_rng(key) for key in chunk]
-    # registered here, not at import, since numpy loads numpy.random on
-    # first use; registering again is a no-op
-    np.random.bit_generator.ISeedSequence.register(_SeedWords)
-    return [np.random.Generator(np.random.PCG64(_SeedWords(words))) for words in _seed_states(entropy)]
+        return _GeneratorRows([np.random.default_rng(key) for key in chunk])
+    return _PCG64Rows(_seed_states(entropy))
 
 
 def _keyed_draws(keys, draw):
-    """The items of draw(rngs, chunk) over consecutive chunks of ``keys``, in
-    order, where rngs[i] is the PCG64 stream keyed by chunk[i], as
-    np.random.default_rng(chunk[i]) seeds it."""
+    """The items of draw(streams, chunk) over consecutive chunks of
+    ``keys``, in order, where row i of streams is the PCG64 stream keyed by
+    chunk[i], as np.random.default_rng(chunk[i]) seeds it."""
     keys = iter(keys)
     while chunk := list(itertools.islice(keys, _DRAW_ROWS)):
-        yield from draw(_generators(chunk), chunk)
+        yield from draw(_streams(chunk), chunk)
 
 
 def _trial_params(suite: str, draw, trials: int, seed: int):
-    """The items of draw(rngs, keys) over the trial keys (suite id, seed, t)."""
+    """The items of draw(streams, keys) over the trial keys (suite id, seed, t)."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     return _keyed_draws(((SUITES[suite][0], seed, t) for t in range(trials)), draw)
@@ -401,9 +482,9 @@ def _pointwise_draws(groups, a_values, specs: int):
     """The draws of each group in turn: the trial's stream gives the phase
     first, then ``specs`` Blaschke specs."""
 
-    def draw(rngs, keys):
-        phases = (2.0 * np.pi) * np.array([rng.random() for rng in rngs])
-        drawn = [draw_specs(rngs) for _ in range(specs)]
+    def draw(streams, keys):
+        phases = (2.0 * np.pi) * streams.random(1)[:, 0]
+        drawn = [draw_specs(streams) for _ in range(specs)]
         a0s = np.array([a_values[key[2]] for key in keys]) * np.exp(1j * phases)
         return [
             _Draw(key[2], key[3], phase, a0, tuple(row))
@@ -482,10 +563,10 @@ class _T1Draw(NamedTuple):
     omega: DrawnSpec
 
 
-def _t1_draws(rngs, keys) -> list:
+def _t1_draws(streams, keys) -> list:
     """The t1 trials keyed by ``keys``: each stream gives g, then phi, then omega."""
-    g, degrees = draw_polynomials(rngs, _T1_OUTER_DEGREE)
-    phis, omegas = draw_specs(rngs), draw_specs(rngs)
+    g, degrees = draw_polynomials(streams, _T1_OUTER_DEGREE)
+    phis, omegas = draw_specs(streams), draw_specs(streams)
     variants = ("general", "subordination", "majorization")
     return [
         _T1Draw(key[-1], variants[key[-1] % 3], *drawn)
@@ -551,10 +632,10 @@ class _T2Draw(NamedTuple):
     identity_inner: bool
 
 
-def _t2_draws(rngs, keys) -> list:
+def _t2_draws(streams, keys) -> list:
     """The t2 trials keyed by ``keys``: each stream gives q, then omega's spec."""
-    q, degrees = draw_polynomials(rngs, _T2_BASE_DEGREE)
-    omegas = draw_specs(rngs)
+    q, degrees = draw_polynomials(streams, _T2_BASE_DEGREE)
+    omegas = draw_specs(streams)
     return [
         _T2Draw(key[-1], *drawn, key[-1] % 5 == 0) for key, *drawn in zip(keys, q, degrees, omegas)
     ]
@@ -630,12 +711,12 @@ class _T3Draw(NamedTuple):
     omega_tilde: DrawnSpec
 
 
-def _t3_draws(rngs, keys) -> list:
+def _t3_draws(streams, keys) -> list:
     """The t3 trials keyed by ``keys``: each stream gives h's spec (at least
     one zero), omega_tilde's, then a_extremal uniform on [0, 0.95)."""
-    hs = draw_specs(rngs, min_zeros=1)
-    omega_tildes = draw_specs(rngs)
-    a_extremal = 0.95 * np.array([rng.random() for rng in rngs])
+    hs = draw_specs(streams, min_zeros=1)
+    omega_tildes = draw_specs(streams)
+    a_extremal = 0.95 * streams.random(1)[:, 0]
     return [
         _T3Draw({"trial": key[-1], "h": _spec_dict(h), "omega_tilde": _spec_dict(w), "a_extremal": a}, h, w)
         for key, h, w, a in zip(keys, hs, omega_tildes, a_extremal.tolist())

@@ -140,50 +140,67 @@ class DrawnSpec(NamedTuple):
     rotation: complex
 
 
-def _polar_runs(rngs, lo: int, hi: int, extra: int, tail: int, width: int) -> tuple:
-    """One draw from each generator in turn: a count n uniform on [lo, hi],
-    then one run of 2 (n + extra) + tail doubles uniform on [0, 1), read as
-    n + extra modulus fractions, as many phase fractions and ``tail`` more.
-    Returns (counts, moduli, phases, tails) with (rows, width) moduli and
-    phases, zero past each row's n + extra, and (rows, tail) tails.
+class _GeneratorRows:
+    """numpy Generators as rows of the draw interface witnesses._polar_runs
+    reads: integers(lo, hi) and random(counts), one Generator call per
+    row, as verify's vectorised PCG64 makes them for a whole chunk."""
+
+    def __init__(self, generators):
+        self.generators = generators
+
+    def __len__(self) -> int:
+        return len(self.generators)
+
+    def integers(self, lo: int, hi: int) -> np.ndarray:
+        """One draw uniform on [lo, hi] per row."""
+        return np.array([g.integers(lo, hi + 1) for g in self.generators], dtype=np.intp)
+
+    def random(self, counts) -> np.ndarray:
+        """(rows, max(counts)) doubles, row i's first counts[i] being its
+        Generator's next random(counts[i]), zero past them."""
+        counts = np.broadcast_to(np.asarray(counts, dtype=np.intp), (len(self),))
+        runs = np.zeros((len(self), int(counts.max(initial=0))))
+        for run, g, n in zip(runs, self.generators, counts.tolist()):
+            run[:n] = g.random(n)
+        return runs
+
+
+def _polar_runs(streams, lo: int, hi: int, extra: int, tail: int, width: int, cap: float) -> tuple:
+    """One draw from each row of ``streams`` (a _GeneratorRows, or a chunk
+    of verify's PCG64 streams): a count n uniform on [lo, hi], then one run
+    of 2 (n + extra) + tail doubles uniform on [0, 1), read as n + extra
+    modulus fractions m, as many phase fractions p and ``tail`` more.
+    Returns (counts, points, tails): (rows, width) points
+    cap * m * exp(2 pi i p), formed only for each row's n + extra pairs and
+    zero past them, and (rows, tail) tails.
 
     Generator.uniform(0, c, m) is c times the next m doubles of the stream,
     so reading a run from one random() call and scaling it keeps the bits
     and the order of the generator calls that per-object draws made.
     """
-    counts, runs = [], []
-    for rng in rngs:
-        n = int(rng.integers(lo, hi + 1))
-        counts.append(n)
-        runs.append(rng.random(2 * (n + extra) + tail))
-    used = np.array(counts, dtype=np.intp) + extra
-    starts = np.cumsum(2 * used + tail) - (2 * used + tail)
-    flat = np.concatenate(runs) if runs else np.empty(0)
-    cols = np.arange(width)
-    mask = cols < used[:, None]
-    moduli = np.zeros((used.size, width))
-    phases = np.zeros((used.size, width))
-    moduli[mask] = flat[(starts[:, None] + cols)[mask]]
-    phases[mask] = flat[((starts + used)[:, None] + cols)[mask]]
-    tails = flat[(starts + 2 * used)[:, None] + np.arange(tail)]
-    return counts, moduli, phases, tails
+    counts = streams.integers(lo, hi)
+    used = counts + extra
+    runs = streams.random(2 * used + tail)
+    rows, cols = np.nonzero(np.arange(width) < used[:, None])
+    points = np.zeros((len(used), width), dtype=np.complex128)
+    points[rows, cols] = (cap * runs[rows, cols]) * np.exp(1j * ((2.0 * np.pi) * runs[rows, used[rows] + cols]))
+    tails = runs[np.arange(len(used))[:, None], 2 * used[:, None] + np.arange(tail)]
+    return counts.tolist(), points, tails
 
 
-def draw_specs(rngs, min_zeros: int = 0, max_zeros: int = MAX_BLASCHKE_ZEROS) -> list:
-    """One spec from each generator, as draw_blaschke_spec draws it, with the
-    zeros and rotations of all generators formed at once."""
-    counts, moduli, phases, turns = _polar_runs(rngs, min_zeros, max_zeros, 0, 1, max_zeros)
-    zeros = (BLASCHKE_ZERO_CAP * moduli) * np.exp(1j * ((2.0 * np.pi) * phases))
+def draw_specs(streams, min_zeros: int = 0, max_zeros: int = MAX_BLASCHKE_ZEROS) -> list:
+    """One spec from each row of ``streams``, as draw_blaschke_spec draws
+    it, with the zeros and rotations of all rows formed at once."""
+    counts, zeros, turns = _polar_runs(streams, min_zeros, max_zeros, 0, 1, max_zeros, BLASCHKE_ZERO_CAP)
     rotations = np.exp(1j * ((2.0 * np.pi) * turns[:, 0]))
     return [DrawnSpec(row[:n], rot) for row, n, rot in zip(zeros, counts, rotations.tolist())]
 
 
-def draw_polynomials(rngs, max_degree: int = 8, coeff_cap: float = 2.0) -> tuple:
-    """(coefficient rows, degrees) of one polynomial from each generator, as
-    draw_polynomial draws it: the rows have max_degree + 1 columns, zero
-    past each degree, and are checked finite."""
-    degrees, moduli, phases, _ = _polar_runs(rngs, 0, max_degree, 1, 0, max_degree + 1)
-    coeffs = (coeff_cap * moduli) * np.exp(1j * ((2.0 * np.pi) * phases))
+def draw_polynomials(streams, max_degree: int = 8, coeff_cap: float = 2.0) -> tuple:
+    """(coefficient rows, degrees) of one polynomial from each row of
+    ``streams``, as draw_polynomial draws it: the rows have max_degree + 1
+    columns, zero past each degree, and are checked finite."""
+    degrees, coeffs, _ = _polar_runs(streams, 0, max_degree, 1, 0, max_degree + 1, coeff_cap)
     return finite_rows(coeffs), degrees
 
 
@@ -191,7 +208,7 @@ def draw_blaschke_spec(rng: np.random.Generator, min_zeros: int = 0, max_zeros: 
     """Draw zeros (count uniform on [min_zeros, max_zeros], moduli uniform on
     [0, 0.9), phases uniform) and a uniform rotation.  A one-row draw_specs
     call."""
-    [spec] = draw_specs([rng], min_zeros, max_zeros)
+    [spec] = draw_specs(_GeneratorRows([rng]), min_zeros, max_zeros)
     return BlaschkeSpec(zeros=tuple(spec.zeros), rotation=spec.rotation)
 
 
@@ -200,7 +217,7 @@ def draw_polynomial(
 ) -> TruncatedSeries:
     """Random polynomial with complex coefficients of modulus below coeff_cap.
     A one-row draw_polynomials call."""
-    coeffs, [degree] = draw_polynomials([rng], max_degree, coeff_cap)
+    coeffs, [degree] = draw_polynomials(_GeneratorRows([rng]), max_degree, coeff_cap)
     return make_series(coeffs[0, : degree + 1], order)
 
 

@@ -2,6 +2,10 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -475,8 +479,8 @@ def _t2_residual_one(f, g, grid):
 
 
 def _draws(draw, suite_id, trials, seed=9):
-    keys = [(suite_id, seed, t) for t in range(trials)]
-    return draw([np.random.default_rng(key) for key in keys], keys)
+    """The draws of the trial keys (suite_id, seed, t), chunk by chunk."""
+    return list(verify_mod._keyed_draws([(suite_id, seed, t) for t in range(trials)], draw))
 
 
 def _spec(d):
@@ -508,8 +512,7 @@ class TestZeroFreeSpec:
     @pytest.mark.parametrize("build", list(BUILDS))
     def test_drawn_rows_keep_their_bytes(self, order, build):
         rows, _ = self.BUILDS[build]
-        rngs = [np.random.default_rng((order, i)) for i in range(10)]
-        drawn = [spec for i, rng in enumerate(rngs) for spec in witnesses_mod.draw_specs([rng], i % 5, i % 5)]
+        drawn = [spec for i in range(10) for spec in witnesses_mod.draw_specs(verify_mod._streams([(order, i)]), i % 5, i % 5)]
         block = [spec for d in drawn for spec in (verify_mod._ZERO_FREE, d)]
         stacked = rows(block, order)
         for spec, row in zip(block, stacked):
@@ -671,7 +674,7 @@ class TestColumnarTrials:
     per-object draws that each trial's stream made before, in the same
     order, and whatever chunk the trial falls in."""
 
-    TRIALS = 300  # past one draw chunk
+    TRIALS = 1100  # past one draw chunk
 
     def test_t1_t2_t3_draws_match_per_object_streams(self):
         t1 = _draws(verify_mod._t1_draws, 1, self.TRIALS)
@@ -738,12 +741,42 @@ class TestColumnarTrials:
             assert len(long[group]) >= len(records)
 
 
-def _same_stream(rng, key) -> bool:
-    """rng is where np.random.default_rng(key) starts and draws as it does."""
-    ref = np.random.default_rng(key)
-    if rng.bit_generator.state != ref.bit_generator.state:
-        return False
-    return rng.random(5).tobytes() == ref.random(5).tobytes() and rng.integers(0, 2**63, 3).tolist() == ref.integers(0, 2**63, 3).tolist()
+def _draws_as(streams, refs) -> bool:
+    """Row i of ``streams`` draws as the Generator refs[i] does: integers,
+    also on a held half and over a range of one value, and runs of doubles
+    of several lengths, in turn."""
+    counts = np.arange(len(refs)) % 7
+    for lo, hi in [(0, 8), (3, 3), (1, 4), (0, 2**20)]:
+        if streams.integers(lo, hi).tolist() != [int(ref.integers(lo, hi + 1)) for ref in refs]:
+            return False
+        runs = streams.random(counts)
+        if any(run[:n].tobytes() != ref.random(n).tobytes() for run, n, ref in zip(runs, counts.tolist(), refs)):
+            return False
+    return True
+
+
+def _default_rngs(keys) -> list:
+    return [np.random.default_rng(key) for key in keys]
+
+
+def _raw_as_default_rng(streams, keys) -> bool:
+    """The next 40 raw outputs of each row of ``streams`` are those of
+    np.random.default_rng(keys[i]).bit_generator."""
+    raw = streams._raw(np.full(len(keys), 40))
+    return all(row.tobytes() == ref.bit_generator.random_raw(40).tobytes() for row, ref in zip(raw, _default_rngs(keys)))
+
+
+def _pcg64_state(streams, row: int) -> dict:
+    """Row ``row`` of a chunk of PCG64 streams as numpy's PCG64.state."""
+    return {
+        "bit_generator": "PCG64",
+        "state": {
+            "state": int(streams.hi[row]) << 64 | int(streams.lo[row]),
+            "inc": int(streams.inc_hi[row]) << 64 | int(streams.inc_lo[row]),
+        },
+        "has_uint32": int(streams.has_held[row]),
+        "uinteger": int(streams.held[row]),
+    }
 
 
 # Trial keys of t1-t3 and t5/t6 at seeds of one, two and three words, and
@@ -753,28 +786,55 @@ _TRIAL_KEYS = [(suite, seed, t) for suite in (1, 2, 3) for seed in _SEEDS for t 
 _TRIAL_KEYS += [(suite, seed, g, j) for suite in (5, 6) for seed in _SEEDS for g in range(3) for j in range(5)]
 _TRIAL_KEYS += [(1, 2, 3, 4, 5), (0, 0, 0, 0, 0), (7, 2**64 + 1, 0), (2**160 + 9, 3), (0,), ()]
 
+# PCG64's 128-bit LCG multiplier and its inverse mod 2**128.
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_PCG_MULT_INV = pow(_PCG_MULT, -1, 2**128)
+
+
+def _state_before(output: int, hi: int, inc: int) -> int:
+    """The PCG64 state whose next step reaches a state of high half ``hi``
+    with XSL-RR output ``output``: the low half is hi ^ rotl(output, hi >> 58),
+    and the step is inverted with the multiplier's inverse."""
+    turn = hi >> 58
+    x = (output << turn | output >> (64 - turn)) & (2**64 - 1)
+    return ((hi << 64 | hi ^ x) - inc) * _PCG_MULT_INV % 2**128
+
 
 class TestKeyedGenerators:
-    """The chunk-hashed generators start every stream where
-    np.random.default_rng(key) starts it, and refuse what it refuses."""
+    """The vectorised PCG64 streams of a chunk start every row where
+    np.random.default_rng(key) starts, draw as its Generator does, and a
+    chunk refuses what default_rng refuses."""
 
     KEYS = _TRIAL_KEYS
 
-    @pytest.mark.parametrize("size", [1, 255, 256, 257])
+    @pytest.mark.parametrize("size", [1, 255, 256, 257, 1023, 1024, 1025])
     def test_chunk_matches_default_rng(self, size):
-        keys = (self.KEYS * 2)[-size:]
-        rngs = verify_mod._generators(keys)
-        assert len(rngs) == size
-        assert all(_same_stream(rng, key) for rng, key in zip(rngs, keys))
+        keys = (self.KEYS * 3)[-size:]
+        streams = verify_mod._streams(keys)
+        assert len(streams) == size
+        assert all(_pcg64_state(streams, row) == ref.bit_generator.state for row, ref in enumerate(_default_rngs(keys)))
+        assert _raw_as_default_rng(streams, keys)
+        assert _draws_as(verify_mod._streams(keys), _default_rngs(keys))
 
     def test_every_key_in_chunks_of_one(self):
-        assert all(_same_stream(rng, key) for key in self.KEYS for rng in verify_mod._generators([key]))
+        for key in self.KEYS:
+            assert _raw_as_default_rng(verify_mod._streams([key]), [key])
+            assert _draws_as(verify_mod._streams([key]), _default_rngs([key]))
 
     def test_keyed_draws_cross_chunks(self):
         keys = [(1, 2**32, t) for t in range(2 * verify_mod._DRAW_ROWS + 1)]
-        seen = list(verify_mod._keyed_draws(keys, lambda rngs, chunk: list(zip(rngs, chunk))))
-        assert [key for _, key in seen] == keys
-        assert all(_same_stream(rng, key) for rng, key in seen)
+        chunks = []
+
+        def draw(streams, chunk):
+            chunks.append(len(chunk))
+            return zip(chunk, streams.integers(0, 8).tolist(), streams.random(3))
+
+        seen = list(verify_mod._keyed_draws(keys, draw))
+        assert chunks == [verify_mod._DRAW_ROWS, verify_mod._DRAW_ROWS, 1]
+        assert [key for key, _, _ in seen] == keys
+        for key, n, run in seen:
+            ref = np.random.default_rng(key)
+            assert n == ref.integers(0, 9) and run.tobytes() == ref.random(3).tobytes()
 
     @pytest.mark.parametrize(
         "seed, error, message",
@@ -785,18 +845,73 @@ class TestKeyedGenerators:
             np.random.default_rng((1, seed, 0))
         assert str(expected.value) == message
         with pytest.raises(error, match=f"^{message}$"):
-            verify_mod._generators([(1, 0, 0), (1, seed, 0)])
+            verify_mod._streams([(1, 0, 0), (1, seed, 0)])
         with pytest.raises(error, match=f"^{message}$"):
             check_theorem1(trials=3, seed=seed, order=8)
 
     def test_numpy_integer_seed_reads_as_default_rng(self):
         keys = [(1, np.uint64(2**63), 0), (1, True, 4)]
-        assert all(_same_stream(rng, key) for rng, key in zip(verify_mod._generators(keys), keys))
+        assert _draws_as(verify_mod._streams(keys), _default_rngs(keys))
 
-    def test_seed_words_serve_pcg64_only(self):
-        [words] = verify_mod._seed_states([[1, 2, 3]])
-        with pytest.raises(ValueError, match="four uint64 words"):
-            verify_mod._SeedWords(words).generate_state(8)
+    def test_lemire_rejection_matches_generator(self):
+        # Generator.integers(0, 9) rejects a 32-bit draw u when u * 9 mod
+        # 2**32 < 4, which no trial key reaches.  Crafted states make the
+        # next output 0 (both halves rejected, then a draw from the step
+        # after), make only its low half 0 (the held high half accepted), and
+        # give an ordinary output; the last row is not crafted.
+        inc = 0x9E3779B97F4A7C15F39CC0605CEDC835
+        outputs = [(0, 0x0123456789ABCDEF), (0xABCD000100000000, 0xFC00000000000001), (0x5DEECE66D, 2**63 + 11)]
+        keys = [(5,), (5,), (5,), (6,)]
+        streams, refs = verify_mod._streams(keys), _default_rngs(keys)
+        for row, (output, hi) in enumerate(outputs):
+            state = _state_before(output, hi, inc)
+            streams.hi[row], streams.lo[row] = state >> 64, state & (2**64 - 1)
+            streams.inc_hi[row], streams.inc_lo[row] = inc >> 64, inc & (2**64 - 1)
+            refs[row].bit_generator.state = _pcg64_state(streams, row)
+            probe = np.random.PCG64()
+            probe.state = refs[row].bit_generator.state
+            assert int(probe.random_raw()) == output
+        start = [ref.bit_generator.state["state"]["state"] for ref in refs]
+        assert streams.integers(0, 8).tolist() == [int(ref.integers(0, 9)) for ref in refs]
+        assert all(_pcg64_state(streams, row) == ref.bit_generator.state for row, ref in enumerate(refs))
+        # the first row took two outputs and holds the high half of the
+        # second, the second row one output and nothing held
+        advanced = [(_PCG_MULT * state + inc) % 2**128 for state in start[:2]]
+        assert refs[0].bit_generator.state["state"]["state"] == (_PCG_MULT * advanced[0] + inc) % 2**128
+        assert refs[1].bit_generator.state["state"]["state"] == advanced[1]
+        assert streams.has_held.tolist() == [True, False, True, True]
+        assert _draws_as(streams, refs)
+
+    def test_empty_range_and_held_half(self):
+        keys = [(2, 42, t) for t in range(5)]
+        streams, refs = verify_mod._streams(keys), _default_rngs(keys)
+        assert streams.integers(0, 3).tolist() == [int(ref.integers(0, 4)) for ref in refs]
+        before = [_pcg64_state(streams, row) for row in range(5)]
+        # a range of one value consumes nothing, not even the held half
+        assert streams.integers(7, 7).tolist() == [int(ref.integers(7, 8)) for ref in refs] == [7] * 5
+        assert [_pcg64_state(streams, row) for row in range(5)] == before
+        assert all(state["has_uint32"] == 1 for state in before)
+        # the next integer is drawn on the held high half
+        assert streams.integers(0, 5).tolist() == [int(ref.integers(0, 6)) for ref in refs]
+        assert [_pcg64_state(streams, row)["state"] for row in range(5)] == [state["state"] for state in before]
+        assert all(_pcg64_state(streams, row) == ref.bit_generator.state for row, ref in enumerate(refs))
+        assert _draws_as(streams, refs)
+
+    def test_verify_never_loads_numpy_random(self):
+        src = str(Path(verify_mod.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        code = (
+            "import runpy, sys\n"
+            "sys.argv = ['bohrlab', 'verify', '--suite', 'all', '--trials', '20', '--order', '16']\n"
+            "try:\n"
+            "    runpy.run_module('bohrlab.cli', run_name='__main__')\n"
+            "finally:\n"
+            "    print('numpy.random' in sys.modules, file=sys.stderr)\n"
+        )
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=False)
+        assert done.returncode == 0, done.stderr
+        assert {report["verdict"] for report in json.loads(done.stdout)["reports"]} == {"pass"}
+        assert done.stderr == "False\n"
 
 
 class TestDrawnSpecsChecked:

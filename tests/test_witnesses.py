@@ -11,7 +11,7 @@ import pytest
 import bohrlab
 
 from bohrlab.functionals import bohr_sum, theorem3_lhs, theorem6_lhs
-from bohrlab import series, witnesses
+from bohrlab import series, verify, witnesses
 from bohrlab.series import (
     BlaschkeSpec,
     _spec_columns,
@@ -143,7 +143,7 @@ class TestBuildQuasiTriple:
 
     def test_identity_check_rejects_f_off_by_1e9(self):
         rng = np.random.default_rng(11)
-        g, degrees = draw_polynomials([np.random.default_rng((11, i)) for i in range(6)])
+        g, degrees = draw_polynomials(witnesses._GeneratorRows([np.random.default_rng((11, i)) for i in range(6)]))
         phi = bounded_rows([draw_blaschke_spec(rng) for _ in range(6)], 24)
         omega = schwarz_rows([draw_blaschke_spec(rng) for _ in range(6)], 24)
         f = quasi_rows(g, degrees, phi, omega)
@@ -415,7 +415,9 @@ class TestStackedBuilders:
 
 class TestColumnarDraws:
     """Columnar draws give every row the bits of the per-object draw it
-    replaces and leave each generator where that draw left it."""
+    replaces and leave each stream where that draw left it: on a chunk of
+    verify's PCG64 streams and on Generators through the one-row-per-
+    Generator adapter."""
 
     KEYS = [(7, 1, t) for t in range(400)]
 
@@ -423,30 +425,37 @@ class TestColumnarDraws:
     def _rngs(keys):
         return [np.random.default_rng(key) for key in keys]
 
+    def _pairs(self, keys):
+        """(streams, per-object reference Generators) for each stream kind."""
+        return [
+            (verify._streams(keys), self._rngs(keys)),
+            (witnesses._GeneratorRows(self._rngs(keys)), self._rngs(keys)),
+        ]
+
     def test_specs_match_per_object_draws(self):
-        rngs, refs = self._rngs(self.KEYS), self._rngs(self.KEYS)
-        counts = set()
-        for lo, hi in [(0, 4), (1, 4), (0, 0), (4, 4), (2, 3)]:
-            for spec, ref in zip(draw_specs(rngs, lo, hi), refs):
-                zeros, rotation = per_object_spec(ref, lo, hi)
-                assert spec.zeros.tobytes() == zeros.tobytes()
-                assert np.complex128(spec.rotation).tobytes() == np.complex128(rotation).tobytes()
-                counts.add(len(zeros))
-        assert counts == {0, 1, 2, 3, 4}
-        # an integer draw after a run of doubles reads the same buffered state
-        assert [int(r.integers(0, 1000)) for r in rngs] == [int(r.integers(0, 1000)) for r in refs]
+        for streams, refs in self._pairs(self.KEYS):
+            counts = set()
+            for lo, hi in [(0, 4), (1, 4), (0, 0), (4, 4), (2, 3)]:
+                for spec, ref in zip(draw_specs(streams, lo, hi), refs):
+                    zeros, rotation = per_object_spec(ref, lo, hi)
+                    assert spec.zeros.tobytes() == zeros.tobytes()
+                    assert np.complex128(spec.rotation).tobytes() == np.complex128(rotation).tobytes()
+                    counts.add(len(zeros))
+            assert counts == {0, 1, 2, 3, 4}
+            # an integer draw after a run of doubles reads the same held state
+            assert streams.integers(0, 999).tolist() == [int(r.integers(0, 1000)) for r in refs]
 
     @pytest.mark.parametrize("max_degree, coeff_cap", [(8, 2.0), (3, 2.0), (5, 0.7)])
     def test_polynomials_match_per_object_draws(self, max_degree, coeff_cap):
-        rngs, refs = self._rngs(self.KEYS), self._rngs(self.KEYS)
-        for _ in range(2):  # the second round starts after a run of doubles
-            rows, degrees = draw_polynomials(rngs, max_degree, coeff_cap)
-            assert rows.shape == (len(self.KEYS), max_degree + 1)
-            for row, degree, ref in zip(rows, degrees, refs):
-                coeffs = per_object_polynomial(ref, max_degree, coeff_cap)
-                assert row[: degree + 1].tobytes() == coeffs.tobytes() and not np.any(row[degree + 1 :])
-            assert set(degrees) == set(range(max_degree + 1))
-        assert [float(r.random()) for r in rngs] == [float(r.random()) for r in refs]
+        for streams, refs in self._pairs(self.KEYS):
+            for _ in range(2):  # the second round starts after a run of doubles
+                rows, degrees = draw_polynomials(streams, max_degree, coeff_cap)
+                assert rows.shape == (len(self.KEYS), max_degree + 1)
+                for row, degree, ref in zip(rows, degrees, refs):
+                    coeffs = per_object_polynomial(ref, max_degree, coeff_cap)
+                    assert row[: degree + 1].tobytes() == coeffs.tobytes() and not np.any(row[degree + 1 :])
+                assert set(degrees) == set(range(max_degree + 1))
+            assert streams.random(1)[:, 0].tolist() == [float(r.random()) for r in refs]
 
     def test_one_row_draws_match_per_object_draws(self):
         for key in self.KEYS[:50]:
@@ -458,14 +467,19 @@ class TestColumnarDraws:
             assert g.exact_degree == len(coeffs) - 1
             assert spec == BlaschkeSpec(*per_object_spec(ref, 1))
 
+    # an infinite cap is refused by the finiteness check, with no
+    # RuntimeWarning first: coefficients are formed only where a row has them
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_drawn_coefficients_checked_finite(self):
-        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite coefficient"):
-            draw_polynomials(self._rngs(self.KEYS[:3]), 2, coeff_cap=np.inf)
+        for streams, _ in self._pairs(self.KEYS[:3]):
+            with pytest.raises(ValueError, match="non-finite coefficient"):
+                draw_polynomials(streams, 2, coeff_cap=np.inf)
 
     def test_empty_draws(self):
-        assert draw_specs([]) == []
-        rows, degrees = draw_polynomials([], 3)
-        assert rows.shape == (0, 4) and list(degrees) == []
+        for streams in [verify._PCG64Rows(np.empty((0, 4), dtype=np.uint64)), witnesses._GeneratorRows([])]:
+            assert draw_specs(streams) == []
+            rows, degrees = draw_polynomials(streams, 3)
+            assert rows.shape == (0, 4) and list(degrees) == []
 
 
 class TestOddRows:
