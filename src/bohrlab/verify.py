@@ -12,8 +12,10 @@ of a chunk of trials are one vectorised PCG64, _PCG64Rows, with a row per
 trial: numpy's SeedSequence hash of each key (every field as
 little-endian 32-bit words, 0 as one word; the entropy mix into a pool of
 four words; generate_state(4, np.uint64)) is formed with uint32 arrays for
-the whole chunk, and the 128-bit LCG steps of all rows are formed with
-uint64 arrays, so a verify run never loads numpy.random.  A chunk with a
+the whole chunk, whose keys' words are laid out field by field (a shared
+suite id or seed once, a trial or index as one column), and the 128-bit
+LCG steps of all rows are formed with uint64 arrays, so a verify run never
+loads numpy.random.  A chunk with a
 key that is not a tuple of non-negative ints, a negative seed say, is
 seeded by default_rng itself, which refuses such a key with its own error.
 
@@ -34,8 +36,11 @@ one function that builds the witnesses of a block as stacked (rows, N+1)
 arrays, through the row kernels of series and witnesses, one per
 construction rule, whose one-row calls are the per-series functions, and
 returns their residuals.
-The driver fills the report's tracker with every random witness in trial
-order.  t5 and t6 then add each group's closed-form checks to that tracker
+The driver hands the report's tracker every random witness in trial
+order as its drawn item and the dict that locates its residual; the
+tracker keeps the worst item, and the report forms the one record of that
+item (_t1_record, _t2_record, _t3_record or the suite's own).  t5 and t6
+then add each group's closed-form checks to that tracker as ready dicts,
 in group order, and t5 its universal-radius sweep last; the tracker keeps
 the first of equal maxima.  Subordination, majorization and the identity
 inner are the Blaschke product with no zeros: t1 and t2 expand the
@@ -199,18 +204,30 @@ class VerificationReport:
 
 
 class _Tracker:
-    """Keeps the largest residual and the witness that produced it."""
+    """Keeps the largest residual and the item that produced it, and forms
+    that item's record only for the report.
+
+    An update hands in an item, the ``where`` dict that locates its residual
+    and the ``record`` function that turns the item into a dict; the
+    witness is ``{**record(item), **where}``.  A closed-form check hands in
+    its witness dict as the item, with no ``where``.  Of equal residuals the
+    first is kept, and a non-finite residual is refused with its witness
+    named."""
 
     def __init__(self):
         self.max_residual = float("-inf")
-        self.worst = {}
+        self.worst = ({}, None, dict)  # (item, where, record)
 
-    def update(self, residual: float, witness: dict):
+    @staticmethod
+    def _witness(item, where, record) -> dict:
+        return {**record(item), **(where or {})}
+
+    def update(self, residual: float, item, where: dict | None = None, record=dict):
         if not math.isfinite(residual):
-            raise ValueError(f"non-finite residual {residual} at {witness}")
+            raise ValueError(f"non-finite residual {residual} at {self._witness(item, where, record)}")
         if residual > self.max_residual:
             self.max_residual = float(residual)
-            self.worst = witness
+            self.worst = (item, where, record)
 
     def report(self, suite, trials, seed, r_grid, tolerance=TOLERANCE, informational=False, beyond=None):
         verdict = "pass" if self.max_residual <= tolerance else "fail"
@@ -220,7 +237,7 @@ class _Tracker:
             seed=seed,
             r_grid=tuple(r_grid),
             max_residual=self.max_residual,
-            worst_witness=self.worst,
+            worst_witness=self._witness(*self.worst),
             verdict=verdict,
             informational=informational,
             tolerance=tolerance,
@@ -256,16 +273,57 @@ def _entropy_words(key):
     return words
 
 
-def _seed_states(entropy) -> np.ndarray:
+def _field_words(chunk):
+    """(rows, words) uint32 entropy words of a chunk of tuples of one length
+    whose every field is an int, either one non-negative value for the whole
+    chunk (a suite id, a seed) or values in [0, 2**32) (a trial, a group,
+    an index): a shared field's words once, a varying field as one column.
+    None for any other chunk."""
+    if set(map(type, chunk)) != {tuple} or len(set(map(len, chunk))) != 1:
+        return None
+    columns = [np.empty((len(chunk), 0), dtype=np.uint32)]
+    for field in zip(*chunk):
+        if set(map(type, field)) != {int}:
+            return None
+        if field.count(field[0]) == len(field):
+            words = _entropy_words(field[:1])
+            if words is None:
+                return None
+            columns.append(np.broadcast_to(np.array(words, dtype=np.uint32), (len(chunk), len(words))))
+        elif min(field) >= 0 and max(field) <= _MASK32:
+            columns.append(np.array(field, dtype=np.uint32)[:, None])
+        else:
+            return None
+    return np.hstack(columns)
+
+
+def _entropy_table(chunk):
+    """(table, lengths) of a chunk of keys, or None when some key has no
+    entropy words: row i of the uint32 table, at least _POOL_SIZE wide,
+    holds the _entropy_words of chunk[i] in its first lengths[i] entries
+    and zeros after them.  A chunk _field_words reads is formed field by
+    field, any other key by key."""
+    words = _field_words(chunk)
+    if words is not None:
+        lengths = np.full(len(chunk), words.shape[1], dtype=np.intp)
+        words = words.ravel()
+    else:
+        entropy = [_entropy_words(key) for key in chunk]
+        if None in entropy:
+            return None
+        lengths = np.array([len(words) for words in entropy], dtype=np.intp)
+        words = np.fromiter(itertools.chain.from_iterable(entropy), dtype=np.uint32, count=int(lengths.sum()))
+    table = np.zeros((len(chunk), max(_POOL_SIZE, int(lengths.max()))), dtype=np.uint32)
+    table[np.arange(table.shape[1]) < lengths[:, None]] = words
+    return table, lengths
+
+
+def _seed_states(table: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """(rows, 4) uint64 words, row i being
-    SeedSequence(key).generate_state(4, np.uint64) for the entropy words
-    entropy[i] of a key, hashed for all rows at once with numpy's uint32
+    SeedSequence(key).generate_state(4, np.uint64) for the key whose entropy
+    words are the first lengths[i] entries of row i of ``table``
+    (_entropy_table), hashed for all rows at once with numpy's uint32
     arithmetic, which wraps as SeedSequence's does."""
-    lengths = np.array([len(words) for words in entropy], dtype=np.intp)
-    table = np.zeros((lengths.size, max(_POOL_SIZE, int(lengths.max()))), dtype=np.uint32)
-    table[np.arange(table.shape[1]) < lengths[:, None]] = np.fromiter(
-        itertools.chain.from_iterable(entropy), dtype=np.uint32, count=int(lengths.sum())
-    )
     const = _INIT_A  # advanced by every hashmix, the same for every row
 
     def hashmix(values):
@@ -394,10 +452,10 @@ def _streams(chunk):
     once.  A chunk holding a key that is not a tuple of non-negative Python
     ints goes to default_rng itself, which reads it or refuses it as it
     always has, through witnesses' one-row-per-Generator adapter."""
-    entropy = [_entropy_words(key) for key in chunk]
-    if None in entropy:
+    table = _entropy_table(chunk)
+    if table is None:
         return _GeneratorRows([np.random.default_rng(key) for key in chunk])
-    return _PCG64Rows(_seed_states(entropy))
+    return _PCG64Rows(_seed_states(*table))
 
 
 def _keyed_draws(keys, draw):
@@ -432,8 +490,9 @@ def _groups(suite: str, trials: int, seed: int, radii) -> list:
 
 
 def _run_suite(items, residuals, record, order: int) -> _Tracker:
-    """A _Tracker updated with (residual, record) for each item, in item
-    order, one block at a time.
+    """A _Tracker updated with (residual, item, where) for each item, in
+    item order, one block at a time; it forms the record of its worst item
+    only, as ``{**record(item), **where}``, when it reports.
 
     ``residuals(block, order)`` builds the witnesses of a list of items at
     the given truncation order and returns one (residual, where) pair per
@@ -441,8 +500,7 @@ def _run_suite(items, residuals, record, order: int) -> _Tracker:
     say).  A block holds max(1, _COEFF_BUDGET // (order + 1)) items.  An
     item whose residual exceeds the tolerance is rebuilt and re-evaluated
     at doubled order as a block of one and tagged
-    {"reevaluated_order": 2 * order}.  The record is
-    ``{**record(item), **where}``.
+    {"reevaluated_order": 2 * order}.
     """
     tracker = _Tracker()
     rows = max(1, _COEFF_BUDGET // (order + 1))
@@ -452,7 +510,7 @@ def _run_suite(items, residuals, record, order: int) -> _Tracker:
             if res > TOLERANCE:
                 [(res, where)] = residuals([item], 2 * order)
                 where = {**where, "reevaluated_order": 2 * order}
-            tracker.update(res, {**record(item), **where})
+            tracker.update(res, item, where, record)
     return tracker
 
 
@@ -551,9 +609,8 @@ def _group_worst(block, grids: np.ndarray, lhs_rows, *stacks) -> list:
 class _T1Draw(NamedTuple):
     """One t1 trial: its index, variant, the coefficients 0..8 of its
     polynomial outer g and g's degree, and the Blaschke specs of phi and
-    omega.  _run_suite builds its record (_t1_record) when it hands the
-    trial's residual to the tracker, which it does for every trial, so a
-    block holds only the drawn objects."""
+    omega.  A block holds only these drawn objects; the tracker keeps the
+    worst trial and the report forms its record (_t1_record) alone."""
 
     trial: int
     variant: str
@@ -704,11 +761,14 @@ def check_theorem2_odd(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED, o
 
 
 class _T3Draw(NamedTuple):
-    """One t3 trial: its record and the Blaschke specs of h and omega_tilde."""
+    """One t3 trial: its index, the Blaschke specs of h and omega_tilde and
+    the parameter a_extremal of its sharp pair.  The report forms the record
+    of the worst (trial, k) item alone (_t3_record)."""
 
-    record: dict
+    trial: int
     h: DrawnSpec
     omega_tilde: DrawnSpec
+    a_extremal: float
 
 
 def _t3_draws(streams, keys) -> list:
@@ -717,10 +777,18 @@ def _t3_draws(streams, keys) -> list:
     hs = draw_specs(streams, min_zeros=1)
     omega_tildes = draw_specs(streams)
     a_extremal = 0.95 * streams.random(1)[:, 0]
-    return [
-        _T3Draw({"trial": key[-1], "h": _spec_dict(h), "omega_tilde": _spec_dict(w), "a_extremal": a}, h, w)
-        for key, h, w, a in zip(keys, hs, omega_tildes, a_extremal.tolist())
-    ]
+    return [_T3Draw(key[-1], *drawn) for key, *drawn in zip(keys, hs, omega_tildes, a_extremal.tolist())]
+
+
+def _t3_record(item) -> dict:
+    d, k = item
+    return {
+        "trial": d.trial,
+        "h": _spec_dict(d.h),
+        "omega_tilde": _spec_dict(d.omega_tilde),
+        "a_extremal": d.a_extremal,
+        "k": k,
+    }
 
 
 def _t3_witness(block, order: int) -> tuple:
@@ -740,7 +808,7 @@ def _t3_witness(block, order: int) -> tuple:
     del expanded
     # np.hypot rounds as abs() of a Python complex does; np.abs may not
     a0_mods = np.hypot(h[index, 0].real, h[index, 0].imag)
-    a_extremal = np.array([trial.record["a_extremal"] for trial, _ in block])
+    a_extremal = np.array([trial.a_extremal for trial, _ in block])
     return h, index, g, a0_mods, ks, a_extremal
 
 
@@ -774,7 +842,7 @@ def check_theorem3(
     tracker = _run_suite(
         ((params, k) for params in draws for k in k_grid),
         lambda block, n: _row_worst(_t3_residuals(_t3_witness(block, n), grid), grid + grid),
-        lambda item: {**item[0].record, "k": item[1]},
+        _t3_record,
         order,
     )
     return tracker.report("t3", trials, seed, grid)

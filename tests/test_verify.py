@@ -226,29 +226,65 @@ class TestConservativeness:
         # the universal sweep contributes residuals; all must clear tolerance
         assert rep.max_residual <= TOLERANCE
 
-    def test_worst_witness_is_reconstructible_record(self):
+    def test_worst_witness_is_reconstructible_record(self, monkeypatch):
+        trackers = []
+        real_report = verify_mod._Tracker.report
+
+        def report(self, *args, **kwargs):
+            trackers.append(self)
+            return real_report(self, *args, **kwargs)
+
+        monkeypatch.setattr(verify_mod._Tracker, "report", report)
         rep = check_theorem1(30, seed=5)
         w = rep.worst_witness
         assert {"trial", "variant", "r"} <= set(w)
         assert isinstance(w["trial"], int)
+        # the draw rebuilt from the report's JSON is the tracker's worst item
+        rec = json.loads(json.dumps(rep.as_dict()))["worst_witness"]
+        g = np.zeros(verify_mod._T1_OUTER_DEGREE + 1, dtype=np.complex128)
+        g[: len(rec["g"])] = [complex(*c) for c in rec["g"]]
+        rebuilt = verify_mod._T1Draw(
+            rec["trial"], rec["variant"], g, len(rec["g"]) - 1, _drawn_spec(rec["phi"]), _drawn_spec(rec["omega"])
+        )
+        [tracker] = trackers
+        worst, _, _ = tracker.worst
+        assert rebuilt[:2] == worst[:2] and rebuilt.degree == worst.degree
+        assert rebuilt.g.tobytes() == worst.g.tobytes()
+        assert _same_spec(rebuilt.phi, worst.phi) and _same_spec(rebuilt.omega, worst.omega)
+        # and, evaluated alone at the report's order, it gives the report's
+        # residual and radius bit for bit
+        order = rec.get("reevaluated_order", verify_mod.DEFAULT_ORDER)
+        grid = radius_grid(CLASSICAL_CAP, 12)
+        table = verify_mod.theorem1_rows(*verify_mod._t1_witness([rebuilt], order), grid)
+        [(res, at)] = verify_mod._row_worst(table, grid)
+        assert np.float64(res).tobytes() == np.float64(rep.max_residual).tobytes()
+        assert np.float64(at["r"]).tobytes() == np.float64(rec["r"]).tobytes()
 
     def test_grid_constants(self):
         assert radius_grid(UNIVERSAL_RADIUS, 4)[-1] == UNIVERSAL_RADIUS
         assert ANALYTIC_THRESHOLD_A == pytest.approx(0.4641016, abs=1e-7)
 
 
-@pytest.fixture
-def records(monkeypatch):
-    """Every record the suites hand a tracker, in order, each a copy of the
-    witness dict with its residual under "residual"."""
-    seen = []
+def _on_update(monkeypatch, seen):
+    """Call seen(residual, witness) on every update of any _Tracker, in
+    order, the witness being formed here from the item handed in with the
+    record function handed in, {**record(item), **where}, as a report forms
+    its worst one."""
     real_update = verify_mod._Tracker.update
 
-    def recording(self, residual, witness):
-        seen.append({**witness, "residual": residual})
-        real_update(self, residual, witness)
+    def recording(self, residual, item, where=None, record=dict):
+        seen(residual, {**record(item), **(where or {})})
+        real_update(self, residual, item, where, record)
 
     monkeypatch.setattr(verify_mod._Tracker, "update", recording)
+
+
+@pytest.fixture
+def records(monkeypatch):
+    """The record of every item the suites hand a tracker, in order, with
+    its residual under "residual"."""
+    seen = []
+    _on_update(monkeypatch, lambda residual, witness: seen.append({**witness, "residual": residual}))
     return seen
 
 
@@ -365,18 +401,17 @@ class TestRecordOrder:
     @pytest.mark.parametrize("check", [check_theorem5, check_theorem6])
     def test_closed_forms_follow_random_witnesses(self, monkeypatch, check):
         events = []
-        real_update, real_sharp = verify_mod._Tracker.update, verify_mod.sharp_lhs
+        real_sharp = verify_mod.sharp_lhs
 
-        def update(self, residual, witness):
+        def update(residual, witness):
             if "trial" in witness:
                 events.append("random")
-            real_update(self, residual, witness)
 
         def sharp(*args, **kwargs):
             events.append("sharp")
             return real_sharp(*args, **kwargs)
 
-        monkeypatch.setattr(verify_mod._Tracker, "update", update)
+        _on_update(monkeypatch, update)
         monkeypatch.setattr(verify_mod, "sharp_lhs", sharp)
         assert check(trials=24, seed=3, order=8).verdict == "pass"
         assert "sharp" in events
@@ -487,6 +522,12 @@ def _spec(d):
     return BlaschkeSpec(zeros=tuple(complex(*z) for z in d["zeros"]), rotation=complex(*d["rotation"]))
 
 
+def _drawn_spec(d):
+    """The DrawnSpec of a record's spec dict."""
+    zeros = np.array([complex(*z) for z in d["zeros"]], dtype=np.complex128)
+    return witnesses_mod.DrawnSpec(zeros, complex(*d["rotation"]))
+
+
 class TestZeroFreeSpec:
     """Subordination, majorization and the identity inner are the Blaschke
     product without zeros: its bounded row is the constant one and its
@@ -551,8 +592,9 @@ class TestStackedWitnesses:
         rs = np.asarray(grid)
         table = verify_mod._t3_residuals(verify_mod._t3_witness(block, order), grid)
         for (trial, k), row in zip(block, table):
-            h = bounded_from_spec(_spec(trial.record["h"]), order)
-            pair = harmonic_witness(h, k, bounded_from_spec(_spec(trial.record["omega_tilde"]), order))
+            rec = verify_mod._t3_record((trial, k))
+            h = bounded_from_spec(_spec(rec["h"]), order)
+            pair = harmonic_witness(h, k, bounded_from_spec(_spec(rec["omega_tilde"]), order))
             a0 = float(abs(h.coeffs[0]))
             random = np.array(
                 [
@@ -563,7 +605,7 @@ class TestStackedWitnesses:
                     for r in grid
                 ]
             )
-            a = trial.record["a_extremal"]
+            a = rec["a_extremal"]
             sharp_pair = extremal_theorem3(a, k, order)
             sharp = np.abs(
                 theorem3_rational(a, sharp_pair.k, rs)
@@ -635,6 +677,82 @@ class TestNonFiniteResiduals:
             check_theorem2_odd(trials=3, seed=1, order=16)
 
 
+def _fake_suite(monkeypatch, residual_at, items, rows, order=16):
+    """_run_suite over ``items`` in blocks of ``rows``, the residual of an
+    item at an order being residual_at(item, order), located at r = item / 10
+    and recorded as {"trial": item}; also the blocks it evaluated."""
+    monkeypatch.setattr(verify_mod, "_COEFF_BUDGET", rows * (order + 1))
+    blocks = []
+
+    def residuals(block, n):
+        blocks.append(list(block))
+        return [(residual_at(item, n), {"r": item / 10}) for item in block]
+
+    tracker = verify_mod._run_suite(items, residuals, lambda item: {"trial": item}, order)
+    return tracker, blocks
+
+
+class TestDriver:
+    """The driver hands the tracker each item with where its residual lies
+    and forms no record; the report forms the one record of the worst."""
+
+    @pytest.mark.parametrize("trials", [3, 300])
+    @pytest.mark.parametrize(
+        "check, record, specs",
+        [(check_theorem1, "_t1_record", 2), (check_theorem2_odd, "_t2_record", 1), (check_theorem3, "_t3_record", 2)],
+    )
+    def test_only_the_worst_random_witness_is_recorded(self, monkeypatch, check, record, specs, trials):
+        calls = {record: 0, "_spec_dict": 0}
+        for name in calls:
+
+            def counting(*args, _real=getattr(verify_mod, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(verify_mod, name, counting)
+        rep = check(trials=trials, seed=5, order=16)
+        assert "trial" in rep.worst_witness
+        assert calls == {record: 1, "_spec_dict": specs}
+
+    @pytest.mark.parametrize("rows", [1, 2, 6])
+    def test_nan_after_a_larger_maximum_is_refused_by_name(self, monkeypatch, rows):
+        values = [-0.5, 0.0, -0.25, -1.0, float("nan"), -2.0]
+        with pytest.raises(ValueError, match=r"^non-finite residual nan at \{'trial': 4, 'r': 0\.4\}$"):
+            _fake_suite(monkeypatch, lambda item, n: values[item], range(6), rows)
+
+    def test_suite_refuses_nan_that_is_not_the_maximum(self, monkeypatch):
+        real = verify_mod.theorem1_rows
+
+        def poisoned(*args, **kwargs):
+            table = real(*args, **kwargs)
+            table[5, 0] = np.nan
+            return table
+
+        monkeypatch.setattr(verify_mod, "theorem1_rows", poisoned)
+        with pytest.raises(ValueError, match=r"non-finite residual nan at \{'trial': 5, 'variant': 'majorization'"):
+            check_theorem1(trials=9, seed=1, order=16)
+
+    def test_first_of_equal_maxima_across_blocks_is_kept(self, monkeypatch):
+        values = [-1.0, 0.0, -1.0, -1.0, 0.0, -0.0, 0.0]
+        tracker, blocks = _fake_suite(monkeypatch, lambda item, n: values[item], range(7), 3)
+        assert blocks == [[0, 1, 2], [3, 4, 5], [6]]
+        rep = tracker.report("t0", 7, 0, (0.5,))
+        assert rep.worst_witness == {"trial": 1, "r": 0.1}
+        assert rep.max_residual == 0.0
+
+    def test_retried_witness_reported_worst_carries_its_order(self, monkeypatch):
+        def residual_at(item, order):
+            if item != 2:
+                return -1.0
+            return 1.0 if order == 16 else 0.5
+
+        tracker, blocks = _fake_suite(monkeypatch, residual_at, range(5), 4)
+        assert blocks == [[0, 1, 2, 3], [2], [4]]
+        rep = tracker.report("t0", 5, 0, (0.5,))
+        assert rep.worst_witness == {"trial": 2, "r": 0.2, "reevaluated_order": 32}
+        assert rep.max_residual == 0.5 and rep.verdict == "fail"
+
+
 class TestOrderFloor:
     """t1 draws outers of degree up to 8 and t2 outers z*q(z^2) with q of
     degree up to 3, so orders that cannot hold them are refused before any
@@ -691,7 +809,8 @@ class TestColumnarTrials:
             rng = np.random.default_rng((3, 9, t))
             assert _same_spec(d3.h, per_object_spec(rng, 1)) and _same_spec(d3.omega_tilde, per_object_spec(rng))
             a_extremal = rng.uniform(0.0, 0.95)
-            assert np.float64(d3.record["a_extremal"]).tobytes() == np.float64(a_extremal).tobytes()
+            rec = verify_mod._t3_record((d3, 0.0))
+            assert np.float64(rec["a_extremal"]).tobytes() == np.float64(a_extremal).tobytes()
         assert {d.degree for d in t1} == set(range(9)) and {d.degree for d in t2} == set(range(4))
 
     @pytest.mark.parametrize("specs", [1, 2])
@@ -717,13 +836,7 @@ class TestColumnarTrials:
         """The records of a T-trial run are the first records of each
         parameter group (one group for t1-t3) of a 2T-trial run."""
         seen = []
-        real_update = verify_mod._Tracker.update
-
-        def recording(self, residual, witness):
-            seen.append((residual, witness))
-            real_update(self, residual, witness)
-
-        monkeypatch.setattr(verify_mod._Tracker, "update", recording)
+        _on_update(monkeypatch, lambda residual, witness: seen.append((residual, witness)))
 
         def random_records(trials):
             seen.clear()
@@ -912,6 +1025,61 @@ class TestKeyedGenerators:
         assert done.returncode == 0, done.stderr
         assert {report["verdict"] for report in json.loads(done.stdout)["reports"]} == {"pass"}
         assert done.stderr == "False\n"
+
+
+def _suite_keys(suite, trials, seed):
+    """The trial keys of a suite's run, t5's and t6's over four groups."""
+    if suite in ("t5", "t6"):
+        return [key for _, keys in verify_mod._groups(suite, trials, seed, [0.3] * 4) for key in keys]
+    return [(verify_mod.SUITES[suite][0], seed, t) for t in range(trials)]
+
+
+class TestEntropyTable:
+    """The entropy table of a chunk, formed field by field for the suites'
+    keys, holds in each row the words _entropy_words gives its key."""
+
+    CHUNKS = {
+        "one-word seed": _suite_keys("t1", 300, 42),
+        "two-word seed": _suite_keys("t2", 300, 2**32),
+        "three-word seed": _suite_keys("t3", 300, 2**64 + 1),
+        "t5 groups, one-word seed": _suite_keys("t5", 37, 7),
+        "t6 groups, three-word seed": _suite_keys("t6", 37, 2**64 + 1),
+        "t6 groups, two-word seed, one group": _suite_keys("t6", 37, 2**40 + 5)[:9],
+        "one key": [(1, 2**40 + 5, 7)],
+        "zero-field keys": [(), ()],
+        "trial past 2**32": [(1, 0, 2**32 - 1), (1, 0, 2**32)],
+        "keys of several lengths": _TRIAL_KEYS,
+    }
+    FIELD_BY_FIELD = [name for name in CHUNKS if name not in ("trial past 2**32", "keys of several lengths")]
+
+    @pytest.mark.parametrize("name", list(CHUNKS))
+    def test_rows_hold_each_keys_words(self, name):
+        chunk = self.CHUNKS[name]
+        table, lengths = verify_mod._entropy_table(chunk)
+        assert table.dtype == np.uint32 and table.shape == (len(chunk), max(4, int(lengths.max())))
+        assert [row[:n].tolist() for row, n in zip(table, lengths.tolist())] == [
+            verify_mod._entropy_words(key) for key in chunk
+        ]
+        assert not np.any(table[np.arange(table.shape[1]) >= lengths[:, None]])
+        assert (verify_mod._field_words(chunk) is not None) == (name in self.FIELD_BY_FIELD)
+
+    def test_groups_cross_in_the_t5_and_t6_chunks(self):
+        for name in ("t5 groups, one-word seed", "t6 groups, three-word seed"):
+            assert len({key[2] for key in self.CHUNKS[name]}) == 4
+
+    @pytest.mark.parametrize(
+        "chunk",
+        [
+            [(1, -1, 0), (1, -1, 1)],
+            [(1, 0, 0), (1, 0, -1)],
+            [(1, 0, 0), (1, 1.5, 0)],
+            [(1, np.uint64(2**63), 0)],
+            [(1, True, 4), (1, True, 5)],
+            [[1, 0, 0]],
+        ],
+    )
+    def test_keys_without_words_have_no_table(self, chunk):
+        assert verify_mod._entropy_table(chunk) is None
 
 
 class TestDrawnSpecsChecked:
