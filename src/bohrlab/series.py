@@ -22,10 +22,12 @@ per output, which _lead_products forms directly for a whole block at
 once.  The kernels run with numpy's overflow and invalid-value warnings
 off: an overflow leaves inf or nan in the rows, which finite_rows refuses
 wherever it happened.  Blaschke rows are expanded by _blaschke_expansion
-from spec columns (_spec_columns, which makes BlaschkeSpec's checks, the
-bound of every Blaschke witness): the stacked builders of
-bohrlab.witnesses, bounded_rows and schwarz_rows, form the columns once
-and hand them to the expansion, and blaschke_series is its one-row call.
+from spec columns (zeros, counts, rotations), which _spec_columns forms
+from spec objects unchecked: the stacked builders of bohrlab.witnesses, bounded_rows
+and schwarz_rows, take a block's columns, make BlaschkeSpec's checks (the
+bound of every Blaschke witness) on all of them at once through
+_checked_columns and hand them to the expansion, and blaschke_series is
+its one-row call.
 Every disk automorphism series, mobius_series and
 witnesses.extremal_theorem5, is a one-row mobius_rows call made by
 _automorphism, and the automorphism parameters of mobius_rows and of
@@ -135,14 +137,15 @@ class TruncatedSeries:
         arr = np.asarray(self.coeffs, dtype=np.complex128)
         if arr.ndim != 1 or arr.size < 1:
             raise ValueError("coefficient vector must be one-dimensional and non-empty")
-        bad = np.flatnonzero(~np.isfinite(arr))
-        if bad.size:
-            raise ValueError(f"non-finite coefficient at index {int(bad[0])}")
+        # the first bad index is sought only once the cheap test fails
+        if not np.isfinite(arr).all():
+            raise ValueError(f"non-finite coefficient at index {int(np.flatnonzero(~np.isfinite(arr))[0])}")
         if self.exact_degree is not None:
             d = int(self.exact_degree)
             if not 0 <= d <= arr.size - 1:
                 raise ValueError("exact_degree out of range")
-            if d < arr.size - 1 and np.any(arr[d + 1 :] != 0):
+            # any() counts -0.0 as zero, as the comparison != 0 does
+            if arr[d + 1 :].any():
                 raise ValueError("exact_degree set but trailing coefficients are nonzero")
             object.__setattr__(self, "exact_degree", d)
         arr = arr.copy()
@@ -631,18 +634,28 @@ def _check_blaschke(counts, zero_moduli, rotation_moduli):
         raise ValueError(f"rotation must be unimodular (modulus {rotation_moduli[bad][0]:.17g})")
 
 
+def _checked_columns(zeros, counts, rotations) -> tuple:
+    """(zeros, counts, rotations) themselves once every spec they hold has
+    passed BlaschkeSpec's checks, made on the whole block at once: row i
+    holds the spec whose counts[i] zeros lead row i of the (rows, width)
+    array zeros, whatever follows them, and whose rotation is
+    rotations[i]."""
+    live = np.arange(zeros.shape[1]) < counts[:, None]
+    _check_blaschke(counts, np.abs(zeros[live]), np.abs(rotations))
+    return zeros, counts, rotations
+
+
 def _spec_columns(specs) -> tuple:
     """(zeros, counts, rotations) of a sequence of specs, each an object with
-    ``zeros`` and ``rotation`` as BlaschkeSpec has: zeros is a
-    (rows, MAX_BLASCHKE_ZEROS) array holding the zeros of each spec in
-    order and zero after them.  Every spec passes BlaschkeSpec's checks
-    before the array is formed."""
+    ``zeros`` and ``rotation`` as BlaschkeSpec has: zeros holds the zeros of
+    each spec in order and zero after them, in MAX_BLASCHKE_ZEROS columns or
+    as many as the longest spec has.  No check is made here: the builders
+    that expand the columns make BlaschkeSpec's checks (_checked_columns)."""
     counts = np.array([len(spec.zeros) for spec in specs], dtype=np.intp)
     rotations = np.array([spec.rotation for spec in specs], dtype=np.complex128)
     flat = np.concatenate([np.empty(0, dtype=np.complex128), *(spec.zeros for spec in specs)])
-    _check_blaschke(counts, np.abs(flat), np.abs(rotations))
-    zeros = np.zeros((counts.size, MAX_BLASCHKE_ZEROS), dtype=np.complex128)
-    zeros[np.arange(MAX_BLASCHKE_ZEROS) < counts[:, None]] = flat
+    zeros = np.zeros((counts.size, max(MAX_BLASCHKE_ZEROS, int(counts.max(initial=0)))), dtype=np.complex128)
+    zeros[np.arange(zeros.shape[1]) < counts[:, None]] = flat
     return zeros, counts, rotations
 
 
@@ -660,8 +673,9 @@ def blaschke_series(spec: BlaschkeSpec, order: int, vanish_at_origin: bool = Fal
     z when ``vanish_at_origin`` (a valid inner function for composition): a
     one-row _blaschke_expansion call, exact of degree 0 (1 with the factor
     z) when the spec has no zeros.  The spec's one row of columns is formed
-    here, not by _spec_columns: BlaschkeSpec made its checks when built,
-    and repeating them would add about a third to a call at order 16."""
+    here, not by _spec_columns, whose stacking of a sequence of specs would
+    add about a fifth to a call at order 16; BlaschkeSpec made its checks
+    when built."""
     zeros = np.array([spec.zeros], dtype=np.complex128)
     rotations = np.array([spec.rotation], dtype=np.complex128)
     row = _blaschke_expansion(zeros, np.array([zeros.shape[1]]), rotations, order, vanish_at_origin)[0]
@@ -669,7 +683,7 @@ def blaschke_series(spec: BlaschkeSpec, order: int, vanish_at_origin: bool = Fal
 
 
 def _blaschke_expansion(zeros, counts, rotations, order: int, vanish_at_origin: bool = False) -> np.ndarray:
-    """Coefficient rows 0..order of the Blaschke products whose _spec_columns
+    """Coefficient rows 0..order of the Blaschke products whose spec columns
     are zeros, counts and rotations, one row per spec; the kernel of
     blaschke_series and of the stacked builders of bohrlab.witnesses.
 
@@ -716,7 +730,7 @@ def _blaschke_expansion(zeros, counts, rotations, order: int, vanish_at_origin: 
 
 def _schwarz_polynomials(zeros, counts, rotations) -> tuple:
     """(zP, Q) of the inner function z*B(z) = zP(z) / Q(z) of each row of
-    spec columns (_spec_columns), P = rotation * prod(z - a_i) and
+    spec columns (zeros, counts, rotations), P = rotation * prod(z - a_i) and
     Q = prod(1 - conj(a_i) z), as (rows, MAX_BLASCHKE_ZEROS + 2) stacks of
     polynomial coefficients; Q has constant term 1."""
     rows, width = counts.size, MAX_BLASCHKE_ZEROS + 2

@@ -9,15 +9,13 @@ fail a suite.
 
 Every stream is the one np.random.default_rng(key) gives, but the streams
 of a chunk of trials are one vectorised PCG64, _PCG64Rows, with a row per
-trial: numpy's SeedSequence hash of each key (every field as
-little-endian 32-bit words, 0 as one word; the entropy mix into a pool of
-four words; generate_state(4, np.uint64)) is formed with uint32 arrays for
-the whole chunk, whose keys' words are laid out field by field (a shared
-suite id or seed once, a trial or index as one column), and the 128-bit
-LCG steps of all rows are formed with uint64 arrays, so a verify run never
-loads numpy.random.  A chunk with a
-key that is not a tuple of non-negative ints, a negative seed say, is
-seeded by default_rng itself, which refuses such a key with its own error.
+trial: numpy's SeedSequence hash of the keys (every field as
+little-endian 32-bit words, 0 as one word, laid out field by field; the
+mix into a pool of four words; generate_state(4, np.uint64)) is formed
+with uint32 arrays and the 128-bit LCG steps with uint64 arrays, so a
+verify run never loads numpy.random.  A chunk with a key that is not a
+tuple of non-negative ints, a negative seed say, is seeded by
+default_rng itself, which refuses such a key with its own error.
 
 Residuals are "most positive value of LHS - RHS observed"; a suite passes
 when the maximum stays at or below the tolerance.  Left-hand sides are
@@ -26,37 +24,28 @@ the true sums.  A truncated left-hand side can hide a violation that lives
 in the dropped tail, and the doubled-order retry guards only against false
 failures, so a pass is not a certificate for the untruncated functions.
 
-Each suite draws its trials a chunk at a time and column by column: the
-polynomial coefficients, Blaschke zeros and rotations of a chunk are formed
-as arrays from one integer and one run of doubles per trial and spec,
-each drawn for the whole chunk by one call of its streams, with the bits
-and the stream order of per-object Generator draws.  All five suites,
-listed once in SUITES, share one driver, _run_suite, to which each hands
-one function that builds the witnesses of a block as stacked (rows, N+1)
-arrays, through the row kernels of series and witnesses, one per
-construction rule, whose one-row calls are the per-series functions, and
-returns their residuals.
-The driver hands the report's tracker every random witness in trial
-order as its drawn item and the dict that locates its residual; the
-tracker keeps the worst item, and the report forms the one record of that
-item (_t1_record, _t2_record, _t3_record or the suite's own).  t5 and t6
-then add each group's closed-form checks to that tracker as ready dicts,
-in group order, and t5 its universal-radius sweep last; the tracker keeps
-the first of equal maxima.  Subordination, majorization and the identity
-inner are the Blaschke product with no zeros: t1 and t2 expand the
-zero-free spec _ZERO_FREE in place of such a trial's drawn phi or omega.
-t2 builds its outers and inners as rows and only composes each witness on
-its own, through series.compose, the one-row call of compose_rows' kernel,
-whose calls perfbench's traced run counts.  A t5 or t6 witness, a disk
-automorphism of z*B(z), is a rational function of degree at most 5, which
-_automorphisms expands by its denominator's recurrence
-(series.rational_rows) rather than composing, and whose numerator and
-denominator it hands on, so that |h| is the untruncated witness's value.
-Every left-hand side comes from bohrlab.functionals: its theorem*_rows
-functions evaluate a block in one pass, the majorant sums with the bits
-of per-witness, per-radius evaluation, each t5 or t6 row on its own
-group's radius grid, and sharp_lhs sums the sharp witnesses of t3, t5,
-t6 and the certificates in closed form without building a series.
+Each suite draws its trials a chunk at a time as columns: polynomial
+coefficients, Blaschke spec columns (zeros, counts, rotations) and
+parameters, each drawn for the whole chunk by one call of its streams.
+All five suites, listed once in SUITES, share one driver, _run_suite,
+which cuts each chunk into blocks of rows, has the suite build a block's
+witnesses as stacked (rows, N+1) arrays through the row kernels of series
+and witnesses (whose builders check a block's spec columns once) and
+evaluate them to a residual column, and makes one tracker update per
+block, with its first largest residual and the draw tuple of that row
+alone (_T1Draw, _T2Draw, _T3Draw with its k, or _Draw).  The report forms
+the one record of the worst (_t1_record, _t2_record, _t3_record or the
+suite's own).  t5 and t6 then add their groups' closed-form checks, and
+t5 its universal-radius sweep; the tracker keeps the first of equal
+maxima.  Subordination, majorization and the identity inner are the
+Blaschke product with no zeros, to which t1 and t2 mask those rows of
+their spec columns (witnesses._zero_free).  t2 composes each witness on
+its own through series.compose, whose calls perfbench's traced run
+counts.  A t5 or t6 witness, a disk automorphism of z*B(z), is expanded
+from its rational form (_automorphisms), which is handed on so that |h|
+is the untruncated witness's value.  Every left-hand side comes from
+bohrlab.functionals, a block in one pass with the bits of per-witness,
+per-radius evaluation, and sharp ones in closed form (sharp_lhs).
 """
 
 from __future__ import annotations
@@ -90,8 +79,8 @@ from .series import (
     DEFAULT_ORDER,
     TruncatedSeries,
     _automorphism_parameters,
+    _checked_columns,
     _schwarz_polynomials,
-    _spec_columns,
     compose,
     finite_rows,
     rational_rows,
@@ -101,6 +90,8 @@ from .series import (
 from .witnesses import (
     DrawnSpec,
     _GeneratorRows,
+    _spec_row,
+    _zero_free,
     bounded_rows,
     draw_polynomials,
     draw_specs,
@@ -142,12 +133,6 @@ _T2_BASE_DEGREE = 3
 # per convolution output for the whole block, so t5 and t6 blocks are cut
 # by this budget alone and may span parameter groups.
 _COEFF_BUDGET = 2 ** 14
-
-# The Blaschke spec without zeros, of rotation one: its bounded function is
-# the constant one and its inner z*B(z), like z*B(z^2), the identity.  t1's
-# subordination and majorization trials and t2's identity-inner trials
-# expand it in place of the drawn phi or omega.
-_ZERO_FREE = DrawnSpec(np.empty(0, dtype=np.complex128), 1 + 0j)
 
 # Trials are drawn this many at a time; a trial's draws do not depend on
 # the chunk it falls in, so the count bounds only the draws held at once.
@@ -231,17 +216,9 @@ class _Tracker:
 
     def report(self, suite, trials, seed, r_grid, tolerance=TOLERANCE, informational=False, beyond=None):
         verdict = "pass" if self.max_residual <= tolerance else "fail"
+        worst = self._witness(*self.worst)
         return VerificationReport(
-            suite=suite,
-            trials=trials,
-            seed=seed,
-            r_grid=tuple(r_grid),
-            max_residual=self.max_residual,
-            worst_witness=self._witness(*self.worst),
-            verdict=verdict,
-            informational=informational,
-            tolerance=tolerance,
-            beyond_radius=beyond,
+            suite, trials, seed, tuple(r_grid), self.max_residual, worst, verdict, informational, tolerance, beyond
         )
 
 
@@ -459,16 +436,16 @@ def _streams(chunk):
 
 
 def _keyed_draws(keys, draw):
-    """The items of draw(streams, chunk) over consecutive chunks of
-    ``keys``, in order, where row i of streams is the PCG64 stream keyed by
-    chunk[i], as np.random.default_rng(chunk[i]) seeds it."""
+    """draw(streams, chunk) of consecutive chunks of ``keys``, in order,
+    where row i of streams is the PCG64 stream keyed by chunk[i], as
+    np.random.default_rng(chunk[i]) seeds it."""
     keys = iter(keys)
     while chunk := list(itertools.islice(keys, _DRAW_ROWS)):
-        yield from draw(_streams(chunk), chunk)
+        yield draw(_streams(chunk), chunk)
 
 
 def _trial_params(suite: str, draw, trials: int, seed: int):
-    """The items of draw(streams, keys) over the trial keys (suite id, seed, t)."""
+    """The chunks draw(streams, keys) of the trial keys (suite id, seed, t)."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     return _keyed_draws(((SUITES[suite][0], seed, t) for t in range(trials)), draw)
@@ -489,40 +466,60 @@ def _groups(suite: str, trials: int, seed: int, radii) -> list:
     ]
 
 
-def _run_suite(items, residuals, record, order: int) -> _Tracker:
-    """A _Tracker updated with (residual, item, where) for each item, in
-    item order, one block at a time; it forms the record of its worst item
-    only, as ``{**record(item), **where}``, when it reports.
+def _columns(fn, columns):
+    """fn of each array of a nested tuple of arrays, as a nested tuple of
+    the same shape."""
+    return tuple(_columns(fn, c) for c in columns) if isinstance(columns, tuple) else fn(columns)
 
-    ``residuals(block, order)`` builds the witnesses of a list of items at
-    the given truncation order and returns one (residual, where) pair per
-    item, ``where`` being a dict that locates the residual (its radius,
-    say).  A block holds max(1, _COEFF_BUDGET // (order + 1)) items.  An
-    item whose residual exceeds the tolerance is rebuilt and re-evaluated
-    at doubled order as a block of one and tagged
-    {"reevaluated_order": 2 * order}.
-    """
+
+def _run_suite(chunks, residuals, item, record, order: int, unit: int = 1) -> _Tracker:
+    """A _Tracker updated once per block of rows of the column ``chunks``
+    (nested tuples of arrays, the first 1-D): residuals(block, order)
+    builds the block's witnesses and returns (residual column, dict of
+    columns locating each), and the update takes the first largest, the
+    draw tuple item(*_entries(block, j)) of its row j and the row's
+    location ``where``.  A block holds max(1, _COEFF_BUDGET // (order + 1))
+    rows of a chunk, a multiple of ``unit`` where one fits.  In row order,
+    a row over the tolerance is re-evaluated alone at doubled order and
+    tagged {"reevaluated_order": 2 * order}; a non-finite one is refused."""
     tracker = _Tracker()
     rows = max(1, _COEFF_BUDGET // (order + 1))
-    items = iter(items)
-    while block := list(itertools.islice(items, rows)):
-        for item, (res, where) in zip(block, residuals(block, order)):
-            if res > TOLERANCE:
-                [(res, where)] = residuals([item], 2 * order)
-                where = {**where, "reevaluated_order": 2 * order}
-            tracker.update(res, item, where, record)
+    rows = rows // unit * unit or rows
+    for block in (_columns(lambda a: a[i : i + rows], c) for c in chunks for i in range(0, len(c[0]), rows)):
+        res, where = residuals(block, order)
+        retried = {}
+        for j in np.flatnonzero(~(np.isfinite(res) & (res <= TOLERANCE))).tolist():
+            if res[j] > TOLERANCE:
+                again, at = residuals(_columns(lambda a: a[j : j + 1], block), 2 * order)
+                res[j], retried[j] = again[0], {**_row(at, 0), "reevaluated_order": 2 * order}
+            if not math.isfinite(res[j]):
+                break  # the update refuses it
+        else:
+            j = int(np.argmax(res))
+        tracker.update(float(res[j]), item(*_entries(block, j)), retried.get(j) or _row(where, j), record)
     return tracker
 
 
-def _row_worst(table: np.ndarray, points) -> list:
-    """(residual, {"r": point}) at the largest entry of each row of ``table``,
-    whose columns belong to ``points``: one grid for every row, or one per
-    row.  np.argmax keeps the first of equal residuals, as the tracker's
-    strict comparison does."""
+def _row(where: dict, j: int) -> dict:
+    """Entry j of each column of ``where``, as a Python number."""
+    return {name: column[j].item() for name, column in where.items()}
+
+
+def _row_max(table: np.ndarray, points) -> tuple:
+    """(residuals, {"r": radii}): the largest entry of each row of ``table``
+    and the point of its column, the columns belonging to ``points``, one
+    grid for every row or one per row.  np.argmax keeps the first of equal
+    entries, and the first nan, as the tracker's strict comparison does."""
     rows = np.arange(len(table))
     cols = np.argmax(table, axis=1)
     points = np.broadcast_to(np.asarray(points, dtype=np.float64), table.shape)
-    return [(res, {"r": r}) for res, r in zip(table[rows, cols].tolist(), points[rows, cols].tolist())]
+    return table[rows, cols], {"r": points[rows, cols]}
+
+
+def _entries(block, j: int) -> list:
+    """Row j of each column of a block: a Python number of a 1-D column, a
+    row of a 2-D one and a DrawnSpec of spec columns."""
+    return [_spec_row(c, j) if isinstance(c, tuple) else c[j] if c.ndim > 1 else c[j].item() for c in block]
 
 
 class _Draw(NamedTuple):
@@ -537,33 +534,33 @@ class _Draw(NamedTuple):
 
 
 def _pointwise_draws(groups, a_values, specs: int):
-    """The draws of each group in turn: the trial's stream gives the phase
-    first, then ``specs`` Blaschke specs."""
+    """The draws of each group in turn as column chunks (group, trial, phase,
+    a0, ``specs`` spec columns): each stream gives the phase, then the specs."""
 
     def draw(streams, keys):
         phases = (2.0 * np.pi) * streams.random(1)[:, 0]
         drawn = [draw_specs(streams) for _ in range(specs)]
-        a0s = np.array([a_values[key[2]] for key in keys]) * np.exp(1j * phases)
-        return [
-            _Draw(key[2], key[3], phase, a0, tuple(row))
-            for key, phase, a0, *row in zip(keys, phases.tolist(), a0s.tolist(), *drawn)
-        ]
+        group = np.array([key[2] for key in keys])
+        a0s = np.asarray(a_values)[group] * np.exp(1j * phases)
+        return group, np.array([key[3] for key in keys]), phases, a0s, *drawn
 
     return _keyed_draws((key for _, keys in groups for key in keys), draw)
 
 
-def _automorphisms(block, order: int, kind: str) -> tuple:
+def _pointwise_item(*row) -> _Draw:
+    return _Draw(*row[:4], row[4:])
+
+
+def _automorphisms(a0s, specs, order: int, kind: str) -> tuple:
     """(rows, num, den) of the disk automorphism of ``kind``
-    (series.MobiusTag) at the a0 of each draw of a block composed with the
-    inner function z*B(z) = zP/Q of the draw's first spec, after the spec
-    checks _spec_columns makes.  The composition is the rational function
-    num / den, (a0 Q - zP) / (Q - conj(a0) zP) ("minus") or
-    (zP + a0 Q) / (Q + conj(a0) zP) ("plus"), of degree at most 5; rows are
-    its Taylor coefficients 0..order, expanded by rational_rows.  The
-    denominator has no zero in the closed disk while |a0| (1 + 1e-15) < 1:
-    there |zB| <= 1 + 1e-15 (series._check_blaschke)."""
-    a0s = _automorphism_parameters([draw.a0 for draw in block])
-    zp, q = _schwarz_polynomials(*_spec_columns([draw.specs[0] for draw in block]))
+    (series.MobiusTag) at each a0 of ``a0s`` composed with the inner z*B(z)
+    = zP/Q of its row of the spec columns ``specs``, once checked: the rational
+    function num / den, (a0 Q - zP) / (Q - conj(a0) zP) ("minus") or
+    (zP + a0 Q) / (Q + conj(a0) zP) ("plus"), of degree at most 5, and its
+    Taylor rows 0..order (rational_rows).  The denominator has no zero in
+    the closed disk while |a0| (1 + 1e-15) < 1: there |zB| <= 1 + 1e-15."""
+    a0s = _automorphism_parameters(a0s)
+    zp, q = _schwarz_polynomials(*_checked_columns(*specs))
     sign = 1.0 if kind == "plus" else -1.0
     num = a0s[:, None] * q + sign * zp
     den = q + sign * np.conj(a0s)[:, None] * zp
@@ -592,13 +589,11 @@ def _probe_beyond(tracker: _Tracker, theorem: str, where: dict, radius: float) -
     return {**where, "r": r, "lhs": lhs}
 
 
-def _group_worst(block, grids: np.ndarray, lhs_rows, *stacks) -> list:
-    """(residual, where) of each draw of a block, the residual being the
-    left-hand side lhs_rows(*stacks, rs) less one, where row i of rs is the
-    radius grid grids[g] of the group g of draw i: a block that spans
-    groups is one call."""
-    rs = grids[[draw.group for draw in block]]
-    return _row_worst(lhs_rows(*stacks, rs) - 1.0, rs)
+def _group_worst(block, grids: np.ndarray, lhs_rows, *stacks) -> tuple:
+    """_row_max of lhs_rows(*stacks, rs) - 1 of a block of draws, row i of rs
+    being the radius grid of draw i's group: a block may span groups."""
+    rs = grids[block[0]]
+    return _row_max(lhs_rows(*stacks, rs) - 1.0, rs)
 
 
 # ----------------------------------------------------------------------
@@ -607,28 +602,26 @@ def _group_worst(block, grids: np.ndarray, lhs_rows, *stacks) -> list:
 
 
 class _T1Draw(NamedTuple):
-    """One t1 trial: its index, variant, the coefficients 0..8 of its
-    polynomial outer g and g's degree, and the Blaschke specs of phi and
-    omega.  A block holds only these drawn objects; the tracker keeps the
-    worst trial and the report forms its record (_t1_record) alone."""
+    """One t1 trial, a row of _t1_draws' columns: its index (which gives its
+    variant), the coefficients 0..8 of its polynomial outer g and g's
+    degree, and the Blaschke specs of phi and omega."""
 
     trial: int
-    variant: str
     g: np.ndarray
     degree: int
     phi: DrawnSpec
     omega: DrawnSpec
 
+    @property
+    def variant(self) -> str:
+        return ("general", "subordination", "majorization")[self.trial % 3]
 
-def _t1_draws(streams, keys) -> list:
-    """The t1 trials keyed by ``keys``: each stream gives g, then phi, then omega."""
+
+def _t1_draws(streams, keys) -> tuple:
+    """The t1 trials keyed by ``keys`` as columns (trial, g, degree, phi,
+    omega): each stream gives g, then phi, then omega."""
     g, degrees = draw_polynomials(streams, _T1_OUTER_DEGREE)
-    phis, omegas = draw_specs(streams), draw_specs(streams)
-    variants = ("general", "subordination", "majorization")
-    return [
-        _T1Draw(key[-1], variants[key[-1] % 3], *drawn)
-        for key, *drawn in zip(keys, g, degrees, phis, omegas)
-    ]
+    return np.array([key[-1] for key in keys]), g, degrees, draw_specs(streams), draw_specs(streams)
 
 
 def _t1_record(d: _T1Draw) -> dict:
@@ -644,15 +637,14 @@ def _t1_record(d: _T1Draw) -> dict:
 def _t1_witness(block, order: int) -> tuple:
     """(f rows, g rows) of a block of t1 trials: the composition
     f = phi * g(omega) and the coefficients 0..8 of its outer g.  A
-    subordination trial expands the zero-free spec _ZERO_FREE in place of
-    its phi (the constant one) and a majorization trial in place of its
-    omega (the identity z); the drawn specs stay in the trial's record.  A
-    majorant sum over g's 9 columns has the bits of one over its order-N
-    series: Horner keeps +0.0 through zero tops."""
-    phi = bounded_rows([_ZERO_FREE if d.variant == "subordination" else d.phi for d in block], order)
-    omega = schwarz_rows([_ZERO_FREE if d.variant == "majorization" else d.omega for d in block], order)
-    g = np.stack([d.g for d in block])
-    return quasi_rows(g, [d.degree for d in block], phi, omega), g
+    subordination trial's phi is masked to the constant one and a
+    majorization trial's omega to z (_zero_free); its record keeps the
+    drawn specs.  A majorant sum over g's 9 columns has the bits of one
+    over its order-N series: Horner keeps +0.0 through zero tops."""
+    trial, g, degrees, phi, omega = block
+    phi = bounded_rows(_zero_free(phi, trial % 3 == 1), order)
+    omega = schwarz_rows(_zero_free(omega, trial % 3 == 2), order)
+    return quasi_rows(g, degrees, phi, omega), g
 
 
 def check_theorem1(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED, order: int = DEFAULT_ORDER) -> VerificationReport:
@@ -668,9 +660,9 @@ def check_theorem1(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED, order
     grid = radius_grid(CLASSICAL_CAP, 12)
 
     def residuals(block, n):
-        return _row_worst(theorem1_rows(*_t1_witness(block, n), grid), grid)
+        return _row_max(theorem1_rows(*_t1_witness(block, n), grid), grid)
 
-    tracker = _run_suite(draws, residuals, _t1_record, order)
+    tracker = _run_suite(draws, residuals, _T1Draw, _t1_record, order)
     return tracker.report("t1", trials, seed, grid)
 
 
@@ -679,23 +671,25 @@ def check_theorem1(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED, order
 
 
 class _T2Draw(NamedTuple):
-    """One t2 trial: its index, the coefficients 0..3 of its base q and q's
-    degree, the Blaschke spec of its inner and whether the inner is z."""
+    """One t2 trial, a row of _t2_draws' columns: its index (which tells
+    whether the inner is z), the coefficients 0..3 of its base q and q's
+    degree and the Blaschke spec of its inner."""
 
     trial: int
     q: np.ndarray
     degree: int
     omega: DrawnSpec
-    identity_inner: bool
+
+    @property
+    def identity_inner(self) -> bool:
+        return self.trial % 5 == 0
 
 
-def _t2_draws(streams, keys) -> list:
-    """The t2 trials keyed by ``keys``: each stream gives q, then omega's spec."""
+def _t2_draws(streams, keys) -> tuple:
+    """The t2 trials keyed by ``keys`` as columns (trial, q, degree, omega):
+    each stream gives q, then omega's spec."""
     q, degrees = draw_polynomials(streams, _T2_BASE_DEGREE)
-    omegas = draw_specs(streams)
-    return [
-        _T2Draw(key[-1], *drawn, key[-1] % 5 == 0) for key, *drawn in zip(keys, q, degrees, omegas)
-    ]
+    return np.array([key[-1] for key in keys]), q, degrees, draw_specs(streams)
 
 
 def _t2_record(d: _T2Draw) -> dict:
@@ -709,26 +703,23 @@ def _t2_record(d: _T2Draw) -> dict:
 
 def _t2_rows(block, order: int) -> tuple:
     """(f rows, g rows) of a block of t2 trials: the outers g = z*q(z^2) and
-    the inners z*B(z^2) are built as rows, an identity-inner trial
-    expanding the zero-free spec _ZERO_FREE (whose inner is z) in place of
-    its drawn one, and each odd composition f = g(omega) through compose."""
-    g = odd_rows(np.stack([d.q for d in block]), order)
-    omega = schwarz_rows([_ZERO_FREE if d.identity_inner else d.omega for d in block], order, odd=True)
-    f = [
-        compose(TruncatedSeries(outer, exact_degree=2 * d.degree + 1), TruncatedSeries(inner)).coeffs
-        for d, outer, inner in zip(block, g, omega)
-    ]
+    the inners z*B(z^2), z for an identity-inner trial (_zero_free), are
+    built as rows, and each odd composition f = g(omega) through compose."""
+    trial, q, degrees, omega = block
+    g = odd_rows(q, order)
+    omega = schwarz_rows(_zero_free(omega, trial % 5 == 0), order, odd=True)
+    rows = zip(degrees.tolist(), g, omega)
+    f = [compose(TruncatedSeries(outer, exact_degree=2 * d + 1), TruncatedSeries(inner)).coeffs for d, outer, inner in rows]
     return np.stack(f), g
 
 
-def _t2_residual(f: np.ndarray, g: np.ndarray, grid) -> list:
-    """One (residual, where) pair per row of (rows, N+1) stacks of odd pairs
-    f and g: the largest excess of a partial majorant sum of f over g's on
-    the grid, or f's even-coefficient leak when that is larger.  ``where``
-    maps "r", "partial_sum_length" and "even_leak" to Python numbers.  The
-    first of equal excesses in (radius, length) order is kept, as np.argmax
-    over one pair's flattened table does; the table is formed one radius at
-    a time to keep a block's memory small."""
+def _t2_residual(f: np.ndarray, g: np.ndarray, grid) -> tuple:
+    """(residuals, where) of (rows, N+1) stacks of odd pairs f and g: per
+    row, the largest excess of a partial majorant sum of f over g's on the
+    grid, or f's even-coefficient leak when that is larger, located by the
+    columns "r", "partial_sum_length" and "even_leak".  The first of equal
+    excesses in (radius, length) order is kept; the table is formed one
+    radius at a time to keep a block's memory small."""
     leak = np.max(np.abs(f[:, 0::2]), axis=1)
     lengths, tops = [], []
     for r in grid:
@@ -737,8 +728,9 @@ def _t2_residual(f: np.ndarray, g: np.ndarray, grid) -> list:
         tops.append(np.max(gaps, axis=1))
     tops, lengths = np.stack(tops, axis=1), np.stack(lengths, axis=1)
     i, rows = np.argmax(tops, axis=1), np.arange(len(f))
-    columns = zip(tops[rows, i].tolist(), np.asarray(grid)[i].tolist(), (lengths[rows, i] + 1).tolist(), leak.tolist())
-    return [(max(worst, lk), {"r": r, "partial_sum_length": m, "even_leak": lk}) for worst, r, m, lk in columns]
+    worst = tops[rows, i]
+    where = {"r": np.asarray(grid)[i], "partial_sum_length": lengths[rows, i] + 1, "even_leak": leak}
+    return np.where(leak > worst, leak, worst), where  # max(worst, leak), the first of equals
 
 
 def check_theorem2_odd(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED, order: int = DEFAULT_ORDER) -> VerificationReport:
@@ -752,7 +744,7 @@ def check_theorem2_odd(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED, o
         raise ValueError(f"t2 needs order >= {2 * _T2_BASE_DEGREE + 1}, the degree of its outers z*q(z^2)")
     draws = _trial_params("t2", _t2_draws, trials, seed)
     grid = radius_grid(ODD_CAP, 12)
-    tracker = _run_suite(draws, lambda block, n: _t2_residual(*_t2_rows(block, n), grid), _t2_record, order)
+    tracker = _run_suite(draws, lambda block, n: _t2_residual(*_t2_rows(block, n), grid), _T2Draw, _t2_record, order)
     return tracker.report("t2", trials, seed, grid)
 
 
@@ -761,9 +753,9 @@ def check_theorem2_odd(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED, o
 
 
 class _T3Draw(NamedTuple):
-    """One t3 trial: its index, the Blaschke specs of h and omega_tilde and
-    the parameter a_extremal of its sharp pair.  The report forms the record
-    of the worst (trial, k) item alone (_t3_record)."""
+    """One t3 trial, a row of _t3_draws' columns: its index, the Blaschke
+    specs of h and omega_tilde and the parameter a_extremal of its sharp
+    pair.  An item is a trial with one k (_t3_item, _t3_record)."""
 
     trial: int
     h: DrawnSpec
@@ -771,13 +763,24 @@ class _T3Draw(NamedTuple):
     a_extremal: float
 
 
-def _t3_draws(streams, keys) -> list:
-    """The t3 trials keyed by ``keys``: each stream gives h's spec (at least
-    one zero), omega_tilde's, then a_extremal uniform on [0, 0.95)."""
+def _t3_draws(streams, keys) -> tuple:
+    """The t3 trials keyed by ``keys`` as columns (trial, h, omega_tilde,
+    a_extremal): each stream gives h's spec (at least one zero),
+    omega_tilde's, then a_extremal uniform on [0, 0.95)."""
     hs = draw_specs(streams, min_zeros=1)
     omega_tildes = draw_specs(streams)
-    a_extremal = 0.95 * streams.random(1)[:, 0]
-    return [_T3Draw(key[-1], *drawn) for key, *drawn in zip(keys, hs, omega_tildes, a_extremal.tolist())]
+    return np.array([key[-1] for key in keys]), hs, omega_tildes, 0.95 * streams.random(1)[:, 0]
+
+
+def _by_k(chunk, k_grid) -> tuple:
+    """The t3 columns of a chunk of trials with a row per (trial, k), trial
+    by trial, and the column of the rows' k last."""
+    index = np.repeat(np.arange(len(chunk[0])), len(k_grid))
+    return (*_columns(lambda a: a[index], chunk), np.tile(np.array(k_grid), len(chunk[0])))
+
+
+def _t3_item(*row) -> tuple:
+    return _T3Draw(*row[:-1]), row[-1]
 
 
 def _t3_record(item) -> dict:
@@ -793,22 +796,19 @@ def _t3_record(item) -> dict:
 
 def _t3_witness(block, order: int) -> tuple:
     """(h rows, row of h per item, g rows, |h(0)|, k, a_extremal) of a block
-    of t3 items (trial, k).  Each trial's h and omega_tilde are expanded,
-    and omega_tilde * h' convolved, once per block for all its k values; g
-    is the co-analytic part of the random pair of each item."""
-    trials, index = [], []
-    for trial, _ in block:
-        if not trials or trial is not trials[-1]:
-            trials.append(trial)
-        index.append(len(trials) - 1)
-    expanded = bounded_rows([t.h for t in trials] + [t.omega_tilde for t in trials], order)
-    h = finite_rows(expanded[: len(trials)].copy())
-    ks = np.array([k for _, k in block])
-    g = harmonic_rows(h, ks, expanded[len(trials) :], index)
+    of t3 rows (_by_k), one per item (trial, k).  Each trial's h and
+    omega_tilde are expanded, and omega_tilde * h' convolved, once per
+    block for all its k values; g is the co-analytic part of the random
+    pair of each item."""
+    trial, hs, omega_tildes, a_extremal, ks = block
+    starts = np.diff(trial, prepend=-1) != 0
+    first, index = np.flatnonzero(starts), np.cumsum(starts) - 1
+    expanded = bounded_rows(tuple(np.concatenate((a[first], b[first])) for a, b in zip(hs, omega_tildes)), order)
+    h = finite_rows(expanded[: len(first)].copy())
+    g = harmonic_rows(h, ks, expanded[len(first) :], index)
     del expanded
     # np.hypot rounds as abs() of a Python complex does; np.abs may not
     a0_mods = np.hypot(h[index, 0].real, h[index, 0].imag)
-    a_extremal = np.array([trial.a_extremal for trial, _ in block])
     return h, index, g, a0_mods, ks, a_extremal
 
 
@@ -839,12 +839,10 @@ def check_theorem3(
         raise ValueError("k_grid must not be empty")
     unit_interval("k_grid values", k_grid, closed=True)
     grid = radius_grid(CLASSICAL_CAP, 12)
-    tracker = _run_suite(
-        ((params, k) for params in draws for k in k_grid),
-        lambda block, n: _row_worst(_t3_residuals(_t3_witness(block, n), grid), grid + grid),
-        _t3_record,
-        order,
-    )
+    def residuals(block, n):
+        return _row_max(_t3_residuals(_t3_witness(block, n), grid), grid + grid)
+
+    tracker = _run_suite((_by_k(c, k_grid) for c in draws), residuals, _t3_item, _t3_record, order, unit=len(k_grid))
     return tracker.report("t3", trials, seed, grid)
 
 
@@ -856,7 +854,8 @@ def _t5_witness(block, order: int) -> tuple:
     """(f rows, num, den) of a block of draws: the sharp witness at each
     draw's a0 composed with the Schwarz function of its spec, with its
     rational form num / den."""
-    return _automorphisms(block, order, "minus")
+    _, _, _, a0s, specs = block
+    return _automorphisms(a0s, specs, order, "minus")
 
 
 def check_theorem5(
@@ -884,6 +883,7 @@ def check_theorem5(
     tracker = _run_suite(
         _pointwise_draws(groups, a_grid, 1),
         lambda block, n: _group_worst(block, grids, theorem5_rows, *_t5_witness(block, n)),
+        _pointwise_item,
         lambda d: {"a": a_grid[d.group], "trial": d.trial, "phase": d.phase, "omega": _spec_dict(d.specs[0])},
         order,
     )
@@ -914,8 +914,9 @@ def _t6_witness(block, order: int, ks) -> tuple:
     ks: h is the disk automorphism at the draw's a0 composed with the
     Schwarz function of its first spec, num / den its rational form, and g
     the co-analytic part built with the bounded function of its second."""
-    h, num, den = _automorphisms(block, order, "plus")
-    return h, num, den, harmonic_rows(h, ks, bounded_rows([draw.specs[1] for draw in block], order))
+    _, _, _, a0s, specs, tilde_specs = block
+    h, num, den = _automorphisms(a0s, specs, order, "plus")
+    return h, num, den, harmonic_rows(h, ks, bounded_rows(tilde_specs, order))
 
 
 def check_theorem6(
@@ -948,12 +949,11 @@ def check_theorem6(
             a_values = tuple(float(a) for a in a_grid)
         pairs.extend((a, k) for a in a_values)
     groups = _groups("t6", trials, seed, [_sharp_radius("t6", a, k) for a, k in pairs])
-    grids = np.array([rs for rs, _ in groups])
+    grids, ks = np.array([rs for rs, _ in groups]), np.array([k for _, k in pairs])
     tracker = _run_suite(
         _pointwise_draws(groups, [a for a, _ in pairs], 2),
-        lambda block, n: _group_worst(
-            block, grids, theorem6_rows, *_t6_witness(block, n, [pairs[d.group][1] for d in block])
-        ),
+        lambda block, n: _group_worst(block, grids, theorem6_rows, *_t6_witness(block, n, ks[block[0]])),
+        _pointwise_item,
         lambda d: {"a": pairs[d.group][0], "k": pairs[d.group][1], "trial": d.trial, "phase": d.phase},
         order,
     )

@@ -3,11 +3,14 @@
 Boundedness of random witnesses is certified structurally - they are built
 from finite Blaschke products, whose modulus cannot exceed one on the disk
 once the spec has passed BlaschkeSpec's checks (series._check_blaschke
-gives the argument).  A stacked builder forms the spec columns
-(series._spec_columns, which makes those checks) once per call and hands
-them to the Blaschke expansion, so a bad spec is refused before any
-expansion runs.  The extremal automorphisms come from
-series._automorphism, the one home of their exact-degree rule.
+gives the argument).  Specs are drawn, and handed to the stacked builders,
+as spec columns (zeros, counts, rotations), one row per spec; a builder
+makes those checks on a whole block of columns at once
+(series._checked_columns) and hands them to the Blaschke expansion, so a
+bad spec is refused before any expansion runs.  The one-row builders form
+their spec's columns with series._spec_columns.  The extremal
+automorphisms come from series._automorphism, the one home of their
+exact-degree rule.
 
 Each construction rule has one row kernel: bounded_rows and schwarz_rows
 for the bounded and inner functions of Blaschke specs, harmonic_rows for
@@ -34,6 +37,7 @@ from .series import (
     TruncatedSeries,
     _automorphism,
     _blaschke_expansion,
+    _checked_columns,
     _require_same_order,
     _spec_columns,
     compose,
@@ -132,12 +136,26 @@ def _check_convolution_identity(g_rows, phi_rows, omega_rows, f_rows):
 
 
 class DrawnSpec(NamedTuple):
-    """A drawn Blaschke spec: its zeros as a 1-D array and its rotation.
-    It is not checked when drawn; series._spec_columns makes BlaschkeSpec's
-    checks on every spec the builders expand."""
+    """One row of drawn spec columns (_spec_row), as a trial's record holds
+    it: its zeros as a 1-D array and its rotation.  It is not checked when
+    drawn; the builders check the columns they expand."""
 
     zeros: np.ndarray
     rotation: complex
+
+
+def _spec_row(columns, i: int) -> DrawnSpec:
+    """Row i of spec columns (zeros, counts, rotations) as a DrawnSpec."""
+    zeros, counts, rotations = columns
+    return DrawnSpec(zeros[i, : counts[i]], complex(rotations[i]))
+
+
+def _zero_free(columns, mask) -> tuple:
+    """Spec columns whose rows marked in ``mask`` hold the Blaschke product
+    without zeros, of rotation one: its bounded function is the constant
+    one and its inner z*B(z), like z*B(z^2), the identity."""
+    zeros, counts, rotations = columns
+    return zeros, np.where(mask, 0, counts), np.where(mask, 1 + 0j, rotations)
 
 
 class _GeneratorRows:
@@ -170,7 +188,7 @@ def _polar_runs(streams, lo: int, hi: int, extra: int, tail: int, width: int, ca
     of verify's PCG64 streams): a count n uniform on [lo, hi], then one run
     of 2 (n + extra) + tail doubles uniform on [0, 1), read as n + extra
     modulus fractions m, as many phase fractions p and ``tail`` more.
-    Returns (counts, points, tails): (rows, width) points
+    Returns (counts, points, tails): an array of the counts, (rows, width) points
     cap * m * exp(2 pi i p), formed only for each row's n + extra pairs and
     zero past them, and (rows, tail) tails.
 
@@ -185,21 +203,22 @@ def _polar_runs(streams, lo: int, hi: int, extra: int, tail: int, width: int, ca
     points = np.zeros((len(used), width), dtype=np.complex128)
     points[rows, cols] = (cap * runs[rows, cols]) * np.exp(1j * ((2.0 * np.pi) * runs[rows, used[rows] + cols]))
     tails = runs[np.arange(len(used))[:, None], 2 * used[:, None] + np.arange(tail)]
-    return counts.tolist(), points, tails
+    return counts, points, tails
 
 
-def draw_specs(streams, min_zeros: int = 0, max_zeros: int = MAX_BLASCHKE_ZEROS) -> list:
-    """One spec from each row of ``streams``, as draw_blaschke_spec draws
-    it, with the zeros and rotations of all rows formed at once."""
+def draw_specs(streams, min_zeros: int = 0, max_zeros: int = MAX_BLASCHKE_ZEROS) -> tuple:
+    """The spec columns (zeros, counts, rotations) of one spec from each
+    row of ``streams``, as draw_blaschke_spec draws it, formed for all rows
+    at once: zeros has max_zeros columns, zero past each count."""
     counts, zeros, turns = _polar_runs(streams, min_zeros, max_zeros, 0, 1, max_zeros, BLASCHKE_ZERO_CAP)
-    rotations = np.exp(1j * ((2.0 * np.pi) * turns[:, 0]))
-    return [DrawnSpec(row[:n], rot) for row, n, rot in zip(zeros, counts, rotations.tolist())]
+    return zeros, counts, np.exp(1j * ((2.0 * np.pi) * turns[:, 0]))
 
 
 def draw_polynomials(streams, max_degree: int = 8, coeff_cap: float = 2.0) -> tuple:
     """(coefficient rows, degrees) of one polynomial from each row of
     ``streams``, as draw_polynomial draws it: the rows have max_degree + 1
-    columns, zero past each degree, and are checked finite."""
+    columns, zero past each degree, and are checked finite; the degrees are
+    an array."""
     degrees, coeffs, _ = _polar_runs(streams, 0, max_degree, 1, 0, max_degree + 1, coeff_cap)
     return finite_rows(coeffs), degrees
 
@@ -208,7 +227,7 @@ def draw_blaschke_spec(rng: np.random.Generator, min_zeros: int = 0, max_zeros: 
     """Draw zeros (count uniform on [min_zeros, max_zeros], moduli uniform on
     [0, 0.9), phases uniform) and a uniform rotation.  A one-row draw_specs
     call."""
-    [spec] = draw_specs(_GeneratorRows([rng]), min_zeros, max_zeros)
+    spec = _spec_row(draw_specs(_GeneratorRows([rng]), min_zeros, max_zeros), 0)
     return BlaschkeSpec(zeros=tuple(spec.zeros), rotation=spec.rotation)
 
 
@@ -224,26 +243,27 @@ def draw_polynomial(
 def bounded_from_spec(spec: BlaschkeSpec, order: int = DEFAULT_ORDER) -> TruncatedSeries:
     """Series of the bounded analytic witness defined by a Blaschke product:
     a one-row bounded_rows call, exact of degree 0 when B has no zeros."""
-    return TruncatedSeries(bounded_rows([spec], order)[0], exact_degree=None if len(spec.zeros) else 0)
+    return TruncatedSeries(bounded_rows(_spec_columns([spec]), order)[0], exact_degree=None if len(spec.zeros) else 0)
 
 
 def schwarz_from_spec(spec: BlaschkeSpec, odd: bool = False, order: int = DEFAULT_ORDER) -> TruncatedSeries:
     """Inner function z*B(z) (or z*B(z^2) when odd) from a Blaschke spec: a
     one-row schwarz_rows call, exact of degree 1 when B has no zeros."""
-    return TruncatedSeries(schwarz_rows([spec], order, odd)[0], exact_degree=None if len(spec.zeros) else 1)
+    return TruncatedSeries(schwarz_rows(_spec_columns([spec]), order, odd)[0], exact_degree=None if len(spec.zeros) else 1)
 
 
-def bounded_rows(specs, order: int) -> np.ndarray:
-    """Stacked bounded_from_spec coefficients, one row per spec, bit for bit.
-    One _spec_columns pass checks every spec and feeds the expansion."""
-    return _blaschke_expansion(*_spec_columns(specs), order)
+def bounded_rows(columns, order: int) -> np.ndarray:
+    """Stacked bounded_from_spec coefficients, one row per spec of the spec
+    columns (zeros, counts, rotations), bit for bit.  One check of all the
+    columns (series._checked_columns) precedes the expansion."""
+    return _blaschke_expansion(*_checked_columns(*columns), order)
 
 
-def schwarz_rows(specs, order: int, odd: bool = False) -> np.ndarray:
+def schwarz_rows(columns, order: int, odd: bool = False) -> np.ndarray:
     """Stacked schwarz_from_spec coefficients, z*B(z) or, when odd, z*B(z^2),
-    one row per spec, bit for bit.  One _spec_columns pass checks every spec
-    and feeds the expansion."""
-    columns = _spec_columns(specs)
+    one row per spec of the spec columns (zeros, counts, rotations), bit
+    for bit.  One check of all the columns precedes the expansion."""
+    columns = _checked_columns(*columns)
     if odd:
         return odd_rows(_blaschke_expansion(*columns, max(order // 2, 1)), order)
     return _blaschke_expansion(*columns, order, vanish_at_origin=True)

@@ -587,6 +587,27 @@ class TestVerifyCommand:
             "e67a113ad4f2df5dde9699f2a25fd85f66595cd76ec38070521a58002d522896"
         )
 
+    # Same, for one suite at 1100 trials, recorded before the suites handed
+    # the tracker one update per column block: the trials cross the
+    # 1024-trial draw chunk, which ends inside the fifth block of t1's 252
+    # rows and the thirteenth of t3's 84 trials (252 rows), so the chunk's
+    # last block is short.  At order 65 t3's budget of 248 rows is not a
+    # multiple of its 3 k values.
+    @pytest.mark.parametrize(
+        "suite, order, seed, digest",
+        [
+            ("t1", "64", "0", "1ea452ab692647cf3811120f6a8763190dbca74ba2004fec7e8f401f44dbf024"),
+            ("t3", "64", "0", "ecfe6c811ff19549f4a03b6c7780ab8c69913f533bbcc0fd1483c4c4ed5455fb"),
+            ("t3", "65", "3", "23523ab73e3b8864c56ae549a7a411ab76f3d3141ab0f32a255ebc83fe17535e"),
+        ],
+    )
+    def test_golden_chunk_crossing_report_bytes(self, capsys, suite, order, seed, digest):
+        code, out, _ = run_cli(
+            capsys, "verify", "--suite", suite, "--order", order, "--trials", "1100", "--seed", seed
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     @pytest.mark.parametrize("suite", ["t1", "t5", "all"])
     def test_negative_seed_refused(self, capsys, suite):
         code, out, err = run_cli(capsys, "verify", "--suite", suite, "--trials", "3", "--seed", "-1")

@@ -27,7 +27,7 @@ from bohrlab.series import (
     make_series,
     mobius_series,
 )
-from bohrlab.verify import _automorphisms, _Draw
+from bohrlab.verify import _automorphisms
 from bohrlab.witnesses import (
     DrawnSpec,
     bounded_from_spec,
@@ -350,17 +350,15 @@ class TestPointwiseRows:
         a0s = [0.95, 0.8j, -0.5 + 0.3j]
         zeros = [0.9 * np.exp(0.01j * j) for j in range(4)]
         specs = [DrawnSpec(np.array(zeros[: i + 2]), np.exp(0.4j * i)) for i in range(len(a0s))]
-        block = [_Draw(0, i, 0.0, a0, (spec,)) for i, (a0, spec) in enumerate(zip(a0s, specs))]
-        rows, num, den = _automorphisms(block, 16, kind)
+        rows, num, den = _automorphisms(a0s, _spec_columns(specs), 16, kind)
         rs = np.array([0.2, 0.3, 1 / 3])
         got = functionals._max_modulus_rows(num, den, rs)
         truncated = np.abs(evaluate_rows(rows, rs[:, None] * functionals._PHASES)).max(axis=-1)
         assert np.max(np.abs(truncated - got)) > 1e-14
         sign = 1 if kind == "plus" else -1
         with mpmath.workdps(50):
-            for i, draw in enumerate(block):
-                a0 = mpmath.mpc(draw.a0.real, draw.a0.imag)
-                spec = draw.specs[0]
+            for i, (a0, spec) in enumerate(zip(a0s, specs)):
+                a0 = mpmath.mpc(complex(a0).real, complex(a0).imag)
 
                 def h(z):
                     b = mpmath.mpc(spec.rotation.real, spec.rotation.imag)

@@ -7,6 +7,7 @@ from bohrlab import series
 from bohrlab.series import (
     BlaschkeSpec,
     _blaschke_expansion,
+    _checked_columns,
     _lead_products,
     _matmul_rows,
     _spec_columns,
@@ -32,7 +33,7 @@ from bohrlab.series import (
     rational_rows,
     scale,
 )
-from bohrlab.verify import _automorphisms, _Draw
+from bohrlab.verify import _automorphisms
 from bohrlab.witnesses import (
     DrawnSpec,
     bounded_rows,
@@ -88,6 +89,26 @@ class TestMakeSeries:
     def test_too_many_coefficients(self):
         with pytest.raises(ValueError):
             make_series([1, 2, 3], 1)
+
+    @pytest.mark.parametrize("degree", [0, 1, 3])
+    def test_exact_degree_checks_every_trailing_coefficient(self, degree):
+        # the first, a middle and the last coefficient past the degree,
+        # each in either part; signed zeros count as zeros
+        for index in sorted({degree + 1, 4, 5}):
+            for value in (1e-300, 1e-300j):
+                coeffs = np.zeros(6, dtype=np.complex128)
+                coeffs[index] = value
+                with pytest.raises(ValueError, match="^exact_degree set but trailing coefficients are nonzero$"):
+                    TruncatedSeries(coeffs, exact_degree=degree)
+        signed = np.array([1.0, 2.0, 3.0, 4.0, complex(-0.0, 0.0), complex(0.0, -0.0)])
+        assert TruncatedSeries(signed, exact_degree=3).exact_degree == 3
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(np.inf, 0.0)])
+    def test_first_non_finite_index_named(self, bad):
+        coeffs = np.ones(6, dtype=np.complex128)
+        coeffs[2] = coeffs[4] = bad
+        with pytest.raises(ValueError, match="^non-finite coefficient at index 2$"):
+            TruncatedSeries(coeffs)
 
     def test_instances_are_immutable(self):
         s = make_series([1, 2], 4)
@@ -290,7 +311,7 @@ class TestRowKernels:
         for build, vanish in ((bounded_rows, False), (schwarz_rows, True)):
             expected = np.stack([per_object_blaschke(s.zeros, s.rotation, order, vanish) for s in specs])
             one_row = np.stack([blaschke_series(s, order, vanish_at_origin=vanish).coeffs for s in specs])
-            got = build(specs, order)
+            got = build(_spec_columns(specs), order)
             assert got.tobytes() == expected.tobytes() == one_row.tobytes()
 
     @pytest.mark.parametrize("rows, order", ROWS)
@@ -302,7 +323,7 @@ class TestRowKernels:
         outers = [mobius_series(a0, order) for a0 in a0s]
         inners = [schwarz_from_spec(spec, order=order) for spec in specs]
         tops = [g.exact_degree if g.exact_degree is not None else order for g in outers]
-        got = compose_rows([g.coeffs for g in outers], schwarz_rows(specs, order), tops)
+        got = compose_rows([g.coeffs for g in outers], schwarz_rows(_spec_columns(specs), order), tops)
         expected = np.stack([full_length_compose(g, w) for g, w in zip(outers, inners)])
         assert got.tobytes() == expected.tobytes()
 
@@ -331,7 +352,7 @@ class TestRowKernels:
         g[np.arange(n) > tops[:, None]] = 0.0
         specs = TestFirstStep.specs(rng, rows)
         odd = np.arange(rows) % 2 == 1
-        w = np.where(odd[:, None], schwarz_rows(specs, order, odd=True), schwarz_rows(specs, order))
+        w = np.where(odd[:, None], schwarz_rows(_spec_columns(specs), order, odd=True), schwarz_rows(_spec_columns(specs), order))
         got = compose_rows(g, w, tops)
         for row, outer, inner, top in zip(got, g, w, tops):
             expected = full_length_compose(TruncatedSeries(outer, exact_degree=top), TruncatedSeries(inner))
@@ -348,7 +369,7 @@ class TestRowKernels:
         up when called."""
         rng = np.random.default_rng(len(tops))
         g = rng.normal(size=(len(tops), 9)) + 1j * rng.normal(size=(len(tops), 9))
-        w = schwarz_rows(mixed_specs(rng, len(tops)), 8)
+        w = schwarz_rows(_spec_columns(mixed_specs(rng, len(tops))), 8)
         made, real = [], series._lead_products
 
         def counting(x0, y):
@@ -553,7 +574,7 @@ class TestFirstStep:
         g[np.arange(n) > tops[:, None]] = 0.0
         specs = self.specs(rng, rows)
         odd = np.arange(rows) % 2 == 1
-        w = np.where(odd[:, None], schwarz_rows(specs, order, odd=True), schwarz_rows(specs, order))
+        w = np.where(odd[:, None], schwarz_rows(_spec_columns(specs), order, odd=True), schwarz_rows(_spec_columns(specs), order))
         outers = [TruncatedSeries(row, exact_degree=tops[0]) for row in g]
         expected = np.stack([full_length_compose(outer, TruncatedSeries(row)) for outer, row in zip(outers, w)])
         assert compose_rows(g, w, tops).tobytes() == expected.tobytes()
@@ -583,9 +604,9 @@ class TestConvolveCalls:
     def test_one_zero_specs_expand_without_a_convolution(self, calls, rows):
         rng = np.random.default_rng(rows)
         specs = [draw_blaschke_spec(rng, min_zeros=1, max_zeros=1) for _ in range(rows)]
-        bounded_rows(specs, 64)
-        schwarz_rows(specs, 64)
-        schwarz_rows(specs, 64, odd=True)
+        bounded_rows(_spec_columns(specs), 64)
+        schwarz_rows(_spec_columns(specs), 64)
+        schwarz_rows(_spec_columns(specs), 64, odd=True)
         blaschke_series(specs[0], 64)
         assert calls == []
 
@@ -593,7 +614,7 @@ class TestConvolveCalls:
     def test_block_makes_one_call_per_zero_past_the_first(self, calls, most):
         rng = np.random.default_rng(most)
         counts = [i % (most + 1) for i in range(40)]
-        bounded_rows([draw_blaschke_spec(rng, min_zeros=c, max_zeros=c) for c in counts], 64)
+        bounded_rows(_spec_columns([draw_blaschke_spec(rng, min_zeros=c, max_zeros=c) for c in counts]), 64)
         assert calls == [sum(c > i for c in counts) for i in range(1, most)]
 
 
@@ -633,7 +654,7 @@ class TestRationalRows:
         """The rows the t5/t6 witnesses had before: compose_rows of the Mobius
         rows by z*B(z), Horner from degree 1 at a0 = 0."""
         tops = [1 if a0 == 0 else order for a0 in a0s]
-        return compose_rows(mobius_rows(a0s, order, kind), schwarz_rows(specs, order), tops)
+        return compose_rows(mobius_rows(a0s, order, kind), schwarz_rows(_spec_columns(specs), order), tops)
 
     @pytest.mark.parametrize("order", ORDERS)
     @pytest.mark.parametrize("kind", ["minus", "plus"])
@@ -643,15 +664,13 @@ class TestRationalRows:
         specs[-1] = DrawnSpec(np.empty(0, dtype=complex), complex(np.exp(0.7j)))
         a0s = list(rng.uniform(0, 0.95, 14) * np.exp(1j * rng.uniform(0, 2 * np.pi, 14)))
         a0s[0] = a0s[-2] = 0j
-        block = [_Draw(0, i, 0.0, a0, (spec,)) for i, (a0, spec) in enumerate(zip(a0s, specs))]
-        got, _, _ = _automorphisms(block, order, kind)
+        got, _, _ = _automorphisms(a0s, _spec_columns(specs), order, kind)
         assert np.max(np.abs(got - self._composed(a0s, specs, order, kind))) <= 1e-14
 
     def test_automorphism_parameter_off_the_disk_refused(self):
         spec = DrawnSpec(np.array([0.5j]), 1 + 0j)
-        block = [_Draw(0, i, 0.0, a0, (spec,)) for i, a0 in enumerate([0.5, -1.0])]
         with pytest.raises(ValueError, match=r"\|a0\| < 1"):
-            _automorphisms(block, 8, "minus")
+            _automorphisms([0.5, -1.0], _spec_columns([spec, spec]), 8, "minus")
 
     @pytest.mark.parametrize("a0", [0.95, 0.95j])
     @pytest.mark.parametrize("kind", ["minus", "plus"])
@@ -666,7 +685,7 @@ class TestRationalRows:
         order = 256
         zeros = [complex(0.9 * np.exp(0.01j * j)) for j in range(4)]
         spec = DrawnSpec(np.array(zeros), 1 + 0j)
-        got = _automorphisms([_Draw(0, 0, 0.0, complex(a0), (spec,))], order, kind)[0][0]
+        got = _automorphisms([complex(a0)], _spec_columns([spec]), order, kind)[0][0]
         sign = 1 if kind == "plus" else -1
         with mpmath.workdps(50):
             w0, *ws = (mpmath.mpc(z.real, z.imag) for z in [complex(a0), *zeros])
@@ -695,7 +714,11 @@ class TestBlaschkeRowChecks:
     sides: zeros of modulus up to 0.9 + 1e-12 and rotations within 1e-15 of
     the unit circle pass, and the next double out is refused."""
 
-    BUILDERS = [bounded_rows, schwarz_rows, lambda specs, order: schwarz_rows(specs, order, odd=True)]
+    BUILDERS = [
+        lambda specs, order: bounded_rows(_spec_columns(specs), order),
+        lambda specs, order: schwarz_rows(_spec_columns(specs), order),
+        lambda specs, order: schwarz_rows(_spec_columns(specs), order, odd=True),
+    ]
 
     GOOD = DrawnSpec(np.array([0.5j]), 1.0 + 0.0j)
 
@@ -719,7 +742,7 @@ class TestBlaschkeRowChecks:
             with pytest.raises(ValueError, match=message):
                 build([self.GOOD, bad, self.GOOD], 8)
         with pytest.raises(ValueError, match=message):
-            _spec_columns([self.GOOD, bad])
+            _checked_columns(*_spec_columns([self.GOOD, bad]))
         with pytest.raises(ValueError, match=message):
             BlaschkeSpec(zeros=tuple(bad.zeros), rotation=bad.rotation)
 
@@ -729,7 +752,7 @@ class TestBlaschkeRowChecks:
         specs += [DrawnSpec(np.array([], dtype=complex), complex(r * f)) for r in (1.0 + 4 * _EPS, 1.0 - 4.5 * _EPS) for f in (1, 1j)]
         for build in self.BUILDERS:
             assert np.all(np.isfinite(build(specs, 8)))
-        _spec_columns(specs)
+        _checked_columns(*_spec_columns(specs))
         for spec in specs:
             BlaschkeSpec(zeros=tuple(spec.zeros), rotation=spec.rotation)
 
@@ -963,7 +986,7 @@ class TestBlaschke:
         assert np.any(np.abs(zeros) != mods)
         assert all(1.0 - m**2 != 1.0 - m * m for m in mods[-3:])
         gaps = np.array([1.0 - m**2 for m in mods])
-        rows = bounded_rows([DrawnSpec(np.array([z]), 1.0 + 0.0j) for z in zeros], 2)
+        rows = bounded_rows(_spec_columns([DrawnSpec(np.array([z]), 1.0 + 0.0j) for z in zeros]), 2)
         assert rows[:, 1].real.tobytes() == gaps.tobytes()
         for z, gap in zip(zeros.tolist(), gaps):
             assert blaschke_series(BlaschkeSpec(zeros=(z,)), 2).coeffs[1].real == gap

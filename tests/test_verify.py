@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +15,7 @@ import bohrlab.verify as verify_mod
 import bohrlab.witnesses as witnesses_mod
 from bohrlab.functionals import SHARP_PARAMETERS, theorem3_rational
 from bohrlab.radii import ANALYTIC_THRESHOLD_A, CLASSICAL_CAP, ODD_CAP, UNIVERSAL_RADIUS, theorem5_radius
-from bohrlab.series import BlaschkeSpec, compose, majorant_eval, make_series, mul
+from bohrlab.series import BlaschkeSpec, _spec_columns, compose, majorant_eval, make_series, mul
 from bohrlab.witnesses import (
     bounded_from_spec,
     build_quasi_triple,
@@ -243,22 +244,28 @@ class TestConservativeness:
         rec = json.loads(json.dumps(rep.as_dict()))["worst_witness"]
         g = np.zeros(verify_mod._T1_OUTER_DEGREE + 1, dtype=np.complex128)
         g[: len(rec["g"])] = [complex(*c) for c in rec["g"]]
-        rebuilt = verify_mod._T1Draw(
-            rec["trial"], rec["variant"], g, len(rec["g"]) - 1, _drawn_spec(rec["phi"]), _drawn_spec(rec["omega"])
-        )
+        rebuilt = verify_mod._T1Draw(rec["trial"], g, len(rec["g"]) - 1, _drawn_spec(rec["phi"]), _drawn_spec(rec["omega"]))
+        assert rebuilt.variant == rec["variant"]
         [tracker] = trackers
         worst, _, _ = tracker.worst
-        assert rebuilt[:2] == worst[:2] and rebuilt.degree == worst.degree
+        assert (rebuilt.trial, rebuilt.variant) == (worst.trial, worst.variant) and rebuilt.degree == worst.degree
         assert rebuilt.g.tobytes() == worst.g.tobytes()
         assert _same_spec(rebuilt.phi, worst.phi) and _same_spec(rebuilt.omega, worst.omega)
-        # and, evaluated alone at the report's order, it gives the report's
-        # residual and radius bit for bit
+        # and, evaluated alone at the report's order as a block of one row,
+        # it gives the report's residual and radius bit for bit
         order = rec.get("reevaluated_order", verify_mod.DEFAULT_ORDER)
         grid = radius_grid(CLASSICAL_CAP, 12)
-        table = verify_mod.theorem1_rows(*verify_mod._t1_witness([rebuilt], order), grid)
-        [(res, at)] = verify_mod._row_worst(table, grid)
+        block = (
+            np.array([rebuilt.trial]),
+            rebuilt.g[None],
+            np.array([rebuilt.degree]),
+            _spec_columns([rebuilt.phi]),
+            _spec_columns([rebuilt.omega]),
+        )
+        table = verify_mod.theorem1_rows(*verify_mod._t1_witness(block, order), grid)
+        [res], at = verify_mod._row_max(table, grid)
         assert np.float64(res).tobytes() == np.float64(rep.max_residual).tobytes()
-        assert np.float64(at["r"]).tobytes() == np.float64(rec["r"]).tobytes()
+        assert at["r"].tobytes() == np.float64(rec["r"]).tobytes()
 
     def test_grid_constants(self):
         assert radius_grid(UNIVERSAL_RADIUS, 4)[-1] == UNIVERSAL_RADIUS
@@ -290,9 +297,14 @@ def records(monkeypatch):
 
 class TestRetryBookkeeping:
     """A witness over the tolerance is re-evaluated once at doubled order and
-    is the only record that carries ``reevaluated_order``."""
+    is the only record that carries ``reevaluated_order``.  Blocks hold one
+    row here, so the tracker's one update per block sees every witness."""
 
     ORDER = 16
+
+    @pytest.fixture(autouse=True)
+    def rows_of_one(self, monkeypatch):
+        monkeypatch.setattr(verify_mod, "_COEFF_BUDGET", 1)
 
     def _spoil_nth(self, monkeypatch, name, n, spoil, order_of=lambda out: out.order):
         """Make the n-th call of verify's ``name`` at the base order return a
@@ -311,9 +323,9 @@ class TestRetryBookkeeping:
         monkeypatch.setattr(verify_mod, name, patched)
 
     def test_theorem3_flags_only_the_retried_k(self, monkeypatch, records):
-        # one harmonic_rows row per (trial, k): row 1 of the first block is (0, 0.5)
+        # one harmonic_rows row per (trial, k): the second block is (0, 0.5)
         self._spoil_nth(
-            monkeypatch, "harmonic_rows", 1, self._bump_row_1, order_of=lambda rows: rows.shape[1] - 1
+            monkeypatch, "harmonic_rows", 2, self._bump_row_0, order_of=lambda rows: rows.shape[1] - 1
         )
         rep = check_theorem3(3, seed=1, k_grid=(0.0, 0.5, 1.0), order=self.ORDER)
         assert rep.verdict == "pass"
@@ -324,9 +336,9 @@ class TestRetryBookkeeping:
         assert len(records) == 9
 
     @staticmethod
-    def _bump_row_1(rows):
+    def _bump_row_0(rows):
         rows = rows.copy()
-        rows[1, 1] += 10.0
+        rows[0, 1] += 10.0
         return rows
 
     @pytest.mark.parametrize("check", [check_theorem2_odd, check_theorem5, check_theorem6])
@@ -336,10 +348,10 @@ class TestRetryBookkeeping:
             bump = make_series([0.0, 10.0], self.ORDER)
             self._spoil_nth(monkeypatch, "compose", 2, lambda f: f + bump)
         else:
-            # t5 and t6 expand a block at a time: row 1 of the first block
-            # is trial 1 of the first parameter group
+            # t5 and t6 expand a block at a time: the second block is
+            # trial 1 of the first parameter group
             self._spoil_nth(
-                monkeypatch, "rational_rows", 1, self._bump_row_1, order_of=lambda rows: rows.shape[1] - 1
+                monkeypatch, "rational_rows", 2, self._bump_row_0, order_of=lambda rows: rows.shape[1] - 1
             )
         rep = check(trials=40, seed=3, order=self.ORDER)
         assert rep.verdict == "pass"
@@ -349,9 +361,9 @@ class TestRetryBookkeeping:
 
     def test_theorem1_records_the_retry(self, monkeypatch, records):
         # A spoiled composition would trip the convolution identity check
-        # inside quasi_rows, so spoil the f rows it returns: row 1 of the
-        # first block is trial 1.
-        self._spoil_nth(monkeypatch, "quasi_rows", 1, self._bump_row_1, order_of=lambda rows: rows.shape[1] - 1)
+        # inside quasi_rows, so spoil the f rows it returns: the second
+        # block is trial 1.
+        self._spoil_nth(monkeypatch, "quasi_rows", 2, self._bump_row_0, order_of=lambda rows: rows.shape[1] - 1)
         rep = check_theorem1(trials=40, seed=3, order=self.ORDER)
         assert rep.verdict == "pass"
         flagged = [w for w in records if "reevaluated_order" in w]
@@ -396,10 +408,12 @@ class TestNegativeControls:
 
 class TestRecordOrder:
     """t5 and t6 hand every random witness to the tracker before any of the
-    closed-form checks of their groups (sharp_lhs) run."""
+    closed-form checks of their groups (sharp_lhs) run.  Blocks hold one row
+    here, so the tracker's one update per block sees every witness."""
 
     @pytest.mark.parametrize("check", [check_theorem5, check_theorem6])
     def test_closed_forms_follow_random_witnesses(self, monkeypatch, check):
+        monkeypatch.setattr(verify_mod, "_COEFF_BUDGET", 1)
         events = []
         real_sharp = verify_mod.sharp_lhs
 
@@ -470,34 +484,59 @@ class TestStackedBlocks:
         pairs = [(0.5, 0.0), (0.7, 0.25), (0.9, 1.0), (0.95, 0.5)]
         radii = [verify_mod._sharp_radius(suite, a, k) for a, k in pairs]
         groups = verify_mod._groups(suite, 37, 4, radii)
-        block = list(verify_mod._pointwise_draws(groups, [a for a, _ in pairs], 1 if suite == "t5" else 2))
+        [block] = verify_mod._pointwise_draws(groups, [a for a, _ in pairs], 1 if suite == "t5" else 2)
         if suite == "t5":
             lhs_rows, witness = verify_mod.theorem5_rows, verify_mod._t5_witness(block, 16)
         else:
-            ks = [pairs[d.group][1] for d in block]
+            ks = np.array([pairs[g][1] for g in block[0]])
             lhs_rows, witness = verify_mod.theorem6_rows, verify_mod._t6_witness(block, 16, ks)
         grids = np.array([rs for rs, _ in groups])
-        got = verify_mod._group_worst(block, grids, lhs_rows, *witness)
-        expected, start = [], 0
+        got, at = verify_mod._group_worst(block, grids, lhs_rows, *witness)
+        expected, radii, start = [], [], 0
         for rs, keys in groups:
             rows = [part[start : start + len(keys)] for part in witness]
-            expected += verify_mod._row_worst(lhs_rows(*rows, np.array(rs)) - 1.0, rs)
+            res, where = verify_mod._row_max(lhs_rows(*rows, np.array(rs)) - 1.0, rs)
+            expected.append(res)
+            radii.append(where["r"])
             start += len(keys)
-        assert len(got) == len(block) == 37
-        assert [np.float64(res).tobytes() for res, _ in got] == [np.float64(res).tobytes() for res, _ in expected]
-        assert [where for _, where in got] == [where for _, where in expected]
+        assert len(got) == len(block[0]) == 37
+        assert got.tobytes() == np.concatenate(expected).tobytes()
+        assert at["r"].tobytes() == np.concatenate(radii).tobytes()
 
     def test_theorem3_expands_each_trial_once_per_order(self, monkeypatch):
         real = verify_mod.bounded_rows
         orders = []
 
-        def counting(specs, order):
-            orders.extend([order] * len(specs))
-            return real(specs, order)
+        def counting(columns, order):
+            orders.extend([order] * len(columns[1]))
+            return real(columns, order)
 
         monkeypatch.setattr(verify_mod, "bounded_rows", counting)
         check_theorem3(7, seed=2, k_grid=(0.0, 0.5, 1.0), order=16)
         assert orders == [16] * 14  # h and omega_tilde of each of 7 trials
+
+    @pytest.mark.parametrize("budget_rows, trials_per_block", [(8, 2), (2, None)])
+    def test_theorem3_blocks_hold_whole_trials(self, monkeypatch, budget_rows, trials_per_block):
+        # a budget of 8 rows holds two whole trials of 3 k values (6 rows),
+        # so each trial is expanded once; a budget below one trial's rows
+        # cuts blocks of 2 rows, and a trial that two blocks share is
+        # expanded in each
+        monkeypatch.setattr(verify_mod, "_COEFF_BUDGET", budget_rows * 17)
+        real = verify_mod.bounded_rows
+        sizes = []
+
+        def counting(columns, order):
+            sizes.append(len(columns[1]) // 2)  # h and omega_tilde of each trial
+            return real(columns, order)
+
+        monkeypatch.setattr(verify_mod, "bounded_rows", counting)
+        wide = check_theorem3(7, seed=2, order=16).as_dict()
+        if trials_per_block:
+            assert sizes == [trials_per_block] * 3 + [1]
+        else:
+            assert sizes == [1, 2, 1] * 3 + [1, 1]  # rows 2-3, 8-9 and 14-15 span two trials
+        monkeypatch.setattr(verify_mod, "_COEFF_BUDGET", 2 ** 14)
+        assert check_theorem3(7, seed=2, order=16).as_dict() == wide
 
 
 def _t2_residual_one(f, g, grid):
@@ -513,9 +552,21 @@ def _t2_residual_one(f, g, grid):
     return max(float(gaps[i, m]), leak), where
 
 
-def _draws(draw, suite_id, trials, seed=9):
-    """The draws of the trial keys (suite_id, seed, t), chunk by chunk."""
+def _chunks(draw, suite_id, trials, seed=9):
+    """The column chunks of the trial keys (suite_id, seed, t)."""
     return list(verify_mod._keyed_draws([(suite_id, seed, t) for t in range(trials)], draw))
+
+
+def _draws(draw, item, suite_id, trials, seed=9):
+    """The draw tuple item(*entries) of every row of the trial keys'
+    (suite_id, seed, t) column chunks, in order."""
+    chunks = _chunks(draw, suite_id, trials, seed)
+    return [item(*verify_mod._entries(chunk, j)) for chunk in chunks for j in range(len(chunk[0]))]
+
+
+def _rows(block, rows):
+    """The rows ``rows`` (a slice) of every column of a block."""
+    return verify_mod._columns(lambda a: a[rows], block)
 
 
 def _spec(d):
@@ -530,15 +581,16 @@ def _drawn_spec(d):
 
 class TestZeroFreeSpec:
     """Subordination, majorization and the identity inner are the Blaschke
-    product without zeros: its bounded row is the constant one and its
-    inner rows z, with the bytes of the rows the suites once wrote by hand,
-    and it leaves the rows of drawn specs in its block as they are."""
+    product without zeros, to which witnesses._zero_free masks rows of spec
+    columns: its bounded row is the constant one and its inner rows z, with
+    the bytes of the rows the suites once wrote by hand, and the mask leaves
+    the rows of drawn specs in its block as they are."""
 
     ORDERS = [1, 2, 8, 64, 256]
     BUILDS = {
         "bounded": (witnesses_mod.bounded_rows, 0),
         "schwarz": (witnesses_mod.schwarz_rows, 1),
-        "odd schwarz": (lambda specs, order: witnesses_mod.schwarz_rows(specs, order, odd=True), 1),
+        "odd schwarz": (lambda columns, order: witnesses_mod.schwarz_rows(columns, order, odd=True), 1),
     }
 
     @pytest.mark.parametrize("order", ORDERS)
@@ -547,17 +599,21 @@ class TestZeroFreeSpec:
         rows, one_at = self.BUILDS[build]
         expected = np.zeros((1, order + 1), dtype=np.complex128)
         expected[0, one_at] = 1.0
-        assert rows([verify_mod._ZERO_FREE], order).tobytes() == expected.tobytes()
+        drawn = _spec_columns([witnesses_mod.DrawnSpec(np.array([0.5j, -0.3]), np.exp(0.3j))])
+        assert rows(witnesses_mod._zero_free(drawn, np.array([True])), order).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("order", ORDERS)
     @pytest.mark.parametrize("build", list(BUILDS))
     def test_drawn_rows_keep_their_bytes(self, order, build):
         rows, _ = self.BUILDS[build]
-        drawn = [spec for i in range(10) for spec in witnesses_mod.draw_specs(verify_mod._streams([(order, i)]), i % 5, i % 5)]
-        block = [spec for d in drawn for spec in (verify_mod._ZERO_FREE, d)]
+        drawn = [witnesses_mod.draw_specs(verify_mod._streams([(order, i)]), i % 5, i % 5) for i in range(10)]
+        columns = _spec_columns([witnesses_mod._spec_row(d, 0) for d in drawn for _ in range(2)])
+        block = witnesses_mod._zero_free(columns, np.arange(20) % 2 == 0)
         stacked = rows(block, order)
-        for spec, row in zip(block, stacked):
-            assert row.tobytes() == rows([spec], order)[0].tobytes()
+        for i, row in enumerate(stacked):
+            assert row.tobytes() == rows(_rows(block, slice(i, i + 1)), order)[0].tobytes()
+            if i % 2:
+                assert row.tobytes() == rows(_rows(columns, slice(i, i + 1)), order)[0].tobytes()
 
 
 class TestStackedWitnesses:
@@ -567,12 +623,14 @@ class TestStackedWitnesses:
     @pytest.mark.parametrize("order", [8, 64, 256])
     @pytest.mark.parametrize("rows", [1, 13])
     def test_t1_rows_match_build_quasi_triple(self, order, rows):
-        trials = _draws(verify_mod._t1_draws, 1, 13)
-        blocks = [trials] if rows == 13 else [[t] for t in trials[:3]]  # blocks of one: each variant
+        [trials] = _chunks(verify_mod._t1_draws, 1, 13)
+        blocks = [trials] if rows == 13 else [_rows(trials, slice(i, i + 1)) for i in range(3)]  # each variant
+        variants = set()
         for block in blocks:
             f_rows, g_rows = verify_mod._t1_witness(block, order)
-            for trial, f, g in zip(block, f_rows, g_rows):
-                rec = verify_mod._t1_record(trial)
+            for j, (f, g) in enumerate(zip(f_rows, g_rows)):
+                rec = verify_mod._t1_record(verify_mod._T1Draw(*verify_mod._entries(block, j)))
+                variants.add(rec["variant"])
                 outer = make_series([complex(*c) for c in rec["g"]], order)
                 phi = make_series([1.0], order)
                 if rec["variant"] != "subordination":
@@ -582,16 +640,18 @@ class TestStackedWitnesses:
                     omega = schwarz_from_spec(_spec(rec["omega"]), order=order)
                 assert f.tobytes() == build_quasi_triple(outer, phi, omega).f.coeffs.tobytes()
                 assert g.tobytes() == outer.coeffs[:9].tobytes() and not np.any(outer.coeffs[9:])
-        assert {t.variant for block in blocks for t in block} == {"general", "subordination", "majorization"}
+        assert variants == {"general", "subordination", "majorization"}
 
     @pytest.mark.parametrize("order", [8, 64])
     def test_t3_rows_match_per_series_pairs(self, order):
-        trials = _draws(verify_mod._t3_draws, 3, 6)
-        block = [(t, k) for t in trials for k in (0.0, 0.3, 0.7, 1.0)][1:-1]  # trials cut at both ends
+        [trials] = _chunks(verify_mod._t3_draws, 3, 6)
+        block = _rows(verify_mod._by_k(trials, (0.0, 0.3, 0.7, 1.0)), slice(1, -1))  # trials cut at both ends
         grid = verify_mod.radius_grid(CLASSICAL_CAP, 12)
         rs = np.asarray(grid)
         table = verify_mod._t3_residuals(verify_mod._t3_witness(block, order), grid)
-        for (trial, k), row in zip(block, table):
+        assert len(table) == 22
+        for j, row in enumerate(table):
+            trial, k = verify_mod._t3_item(*verify_mod._entries(block, j))
             rec = verify_mod._t3_record((trial, k))
             h = bounded_from_spec(_spec(rec["h"]), order)
             pair = harmonic_witness(h, k, bounded_from_spec(_spec(rec["omega_tilde"]), order))
@@ -620,10 +680,11 @@ class TestStackedWitnesses:
     def test_t2_rows_match_per_witness_construction(self, order):
         # the outer z*q(z^2) and the odd inner z*B(z^2) as t2 built them
         # one witness at a time; at an even order B loses its last coefficient
-        block = _draws(verify_mod._t2_draws, 2, 30)
+        [block] = _chunks(verify_mod._t2_draws, 2, 30)
         f_rows, g_rows = verify_mod._t2_rows(block, order)
         z = make_series([0.0, 1.0], order)
-        for d, f, g in zip(block, f_rows, g_rows):
+        for j, (f, g) in enumerate(zip(f_rows, g_rows)):
+            d = verify_mod._T2Draw(*verify_mod._entries(block, j))
             rec = verify_mod._t2_record(d)
             q = make_series([complex(*c) for c in rec["q"]], order // 2)
             outer = mul(z, p_symmetric_lift(q, 2, order=order))
@@ -633,20 +694,21 @@ class TestStackedWitnesses:
 
     @pytest.mark.parametrize("order", [7, 64, 256])
     def test_t2_residual_matches_per_witness(self, order):
-        block = _draws(verify_mod._t2_draws, 2, 20)
+        [block] = _chunks(verify_mod._t2_draws, 2, 20)
         f_rows, g_rows = verify_mod._t2_rows(block, order)
         # a leak larger than every gap, and a row whose gaps all tie at zero
         f_rows[3, 2] = 0.5
         f_rows[4] = g_rows[4]
         grid = verify_mod.radius_grid(ODD_CAP, 12)
-        stacked = verify_mod._t2_residual(f_rows, g_rows, grid)
-        assert len(stacked) == len(block)
-        for (res, where), f, g in zip(stacked, f_rows, g_rows):
+        residuals, at = verify_mod._t2_residual(f_rows, g_rows, grid)
+        assert len(residuals) == len(block[0])
+        for j, (res, f, g) in enumerate(zip(residuals, f_rows, g_rows)):
+            where = verify_mod._row(at, j)
             expected_res, expected_where = _t2_residual_one(f, g, grid)
             assert np.float64(res).tobytes() == np.float64(expected_res).tobytes()
             assert where == expected_where
             assert [type(v) for v in where.values()] == [type(v) for v in expected_where.values()]
-        assert stacked[3][0] == 0.5 and stacked[4][1]["partial_sum_length"] == 1
+        assert residuals[3] == 0.5 and at["partial_sum_length"][4] == 1
 
 
 class TestNonFiniteResiduals:
@@ -672,29 +734,32 @@ class TestNonFiniteResiduals:
             check(trials=10, seed=1, order=16)
 
     def test_theorem2_refuses_nan(self, monkeypatch):
-        monkeypatch.setattr(verify_mod, "_t2_residual", lambda f, g, grid: [(float("nan"), {"r": 0.5})] * len(f))
+        monkeypatch.setattr(verify_mod, "_t2_residual", lambda f, g, grid: (np.full(len(f), np.nan), {"r": np.full(len(f), 0.5)}))
         with pytest.raises(ValueError, match="non-finite residual"):
             check_theorem2_odd(trials=3, seed=1, order=16)
 
 
 def _fake_suite(monkeypatch, residual_at, items, rows, order=16):
-    """_run_suite over ``items`` in blocks of ``rows``, the residual of an
-    item at an order being residual_at(item, order), located at r = item / 10
-    and recorded as {"trial": item}; also the blocks it evaluated."""
+    """_run_suite over one chunk of the int ``items`` in blocks of ``rows``,
+    the residual of an item at an order being residual_at(item, order),
+    located at r = item / 10, its draw tuple the item itself and its record
+    {"trial": item}; also the blocks it evaluated."""
     monkeypatch.setattr(verify_mod, "_COEFF_BUDGET", rows * (order + 1))
     blocks = []
 
     def residuals(block, n):
-        blocks.append(list(block))
-        return [(residual_at(item, n), {"r": item / 10}) for item in block]
+        [trials] = block
+        blocks.append(trials.tolist())
+        return np.array([residual_at(item, n) for item in trials.tolist()], dtype=np.float64), {"r": trials / 10}
 
-    tracker = verify_mod._run_suite(items, residuals, lambda item: {"trial": item}, order)
+    tracker = verify_mod._run_suite([(np.array(list(items)),)], residuals, lambda item: item, lambda item: {"trial": item}, order)
     return tracker, blocks
 
 
 class TestDriver:
-    """The driver hands the tracker each item with where its residual lies
-    and forms no record; the report forms the one record of the worst."""
+    """The driver hands the tracker one item per block, the first with the
+    block's largest residual, with where that residual lies, and forms no
+    record; the report forms the one record of the worst."""
 
     @pytest.mark.parametrize("trials", [3, 300])
     @pytest.mark.parametrize(
@@ -714,11 +779,66 @@ class TestDriver:
         assert "trial" in rep.worst_witness
         assert calls == {record: 1, "_spec_dict": specs}
 
+    @pytest.mark.parametrize(
+        "check, draw, witness",
+        [
+            (check_theorem1, "_T1Draw", "_t1_witness"),
+            (check_theorem2_odd, "_T2Draw", "_t2_rows"),
+            (check_theorem3, "_T3Draw", "_t3_witness"),
+            (check_theorem5, "_Draw", "_t5_witness"),
+            (check_theorem6, "_Draw", "_t6_witness"),
+        ],
+    )
+    def test_one_draw_tuple_per_block(self, monkeypatch, check, draw, witness):
+        # 40-row blocks at order 16; the blocks are counted as the builds at
+        # that order, and any retried row as a build at doubled order
+        monkeypatch.setattr(verify_mod, "_COEFF_BUDGET", 40 * 17)
+        tuples, builds = [], []
+        real_draw, real_witness = getattr(verify_mod, draw), getattr(verify_mod, witness)
+
+        def counting_draw(*args):
+            tuples.append(None)
+            return real_draw(*args)
+
+        def counting_witness(block, order, *rest):
+            builds.append(order)
+            return real_witness(block, order, *rest)
+
+        monkeypatch.setattr(verify_mod, draw, counting_draw)
+        monkeypatch.setattr(verify_mod, witness, counting_witness)
+        assert check(trials=300, seed=5, order=16).verdict == "pass"
+        blocks, retried = builds.count(16), builds.count(32)
+        assert blocks >= 8 and blocks <= len(tuples) <= blocks + retried
+
     @pytest.mark.parametrize("rows", [1, 2, 6])
     def test_nan_after_a_larger_maximum_is_refused_by_name(self, monkeypatch, rows):
         values = [-0.5, 0.0, -0.25, -1.0, float("nan"), -2.0]
         with pytest.raises(ValueError, match=r"^non-finite residual nan at \{'trial': 4, 'r': 0\.4\}$"):
             _fake_suite(monkeypatch, lambda item, n: values[item], range(6), rows)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (float("nan"), "nan at {'trial': 2, 'r': 0.2}"),
+            (float("-inf"), "-inf at {'trial': 2, 'r': 0.2}"),
+            (float("inf"), "inf at {'trial': 2, 'r': 0.2, 'reevaluated_order': 32}"),
+        ],
+    )
+    def test_first_non_finite_row_refused_in_order_with_retries(self, monkeypatch, bad, message):
+        # in one block: row 1 is retried before row 2 is refused, row 3 (over
+        # the tolerance) and row 4 (non-finite too) are never reached; +inf
+        # is over the tolerance, so it is retried first, and refused with
+        # its retry's order
+        retried = []
+
+        def residual_at(item, order):
+            if order == 32:
+                retried.append(item)
+            return [-1.0, 2.0 if order == 16 else 0.5, bad, 3.0, float("nan"), -1.0][item]
+
+        with pytest.raises(ValueError, match=f"^non-finite residual {re.escape(message)}$"):
+            _fake_suite(monkeypatch, residual_at, range(6), 6)
+        assert retried == ([1, 2] if bad > 0 else [1])
 
     def test_suite_refuses_nan_that_is_not_the_maximum(self, monkeypatch):
         real = verify_mod.theorem1_rows
@@ -740,6 +860,14 @@ class TestDriver:
         assert rep.worst_witness == {"trial": 1, "r": 0.1}
         assert rep.max_residual == 0.0
 
+    def test_first_of_equal_maxima_within_a_block_is_kept(self, monkeypatch):
+        values = [-1.0, -0.0, -1.0, 0.0, -0.5, -0.0]
+        tracker, blocks = _fake_suite(monkeypatch, lambda item, n: values[item], range(6), 6)
+        assert blocks == [[0, 1, 2, 3, 4, 5]]
+        rep = tracker.report("t0", 6, 0, (0.5,))
+        assert rep.worst_witness == {"trial": 1, "r": 0.1}
+        assert rep.max_residual == 0.0 and np.signbit(rep.max_residual)
+
     def test_retried_witness_reported_worst_carries_its_order(self, monkeypatch):
         def residual_at(item, order):
             if item != 2:
@@ -751,6 +879,18 @@ class TestDriver:
         rep = tracker.report("t0", 5, 0, (0.5,))
         assert rep.worst_witness == {"trial": 2, "r": 0.2, "reevaluated_order": 32}
         assert rep.max_residual == 0.5 and rep.verdict == "fail"
+
+    def test_retried_row_within_a_block_carries_its_order(self, monkeypatch):
+        # rows 1 and 3 are retried in row order; row 3's retry is the block's
+        # largest residual and row 1's is not
+        def residual_at(item, order):
+            return {1: 1.0 if order == 16 else -0.5, 3: 2.0 if order == 16 else 0.25}.get(item, -1.0)
+
+        tracker, blocks = _fake_suite(monkeypatch, residual_at, range(5), 5)
+        assert blocks == [[0, 1, 2, 3, 4], [1], [3]]
+        rep = tracker.report("t0", 5, 0, (0.5,))
+        assert rep.worst_witness == {"trial": 3, "r": 0.3, "reevaluated_order": 32}
+        assert rep.max_residual == 0.25
 
 
 class TestOrderFloor:
@@ -772,11 +912,11 @@ class TestOrderFloor:
     def test_t2_floor_outer_keeps_every_recorded_coefficient(self):
         # At order 6 the top term z^7 of z*q(z^2) was cut off, so the suite
         # checked a different outer from the one its report records.
-        draws = _draws(verify_mod._t2_draws, 2, 12, seed=0)
-        assert max(d.degree for d in draws) == verify_mod._T2_BASE_DEGREE
+        [draws] = _chunks(verify_mod._t2_draws, 2, 12, seed=0)
+        assert max(draws[2]) == verify_mod._T2_BASE_DEGREE
         _, g_rows = verify_mod._t2_rows(draws, 7)
-        for d, g in zip(draws, g_rows):
-            q = [complex(re, im) for re, im in verify_mod._t2_record(d)["q"]]
+        for j, g in enumerate(g_rows):
+            q = [complex(re, im) for re, im in verify_mod._t2_record(verify_mod._T2Draw(*verify_mod._entries(draws, j)))["q"]]
             assert list(g[1 : 2 * len(q) : 2]) == q
             assert not np.any(g[0::2]) and not np.any(g[2 * len(q) + 1 :])
 
@@ -795,9 +935,9 @@ class TestColumnarTrials:
     TRIALS = 1100  # past one draw chunk
 
     def test_t1_t2_t3_draws_match_per_object_streams(self):
-        t1 = _draws(verify_mod._t1_draws, 1, self.TRIALS)
-        t2 = _draws(verify_mod._t2_draws, 2, self.TRIALS)
-        t3 = _draws(verify_mod._t3_draws, 3, self.TRIALS)
+        t1 = _draws(verify_mod._t1_draws, verify_mod._T1Draw, 1, self.TRIALS)
+        t2 = _draws(verify_mod._t2_draws, verify_mod._T2Draw, 2, self.TRIALS)
+        t3 = _draws(verify_mod._t3_draws, verify_mod._T3Draw, 3, self.TRIALS)
         for t, (d1, d2, d3) in enumerate(zip(t1, t2, t3)):
             rng = np.random.default_rng((1, 9, t))
             g = per_object_polynomial(rng)
@@ -817,7 +957,8 @@ class TestColumnarTrials:
     def test_pointwise_draws_match_per_object_streams(self, specs):
         a_values = (0.4, 0.75, 0.9)
         groups = verify_mod._groups("t5" if specs == 1 else "t6", self.TRIALS, 9, [0.3, 0.3, 0.3])
-        draws = list(verify_mod._pointwise_draws(groups, a_values, specs))
+        chunks = list(verify_mod._pointwise_draws(groups, a_values, specs))
+        draws = [verify_mod._pointwise_item(*verify_mod._entries(c, j)) for c in chunks for j in range(len(c[0]))]
         keys = [key for _, group_keys in groups for key in group_keys]
         assert len(draws) == len(keys) == self.TRIALS
         for d, key in zip(draws, keys):
@@ -834,7 +975,10 @@ class TestColumnarTrials:
     )
     def test_longer_run_extends_shorter(self, monkeypatch, check):
         """The records of a T-trial run are the first records of each
-        parameter group (one group for t1-t3) of a 2T-trial run."""
+        parameter group (one group for t1-t3) of a 2T-trial run.  Blocks
+        hold one row here, so the tracker's one update per block sees every
+        witness."""
+        monkeypatch.setattr(verify_mod, "_COEFF_BUDGET", 1)
         seen = []
         _on_update(monkeypatch, lambda residual, witness: seen.append((residual, witness)))
 
@@ -942,7 +1086,7 @@ class TestKeyedGenerators:
             chunks.append(len(chunk))
             return zip(chunk, streams.integers(0, 8).tolist(), streams.random(3))
 
-        seen = list(verify_mod._keyed_draws(keys, draw))
+        seen = [drawn for chunk in verify_mod._keyed_draws(keys, draw) for drawn in chunk]
         assert chunks == [verify_mod._DRAW_ROWS, verify_mod._DRAW_ROWS, 1]
         assert [key for key, _, _ in seen] == keys
         for key, n, run in seen:
@@ -1092,20 +1236,19 @@ class TestDrawnSpecsChecked:
     def test_every_expanded_spec_passes_the_tripwire(self, monkeypatch, check):
         # the name is kept from the boundary tripwire that once evaluated
         # every spec; the spec checks are the only tripwire now
-        # the expansions see spec columns, not spec objects, so the columns
-        # _spec_columns returned after its checks are compared with the ones
-        # expanded by the bits of their zeros and rotations; t5 and t6 expand
-        # the inner of their automorphism as the polynomials zP and Q
-        # (series._schwarz_polynomials)
+        # the columns _checked_columns returned after its checks are
+        # compared with the ones expanded by the bits of their zeros and
+        # rotations; t5 and t6 expand the inner of their automorphism as the
+        # polynomials zP and Q (series._schwarz_polynomials)
         checked, expanded = [], []
-        real_columns, real_expansion = witnesses_mod._spec_columns, witnesses_mod._blaschke_expansion
+        real_columns, real_expansion = witnesses_mod._checked_columns, witnesses_mod._blaschke_expansion
         real_polynomials = verify_mod._schwarz_polynomials
 
         def specs_of(zeros, counts, rotations):
             return [(row[:n].tobytes(), rotation.tobytes()) for row, n, rotation in zip(zeros, counts, rotations)]
 
-        def counting_columns(specs):
-            columns = real_columns(specs)
+        def counting_columns(zeros, counts, rotations):
+            columns = real_columns(zeros, counts, rotations)
             checked.extend(specs_of(*columns))
             return columns
 
@@ -1117,8 +1260,8 @@ class TestDrawnSpecsChecked:
             expanded.extend(specs_of(zeros, counts, rotations))
             return real_polynomials(zeros, counts, rotations)
 
-        monkeypatch.setattr(witnesses_mod, "_spec_columns", counting_columns)
-        monkeypatch.setattr(verify_mod, "_spec_columns", counting_columns)
+        monkeypatch.setattr(witnesses_mod, "_checked_columns", counting_columns)
+        monkeypatch.setattr(verify_mod, "_checked_columns", counting_columns)
         monkeypatch.setattr(witnesses_mod, "_blaschke_expansion", counting_expansion)
         monkeypatch.setattr(verify_mod, "_schwarz_polynomials", counting_polynomials)
         check(trials=40, seed=2, order=8)
@@ -1131,7 +1274,8 @@ class TestDrawnSpecsChecked:
         real = verify_mod.draw_specs
 
         def nudged(*args, **kwargs):
-            return [spec._replace(rotation=spec.rotation * (1.0 + 1e-13)) for spec in real(*args, **kwargs)]
+            zeros, counts, rotations = real(*args, **kwargs)
+            return zeros, counts, rotations * (1.0 + 1e-13)
 
         monkeypatch.setattr(verify_mod, "draw_specs", nudged)
         with pytest.raises(ValueError, match="rotation must be unimodular"):

@@ -144,8 +144,8 @@ class TestBuildQuasiTriple:
     def test_identity_check_rejects_f_off_by_1e9(self):
         rng = np.random.default_rng(11)
         g, degrees = draw_polynomials(witnesses._GeneratorRows([np.random.default_rng((11, i)) for i in range(6)]))
-        phi = bounded_rows([draw_blaschke_spec(rng) for _ in range(6)], 24)
-        omega = schwarz_rows([draw_blaschke_spec(rng) for _ in range(6)], 24)
+        phi = bounded_rows(_spec_columns([draw_blaschke_spec(rng) for _ in range(6)]), 24)
+        omega = schwarz_rows(_spec_columns([draw_blaschke_spec(rng) for _ in range(6)]), 24)
         f = quasi_rows(g, degrees, phi, omega)
         for row, index in [(0, 0), (3, 7), (5, 24)]:
             spoiled = f.copy()
@@ -211,8 +211,8 @@ def every_degree_block(copies, order):
     degrees = np.tile(np.arange(9), copies)
     g = rng.uniform(0.5, 2.0, (degrees.size, 9)) * np.exp(2j * np.pi * rng.random((degrees.size, 9)))
     g[np.arange(9) > degrees[:, None]] = 0.0
-    phi = bounded_rows([draw_blaschke_spec(rng) for _ in degrees], order)
-    omega = schwarz_rows([draw_blaschke_spec(rng) for _ in degrees], order)
+    phi = bounded_rows(_spec_columns([draw_blaschke_spec(rng) for _ in degrees]), order)
+    omega = schwarz_rows(_spec_columns([draw_blaschke_spec(rng) for _ in degrees]), order)
     return g, degrees, phi, omega
 
 
@@ -373,8 +373,8 @@ class TestStackedBuilders:
         ks = rng.uniform(0.0, 1.0, rows)
         ks[0] = 1.0
 
-        omega = schwarz_rows(specs, order)
-        omega_tilde = bounded_rows(specs_tilde, order)
+        omega = schwarz_rows(_spec_columns(specs), order)
+        omega_tilde = bounded_rows(_spec_columns(specs_tilde), order)
         for got, specs_of, vanish, one_row in (
             (omega, specs, True, lambda s: schwarz_from_spec(s, order=order)),
             (omega_tilde, specs_tilde, False, lambda s: bounded_from_spec(s, order)),
@@ -436,7 +436,8 @@ class TestColumnarDraws:
         for streams, refs in self._pairs(self.KEYS):
             counts = set()
             for lo, hi in [(0, 4), (1, 4), (0, 0), (4, 4), (2, 3)]:
-                for spec, ref in zip(draw_specs(streams, lo, hi), refs):
+                columns = draw_specs(streams, lo, hi)
+                for spec, ref in zip((witnesses._spec_row(columns, i) for i in range(len(refs))), refs):
                     zeros, rotation = per_object_spec(ref, lo, hi)
                     assert spec.zeros.tobytes() == zeros.tobytes()
                     assert np.complex128(spec.rotation).tobytes() == np.complex128(rotation).tobytes()
@@ -477,7 +478,8 @@ class TestColumnarDraws:
 
     def test_empty_draws(self):
         for streams in [verify._PCG64Rows(np.empty((0, 4), dtype=np.uint64)), witnesses._GeneratorRows([])]:
-            assert draw_specs(streams) == []
+            zeros, counts, rotations = draw_specs(streams)
+            assert zeros.shape == (0, 4) and counts.shape == rotations.shape == (0,)
             rows, degrees = draw_polynomials(streams, 3)
             assert rows.shape == (0, 4) and list(degrees) == []
 
@@ -505,7 +507,7 @@ class TestOddRows:
         specs = [draw_blaschke_spec(np.random.default_rng((order, i)), i % 5, i % 5) for i in range(10)]
         specs.append(BlaschkeSpec(zeros=(complex(0.5, -0.0), complex(-0.0, 0.25)), rotation=complex(-1.0, 0.0)))
         expected = np.stack([schwarz_from_spec(s, odd=True, order=order).coeffs for s in specs])
-        assert schwarz_rows(specs, order, odd=True).tobytes() == expected.tobytes()
+        assert schwarz_rows(_spec_columns(specs), order, odd=True).tobytes() == expected.tobytes()
 
     # the odd inner used to be built as mul(z, p_symmetric_lift(B, 2)) of B
     # expanded at order // 2; odd_rows now builds it
@@ -526,14 +528,14 @@ class TestOddRows:
         spec = BlaschkeSpec(zeros=(0.5j, -0.25), rotation=-1.0)
         expected = np.array([0.0, blaschke_series(spec, 1).coeffs[0] + 0.0])
         assert schwarz_from_spec(spec, odd=True, order=1).coeffs.tobytes() == expected.tobytes()
-        assert schwarz_rows([spec], 1, odd=True)[0].tobytes() == expected.tobytes()
+        assert schwarz_rows(_spec_columns([spec]), 1, odd=True)[0].tobytes() == expected.tobytes()
 
 
 # The stacked builders, each called with the specs it builds from.
 _STACKED_BUILDERS = {
-    "bounded": lambda specs: bounded_rows(specs, 8),
-    "schwarz": lambda specs: schwarz_rows(specs, 8),
-    "odd": lambda specs: schwarz_rows(specs, 8, odd=True),
+    "bounded": lambda specs: bounded_rows(_spec_columns(specs), 8),
+    "schwarz": lambda specs: schwarz_rows(_spec_columns(specs), 8),
+    "odd": lambda specs: schwarz_rows(_spec_columns(specs), 8, odd=True),
 }
 
 
@@ -557,8 +559,9 @@ class TestBoundaryTripwire:
 
 
 class TestSpecColumnsOnce:
-    """A stacked builder forms its spec columns, and makes BlaschkeSpec's
-    checks, once a call, and a bad spec is refused before any expansion."""
+    """A stacked builder makes BlaschkeSpec's checks on the spec columns it
+    is handed once a call (series._checked_columns), and a bad spec is
+    refused before any expansion."""
 
     GOOD = DrawnSpec(np.array([0.5j]), 1.0 + 0.0j)
 
@@ -569,14 +572,14 @@ class TestSpecColumnsOnce:
         # counted in both namespaces that hold it, so a call from either
         # module is seen
         calls = []
-        real = series._spec_columns
+        real = series._checked_columns
 
-        def counting(specs):
-            calls.append(len(specs))
-            return real(specs)
+        def counting(zeros, counts, rotations):
+            calls.append(len(counts))
+            return real(zeros, counts, rotations)
 
-        monkeypatch.setattr(series, "_spec_columns", counting)
-        monkeypatch.setattr(witnesses, "_spec_columns", counting)
+        monkeypatch.setattr(series, "_checked_columns", counting)
+        monkeypatch.setattr(witnesses, "_checked_columns", counting)
         assert _STACKED_BUILDERS[build](specs).tobytes() == expected.tobytes()
         assert calls == [3]
 
@@ -690,7 +693,7 @@ print(rejected(lambda: series.power(make_series([0.0, 1.0], 8), 2)))
 _OPTIMIZED_STACKED_CHECKS = """
 import sys
 import numpy as np
-from bohrlab import witnesses
+from bohrlab import series, witnesses
 from bohrlab.witnesses import DrawnSpec
 
 print(sys.flags.optimize)
@@ -705,9 +708,9 @@ def rejected(call):
 good = DrawnSpec(np.array([0.2j]), 1.0 + 0.0j)
 for bad in (DrawnSpec(np.array([0.95 + 0.0j]), 1.0 + 0.0j), DrawnSpec(np.array([0.5 + 0.0j]), 1.0 + 1e-13 + 0.0j)):
     specs = [good, bad, good]
-    print(rejected(lambda: witnesses.bounded_rows(specs, 8)))
-    print(rejected(lambda: witnesses.schwarz_rows(specs, 8)))
-    print(rejected(lambda: witnesses.schwarz_rows(specs, 8, odd=True)))
+    print(rejected(lambda: witnesses.bounded_rows(series._spec_columns(specs), 8)))
+    print(rejected(lambda: witnesses.schwarz_rows(series._spec_columns(specs), 8)))
+    print(rejected(lambda: witnesses.schwarz_rows(series._spec_columns(specs), 8, odd=True)))
 """
 
 
