@@ -23,11 +23,11 @@ once.  The kernels run with numpy's overflow and invalid-value warnings
 off: an overflow leaves inf or nan in the rows, which finite_rows refuses
 wherever it happened.  Blaschke rows are expanded by _blaschke_expansion
 from spec columns (zeros, counts, rotations), which _spec_columns forms
-from spec objects unchecked: the stacked builders of bohrlab.witnesses, bounded_rows
-and schwarz_rows, take a block's columns, make BlaschkeSpec's checks (the
-bound of every Blaschke witness) on all of them at once through
-_checked_columns and hand them to the expansion, and blaschke_series is
-its one-row call.
+from spec objects unchecked: the stacked builders of bohrlab.witnesses,
+bounded_rows and schwarz_rows, take a block's columns, make
+BlaschkeSpec's checks (the bound of every Blaschke witness) on all of
+them at once through _checked_columns and hand them to the expansion,
+and blaschke_series is its one-row call.
 Every disk automorphism series, mobius_series and
 witnesses.extremal_theorem5, is a one-row mobius_rows call made by
 _automorphism, and the automorphism parameters of mobius_rows and of

@@ -9,13 +9,15 @@ fail a suite.
 
 Every stream is the one np.random.default_rng(key) gives, but the streams
 of a chunk of trials are one vectorised PCG64, _PCG64Rows, with a row per
-trial: numpy's SeedSequence hash of the keys (every field as
-little-endian 32-bit words, 0 as one word, laid out field by field; the
-mix into a pool of four words; generate_state(4, np.uint64)) is formed
-with uint32 arrays and the 128-bit LCG steps with uint64 arrays, so a
-verify run never loads numpy.random.  A chunk with a key that is not a
-tuple of non-negative ints, a negative seed say, is seeded by
-default_rng itself, which refuses such a key with its own error.
+trial: numpy's SeedSequence hash of each key (every field as
+little-endian 32-bit words, 0 as one word; the entropy mix into a pool of
+four words; generate_state(4, np.uint64)) is formed with uint32 arrays for
+the whole chunk, whose keys' words are laid out field by field (a shared
+suite id or seed once, a trial or index as one column), and the 128-bit
+LCG steps of all rows are formed with uint64 arrays, so a verify run never
+loads numpy.random.  A chunk with a
+key that is not a tuple of non-negative ints, a negative seed say, is
+seeded by default_rng itself, which refuses such a key with its own error.
 
 Residuals are "most positive value of LHS - RHS observed"; a suite passes
 when the maximum stays at or below the tolerance.  Left-hand sides are
@@ -24,28 +26,42 @@ the true sums.  A truncated left-hand side can hide a violation that lives
 in the dropped tail, and the doubled-order retry guards only against false
 failures, so a pass is not a certificate for the untruncated functions.
 
-Each suite draws its trials a chunk at a time as columns: polynomial
-coefficients, Blaschke spec columns (zeros, counts, rotations) and
-parameters, each drawn for the whole chunk by one call of its streams.
-All five suites, listed once in SUITES, share one driver, _run_suite,
-which cuts each chunk into blocks of rows, has the suite build a block's
-witnesses as stacked (rows, N+1) arrays through the row kernels of series
-and witnesses (whose builders check a block's spec columns once) and
-evaluate them to a residual column, and makes one tracker update per
-block, with its first largest residual and the draw tuple of that row
-alone (_T1Draw, _T2Draw, _T3Draw with its k, or _Draw).  The report forms
-the one record of the worst (_t1_record, _t2_record, _t3_record or the
-suite's own).  t5 and t6 then add their groups' closed-form checks, and
-t5 its universal-radius sweep; the tracker keeps the first of equal
+Each suite draws its trials a chunk at a time and column by column: the
+polynomial coefficients, Blaschke zeros and rotations of a chunk are formed
+as arrays from one integer and one run of doubles per trial and spec,
+each drawn for the whole chunk by one call of its streams, with the bits
+and the stream order of per-object Generator draws, and a chunk stays a
+tuple of columns (trial index, parameters, coefficient rows and degrees,
+and spec columns (zeros, counts, rotations)).  All five suites, listed
+once in SUITES, share one driver, _run_suite, which cuts each chunk into
+blocks of rows, and to which each hands one function that builds the
+witnesses of a block as stacked (rows, N+1) arrays, through the row
+kernels of series and witnesses, one per construction rule, whose one-row
+calls are the per-series functions, and returns their residual column.
+The builders check a block's spec columns once.  The driver makes one
+tracker update per block, with the block's first largest residual, the
+dict that locates it and the draw tuple of that row alone (_T1Draw,
+_T2Draw, _T3Draw with its k, or _Draw); the tracker keeps the worst item,
+and the report forms the one record of that item (_t1_record, _t2_record,
+_t3_record or the suite's own).  t5 and t6 then add each group's
+closed-form checks to that tracker as ready dicts, in group order, and t5
+its universal-radius sweep last; the tracker keeps the first of equal
 maxima.  Subordination, majorization and the identity inner are the
-Blaschke product with no zeros, to which t1 and t2 mask those rows of
-their spec columns (witnesses._zero_free).  t2 composes each witness on
-its own through series.compose, whose calls perfbench's traced run
-counts.  A t5 or t6 witness, a disk automorphism of z*B(z), is expanded
-from its rational form (_automorphisms), which is handed on so that |h|
-is the untruncated witness's value.  Every left-hand side comes from
-bohrlab.functionals, a block in one pass with the bits of per-witness,
-per-radius evaluation, and sharp ones in closed form (sharp_lhs).
+Blaschke product with no zeros: t1 and t2 mask such a trial's row of its
+phi or omega spec columns to the zero-free product
+(witnesses._zero_free).  t2 builds its outers and inners as rows and only
+composes each witness on its own, through series.compose, the one-row
+call of compose_rows' kernel, whose calls perfbench's traced run counts.
+A t5 or t6 witness, a disk automorphism of z*B(z), is a rational function
+of degree at most 5, which _automorphisms expands by its denominator's
+recurrence (series.rational_rows) rather than composing, and whose
+numerator and denominator it hands on, so that |h| is the untruncated
+witness's value.  Every left-hand side comes from bohrlab.functionals:
+its theorem*_rows functions evaluate a block in one pass, the majorant
+sums with the bits of per-witness, per-radius evaluation, each t5 or t6
+row on its own group's radius grid, and sharp_lhs sums the sharp
+witnesses of t3, t5, t6 and the certificates in closed form without
+building a series.
 """
 
 from __future__ import annotations
@@ -216,9 +232,17 @@ class _Tracker:
 
     def report(self, suite, trials, seed, r_grid, tolerance=TOLERANCE, informational=False, beyond=None):
         verdict = "pass" if self.max_residual <= tolerance else "fail"
-        worst = self._witness(*self.worst)
         return VerificationReport(
-            suite, trials, seed, tuple(r_grid), self.max_residual, worst, verdict, informational, tolerance, beyond
+            suite=suite,
+            trials=trials,
+            seed=seed,
+            r_grid=tuple(r_grid),
+            max_residual=self.max_residual,
+            worst_witness=self._witness(*self.worst),
+            verdict=verdict,
+            informational=informational,
+            tolerance=tolerance,
+            beyond_radius=beyond,
         )
 
 
@@ -472,20 +496,23 @@ def _columns(fn, columns):
     return tuple(_columns(fn, c) for c in columns) if isinstance(columns, tuple) else fn(columns)
 
 
-def _run_suite(chunks, residuals, item, record, order: int, unit: int = 1) -> _Tracker:
-    """A _Tracker updated once per block of rows of the column ``chunks``
-    (nested tuples of arrays, the first 1-D): residuals(block, order)
-    builds the block's witnesses and returns (residual column, dict of
-    columns locating each), and the update takes the first largest, the
-    draw tuple item(*_entries(block, j)) of its row j and the row's
-    location ``where``.  A block holds max(1, _COEFF_BUDGET // (order + 1))
-    rows of a chunk, a multiple of ``unit`` where one fits.  In row order,
-    a row over the tolerance is re-evaluated alone at doubled order and
-    tagged {"reevaluated_order": 2 * order}; a non-finite one is refused."""
+def _slices(chunks, rows: int):
+    """Each of the column ``chunks`` (nested tuples of arrays, the first
+    1-D) cut into consecutive pieces of at most ``rows`` rows, in order."""
+    return (_columns(lambda a: a[i : i + rows], c) for c in chunks for i in range(0, len(c[0]), rows))
+
+
+def _run_suite(chunks, residuals, item, record, order: int) -> _Tracker:
+    """A _Tracker updated once per block of rows of the column ``chunks``:
+    residuals(block, order) builds the block's witnesses and returns
+    (residual column, dict of columns locating each), and the update takes
+    the first largest, the draw tuple item(*_entries(block, j)) of its row
+    j and the row's location ``where``.  A block holds max(1, _COEFF_BUDGET
+    // (order + 1)) rows of a chunk.  In row order, a row over the
+    tolerance is re-evaluated alone at doubled order and tagged
+    {"reevaluated_order": 2 * order}; a non-finite one is refused."""
     tracker = _Tracker()
-    rows = max(1, _COEFF_BUDGET // (order + 1))
-    rows = rows // unit * unit or rows
-    for block in (_columns(lambda a: a[i : i + rows], c) for c in chunks for i in range(0, len(c[0]), rows)):
+    for block in _slices(chunks, max(1, _COEFF_BUDGET // (order + 1))):
         res, where = residuals(block, order)
         retried = {}
         for j in np.flatnonzero(~(np.isfinite(res) & (res <= TOLERANCE))).tolist():
@@ -708,8 +735,10 @@ def _t2_rows(block, order: int) -> tuple:
     trial, q, degrees, omega = block
     g = odd_rows(q, order)
     omega = schwarz_rows(_zero_free(omega, trial % 5 == 0), order, odd=True)
-    rows = zip(degrees.tolist(), g, omega)
-    f = [compose(TruncatedSeries(outer, exact_degree=2 * d + 1), TruncatedSeries(inner)).coeffs for d, outer, inner in rows]
+    f = [
+        compose(TruncatedSeries(outer, exact_degree=2 * d + 1), TruncatedSeries(inner)).coeffs
+        for d, outer, inner in zip(degrees.tolist(), g, omega)
+    ]
     return np.stack(f), g
 
 
@@ -773,8 +802,10 @@ def _t3_draws(streams, keys) -> tuple:
 
 
 def _by_k(chunk, k_grid) -> tuple:
-    """The t3 columns of a chunk of trials with a row per (trial, k), trial
-    by trial, and the column of the rows' k last."""
+    """The t3 columns of a piece of trials with a row per (trial, k), trial
+    by trial, and the column of the rows' k last.  check_theorem3 expands
+    at most max(1, _DRAW_ROWS // len(k_grid)) trials at a time, so a long
+    k grid does not multiply the rows a draw chunk holds."""
     index = np.repeat(np.arange(len(chunk[0])), len(k_grid))
     return (*_columns(lambda a: a[index], chunk), np.tile(np.array(k_grid), len(chunk[0])))
 
@@ -839,10 +870,12 @@ def check_theorem3(
         raise ValueError("k_grid must not be empty")
     unit_interval("k_grid values", k_grid, closed=True)
     grid = radius_grid(CLASSICAL_CAP, 12)
+
     def residuals(block, n):
         return _row_max(_t3_residuals(_t3_witness(block, n), grid), grid + grid)
 
-    tracker = _run_suite((_by_k(c, k_grid) for c in draws), residuals, _t3_item, _t3_record, order, unit=len(k_grid))
+    pieces = _slices(draws, max(1, _DRAW_ROWS // len(k_grid)))
+    tracker = _run_suite((_by_k(p, k_grid) for p in pieces), residuals, _t3_item, _t3_record, order)
     return tracker.report("t3", trials, seed, grid)
 
 

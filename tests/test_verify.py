@@ -515,28 +515,25 @@ class TestStackedBlocks:
         check_theorem3(7, seed=2, k_grid=(0.0, 0.5, 1.0), order=16)
         assert orders == [16] * 14  # h and omega_tilde of each of 7 trials
 
-    @pytest.mark.parametrize("budget_rows, trials_per_block", [(8, 2), (2, None)])
-    def test_theorem3_blocks_hold_whole_trials(self, monkeypatch, budget_rows, trials_per_block):
-        # a budget of 8 rows holds two whole trials of 3 k values (6 rows),
-        # so each trial is expanded once; a budget below one trial's rows
-        # cuts blocks of 2 rows, and a trial that two blocks share is
-        # expanded in each
-        monkeypatch.setattr(verify_mod, "_COEFF_BUDGET", budget_rows * 17)
-        real = verify_mod.bounded_rows
+    def test_theorem3_expands_a_bounded_piece_of_trials(self, monkeypatch):
+        # draw chunks of 8 trials expand 8 // 3 = 2 trials (6 rows) at a
+        # time, and a k grid longer than the chunk one trial at a time; the
+        # reports are those of unbounded pieces
+        wide = [check_theorem3(7, seed=2, k_grid=ks, order=16).as_dict() for ks in ((0.0, 0.5, 1.0), np.linspace(0, 1, 9))]
+        monkeypatch.setattr(verify_mod, "_DRAW_ROWS", 8)
+        real = verify_mod._by_k
         sizes = []
 
-        def counting(columns, order):
-            sizes.append(len(columns[1]) // 2)  # h and omega_tilde of each trial
-            return real(columns, order)
+        def counting(chunk, k_grid):
+            sizes.append(len(chunk[0]))
+            return real(chunk, k_grid)
 
-        monkeypatch.setattr(verify_mod, "bounded_rows", counting)
-        wide = check_theorem3(7, seed=2, order=16).as_dict()
-        if trials_per_block:
-            assert sizes == [trials_per_block] * 3 + [1]
-        else:
-            assert sizes == [1, 2, 1] * 3 + [1, 1]  # rows 2-3, 8-9 and 14-15 span two trials
-        monkeypatch.setattr(verify_mod, "_COEFF_BUDGET", 2 ** 14)
-        assert check_theorem3(7, seed=2, order=16).as_dict() == wide
+        monkeypatch.setattr(verify_mod, "_by_k", counting)
+        assert check_theorem3(7, seed=2, k_grid=(0.0, 0.5, 1.0), order=16).as_dict() == wide[0]
+        assert sizes == [2, 2, 2, 1]
+        sizes.clear()
+        assert check_theorem3(7, seed=2, k_grid=np.linspace(0, 1, 9), order=16).as_dict() == wide[1]
+        assert sizes == [1] * 7
 
 
 def _t2_residual_one(f, g, grid):
@@ -742,15 +739,16 @@ class TestNonFiniteResiduals:
 def _fake_suite(monkeypatch, residual_at, items, rows, order=16):
     """_run_suite over one chunk of the int ``items`` in blocks of ``rows``,
     the residual of an item at an order being residual_at(item, order),
-    located at r = item / 10, its draw tuple the item itself and its record
-    {"trial": item}; also the blocks it evaluated."""
+    located at r = item / 10 (item / 100 at doubled order), its draw tuple
+    the item itself and its record {"trial": item}; also the blocks it
+    evaluated."""
     monkeypatch.setattr(verify_mod, "_COEFF_BUDGET", rows * (order + 1))
     blocks = []
 
     def residuals(block, n):
         [trials] = block
         blocks.append(trials.tolist())
-        return np.array([residual_at(item, n) for item in trials.tolist()], dtype=np.float64), {"r": trials / 10}
+        return np.array([residual_at(item, n) for item in trials.tolist()], dtype=np.float64), {"r": trials / (10 if n == order else 100)}
 
     tracker = verify_mod._run_suite([(np.array(list(items)),)], residuals, lambda item: item, lambda item: {"trial": item}, order)
     return tracker, blocks
@@ -821,7 +819,7 @@ class TestDriver:
         [
             (float("nan"), "nan at {'trial': 2, 'r': 0.2}"),
             (float("-inf"), "-inf at {'trial': 2, 'r': 0.2}"),
-            (float("inf"), "inf at {'trial': 2, 'r': 0.2, 'reevaluated_order': 32}"),
+            (float("inf"), "inf at {'trial': 2, 'r': 0.02, 'reevaluated_order': 32}"),
         ],
     )
     def test_first_non_finite_row_refused_in_order_with_retries(self, monkeypatch, bad, message):
@@ -877,7 +875,7 @@ class TestDriver:
         tracker, blocks = _fake_suite(monkeypatch, residual_at, range(5), 4)
         assert blocks == [[0, 1, 2, 3], [2], [4]]
         rep = tracker.report("t0", 5, 0, (0.5,))
-        assert rep.worst_witness == {"trial": 2, "r": 0.2, "reevaluated_order": 32}
+        assert rep.worst_witness == {"trial": 2, "r": 0.02, "reevaluated_order": 32}
         assert rep.max_residual == 0.5 and rep.verdict == "fail"
 
     def test_retried_row_within_a_block_carries_its_order(self, monkeypatch):
@@ -889,7 +887,7 @@ class TestDriver:
         tracker, blocks = _fake_suite(monkeypatch, residual_at, range(5), 5)
         assert blocks == [[0, 1, 2, 3, 4], [1], [3]]
         rep = tracker.report("t0", 5, 0, (0.5,))
-        assert rep.worst_witness == {"trial": 3, "r": 0.3, "reevaluated_order": 32}
+        assert rep.worst_witness == {"trial": 3, "r": 0.03, "reevaluated_order": 32}
         assert rep.max_residual == 0.25
 
 
