@@ -496,23 +496,24 @@ def _columns(fn, columns):
     return tuple(_columns(fn, c) for c in columns) if isinstance(columns, tuple) else fn(columns)
 
 
-def _slices(chunks, rows: int):
-    """Each of the column ``chunks`` (nested tuples of arrays, the first
-    1-D) cut into consecutive pieces of at most ``rows`` rows, in order."""
-    return (_columns(lambda a: a[i : i + rows], c) for c in chunks for i in range(0, len(c[0]), rows))
+def _block_rows(order: int) -> int:
+    """The rows of a block at truncation order ``order``."""
+    return max(1, _COEFF_BUDGET // (order + 1))
 
 
 def _run_suite(chunks, residuals, item, record, order: int) -> _Tracker:
-    """A _Tracker updated once per block of rows of the column ``chunks``:
-    residuals(block, order) builds the block's witnesses and returns
-    (residual column, dict of columns locating each), and the update takes
-    the first largest, the draw tuple item(*_entries(block, j)) of its row
-    j and the row's location ``where``.  A block holds max(1, _COEFF_BUDGET
-    // (order + 1)) rows of a chunk.  In row order, a row over the
-    tolerance is re-evaluated alone at doubled order and tagged
-    {"reevaluated_order": 2 * order}; a non-finite one is refused."""
+    """A _Tracker updated once per block of rows of the column ``chunks``
+    (nested tuples of arrays, the first 1-D): residuals(block, order)
+    builds the block's witnesses and returns (residual column, dict of
+    columns locating each), and the update takes the first largest, the
+    draw tuple item(*_entries(block, j)) of its row j and the row's
+    location ``where``.  A block holds _block_rows(order) rows of a chunk.
+    In row order, a row over the tolerance is re-evaluated alone at doubled
+    order and tagged {"reevaluated_order": 2 * order}; a non-finite one is
+    refused."""
     tracker = _Tracker()
-    for block in _slices(chunks, max(1, _COEFF_BUDGET // (order + 1))):
+    rows = _block_rows(order)
+    for block in (_columns(lambda a: a[i : i + rows], c) for c in chunks for i in range(0, len(c[0]), rows)):
         res, where = residuals(block, order)
         retried = {}
         for j in np.flatnonzero(~(np.isfinite(res) & (res <= TOLERANCE))).tolist():
@@ -801,13 +802,16 @@ def _t3_draws(streams, keys) -> tuple:
     return np.array([key[-1] for key in keys]), hs, omega_tildes, 0.95 * streams.random(1)[:, 0]
 
 
-def _by_k(chunk, k_grid) -> tuple:
-    """The t3 columns of a piece of trials with a row per (trial, k), trial
-    by trial, and the column of the rows' k last.  check_theorem3 expands
-    at most max(1, _DRAW_ROWS // len(k_grid)) trials at a time, so a long
-    k grid does not multiply the rows a draw chunk holds."""
-    index = np.repeat(np.arange(len(chunk[0])), len(k_grid))
-    return (*_columns(lambda a: a[index], chunk), np.tile(np.array(k_grid), len(chunk[0])))
+def _by_k(chunks, k_grid, rows: int):
+    """The t3 columns of each chunk of trials with a row per (trial, k),
+    trial by trial, and the column of the rows' k last, formed ``rows``
+    rows at a time (a block), so a long k grid does not multiply the rows
+    held at once."""
+    ks = np.array(k_grid)
+    for chunk in chunks:
+        for start in range(0, len(chunk[0]) * len(ks), rows):
+            index = np.arange(start, min(start + rows, len(chunk[0]) * len(ks)))
+            yield (*_columns(lambda a: a[index // len(ks)], chunk), ks[index % len(ks)])
 
 
 def _t3_item(*row) -> tuple:
@@ -874,8 +878,7 @@ def check_theorem3(
     def residuals(block, n):
         return _row_max(_t3_residuals(_t3_witness(block, n), grid), grid + grid)
 
-    pieces = _slices(draws, max(1, _DRAW_ROWS // len(k_grid)))
-    tracker = _run_suite((_by_k(p, k_grid) for p in pieces), residuals, _t3_item, _t3_record, order)
+    tracker = _run_suite(_by_k(draws, k_grid, _block_rows(order)), residuals, _t3_item, _t3_record, order)
     return tracker.report("t3", trials, seed, grid)
 
 

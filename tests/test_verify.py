@@ -515,25 +515,29 @@ class TestStackedBlocks:
         check_theorem3(7, seed=2, k_grid=(0.0, 0.5, 1.0), order=16)
         assert orders == [16] * 14  # h and omega_tilde of each of 7 trials
 
-    def test_theorem3_expands_a_bounded_piece_of_trials(self, monkeypatch):
-        # draw chunks of 8 trials expand 8 // 3 = 2 trials (6 rows) at a
-        # time, and a k grid longer than the chunk one trial at a time; the
-        # reports are those of unbounded pieces
-        wide = [check_theorem3(7, seed=2, k_grid=ks, order=16).as_dict() for ks in ((0.0, 0.5, 1.0), np.linspace(0, 1, 9))]
-        monkeypatch.setattr(verify_mod, "_DRAW_ROWS", 8)
-        real = verify_mod._by_k
-        sizes = []
+    @pytest.mark.parametrize("ks, sizes", [((0.0, 0.5, 1.0), [8, 8, 5]), (tuple(np.linspace(0, 1, 9)), [8] * 7 + [7])])
+    def test_theorem3_expands_one_block_at_a_time(self, monkeypatch, ks, sizes):
+        # 7 trials times the k grid, formed 8 rows at a time, cutting trials
+        # apart, and no more rows at once however long the k grid
+        chunks = _chunks(verify_mod._t3_draws, 3, 7)
+        pieces = list(verify_mod._by_k(chunks, ks, 8))
+        assert [len(p[0]) for p in pieces] == sizes
+        trial, k = (np.concatenate([p[c] for p in pieces]) for c in (0, -1))
+        assert trial.tolist() == [t for t in range(7) for _ in ks] and k.tolist() == list(ks) * 7
+        for c in (1, 2):  # h and omega_tilde, row by row
+            rows = [verify_mod._spec_row(p[c], j) for p in pieces for j in range(len(p[0]))]
+            assert all(r.zeros.tobytes() == verify_mod._spec_row(chunks[0][c], t).zeros.tobytes() for r, t in zip(rows, trial))
+        wide = check_theorem3(7, seed=2, k_grid=ks, order=16).as_dict()
+        monkeypatch.setattr(verify_mod, "_COEFF_BUDGET", 8 * 17)
+        real, blocks = verify_mod._by_k, []
 
-        def counting(chunk, k_grid):
-            sizes.append(len(chunk[0]))
-            return real(chunk, k_grid)
+        def counting(chunks, k_grid, rows):
+            blocks.append(rows)
+            return real(chunks, k_grid, rows)
 
         monkeypatch.setattr(verify_mod, "_by_k", counting)
-        assert check_theorem3(7, seed=2, k_grid=(0.0, 0.5, 1.0), order=16).as_dict() == wide[0]
-        assert sizes == [2, 2, 2, 1]
-        sizes.clear()
-        assert check_theorem3(7, seed=2, k_grid=np.linspace(0, 1, 9), order=16).as_dict() == wide[1]
-        assert sizes == [1] * 7
+        assert check_theorem3(7, seed=2, k_grid=ks, order=16).as_dict() == wide
+        assert blocks == [8]
 
 
 def _t2_residual_one(f, g, grid):
@@ -642,7 +646,8 @@ class TestStackedWitnesses:
     @pytest.mark.parametrize("order", [8, 64])
     def test_t3_rows_match_per_series_pairs(self, order):
         [trials] = _chunks(verify_mod._t3_draws, 3, 6)
-        block = _rows(verify_mod._by_k(trials, (0.0, 0.3, 0.7, 1.0)), slice(1, -1))  # trials cut at both ends
+        [rows] = verify_mod._by_k([trials], (0.0, 0.3, 0.7, 1.0), 24)
+        block = _rows(rows, slice(1, -1))  # trials cut at both ends
         grid = verify_mod.radius_grid(CLASSICAL_CAP, 12)
         rs = np.asarray(grid)
         table = verify_mod._t3_residuals(verify_mod._t3_witness(block, order), grid)
