@@ -6,6 +6,11 @@ logs and usage errors go to stderr, every refusal of a command's input on
 one line that begins "bohrlab: error: ".  Exit codes: 0 success, 1 malformed
 arguments, 2 verification failure.  Truncation order resolves as
 flag > BOHRLAB_ORDER environment variable > 64 and must be >= 2.
+
+The bytes are those of the per-value formulas: each sweep r and value is
+format(x, '.17g') and every JSON payload json.dumps(payload, sort_keys=True,
+indent=2).  A sweep's rows and each extremal coefficient table are filled
+in one %-format call, which prints the same digits.
 """
 
 from __future__ import annotations
@@ -97,8 +102,31 @@ def _parse_params(tokens) -> dict:
     return out
 
 
-def _print_json(payload):
-    sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+# One [re, im] pair of a coefficient table as json.dumps(indent=2) lays it
+# out as the value of a top-level key; %r is float.__repr__, which is what
+# json prints for a finite float.
+_COEFF_PAIR = "    [\n      %r,\n      %r\n    ]"
+
+
+def _coeff_table(coeffs) -> str:
+    """The JSON text json.dumps(indent=2) prints for the [re, im] pairs of
+    ``coeffs`` as the value of a top-level key, made in one format call.
+    A non-finite coefficient, which json would print as NaN or Infinity,
+    is refused."""
+    if not np.isfinite(coeffs).all():
+        raise ValueError("coefficients must be finite")
+    pairs = np.stack([coeffs.real, coeffs.imag], 1).ravel().tolist()
+    return ("[\n" + ",\n".join([_COEFF_PAIR] * len(coeffs)) + "\n  ]") % tuple(pairs)
+
+
+def _print_json(payload, **tables):
+    """Write ``payload`` as json.dumps(sort_keys=True, indent=2) and a newline;
+    each of ``tables`` (key=complex coefficients) goes in as the list of its
+    [re, im] pairs, rendered by _coeff_table."""
+    text = json.dumps({**payload, **{key: key for key in tables}}, sort_keys=True, indent=2)
+    for key, coeffs in tables.items():
+        text = text.replace(f'"{key}": "{key}"', f'"{key}": {_coeff_table(coeffs)}', 1)
+    sys.stdout.write(text + "\n")
 
 
 @functools.cache
@@ -201,16 +229,13 @@ def _cmd_sweep(args) -> int:
         ";".join(f"{key}={_fmt(val)}" for key, val in sorted({**params, "informational": flag}.items()))
         for flag in (0.0, 1.0)
     ]
-    rows = [
-        f"{_fmt(r)},{_fmt(value)},{args.functional},{cells[r > cap + 1e-12]}"
-        for r, value in zip(rs.tolist(), values.tolist())
-    ]
-    sys.stdout.write("r,value,functional,params\n" + "\n".join(rows) + "\n")
+    # one row template per cell, any literal % escaped, filled in one format
+    # call: '%.17g' % x prints the digits of format(x, '.17g')
+    templates = ["%.17g,%.17g," + f"{args.functional},{cell}\n".replace("%", "%%") for cell in cells]
+    template = "".join(map(templates.__getitem__, (rs > cap + 1e-12).tolist()))
+    floats = np.stack([rs, values], 1).ravel().tolist()
+    sys.stdout.write("r,value,functional,params\n" + template % tuple(floats))
     return 0
-
-
-def _coeff_list(series) -> list:
-    return [[float(c.real), float(c.imag)] for c in series.coeffs]
 
 
 def _cmd_extremal(args) -> int:
@@ -225,9 +250,9 @@ def _cmd_extremal(args) -> int:
     a = args.a
     payload = {"theorem": args.theorem, "a": a, "order": order}
     if args.theorem == "cor2":
-        payload["coefficients"] = _coeff_list(witnesses.extremal_corollary2(a, order))
+        tables = {"coefficients": witnesses.extremal_corollary2(a, order).coeffs}
     elif args.theorem == "t5":
-        payload["coefficients"] = _coeff_list(witnesses.extremal_theorem5(a, order))
+        tables = {"coefficients": witnesses.extremal_theorem5(a, order).coeffs}
     else:
         if args.k is None and args.lam is None:
             raise ValueError(f"extremal --theorem {args.theorem} requires --k or --lambda")
@@ -235,9 +260,8 @@ def _cmd_extremal(args) -> int:
         pair = witnesses.extremal_theorem3(a, lam, order)
         payload["lambda"] = lam
         payload["k"] = args.k if args.k is not None else lam
-        payload["h_coefficients"] = _coeff_list(pair.h)
-        payload["g_coefficients"] = _coeff_list(pair.g)
-    _print_json(payload)
+        tables = {"h_coefficients": pair.h.coeffs, "g_coefficients": pair.g.coeffs}
+    _print_json(payload, **tables)
     return 0
 
 

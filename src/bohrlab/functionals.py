@@ -233,8 +233,8 @@ def sharp_lhs(name: str, a, rs, k=0.0):
     if name == "t3":
         return theorem3_rational(a, k, rs) + tail + mobius_tail(a, rs, k)
     if name == "t5":
-        return schwarz_pick_bound(a, rs) + tail
-    return schwarz_pick_bound(a, rs) + tail + mobius_tail(a, rs, k)
+        return schwarz_pick_rational(a, rs) + tail
+    return schwarz_pick_rational(a, rs) + tail + mobius_tail(a, rs, k)
 
 
 def lemma2_bound(a: float, k: float, r: float) -> float:
@@ -253,5 +253,9 @@ def lemma2_bound(a: float, k: float, r: float) -> float:
 def schwarz_pick_bound(a, r):
     """Pointwise bound (r + a) / (1 + a r) for |f| <= 1 with |f(0)| = a,
     elementwise over arrays of a and r."""
-    a, r = unit_interval("a", a), unit_interval("r", r)
+    return schwarz_pick_rational(unit_interval("a", a), unit_interval("r", r))
+
+
+def schwarz_pick_rational(a, r):
+    """(r + a) / (1 + a r) of schwarz_pick_bound; plain arithmetic, like theorem3_rational."""
     return (r + a) / (1.0 + a * r)

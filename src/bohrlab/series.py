@@ -62,7 +62,7 @@ def unit_interval(name: str, value, closed: bool = False) -> np.ndarray:
     """``value`` as a float array once every entry lies in [0, 1) ([0, 1] when
     ``closed``); otherwise, nan included, a ValueError naming the parameter."""
     arr = np.asarray(value, dtype=np.float64)
-    if not np.all((arr >= 0.0) & ((arr <= 1.0) if closed else (arr < 1.0))):
+    if not ((arr >= 0.0) & ((arr <= 1.0) if closed else (arr < 1.0))).all():
         raise ValueError(f"{name} must lie in [0, 1{']' if closed else ')'}")
     return arr
 

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 import bohrlab
-from bohrlab import cli
+from bohrlab import cli, witnesses
+from bohrlab.functionals import sharp_lhs
 from bohrlab.radii import ANALYTIC_THRESHOLD_A, theorem6_threshold
 from bohrlab.series import TruncatedSeries, mobius_series
 from bohrlab.verify import VerificationReport, check_theorem5, check_theorem6, sharpness_certificate
@@ -55,6 +56,31 @@ class TestRadiusCommand:
         payload = json.loads(out)
         assert payload["value"] == pytest.approx(2 / 8.4, abs=1e-15)
         assert payload["alpha_k"] == pytest.approx(0.1813345817725101, abs=1e-12)
+
+    # sha256 prefixes of each theorem's concatenated stdout over its cases,
+    # recorded before sweep and extremal output was formatted one table at a
+    # time: t5 on both sides of its threshold 2 sqrt(3) - 3 and at it, t6 at
+    # k = 0 and k = 1 and with its radius bound and unbound.
+    RADIUS_GOLDEN = {
+        "classical": ([[]], "d48f8b340f4b7303"),
+        "odd": ([[]], "9c65b70dbafb2891"),
+        "psym": ([["--p", str(p)] for p in range(1, 7)], "3ceb6c85ec5c23e3"),
+        "t5": ([["--a", a] for a in ("0", "0.3", "0.4641016151377544", "0.95")], "6777efa285c0ef04"),
+        "t6": (
+            [["--a", a, "--k", k] for a, k in (("0", "0"), ("0.6", "0.5"), ("0.1", "0.9"), ("0.95", "1"))],
+            "663c6fa497fb2025",
+        ),
+    }
+
+    @pytest.mark.parametrize("theorem", sorted(RADIUS_GOLDEN))
+    def test_stdout_matches_golden_digest(self, capsys, theorem):
+        cases, expected = self.RADIUS_GOLDEN[theorem]
+        digest = hashlib.sha256()
+        for flags in cases:
+            code, out, err = run_cli(capsys, "radius", "--theorem", theorem, *flags)
+            assert code == 0 and err == ""
+            digest.update(out.encode())
+        assert digest.hexdigest()[:16] == expected
 
     def test_missing_parameter_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "radius", "--theorem", "t6", "--a", "0.6")
@@ -286,6 +312,81 @@ class TestSweepCommand:
             digest.update(out.encode())
         assert digest.hexdigest()[:16] == expected
 
+    # A sweep fills one %-template per table; these are the rows it printed
+    # before, one format(x, ".17g") per r and value, with the params cell of
+    # the row's side of the claimed cap.  The r cells are read back from the
+    # output (17 digits round-trip), so each value is checked at its radius.
+    @pytest.mark.parametrize("functional", ["bohr", "cor2", "t3", "t5", "t6"])
+    def test_rows_match_per_value_formatting(self, capsys, functional):
+        rng = np.random.default_rng(["bohr", "cor2", "t3", "t5", "t6"].index(functional) + 91)
+        sides = set()
+        for case in range(12):
+            steps = (0, 1, 1000)[case % 3]
+            params = {"a": 0.0 if case == 0 else float(rng.uniform(0.0, 1.0))}
+            if functional in ("t3", "t6"):
+                k, lam = sorted(rng.uniform(0.0, 1.0, 2).tolist(), reverse=True)
+                params["k"] = (0.0, 1.0, k)[case % 3]
+                if case % 2:
+                    params["lambda"] = min(lam, params["k"])
+            cap = cli._claimed_cap(functional, {key: params[key] for key in ("a", "k") if key in params})
+            r_max = "-0" if steps == 0 else repr(float(rng.uniform(max(cap, 0.1), 0.99)))
+            code, out, err = run_cli(
+                capsys,
+                "sweep", "--functional", functional,
+                "--params", *(f"{key}={value!r}" for key, value in params.items()),
+                "--r-min", "-0", "--r-max", r_max, "--steps", str(steps),
+            )
+            assert code == 0 and err == ""
+            header, *lines = out.split("\n")
+            assert header == "r,value,functional,params" and lines.pop() == ""
+            rs = np.array([float(line.split(",")[0]) for line in lines])
+            assert len(rs) == steps + 1 and np.all(np.diff(rs) > 0)
+            values = sharp_lhs(functional, params["a"], rs, params.get("lambda", params.get("k", 0.0)))
+            expected = []
+            for r, value in zip(rs.tolist(), values.tolist()):
+                beyond = r > cap + 1e-12
+                sides.add(beyond)
+                cell = ";".join(
+                    f"{key}={format(val, '.17g')}"
+                    for key, val in sorted({**params, "informational": float(beyond)}.items())
+                )
+                expected.append(f"{format(r, '.17g')},{format(value, '.17g')},{functional},{cell}")
+            assert lines == expected
+            if steps == 0:
+                assert lines[0].startswith("-0,")
+        assert sides == {False, True}
+
+    def test_fmt_called_for_params_cells_only(self, capsys, monkeypatch):
+        # per-row Python formatting would call _fmt once per r and value
+        real = cli._fmt
+        calls = []
+        monkeypatch.setattr(cli, "_fmt", lambda x: calls.append(x) or real(x))
+        counts = []
+        for steps in ("1", "1000"):
+            calls.clear()
+            code, out, _ = run_cli(
+                capsys,
+                "sweep", "--functional", "t3", "--params", "a=0.6", "k=0.5", "lambda=0.25",
+                "--r-min", "0", "--r-max", "0.9", "--steps", steps,
+            )
+            assert code == 0 and len(out.splitlines()) == int(steps) + 2
+            counts.append(len(calls))
+        # two params cells (informational 0 and 1) of four keys each
+        assert counts == [8, 8]
+
+    def test_percent_in_params_cell_printed_literally(self, capsys, monkeypatch):
+        real = cli._fmt
+        monkeypatch.setattr(cli, "_fmt", lambda x: real(x) + "%s%%")
+        code, out, _ = run_cli(
+            capsys, "sweep", "--functional", "bohr", "--params", "a=0.5",
+            "--r-min", "0.3", "--r-max", "0.4", "--steps", "1",
+        )
+        assert code == 0
+        assert out.splitlines()[1:] == [
+            f"0.29999999999999999,{format(sharp_lhs('bohr', 0.5, 0.3), '.17g')},bohr,a=0.5%s%%;informational=0%s%%",
+            f"0.40000000000000002,{format(sharp_lhs('bohr', 0.5, 0.4), '.17g')},bohr,a=0.5%s%%;informational=1%s%%",
+        ]
+
     @pytest.mark.parametrize("functional", ["bohr", "cor2", "t3", "t5", "t6"])
     @pytest.mark.parametrize("a", ["-0.5", "1", "nan"])
     def test_parameter_a_outside_unit_interval_refused(self, capsys, functional, a):
@@ -376,6 +477,72 @@ class TestExtremalCommand:
         assert len(payload["h_coefficients"]) == 7
         assert payload["g_coefficients"][0] == [0.0, 0.0]
         assert payload["lambda"] == 0.7
+
+    # sha256 prefixes of each theorem's concatenated stdout over a = 0 and
+    # 0.95 at orders 256 and 2, t3 and t6 with --k alone, with --lambda below
+    # it and with --lambda alone; recorded while json.dumps printed the
+    # coefficient tables.
+    EXTREMAL_SCALES = [["--k", "0.7"], ["--k", "0.7", "--lambda", "0.4"], ["--lambda", "0.3"]]
+    EXTREMAL_GOLDEN = {
+        "cor2": "f0eb1e31831262eb",
+        "t3": "87235ca566687a77",
+        "t5": "102d8658b126d824",
+        "t6": "4abf82800f49e54f",
+    }
+
+    @pytest.mark.parametrize("theorem", sorted(EXTREMAL_GOLDEN))
+    def test_stdout_matches_golden_digest(self, capsys, theorem):
+        scales = self.EXTREMAL_SCALES if theorem in ("t3", "t6") else [[]]
+        digest = hashlib.sha256()
+        for a in ("0", "0.95"):
+            for order in ("256", "2"):
+                for scale in scales:
+                    code, out, err = run_cli(
+                        capsys, "extremal", "--theorem", theorem, "--a", a, *scale, "--order", order
+                    )
+                    assert code == 0 and err == ""
+                    digest.update(out.encode())
+        assert digest.hexdigest()[:16] == self.EXTREMAL_GOLDEN[theorem]
+
+    # Each coefficient table is one %r template; this is the payload that
+    # json.dumps printed before, with the pairs [float(re), float(im)].
+    @pytest.mark.parametrize("theorem", ["cor2", "t3", "t5", "t6"])
+    def test_dump_matches_json_dumps(self, capsys, theorem):
+        rng = np.random.default_rng(["cor2", "t3", "t5", "t6"].index(theorem) + 95)
+        for case in range(9):
+            order = (2, 3, 256)[case % 3]
+            a = 0.0 if case == 0 else float(rng.uniform(0.0, 1.0))
+            k, lam = sorted(rng.uniform(0.0, 1.0, 2).tolist(), reverse=True)
+            flags = [["--k", repr(k)], ["--lambda", repr(lam)], ["--k", repr(k), "--lambda", repr(lam)]][case % 3]
+            if theorem not in ("t3", "t6"):
+                flags = []
+            code, out, err = run_cli(
+                capsys, "extremal", "--theorem", theorem, "--a", repr(a), *flags, "--order", str(order)
+            )
+            assert code == 0 and err == ""
+            pairs = lambda series: [[float(c.real), float(c.imag)] for c in series.coeffs]
+            payload = {"theorem": theorem, "a": a, "order": order}
+            if theorem == "cor2":
+                payload["coefficients"] = pairs(witnesses.extremal_corollary2(a, order))
+            elif theorem == "t5":
+                payload["coefficients"] = pairs(witnesses.extremal_theorem5(a, order))
+            else:
+                scale = lam if "--lambda" in flags else k
+                pair = witnesses.extremal_theorem3(a, scale, order)
+                payload.update(
+                    {"lambda": scale, "k": k if "--k" in flags else scale,
+                     "h_coefficients": pairs(pair.h), "g_coefficients": pairs(pair.g)}
+                )
+            assert out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.5, np.nan), complex(np.inf, 0.0)])
+    def test_non_finite_coefficient_refused(self, capsys, bad):
+        # json.dumps would print NaN or Infinity, which float.__repr__ spells
+        # nan or inf, so the table renderer refuses them instead
+        coeffs = np.array([0.5, bad, 0.25], dtype=complex)
+        with pytest.raises(ValueError, match="coefficients must be finite"):
+            cli._print_json({"a": 0.5}, coefficients=coeffs)
+        assert capsys.readouterr().out == ""
 
     def test_t3_requires_scale(self, capsys):
         code, _, err = run_cli(capsys, "extremal", "--theorem", "t3", "--a", "0.4")

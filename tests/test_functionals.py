@@ -232,6 +232,19 @@ class TestSchwarzPick:
     def test_range(self):
         assert 0.5 <= schwarz_pick_bound(0.5, 0.2) < 1.0
 
+    def test_bound_is_the_checked_rational(self):
+        rng = np.random.default_rng(56)
+        a, r = rng.uniform(0.0, 1.0, (2, 300))
+        assert schwarz_pick_bound(a, r).tobytes() == functionals.schwarz_pick_rational(a, r).tobytes()
+
+    @pytest.mark.parametrize(
+        "a, r, message",
+        [(1.0, 0.2, r"a must lie in \[0, 1\)"), (0.5, float("nan"), r"r must lie in \[0, 1\)")],
+    )
+    def test_bound_checks_its_inputs(self, a, r, message):
+        with pytest.raises(ValueError, match=message):
+            schwarz_pick_bound(a, r)
+
 
 class TestHarmonicPair:
     def test_rejects_nonzero_co_analytic_constant(self):
@@ -277,6 +290,20 @@ class TestSharpLhs:
         expected = np.array([[value(r) for r in self.R] for value in (self._scalar(name, a, k) for a in self.A)])
         assert got.shape == (200, 100)
         assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("name", ["bohr", "cor2", "t3", "t5", "t6"])
+    def test_one_range_check_per_input(self, monkeypatch, name):
+        # t5 and t6 checked a and r a second time through schwarz_pick_bound
+        checked = []
+        real = functionals.unit_interval
+
+        def counting(label, value, closed=False):
+            checked.append(label)
+            return real(label, value, closed)
+
+        monkeypatch.setattr(functionals, "unit_interval", counting)
+        sharp_lhs(name, 0.5, np.array([0.1, 0.2]), 0.5)
+        assert checked == ["a", "r", "k"]
 
     def test_k_broadcasts_elementwise(self):
         ks = np.array([0.0, 0.25, 1.0])

@@ -32,6 +32,7 @@ from bohrlab.series import (
     power,
     rational_rows,
     scale,
+    unit_interval,
 )
 from bohrlab.verify import _automorphisms
 from bohrlab.witnesses import (
@@ -59,6 +60,29 @@ def rand_series(rng, order, scale_cap=2.0, degree=None):
     moduli = rng.uniform(0, scale_cap, d + 1)
     phases = rng.uniform(0, 2 * np.pi, d + 1)
     return make_series(moduli * np.exp(1j * phases), order)
+
+
+class TestUnitInterval:
+    @pytest.mark.parametrize("closed", [False, True])
+    def test_accepts_and_returns_float_array(self, closed):
+        got = unit_interval("x", [0, 0.5, -0.0], closed=closed)
+        assert got.dtype == np.float64 and got.tolist() == [0.0, 0.5, 0.0]
+        assert unit_interval("x", 0.25).shape == ()
+        assert unit_interval("x", 1.0, closed=True) == 1.0
+
+    @pytest.mark.parametrize(
+        "value, closed, message",
+        [
+            (1.0, False, r"^x must lie in \[0, 1\)$"),
+            ([0.5, -1e-300], False, r"^x must lie in \[0, 1\)$"),
+            (float("nan"), False, r"^x must lie in \[0, 1\)$"),
+            ([0.5, float("nan")], True, r"^x must lie in \[0, 1\]$"),
+            (np.nextafter(1.0, 2.0), True, r"^x must lie in \[0, 1\]$"),
+        ],
+    )
+    def test_refuses_by_name(self, value, closed, message):
+        with pytest.raises(ValueError, match=message):
+            unit_interval("x", value, closed=closed)
 
 
 class TestMakeSeries:
