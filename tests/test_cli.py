@@ -508,6 +508,9 @@ class TestExtremalCommand:
     # json.dumps printed before, with the pairs [float(re), float(im)].
     @pytest.mark.parametrize("theorem", ["cor2", "t3", "t5", "t6"])
     def test_dump_matches_json_dumps(self, capsys, theorem):
+        def pairs(series):
+            return [[float(c.real), float(c.imag)] for c in series.coeffs]
+
         rng = np.random.default_rng(["cor2", "t3", "t5", "t6"].index(theorem) + 95)
         for case in range(9):
             order = (2, 3, 256)[case % 3]
@@ -520,7 +523,6 @@ class TestExtremalCommand:
                 capsys, "extremal", "--theorem", theorem, "--a", repr(a), *flags, "--order", str(order)
             )
             assert code == 0 and err == ""
-            pairs = lambda series: [[float(c.real), float(c.imag)] for c in series.coeffs]
             payload = {"theorem": theorem, "a": a, "order": order}
             if theorem == "cor2":
                 payload["coefficients"] = pairs(witnesses.extremal_corollary2(a, order))
