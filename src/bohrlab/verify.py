@@ -1,30 +1,24 @@
 """Seeded property-verification suites, sharpness certificates and scans.
 
 Every suite draws its witnesses from per-trial PCG64 streams seeded with
-(suite id, seed, trial ...), so reports are reproducible bit for bit and a
-longer run extends a shorter one without disturbing earlier trials.  Any
-trial whose residual exceeds the tolerance is re-evaluated once at doubled
-truncation order before being reported, so a truncation artifact does not
-fail a suite.
-
-Every stream is the one np.random.default_rng(key) gives, but the streams
-of a chunk of trials are one vectorised PCG64, _PCG64Rows, with a row per
-trial: numpy's SeedSequence hash of each key (every field as
-little-endian 32-bit words, 0 as one word; the entropy mix into a pool of
-four words; generate_state(4, np.uint64)) is formed with uint32 arrays for
-the whole chunk, whose keys' words are laid out field by field (a shared
-suite id or seed once, a trial or index as one column), and the 128-bit
-LCG steps of all rows are formed with uint64 arrays, so a verify run never
-loads numpy.random.  A chunk with a
-key that is not a tuple of non-negative ints, a negative seed say, is
-seeded by default_rng itself, which refuses such a key with its own error.
+(suite id, seed, trial ...), the streams np.random.default_rng(key) gives,
+drawn a chunk of keys at a time by bohrlab.streams, so reports are
+reproducible bit for bit and a longer run extends a shorter one without
+disturbing earlier trials.  Any trial whose residual exceeds the tolerance
+is re-evaluated once at doubled truncation order, and the report keeps the
+retry's residual, tagged with its order.
 
 Residuals are "most positive value of LHS - RHS observed"; a suite passes
 when the maximum stays at or below the tolerance.  Left-hand sides are
 either exact (closed forms, polynomial outers) or truncated lower bounds of
 the true sums.  A truncated left-hand side can hide a violation that lives
-in the dropped tail, and the doubled-order retry guards only against false
-failures, so a pass is not a certificate for the untruncated functions.
+in the dropped tail, so a pass is not a certificate for the untruncated
+functions.  Nor can the retry clear a failure: coefficients 0..N of every
+witness do not depend on N, every left-hand side is an N-independent part
+plus sums of non-negative terms over those coefficients, and t2's partial
+sums at 2N include those at N, so up to rounding a retry can only raise a
+residual.  It stays as the place where a decision on a bound of the
+dropped tail would act.
 
 Each suite draws its trials a chunk at a time and column by column: the
 polynomial coefficients, Blaschke zeros and rotations of a chunk are formed
@@ -38,17 +32,23 @@ blocks of rows, and to which each hands one function that builds the
 witnesses of a block as stacked (rows, N+1) arrays, through the row
 kernels of series and witnesses, one per construction rule, whose one-row
 calls are the per-series functions, and returns their residual column.
-The builders check a block's spec columns once.  The driver makes one
-tracker update per block, with the block's first largest residual, the
-dict that locates it and the draw tuple of that row alone (_T1Draw,
-_T2Draw, _T3Draw with its k, or _Draw); the tracker keeps the worst item,
-and the report forms the one record of that item (_t1_record, _t2_record,
-_t3_record or the suite's own).  t5 and t6 then add each group's
-closed-form checks to that tracker as ready dicts, in group order, and t5
-its universal-radius sweep last; the tracker keeps the first of equal
-maxima.  Subordination, majorization and the identity inner are the
-Blaschke product with no zeros: t1 and t2 mask such a trial's row of its
-phi or omega spec columns to the zero-free product
+The builders check a block's spec columns once.  Every check reaches the
+tracker in one form: a residual array and the functions that name its
+entries.  The tracker takes the first non-finite entry, which it refuses
+by name, or else the first largest, and keeps the worst item; the report
+forms the one record of that item.  The driver makes one update per block
+with its residual column after the retries, an entry being named by the
+draw tuple of its row alone (_T1Draw, _T2Draw, _T3Draw with its k, or
+_Draw) and the dict that locates its residual, and recorded by the
+suite's record function (_t1_record, _t2_record, _t3_record or the
+suite's own).  t5 and t6 then hand over their closed-form checks as tables
+of one sharp_lhs call each, in group order: t5 its (group x 9) table of
+the sharp witness on each group's grid and just beyond its radius, then
+its universal-radius sweep; t6 its (pair x 5) table of the ladder scales
+and the exact scale at the radius and beyond it, whose failing checks
+form a (pair, check) mask.  Subordination, majorization and the identity
+inner are the Blaschke product with no zeros: t1 and t2 mask such a
+trial's row of its phi or omega spec columns to the zero-free product
 (witnesses._zero_free).  t2 builds its outers and inners as rows and only
 composes each witness on its own, through series.compose, the one-row
 call of compose_rows' kernel, whose calls perfbench's traced run counts.
@@ -66,7 +66,6 @@ building a series.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
@@ -103,9 +102,9 @@ from .series import (
     refuse_unread,
     unit_interval,
 )
+from .streams import _keyed_draws
 from .witnesses import (
     DrawnSpec,
-    _GeneratorRows,
     _spec_row,
     _zero_free,
     bounded_rows,
@@ -150,26 +149,6 @@ _T2_BASE_DEGREE = 3
 # by this budget alone and may span parameter groups.
 _COEFF_BUDGET = 2 ** 14
 
-# Trials are drawn this many at a time; a trial's draws do not depend on
-# the chunk it falls in, so the count bounds only the draws held at once.
-# A chunk's streams step with a fixed number of numpy calls per draw, so
-# larger chunks pay fewer of them per trial.
-_DRAW_ROWS = 1024
-
-# numpy's SeedSequence constants (numpy/random/bit_generator.pyx): its pool
-# of four 32-bit words, the entropy and state hashes and the pool mix.
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_MASK32 = 0xFFFFFFFF
-
-# PCG64's 128-bit multiplier (numpy/random/src/pcg64/pcg64.h) in 64-bit
-# halves.  Python ints: numpy casts them to the uint64 of the arrays they
-# meet, and the wrapping products stay array operations.
-_PCG_MULT_HI, _PCG_MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
-
-
 def _sine_fractions(n: int) -> tuple:
     """n fractions in (0, 1], sine-spaced so points cluster near 1, ending at 1."""
     xs = np.sin(np.pi * np.arange(1, n + 1) / (2.0 * n))
@@ -208,37 +187,39 @@ class _Tracker:
     """Keeps the largest residual and the item that produced it, and forms
     that item's record only for the report.
 
-    An update hands in an item, the ``where`` dict that locates its residual
-    and the ``record`` function that turns the item into a dict; the
-    witness is ``{**record(item), **where}``.  A closed-form check hands in
-    its witness dict as the item, with no ``where``.  Of equal residuals the
-    first is kept, and a non-finite residual is refused with its witness
-    named."""
+    An update hands in a 1-D residual array and the functions that name its
+    entries: item(j), the item of entry j, formed once per update for the
+    entry kept, and record(item), its witness dict, which the report forms.
+    The entry kept is the first non-finite one, which is refused with its
+    witness named, or else the first largest; of equal residuals across
+    updates the first is kept."""
 
     def __init__(self):
         self.max_residual = float("-inf")
-        self.worst = ({}, None, dict)  # (item, where, record)
+        self.worst = ({}, dict)  # (item, record)
 
-    @staticmethod
-    def _witness(item, where, record) -> dict:
-        return {**record(item), **(where or {})}
-
-    def update(self, residual: float, item, where: dict | None = None, record=dict):
-        if not math.isfinite(residual):
-            raise ValueError(f"non-finite residual {residual} at {self._witness(item, where, record)}")
-        if residual > self.max_residual:
-            self.max_residual = float(residual)
-            self.worst = (item, where, record)
+    def update(self, residuals: np.ndarray, item, record):
+        if not len(residuals):
+            return
+        bad = np.flatnonzero(~np.isfinite(residuals))
+        j = int(bad[0]) if len(bad) else int(np.argmax(residuals))
+        kept = item(j)
+        if len(bad):
+            raise ValueError(f"non-finite residual {float(residuals[j])} at {record(kept)}")
+        if residuals[j] > self.max_residual:
+            self.max_residual = float(residuals[j])
+            self.worst = (kept, record)
 
     def report(self, suite, trials, seed, r_grid, tolerance=TOLERANCE, informational=False, beyond=None):
         verdict = "pass" if self.max_residual <= tolerance else "fail"
+        item, record = self.worst
         return VerificationReport(
             suite=suite,
             trials=trials,
             seed=seed,
             r_grid=tuple(r_grid),
             max_residual=self.max_residual,
-            worst_witness=self._witness(*self.worst),
+            worst_witness=record(item),
             verdict=verdict,
             informational=informational,
             tolerance=tolerance,
@@ -256,216 +237,6 @@ def _spec_dict(spec: DrawnSpec) -> dict:
 
 def _poly_dict(coeffs: np.ndarray, degree: int) -> list:
     return [_pair(c) for c in coeffs[: degree + 1].tolist()]
-
-
-def _entropy_words(key):
-    """The 32-bit words SeedSequence assembles from a tuple of non-negative
-    Python ints, each field little-endian and 0 as one word; None for any
-    other key."""
-    if type(key) is not tuple:
-        return None
-    words = []
-    for n in key:
-        if type(n) is not int or n < 0:
-            return None
-        words.append(n & _MASK32)
-        while n := n >> 32:
-            words.append(n & _MASK32)
-    return words
-
-
-def _field_words(chunk):
-    """(rows, words) uint32 entropy words of a chunk of tuples of one length
-    whose every field is an int, either one non-negative value for the whole
-    chunk (a suite id, a seed) or values in [0, 2**32) (a trial, a group,
-    an index): a shared field's words once, a varying field as one column.
-    None for any other chunk."""
-    if set(map(type, chunk)) != {tuple} or len(set(map(len, chunk))) != 1:
-        return None
-    columns = [np.empty((len(chunk), 0), dtype=np.uint32)]
-    for field in zip(*chunk):
-        if set(map(type, field)) != {int}:
-            return None
-        if field.count(field[0]) == len(field):
-            words = _entropy_words(field[:1])
-            if words is None:
-                return None
-            columns.append(np.broadcast_to(np.array(words, dtype=np.uint32), (len(chunk), len(words))))
-        elif min(field) >= 0 and max(field) <= _MASK32:
-            columns.append(np.array(field, dtype=np.uint32)[:, None])
-        else:
-            return None
-    return np.hstack(columns)
-
-
-def _entropy_table(chunk):
-    """(table, lengths) of a chunk of keys, or None when some key has no
-    entropy words: row i of the uint32 table, at least _POOL_SIZE wide,
-    holds the _entropy_words of chunk[i] in its first lengths[i] entries
-    and zeros after them.  A chunk _field_words reads is formed field by
-    field, any other key by key."""
-    words = _field_words(chunk)
-    if words is not None:
-        lengths = np.full(len(chunk), words.shape[1], dtype=np.intp)
-        words = words.ravel()
-    else:
-        entropy = [_entropy_words(key) for key in chunk]
-        if None in entropy:
-            return None
-        lengths = np.array([len(words) for words in entropy], dtype=np.intp)
-        words = np.fromiter(itertools.chain.from_iterable(entropy), dtype=np.uint32, count=int(lengths.sum()))
-    table = np.zeros((len(chunk), max(_POOL_SIZE, int(lengths.max()))), dtype=np.uint32)
-    table[np.arange(table.shape[1]) < lengths[:, None]] = words
-    return table, lengths
-
-
-def _seed_states(table: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """(rows, 4) uint64 words, row i being
-    SeedSequence(key).generate_state(4, np.uint64) for the key whose entropy
-    words are the first lengths[i] entries of row i of ``table``
-    (_entropy_table), hashed for all rows at once with numpy's uint32
-    arithmetic, which wraps as SeedSequence's does."""
-    const = _INIT_A  # advanced by every hashmix, the same for every row
-
-    def hashmix(values):
-        nonlocal const
-        values = values ^ np.uint32(const)
-        const = const * _MULT_A & _MASK32
-        values = values * np.uint32(const)
-        return values ^ (values >> 16)
-
-    def mix(x, y):
-        out = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
-        return out ^ (out >> 16)
-
-    # a key of fewer words than the pool hashes zeros in their place
-    pool = [hashmix(table[:, i]) for i in range(_POOL_SIZE)]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for src in range(_POOL_SIZE, table.shape[1]):
-        longer = lengths > src
-        for dst in range(_POOL_SIZE):
-            pool[dst] = np.where(longer, mix(pool[dst], hashmix(table[:, src])), pool[dst])
-    const = _INIT_B
-    state = np.empty((lengths.size, 8), dtype=np.uint32)
-    for i in range(8):
-        value = pool[i % _POOL_SIZE] ^ np.uint32(const)
-        const = const * _MULT_B & _MASK32
-        value = value * np.uint32(const)
-        state[:, i] = value ^ (value >> 16)
-    # word 2j is the low half of 64-bit word j, as in numpy's little-endian view
-    return state[:, 0::2].astype(np.uint64) | state[:, 1::2].astype(np.uint64) << np.uint64(32)
-
-
-def _mul_high(a: np.ndarray, b: int) -> np.ndarray:
-    """The high 64 bits of each a * b, for a uint64 array a and b < 2**64,
-    from 32-bit halves whose products fit in uint64."""
-    a0, a1, b0, b1 = a & _MASK32, a >> 32, b & _MASK32, b >> 32
-    low = a0 * b0
-    mid = a1 * b0 + (low >> 32)
-    return a1 * b1 + (mid >> 32) + (a0 * b1 + (mid & _MASK32) >> 32)
-
-
-class _PCG64Rows:
-    """One PCG64 per row, each as numpy's PCG64 runs it from the four seed
-    words that row of ``words`` holds (SeedSequence.generate_state(4,
-    np.uint64)), stepped for all rows at once in uint64 halves.  It makes
-    the two draw calls of witnesses._polar_runs, with a Generator's bits:
-    random(counts) and integers(lo, hi)."""
-
-    def __init__(self, words: np.ndarray):
-        # numpy's pcg64_set_seed: seed and increment are words 0:2 and 2:4,
-        # high half first; the state steps from 0, takes the seed, steps
-        self.inc_hi = words[:, 2] << 1 | words[:, 3] >> 63
-        self.inc_lo = words[:, 3] << 1 | 1
-        hi, lo = self._step(*np.zeros((2, len(words)), dtype=np.uint64))
-        lo = lo + words[:, 1]
-        self.hi, self.lo = self._step(hi + words[:, 0] + (lo < words[:, 1]), lo)
-        # next_uint32 takes the low half of a fresh output and holds the high
-        self.held = np.zeros(len(words), dtype=np.uint64)
-        self.has_held = np.zeros(len(words), dtype=bool)
-
-    def __len__(self) -> int:
-        return len(self.hi)
-
-    def _step(self, hi, lo) -> tuple:
-        """The LCG step state * multiplier + inc mod 2**128 of every row."""
-        new_lo = lo * _PCG_MULT_LO + self.inc_lo
-        new_hi = _mul_high(lo, _PCG_MULT_LO) + lo * _PCG_MULT_HI + hi * _PCG_MULT_LO
-        return new_hi + self.inc_hi + (new_lo < self.inc_lo), new_lo
-
-    def _raw(self, counts) -> np.ndarray:
-        """(rows, max(counts)) uint64 outputs: row i steps counts[i] times
-        and its first counts[i] entries are those steps' XSL-RR outputs; the
-        entries past them are not to be read."""
-        hi, lo, out = self.hi, self.lo, []
-        his, los = [hi], [lo]
-        for _ in range(int(counts.max(initial=0))):
-            hi, lo = self._step(hi, lo)
-            his.append(hi)
-            los.append(lo)
-            x, turn = hi ^ lo, hi >> 58
-            out.append(x >> turn | x << (64 - turn & 63))
-        rows = np.arange(len(counts))
-        self.hi, self.lo = np.array(his)[counts, rows], np.array(los)[counts, rows]
-        return np.stack(out, axis=1) if out else np.empty((len(counts), 0), dtype=np.uint64)
-
-    def random(self, counts) -> np.ndarray:
-        """(rows, max(counts)) doubles, row i's first counts[i] being its
-        next Generator.random(counts[i]); the entries past them are not to
-        be read."""
-        counts = np.broadcast_to(np.asarray(counts, dtype=np.intp), (len(self),))
-        return (self._raw(counts) >> 11) * 2.0**-53
-
-    def _uint32(self, rows: np.ndarray) -> np.ndarray:
-        """next_uint32 of the rows marked in ``rows``: a held high half, or
-        the low half of a fresh output, whose high half is then held."""
-        fresh = rows & ~self.has_held
-        raw = self._raw(fresh.astype(np.intp))
-        self.has_held ^= rows
-        if not raw.shape[1]:
-            return self.held
-        out = np.where(fresh, raw[:, 0] & _MASK32, self.held)
-        self.held = np.where(fresh, raw[:, 0] >> 32, self.held)
-        return out
-
-    def integers(self, lo: int, hi: int) -> np.ndarray:
-        """One Generator.integers(lo, hi + 1) per row: numpy's 32-bit Lemire
-        draw and its rejection loop for 0 < hi - lo < 2**32 - 1; a range of
-        0 consumes nothing."""
-        span = hi - lo
-        if span == 0:
-            return np.full(len(self), lo, dtype=np.intp)
-        threshold = (_MASK32 - span) % (span + 1)
-        scaled = self._uint32(np.ones(len(self), dtype=bool)) * (span + 1)
-        redraw = (scaled & _MASK32) < threshold
-        while redraw.any():
-            scaled = np.where(redraw, self._uint32(redraw) * (span + 1), scaled)
-            redraw &= (scaled & _MASK32) < threshold
-        return (scaled >> 32).astype(np.intp) + lo
-
-
-def _streams(chunk):
-    """The PCG64 stream np.random.default_rng(key) gives for each key of a
-    chunk, one row each, with the SeedSequence hash of all keys formed at
-    once.  A chunk holding a key that is not a tuple of non-negative Python
-    ints goes to default_rng itself, which reads it or refuses it as it
-    always has, through witnesses' one-row-per-Generator adapter."""
-    table = _entropy_table(chunk)
-    if table is None:
-        return _GeneratorRows([np.random.default_rng(key) for key in chunk])
-    return _PCG64Rows(_seed_states(*table))
-
-
-def _keyed_draws(keys, draw):
-    """draw(streams, chunk) of consecutive chunks of ``keys``, in order,
-    where row i of streams is the PCG64 stream keyed by chunk[i], as
-    np.random.default_rng(chunk[i]) seeds it."""
-    keys = iter(keys)
-    while chunk := list(itertools.islice(keys, _DRAW_ROWS)):
-        yield draw(_streams(chunk), chunk)
 
 
 def _trial_params(suite: str, draw, trials: int, seed: int):
@@ -505,14 +276,20 @@ def _run_suite(chunks, residuals, item, record, order: int) -> _Tracker:
     """A _Tracker updated once per block of rows of the column ``chunks``
     (nested tuples of arrays, the first 1-D): residuals(block, order)
     builds the block's witnesses and returns (residual column, dict of
-    columns locating each), and the update takes the first largest, the
-    draw tuple item(*_entries(block, j)) of its row j and the row's
-    location ``where``.  A block holds _block_rows(order) rows of a chunk.
-    In row order, a row over the tolerance is re-evaluated alone at doubled
-    order and tagged {"reevaluated_order": 2 * order}; a non-finite one is
-    refused."""
+    columns locating each), and the update takes that column, naming row j
+    by the draw tuple item(*_entries(block, j)) and the row's location
+    ``where``, and recording it as {**record(draw), **where}.  A block holds
+    _block_rows(order) rows of a chunk.  In row order, a row over the
+    tolerance is re-evaluated alone at doubled order, its residual and
+    location replaced and tagged {"reevaluated_order": 2 * order}, up to the
+    first non-finite row, which the update refuses."""
     tracker = _Tracker()
     rows = _block_rows(order)
+
+    def located(entry):
+        draw, where = entry
+        return {**record(draw), **where}
+
     for block in (_columns(lambda a: a[i : i + rows], c) for c in chunks for i in range(0, len(c[0]), rows)):
         res, where = residuals(block, order)
         retried = {}
@@ -521,11 +298,21 @@ def _run_suite(chunks, residuals, item, record, order: int) -> _Tracker:
                 again, at = residuals(_columns(lambda a: a[j : j + 1], block), 2 * order)
                 res[j], retried[j] = again[0], {**_row(at, 0), "reevaluated_order": 2 * order}
             if not math.isfinite(res[j]):
-                break  # the update refuses it
-        else:
-            j = int(np.argmax(res))
-        tracker.update(float(res[j]), item(*_entries(block, j)), retried.get(j) or _row(where, j), record)
+                break
+
+        def entry(j, block=block, where=where, retried=retried):
+            return item(*_entries(block, j)), retried.get(j) or _row(where, j)
+
+        tracker.update(res, entry, located)
     return tracker
+
+
+def _update_at(tracker: _Tracker, table: np.ndarray, mask: np.ndarray, record):
+    """One update of ``tracker`` with the entries of a closed-form table
+    marked in ``mask``, in row-major order, entry (i, c) recorded as
+    record(i, c)."""
+    rows, cols = np.nonzero(mask)
+    tracker.update(table[rows, cols], lambda j: (int(rows[j]), int(cols[j])), lambda at: record(*at))
 
 
 def _row(where: dict, j: int) -> dict:
@@ -604,17 +391,6 @@ def _sharp_radius(theorem: str, a: float, k: float = 0.0) -> float:
         where = f"a={a}" if theorem == "t5" else f"(a={a}, k={k})"
         raise ValueError(f"{where} is inadmissible: below the admissibility threshold {result.threshold_a:.7f}")
     return result.value
-
-
-def _probe_beyond(tracker: _Tracker, theorem: str, where: dict, radius: float) -> dict:
-    """The beyond-radius point of the sharp witness of t5 or t6 at ``where``
-    (its a, and k for t6): the left-hand side _BEYOND_STEP past ``radius``,
-    which must exceed one.  The tracker takes 1.0 where it does not."""
-    r = radius + _BEYOND_STEP
-    lhs = float(sharp_lhs(theorem, where["a"], r, where.get("k", 0.0)))
-    if lhs <= 1.0:
-        tracker.update(1.0, {**where, "witness": "extremal-beyond", "lhs": lhs})
-    return {**where, "r": r, "lhs": lhs}
 
 
 def _group_worst(block, grids: np.ndarray, lhs_rows, *stacks) -> tuple:
@@ -923,21 +699,33 @@ def check_theorem5(
         lambda d: {"a": a_grid[d.group], "trial": d.trial, "phase": d.phase, "omega": _spec_dict(d.specs[0])},
         order,
     )
-    beyond = []
-    for a, (rs, _) in zip(a_grid, groups):
-        for r, lhs in zip(rs, sharp_lhs("t5", a, rs)):
-            tracker.update(lhs - 1.0, {"a": a, "r": r, "witness": "extremal"})
-        beyond.append(_probe_beyond(tracker, "t5", {"a": a}, rs[-1]))
+    # the sharp witness on each group's grid and _BEYOND_STEP past its
+    # radius, where only a left-hand side at or below one is a failure
+    rs = np.hstack([grids, grids[:, -1:] + _BEYOND_STEP])
+    lhs = sharp_lhs("t5", np.array(a_grid)[:, None], rs)
+    beyond = lhs[:, -1] <= 1.0
+    residuals = np.hstack([lhs[:, :-1] - 1.0, np.ones_like(lhs[:, -1:])])
+
+    def closed_form(g, c):
+        if c < grids.shape[1]:
+            return {"a": a_grid[g], "r": float(rs[g, c]), "witness": "extremal"}
+        return {"a": a_grid[g], "witness": "extremal-beyond", "lhs": float(lhs[g, c])}
+
+    _update_at(tracker, residuals, np.hstack([np.ones(grids.shape, dtype=bool), beyond[:, None]]), closed_form)
     a_sweep = np.linspace(0.0, 0.99, 100)
-    for a, lhs in zip(a_sweep, sharp_lhs("t5", a_sweep, UNIVERSAL_RADIUS)):
-        tracker.update(lhs - 1.0, {"a": float(a), "r": UNIVERSAL_RADIUS, "witness": "universal-sweep"})
+    tracker.update(
+        sharp_lhs("t5", a_sweep, UNIVERSAL_RADIUS) - 1.0,
+        lambda j: j,
+        lambda j: {"a": float(a_sweep[j]), "r": UNIVERSAL_RADIUS, "witness": "universal-sweep"},
+    )
+    points = [{"a": a, "r": r, "lhs": v} for a, r, v in zip(a_grid, rs[:, -1].tolist(), lhs[:, -1].tolist())]
     return tracker.report(
         "t5",
         trials,
         seed,
         _sine_fractions(8),
         informational=True,
-        beyond={"kind": "sharp-witness just beyond its radius", "points": beyond},
+        beyond={"kind": "sharp-witness just beyond its radius", "points": points},
     )
 
 
@@ -993,26 +781,28 @@ def check_theorem6(
         lambda d: {"a": pairs[d.group][0], "k": pairs[d.group][1], "trial": d.trial, "phase": d.phase},
         order,
     )
-    beyond = []
-    for (a, k), (rs, _) in zip(pairs, groups):
-        r_ak = rs[-1]
-        *ladder, attained = sharp_lhs("t6", a, r_ak, [mu * k for mu in _LADDER] + [k])
-        for lo, hi in zip(ladder, ladder[1:] + [attained]):
-            if lo > hi + 1e-12:
-                tracker.update(1.0, {"a": a, "k": k, "witness": "ladder-monotonicity"})
-        if ladder[-1] > 1.0 + 1e-12:
-            tracker.update(1.0, {"a": a, "k": k, "witness": "ladder-above-one"})
-        deviation = abs(attained - 1.0)
-        if deviation > CERT_TOLERANCE:
-            tracker.update(deviation, {"a": a, "k": k, "witness": "sharp-family-attainment"})
-        beyond.append(_probe_beyond(tracker, "t6", {"a": a, "k": k}, r_ak))
+    # per pair: the ladder scales and the exact scale k at the radius and
+    # k _BEYOND_STEP past it; only the failing checks reach the tracker
+    a_col, k_col = np.array(pairs).T[:, :, None]
+    rs = np.hstack([np.repeat(grids[:, -1:], 4, axis=1), grids[:, -1:] + _BEYOND_STEP])
+    lhs = sharp_lhs("t6", a_col, rs, np.hstack([np.array(_LADDER) * k_col, k_col, k_col]))
+    ladder, ones, deviation = lhs[:, :4], np.ones(len(pairs)), np.abs(lhs[:, 3] - 1.0)
+    fails = [(ladder[:, :-1] > ladder[:, 1:] + 1e-12).any(axis=1), ladder[:, 2] > 1.0 + 1e-12, deviation > CERT_TOLERANCE]
+    checks = ("ladder-monotonicity", "ladder-above-one", "sharp-family-attainment", "extremal-beyond")
+
+    def closed_form(i, c):
+        beyond = {"lhs": float(lhs[i, 4])} if c == 3 else {}
+        return {"a": pairs[i][0], "k": pairs[i][1], "witness": checks[c], **beyond}
+
+    _update_at(tracker, np.stack([ones, ones, deviation, ones], 1), np.stack([*fails, lhs[:, 4] <= 1.0], 1), closed_form)
+    points = [{"a": a, "k": k, "r": r, "lhs": v} for (a, k), r, v in zip(pairs, rs[:, 4].tolist(), lhs[:, 4].tolist())]
     return tracker.report(
         "t6",
         trials,
         seed,
         _sine_fractions(8),
         informational=True,
-        beyond={"kind": "sharp-family just beyond its radius", "points": beyond},
+        beyond={"kind": "sharp-family just beyond its radius", "points": points},
     )
 
 
@@ -1064,7 +854,7 @@ def sharpness_certificate(theorem: str, params: dict) -> VerificationReport:
         worst.update(radius=float(radius), attained=attained, kind="radius")
 
     tracker = _Tracker()
-    tracker.update(residual, worst)
+    tracker.update(np.array([residual]), lambda j: worst, dict)
     return tracker.report(
         f"sharpness_{theorem}", 1, 0, grid, tolerance=CERT_TOLERANCE, beyond=beyond
     )

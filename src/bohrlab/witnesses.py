@@ -49,6 +49,7 @@ from .series import (
     mul,
     unit_interval,
 )
+from .streams import _GeneratorRows
 
 # Tolerance of the construction-time convolution identity; any excess marks
 # an arithmetic bug, not a truncation artifact.
@@ -158,35 +159,10 @@ def _zero_free(columns, mask) -> tuple:
     return zeros, np.where(mask, 0, counts), np.where(mask, 1 + 0j, rotations)
 
 
-class _GeneratorRows:
-    """numpy Generators as rows of the draw interface witnesses._polar_runs
-    reads: integers(lo, hi) and random(counts), one Generator call per
-    row, as verify's vectorised PCG64 makes them for a whole chunk."""
-
-    def __init__(self, generators):
-        self.generators = generators
-
-    def __len__(self) -> int:
-        return len(self.generators)
-
-    def integers(self, lo: int, hi: int) -> np.ndarray:
-        """One draw uniform on [lo, hi] per row."""
-        return np.array([g.integers(lo, hi + 1) for g in self.generators], dtype=np.intp)
-
-    def random(self, counts) -> np.ndarray:
-        """(rows, max(counts)) doubles, row i's first counts[i] being its
-        Generator's next random(counts[i]), zero past them."""
-        counts = np.broadcast_to(np.asarray(counts, dtype=np.intp), (len(self),))
-        runs = np.zeros((len(self), int(counts.max(initial=0))))
-        for run, g, n in zip(runs, self.generators, counts.tolist()):
-            run[:n] = g.random(n)
-        return runs
-
-
 def _polar_runs(streams, lo: int, hi: int, extra: int, tail: int, width: int, cap: float) -> tuple:
-    """One draw from each row of ``streams`` (a _GeneratorRows, or a chunk
-    of verify's PCG64 streams): a count n uniform on [lo, hi], then one run
-    of 2 (n + extra) + tail doubles uniform on [0, 1), read as n + extra
+    """One draw from each row of ``streams`` (streams._PCG64Rows, or
+    Generators as streams._GeneratorRows): a count n uniform on [lo, hi],
+    then one run of 2 (n + extra) + tail doubles uniform on [0, 1), read as n + extra
     modulus fractions m, as many phase fractions p and ``tail`` more.
     Returns (counts, points, tails): an array of the counts, (rows, width) points
     cap * m * exp(2 pi i p), formed only for each row's n + extra pairs and

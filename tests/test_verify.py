@@ -1,6 +1,8 @@
 """Tests for the verification suites, reports and certificates."""
 
 import dataclasses
+import hashlib
+import itertools
 import json
 import os
 import re
@@ -11,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import bohrlab.streams as streams_mod
 import bohrlab.verify as verify_mod
 import bohrlab.witnesses as witnesses_mod
 from bohrlab.functionals import SHARP_PARAMETERS, theorem3_rational
@@ -247,7 +250,7 @@ class TestConservativeness:
         rebuilt = verify_mod._T1Draw(rec["trial"], g, len(rec["g"]) - 1, _drawn_spec(rec["phi"]), _drawn_spec(rec["omega"]))
         assert rebuilt.variant == rec["variant"]
         [tracker] = trackers
-        worst, _, _ = tracker.worst
+        (worst, _), _ = tracker.worst
         assert (rebuilt.trial, rebuilt.variant) == (worst.trial, worst.variant) and rebuilt.degree == worst.degree
         assert rebuilt.g.tobytes() == worst.g.tobytes()
         assert _same_spec(rebuilt.phi, worst.phi) and _same_spec(rebuilt.omega, worst.omega)
@@ -273,15 +276,15 @@ class TestConservativeness:
 
 
 def _on_update(monkeypatch, seen):
-    """Call seen(residual, witness) on every update of any _Tracker, in
-    order, the witness being formed here from the item handed in with the
-    record function handed in, {**record(item), **where}, as a report forms
-    its worst one."""
+    """Call seen(residual, witness) on every entry of every update of any
+    _Tracker, in order, the witness of entry j being formed here with the
+    functions handed in, record(item(j)), as a report forms its worst one."""
     real_update = verify_mod._Tracker.update
 
-    def recording(self, residual, item, where=None, record=dict):
-        seen(residual, {**record(item), **(where or {})})
-        real_update(self, residual, item, where, record)
+    def recording(self, residuals, item, record):
+        for j, residual in enumerate(residuals.tolist()):
+            seen(residual, record(item(j)))
+        real_update(self, residuals, item, record)
 
     monkeypatch.setattr(verify_mod._Tracker, "update", recording)
 
@@ -432,6 +435,91 @@ class TestRecordOrder:
         assert events == ["random"] * 24 + ["sharp"] * events.count("sharp")
 
 
+class TestClosedFormFailures:
+    """The closed-form checks of t5 and t6 fail where their claim is moved
+    through the module globals they read when called, each with its own
+    witness kind; the whole report is pinned by the digest of its JSON
+    (json.dumps of as_dict, keys in record order), recorded before the
+    closed-form checks were formed as tables."""
+
+    @pytest.mark.parametrize(
+        "name, value, check, worst, digest",
+        [
+            (
+                "_BEYOND_STEP",
+                -1e-3,
+                check_theorem5,
+                {"a": 0.4641016151377544, "witness": "extremal-beyond", "lhs": 0.9983138324653102},
+                "bd638316632c9839",
+            ),
+            (
+                "_BEYOND_STEP",
+                -1e-3,
+                check_theorem6,
+                {"a": 0.4641016151377544, "k": 0.0, "witness": "extremal-beyond", "lhs": 0.9983138324653102},
+                "b3f54f0f6a6bea69",
+            ),
+            (
+                "_LADDER",
+                (0.999, 0.99, 0.9),
+                check_theorem6,
+                {"a": 0.30483493925200483, "k": 0.25, "witness": "ladder-monotonicity"},
+                "3f90c1b4e208099d",
+            ),
+            (
+                "CERT_TOLERANCE",
+                -1.0,
+                check_theorem6,
+                {"a": 0.95, "k": 0.5, "witness": "sharp-family-attainment"},
+                "b41308342ad1c344",
+            ),
+        ],
+    )
+    def test_report_matches_golden_digest(self, monkeypatch, name, value, check, worst, digest):
+        monkeypatch.setattr(verify_mod, name, value)
+        rep = check(trials=40, seed=3, order=16)
+        assert rep.worst_witness == worst
+        assert rep.max_residual == (2.220446049250313e-16 if name == "CERT_TOLERANCE" else 1.0)
+        assert hashlib.sha256(json.dumps(rep.as_dict()).encode()).hexdigest()[:16] == digest
+
+
+class TestClosedFormTables:
+    """t5 and t6 hand their closed-form checks to the tracker as tables of
+    one sharp_lhs call each, whose entries are kept in row-major order: the
+    first of equal maxima, and no entry a mask leaves out."""
+
+    @pytest.mark.parametrize("check, calls", [(check_theorem5, 2), (check_theorem6, 1)])
+    def test_one_sharp_lhs_call_per_table(self, monkeypatch, check, calls):
+        seen = []
+        real = verify_mod.sharp_lhs
+
+        def counting(*args, **kwargs):
+            seen.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(verify_mod, "sharp_lhs", counting)
+        assert check(trials=40, seed=3).verdict == "pass"
+        assert seen == [check.__name__.replace("check_theorem", "t")] * calls
+
+    def test_first_of_equal_entries_in_row_major_order(self):
+        tracker = verify_mod._Tracker()
+        table = np.array([[0.0, 1.0, -1.0], [1.0, 1.0, 2.0]])
+        mask = np.array([[True, False, True], [True, True, False]])
+        verify_mod._update_at(tracker, table, mask, lambda i, c: {"i": i, "c": c})
+        rep = tracker.report("t0", 1, 0, (0.5,))
+        assert rep.worst_witness == {"i": 1, "c": 0} and rep.max_residual == 1.0
+
+    def test_empty_mask_names_no_entry(self):
+        tracker = verify_mod._Tracker()
+        verify_mod._update_at(tracker, np.full((3, 4), np.nan), np.zeros((3, 4), dtype=bool), None)
+        assert tracker.max_residual == float("-inf")
+
+    def test_non_finite_entry_refused_by_name(self):
+        table = np.array([[0.0, 5.0], [np.inf, np.nan]])
+        with pytest.raises(ValueError, match=r"^non-finite residual inf at \{'i': 1, 'c': 0\}$"):
+            verify_mod._update_at(verify_mod._Tracker(), table, np.ones((2, 2), dtype=bool), lambda i, c: {"i": i, "c": c})
+
+
 class TestWitnessCounts:
     """Every suite builds exactly the reported number of random witnesses (for
     t3, one h per trial), also when the trial count is not a multiple of the
@@ -555,7 +643,7 @@ def _t2_residual_one(f, g, grid):
 
 def _chunks(draw, suite_id, trials, seed=9):
     """The column chunks of the trial keys (suite_id, seed, t)."""
-    return list(verify_mod._keyed_draws([(suite_id, seed, t) for t in range(trials)], draw))
+    return list(streams_mod._keyed_draws([(suite_id, seed, t) for t in range(trials)], draw))
 
 
 def _draws(draw, item, suite_id, trials, seed=9):
@@ -607,7 +695,7 @@ class TestZeroFreeSpec:
     @pytest.mark.parametrize("build", list(BUILDS))
     def test_drawn_rows_keep_their_bytes(self, order, build):
         rows, _ = self.BUILDS[build]
-        drawn = [witnesses_mod.draw_specs(verify_mod._streams([(order, i)]), i % 5, i % 5) for i in range(10)]
+        drawn = [witnesses_mod.draw_specs(streams_mod._streams([(order, i)]), i % 5, i % 5) for i in range(10)]
         columns = _spec_columns([witnesses_mod._spec_row(d, 0) for d in drawn for _ in range(2)])
         block = witnesses_mod._zero_free(columns, np.arange(20) % 2 == 0)
         stacked = rows(block, order)
@@ -719,7 +807,7 @@ class TestNonFiniteResiduals:
 
     def test_tracker_refuses_nan(self):
         with pytest.raises(ValueError, match=r"non-finite residual nan at \{'trial': 3\}"):
-            verify_mod._Tracker().update(float("nan"), {"trial": 3})
+            verify_mod._Tracker().update(np.array([np.nan]), lambda j: {"trial": 3}, dict)
 
     @pytest.mark.parametrize("check", [check_theorem5, check_theorem6])
     def test_pointwise_suites_refuse_nan(self, monkeypatch, check):
@@ -764,12 +852,15 @@ class TestDriver:
     block's largest residual, with where that residual lies, and forms no
     record; the report forms the one record of the worst."""
 
-    @pytest.mark.parametrize("trials", [3, 300])
+    @pytest.mark.parametrize("trials, budget", [(3, None), (300, None), (300, 40 * 17)])
     @pytest.mark.parametrize(
         "check, record, specs",
         [(check_theorem1, "_t1_record", 2), (check_theorem2_odd, "_t2_record", 1), (check_theorem3, "_t3_record", 2)],
     )
-    def test_only_the_worst_random_witness_is_recorded(self, monkeypatch, check, record, specs, trials):
+    def test_only_the_worst_random_witness_is_recorded(self, monkeypatch, check, record, specs, trials, budget):
+        # 40-row blocks at order 16 with the budget set: many blocks, one record
+        if budget is not None:
+            monkeypatch.setattr(verify_mod, "_COEFF_BUDGET", budget)
         calls = {record: 0, "_spec_dict": 0}
         for name in calls:
 
@@ -1069,28 +1160,49 @@ class TestKeyedGenerators:
 
     @pytest.mark.parametrize("size", [1, 255, 256, 257, 1023, 1024, 1025])
     def test_chunk_matches_default_rng(self, size):
-        keys = (self.KEYS * 3)[-size:]
-        streams = verify_mod._streams(keys)
-        assert len(streams) == size
-        assert all(_pcg64_state(streams, row) == ref.bit_generator.state for row, ref in enumerate(_default_rngs(keys)))
-        assert _raw_as_default_rng(streams, keys)
-        assert _draws_as(verify_mod._streams(keys), _default_rngs(keys))
+        # chunks of keys of one length: t1's (suite, seed, t) and t5's
+        # (suite, seed, g, j) take 3 and 4 words at seed 0, 4 and 5 at seed
+        # 2**32 and 5 and 6 at seed 2**64 + 1
+        for suite, seed in itertools.product(["t1", "t5"], [0, 2**32, 2**64 + 1]):
+            keys = _suite_keys(suite, size, seed)
+            streams = streams_mod._streams(keys)
+            assert type(streams) is streams_mod._PCG64Rows and len(streams) == size
+            assert all(_pcg64_state(streams, row) == ref.bit_generator.state for row, ref in enumerate(_default_rngs(keys)))
+            assert _raw_as_default_rng(streams, keys)
+            assert _draws_as(streams_mod._streams(keys), _default_rngs(keys))
+
+    @pytest.mark.parametrize("seed", [0, 2**32, 2**64 + 1])
+    def test_every_suite_chunk_is_vectorised(self, monkeypatch, seed):
+        # the chunks the suites form never reach the Generator fallback:
+        # 1025 trials make a full chunk and a chunk of one in every suite
+        monkeypatch.setattr(streams_mod, "_GeneratorRows", None)  # a fallback would fail
+        chunks = []
+        real = streams_mod._PCG64Rows
+
+        def counting(words):
+            chunks.append(len(words))
+            return real(words)
+
+        monkeypatch.setattr(streams_mod, "_PCG64Rows", counting)
+        for check in (check_theorem1, check_theorem2_odd, check_theorem3, check_theorem5, check_theorem6):
+            assert check(trials=1025, seed=seed, order=8).verdict == "pass"
+        assert chunks == [streams_mod._DRAW_ROWS, 1] * 5
 
     def test_every_key_in_chunks_of_one(self):
         for key in self.KEYS:
-            assert _raw_as_default_rng(verify_mod._streams([key]), [key])
-            assert _draws_as(verify_mod._streams([key]), _default_rngs([key]))
+            assert _raw_as_default_rng(streams_mod._streams([key]), [key])
+            assert _draws_as(streams_mod._streams([key]), _default_rngs([key]))
 
     def test_keyed_draws_cross_chunks(self):
-        keys = [(1, 2**32, t) for t in range(2 * verify_mod._DRAW_ROWS + 1)]
+        keys = [(1, 2**32, t) for t in range(2 * streams_mod._DRAW_ROWS + 1)]
         chunks = []
 
         def draw(streams, chunk):
             chunks.append(len(chunk))
             return zip(chunk, streams.integers(0, 8).tolist(), streams.random(3))
 
-        seen = [drawn for chunk in verify_mod._keyed_draws(keys, draw) for drawn in chunk]
-        assert chunks == [verify_mod._DRAW_ROWS, verify_mod._DRAW_ROWS, 1]
+        seen = [drawn for chunk in streams_mod._keyed_draws(keys, draw) for drawn in chunk]
+        assert chunks == [streams_mod._DRAW_ROWS, streams_mod._DRAW_ROWS, 1]
         assert [key for key, _, _ in seen] == keys
         for key, n, run in seen:
             ref = np.random.default_rng(key)
@@ -1105,13 +1217,13 @@ class TestKeyedGenerators:
             np.random.default_rng((1, seed, 0))
         assert str(expected.value) == message
         with pytest.raises(error, match=f"^{message}$"):
-            verify_mod._streams([(1, 0, 0), (1, seed, 0)])
+            streams_mod._streams([(1, 0, 0), (1, seed, 0)])
         with pytest.raises(error, match=f"^{message}$"):
             check_theorem1(trials=3, seed=seed, order=8)
 
     def test_numpy_integer_seed_reads_as_default_rng(self):
         keys = [(1, np.uint64(2**63), 0), (1, True, 4)]
-        assert _draws_as(verify_mod._streams(keys), _default_rngs(keys))
+        assert _draws_as(streams_mod._streams(keys), _default_rngs(keys))
 
     def test_lemire_rejection_matches_generator(self):
         # Generator.integers(0, 9) rejects a 32-bit draw u when u * 9 mod
@@ -1122,7 +1234,7 @@ class TestKeyedGenerators:
         inc = 0x9E3779B97F4A7C15F39CC0605CEDC835
         outputs = [(0, 0x0123456789ABCDEF), (0xABCD000100000000, 0xFC00000000000001), (0x5DEECE66D, 2**63 + 11)]
         keys = [(5,), (5,), (5,), (6,)]
-        streams, refs = verify_mod._streams(keys), _default_rngs(keys)
+        streams, refs = streams_mod._streams(keys), _default_rngs(keys)
         for row, (output, hi) in enumerate(outputs):
             state = _state_before(output, hi, inc)
             streams.hi[row], streams.lo[row] = state >> 64, state & (2**64 - 1)
@@ -1144,7 +1256,7 @@ class TestKeyedGenerators:
 
     def test_empty_range_and_held_half(self):
         keys = [(2, 42, t) for t in range(5)]
-        streams, refs = verify_mod._streams(keys), _default_rngs(keys)
+        streams, refs = streams_mod._streams(keys), _default_rngs(keys)
         assert streams.integers(0, 3).tolist() == [int(ref.integers(0, 4)) for ref in refs]
         before = [_pcg64_state(streams, row) for row in range(5)]
         # a range of one value consumes nothing, not even the held half
@@ -1183,7 +1295,8 @@ def _suite_keys(suite, trials, seed):
 
 class TestEntropyTable:
     """The entropy table of a chunk, formed field by field for the suites'
-    keys, holds in each row the words _entropy_words gives its key."""
+    keys, holds in each row the words _entropy_words gives its key and
+    zeros after them; a chunk it cannot form so goes to default_rng."""
 
     CHUNKS = {
         "one-word seed": _suite_keys("t1", 300, 42),
@@ -1194,25 +1307,32 @@ class TestEntropyTable:
         "t6 groups, two-word seed, one group": _suite_keys("t6", 37, 2**40 + 5)[:9],
         "one key": [(1, 2**40 + 5, 7)],
         "zero-field keys": [(), ()],
-        "trial past 2**32": [(1, 0, 2**32 - 1), (1, 0, 2**32)],
-        "keys of several lengths": _TRIAL_KEYS,
     }
-    FIELD_BY_FIELD = [name for name in CHUNKS if name not in ("trial past 2**32", "keys of several lengths")]
 
     @pytest.mark.parametrize("name", list(CHUNKS))
     def test_rows_hold_each_keys_words(self, name):
         chunk = self.CHUNKS[name]
-        table, lengths = verify_mod._entropy_table(chunk)
-        assert table.dtype == np.uint32 and table.shape == (len(chunk), max(4, int(lengths.max())))
-        assert [row[:n].tolist() for row, n in zip(table, lengths.tolist())] == [
-            verify_mod._entropy_words(key) for key in chunk
-        ]
-        assert not np.any(table[np.arange(table.shape[1]) >= lengths[:, None]])
-        assert (verify_mod._field_words(chunk) is not None) == (name in self.FIELD_BY_FIELD)
+        table = streams_mod._entropy_table(chunk)
+        words = [streams_mod._entropy_words(key) for key in chunk]
+        assert len({len(w) for w in words}) == 1
+        assert table.dtype == np.uint32 and table.shape == (len(chunk), max(4, len(words[0])))
+        assert [row[: len(w)].tolist() for row, w in zip(table, words)] == words
+        assert not np.any(table[:, len(words[0]) :])
 
     def test_groups_cross_in_the_t5_and_t6_chunks(self):
         for name in ("t5 groups, one-word seed", "t6 groups, three-word seed"):
             assert len({key[2] for key in self.CHUNKS[name]}) == 4
+
+    # keys that the table would have to form key by key: these chunks are
+    # seeded by default_rng, a Generator per key
+    @pytest.mark.parametrize(
+        "chunk", [[(1, 0, 2**32 - 1), (1, 0, 2**32)], _TRIAL_KEYS], ids=["trial past 2**32", "keys of several lengths"]
+    )
+    def test_other_chunks_draw_as_default_rng(self, chunk):
+        assert streams_mod._entropy_table(chunk) is None
+        streams = streams_mod._streams(chunk)
+        assert type(streams) is streams_mod._GeneratorRows
+        assert _draws_as(streams, _default_rngs(chunk))
 
     @pytest.mark.parametrize(
         "chunk",
@@ -1226,7 +1346,7 @@ class TestEntropyTable:
         ],
     )
     def test_keys_without_words_have_no_table(self, chunk):
-        assert verify_mod._entropy_table(chunk) is None
+        assert streams_mod._entropy_table(chunk) is None
 
 
 class TestDrawnSpecsChecked:

@@ -11,7 +11,8 @@ import pytest
 import bohrlab
 
 from bohrlab.functionals import bohr_sum, theorem3_lhs, theorem6_lhs
-from bohrlab import series, verify, witnesses
+from bohrlab import series, witnesses
+from bohrlab import streams as streams_mod
 from bohrlab.series import (
     BlaschkeSpec,
     _spec_columns,
@@ -143,7 +144,7 @@ class TestBuildQuasiTriple:
 
     def test_identity_check_rejects_f_off_by_1e9(self):
         rng = np.random.default_rng(11)
-        g, degrees = draw_polynomials(witnesses._GeneratorRows([np.random.default_rng((11, i)) for i in range(6)]))
+        g, degrees = draw_polynomials(streams_mod._GeneratorRows([np.random.default_rng((11, i)) for i in range(6)]))
         phi = bounded_rows(_spec_columns([draw_blaschke_spec(rng) for _ in range(6)]), 24)
         omega = schwarz_rows(_spec_columns([draw_blaschke_spec(rng) for _ in range(6)]), 24)
         f = quasi_rows(g, degrees, phi, omega)
@@ -416,8 +417,8 @@ class TestStackedBuilders:
 class TestColumnarDraws:
     """Columnar draws give every row the bits of the per-object draw it
     replaces and leave each stream where that draw left it: on a chunk of
-    verify's PCG64 streams and on Generators through the one-row-per-
-    Generator adapter."""
+    PCG64 streams (streams._PCG64Rows) and on Generators through the
+    one-row-per-Generator adapter (streams._GeneratorRows)."""
 
     KEYS = [(7, 1, t) for t in range(400)]
 
@@ -428,8 +429,8 @@ class TestColumnarDraws:
     def _pairs(self, keys):
         """(streams, per-object reference Generators) for each stream kind."""
         return [
-            (verify._streams(keys), self._rngs(keys)),
-            (witnesses._GeneratorRows(self._rngs(keys)), self._rngs(keys)),
+            (streams_mod._streams(keys), self._rngs(keys)),
+            (streams_mod._GeneratorRows(self._rngs(keys)), self._rngs(keys)),
         ]
 
     def test_specs_match_per_object_draws(self):
@@ -477,7 +478,7 @@ class TestColumnarDraws:
                 draw_polynomials(streams, 2, coeff_cap=np.inf)
 
     def test_empty_draws(self):
-        for streams in [verify._PCG64Rows(np.empty((0, 4), dtype=np.uint64)), witnesses._GeneratorRows([])]:
+        for streams in [streams_mod._PCG64Rows(np.empty((0, 4), dtype=np.uint64)), streams_mod._GeneratorRows([])]:
             zeros, counts, rotations = draw_specs(streams)
             assert zeros.shape == (0, 4) and counts.shape == rotations.shape == (0,)
             rows, degrees = draw_polynomials(streams, 3)
