@@ -19,14 +19,12 @@ from .series import (
     derivative,
     eval_blaschke,
     evaluate,
-    evaluate_rows,
     integrate,
     majorant_eval,
     majorant_rows,
     make_series,
     mobius_series,
     mul,
-    power,
     scale,
 )
 from .functionals import (
@@ -62,7 +60,6 @@ from .witnesses import (
     extremal_theorem5,
     harmonic_witness,
     p_symmetric_lift,
-    random_schwarz,
     schwarz_from_spec,
     bounded_from_spec,
 )

@@ -60,13 +60,6 @@ class HarmonicPair:
         if abs(self.g.coeffs[0]) > 1e-15:
             raise ValueError("co-analytic part must have zero constant term")
 
-    @property
-    def quasiconformal_K(self) -> float:
-        """Distortion constant (1 + k) / (1 - k); infinite at k = 1."""
-        if self.k >= 1.0:
-            return float("inf")
-        return (1.0 + self.k) / (1.0 - self.k)
-
 
 def _tail_sum(f: TruncatedSeries, r: float) -> float:
     """sum_{n>=1} |c_n| r^n, via the closed form when a tag is present."""

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, asdict
 
-from .series import unit_interval
+from .series import integer, unit_interval
 
 # Minimal |f(0)| for which the pointwise-plus-tail radius drops to 1/3.
 ANALYTIC_THRESHOLD_A = 2.0 * math.sqrt(3.0) - 3.0
@@ -52,7 +52,7 @@ def classical_radius() -> RadiusResult:
 
 def p_symmetric_radius(p: int) -> RadiusResult:
     """Radius 3^(-1/p) for series supported on exponents divisible by p."""
-    if p < 1:
+    if integer("p", p) < 1:
         raise ValueError("p must be >= 1")
     return RadiusResult(value=3.0 ** (-1.0 / p))
 
@@ -134,7 +134,6 @@ def quadratic_residual(which: str, a: float, k: float, r: float) -> float:
 
     ``eq9``  - r^2 a^2 + 2 r a + 2 r - 1          (analytic case; ignores k)
     ``eq10`` - a(a + k + ka) r^2 + (k+2)(a+1) r - 1  (harmonic, powers of r)
-    ``eq11`` - r^2(k+1) a^2 + r(kr + k + 2) a + r(k+2) - 1  (same, powers of a)
 
     A value <= 0 marks the admissible region.
     """
@@ -142,6 +141,4 @@ def quadratic_residual(which: str, a: float, k: float, r: float) -> float:
         return r * r * a * a + 2.0 * r * a + 2.0 * r - 1.0
     if which == "eq10":
         return a * (a + k + k * a) * r * r + (k + 2.0) * (a + 1.0) * r - 1.0
-    if which == "eq11":
-        return r * r * (k + 1.0) * a * a + r * (k * r + k + 2.0) * a + r * (k + 2.0) - 1.0
-    raise ValueError(f"unknown quadratic {which!r}; expected eq9, eq10 or eq11")
+    raise ValueError(f"unknown quadratic {which!r}; expected eq9 or eq10")

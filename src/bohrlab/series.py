@@ -40,6 +40,7 @@ _schwarz_polynomials forms), is expanded by rational_rows.
 from __future__ import annotations
 
 import cmath
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,6 +66,16 @@ def unit_interval(name: str, value, closed: bool = False) -> np.ndarray:
     if not ((arr >= 0.0) & ((arr <= 1.0) if closed else (arr < 1.0))).all():
         raise ValueError(f"{name} must lie in [0, 1{']' if closed else ')'}")
     return arr
+
+
+def integer(name: str, value) -> int:
+    """``value`` as an int when operator.index takes it (numpy integers
+    included); otherwise, 2.5 and 2.0 alike, a ValueError naming the
+    parameter."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, not {value!r}") from None
 
 
 def refuse_unread(where: str, given: dict, read) -> None:
@@ -141,7 +152,7 @@ class TruncatedSeries:
         if not np.isfinite(arr).all():
             raise ValueError(f"non-finite coefficient at index {int(np.flatnonzero(~np.isfinite(arr))[0])}")
         if self.exact_degree is not None:
-            d = int(self.exact_degree)
+            d = integer("exact_degree", self.exact_degree)
             if not 0 <= d <= arr.size - 1:
                 raise ValueError("exact_degree out of range")
             # any() counts -0.0 as zero, as the comparison != 0 does
@@ -429,20 +440,6 @@ def rational_rows(num_rows, den_rows, order: int) -> np.ndarray:
     return np.ascontiguousarray(h[d:].T)
 
 
-def power(w: TruncatedSeries, k: int) -> TruncatedSeries:
-    """k-th power by repeated multiplication; w**0 is the constant one."""
-    if k < 0:
-        raise ValueError("exponent must be >= 0")
-    out = make_series([1.0], w.order)
-    for _ in range(k):
-        out = mul(out, w)
-    if w.coeffs[0] == 0:
-        low = min(k, w.order + 1)
-        if not np.all(out.coeffs[:low] == 0):
-            raise AssertionError("power of origin-vanishing series leaked low-order terms")
-    return out
-
-
 def derivative(f: TruncatedSeries) -> TruncatedSeries:
     """Termwise derivative; the top slot is zero-padded."""
     n = f.order + 1
@@ -495,15 +492,6 @@ def majorant_rows(coeff_rows, rs, skip_constant: bool = False) -> np.ndarray:
     if skip_constant:
         return total - mags[:, :1]
     return total
-
-
-def evaluate_rows(coeff_rows, zs) -> np.ndarray:
-    """Horner evaluation of stacked coefficient vectors at the same points.
-
-    ``coeff_rows`` has shape (rows, N+1); the result has shape
-    (rows,) + shape(zs), and row i equals ``evaluate`` of row i bit for bit.
-    """
-    return _polyval_rows(np.asarray(zs)[None], np.asarray(coeff_rows))
 
 
 def _polyval_rows(x: np.ndarray, coeff_rows: np.ndarray) -> np.ndarray:

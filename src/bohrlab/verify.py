@@ -4,21 +4,19 @@ Every suite draws its witnesses from per-trial PCG64 streams seeded with
 (suite id, seed, trial ...), the streams np.random.default_rng(key) gives,
 drawn a chunk of keys at a time by bohrlab.streams, so reports are
 reproducible bit for bit and a longer run extends a shorter one without
-disturbing earlier trials.  Any trial whose residual exceeds the tolerance
-is re-evaluated once at doubled truncation order, and the report keeps the
-retry's residual, tagged with its order.
+disturbing earlier trials.  Each trial is evaluated once, at the suite's
+truncation order.
 
 Residuals are "most positive value of LHS - RHS observed"; a suite passes
 when the maximum stays at or below the tolerance.  Left-hand sides are
 either exact (closed forms, polynomial outers) or truncated lower bounds of
 the true sums.  A truncated left-hand side can hide a violation that lives
 in the dropped tail, so a pass is not a certificate for the untruncated
-functions.  Nor can the retry clear a failure: coefficients 0..N of every
-witness do not depend on N, every left-hand side is an N-independent part
-plus sums of non-negative terms over those coefficients, and t2's partial
-sums at 2N include those at N, so up to rounding a retry can only raise a
-residual.  It stays as the place where a decision on a bound of the
-dropped tail would act.
+functions.  Nor would a failure clear at a higher order: coefficients 0..N
+of every witness do not depend on N, every left-hand side is an
+N-independent part plus sums of non-negative terms over those
+coefficients, and t2's partial sums at 2N include those at N, so up to
+rounding a higher order can only raise a residual.
 
 Each suite draws its trials a chunk at a time and column by column: the
 polynomial coefficients, Blaschke zeros and rotations of a chunk are formed
@@ -37,7 +35,7 @@ tracker in one form: a residual array and the functions that name its
 entries.  The tracker takes the first non-finite entry, which it refuses
 by name, or else the first largest, and keeps the worst item; the report
 forms the one record of that item.  The driver makes one update per block
-with its residual column after the retries, an entry being named by the
+with its residual column, an entry being named by the
 draw tuple of its row alone (_T1Draw, _T2Draw, _T3Draw with its k, or
 _Draw) and the dict that locates its residual, and recorded by the
 suite's record function (_t1_record, _t2_record, _t3_record or the
@@ -66,7 +64,6 @@ building a series.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
@@ -98,6 +95,7 @@ from .series import (
     _schwarz_polynomials,
     compose,
     finite_rows,
+    integer,
     rational_rows,
     refuse_unread,
     unit_interval,
@@ -159,7 +157,7 @@ def _sine_fractions(n: int) -> tuple:
 def radius_grid(r_max: float, n: int) -> tuple:
     """n radii in (0, r_max], sine-spaced so points cluster at the endpoint,
     with the endpoint included exactly."""
-    if n < 1 or not 0.0 < r_max < 1.0:
+    if integer("n", n) < 1 or not 0.0 < r_max < 1.0:
         raise ValueError("need n >= 1 and r_max in (0, 1)")
     return tuple(r_max * x for x in _sine_fractions(n))
 
@@ -279,10 +277,8 @@ def _run_suite(chunks, residuals, item, record, order: int) -> _Tracker:
     columns locating each), and the update takes that column, naming row j
     by the draw tuple item(*_entries(block, j)) and the row's location
     ``where``, and recording it as {**record(draw), **where}.  A block holds
-    _block_rows(order) rows of a chunk.  In row order, a row over the
-    tolerance is re-evaluated alone at doubled order, its residual and
-    location replaced and tagged {"reevaluated_order": 2 * order}, up to the
-    first non-finite row, which the update refuses."""
+    _block_rows(order) rows of a chunk, and each is evaluated once, at
+    ``order``."""
     tracker = _Tracker()
     rows = _block_rows(order)
 
@@ -292,18 +288,7 @@ def _run_suite(chunks, residuals, item, record, order: int) -> _Tracker:
 
     for block in (_columns(lambda a: a[i : i + rows], c) for c in chunks for i in range(0, len(c[0]), rows)):
         res, where = residuals(block, order)
-        retried = {}
-        for j in np.flatnonzero(~(np.isfinite(res) & (res <= TOLERANCE))).tolist():
-            if res[j] > TOLERANCE:
-                again, at = residuals(_columns(lambda a: a[j : j + 1], block), 2 * order)
-                res[j], retried[j] = again[0], {**_row(at, 0), "reevaluated_order": 2 * order}
-            if not math.isfinite(res[j]):
-                break
-
-        def entry(j, block=block, where=where, retried=retried):
-            return item(*_entries(block, j)), retried.get(j) or _row(where, j)
-
-        tracker.update(res, entry, located)
+        tracker.update(res, lambda j: (item(*_entries(block, j)), _row(where, j)), located)
     return tracker
 
 

@@ -258,12 +258,6 @@ def odd_rows(base_rows, order: int) -> np.ndarray:
     return out
 
 
-def random_schwarz(seed: int, odd: bool = False, order: int = DEFAULT_ORDER) -> TruncatedSeries:
-    """Seeded random inner function; odd draws have the form z*B(z^2)."""
-    rng = np.random.default_rng(seed)
-    return schwarz_from_spec(draw_blaschke_spec(rng), odd=odd, order=order)
-
-
 def extremal_corollary2(a0: complex, order: int = DEFAULT_ORDER) -> TruncatedSeries:
     """Disk automorphism witness attaining the exact-form functional's bound."""
     return mobius_series(a0, order)

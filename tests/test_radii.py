@@ -58,6 +58,13 @@ class TestPSymmetric:
         with pytest.raises(ValueError):
             p_symmetric_radius(0)
 
+    def test_rejects_non_integer_p(self):
+        # 2.5 gave 3^(-0.4), and 2.0 the radius of p = 2
+        for p in (2.5, 2.0, "2"):
+            with pytest.raises(ValueError, match="^p must be an integer"):
+                p_symmetric_radius(p)
+        assert p_symmetric_radius(np.int64(2)).value == p_symmetric_radius(2).value
+
 
 class TestOddRadius:
     def test_printed_value(self):
@@ -203,20 +210,10 @@ class TestQuadraticResidual:
         r = theorem5_radius(0.5).value
         assert abs(quadratic_residual("eq9", 0.5, 0.0, r)) <= 1e-12
 
-    def test_eq10_eq11_same_sign(self):
-        rng = np.random.default_rng(8)
-        for _ in range(200):
-            a = float(rng.uniform(0.01, 1))
-            k = float(rng.uniform(0, 1))
-            r = float(rng.uniform(0.01, 0.99))
-            lhs10 = quadratic_residual("eq10", a, k, r)
-            lhs11 = quadratic_residual("eq11", a, k, r)
-            if abs(lhs10) > 1e-12:
-                assert np.sign(lhs10) == np.sign(lhs11)
-
     def test_unknown_label(self):
-        with pytest.raises(ValueError):
-            quadratic_residual("eq12", 0.1, 0.1, 0.1)
+        for label in ("eq11", "eq12"):
+            with pytest.raises(ValueError, match="expected eq9 or eq10$"):
+                quadratic_residual(label, 0.1, 0.1, 0.1)
 
 
 class TestRadiusResult:

@@ -111,4 +111,3 @@ class TestRadiiAgainstFiftyDigits:
             r = theorem6_radius(a, k).value
             exact = eq10(mp.mpf(a), mp.mpf(k), mp.mpf(r))
             assert abs(quadratic_residual("eq10", a, k, r) - exact) <= 1e-15
-            assert abs(quadratic_residual("eq11", a, k, r) - eq11(mp.mpf(a), mp.mpf(k), mp.mpf(r))) <= 1e-15

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from bohrlab import series
+from bohrlab import series, witnesses
 from bohrlab.series import (
     BlaschkeSpec,
     _blaschke_expansion,
@@ -21,7 +21,6 @@ from bohrlab.series import (
     derivative,
     eval_blaschke,
     evaluate,
-    evaluate_rows,
     integrate,
     majorant_eval,
     majorant_rows,
@@ -29,7 +28,6 @@ from bohrlab.series import (
     mobius_rows,
     mobius_series,
     mul,
-    power,
     rational_rows,
     scale,
     unit_interval,
@@ -126,6 +124,15 @@ class TestMakeSeries:
                     TruncatedSeries(coeffs, exact_degree=degree)
         signed = np.array([1.0, 2.0, 3.0, 4.0, complex(-0.0, 0.0), complex(0.0, -0.0)])
         assert TruncatedSeries(signed, exact_degree=3).exact_degree == 3
+
+    def test_non_integer_exact_degree_refused(self):
+        # 1.7 was stored as 1
+        coeffs = np.array([1.0, 2.0, 0.0, 0.0])
+        for degree in (1.7, 1.0, "1"):
+            with pytest.raises(ValueError, match="^exact_degree must be an integer"):
+                TruncatedSeries(coeffs, exact_degree=degree)
+        kept = TruncatedSeries(coeffs, exact_degree=np.int64(1)).exact_degree
+        assert kept == 1 and type(kept) is int
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(np.inf, 0.0)])
     def test_first_non_finite_index_named(self, bad):
@@ -733,10 +740,12 @@ _EPS = np.finfo(np.float64).eps
 
 class TestBlaschkeRowChecks:
     """The stacked builders make BlaschkeSpec's checks on every spec they
-    expand, drawn specs included, before expanding any.  Those checks are
-    all that bounds a Blaschke witness, so each bound is pinned on both
-    sides: zeros of modulus up to 0.9 + 1e-12 and rotations within 1e-15 of
-    the unit circle pass, and the next double out is refused."""
+    expand, drawn specs included, before expanding any: a bad spec is
+    refused with the expansion patched to fail the test if it is reached.
+    Those checks are all that bounds a Blaschke witness, so each bound is
+    pinned on both sides: zeros of modulus up to 0.9 + 1e-12 and rotations
+    within 1e-15 of the unit circle pass, and the next double out is
+    refused."""
 
     BUILDERS = [
         lambda specs, order: bounded_rows(_spec_columns(specs), order),
@@ -761,7 +770,12 @@ class TestBlaschkeRowChecks:
             (DrawnSpec(np.array([], dtype=complex), 1.0 + 2e-15 + 0.0j), "unimodular .modulus 1.000000000000002."),
         ],
     )
-    def test_bad_spec_refused(self, bad, message):
+    def test_bad_spec_refused(self, monkeypatch, bad, message):
+        def unreached(*args, **kwargs):
+            raise AssertionError("expansion ran on unchecked specs")
+
+        monkeypatch.setattr(series, "_blaschke_expansion", unreached)
+        monkeypatch.setattr(witnesses, "_blaschke_expansion", unreached)
         for build in self.BUILDERS:
             with pytest.raises(ValueError, match=message):
                 build([self.GOOD, bad, self.GOOD], 8)
@@ -787,35 +801,6 @@ class TestBlaschkeRowChecks:
         for build in self.BUILDERS:
             assert build(drawn, 16).tobytes() == build(specs, 16).tobytes()
             assert build([], 16).shape == (0, 17)
-
-
-class TestPower:
-    def test_cube_of_z(self):
-        z = make_series([0, 1], 6)
-        assert np.array_equal(power(z, 3).coeffs, [0, 0, 0, 1, 0, 0, 0])
-
-    def test_zeroth_power_is_one(self):
-        rng = np.random.default_rng(17)
-        w = rand_series(rng, 6)
-        p = power(w, 0)
-        assert np.array_equal(p.coeffs, [1, 0, 0, 0, 0, 0, 0])
-        assert p.exact_degree == 0
-
-    def test_square_binomial(self):
-        w = make_series([0, 1, 1], 6)
-        assert np.array_equal(power(w, 2).coeffs, [0, 0, 1, 2, 1, 0, 0])
-
-    def test_negative_exponent_rejected(self):
-        with pytest.raises(ValueError):
-            power(make_series([0, 1], 4), -1)
-
-    def test_low_order_coefficients_vanish(self):
-        rng = np.random.default_rng(23)
-        for k in (2, 5, 9):
-            w = blaschke_series(
-                BlaschkeSpec(zeros=(rng.uniform(0, 0.9),)), 20, vanish_at_origin=True
-            )
-            assert np.all(power(w, k).coeffs[:k] == 0)
 
 
 class TestCalculus:
@@ -897,19 +882,6 @@ class TestStackedKernels:
             want = [[majorant_eval(f, float(r), skip_constant=skip) for r in rs] for f in series]
             assert got.shape == (5, 12)
             assert np.array_equal(got, np.array(want))
-
-    @pytest.mark.parametrize("order", [8, 64, 256])
-    def test_evaluate_rows_equal_evaluate(self, order):
-        rng = np.random.default_rng(order + 1)
-        series = [rand_series(rng, order) for _ in range(5)]
-        rows = np.stack([f.coeffs for f in series])
-        rs = np.sort(rng.uniform(0.0, 0.99, 8))
-        phases = np.exp(2j * np.pi * np.arange(16) / 16.0)
-        got = evaluate_rows(rows, rs[:, None] * phases)
-        assert got.shape == (5, 8, 16)
-        for f, block in zip(series, got):
-            for r, values in zip(rs, block):
-                assert np.array_equal(values, evaluate(f, float(r) * phases))
 
     def test_single_row_and_domain(self):
         f = mobius_series(0.5, 64)

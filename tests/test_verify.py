@@ -61,6 +61,13 @@ class TestRadiusGrid:
         with pytest.raises(ValueError):
             radius_grid(0.5, 0)
 
+    def test_rejects_non_integer_count(self):
+        # 2.5 gave 3 points
+        for n in (2.5, 3.0, "3"):
+            with pytest.raises(ValueError, match="^n must be an integer"):
+                radius_grid(0.5, n)
+        assert radius_grid(0.5, np.int64(3)) == radius_grid(0.5, 3)
+
 
 class TestDeterminism:
     def test_identical_runs_identical_reports(self):
@@ -256,7 +263,7 @@ class TestConservativeness:
         assert _same_spec(rebuilt.phi, worst.phi) and _same_spec(rebuilt.omega, worst.omega)
         # and, evaluated alone at the report's order as a block of one row,
         # it gives the report's residual and radius bit for bit
-        order = rec.get("reevaluated_order", verify_mod.DEFAULT_ORDER)
+        order = verify_mod.DEFAULT_ORDER
         grid = radius_grid(CLASSICAL_CAP, 12)
         block = (
             np.array([rebuilt.trial]),
@@ -298,83 +305,6 @@ def records(monkeypatch):
     return seen
 
 
-class TestRetryBookkeeping:
-    """A witness over the tolerance is re-evaluated once at doubled order and
-    is the only record that carries ``reevaluated_order``.  Blocks hold one
-    row here, so the tracker's one update per block sees every witness."""
-
-    ORDER = 16
-
-    @pytest.fixture(autouse=True)
-    def rows_of_one(self, monkeypatch):
-        monkeypatch.setattr(verify_mod, "_COEFF_BUDGET", 1)
-
-    def _spoil_nth(self, monkeypatch, name, n, spoil, order_of=lambda out: out.order):
-        """Make the n-th call of verify's ``name`` at the base order return a
-        witness far over the tolerance; calls at doubled order stay genuine."""
-        real = getattr(verify_mod, name)
-        calls = []
-
-        def patched(*args, **kwargs):
-            out = real(*args, **kwargs)
-            if order_of(out) == self.ORDER:
-                calls.append(None)
-                if len(calls) == n:
-                    return spoil(out)
-            return out
-
-        monkeypatch.setattr(verify_mod, name, patched)
-
-    def test_theorem3_flags_only_the_retried_k(self, monkeypatch, records):
-        # one harmonic_rows row per (trial, k): the second block is (0, 0.5)
-        self._spoil_nth(
-            monkeypatch, "harmonic_rows", 2, self._bump_row_0, order_of=lambda rows: rows.shape[1] - 1
-        )
-        rep = check_theorem3(3, seed=1, k_grid=(0.0, 0.5, 1.0), order=self.ORDER)
-        assert rep.verdict == "pass"
-        flagged = [w for w in records if "reevaluated_order" in w]
-        assert len(flagged) == 1
-        assert (flagged[0]["trial"], flagged[0]["k"]) == (0, 0.5)
-        assert flagged[0]["reevaluated_order"] == 2 * self.ORDER
-        assert len(records) == 9
-
-    @staticmethod
-    def _bump_row_0(rows):
-        rows = rows.copy()
-        rows[0, 1] += 10.0
-        return rows
-
-    @pytest.mark.parametrize("check", [check_theorem2_odd, check_theorem5, check_theorem6])
-    def test_pointwise_suites_record_the_retry(self, monkeypatch, records, check):
-        if check is check_theorem2_odd:
-            # t2 composes one trial at a time: the second call is trial 1
-            bump = make_series([0.0, 10.0], self.ORDER)
-            self._spoil_nth(monkeypatch, "compose", 2, lambda f: f + bump)
-        else:
-            # t5 and t6 expand a block at a time: the second block is
-            # trial 1 of the first parameter group
-            self._spoil_nth(
-                monkeypatch, "rational_rows", 2, self._bump_row_0, order_of=lambda rows: rows.shape[1] - 1
-            )
-        rep = check(trials=40, seed=3, order=self.ORDER)
-        assert rep.verdict == "pass"
-        flagged = [w for w in records if "reevaluated_order" in w]
-        assert len(flagged) == 1
-        assert flagged[0]["trial"] == 1 and flagged[0]["reevaluated_order"] == 2 * self.ORDER
-
-    def test_theorem1_records_the_retry(self, monkeypatch, records):
-        # A spoiled composition would trip the convolution identity check
-        # inside quasi_rows, so spoil the f rows it returns: the second
-        # block is trial 1.
-        self._spoil_nth(monkeypatch, "quasi_rows", 2, self._bump_row_0, order_of=lambda rows: rows.shape[1] - 1)
-        rep = check_theorem1(trials=40, seed=3, order=self.ORDER)
-        assert rep.verdict == "pass"
-        flagged = [w for w in records if "reevaluated_order" in w]
-        assert len(flagged) == 1
-        assert flagged[0]["trial"] == 1 and flagged[0]["reevaluated_order"] == 2 * self.ORDER
-        assert len(records) == 40
-
-
 class TestNegativeControls:
     """Every suite can still fail on its own random witnesses (records with
     a ``trial`` key), not only on the closed forms, once its claim is moved
@@ -392,8 +322,10 @@ class TestNegativeControls:
     def test_radius_past_the_sharp_one_fails_on_a_random_witness(self, monkeypatch, records, check):
         real = verify_mod._sharp_radius
         monkeypatch.setattr(verify_mod, "_sharp_radius", lambda *args: 1.01 * real(*args))
-        assert check(trials=100, seed=3, order=16).verdict == "fail"
+        rep = check(trials=100, seed=3, order=16)
+        assert rep.verdict == "fail"
         assert any("trial" in w and w["residual"] > TOLERANCE for w in records)
+        self._worst_as_handed_over(rep, records)
 
     @pytest.mark.parametrize(
         "check, cap, value, trials",
@@ -405,8 +337,19 @@ class TestNegativeControls:
     )
     def test_cap_past_the_sharp_one_fails_on_a_random_witness(self, monkeypatch, records, check, cap, value, trials):
         monkeypatch.setattr(verify_mod, cap, value)
-        assert check(trials=trials, seed=3, order=16).verdict == "fail"
+        rep = check(trials=trials, seed=3, order=16)
+        assert rep.verdict == "fail"
         assert any("trial" in w and w["residual"] > TOLERANCE for w in records)
+        # these suites hand over random witnesses alone
+        self._worst_as_handed_over(rep, records)
+        assert "trial" in rep.worst_witness
+
+    @staticmethod
+    def _worst_as_handed_over(rep, records):
+        # a failing report gives the largest residual the tracker was
+        # handed, as evaluated at the suite's order, and no other order
+        assert "reevaluated_order" not in rep.worst_witness
+        assert rep.max_residual == max(w["residual"] for w in records)
 
 
 class TestRecordOrder:
@@ -831,17 +774,17 @@ class TestNonFiniteResiduals:
 
 def _fake_suite(monkeypatch, residual_at, items, rows, order=16):
     """_run_suite over one chunk of the int ``items`` in blocks of ``rows``,
-    the residual of an item at an order being residual_at(item, order),
-    located at r = item / 10 (item / 100 at doubled order), its draw tuple
-    the item itself and its record {"trial": item}; also the blocks it
-    evaluated."""
+    the residual of an item being residual_at(item), located at
+    r = item / 10, its draw tuple the item itself and its record
+    {"trial": item}; also the blocks it evaluated, each at ``order``."""
     monkeypatch.setattr(verify_mod, "_COEFF_BUDGET", rows * (order + 1))
     blocks = []
 
     def residuals(block, n):
+        assert n == order
         [trials] = block
         blocks.append(trials.tolist())
-        return np.array([residual_at(item, n) for item in trials.tolist()], dtype=np.float64), {"r": trials / (10 if n == order else 100)}
+        return np.array([residual_at(item) for item in trials.tolist()], dtype=np.float64), {"r": trials / 10}
 
     tracker = verify_mod._run_suite([(np.array(list(items)),)], residuals, lambda item: item, lambda item: {"trial": item}, order)
     return tracker, blocks
@@ -884,8 +827,7 @@ class TestDriver:
         ],
     )
     def test_one_draw_tuple_per_block(self, monkeypatch, check, draw, witness):
-        # 40-row blocks at order 16; the blocks are counted as the builds at
-        # that order, and any retried row as a build at doubled order
+        # 40-row blocks at order 16, each built once, at that order
         monkeypatch.setattr(verify_mod, "_COEFF_BUDGET", 40 * 17)
         tuples, builds = [], []
         real_draw, real_witness = getattr(verify_mod, draw), getattr(verify_mod, witness)
@@ -901,38 +843,29 @@ class TestDriver:
         monkeypatch.setattr(verify_mod, draw, counting_draw)
         monkeypatch.setattr(verify_mod, witness, counting_witness)
         assert check(trials=300, seed=5, order=16).verdict == "pass"
-        blocks, retried = builds.count(16), builds.count(32)
-        assert blocks >= 8 and blocks <= len(tuples) <= blocks + retried
+        assert builds == [16] * len(builds) and len(builds) >= 8
+        assert len(tuples) == len(builds)
 
     @pytest.mark.parametrize("rows", [1, 2, 6])
     def test_nan_after_a_larger_maximum_is_refused_by_name(self, monkeypatch, rows):
         values = [-0.5, 0.0, -0.25, -1.0, float("nan"), -2.0]
         with pytest.raises(ValueError, match=r"^non-finite residual nan at \{'trial': 4, 'r': 0\.4\}$"):
-            _fake_suite(monkeypatch, lambda item, n: values[item], range(6), rows)
+            _fake_suite(monkeypatch, lambda item: values[item], range(6), rows)
 
     @pytest.mark.parametrize(
         "bad, message",
         [
             (float("nan"), "nan at {'trial': 2, 'r': 0.2}"),
             (float("-inf"), "-inf at {'trial': 2, 'r': 0.2}"),
-            (float("inf"), "inf at {'trial': 2, 'r': 0.02, 'reevaluated_order': 32}"),
+            (float("inf"), "inf at {'trial': 2, 'r': 0.2}"),
         ],
     )
-    def test_first_non_finite_row_refused_in_order_with_retries(self, monkeypatch, bad, message):
-        # in one block: row 1 is retried before row 2 is refused, row 3 (over
-        # the tolerance) and row 4 (non-finite too) are never reached; +inf
-        # is over the tolerance, so it is retried first, and refused with
-        # its retry's order
-        retried = []
-
-        def residual_at(item, order):
-            if order == 32:
-                retried.append(item)
-            return [-1.0, 2.0 if order == 16 else 0.5, bad, 3.0, float("nan"), -1.0][item]
-
+    def test_first_non_finite_row_refused_in_order(self, monkeypatch, bad, message):
+        # in one block, evaluated once: row 2 is refused where it lies,
+        # though rows 1 and 3 are over the tolerance and row 4 is non-finite
+        values = [-1.0, 2.0, bad, 3.0, float("nan"), -1.0]
         with pytest.raises(ValueError, match=f"^non-finite residual {re.escape(message)}$"):
-            _fake_suite(monkeypatch, residual_at, range(6), 6)
-        assert retried == ([1, 2] if bad > 0 else [1])
+            _fake_suite(monkeypatch, lambda item: values[item], range(6), 6)
 
     def test_suite_refuses_nan_that_is_not_the_maximum(self, monkeypatch):
         real = verify_mod.theorem1_rows
@@ -948,7 +881,7 @@ class TestDriver:
 
     def test_first_of_equal_maxima_across_blocks_is_kept(self, monkeypatch):
         values = [-1.0, 0.0, -1.0, -1.0, 0.0, -0.0, 0.0]
-        tracker, blocks = _fake_suite(monkeypatch, lambda item, n: values[item], range(7), 3)
+        tracker, blocks = _fake_suite(monkeypatch, lambda item: values[item], range(7), 3)
         assert blocks == [[0, 1, 2], [3, 4, 5], [6]]
         rep = tracker.report("t0", 7, 0, (0.5,))
         assert rep.worst_witness == {"trial": 1, "r": 0.1}
@@ -956,35 +889,11 @@ class TestDriver:
 
     def test_first_of_equal_maxima_within_a_block_is_kept(self, monkeypatch):
         values = [-1.0, -0.0, -1.0, 0.0, -0.5, -0.0]
-        tracker, blocks = _fake_suite(monkeypatch, lambda item, n: values[item], range(6), 6)
+        tracker, blocks = _fake_suite(monkeypatch, lambda item: values[item], range(6), 6)
         assert blocks == [[0, 1, 2, 3, 4, 5]]
         rep = tracker.report("t0", 6, 0, (0.5,))
         assert rep.worst_witness == {"trial": 1, "r": 0.1}
         assert rep.max_residual == 0.0 and np.signbit(rep.max_residual)
-
-    def test_retried_witness_reported_worst_carries_its_order(self, monkeypatch):
-        def residual_at(item, order):
-            if item != 2:
-                return -1.0
-            return 1.0 if order == 16 else 0.5
-
-        tracker, blocks = _fake_suite(monkeypatch, residual_at, range(5), 4)
-        assert blocks == [[0, 1, 2, 3], [2], [4]]
-        rep = tracker.report("t0", 5, 0, (0.5,))
-        assert rep.worst_witness == {"trial": 2, "r": 0.02, "reevaluated_order": 32}
-        assert rep.max_residual == 0.5 and rep.verdict == "fail"
-
-    def test_retried_row_within_a_block_carries_its_order(self, monkeypatch):
-        # rows 1 and 3 are retried in row order; row 3's retry is the block's
-        # largest residual and row 1's is not
-        def residual_at(item, order):
-            return {1: 1.0 if order == 16 else -0.5, 3: 2.0 if order == 16 else 0.25}.get(item, -1.0)
-
-        tracker, blocks = _fake_suite(monkeypatch, residual_at, range(5), 5)
-        assert blocks == [[0, 1, 2, 3, 4], [1], [3]]
-        rep = tracker.report("t0", 5, 0, (0.5,))
-        assert rep.worst_witness == {"trial": 3, "r": 0.03, "reevaluated_order": 32}
-        assert rep.max_residual == 0.25
 
 
 class TestOrderFloor:
