@@ -565,9 +565,8 @@ class TestBoundaryTripwire:
 
 class TestSpecColumnsOnce:
     """A stacked builder makes BlaschkeSpec's checks on the spec columns it
-    is handed once a call (series._checked_columns); that a bad spec is
-    refused before any expansion is pinned by test_series'
-    TestBlaschkeRowChecks."""
+    is handed once a call (series._checked_columns), and a bad spec is
+    refused before any expansion."""
 
     GOOD = DrawnSpec(np.array([0.5j]), 1.0 + 0.0j)
 
@@ -588,6 +587,28 @@ class TestSpecColumnsOnce:
         monkeypatch.setattr(witnesses, "_checked_columns", counting)
         assert _STACKED_BUILDERS[build](specs).tobytes() == expected.tobytes()
         assert calls == [3]
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (DrawnSpec(np.array([0.95 + 0.0j]), 1.0 + 0.0j), "zero with modulus 0.9500 exceeds cap 0.9"),
+            (DrawnSpec(np.full(5, 0.1 + 0.0j), 1.0 + 0.0j), "at most 4 zeros"),
+            (DrawnSpec(np.array([], dtype=complex), 1.0 + 1e-13 + 0.0j), "rotation must be unimodular"),
+            (DrawnSpec(np.array([0.5, complex(np.nan, 0.1)]), 1.0 + 0.0j), "zero with modulus nan"),
+            (DrawnSpec(np.array([0.5 + 0.0j]), complex(np.nan, 0.0)), "rotation must be unimodular .modulus nan."),
+        ],
+    )
+    @pytest.mark.parametrize("build", list(_STACKED_BUILDERS))
+    def test_bad_spec_refused_before_the_tripwire(self, monkeypatch, build, bad, message):
+        # the name is kept from the boundary tripwire that once ran after the
+        # checks; the expansion is now the first arithmetic on the columns
+        def unreached(*args, **kwargs):
+            raise AssertionError("expansion ran on unchecked specs")
+
+        monkeypatch.setattr(series, "_blaschke_expansion", unreached)
+        monkeypatch.setattr(witnesses, "_blaschke_expansion", unreached)
+        with pytest.raises(ValueError, match=message):
+            _STACKED_BUILDERS[build]([self.GOOD, bad, self.GOOD])
 
 
 class TestPSymmetricLift:
