@@ -35,16 +35,18 @@ tracker in one form: a residual array and the functions that name its
 entries.  The tracker takes the first non-finite entry, which it refuses
 by name, or else the first largest, and keeps the worst item; the report
 forms the one record of that item.  The driver makes one update per block
-with its residual column, an entry being named by the
-draw tuple of its row alone (_T1Draw, _T2Draw, _T3Draw with its k, or
-_Draw) and the dict that locates its residual, and recorded by the
-suite's record function (_t1_record, _t2_record, _t3_record or the
-suite's own).  t5 and t6 then hand over their closed-form checks as tables
-of one sharp_lhs call each, in group order: t5 its (group x 9) table of
-the sharp witness on each group's grid and just beyond its radius, then
-its universal-radius sweep; t6 its (pair x 5) table of the ladder scales
-and the exact scale at the radius and beyond it, whose failing checks
-form a (pair, check) mask.  Subordination, majorization and the identity
+with its residual column, an entry being named by its row of the block's
+own columns, sliced to a block of one row, and the dict that locates its
+residual, and recorded by the suite's record function (_t1_record,
+_t2_record, _t3_record or the suite's own), which reads that one-row
+block.  A trial so stays its row of the suite's columns from draw to
+record, and a record maps back to a one-row block that the suite's
+residuals function evaluates again.  t5 and t6 then hand over their
+closed-form checks as tables of one sharp_lhs call each, in group order:
+t5 its (group x 9) table of the sharp witness on each group's grid and
+just beyond its radius, then its universal-radius sweep; t6 its (pair x 5)
+table of the ladder scales and the exact scale at the radius and beyond
+it, whose failing checks form a (pair, check) mask.  Subordination, majorization and the identity
 inner are the Blaschke product with no zeros: t1 and t2 mask such a
 trial's row of its phi or omega spec columns to the zero-free product
 (witnesses._zero_free).  t2 builds its outers and inners as rows and only
@@ -65,7 +67,6 @@ building a series.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -102,8 +103,6 @@ from .series import (
 )
 from .streams import _keyed_draws
 from .witnesses import (
-    DrawnSpec,
-    _spec_row,
     _zero_free,
     bounded_rows,
     draw_polynomials,
@@ -229,18 +228,31 @@ def _pair(z: complex) -> list:
     return [float(z.real), float(z.imag)]
 
 
-def _spec_dict(spec: DrawnSpec) -> dict:
-    return {"zeros": [_pair(z) for z in spec.zeros.tolist()], "rotation": _pair(spec.rotation)}
+def _spec_dict(columns) -> dict:
+    """The record of one-row spec columns (zeros, counts, rotations)."""
+    zeros, counts, rotations = columns
+    return {"zeros": [_pair(z) for z in zeros[0, : counts[0]].tolist()], "rotation": _pair(rotations[0])}
 
 
-def _poly_dict(coeffs: np.ndarray, degree: int) -> list:
-    return [_pair(c) for c in coeffs[: degree + 1].tolist()]
+def _poly_dict(coeffs: np.ndarray, degrees: np.ndarray) -> list:
+    """The record of a one-row coefficient column up to its degree."""
+    return [_pair(c) for c in coeffs[0, : degrees[0] + 1].tolist()]
+
+
+def _suite_arguments(trials, seed, order) -> tuple:
+    """(trials, seed, order) of a suite call as ints (series.integer), with
+    trials >= 1 and order >= 2, the CLI's floor, checked: at order 0 every
+    tail term is dropped, so no random witness could fail."""
+    trials, seed, order = integer("trials", trials), integer("seed", seed), integer("order", order)
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    if order < 2:
+        raise ValueError("order must be >= 2")
+    return trials, seed, order
 
 
 def _trial_params(suite: str, draw, trials: int, seed: int):
     """The chunks draw(streams, keys) of the trial keys (suite id, seed, t)."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     return _keyed_draws(((SUITES[suite][0], seed, t) for t in range(trials)), draw)
 
 
@@ -248,8 +260,6 @@ def _groups(suite: str, trials: int, seed: int, radii) -> list:
     """radius_grid(r, 8) and the trial keys (suite id, seed, g, j) of each
     group g with sharp radius radii[g]; the first trials % len(radii) groups
     take one witness more than the others."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     if not radii:
         raise ValueError("the parameter grid is empty")
     share, extra = divmod(trials, len(radii))
@@ -270,25 +280,25 @@ def _block_rows(order: int) -> int:
     return max(1, _COEFF_BUDGET // (order + 1))
 
 
-def _run_suite(chunks, residuals, item, record, order: int) -> _Tracker:
+def _run_suite(chunks, residuals, record, order: int) -> _Tracker:
     """A _Tracker updated once per block of rows of the column ``chunks``
     (nested tuples of arrays, the first 1-D): residuals(block, order)
     builds the block's witnesses and returns (residual column, dict of
     columns locating each), and the update takes that column, naming row j
-    by the draw tuple item(*_entries(block, j)) and the row's location
-    ``where``, and recording it as {**record(draw), **where}.  A block holds
-    _block_rows(order) rows of a chunk, and each is evaluated once, at
-    ``order``."""
+    by its one-row block, the block's columns sliced to j:j+1, and the row's
+    location ``where``, and recording it as {**record(row), **where}.  A
+    block holds _block_rows(order) rows of a chunk, and each is evaluated
+    once, at ``order``."""
     tracker = _Tracker()
     rows = _block_rows(order)
 
     def located(entry):
-        draw, where = entry
-        return {**record(draw), **where}
+        row, where = entry
+        return {**record(row), **where}
 
     for block in (_columns(lambda a: a[i : i + rows], c) for c in chunks for i in range(0, len(c[0]), rows)):
         res, where = residuals(block, order)
-        tracker.update(res, lambda j: (item(*_entries(block, j)), _row(where, j)), located)
+        tracker.update(res, lambda j: (_columns(lambda a: a[j : j + 1], block), _row(where, j)), located)
     return tracker
 
 
@@ -316,23 +326,6 @@ def _row_max(table: np.ndarray, points) -> tuple:
     return table[rows, cols], {"r": points[rows, cols]}
 
 
-def _entries(block, j: int) -> list:
-    """Row j of each column of a block: a Python number of a 1-D column, a
-    row of a 2-D one and a DrawnSpec of spec columns."""
-    return [_spec_row(c, j) if isinstance(c, tuple) else c[j] if c.ndim > 1 else c[j].item() for c in block]
-
-
-class _Draw(NamedTuple):
-    """One random t5/t6 witness: its group, trial index, phase, rotated
-    a0 = a * exp(i * phase) and Blaschke specs."""
-
-    group: int
-    trial: int
-    phase: float
-    a0: complex
-    specs: tuple
-
-
 def _pointwise_draws(groups, a_values, specs: int):
     """The draws of each group in turn as column chunks (group, trial, phase,
     a0, ``specs`` spec columns): each stream gives the phase, then the specs."""
@@ -345,10 +338,6 @@ def _pointwise_draws(groups, a_values, specs: int):
         return group, np.array([key[3] for key in keys]), phases, a0s, *drawn
 
     return _keyed_draws((key for _, keys in groups for key in keys), draw)
-
-
-def _pointwise_item(*row) -> _Draw:
-    return _Draw(*row[:4], row[4:])
 
 
 def _automorphisms(a0s, specs, order: int, kind: str) -> tuple:
@@ -390,22 +379,6 @@ def _group_worst(block, grids: np.ndarray, lhs_rows, *stacks) -> tuple:
 # majorant for r <= 1/3.
 
 
-class _T1Draw(NamedTuple):
-    """One t1 trial, a row of _t1_draws' columns: its index (which gives its
-    variant), the coefficients 0..8 of its polynomial outer g and g's
-    degree, and the Blaschke specs of phi and omega."""
-
-    trial: int
-    g: np.ndarray
-    degree: int
-    phi: DrawnSpec
-    omega: DrawnSpec
-
-    @property
-    def variant(self) -> str:
-        return ("general", "subordination", "majorization")[self.trial % 3]
-
-
 def _t1_draws(streams, keys) -> tuple:
     """The t1 trials keyed by ``keys`` as columns (trial, g, degree, phi,
     omega): each stream gives g, then phi, then omega."""
@@ -413,13 +386,17 @@ def _t1_draws(streams, keys) -> tuple:
     return np.array([key[-1] for key in keys]), g, degrees, draw_specs(streams), draw_specs(streams)
 
 
-def _t1_record(d: _T1Draw) -> dict:
+def _t1_record(row) -> dict:
+    """The record of a one-row block of t1 trials; the trial index gives
+    its variant."""
+    trial, g, degrees, phi, omega = row
+    t = trial[0].item()
     return {
-        "trial": d.trial,
-        "variant": d.variant,
-        "g": _poly_dict(d.g, d.degree),
-        "phi": _spec_dict(d.phi),
-        "omega": _spec_dict(d.omega),
+        "trial": t,
+        "variant": ("general", "subordination", "majorization")[t % 3],
+        "g": _poly_dict(g, degrees),
+        "phi": _spec_dict(phi),
+        "omega": _spec_dict(omega),
     }
 
 
@@ -443,6 +420,7 @@ def check_theorem1(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED, order
     (multiplier identically one; inner equal to z), all on a 12-point grid
     of (0, 1/3].
     """
+    trials, seed, order = _suite_arguments(trials, seed, order)
     if order < _T1_OUTER_DEGREE:
         raise ValueError(f"t1 needs order >= {_T1_OUTER_DEGREE}, the degree of its random outers")
     draws = _trial_params("t1", _t1_draws, trials, seed)
@@ -451,27 +429,12 @@ def check_theorem1(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED, order
     def residuals(block, n):
         return _row_max(theorem1_rows(*_t1_witness(block, n), grid), grid)
 
-    tracker = _run_suite(draws, residuals, _T1Draw, _t1_record, order)
+    tracker = _run_suite(draws, residuals, _t1_record, order)
     return tracker.report("t1", trials, seed, grid)
 
 
 # ----------------------------------------------------------------------
 # Suite 2: odd composition pairs, including partial-sum domination.
-
-
-class _T2Draw(NamedTuple):
-    """One t2 trial, a row of _t2_draws' columns: its index (which tells
-    whether the inner is z), the coefficients 0..3 of its base q and q's
-    degree and the Blaschke spec of its inner."""
-
-    trial: int
-    q: np.ndarray
-    degree: int
-    omega: DrawnSpec
-
-    @property
-    def identity_inner(self) -> bool:
-        return self.trial % 5 == 0
 
 
 def _t2_draws(streams, keys) -> tuple:
@@ -481,12 +444,16 @@ def _t2_draws(streams, keys) -> tuple:
     return np.array([key[-1] for key in keys]), q, degrees, draw_specs(streams)
 
 
-def _t2_record(d: _T2Draw) -> dict:
+def _t2_record(row) -> dict:
+    """The record of a one-row block of t2 trials; the trial index tells
+    whether the inner is z."""
+    trial, q, degrees, omega = row
+    t = trial[0].item()
     return {
-        "trial": d.trial,
-        "q": _poly_dict(d.q, d.degree),
-        "omega": _spec_dict(d.omega),
-        "identity_inner": d.identity_inner,
+        "trial": t,
+        "q": _poly_dict(q, degrees),
+        "omega": _spec_dict(omega),
+        "identity_inner": t % 5 == 0,
     }
 
 
@@ -531,27 +498,17 @@ def check_theorem2_odd(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED, o
     odd by construction, and any even-coefficient leak of the composition
     is folded into the residual.
     """
+    trials, seed, order = _suite_arguments(trials, seed, order)
     if order < 2 * _T2_BASE_DEGREE + 1:
         raise ValueError(f"t2 needs order >= {2 * _T2_BASE_DEGREE + 1}, the degree of its outers z*q(z^2)")
     draws = _trial_params("t2", _t2_draws, trials, seed)
     grid = radius_grid(ODD_CAP, 12)
-    tracker = _run_suite(draws, lambda block, n: _t2_residual(*_t2_rows(block, n), grid), _T2Draw, _t2_record, order)
+    tracker = _run_suite(draws, lambda block, n: _t2_residual(*_t2_rows(block, n), grid), _t2_record, order)
     return tracker.report("t2", trials, seed, grid)
 
 
 # ----------------------------------------------------------------------
 # Suite 3: harmonic pairs with dilatation bound k.
-
-
-class _T3Draw(NamedTuple):
-    """One t3 trial, a row of _t3_draws' columns: its index, the Blaschke
-    specs of h and omega_tilde and the parameter a_extremal of its sharp
-    pair.  An item is a trial with one k (_t3_item, _t3_record)."""
-
-    trial: int
-    h: DrawnSpec
-    omega_tilde: DrawnSpec
-    a_extremal: float
 
 
 def _t3_draws(streams, keys) -> tuple:
@@ -575,18 +532,15 @@ def _by_k(chunks, k_grid, rows: int):
             yield (*_columns(lambda a: a[index // len(ks)], chunk), ks[index % len(ks)])
 
 
-def _t3_item(*row) -> tuple:
-    return _T3Draw(*row[:-1]), row[-1]
-
-
-def _t3_record(item) -> dict:
-    d, k = item
+def _t3_record(row) -> dict:
+    """The record of a one-row block of t3 rows (_by_k): a trial with one k."""
+    trial, h, omega_tilde, a_extremal, k = row
     return {
-        "trial": d.trial,
-        "h": _spec_dict(d.h),
-        "omega_tilde": _spec_dict(d.omega_tilde),
-        "a_extremal": d.a_extremal,
-        "k": k,
+        "trial": trial[0].item(),
+        "h": _spec_dict(h),
+        "omega_tilde": _spec_dict(omega_tilde),
+        "a_extremal": a_extremal[0].item(),
+        "k": k[0].item(),
     }
 
 
@@ -629,6 +583,7 @@ def check_theorem3(
     and checks every k in k_grid; the sharp family (co-analytic scale equal
     to k) must sit at one to within tolerance on the same grid.
     """
+    trials, seed, order = _suite_arguments(trials, seed, order)
     draws = _trial_params("t3", _t3_draws, trials, seed)
     k_grid = tuple(float(k) for k in k_grid)
     if not k_grid:
@@ -639,7 +594,7 @@ def check_theorem3(
     def residuals(block, n):
         return _row_max(_t3_residuals(_t3_witness(block, n), grid), grid + grid)
 
-    tracker = _run_suite(_by_k(draws, k_grid, _block_rows(order)), residuals, _t3_item, _t3_record, order)
+    tracker = _run_suite(_by_k(draws, k_grid, _block_rows(order)), residuals, _t3_record, order)
     return tracker.report("t3", trials, seed, grid)
 
 
@@ -672,6 +627,7 @@ def check_theorem5(
     sweep runs over a 100-point grid of [0, 1), and the expected violation
     just beyond the radius is recorded as informational beyond-radius data.
     """
+    trials, seed, order = _suite_arguments(trials, seed, order)
     if a_grid is None:
         a_grid = (ANALYTIC_THRESHOLD_A, 0.5, 0.55, 0.6, 0.7, 0.8, 0.9, 0.95)
     a_grid = tuple(float(a) for a in a_grid)
@@ -680,8 +636,7 @@ def check_theorem5(
     tracker = _run_suite(
         _pointwise_draws(groups, a_grid, 1),
         lambda block, n: _group_worst(block, grids, theorem5_rows, *_t5_witness(block, n)),
-        _pointwise_item,
-        lambda d: {"a": a_grid[d.group], "trial": d.trial, "phase": d.phase, "omega": _spec_dict(d.specs[0])},
+        lambda row: {"a": a_grid[row[0][0]], "trial": row[1][0].item(), "phase": row[2][0].item(), "omega": _spec_dict(row[4])},
         order,
     )
     # the sharp witness on each group's grid and _BEYOND_STEP past its
@@ -748,6 +703,7 @@ def check_theorem6(
     pairs take one more); a pair left without random witnesses still runs
     its ladder, attainment and beyond-radius checks.
     """
+    trials, seed, order = _suite_arguments(trials, seed, order)
     k_grid = tuple(float(k) for k in k_grid)
     pairs = []
     for k in k_grid:
@@ -762,8 +718,7 @@ def check_theorem6(
     tracker = _run_suite(
         _pointwise_draws(groups, [a for a, _ in pairs], 2),
         lambda block, n: _group_worst(block, grids, theorem6_rows, *_t6_witness(block, n, ks[block[0]])),
-        _pointwise_item,
-        lambda d: {"a": pairs[d.group][0], "k": pairs[d.group][1], "trial": d.trial, "phase": d.phase},
+        lambda row: {"a": pairs[row[0][0]][0], "k": pairs[row[0][0]][1], "trial": row[1][0].item(), "phase": row[2][0].item()},
         order,
     )
     # per pair: the ladder scales and the exact scale k at the radius and

@@ -163,6 +163,36 @@ class TestSuitesPass:
             check(trials=5, **kwargs)
 
 
+class TestSuiteArguments:
+    """Every suite reads trials, seed and order through series.integer once,
+    reports the ints it returns, and refuses trials below 1 and orders below
+    2 before any draw: below order 2 every tail term is dropped, so no
+    random witness could fail."""
+
+    CHECKS = [check_theorem1, check_theorem2_odd, check_theorem3, check_theorem5, check_theorem6]
+
+    @pytest.mark.parametrize("check", CHECKS)
+    @pytest.mark.parametrize(
+        "name, value", [("trials", 12.0), ("trials", "3"), ("order", 16.0), ("order", 16.5), ("seed", 1.5)]
+    )
+    def test_non_integer_refused_by_name(self, check, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, not {re.escape(repr(value))}$"):
+            check(**{"trials": 3, "seed": 0, "order": 16, name: value})
+
+    @pytest.mark.parametrize("check", CHECKS)
+    def test_numpy_integers_report_as_ints(self, check):
+        rep = check(trials=np.int64(3), seed=np.uint64(5), order=np.int32(16))
+        assert type(rep.trials) is int and type(rep.seed) is int
+        assert json.dumps(rep.as_dict()) == json.dumps(check(trials=3, seed=5, order=16).as_dict())
+
+    @pytest.mark.parametrize("check", CHECKS)
+    @pytest.mark.parametrize("order", [-1, 0, 1])
+    def test_order_below_two_refused(self, monkeypatch, check, order):
+        monkeypatch.setattr(verify_mod, "_keyed_draws", None)  # any draw would fail differently
+        with pytest.raises(ValueError, match="^order must be >= 2$"):
+            check(trials=3, seed=0, order=order)
+
+
 class TestSharpnessCertificates:
     def test_corollary2_certified_on_whole_interval(self):
         rep = sharpness_certificate("cor2", {"a": 0.5})
@@ -238,42 +268,42 @@ class TestConservativeness:
         assert rep.max_residual <= TOLERANCE
 
     def test_worst_witness_is_reconstructible_record(self, monkeypatch):
-        trackers = []
-        real_report = verify_mod._Tracker.report
+        trackers, suites = [], []
+        real_report, real_run = verify_mod._Tracker.report, verify_mod._run_suite
 
         def report(self, *args, **kwargs):
             trackers.append(self)
             return real_report(self, *args, **kwargs)
 
+        def run(chunks, residuals, record, order):
+            suites.append((residuals, order))
+            return real_run(chunks, residuals, record, order)
+
         monkeypatch.setattr(verify_mod._Tracker, "report", report)
+        monkeypatch.setattr(verify_mod, "_run_suite", run)
         rep = check_theorem1(30, seed=5)
         w = rep.worst_witness
         assert {"trial", "variant", "r"} <= set(w)
         assert isinstance(w["trial"], int)
-        # the draw rebuilt from the report's JSON is the tracker's worst item
+        # the one-row block rebuilt from the report's JSON is the tracker's
+        # worst row, bit for bit, and records as the report does
         rec = json.loads(json.dumps(rep.as_dict()))["worst_witness"]
-        g = np.zeros(verify_mod._T1_OUTER_DEGREE + 1, dtype=np.complex128)
-        g[: len(rec["g"])] = [complex(*c) for c in rec["g"]]
-        rebuilt = verify_mod._T1Draw(rec["trial"], g, len(rec["g"]) - 1, _drawn_spec(rec["phi"]), _drawn_spec(rec["omega"]))
-        assert rebuilt.variant == rec["variant"]
+        g = np.zeros((1, verify_mod._T1_OUTER_DEGREE + 1), dtype=np.complex128)
+        g[0, : len(rec["g"])] = [complex(*c) for c in rec["g"]]
+        phi, omega = (_spec_columns([_drawn_spec(rec[name])]) for name in ("phi", "omega"))
+        block = (np.array([rec["trial"]]), g, np.array([len(rec["g"]) - 1]), phi, omega)
         [tracker] = trackers
-        (worst, _), _ = tracker.worst
-        assert (rebuilt.trial, rebuilt.variant) == (worst.trial, worst.variant) and rebuilt.degree == worst.degree
-        assert rebuilt.g.tobytes() == worst.g.tobytes()
-        assert _same_spec(rebuilt.phi, worst.phi) and _same_spec(rebuilt.omega, worst.omega)
-        # and, evaluated alone at the report's order as a block of one row,
-        # it gives the report's residual and radius bit for bit
-        order = verify_mod.DEFAULT_ORDER
-        grid = radius_grid(CLASSICAL_CAP, 12)
-        block = (
-            np.array([rebuilt.trial]),
-            rebuilt.g[None],
-            np.array([rebuilt.degree]),
-            _spec_columns([rebuilt.phi]),
-            _spec_columns([rebuilt.omega]),
-        )
-        table = verify_mod.theorem1_rows(*verify_mod._t1_witness(block, order), grid)
-        [res], at = verify_mod._row_max(table, grid)
+        (worst, where), _ = tracker.worst
+        assert [worst[c].tolist() for c in (0, 2)] == [block[c].tolist() for c in (0, 2)]
+        assert worst[1].tobytes() == g.tobytes()
+        assert _same_spec(worst[3], witnesses_mod._spec_row(phi, 0)) and _same_spec(worst[4], witnesses_mod._spec_row(omega, 0))
+        assert {**verify_mod._t1_record(block), **where} == rec
+        # and check_theorem1's own residuals, evaluated on that block alone
+        # at the report's order, give the report's residual and radius bit
+        # for bit
+        [(residuals, order)] = suites
+        assert order == verify_mod.DEFAULT_ORDER
+        [res], at = residuals(block, order)
         assert np.float64(res).tobytes() == np.float64(rep.max_residual).tobytes()
         assert at["r"].tobytes() == np.float64(rec["r"]).tobytes()
 
@@ -426,6 +456,30 @@ class TestClosedFormFailures:
         assert hashlib.sha256(json.dumps(rep.as_dict()).encode()).hexdigest()[:16] == digest
 
 
+class TestHandedRecords:
+    """Every record the suites hand a tracker, with its residual (the
+    ``records`` fixture), is pinned by the digest of json.dumps of the list,
+    keys in record order: the random-witness counterpart of
+    TestClosedFormFailures, which the CLI digests (sorted keys) do not
+    replace, and t5's random records reach no CLI digest.  Recorded while
+    each trial was still handed to its record as a draw tuple."""
+
+    @pytest.mark.parametrize(
+        "check, count, digest",
+        [
+            (check_theorem1, 40, "1f40195f8c83d40a"),
+            (check_theorem2_odd, 40, "4e6f0ddfa941ab85"),
+            (check_theorem3, 120, "a00f8ba5e10fd9b8"),
+            (check_theorem5, 204, "028098f96f2277a8"),
+            (check_theorem6, 40, "16ae3a436cc0b424"),
+        ],
+    )
+    def test_records_match_golden_digest(self, records, check, count, digest):
+        check(trials=40, seed=3, order=16)
+        assert len(records) == count
+        assert hashlib.sha256(json.dumps(records).encode()).hexdigest()[:16] == digest
+
+
 class TestClosedFormTables:
     """t5 and t6 hand their closed-form checks to the tracker as tables of
     one sharp_lhs call each, whose entries are kept in row-major order: the
@@ -556,8 +610,8 @@ class TestStackedBlocks:
         trial, k = (np.concatenate([p[c] for p in pieces]) for c in (0, -1))
         assert trial.tolist() == [t for t in range(7) for _ in ks] and k.tolist() == list(ks) * 7
         for c in (1, 2):  # h and omega_tilde, row by row
-            rows = [verify_mod._spec_row(p[c], j) for p in pieces for j in range(len(p[0]))]
-            assert all(r.zeros.tobytes() == verify_mod._spec_row(chunks[0][c], t).zeros.tobytes() for r, t in zip(rows, trial))
+            rows = [witnesses_mod._spec_row(p[c], j) for p in pieces for j in range(len(p[0]))]
+            assert all(r.zeros.tobytes() == witnesses_mod._spec_row(chunks[0][c], t).zeros.tobytes() for r, t in zip(rows, trial))
         wide = check_theorem3(7, seed=2, k_grid=ks, order=16).as_dict()
         monkeypatch.setattr(verify_mod, "_COEFF_BUDGET", 8 * 17)
         real, blocks = verify_mod._by_k, []
@@ -589,16 +643,15 @@ def _chunks(draw, suite_id, trials, seed=9):
     return list(streams_mod._keyed_draws([(suite_id, seed, t) for t in range(trials)], draw))
 
 
-def _draws(draw, item, suite_id, trials, seed=9):
-    """The draw tuple item(*entries) of every row of the trial keys'
-    (suite_id, seed, t) column chunks, in order."""
-    chunks = _chunks(draw, suite_id, trials, seed)
-    return [item(*verify_mod._entries(chunk, j)) for chunk in chunks for j in range(len(chunk[0]))]
-
-
 def _rows(block, rows):
     """The rows ``rows`` (a slice) of every column of a block."""
     return verify_mod._columns(lambda a: a[rows], block)
+
+
+def _one_row_blocks(chunks) -> list:
+    """The one-row block of every row of the column ``chunks``, in order,
+    as the suite driver names a row."""
+    return [_rows(chunk, slice(j, j + 1)) for chunk in chunks for j in range(len(chunk[0]))]
 
 
 def _spec(d):
@@ -661,7 +714,7 @@ class TestStackedWitnesses:
         for block in blocks:
             f_rows, g_rows = verify_mod._t1_witness(block, order)
             for j, (f, g) in enumerate(zip(f_rows, g_rows)):
-                rec = verify_mod._t1_record(verify_mod._T1Draw(*verify_mod._entries(block, j)))
+                rec = verify_mod._t1_record(_rows(block, slice(j, j + 1)))
                 variants.add(rec["variant"])
                 outer = make_series([complex(*c) for c in rec["g"]], order)
                 phi = make_series([1.0], order)
@@ -684,8 +737,8 @@ class TestStackedWitnesses:
         table = verify_mod._t3_residuals(verify_mod._t3_witness(block, order), grid)
         assert len(table) == 22
         for j, row in enumerate(table):
-            trial, k = verify_mod._t3_item(*verify_mod._entries(block, j))
-            rec = verify_mod._t3_record((trial, k))
+            rec = verify_mod._t3_record(_rows(block, slice(j, j + 1)))
+            k = rec["k"]
             h = bounded_from_spec(_spec(rec["h"]), order)
             pair = harmonic_witness(h, k, bounded_from_spec(_spec(rec["omega_tilde"]), order))
             a0 = float(abs(h.coeffs[0]))
@@ -717,11 +770,10 @@ class TestStackedWitnesses:
         f_rows, g_rows = verify_mod._t2_rows(block, order)
         z = make_series([0.0, 1.0], order)
         for j, (f, g) in enumerate(zip(f_rows, g_rows)):
-            d = verify_mod._T2Draw(*verify_mod._entries(block, j))
-            rec = verify_mod._t2_record(d)
+            rec = verify_mod._t2_record(_rows(block, slice(j, j + 1)))
             q = make_series([complex(*c) for c in rec["q"]], order // 2)
             outer = mul(z, p_symmetric_lift(q, 2, order=order))
-            inner = z if d.identity_inner else schwarz_from_spec(_spec(rec["omega"]), odd=True, order=order)
+            inner = z if rec["identity_inner"] else schwarz_from_spec(_spec(rec["omega"]), odd=True, order=order)
             assert g.tobytes() == outer.coeffs.tobytes()
             assert f.tobytes() == compose(outer, inner).coeffs.tobytes()
 
@@ -775,8 +827,8 @@ class TestNonFiniteResiduals:
 def _fake_suite(monkeypatch, residual_at, items, rows, order=16):
     """_run_suite over one chunk of the int ``items`` in blocks of ``rows``,
     the residual of an item being residual_at(item), located at
-    r = item / 10, its draw tuple the item itself and its record
-    {"trial": item}; also the blocks it evaluated, each at ``order``."""
+    r = item / 10, and the record of its one-row block {"trial": item};
+    also the blocks it evaluated, each at ``order``."""
     monkeypatch.setattr(verify_mod, "_COEFF_BUDGET", rows * (order + 1))
     blocks = []
 
@@ -786,14 +838,15 @@ def _fake_suite(monkeypatch, residual_at, items, rows, order=16):
         blocks.append(trials.tolist())
         return np.array([residual_at(item) for item in trials.tolist()], dtype=np.float64), {"r": trials / 10}
 
-    tracker = verify_mod._run_suite([(np.array(list(items)),)], residuals, lambda item: item, lambda item: {"trial": item}, order)
+    tracker = verify_mod._run_suite([(np.array(list(items)),)], residuals, lambda row: {"trial": row[0][0].item()}, order)
     return tracker, blocks
 
 
 class TestDriver:
-    """The driver hands the tracker one item per block, the first with the
-    block's largest residual, with where that residual lies, and forms no
-    record; the report forms the one record of the worst."""
+    """The driver hands the tracker one item per block, the one-row block of
+    the first row with the block's largest residual, with where that
+    residual lies, and forms no record; the report forms the one record of
+    the worst."""
 
     @pytest.mark.parametrize("trials, budget", [(3, None), (300, None), (300, 40 * 17)])
     @pytest.mark.parametrize(
@@ -817,34 +870,47 @@ class TestDriver:
         assert calls == {record: 1, "_spec_dict": specs}
 
     @pytest.mark.parametrize(
-        "check, draw, witness",
+        "check, witness",
         [
-            (check_theorem1, "_T1Draw", "_t1_witness"),
-            (check_theorem2_odd, "_T2Draw", "_t2_rows"),
-            (check_theorem3, "_T3Draw", "_t3_witness"),
-            (check_theorem5, "_Draw", "_t5_witness"),
-            (check_theorem6, "_Draw", "_t6_witness"),
+            (check_theorem1, "_t1_witness"),
+            (check_theorem2_odd, "_t2_rows"),
+            (check_theorem3, "_t3_witness"),
+            (check_theorem5, "_t5_witness"),
+            (check_theorem6, "_t6_witness"),
         ],
     )
-    def test_one_draw_tuple_per_block(self, monkeypatch, check, draw, witness):
-        # 40-row blocks at order 16, each built once, at that order
+    def test_one_row_slice_per_block(self, monkeypatch, check, witness):
+        # 40-row blocks at order 16, each built once, at that order, and
+        # named in its update by one one-row slice of its columns; of all
+        # the records the updates could form, the report forms one
         monkeypatch.setattr(verify_mod, "_COEFF_BUDGET", 40 * 17)
-        tuples, builds = [], []
-        real_draw, real_witness = getattr(verify_mod, draw), getattr(verify_mod, witness)
+        slices, records, builds = [], [], []
+        real_update, real_witness = verify_mod._Tracker.update, getattr(verify_mod, witness)
 
-        def counting_draw(*args):
-            tuples.append(None)
-            return real_draw(*args)
+        def counting_update(self, residuals, item, record):
+            def counting_item(j):
+                kept = item(j)
+                if isinstance(kept, tuple) and isinstance(kept[-1], dict):  # a random row and its location
+                    slices.append(kept[0])
+                return kept
+
+            def counting_record(kept):
+                records.append(kept)
+                return record(kept)
+
+            real_update(self, residuals, counting_item, counting_record)
 
         def counting_witness(block, order, *rest):
             builds.append(order)
             return real_witness(block, order, *rest)
 
-        monkeypatch.setattr(verify_mod, draw, counting_draw)
+        monkeypatch.setattr(verify_mod._Tracker, "update", counting_update)
         monkeypatch.setattr(verify_mod, witness, counting_witness)
         assert check(trials=300, seed=5, order=16).verdict == "pass"
         assert builds == [16] * len(builds) and len(builds) >= 8
-        assert len(tuples) == len(builds)
+        assert len(slices) == len(builds)
+        assert all(len(column) == 1 for row in slices for column in _leaves(row))
+        assert len(records) == 1
 
     @pytest.mark.parametrize("rows", [1, 2, 6])
     def test_nan_after_a_larger_maximum_is_refused_by_name(self, monkeypatch, rows):
@@ -919,15 +985,23 @@ class TestOrderFloor:
         assert max(draws[2]) == verify_mod._T2_BASE_DEGREE
         _, g_rows = verify_mod._t2_rows(draws, 7)
         for j, g in enumerate(g_rows):
-            q = [complex(re, im) for re, im in verify_mod._t2_record(verify_mod._T2Draw(*verify_mod._entries(draws, j)))["q"]]
+            q = [complex(re, im) for re, im in verify_mod._t2_record(_rows(draws, slice(j, j + 1)))["q"]]
             assert list(g[1 : 2 * len(q) : 2]) == q
             assert not np.any(g[0::2]) and not np.any(g[2 * len(q) + 1 :])
 
 
-def _same_spec(drawn, reference) -> bool:
+def _same_spec(columns, reference) -> bool:
+    """Row 0 of the spec ``columns`` holds the zeros and rotation of
+    ``reference``, bit for bit."""
+    drawn = witnesses_mod._spec_row(columns, 0)
     zeros, rotation = reference
     same_rotation = np.complex128(drawn.rotation).tobytes() == np.complex128(rotation).tobytes()
     return drawn.zeros.tobytes() == zeros.tobytes() and same_rotation
+
+
+def _leaves(columns) -> list:
+    """The arrays of a nested tuple of columns."""
+    return [leaf for c in columns for leaf in (_leaves(c) if isinstance(c, tuple) else [c])]
 
 
 class TestColumnarTrials:
@@ -938,40 +1012,41 @@ class TestColumnarTrials:
     TRIALS = 1100  # past one draw chunk
 
     def test_t1_t2_t3_draws_match_per_object_streams(self):
-        t1 = _draws(verify_mod._t1_draws, verify_mod._T1Draw, 1, self.TRIALS)
-        t2 = _draws(verify_mod._t2_draws, verify_mod._T2Draw, 2, self.TRIALS)
-        t3 = _draws(verify_mod._t3_draws, verify_mod._T3Draw, 3, self.TRIALS)
+        draws = (verify_mod._t1_draws, verify_mod._t2_draws, verify_mod._t3_draws)
+        t1, t2, t3 = (_one_row_blocks(_chunks(draw, suite_id, self.TRIALS)) for suite_id, draw in enumerate(draws, 1))
         for t, (d1, d2, d3) in enumerate(zip(t1, t2, t3)):
+            assert [d[0].tolist() for d in (d1, d2, d3)] == [[t]] * 3
             rng = np.random.default_rng((1, 9, t))
-            g = per_object_polynomial(rng)
-            assert d1.g[: d1.degree + 1].tobytes() == g.tobytes() and not np.any(d1.g[d1.degree + 1 :])
-            assert _same_spec(d1.phi, per_object_spec(rng)) and _same_spec(d1.omega, per_object_spec(rng))
+            _, g, [degree], phi, omega = d1
+            assert g[0, : degree + 1].tobytes() == per_object_polynomial(rng).tobytes() and not np.any(g[0, degree + 1 :])
+            assert _same_spec(phi, per_object_spec(rng)) and _same_spec(omega, per_object_spec(rng))
             rng = np.random.default_rng((2, 9, t))
-            assert d2.q[: d2.degree + 1].tobytes() == per_object_polynomial(rng, 3).tobytes()
-            assert _same_spec(d2.omega, per_object_spec(rng)) and d2.identity_inner == (t % 5 == 0)
+            _, q, [degree], omega = d2
+            assert q[0, : degree + 1].tobytes() == per_object_polynomial(rng, 3).tobytes()
+            assert _same_spec(omega, per_object_spec(rng)) and verify_mod._t2_record(d2)["identity_inner"] is (t % 5 == 0)
             rng = np.random.default_rng((3, 9, t))
-            assert _same_spec(d3.h, per_object_spec(rng, 1)) and _same_spec(d3.omega_tilde, per_object_spec(rng))
+            _, h, omega_tilde, _ = d3
+            assert _same_spec(h, per_object_spec(rng, 1)) and _same_spec(omega_tilde, per_object_spec(rng))
             a_extremal = rng.uniform(0.0, 0.95)
-            rec = verify_mod._t3_record((d3, 0.0))
+            rec = verify_mod._t3_record((*d3, np.zeros(1)))
             assert np.float64(rec["a_extremal"]).tobytes() == np.float64(a_extremal).tobytes()
-        assert {d.degree for d in t1} == set(range(9)) and {d.degree for d in t2} == set(range(4))
+        assert {d[2].item() for d in t1} == set(range(9)) and {d[2].item() for d in t2} == set(range(4))
 
     @pytest.mark.parametrize("specs", [1, 2])
     def test_pointwise_draws_match_per_object_streams(self, specs):
         a_values = (0.4, 0.75, 0.9)
         groups = verify_mod._groups("t5" if specs == 1 else "t6", self.TRIALS, 9, [0.3, 0.3, 0.3])
-        chunks = list(verify_mod._pointwise_draws(groups, a_values, specs))
-        draws = [verify_mod._pointwise_item(*verify_mod._entries(c, j)) for c in chunks for j in range(len(c[0]))]
+        draws = _one_row_blocks(verify_mod._pointwise_draws(groups, a_values, specs))
         keys = [key for _, group_keys in groups for key in group_keys]
         assert len(draws) == len(keys) == self.TRIALS
-        for d, key in zip(draws, keys):
+        for (group, trial, phase, a0, *drawn), key in zip(draws, keys):
             rng = np.random.default_rng(key)
-            phase = rng.uniform(0.0, 2.0 * np.pi)
-            a0 = complex(a_values[key[2]] * np.exp(1j * phase))
-            assert (d.group, d.trial) == key[2:]
-            assert np.float64(d.phase).tobytes() == np.float64(phase).tobytes()
-            assert np.complex128(d.a0).tobytes() == np.complex128(a0).tobytes()
-            assert all(_same_spec(spec, per_object_spec(rng)) for spec in d.specs)
+            expected_phase = rng.uniform(0.0, 2.0 * np.pi)
+            expected_a0 = complex(a_values[key[2]] * np.exp(1j * expected_phase))
+            assert (group.item(), trial.item()) == key[2:] and len(drawn) == specs
+            assert phase.tobytes() == np.float64(expected_phase).tobytes()
+            assert a0.tobytes() == np.complex128(expected_a0).tobytes()
+            assert all(_same_spec(spec, per_object_spec(rng)) for spec in drawn)
 
     @pytest.mark.parametrize(
         "check", [check_theorem1, check_theorem2_odd, check_theorem3, check_theorem5, check_theorem6]
@@ -1127,7 +1202,11 @@ class TestKeyedGenerators:
         assert str(expected.value) == message
         with pytest.raises(error, match=f"^{message}$"):
             streams_mod._streams([(1, 0, 0), (1, seed, 0)])
-        with pytest.raises(error, match=f"^{message}$"):
+        # the suites read their seed through series.integer, which refuses
+        # a non-integer one by name before any stream is formed
+        if not isinstance(seed, int):
+            error, message = ValueError, f"seed must be an integer, not {seed!r}"
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
             check_theorem1(trials=3, seed=seed, order=8)
 
     def test_numpy_integer_seed_reads_as_default_rng(self):
